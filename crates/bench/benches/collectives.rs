@@ -1,5 +1,5 @@
 //! Collective-engine microbenchmarks: allreduce and barrier latency
-//! under both `HPGMXP_COLL` algorithms, per transport, at P ∈ {2, 4}.
+//! under both collective algorithms, per transport, at P ∈ {2, 4}.
 //!
 //! Run: `cargo bench -p hpgmxp-bench --bench collectives`
 //!
@@ -27,9 +27,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpgmxp_comm::launch::free_port;
-use hpgmxp_comm::{
-    set_algo_override, CollAlgo, Comm, ReduceOp, ShmemWorld, SocketWorld, ThreadWorld,
-};
+use hpgmxp_comm::{CollAlgo, Comm, MeshConfig, ReduceOp, ShmemWorld, SocketWorld, ThreadWorld};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -93,15 +91,15 @@ fn bench_collectives(c: &mut Criterion) {
         .sample_size(10);
 
     for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        // The engine caches HPGMXP_COLL; the override pins the
-        // algorithm per configuration regardless of the environment.
-        set_algo_override(Some(algo));
+        // Every world is built with its algorithm, regardless of the
+        // environment's HPGMXP_COLL.
+        let config = MeshConfig { coll: algo, ..MeshConfig::from_env() };
         for p in [2usize, 4] {
             for (op, barriers) in [("allreduce", 0), ("barrier", BARRIERS_PER_STEP)] {
                 let label = |transport: &str| format!("{op}_{}/{transport}/P{p}", algo.name());
 
                 bench_world(&mut g, label("thread"), barriers, || {
-                    let mut comms = ThreadWorld::connect(p);
+                    let mut comms = ThreadWorld::connect_with(p, None, algo);
                     let root = comms.remove(0);
                     let helpers = comms
                         .into_iter()
@@ -114,32 +112,32 @@ fn bench_collectives(c: &mut Criterion) {
                     let shm_id = fresh_shm_id();
                     let helpers = (1..p)
                         .map(|rank| {
-                            let id = shm_id.clone();
+                            let (id, config) = (shm_id.clone(), config.clone());
                             std::thread::spawn(move || {
-                                let c = ShmemWorld::connect(rank, p, &id);
+                                let c = ShmemWorld::connect_with_config(rank, p, &id, config);
                                 helper_loop(&c, barriers);
                             })
                         })
                         .collect();
-                    (ShmemWorld::connect(0, p, &shm_id), helpers)
+                    (ShmemWorld::connect_with_config(0, p, &shm_id, config.clone()), helpers)
                 });
 
                 bench_world(&mut g, label("socket"), barriers, || {
                     let port = free_port();
                     let helpers = (1..p)
                         .map(|rank| {
+                            let config = config.clone();
                             std::thread::spawn(move || {
-                                let c = SocketWorld::connect(rank, p, port);
+                                let c = SocketWorld::connect_with_config(rank, p, port, config);
                                 helper_loop(&c, barriers);
                             })
                         })
                         .collect();
-                    (SocketWorld::connect(0, p, port), helpers)
+                    (SocketWorld::connect_with_config(0, p, port, config.clone()), helpers)
                 });
             }
         }
     }
-    set_algo_override(None);
     g.finish();
 }
 

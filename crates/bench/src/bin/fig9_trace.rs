@@ -99,7 +99,7 @@ fn main() {
         println!(
             "[fig9] transport {}, coll {}, simd {} (features {})\n",
             transport.name(),
-            hpgmxp_comm::collectives::algo().name(),
+            hpgmxp_comm::CollAlgo::from_env().name(),
             hpgmxp_sparse::simd::level().name(),
             hpgmxp_sparse::simd::features().summary()
         );

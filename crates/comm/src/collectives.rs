@@ -9,11 +9,16 @@
 //! including the fault semantics of its mailbox (typed [`CommError`]s
 //! with peer attribution instead of hangs).
 //!
-//! Two algorithms are implemented, selectable via `HPGMXP_COLL`:
+//! Two algorithms are implemented. Which one a world runs is an
+//! immutable property of that world, fixed when it is constructed
+//! (from `HPGMXP_COLL` unless the constructor is told otherwise) and
+//! read by the engine through `CollEndpoint::algo` — ranks of one
+//! world cannot disagree about the message pattern:
 //!
 //! * **`star`** — the original O(P) pattern: rank 0 receives every
 //!   contribution in rank order, reduces, and broadcasts. The root
-//!   performs P−1 sequential receives per collective.
+//!   performs P−1 sequential receives per collective. Kept as the
+//!   oracle the bit-identity and chaos suites compare `rd` against.
 //! * **`rd`** (the default) — a recursive-doubling / Bruck
 //!   **allgather**-based allreduce in ⌈log₂P⌉ rounds: round `k` sends
 //!   the `min(2^k, P−2^k)` blocks held so far to rank `r−2^k` and
@@ -39,16 +44,21 @@
 use crate::comm::{reduce_into, ReduceOp};
 use crate::error::CommResult;
 use hpgmxp_trace::{counter, Lane};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Which collective algorithm the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Tag bit reserved for collective traffic (allreduce/barrier rounds).
+/// User tags must leave it clear; the halo engine and every test tag
+/// sit far below it.
+pub const COLLECTIVE_TAG_BIT: u64 = 1 << 63;
+
+/// Which collective algorithm a world runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CollAlgo {
     /// Rank-0 gather + broadcast: O(P) sequential receives at the root.
     Star,
     /// Recursive-doubling (Bruck) allgather + local rank-order fold:
     /// O(log P) rounds on every rank. The default.
+    #[default]
     RecursiveDoubling,
 }
 
@@ -70,44 +80,36 @@ impl CollAlgo {
         }
     }
 
-    /// Read `HPGMXP_COLL` (default: `rd`). Unknown values panic —
-    /// a typo must not silently change the message pattern.
+    /// Read `HPGMXP_COLL` (default: `rd`) — what a world constructed
+    /// without an explicit algorithm runs. Unknown values panic — a
+    /// typo must not silently change the message pattern.
     pub fn from_env() -> CollAlgo {
-        static ENV: OnceLock<CollAlgo> = OnceLock::new();
-        *ENV.get_or_init(|| match std::env::var("HPGMXP_COLL") {
-            Ok(v) if v.is_empty() => CollAlgo::RecursiveDoubling,
+        match std::env::var("HPGMXP_COLL") {
+            Ok(v) if v.is_empty() => CollAlgo::default(),
             Ok(v) => CollAlgo::parse(&v).unwrap_or_else(|| {
                 panic!("unknown HPGMXP_COLL={v:?} (expected \"star\" or \"rd\")")
             }),
-            Err(_) => CollAlgo::RecursiveDoubling,
-        })
+            Err(_) => CollAlgo::default(),
+        }
     }
-}
 
-/// Process-wide algorithm override: 0 = follow the environment,
-/// otherwise the algorithm in force. In-process A/B tests and the
-/// microbenchmarks use this because `HPGMXP_COLL` is read once and
-/// mutating the environment races other threads.
-static ALGO_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+    /// The byte a mesh rendezvous carries so every rank can check it
+    /// joined a world running its algorithm (never 0, so an
+    /// uninitialized field cannot pass for one).
+    pub(crate) fn wire_code(self) -> u8 {
+        match self {
+            CollAlgo::Star => 1,
+            CollAlgo::RecursiveDoubling => 2,
+        }
+    }
 
-/// Force every subsequent collective onto `algo` (or back to the
-/// environment's choice with `None`). Applies process-wide; intended
-/// for tests and benchmarks, not steady-state configuration.
-pub fn set_algo_override(algo: Option<CollAlgo>) {
-    let v = match algo {
-        None => 0,
-        Some(CollAlgo::Star) => 1,
-        Some(CollAlgo::RecursiveDoubling) => 2,
-    };
-    ALGO_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// The algorithm in force: the override if set, else `HPGMXP_COLL`.
-pub fn algo() -> CollAlgo {
-    match ALGO_OVERRIDE.load(Ordering::SeqCst) {
-        1 => CollAlgo::Star,
-        2 => CollAlgo::RecursiveDoubling,
-        _ => CollAlgo::from_env(),
+    /// Inverse of [`CollAlgo::wire_code`].
+    pub(crate) fn from_wire_code(code: u8) -> Option<CollAlgo> {
+        match code {
+            1 => Some(CollAlgo::Star),
+            2 => Some(CollAlgo::RecursiveDoubling),
+            _ => None,
+        }
     }
 }
 
@@ -203,9 +205,12 @@ pub fn rd_rounds(p: usize) -> u32 {
 /// (typed error when the peer died or the receive deadline elapsed).
 /// `next_coll_tag` returns a fresh reserved tag; collectives execute
 /// in SPMD program order, so every rank draws the same sequence.
+/// `algo` is the world's algorithm — the same value on every rank of
+/// the world, for the world's whole life.
 pub(crate) trait CollEndpoint {
     fn rank(&self) -> usize;
     fn size(&self) -> usize;
+    fn algo(&self) -> CollAlgo;
     fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()>;
     fn coll_recv(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()>;
     fn next_coll_tag(&self) -> u64;
@@ -255,22 +260,11 @@ fn decode_f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
     out.extend(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())));
 }
 
-/// Allreduce under the algorithm in force (override / `HPGMXP_COLL`).
+/// Allreduce under the endpoint's algorithm. Both algorithms fold the
+/// P contributions in rank order 0..P, so their results are
+/// bit-identical; only the message pattern differs.
 pub(crate) fn allreduce<E: CollEndpoint + ?Sized>(
     ep: &E,
-    scratch: &mut CollScratch,
-    vals: &mut [f64],
-    op: ReduceOp,
-) -> CommResult<()> {
-    allreduce_with(ep, algo(), scratch, vals, op)
-}
-
-/// Allreduce under an explicit algorithm. Both algorithms fold the P
-/// contributions in rank order 0..P, so their results are
-/// bit-identical; only the message pattern differs.
-pub(crate) fn allreduce_with<E: CollEndpoint + ?Sized>(
-    ep: &E,
-    algo: CollAlgo,
     scratch: &mut CollScratch,
     vals: &mut [f64],
     op: ReduceOp,
@@ -286,7 +280,7 @@ pub(crate) fn allreduce_with<E: CollEndpoint + ?Sized>(
     sp.set_arg(vals.len() as u64);
     let tag = ep.next_coll_tag();
     let b = vals.len() * 8;
-    match algo {
+    match ep.algo() {
         CollAlgo::Star => {
             scratch.ring.clear();
             scratch.ring.resize(b, 0);
@@ -376,15 +370,10 @@ fn bruck_allgather<E: CollEndpoint + ?Sized>(
     Ok(())
 }
 
-/// Barrier under the algorithm in force.
-pub(crate) fn barrier<E: CollEndpoint + ?Sized>(ep: &E) -> CommResult<()> {
-    barrier_with(ep, algo())
-}
-
-/// Barrier under an explicit algorithm: a rank-0 star of empty
+/// Barrier under the endpoint's algorithm: a rank-0 star of empty
 /// messages, or the dissemination barrier (round `k`: send to
 /// `r+2^k`, receive from `r−2^k`, ⌈log₂P⌉ rounds).
-pub(crate) fn barrier_with<E: CollEndpoint + ?Sized>(ep: &E, algo: CollAlgo) -> CommResult<()> {
+pub(crate) fn barrier<E: CollEndpoint + ?Sized>(ep: &E) -> CommResult<()> {
     let (p, r) = (ep.size(), ep.rank());
     let c = ep.counters();
     c.barriers.fetch_add(1, Ordering::SeqCst);
@@ -394,7 +383,7 @@ pub(crate) fn barrier_with<E: CollEndpoint + ?Sized>(ep: &E, algo: CollAlgo) -> 
     }
     let _sp = hpgmxp_trace::span("barrier", Lane::Coll);
     let tag = ep.next_coll_tag();
-    match algo {
+    match ep.algo() {
         CollAlgo::Star => {
             if r == 0 {
                 for src in 1..p {
@@ -427,23 +416,12 @@ pub(crate) fn barrier_with<E: CollEndpoint + ?Sized>(ep: &E, algo: CollAlgo) -> 
     Ok(())
 }
 
-/// Allgather of one `u64` row per rank under the algorithm in force:
+/// Allgather of one `u64` row per rank under the endpoint's algorithm:
 /// on return `out` holds P rows of `row.len()` values in rank order.
-/// This is how the socket/shmem flush barrier distributes the
-/// sent-count matrix (row `i` = what rank `i` has sent to each peer).
+/// This is how the mesh flush barrier distributes the sent-count
+/// matrix (row `i` = what rank `i` has sent to each peer).
 pub(crate) fn allgather_u64<E: CollEndpoint + ?Sized>(
     ep: &E,
-    scratch: &mut CollScratch,
-    row: &[u64],
-    out: &mut Vec<u64>,
-) -> CommResult<()> {
-    allgather_u64_with(ep, algo(), scratch, row, out)
-}
-
-/// [`allgather_u64`] under an explicit algorithm.
-pub(crate) fn allgather_u64_with<E: CollEndpoint + ?Sized>(
-    ep: &E,
-    algo: CollAlgo,
     scratch: &mut CollScratch,
     row: &[u64],
     out: &mut Vec<u64>,
@@ -472,7 +450,7 @@ pub(crate) fn allgather_u64_with<E: CollEndpoint + ?Sized>(
             *v = u64::from_le_bytes(chunk.try_into().unwrap());
         }
     };
-    match algo {
+    match ep.algo() {
         CollAlgo::Star => {
             scratch.ring.clear();
             scratch.ring.resize(p * b, 0);
@@ -527,6 +505,10 @@ mod tests {
         assert_eq!(CollAlgo::parse("tree"), None);
         assert_eq!(CollAlgo::Star.name(), "star");
         assert_eq!(CollAlgo::RecursiveDoubling.name(), "rd");
+        for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
+            assert_eq!(CollAlgo::from_wire_code(algo.wire_code()), Some(algo));
+        }
+        assert_eq!(CollAlgo::from_wire_code(0), None, "a zeroed field is not an algorithm");
     }
 
     #[test]

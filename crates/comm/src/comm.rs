@@ -86,42 +86,68 @@ pub trait Comm: Send + Sync {
     fn rank(&self) -> usize;
     /// World size.
     fn size(&self) -> usize;
+
+    // ---- required operations ----------------------------------------
+    //
+    // Backends implement the fallible `*_checked` family: a detected
+    // transport fault is a typed [`CommError`](crate::CommError) a
+    // solver can propagate up to a diagnostic exit. The panicking
+    // names below are provided on top of them.
+
     /// Non-blocking buffered send of a tagged message. The backend
-    /// copies `bytes` into pooled storage; no ownership transfer.
-    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]);
+    /// copies `bytes` into pooled storage; no ownership transfer. A
+    /// send on a dead connection returns the fault.
+    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()>;
     /// Blocking receive of the next message from `from` with `tag`.
-    /// The message length must equal `out.len()`.
-    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]);
+    /// The message length must equal `out.len()`. A failed peer or an
+    /// elapsed receive deadline returns a typed fault naming the peer
+    /// and tag.
+    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()>;
     /// Poll for a matching message without blocking; `true` if `out`
     /// was filled.
     fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool;
     /// Block until one of the still-posted receives (the `Some` slots)
     /// completes, fill its buffer, and hand the completed post back as
-    /// `(slot index, post)`. Returns `None` once every slot is `None`.
-    ///
-    /// The default implementation polls; backends with a real mailbox
-    /// override it with a blocking wait.
-    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
-        loop {
-            let mut live = false;
-            for (i, slot) in posts.iter_mut().enumerate() {
-                let Some(p) = slot.as_mut() else { continue };
-                live = true;
-                if self.try_recv_into(p.from, p.tag, p.buf) {
-                    let post = slot.take().expect("slot checked above");
-                    return Some((i, post));
-                }
-            }
-            if !live {
-                return None;
-            }
-            std::thread::yield_now();
-        }
-    }
+    /// `(slot index, post)`. Returns `Ok(None)` once every slot is
+    /// `None`.
+    fn wait_any_checked<'p>(
+        &self,
+        posts: &mut [Option<RecvPost<'p>>],
+    ) -> CommResult<Option<(usize, RecvPost<'p>)>>;
     /// In-place elementwise all-reduce over all ranks.
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp);
+    fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()>;
     /// Block until every rank has entered the barrier.
-    fn barrier(&self);
+    fn barrier_checked(&self) -> CommResult<()>;
+
+    // ---- provided: the loud-failure names ---------------------------
+    //
+    // Each panics with the fault's `Display` form, which names the
+    // peer (e.g. "connection to rank 1 closed").
+
+    /// [`Comm::send_from_checked`], panicking on a fault.
+    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) {
+        self.send_from_checked(to, tag, bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Comm::recv_into_checked`], panicking on a fault.
+    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) {
+        self.recv_into_checked(from, tag, out).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Comm::wait_any_checked`], panicking on a fault.
+    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
+        self.wait_any_checked(posts).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Comm::allreduce_checked`], panicking on a fault.
+    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
+        self.allreduce_checked(vals, op).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Comm::barrier_checked`], panicking on a fault.
+    fn barrier(&self) {
+        self.barrier_checked().unwrap_or_else(|e| panic!("{e}"))
+    }
 
     /// All-reduce a single scalar (the hot path of the DOT motif).
     fn allreduce_scalar(&self, val: f64, op: ReduceOp) -> f64 {
@@ -130,54 +156,11 @@ pub trait Comm: Send + Sync {
         buf[0]
     }
 
-    // ---- fallible variants ------------------------------------------
-    //
-    // The `*_checked` family returns a typed [`CommError`] where the
-    // legacy methods panic, so solvers can propagate a peer failure up
-    // to a diagnostic exit instead of unwinding. Backends with real
-    // fault detection (thread/socket worlds) override these; the
-    // defaults wrap the infallible calls, which is exact for backends
-    // that cannot fail (`SelfComm`, the machine model's comm).
-
-    /// Fallible [`Comm::send_from`]: a send on a dead connection
-    /// returns the fault instead of panicking.
-    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        self.send_from(to, tag, bytes);
-        Ok(())
-    }
-
-    /// Fallible [`Comm::recv_into`]: a failed peer or an elapsed
-    /// receive deadline returns a typed fault naming the peer and tag.
-    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        self.recv_into(from, tag, out);
-        Ok(())
-    }
-
-    /// Fallible [`Comm::wait_any`].
-    fn wait_any_checked<'p>(
-        &self,
-        posts: &mut [Option<RecvPost<'p>>],
-    ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
-        Ok(self.wait_any(posts))
-    }
-
-    /// Fallible [`Comm::allreduce`].
-    fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
-        self.allreduce(vals, op);
-        Ok(())
-    }
-
     /// Fallible [`Comm::allreduce_scalar`].
     fn allreduce_scalar_checked(&self, val: f64, op: ReduceOp) -> CommResult<f64> {
         let mut buf = [val];
         self.allreduce_checked(&mut buf, op)?;
         Ok(buf[0])
-    }
-
-    /// Fallible [`Comm::barrier`].
-    fn barrier_checked(&self) -> CommResult<()> {
-        self.barrier();
-        Ok(())
     }
 
     /// Cumulative collective-engine traffic counters for this endpoint
@@ -388,21 +371,28 @@ impl Comm for SelfComm {
     fn size(&self) -> usize {
         1
     }
-    fn send_from(&self, _to: usize, _tag: u64, _bytes: &[u8]) {
+    fn send_from_checked(&self, _to: usize, _tag: u64, _bytes: &[u8]) -> CommResult<()> {
         unreachable!("SelfComm has no peers to send to");
     }
-    fn recv_into(&self, _from: usize, _tag: u64, _out: &mut [u8]) {
+    fn recv_into_checked(&self, _from: usize, _tag: u64, _out: &mut [u8]) -> CommResult<()> {
         unreachable!("SelfComm has no peers to receive from");
     }
     fn try_recv_into(&self, _from: usize, _tag: u64, _out: &mut [u8]) -> bool {
         false
     }
-    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
+    fn wait_any_checked<'p>(
+        &self,
+        posts: &mut [Option<RecvPost<'p>>],
+    ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
         assert!(posts.iter().all(Option::is_none), "SelfComm has no peers to receive from");
-        None
+        Ok(None)
     }
-    fn allreduce(&self, _vals: &mut [f64], _op: ReduceOp) {}
-    fn barrier(&self) {}
+    fn allreduce_checked(&self, _vals: &mut [f64], _op: ReduceOp) -> CommResult<()> {
+        Ok(())
+    }
+    fn barrier_checked(&self) -> CommResult<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //! * [`FaultyComm`] wraps **any** [`Comm`] backend at the trait level —
 //!   the thread-world chaos suite property-tests crash/hang scenarios
 //!   over seeds without spawning processes;
-//! * the socket transport's frame-level interposer
-//!   (see `socket_world`) applies the same plan to outgoing wire
+//! * the mesh transports' frame-level interposer
+//!   (see [`crate::mesh`]) applies the same plan to outgoing wire
 //!   frames, where `Corrupt` flips a post-CRC byte so the receiver's
 //!   checksum catches it — the full-stack detection path.
 //!
@@ -335,10 +335,6 @@ impl<C: Comm> Comm for FaultyComm<C> {
         self.inner.size()
     }
 
-    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) {
-        self.send_from_checked(to, tag, bytes).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         self.tick();
         let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
@@ -380,20 +376,12 @@ impl<C: Comm> Comm for FaultyComm<C> {
         Ok(())
     }
 
-    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) {
-        self.inner.recv_into(from, tag, out)
-    }
-
     fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
         self.inner.recv_into_checked(from, tag, out)
     }
 
     fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool {
         self.inner.try_recv_into(from, tag, out)
-    }
-
-    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
-        self.inner.wait_any(posts)
     }
 
     fn wait_any_checked<'p>(
@@ -403,22 +391,10 @@ impl<C: Comm> Comm for FaultyComm<C> {
         self.inner.wait_any_checked(posts)
     }
 
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
-        self.tick();
-        self.flush_stash();
-        self.inner.allreduce(vals, op)
-    }
-
     fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
         self.tick();
         self.flush_stash();
         self.inner.allreduce_checked(vals, op)
-    }
-
-    fn barrier(&self) {
-        self.tick();
-        self.flush_stash();
-        self.inner.barrier()
     }
 
     fn barrier_checked(&self) -> CommResult<()> {

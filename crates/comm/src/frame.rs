@@ -1,6 +1,7 @@
-//! The framed wire protocol of the socket transport.
+//! The framed wire protocol of the [`crate::mesh`] transports (socket
+//! and shmem).
 //!
-//! Every message between two socket ranks travels as one *frame*: a
+//! Every message between two mesh ranks travels as one *frame*: a
 //! fixed 24-byte little-endian header followed by the payload bytes.
 //!
 //! ```text

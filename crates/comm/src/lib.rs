@@ -16,20 +16,22 @@
 //!   OS threads and condvar-signalled mailboxes with pooled message
 //!   buffers (allocation-free at steady state), with MPI-like per-pair
 //!   FIFO ordering;
-//! * [`socket_world`] — [`SocketWorld`]: a world of `P` rank
-//!   *processes* meshed over localhost TCP speaking the [`frame`]d
-//!   wire protocol, with per-peer recycled receive pools and
-//!   ledger-flushing collectives (started by the `hpgmxp-launch`
-//!   binary);
-//! * [`shmem_world`] — [`ShmemWorld`]: a world of `P` same-host rank
-//!   *processes* exchanging the identical [`frame`]d protocol through
-//!   per-pair mmap'd ring buffers in `/dev/shm` — no kernel socket on
-//!   the data path;
+//! * [`mesh`] — [`MeshComm`]: a rank *process*'s endpoint in a framed
+//!   mesh over any per-peer byte pipe ([`mesh::Link`]): the [`frame`]d
+//!   wire protocol, per-peer recycled receive pools, the
+//!   ledger-flushing barrier, heartbeats, and wire-fault injection,
+//!   written once (ranks are started by the `hpgmxp-launch` binary);
+//! * [`socket_world`] — [`SocketWorld`]: the mesh over localhost TCP
+//!   (rendezvous + `TcpLink`);
+//! * [`shmem_world`] — [`ShmemWorld`]: the mesh over per-pair mmap'd
+//!   ring buffers in `/dev/shm` (rendezvous + `RingLink`) — no kernel
+//!   socket on the data path;
 //! * [`collectives`] — the shared collective engine: star and
 //!   recursive-doubling allreduce/barrier/allgather written against
 //!   checked point-to-point ops, bit-identical across algorithms and
-//!   transports (`HPGMXP_COLL=star|rd`), with per-endpoint traffic
-//!   counters;
+//!   transports, with per-endpoint traffic counters. The algorithm is
+//!   a property of each world, fixed at construction
+//!   (`HPGMXP_COLL=star|rd` by default);
 //! * [`world`] — transport selection: [`run_spmd`] reads
 //!   `HPGMXP_COMM=thread|socket|shmem` once and hands the closure a
 //!   [`WorldComm`] over whichever backend it picked;
@@ -55,17 +57,19 @@ pub mod frame;
 pub mod halo;
 pub mod launch;
 mod mailbox;
+pub mod mesh;
 pub mod shmem_world;
 pub mod socket_world;
 pub mod thread_world;
 pub mod timeline;
 pub mod world;
 
-pub use collectives::{rd_rounds, set_algo_override, CollAlgo, CollStats};
+pub use collectives::{rd_rounds, CollAlgo, CollStats};
 pub use comm::{Comm, RecvPost, ReduceOp, SelfComm};
 pub use error::{CommError, CommErrorKind, CommResult};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyComm};
 pub use halo::{ActiveExchange, HaloExchange};
+pub use mesh::{MeshComm, MeshConfig};
 pub use shmem_world::{ShmemComm, ShmemWorld};
 pub use socket_world::{SocketComm, SocketWorld};
 pub use thread_world::{run_threads, run_threads_fallible, ThreadComm, ThreadWorld};

@@ -1,7 +1,7 @@
 //! The rank-local mailbox shared by every multi-rank transport.
 //!
 //! Both [`crate::thread_world::ThreadWorld`] (messages arrive from
-//! sibling threads) and [`crate::socket_world::SocketWorld`] (messages
+//! sibling threads) and the [`crate::mesh`] transports (messages
 //! arrive from per-peer reader threads) deliver into the same
 //! structure: an arrival-ordered deque guarded by a mutex + condvar.
 //! Scanning front-to-back preserves FIFO per (sender, tag) pair
@@ -24,15 +24,45 @@
 //! A mailbox may carry a **receive deadline**: every blocking receive
 //! then returns a typed [`CommError`] of kind `Timeout` once it has
 //! waited that long — the detector for a peer that is alive (still
-//! heartbeating) but wedged. The `*_checked` methods return
-//! [`CommResult`]; the legacy methods wrap them and panic with the
-//! same messages they always produced.
+//! heartbeating) but wedged.
+//!
+//! Message buffers are recycled through free lists ([`pool_take`] /
+//! [`pool_put`]): world-wide in the thread world, per peer in a mesh.
 
 use crate::comm::RecvPost;
 use crate::error::{CommError, CommErrorKind, CommResult};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// A free list of recycled message buffers. Buffers only ever grow, so
+/// after warm-up every message is served without a heap allocation
+/// (the zero-allocation steady state the halo suite asserts).
+pub(crate) type BufPool = Mutex<Vec<Vec<u8>>>;
+
+/// Take a pool buffer that can hold `len` bytes without growing. Best
+/// fit (smallest sufficient capacity) so a small message never claims
+/// the pool's only large buffer and forces the next large one to
+/// reallocate — the steady state must stay allocation-free under any
+/// interleaving.
+pub(crate) fn pool_take(pool: &BufPool, len: usize) -> Vec<u8> {
+    let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
+    let best = pool
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| b.capacity() >= len)
+        .min_by_key(|(_, b)| b.capacity())
+        .map(|(i, _)| i);
+    match best {
+        Some(pos) => pool.swap_remove(pos),
+        None => pool.pop().unwrap_or_default(),
+    }
+}
+
+/// Return a buffer to its pool.
+pub(crate) fn pool_put(pool: &BufPool, buf: Vec<u8>) {
+    pool.lock().unwrap_or_else(|e| e.into_inner()).push(buf);
+}
 
 /// One delivered message, owning its (pool-recycled) byte buffer.
 #[derive(Debug)]
@@ -47,6 +77,23 @@ struct Queue {
     /// Per-peer transport faults (connection closed, lost, or corrupt);
     /// each peer's entry is set at most once.
     faults: BTreeMap<usize, (CommErrorKind, String)>,
+}
+
+/// Copy a matched message into the posted buffer `out` of rank `rank`
+/// and recycle its buffer into `pool`. Call with the mailbox lock
+/// released — the pool lock is never taken under the queue lock.
+pub(crate) fn deliver(msg: Message, out: &mut [u8], rank: usize, pool: &BufPool) {
+    assert_eq!(
+        msg.data.len(),
+        out.len(),
+        "message length mismatch: rank {rank} got {} bytes from {} tag {}, posted {}",
+        msg.data.len(),
+        msg.from,
+        msg.tag,
+        out.len()
+    );
+    out.copy_from_slice(&msg.data);
+    pool_put(pool, msg.data);
 }
 
 /// Arrival-ordered inbox of one rank.
@@ -202,14 +249,6 @@ impl Mailbox {
         }
     }
 
-    /// Blocking receive of the next message matching `(from, tag)`.
-    /// Panics on a fault or deadline — the legacy loud-failure path.
-    pub fn recv_matching(&self, from: usize, tag: u64) -> Message {
-        self.recv_matching_checked(from, tag).unwrap_or_else(|e| {
-            panic!("receive from rank {from} (tag {tag}) cannot complete: {}", e.detail)
-        })
-    }
-
     /// Non-blocking receive of the next message matching `(from, tag)`.
     pub fn try_recv_matching(&self, from: usize, tag: u64) -> Option<Message> {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -259,21 +298,8 @@ impl Mailbox {
         }
     }
 
-    /// [`Mailbox::wait_any_matching_checked`], panicking on failure —
-    /// the legacy loud-failure path.
-    pub fn wait_any_matching(&self, posts: &[Option<RecvPost<'_>>]) -> (usize, Message) {
-        self.wait_any_matching_checked(posts).unwrap_or_else(|e| {
-            panic!(
-                "wait_any on rank {} (tag {}) cannot complete: {}",
-                e.peer.unwrap_or(usize::MAX),
-                e.tag.unwrap_or(u64::MAX),
-                e.detail
-            )
-        })
-    }
-
     /// Block until `enough()` (re-evaluated after every delivery)
-    /// returns true — the socket flush-barrier waits on per-peer
+    /// returns true — the mesh flush barrier waits on per-peer
     /// delivery counters this way. Any peer fault (a barrier needs
     /// everyone), or the receive deadline, is a typed error.
     pub fn wait_until_checked(&self, mut enough: impl FnMut() -> bool) -> CommResult<()> {
@@ -303,12 +329,6 @@ impl Mailbox {
                 )
             })?;
         }
-    }
-
-    /// [`Mailbox::wait_until_checked`], panicking on failure.
-    #[allow(dead_code)]
-    pub fn wait_until(&self, enough: impl FnMut() -> bool) {
-        self.wait_until_checked(enough).unwrap_or_else(|e| panic!("{}", e.detail))
     }
 }
 
@@ -418,13 +438,5 @@ mod tests {
         let (kind, why) = mb.fault_of(1).unwrap();
         assert_eq!(kind, CommErrorKind::Corrupt);
         assert!(why.contains("CRC"), "{why}");
-    }
-
-    #[test]
-    #[should_panic(expected = "receive from rank 1 (tag 7) cannot complete")]
-    fn legacy_recv_still_panics_loudly() {
-        let mb = Mailbox::new();
-        mb.fail(1, CommErrorKind::PeerClosed, "connection to rank 1 closed".into());
-        mb.recv_matching(1, 7);
     }
 }

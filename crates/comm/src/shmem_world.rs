@@ -6,16 +6,17 @@
 //! `(i, j)` owns a single-producer/single-consumer byte ring in one
 //! shared `/dev/shm` file, and rank `i` sends to rank `j` by copying
 //! [`crate::frame`]-encoded bytes into ring `(i, j)` and publishing a
-//! new head counter. The frame protocol, CRC, per-peer recycled
-//! receive pools, shared [`crate::mailbox::Mailbox`], heartbeats,
-//! receive deadlines, and the fault-injection interposer are all the
-//! same code the socket transport runs — only the byte channel
-//! differs, which is precisely the layering the frame module promised.
+//! new head counter. This module is the mmap rendezvous plus
+//! [`RingLink`]; the frame protocol, CRC, per-peer recycled receive
+//! pools, shared [`crate::mailbox::Mailbox`], heartbeats, receive
+//! deadlines, and the fault-injection interposer are the shared
+//! [`crate::mesh`] — the same code the socket transport runs, only the
+//! byte channel differs.
 //!
 //! ## File layout
 //!
 //! ```text
-//! [ header page: magic, size P, ring_bytes, attached counter ]
+//! [ header page: magic, size P, ring_bytes, algorithms, attached counter ]
 //! [ ring (0,0) ][ ring (0,1) ] ... [ ring (P-1,P-1) ]
 //! ```
 //!
@@ -34,9 +35,12 @@
 //! Rank 0 creates the file (`HPGMXP_SHM_ID` names it, unique per
 //! launch attempt), sizes it, initializes the header, and publishes
 //! the magic last; other ranks poll for the file and magic, map it,
-//! and bump the `attached` counter. Once every rank is attached rank 0
-//! *unlinks* the file — the mapping stays valid for the attached
-//! processes, and a crashed job leaks no `/dev/shm` entry.
+//! and bump the `attached` counter. Every rank also ORs the bit of its
+//! collective algorithm into the header's `algorithms` word before
+//! attaching; a word with more than one bit set is a mixed world, and
+//! every rank that sees one refuses to connect. Once every rank is
+//! attached rank 0 *unlinks* the file — the mapping stays valid for
+//! the attached processes, and a crashed job leaks no `/dev/shm` entry.
 //!
 //! ## Blocking and failure
 //!
@@ -53,19 +57,15 @@
 //! — the same three detectors, same typed faults, as the socket
 //! world.
 
-use crate::collectives::{self, CollCounters, CollScratch, CollStats};
-use crate::comm::{Comm, RecvPost, ReduceOp};
-use crate::error::{CommError, CommErrorKind, CommResult};
-use crate::fault::{FaultKind, SplitMix64};
-use crate::frame::{read_frame, stage_frame, HEADER_LEN};
-use crate::mailbox::{Mailbox, Message};
-use crate::socket_world::{SocketConfig, COLLECTIVE_TAG_BIT, HEARTBEAT_TAG};
-use hpgmxp_trace::{counter, histogram};
+use crate::collectives::CollAlgo;
+use crate::mesh::{
+    coll_mismatch, connect_timeout, env_knob, launch_knob, launch_var, Link, MeshComm, MeshConfig,
+};
 use std::fs::{File, OpenOptions};
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 // The only two syscalls std does not wrap. Values are the x86-64 /
@@ -89,6 +89,9 @@ const FILE_HEADER: usize = 4096;
 const OFF_MAGIC: usize = 0;
 const OFF_SIZE: usize = 8;
 const OFF_RING_BYTES: usize = 16;
+/// Bitmask of the collective algorithms (`1 << wire_code`) the ranks
+/// of this world were configured with; exactly one bit in a sane world.
+const OFF_COLL_MASK: usize = 24;
 const OFF_ATTACHED: usize = 64;
 
 /// Bytes of one ring's header (head / tail / closed, one cache line
@@ -102,32 +105,13 @@ const OFF_CLOSED: usize = 128;
 /// must be a power of two).
 const DEFAULT_RING_BYTES: usize = 256 * 1024;
 
-/// Buffers stocked per peer pool by [`ShmemComm::prewarm_pool`] —
-/// the same in-flight window bound the socket transport uses.
-const POOL_STOCK: usize = 8;
-
 fn ring_bytes_from_env() -> usize {
-    match std::env::var("HPGMXP_SHM_RING_BYTES") {
-        Ok(v) => {
-            let n: usize = v
-                .parse()
-                .unwrap_or_else(|_| panic!("HPGMXP_SHM_RING_BYTES is not a number: {v:?}"));
-            assert!(
-                n.is_power_of_two() && n >= 4096,
-                "HPGMXP_SHM_RING_BYTES must be a power of two >= 4096, got {n}"
-            );
-            n
-        }
-        Err(_) => DEFAULT_RING_BYTES,
-    }
-}
-
-fn connect_timeout() -> Duration {
-    let secs = std::env::var("HPGMXP_CONNECT_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(60);
-    Duration::from_secs(secs)
+    let n = env_knob("HPGMXP_SHM_RING_BYTES").unwrap_or(DEFAULT_RING_BYTES);
+    assert!(
+        n.is_power_of_two() && n >= 4096,
+        "HPGMXP_SHM_RING_BYTES must be a power of two >= 4096, got {n}"
+    );
+    n
 }
 
 /// Spin-then-yield-then-sleep waiter for ring-full / ring-empty waits:
@@ -226,78 +210,89 @@ impl Layout {
     }
 }
 
-/// The write side of one outgoing ring plus its frame staging buffer.
-/// One `write_all`-equivalent per frame, serialized by the mutex this
-/// lives in (data senders and the heartbeat thread share it).
-struct SendHalf {
+/// The producer side of one outgoing ring — the shmem mesh's [`Link`].
+/// Sole producer by construction (the mesh serializes writers on the
+/// mutex the link lives in).
+pub struct RingLink {
+    map: Arc<Mapping>,
+    /// Byte offset of the ring's header in the mapping.
     ring: usize,
-    staging: Vec<u8>,
+    ring_bytes: usize,
+    /// Set by `close`; later writes fail instead of feeding a ring
+    /// nobody reads.
+    closed: bool,
 }
 
-/// Copy `bytes` into the ring at `ring_off`, chunking through the ring
-/// if the frame is larger than it, bounded by `timeout` per stall.
-fn ring_write(
-    map: &Mapping,
-    layout: Layout,
-    ring_off: usize,
-    bytes: &[u8],
-    timeout: Option<Duration>,
-    peer: usize,
-    tag: u64,
-) -> CommResult<()> {
-    let head_a = map.atomic(ring_off + OFF_HEAD);
-    let tail_a = map.atomic(ring_off + OFF_TAIL);
-    let data = ring_off + RING_HEADER;
-    let rb = layout.ring_bytes;
-    // Sole producer for this ring (serialized by the SendHalf mutex),
-    // so a relaxed read of our own head is exact.
-    let mut head = head_a.load(Ordering::Relaxed);
-    let mut written = 0usize;
-    let started = Instant::now();
-    let mut backoff = Backoff::new();
-    while written < bytes.len() {
-        let tail = tail_a.load(Ordering::Acquire);
-        let free = rb - (head - tail) as usize;
-        if free == 0 {
-            if let Some(t) = timeout {
-                if started.elapsed() >= t {
-                    return Err(CommError::new(
-                        CommErrorKind::PeerLost,
-                        Some(peer),
+impl Link for RingLink {
+    type Reader = RingConsumer;
+
+    /// Copy `frame` into the ring, chunking through it if the frame is
+    /// larger than the ring. A ring that stays full for `stall` fails
+    /// the write — the consumer is dead.
+    fn write_frame(&mut self, frame: &[u8], stall: Option<Duration>) -> std::io::Result<()> {
+        if self.closed {
+            return Err(std::io::Error::new(ErrorKind::BrokenPipe, "ring closed"));
+        }
+        let head_a = self.map.atomic(self.ring + OFF_HEAD);
+        let tail_a = self.map.atomic(self.ring + OFF_TAIL);
+        let data = self.ring + RING_HEADER;
+        let rb = self.ring_bytes;
+        // Sole producer for this ring, so a relaxed read of our own
+        // head is exact.
+        let mut head = head_a.load(Ordering::Relaxed);
+        let mut written = 0usize;
+        let mut full_since: Option<Instant> = None;
+        let mut backoff = Backoff::new();
+        while written < frame.len() {
+            let tail = tail_a.load(Ordering::Acquire);
+            let free = rb - (head - tail) as usize;
+            if free == 0 {
+                let since = *full_since.get_or_insert_with(Instant::now);
+                if stall.is_some_and(|t| since.elapsed() >= t) {
+                    return Err(std::io::Error::new(
+                        ErrorKind::TimedOut,
                         format!(
-                            "send to rank {peer} stalled: ring full for {:.3}s (peer timeout \
-                             {:.3}s) — consumer dead?",
-                            started.elapsed().as_secs_f64(),
-                            t.as_secs_f64()
+                            "ring full for {:.3}s — consumer dead?",
+                            since.elapsed().as_secs_f64()
                         ),
-                    )
-                    .with_tag(tag)
-                    .with_elapsed(started.elapsed()));
+                    ));
                 }
+                backoff.wait();
+                continue;
             }
-            backoff.wait();
-            continue;
+            full_since = None;
+            backoff.reset();
+            let pos = (head as usize) & (rb - 1);
+            let n = free.min(frame.len() - written).min(rb - pos);
+            // SAFETY: [pos, pos+n) is free space the consumer will not
+            // read until the head store below publishes it.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    frame[written..].as_ptr(),
+                    self.map.ptr.add(data + pos),
+                    n,
+                );
+            }
+            head += n as u64;
+            head_a.store(head, Ordering::Release);
+            written += n;
         }
-        backoff.reset();
-        let pos = (head as usize) & (rb - 1);
-        let n = free.min(bytes.len() - written).min(rb - pos);
-        // SAFETY: [pos, pos+n) is free space the consumer will not
-        // read until the head store below publishes it.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes[written..].as_ptr(), map.ptr.add(data + pos), n);
-        }
-        head += n as u64;
-        head_a.store(head, Ordering::Release);
-        written += n;
+        Ok(())
     }
-    Ok(())
+
+    /// Set the ring's `closed` flag — after the last head publication,
+    /// so the consumer drains every written frame before it sees EOF.
+    fn close(&mut self) {
+        self.closed = true;
+        self.map.atomic(self.ring + OFF_CLOSED).store(1, Ordering::Release);
+    }
 }
 
 /// The read side of one incoming ring, exposed as [`std::io::Read`] so
 /// [`crate::frame::read_frame`] layers over it unchanged. Blocks
 /// (spin-then-yield) until bytes arrive; returns `Ok(0)` — clean EOF —
 /// once the producer has set `closed` and the ring is drained.
-struct RingConsumer {
+pub struct RingConsumer {
     map: Arc<Mapping>,
     ring: usize,
     ring_bytes: usize,
@@ -349,89 +344,8 @@ impl Read for RingConsumer {
     }
 }
 
-/// Reusable collective state — same shape as the socket world's.
-struct CollState {
-    scratch: CollScratch,
-    row: Vec<u64>,
-    counts: Vec<u64>,
-}
-
-struct ShmemShared {
-    rank: usize,
-    size: usize,
-    layout: Layout,
-    /// `None` only in the trivial single-rank world.
-    map: Option<Arc<Mapping>>,
-    mailbox: Mailbox,
-    /// Write halves indexed by peer rank (`None` at our own index).
-    senders: Vec<Option<Mutex<SendHalf>>>,
-    /// Per-peer recycled receive pools (own index serves self-sends).
-    pools: Vec<Mutex<Vec<Vec<u8>>>>,
-    /// Point-to-point frames sent to / delivered from each peer
-    /// (collective tags excluded) — the flush barrier's ledger.
-    data_sent: Vec<AtomicU64>,
-    data_delivered: Vec<AtomicU64>,
-    collective_seq: AtomicU64,
-    coll: Mutex<CollState>,
-    counters: CollCounters,
-    config: SocketConfig,
-    epoch: Instant,
-    last_heard: Vec<AtomicU64>,
-    fault_ops: AtomicU64,
-    fault_rng: Mutex<SplitMix64>,
-}
-
-impl ShmemShared {
-    fn millis_since_epoch(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-}
-
-/// Sets `closed` on this endpoint's outgoing rings when the last user
-/// clone drops — peers' readers then see EOF at a frame boundary, the
-/// shmem equivalent of a closed socket. Reader threads deliberately do
-/// *not* hold this, so an in-process world tears down as soon as the
-/// test's endpoints go out of scope.
-struct Closer {
-    map: Option<Arc<Mapping>>,
-    closed_offsets: Vec<usize>,
-}
-
-impl Drop for Closer {
-    fn drop(&mut self) {
-        if let Some(map) = &self.map {
-            for &off in &self.closed_offsets {
-                map.atomic(off).store(1, Ordering::Release);
-            }
-        }
-    }
-}
-
-fn pool_take(pool: &Mutex<Vec<Vec<u8>>>, len: usize) -> Vec<u8> {
-    let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
-    let best = pool
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.capacity() >= len)
-        .min_by_key(|(_, b)| b.capacity())
-        .map(|(i, _)| i);
-    match best {
-        Some(pos) => pool.swap_remove(pos),
-        None => pool.pop().unwrap_or_default(),
-    }
-}
-
-fn pool_put(pool: &Mutex<Vec<Vec<u8>>>, buf: Vec<u8>) {
-    pool.lock().unwrap_or_else(|e| e.into_inner()).push(buf);
-}
-
-/// One rank's endpoint in a shmem world. Cheap to clone (shared
-/// mapping); the process-global instance lives for the process.
-#[derive(Clone)]
-pub struct ShmemComm {
-    shared: Arc<ShmemShared>,
-    _closer: Arc<Closer>,
-}
+/// One rank's endpoint in a shmem world.
+pub type ShmemComm = MeshComm<RingLink>;
 
 /// Factory for shared-memory mesh endpoints.
 pub struct ShmemWorld;
@@ -441,16 +355,17 @@ impl ShmemWorld {
     /// `shm_id`, with fault knobs from the environment. Blocks until
     /// every rank is attached.
     pub fn connect(rank: usize, size: usize, shm_id: &str) -> ShmemComm {
-        Self::connect_with_config(rank, size, shm_id, SocketConfig::from_env())
+        Self::connect_with_config(rank, size, shm_id, MeshConfig::from_env())
     }
 
-    /// [`ShmemWorld::connect`] with explicit fault-detection knobs and
-    /// injection plan — the chaos tests' entry point.
+    /// [`ShmemWorld::connect`] with explicit fault-detection knobs,
+    /// injection plan, and collective algorithm — the chaos tests'
+    /// entry point.
     pub fn connect_with_config(
         rank: usize,
         size: usize,
         shm_id: &str,
-        config: SocketConfig,
+        config: MeshConfig,
     ) -> ShmemComm {
         Self::connect_custom(rank, size, shm_id, config, ring_bytes_from_env())
     }
@@ -461,7 +376,7 @@ impl ShmemWorld {
         rank: usize,
         size: usize,
         shm_id: &str,
-        config: SocketConfig,
+        config: MeshConfig,
         ring_bytes: usize,
     ) -> ShmemComm {
         assert!(size > 0 && rank < size, "rank {rank} outside world of {size}");
@@ -469,6 +384,7 @@ impl ShmemWorld {
         let layout = Layout { size, ring_bytes };
         let deadline = Instant::now() + connect_timeout();
         let path = format!("/dev/shm/hpgmxp-{shm_id}");
+        let coll_bit = 1u64 << config.coll.wire_code();
 
         let map: Option<Arc<Mapping>> = if size > 1 {
             let map = if rank == 0 {
@@ -488,6 +404,7 @@ impl ShmemWorld {
                 let map = Mapping::map(&file, layout.total_len());
                 map.atomic(OFF_SIZE).store(size as u64, Ordering::Relaxed);
                 map.atomic(OFF_RING_BYTES).store(ring_bytes as u64, Ordering::Relaxed);
+                map.atomic(OFF_COLL_MASK).store(coll_bit, Ordering::Relaxed);
                 // Publish last: a scanner that sees the magic sees a
                 // fully initialized header.
                 map.atomic(OFF_MAGIC).store(SHM_MAGIC, Ordering::Release);
@@ -524,6 +441,10 @@ impl ShmemWorld {
                     backoff.wait();
                 }
             };
+            // Declare our algorithm before attaching: whoever observes
+            // the world complete also observes every rank's bit.
+            let coll_mask = map.atomic(OFF_COLL_MASK);
+            coll_mask.fetch_or(coll_bit, Ordering::SeqCst);
             let attached = map.atomic(OFF_ATTACHED);
             attached.fetch_add(1, Ordering::SeqCst);
             if rank == 0 {
@@ -544,481 +465,42 @@ impl ShmemWorld {
                 }
                 let _ = std::fs::remove_file(&path);
             }
+            // A mixed world is refused by every rank that can see it is
+            // mixed: a joiner as soon as its bit lands next to rank 0's,
+            // rank 0 once everyone has attached.
+            let others = coll_mask.load(Ordering::SeqCst) & !coll_bit;
+            if others != 0 {
+                let theirs = CollAlgo::from_wire_code(others.trailing_zeros() as u8)
+                    .unwrap_or_else(|| panic!("shmem world {shm_id}: bad algorithm mask"));
+                panic!(
+                    "shmem world {shm_id}: {}",
+                    coll_mismatch((rank, config.coll), (None, theirs))
+                );
+            }
             Some(Arc::new(map))
         } else {
             None
         };
 
-        let fault_seed = config.faults.as_ref().map(|p| p.seed).unwrap_or(0);
-        let shared = Arc::new(ShmemShared {
-            rank,
-            size,
-            layout,
-            map: map.clone(),
-            mailbox: Mailbox::with_deadline(config.recv_deadline),
-            senders: (0..size)
-                .map(|peer| {
-                    (peer != rank).then(|| {
-                        Mutex::new(SendHalf { ring: layout.ring(rank, peer), staging: Vec::new() })
-                    })
-                })
-                .collect(),
-            pools: (0..size).map(|_| Mutex::new(Vec::new())).collect(),
-            data_sent: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            data_delivered: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            collective_seq: AtomicU64::new(0),
-            coll: Mutex::new(CollState {
-                scratch: CollScratch::default(),
-                row: Vec::new(),
-                counts: Vec::new(),
-            }),
-            counters: CollCounters::default(),
-            config,
-            epoch: Instant::now(),
-            last_heard: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            fault_ops: AtomicU64::new(0),
-            fault_rng: Mutex::new(SplitMix64::for_rank(fault_seed, rank as u64)),
-        });
-
-        if let Some(map) = &map {
-            for peer in 0..size {
-                if peer == rank {
-                    continue;
-                }
+        let links = (0..size)
+            .map(|peer| {
+                let map = map.as_ref().filter(|_| peer != rank)?;
+                let link = RingLink {
+                    map: Arc::clone(map),
+                    ring: layout.ring(rank, peer),
+                    ring_bytes,
+                    closed: false,
+                };
                 let consumer = RingConsumer {
                     map: Arc::clone(map),
                     ring: layout.ring(peer, rank),
                     ring_bytes,
                     tail: 0,
                 };
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("hpgmxp-shm-reader-{peer}"))
-                    .spawn(move || reader_loop(shared, peer, consumer))
-                    .expect("spawn shmem reader thread");
-            }
-            if shared.config.heartbeat.is_some() || shared.config.peer_timeout.is_some() {
-                let weak = Arc::downgrade(&shared);
-                std::thread::Builder::new()
-                    .name(format!("hpgmxp-shm-heartbeat-{rank}"))
-                    .spawn(move || heartbeat_loop(weak))
-                    .expect("spawn shmem heartbeat thread");
-            }
-        }
-
-        let closer = Closer {
-            map,
-            closed_offsets: (0..size)
-                .filter(|&peer| peer != rank)
-                .map(|peer| layout.ring(rank, peer) + OFF_CLOSED)
-                .collect(),
-        };
-        ShmemComm { shared, _closer: Arc::new(closer) }
-    }
-}
-
-/// Per-peer reader: decode frames from the incoming ring into the
-/// shared mailbox until the producer closes it — the same loop shape,
-/// pool discipline, and fault attribution as the socket reader.
-fn reader_loop(shared: Arc<ShmemShared>, peer: usize, mut consumer: RingConsumer) {
-    loop {
-        match read_frame(&mut consumer, |len| pool_take(&shared.pools[peer], len)) {
-            Ok(Some((header, data))) => {
-                debug_assert_eq!(header.from as usize, peer, "frame from wrong rank");
-                counter!("wire.frames_rx").inc();
-                counter!("wire.bytes_rx").add((HEADER_LEN + data.len()) as u64);
-                shared.last_heard[peer].store(shared.millis_since_epoch(), Ordering::SeqCst);
-                if header.tag == HEARTBEAT_TAG {
-                    pool_put(&shared.pools[peer], data);
-                    continue;
-                }
-                if header.tag & COLLECTIVE_TAG_BIT == 0 {
-                    shared.data_delivered[peer].fetch_add(1, Ordering::SeqCst);
-                }
-                shared.mailbox.push(Message { from: peer, tag: header.tag, data });
-            }
-            Ok(None) => {
-                shared.mailbox.fail(
-                    peer,
-                    CommErrorKind::PeerClosed,
-                    format!("connection to rank {peer} closed"),
-                );
-                return;
-            }
-            Err(e) => {
-                let (kind, why) = if e.kind() == std::io::ErrorKind::InvalidData {
-                    (
-                        CommErrorKind::Corrupt,
-                        format!("protocol error on connection to rank {peer}: {e}"),
-                    )
-                } else {
-                    (CommErrorKind::PeerLost, format!("connection to rank {peer} lost: {e}"))
-                };
-                shared.mailbox.fail(peer, kind, why);
-                return;
-            }
-        }
-    }
-}
-
-/// Heartbeat emitter + silence watchdog — the socket loop adapted to
-/// ring writes. Heartbeat sends are bounded by the heartbeat period
-/// (a full ring must not wedge the watchdog) and failures are ignored:
-/// silence is what the *peer's* watchdog detects.
-fn heartbeat_loop(weak: Weak<ShmemShared>) {
-    loop {
-        let Some(shared) = weak.upgrade() else { return };
-        if let Some(timeout) = shared.config.peer_timeout {
-            let now = shared.millis_since_epoch();
-            for (peer, heard) in shared.last_heard.iter().enumerate() {
-                if peer == shared.rank || shared.senders[peer].is_none() {
-                    continue;
-                }
-                let silent = now.saturating_sub(heard.load(Ordering::SeqCst));
-                histogram!("wire.heartbeat_lag_ms").observe(silent);
-                if silent > timeout.as_millis() as u64 {
-                    shared.mailbox.fail(
-                        peer,
-                        CommErrorKind::PeerLost,
-                        format!(
-                            "no heartbeat from rank {peer} for {:.3}s (peer timeout {:.3}s)",
-                            silent as f64 / 1e3,
-                            timeout.as_secs_f64()
-                        ),
-                    );
-                }
-            }
-        }
-        let pause = shared
-            .config
-            .heartbeat
-            .or(shared.config.peer_timeout)
-            .unwrap_or(Duration::from_millis(500));
-        if shared.config.heartbeat.is_some() {
-            if let Some(map) = &shared.map {
-                for half in shared.senders.iter().flatten() {
-                    let mut half = half.lock().unwrap_or_else(|e| e.into_inner());
-                    stage_frame(&mut half.staging, shared.rank, HEARTBEAT_TAG, &[]);
-                    let SendHalf { ring, staging } = &*half;
-                    let _ = ring_write(
-                        map,
-                        shared.layout,
-                        *ring,
-                        staging,
-                        Some(pause),
-                        usize::MAX,
-                        HEARTBEAT_TAG,
-                    );
-                }
-            }
-        }
-        drop(shared); // don't pin the mesh while sleeping
-        std::thread::sleep(pause);
-    }
-}
-
-impl ShmemComm {
-    fn send_raw(&self, to: usize, tag: u64, bytes: &[u8]) {
-        self.send_raw_checked(to, tag, bytes).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Frame and write into the peer's ring, or self-deliver — the
-    /// seam where an armed fault plan injects wire faults, byte for
-    /// byte the socket transport's interposer.
-    fn send_raw_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        let s = &self.shared;
-        assert!(to < s.size, "send to rank {to} in a world of {}", s.size);
-        if to == s.rank {
-            let mut data = pool_take(&s.pools[to], bytes.len());
-            data.clear();
-            data.extend_from_slice(bytes);
-            s.mailbox.push(Message { from: to, tag, data });
-            return Ok(());
-        }
-
-        let mut corrupt_flip = None;
-        let mut duplicate = false;
-        if tag & COLLECTIVE_TAG_BIT == 0 {
-            if let Some(plan) = &s.config.faults {
-                let n = s.fault_ops.fetch_add(1, Ordering::SeqCst);
-                if let Some(event) = plan.event_at(s.rank, n) {
-                    match event.kind {
-                        FaultKind::CrashRank => {
-                            eprintln!(
-                                "rank {} crashing deliberately at exchange {n} (fault plan seed \
-                                 {})",
-                                s.rank, plan.seed
-                            );
-                            std::process::exit(7);
-                        }
-                        FaultKind::HangRank => {
-                            eprintln!(
-                                "rank {} hanging deliberately at exchange {n} for {:?} (fault \
-                                 plan seed {})",
-                                s.rank,
-                                plan.hang_duration(),
-                                plan.seed
-                            );
-                            std::thread::sleep(plan.hang_duration());
-                        }
-                    }
-                }
-                if plan.has_wire_faults() {
-                    let (dropped, delayed, dup, corrupt, flip) = {
-                        let mut rng = s.fault_rng.lock().unwrap_or_else(|e| e.into_inner());
-                        (
-                            rng.hit(plan.drop),
-                            rng.hit(plan.delay),
-                            rng.hit(plan.duplicate),
-                            rng.hit(plan.corrupt),
-                            rng.next_u64(),
-                        )
-                    };
-                    if dropped {
-                        return Ok(());
-                    }
-                    if delayed {
-                        std::thread::sleep(plan.delay_duration());
-                    }
-                    duplicate = dup;
-                    if corrupt && !bytes.is_empty() {
-                        corrupt_flip = Some(flip);
-                    }
-                }
-            }
-        }
-
-        let map = s.map.as_ref().expect("multi-rank world has a mapping");
-        let mut half =
-            s.senders[to].as_ref().expect("peer ring").lock().unwrap_or_else(|e| e.into_inner());
-        stage_frame(&mut half.staging, s.rank, tag, bytes);
-        if let Some(flip) = corrupt_flip {
-            let i = HEADER_LEN + (flip as usize) % bytes.len();
-            half.staging[i] ^= 1 << ((flip >> 32) & 7);
-        }
-        if tag & COLLECTIVE_TAG_BIT == 0 {
-            s.data_sent[to].fetch_add(1 + duplicate as u64, Ordering::SeqCst);
-        }
-        counter!("wire.frames_tx").inc();
-        counter!("wire.bytes_tx").add(half.staging.len() as u64);
-        let SendHalf { ring, staging } = &*half;
-        ring_write(map, s.layout, *ring, staging, s.config.peer_timeout, to, tag)?;
-        if duplicate {
-            ring_write(map, s.layout, *ring, staging, s.config.peer_timeout, to, tag)?;
-        }
-        Ok(())
-    }
-
-    /// Copy a matched message out and recycle its buffer into the
-    /// sender's pool.
-    fn deliver(&self, msg: Message, out: &mut [u8]) {
-        assert_eq!(
-            msg.data.len(),
-            out.len(),
-            "message length mismatch: rank {} got {} bytes from {} tag {}, posted {}",
-            self.shared.rank,
-            msg.data.len(),
-            msg.from,
-            msg.tag,
-            out.len()
-        );
-        out.copy_from_slice(&msg.data);
-        pool_put(&self.shared.pools[msg.from], msg.data);
-    }
-
-    fn collective_tag(&self) -> u64 {
-        COLLECTIVE_TAG_BIT | self.shared.collective_seq.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Grow the transport's recycled buffers so the steady state is
-    /// allocation-free by construction — same discipline as the socket
-    /// world. Call while no messages are in flight.
-    pub fn prewarm_pool(&self, min_capacity: usize) {
-        self.shared.mailbox.reserve(2 * POOL_STOCK * self.shared.size);
-        for pool in &self.shared.pools {
-            let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
-            for buf in pool.iter_mut() {
-                if buf.capacity() < min_capacity {
-                    buf.reserve(min_capacity - buf.len());
-                }
-            }
-            while pool.len() < POOL_STOCK {
-                pool.push(Vec::with_capacity(min_capacity));
-            }
-        }
-        for half in self.shared.senders.iter().flatten() {
-            let mut half = half.lock().unwrap_or_else(|e| e.into_inner());
-            let want = min_capacity + HEADER_LEN;
-            if half.staging.capacity() < want {
-                let len = half.staging.len();
-                half.staging.reserve(want - len);
-            }
-        }
-        let size = self.shared.size;
-        let mut coll = self.shared.coll.lock().unwrap_or_else(|e| e.into_inner());
-        coll.scratch.prewarm(size, min_capacity.div_ceil(8).max(size));
-        if coll.row.capacity() < size {
-            let len = coll.row.len();
-            coll.row.reserve(size - len);
-        }
-        if coll.counts.capacity() < size * size {
-            let len = coll.counts.len();
-            coll.counts.reserve(size * size - len);
-        }
-    }
-
-    /// Flush every in-flight message into mailboxes (a barrier), then
-    /// discard anything still parked, recycling the buffers — run
-    /// between SPMD closures on the reused process-global mesh.
-    pub fn quiesce(&self) {
-        self.barrier();
-        for msg in self.shared.mailbox.take_where(|m| m.tag & COLLECTIVE_TAG_BIT == 0) {
-            pool_put(&self.shared.pools[msg.from], msg.data);
-        }
-        self.barrier();
-    }
-
-    #[cfg(test)]
-    /// Mark every outgoing ring closed so peers observe EOF — the
-    /// in-process stand-in for a cleanly dying rank.
-    fn close_all_rings(&self) {
-        if let Some(map) = &self.shared.map {
-            for peer in 0..self.shared.size {
-                if peer != self.shared.rank {
-                    let off = self.shared.layout.ring(self.shared.rank, peer) + OFF_CLOSED;
-                    map.atomic(off).store(1, Ordering::Release);
-                }
-            }
-        }
-    }
-}
-
-impl Comm for ShmemComm {
-    fn rank(&self) -> usize {
-        self.shared.rank
-    }
-
-    fn size(&self) -> usize {
-        self.shared.size
-    }
-
-    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) {
-        assert!(tag & COLLECTIVE_TAG_BIT == 0, "tag {tag:#x} uses the reserved collective bit");
-        self.send_raw(to, tag, bytes);
-    }
-
-    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        assert!(tag & COLLECTIVE_TAG_BIT == 0, "tag {tag:#x} uses the reserved collective bit");
-        self.send_raw_checked(to, tag, bytes)
-    }
-
-    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) {
-        let msg = self.shared.mailbox.recv_matching(from, tag);
-        self.deliver(msg, out);
-    }
-
-    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        let msg = self.shared.mailbox.recv_matching_checked(from, tag)?;
-        self.deliver(msg, out);
-        Ok(())
-    }
-
-    fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool {
-        match self.shared.mailbox.try_recv_matching(from, tag) {
-            Some(msg) => {
-                self.deliver(msg, out);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
-        if posts.iter().all(Option::is_none) {
-            return None;
-        }
-        let (slot, msg) = self.shared.mailbox.wait_any_matching(posts);
-        let post = posts[slot].take().expect("slot matched in mailbox");
-        self.deliver(msg, post.buf);
-        Some((slot, post))
-    }
-
-    fn wait_any_checked<'p>(
-        &self,
-        posts: &mut [Option<RecvPost<'p>>],
-    ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
-        if posts.iter().all(Option::is_none) {
-            return Ok(None);
-        }
-        let (slot, msg) = self.shared.mailbox.wait_any_matching_checked(posts)?;
-        let post = posts[slot].take().expect("slot matched in mailbox");
-        self.deliver(msg, post.buf);
-        Ok(Some((slot, post)))
-    }
-
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
-        self.allreduce_checked(vals, op).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
-        let mut coll = self.shared.coll.lock().unwrap_or_else(|e| e.into_inner());
-        collectives::allreduce(self, &mut coll.scratch, vals, op)
-    }
-
-    fn barrier(&self) {
-        self.barrier_checked().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    fn barrier_checked(&self) -> CommResult<()> {
-        let s = &self.shared;
-        if s.size == 1 {
-            return Ok(());
-        }
-        // Same flush barrier as the socket world: allgather the
-        // sent-count ledger, then wait for delivery to catch up.
-        let mut coll = s.coll.lock().unwrap_or_else(|e| e.into_inner());
-        let CollState { scratch, row, counts } = &mut *coll;
-        row.clear();
-        row.extend(s.data_sent.iter().map(|c| c.load(Ordering::SeqCst)));
-        collectives::allgather_u64(self, scratch, row, counts)?;
-        s.counters.count_barrier();
-        let (size, me) = (s.size, s.rank);
-        s.mailbox.wait_until_checked(|| {
-            (0..size).all(|i| s.data_delivered[i].load(Ordering::SeqCst) >= counts[i * size + me])
-        })?;
-        Ok(())
-    }
-
-    fn coll_stats(&self) -> Option<CollStats> {
-        Some(self.shared.counters.snapshot())
-    }
-}
-
-impl collectives::CollEndpoint for ShmemComm {
-    fn rank(&self) -> usize {
-        self.shared.rank
-    }
-
-    fn size(&self) -> usize {
-        self.shared.size
-    }
-
-    fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        self.send_raw_checked(to, tag, bytes)
-    }
-
-    fn coll_recv(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        let msg = self.shared.mailbox.recv_matching_checked(from, tag)?;
-        self.deliver(msg, out);
-        Ok(())
-    }
-
-    fn next_coll_tag(&self) -> u64 {
-        self.collective_tag()
-    }
-
-    fn counters(&self) -> &CollCounters {
-        &self.shared.counters
+                Some((link, consumer))
+            })
+            .collect();
+        MeshComm::assemble(rank, links, config)
     }
 }
 
@@ -1029,23 +511,20 @@ impl collectives::CollEndpoint for ShmemComm {
 pub fn global_from_env() -> &'static ShmemComm {
     static MESH: OnceLock<ShmemComm> = OnceLock::new();
     MESH.get_or_init(|| {
-        let need = |name: &str| -> String {
-            std::env::var(name).unwrap_or_else(|_| {
-                panic!("{name} not set — shmem ranks must be started by hpgmxp-launch --comm shmem")
-            })
-        };
-        let rank: usize = need("HPGMXP_RANK").parse().expect("HPGMXP_RANK is not a number");
-        let size: usize = need("HPGMXP_RANKS").parse().expect("HPGMXP_RANKS is not a number");
-        let shm_id = need("HPGMXP_SHM_ID");
-        ShmemWorld::connect(rank, size, &shm_id)
+        ShmemWorld::connect(
+            launch_knob("HPGMXP_RANK"),
+            launch_knob("HPGMXP_RANKS"),
+            &launch_var("HPGMXP_SHM_ID"),
+        )
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{pack, unpack};
-    use crate::thread_world::run_threads;
+    use crate::comm::Comm;
+    use crate::error::CommErrorKind;
+    use crate::mesh::suite::{mesh_suite, TestWorld};
     use std::sync::atomic::AtomicUsize;
 
     /// A process-unique shmem id per test world.
@@ -1054,157 +533,45 @@ mod tests {
         format!("test-{}-{tag}-{}", std::process::id(), NEXT.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// In-process shmem world: each rank is a thread with its own
-    /// endpoint, but every byte still crosses the mmap'd rings.
-    fn run_shmem_threads<T, F>(size: usize, tag: &str, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(ShmemComm) -> T + Sync,
-    {
-        let id = fresh_id(tag);
+    impl TestWorld for RingLink {
+        type Meet = String;
+
+        fn fresh() -> String {
+            fresh_id("suite")
+        }
+
+        fn connect(rank: usize, size: usize, id: &String, config: MeshConfig) -> ShmemComm {
+            ShmemWorld::connect_with_config(rank, size, id, config)
+        }
+    }
+
+    mesh_suite!(RingLink);
+
+    /// Run `f` on both ranks of a two-rank world named `id` over
+    /// `ring_bytes` rings.
+    fn run_pair<T: Send>(
+        id: &str,
+        config: MeshConfig,
+        ring_bytes: usize,
+        f: impl Fn(ShmemComm) -> T + Sync,
+    ) -> Vec<T> {
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..size)
+            let handles: Vec<_> = (0..2)
                 .map(|rank| {
-                    let (fr, id) = (&f, &id);
-                    s.spawn(move || fr(ShmemWorld::connect(rank, size, id)))
+                    let (f, config) = (&f, config.clone());
+                    s.spawn(move || f(ShmemWorld::connect_custom(rank, 2, id, config, ring_bytes)))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("a rank panicked")).collect()
         })
     }
 
-    #[test]
-    fn ping_pong_over_shmem() {
-        let results = run_shmem_threads(2, "pingpong", |c| {
-            if c.rank() == 0 {
-                c.send_from(1, 7, &pack(&[1.5f64, -2.5]));
-                let mut got = vec![0u8; 8];
-                c.recv_into(1, 8, &mut got);
-                let mut out = [0.0f64; 1];
-                unpack(&got, &mut out);
-                out[0]
-            } else {
-                let mut got = vec![0u8; 16];
-                c.recv_into(0, 7, &mut got);
-                let mut vals = [0.0f64; 2];
-                unpack(&got, &mut vals);
-                c.send_from(0, 8, &pack(&[vals[0] + vals[1]]));
-                0.0
-            }
-        });
-        assert_eq!(results[0], -1.0);
-    }
-
-    #[test]
-    fn world_file_is_unlinked_after_attach() {
-        let id = fresh_id("unlink");
-        let path = format!("/dev/shm/hpgmxp-{id}");
-        run_shmem_threads(2, "unlink-inner", |c| c.barrier());
-        // (That world used its own id; create one with a known id to
-        // check the path directly.)
-        std::thread::scope(|s| {
-            let h0 = {
-                let id = id.clone();
-                s.spawn(move || {
-                    let c = ShmemWorld::connect(0, 2, &id);
-                    c.barrier();
-                })
-            };
-            let h1 = {
-                let id = id.clone();
-                s.spawn(move || {
-                    let c = ShmemWorld::connect(1, 2, &id);
-                    c.barrier();
-                })
-            };
-            h0.join().unwrap();
-            h1.join().unwrap();
-        });
-        assert!(
-            !std::path::Path::new(&path).exists(),
-            "rank 0 must unlink the world file once every rank is attached"
-        );
-    }
-
-    #[test]
-    fn allreduce_matches_thread_world_bitwise() {
-        let inputs: Vec<Vec<f64>> =
-            (0..4).map(|r| (0..5).map(|i| ((r * 31 + i) as f64).sin() * 1e3).collect()).collect();
-        let thread: Vec<Vec<f64>> = run_threads(4, |c| {
-            let mut v = inputs[c.rank()].clone();
-            c.allreduce(&mut v, ReduceOp::Sum);
-            v
-        });
-        let shmem: Vec<Vec<f64>> = run_shmem_threads(4, "bitwise", |c| {
-            let mut v = inputs[c.rank()].clone();
-            c.allreduce(&mut v, ReduceOp::Sum);
-            v
-        });
-        for (t, s) in thread.iter().zip(shmem.iter()) {
-            let tb: Vec<u64> = t.iter().map(|x| x.to_bits()).collect();
-            let sb: Vec<u64> = s.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(tb, sb);
-        }
-    }
-
-    #[test]
-    fn flush_barrier_makes_prebarrier_sends_pollable() {
-        let results = run_shmem_threads(2, "flush", |c| {
-            if c.rank() == 0 {
-                c.send_from(1, 77, &[42]);
-                c.barrier();
-                true
-            } else {
-                c.barrier();
-                let mut buf = [0u8; 1];
-                let got = c.try_recv_into(0, 77, &mut buf);
-                got && buf[0] == 42
-            }
-        });
-        assert!(results.iter().all(|ok| *ok));
-    }
-
-    #[test]
-    fn messages_larger_than_the_ring_stream_through() {
-        // A 64 KiB message through 4 KiB rings: the producer chunks,
-        // the consumer drains concurrently, the frame arrives intact.
-        let id = fresh_id("bigmsg");
-        let payload: Vec<u8> =
-            (0..65536u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
-        let expect = payload.clone();
-        std::thread::scope(|s| {
-            let h0 = {
-                let (id, payload) = (id.clone(), payload.clone());
-                s.spawn(move || {
-                    let c = ShmemWorld::connect_custom(0, 2, &id, SocketConfig::default(), 4096);
-                    c.send_from(1, 9, &payload);
-                    c.barrier();
-                })
-            };
-            let h1 = {
-                let id = id.clone();
-                s.spawn(move || {
-                    let c = ShmemWorld::connect_custom(1, 2, &id, SocketConfig::default(), 4096);
-                    let mut got = vec![0u8; 65536];
-                    c.recv_into(0, 9, &mut got);
-                    c.barrier();
-                    got
-                })
-            };
-            h0.join().unwrap();
-            assert_eq!(h1.join().unwrap(), expect);
-        });
-    }
-
-    #[test]
-    fn full_ring_with_no_consumer_fails_typed() {
-        // A live peer's reader always drains its rings into the
-        // mailbox, so ring-full only ever happens once the consumer
-        // thread is gone (crashed process). Exercise the producer's
-        // stall detector directly: a ring nobody drains must fail the
-        // write with a typed PeerLost naming the peer, not hang.
-        let path = format!("/dev/shm/hpgmxp-{}", fresh_id("fullring"));
-        let layout = Layout { size: 2, ring_bytes: 4096 };
+    /// Rings `(0,1)` and `(1,0)` of a private, already-unlinked world
+    /// file: a [`RingLink`] and the consumer of the same ring, with no
+    /// mesh (and so no reader thread) attached.
+    fn bare_ring(tag: &str, ring_bytes: usize) -> (RingLink, RingConsumer) {
+        let path = format!("/dev/shm/hpgmxp-{}", fresh_id(tag));
+        let layout = Layout { size: 2, ring_bytes };
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -1212,21 +579,63 @@ mod tests {
             .open(&path)
             .expect("create test ring file");
         file.set_len(layout.total_len() as u64).expect("size test ring file");
-        let map = Mapping::map(&file, layout.total_len());
+        let map = Arc::new(Mapping::map(&file, layout.total_len()));
         std::fs::remove_file(&path).expect("unlink test ring file");
+        let ring = layout.ring(0, 1);
+        (
+            RingLink { map: Arc::clone(&map), ring, ring_bytes, closed: false },
+            RingConsumer { map, ring, ring_bytes, tail: 0 },
+        )
+    }
+
+    #[test]
+    fn world_file_is_unlinked_after_attach() {
+        let id = fresh_id("unlink");
+        run_pair(&id, MeshConfig::default(), DEFAULT_RING_BYTES, |c| c.barrier());
+        assert!(
+            !std::path::Path::new(&format!("/dev/shm/hpgmxp-{id}")).exists(),
+            "rank 0 must unlink the world file once every rank is attached"
+        );
+    }
+
+    #[test]
+    fn messages_larger_than_the_ring_stream_through() {
+        // A 64 KiB message through 4 KiB rings: the producer chunks,
+        // the consumer drains concurrently, the frame arrives intact.
+        let payload: Vec<u8> =
+            (0..65536u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        let got = run_pair(&fresh_id("bigmsg"), MeshConfig::default(), 4096, |c| {
+            let mut got = vec![0u8; 65536];
+            if c.rank() == 0 {
+                c.send_from(1, 9, &payload);
+            } else {
+                c.recv_into(0, 9, &mut got);
+            }
+            c.barrier();
+            got
+        });
+        assert_eq!(got[1], payload);
+    }
+
+    #[test]
+    fn full_ring_with_no_consumer_fails_typed() {
+        // A live peer's reader always drains its rings into the
+        // mailbox, so ring-full only ever happens once the consumer
+        // thread is gone (crashed process). A mesh whose outgoing ring
+        // nobody drains must fail the send with a typed PeerLost naming
+        // the peer, within the peer timeout, not hang.
+        let (link, _undrained) = bare_ring("fullring", 4096);
+        // The incoming side is a separate ring, already closed, so the
+        // mesh's reader thread exits at once.
+        let (mut incoming, consumer) = bare_ring("fullring-in", 4096);
+        incoming.close();
+        let config =
+            MeshConfig { peer_timeout: Some(Duration::from_millis(200)), ..Default::default() };
+        let c = MeshComm::assemble(0, vec![None, Some((link, consumer))], config);
 
         let payload = vec![7u8; 8192]; // twice the ring
         let started = Instant::now();
-        let err = ring_write(
-            &map,
-            layout,
-            layout.ring(0, 1),
-            &payload,
-            Some(Duration::from_millis(200)),
-            1,
-            5,
-        )
-        .unwrap_err();
+        let err = c.send_from_checked(1, 5, &payload).unwrap_err();
         assert_eq!(err.kind, CommErrorKind::PeerLost);
         assert_eq!(err.peer, Some(1));
         assert_eq!(err.tag, Some(5));
@@ -1236,137 +645,17 @@ mod tests {
     }
 
     #[test]
-    fn closed_rings_fail_peer_receives_with_peer_closed() {
-        let id = fresh_id("closed");
-        std::thread::scope(|s| {
-            let h0 = {
-                let id = id.clone();
-                s.spawn(move || {
-                    let c = ShmemWorld::connect(0, 2, &id);
-                    c.barrier();
-                    let mut buf = [0u8; 1];
-                    let err = c.recv_into_checked(1, 3, &mut buf).unwrap_err();
-                    assert_eq!(err.kind, CommErrorKind::PeerClosed);
-                    assert_eq!(err.peer, Some(1));
-                    assert!(err.detail.contains("connection to rank 1 closed"), "{}", err.detail);
-                })
-            };
-            let h1 = {
-                let id = id.clone();
-                s.spawn(move || {
-                    let c = ShmemWorld::connect(1, 2, &id);
-                    c.barrier();
-                    c.close_all_rings();
-                })
-            };
-            h1.join().unwrap();
-            h0.join().unwrap();
-        });
-    }
-
-    #[test]
-    fn silent_peer_trips_the_heartbeat_watchdog() {
-        let id = fresh_id("watchdog");
-        let watchdog = SocketConfig {
-            heartbeat: Some(Duration::from_millis(25)),
-            peer_timeout: Some(Duration::from_millis(150)),
-            ..Default::default()
-        };
-        let silent = SocketConfig { heartbeat: None, peer_timeout: None, ..Default::default() };
-        std::thread::scope(|s| {
-            let h0 = {
-                let (id, cfg) = (id.clone(), watchdog.clone());
-                s.spawn(move || {
-                    let c = ShmemWorld::connect_with_config(0, 2, &id, cfg);
-                    let started = Instant::now();
-                    let mut buf = [0u8; 1];
-                    let err = c.recv_into_checked(1, 3, &mut buf).unwrap_err();
-                    assert_eq!(err.kind, CommErrorKind::PeerLost);
-                    assert_eq!(err.peer, Some(1));
-                    assert!(err.detail.contains("no heartbeat from rank 1"), "{}", err.detail);
-                    assert!(started.elapsed() < Duration::from_secs(10), "bounded detection");
-                })
-            };
-            let h1 = {
-                let (id, cfg) = (id.clone(), silent.clone());
-                s.spawn(move || {
-                    let _c = ShmemWorld::connect_with_config(1, 2, &id, cfg);
-                    std::thread::sleep(Duration::from_millis(600));
-                })
-            };
-            h1.join().unwrap();
-            h0.join().unwrap();
-        });
-    }
-
-    #[test]
-    fn steady_state_reuses_pooled_buffers() {
-        let results = run_shmem_threads(2, "pools", |c| {
-            c.prewarm_pool(256);
-            c.barrier();
-            let peer = 1 - c.rank();
-            let mut buf = [0u8; 256];
-            for round in 0..50u64 {
-                if c.rank() == 0 {
-                    c.send_from(peer, round, &[7u8; 256]);
-                    c.recv_into(peer, round, &mut buf);
-                } else {
-                    c.recv_into(peer, round, &mut buf);
-                    c.send_from(peer, round, &buf);
-                }
-            }
-            c.barrier();
-            c.shared.pools.iter().map(|p| p.lock().unwrap().len()).sum::<usize>()
-        });
-        for pooled in results {
-            assert!(pooled <= 2 * POOL_STOCK + 2, "pool grew without bound: {pooled} buffers");
-        }
-    }
-
-    #[test]
-    fn single_rank_shmem_world_is_trivial() {
-        let c = ShmemWorld::connect(0, 1, &fresh_id("single"));
-        assert_eq!((c.rank(), c.size()), (0, 1));
-        assert_eq!(c.allreduce_scalar(5.0, ReduceOp::Sum), 5.0);
-        c.barrier();
-        c.send_from(0, 1, &[9]);
-        let mut buf = [0u8; 1];
-        c.recv_into(0, 1, &mut buf);
-        assert_eq!(buf[0], 9);
-    }
-
-    #[test]
-    fn corrupted_frame_is_detected_and_attributed() {
-        use crate::fault::FaultPlan;
-        let id = fresh_id("corrupt");
-        let corruptor = SocketConfig {
-            faults: Some(FaultPlan { corrupt: Some(1.0), ..FaultPlan::clean(3) }),
-            ..Default::default()
-        };
-        std::thread::scope(|s| {
-            let h0 = {
-                let (id, cfg) = (id.clone(), corruptor.clone());
-                s.spawn(move || {
-                    let c = ShmemWorld::connect_with_config(0, 2, &id, cfg);
-                    c.send_from(1, 9, &[1, 2, 3, 4]);
-                    // Hold the world open until the peer has observed
-                    // the corrupt frame.
-                    std::thread::sleep(Duration::from_millis(200));
-                })
-            };
-            let h1 = {
-                let id = id.clone();
-                s.spawn(move || {
-                    let c = ShmemWorld::connect(1, 2, &id);
-                    let mut buf = [0u8; 4];
-                    let err = c.recv_into_checked(0, 9, &mut buf).unwrap_err();
-                    assert_eq!(err.kind, CommErrorKind::Corrupt);
-                    assert_eq!(err.peer, Some(0));
-                    assert!(err.detail.contains("corrupt frame from rank 0"), "{}", err.detail);
-                })
-            };
-            h1.join().unwrap();
-            h0.join().unwrap();
-        });
+    fn closed_ring_reads_eof_after_draining() {
+        // The Link contract: bytes written before `close` are all
+        // readable, then the reader sees EOF — and the closed link
+        // refuses further writes.
+        let (mut link, mut consumer) = bare_ring("eof", 4096);
+        link.write_frame(b"last words", None).expect("ring has room");
+        link.close();
+        let mut got = Vec::new();
+        consumer.read_to_end(&mut got).expect("a closed ring ends cleanly");
+        assert_eq!(got, b"last words");
+        let err = link.write_frame(b"x", None).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::BrokenPipe);
     }
 }

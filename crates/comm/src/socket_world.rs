@@ -4,97 +4,40 @@
 //! address space, a [`SocketWorld`] rank is a whole OS process; the
 //! mesh crosses real socket buffers, scheduler preemption, and process
 //! death — the transport-level effects a thread world cannot surface.
+//! This module is the TCP rendezvous plus [`TcpLink`]; everything above
+//! the byte pipe (framing, mailbox, pools, flush barrier, heartbeats,
+//! fault injection, the `Comm` implementation) is the shared
+//! [`crate::mesh`].
 //!
 //! ## Mesh setup
 //!
 //! Every rank binds an ephemeral *data* listener, then meets the
 //! others at a rendezvous port (`HPGMXP_PORT`): rank 0 listens there,
 //! ranks 1..P connect (with retry, so start order is free) and
-//! register `(rank, data_port)`; rank 0 answers each with the full
+//! register `(rank, data_port, collective algorithm)`; rank 0 — whose
+//! hello carries its own algorithm — refuses a rank that disagrees
+//! (and that rank refuses the hello), then answers each with the full
 //! port table. The mesh itself is one TCP connection per rank pair —
 //! the lower rank accepts, the higher connects and leads with its rank
 //! id, so accepts can land in any order. All streams get
 //! `TCP_NODELAY` (halo messages are latency-bound, not
 //! throughput-bound).
 //!
-//! ## Data path
+//! ## Failure semantics
 //!
-//! Each connection has a reader thread that decodes [`crate::frame`]
-//! frames into the rank's shared [`crate::mailbox::Mailbox`] — the
-//! same tag-parking inbox the thread world uses, so FIFO-per-pair and
-//! unexpected-message semantics are inherited rather than
-//! re-implemented. Receive buffers come from a *per-peer recycled
-//! pool* (refilled on delivery), sends stage header + payload into a
-//! per-connection reusable buffer and issue one `write_all`; at steady
-//! state neither direction allocates, preserving the zero-allocation
-//! property the halo suite asserts. A reader that loses its peer
-//! calls [`crate::mailbox::Mailbox::fail`] so blocked receives die
-//! with "connection to rank R lost" instead of hanging.
-//!
-//! ## Collectives and the flush barrier
-//!
-//! Collectives travel over reserved tags (bit 63 set) with a sequence
-//! number every rank advances in SPMD lockstep, and run in the shared
-//! [`crate::collectives`] engine (star or recursive-doubling per
-//! `HPGMXP_COLL`) — every rank folds contributions **in rank order**,
-//! bit-identical to the thread world, which is what lets GMRES-IR
-//! histories replay across transports. `barrier` is a *flush* barrier:
-//! the engine allgathers every rank's cumulative sent-count row (the
-//! P×P ledger matrix), then each rank waits until its delivery
-//! counters reach its column. That gives the thread-world guarantee
-//! that a message sent before a barrier is *receivable* after it (it
-//! sits in the mailbox, not in a socket buffer) — the property the
-//! conformance suite's parking test demands, and what isolates
-//! consecutive SPMD runs on a reused mesh.
-//!
-//! ## Fault detection and injection
-//!
-//! Failures are *detected within bounded time and attributed to a
-//! rank* instead of hanging the job ([`SocketConfig`] tunes the knobs,
-//! all env-overridable):
-//!
-//! * a dead peer's TCP EOF → `PeerClosed` fault on its mailbox entry;
-//! * an I/O or framing error (CRC mismatch in [`crate::frame`]) →
-//!   `PeerLost` / `Corrupt`, naming the rank the frame claimed;
-//! * every connected rank emits **heartbeat frames** on a reserved tag;
-//!   a watchdog marks a peer `PeerLost` when nothing (data or
-//!   heartbeat) has arrived from it within the peer timeout — the
-//!   detector for a wedged connection;
-//! * an optional **receive deadline** bounds every blocking receive
-//!   and barrier wait with a typed `Timeout` — the detector for a peer
-//!   that is alive (still heartbeating) but hung.
-//!
-//! A [`crate::fault::FaultPlan`] (from `HPGMXP_FAULT_PLAN`) arms a
-//! frame-level interposer on the send path: seeded drop / delay /
-//! duplicate / corrupt on outgoing *data* frames (corruption flips a
-//! byte after the CRC is computed, so the receiver must catch it) and
-//! scripted crash/hang events keyed on the outgoing-data-frame index.
-//! Reordering is a `Comm`-level fault (see [`crate::fault::FaultyComm`]);
-//! frame order within one TCP stream is the protocol's own invariant.
+//! A dead peer's TCP EOF is the mesh's `PeerClosed`; a reset or any
+//! other I/O error its `PeerLost`. A cleanly dropped endpoint shuts
+//! down the write side of every stream, so peers see the EOF at a frame
+//! boundary. The kernel bounds a write to a dead process by failing it,
+//! so [`TcpLink`] needs no stall timer of its own.
 
-use crate::collectives::{self, CollCounters, CollScratch, CollStats};
-use crate::comm::{Comm, RecvPost, ReduceOp};
-use crate::error::{CommError, CommErrorKind, CommResult};
-use crate::fault::{FaultKind, FaultPlan, SplitMix64};
-use crate::frame::{read_frame, stage_frame, HEADER_LEN};
-use crate::mailbox::{Mailbox, Message};
-use hpgmxp_trace::{counter, histogram};
+use crate::collectives::CollAlgo;
+use crate::fault::SplitMix64;
+use crate::mesh::{coll_mismatch, connect_timeout, launch_knob, Link, MeshComm, MeshConfig};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// Tag bit reserved for collective traffic (allreduce/barrier rounds).
-/// User tags must leave it clear; the halo engine and every test tag
-/// sit far below it.
-pub const COLLECTIVE_TAG_BIT: u64 = 1 << 63;
-
-/// Reserved tag carrying heartbeat frames (empty payload). Lives in
-/// the collective tag space so it is never counted against the flush
-/// barrier's data ledger, with bit 62 distinguishing it from real
-/// collective rounds.
-pub const HEARTBEAT_TAG: u64 = COLLECTIVE_TAG_BIT | (1 << 62);
 
 /// How many consecutive ports the rendezvous may occupy when the
 /// configured one is busy: rank 0 binds the first free port in
@@ -107,149 +50,37 @@ pub const PORT_SCAN_SPAN: u16 = 16;
 /// service squatting a port in the scan window.
 const RENDEZVOUS_HELLO: [u8; 4] = *b"HPRV";
 
-/// Buffers stocked per peer pool by [`SocketComm::prewarm_pool`] —
-/// sized to cover the deepest in-flight window a run-ahead peer can
-/// create between two of this rank's receives.
-const POOL_STOCK: usize = 8;
+/// Bytes of the rendezvous hello: magic, the base port the rendezvous
+/// serves (so a rank scanning the port window never joins a
+/// *different* world whose window happens to overlap), and rank 0's
+/// collective algorithm.
+const HELLO_LEN: usize = 7;
 
-/// How long mesh setup may wait for peers (rendezvous connect, table
-/// exchange, pairwise dial) before declaring the job stillborn.
-fn connect_timeout() -> Duration {
-    let secs = std::env::var("HPGMXP_CONNECT_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(60);
-    Duration::from_secs(secs)
-}
+/// Bytes of a registration: rank, data port, collective algorithm.
+const REGISTRATION_LEN: usize = 9;
 
-/// Read a millisecond knob from the environment: unset → `default`,
-/// `0` → disabled (`None`).
-fn env_millis(name: &str, default: Option<u64>) -> Option<Duration> {
-    let millis = match std::env::var(name) {
-        Ok(v) => v.parse::<u64>().unwrap_or_else(|_| panic!("{name} is not a number: {v:?}")),
-        Err(_) => default?,
-    };
-    (millis > 0).then(|| Duration::from_millis(millis))
-}
-
-/// Fault-detection and fault-injection knobs of one socket endpoint.
-#[derive(Clone, Debug, Default)]
-pub struct SocketConfig {
-    /// Bound on every blocking receive and barrier wait
-    /// (`HPGMXP_RECV_DEADLINE_MILLIS`; unset/0 = wait forever). The
-    /// hang detector: a wedged-but-alive peer still heartbeats, so only
-    /// a deadline can catch it.
-    pub recv_deadline: Option<Duration>,
-    /// Heartbeat emission period (`HPGMXP_HEARTBEAT_MILLIS`; default
-    /// 500 ms, 0 = off).
-    pub heartbeat: Option<Duration>,
-    /// Declare a peer lost when *nothing* (data or heartbeat) arrived
-    /// from it for this long (`HPGMXP_PEER_TIMEOUT_MILLIS`; default
-    /// 10 s, 0 = off).
-    pub peer_timeout: Option<Duration>,
-    /// Wire-fault injection plan (`HPGMXP_FAULT_PLAN`: inline JSON or
-    /// a path to it).
-    pub faults: Option<FaultPlan>,
-}
-
-impl SocketConfig {
-    /// The configuration the environment prescribes — what
-    /// [`SocketWorld::connect`] and launched ranks use.
-    pub fn from_env() -> Self {
-        SocketConfig {
-            recv_deadline: env_millis("HPGMXP_RECV_DEADLINE_MILLIS", None),
-            heartbeat: env_millis("HPGMXP_HEARTBEAT_MILLIS", Some(500)),
-            peer_timeout: env_millis("HPGMXP_PEER_TIMEOUT_MILLIS", Some(10_000)),
-            faults: FaultPlan::from_env(),
-        }
-    }
-}
-
-/// The write half of one peer connection: the stream plus the staging
-/// buffer frames are assembled in (one `write_all` per frame, no
-/// allocation at steady state).
-struct SendHalf {
+/// One TCP connection to a peer — the socket mesh's [`Link`]. The read
+/// half is a clone of the same stream.
+pub struct TcpLink {
     stream: TcpStream,
-    staging: Vec<u8>,
 }
 
-/// Reusable collective state — sized on first use, then stable.
-struct CollState {
-    /// Engine scratch (Bruck ring + fold accumulators).
-    scratch: CollScratch,
-    /// This rank's sent-count row (length P), snapshotted per barrier.
-    row: Vec<u64>,
-    /// The allgathered P×P flush-barrier count matrix.
-    counts: Vec<u64>,
-}
+impl Link for TcpLink {
+    type Reader = TcpStream;
 
-struct SocketShared {
-    rank: usize,
-    size: usize,
-    mailbox: Mailbox,
-    /// Write halves, indexed by peer rank (`None` at our own index).
-    senders: Vec<Option<Mutex<SendHalf>>>,
-    /// Per-peer recycled receive pools (our own index serves
-    /// self-sends). Reader threads draw from them, `recv_into`
-    /// returns buffers after copying out.
-    pools: Vec<Mutex<Vec<Vec<u8>>>>,
-    /// Point-to-point frames sent to / delivered from each peer
-    /// (collective tags excluded) — the flush barrier's ledger.
-    data_sent: Vec<AtomicU64>,
-    data_delivered: Vec<AtomicU64>,
-    /// Collective round number; advances identically on every rank
-    /// because collectives are called in SPMD program order.
-    collective_seq: AtomicU64,
-    coll: Mutex<CollState>,
-    /// Collective-engine traffic counters (rounds, receives, bytes).
-    counters: CollCounters,
-    /// Fault-detection knobs and (optional) injection plan.
-    config: SocketConfig,
-    /// Mesh construction time — the origin of the `last_heard` clock.
-    epoch: Instant,
-    /// Milliseconds since `epoch` at which each peer was last heard
-    /// from (any frame, heartbeat included). The watchdog's evidence.
-    last_heard: Vec<AtomicU64>,
-    /// Outgoing-data-frame counter — the exchange index the fault
-    /// plan's scripted events key on.
-    fault_ops: AtomicU64,
-    /// Seeded per-rank stream driving probabilistic wire faults.
-    fault_rng: Mutex<SplitMix64>,
-}
+    /// One `write_all` per frame. The stall bound is the kernel's: a
+    /// write to a dead peer fails (EPIPE / reset) rather than blocking.
+    fn write_frame(&mut self, frame: &[u8], _stall: Option<Duration>) -> std::io::Result<()> {
+        self.stream.write_all(frame)
+    }
 
-impl SocketShared {
-    fn millis_since_epoch(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
+    fn close(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
     }
 }
 
-/// Best-fit take from a peer pool, mirroring the thread world's
-/// policy: the smallest sufficient buffer serves the request so a
-/// small frame never claims the pool's one large buffer.
-fn pool_take(pool: &Mutex<Vec<Vec<u8>>>, len: usize) -> Vec<u8> {
-    let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
-    let best = pool
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.capacity() >= len)
-        .min_by_key(|(_, b)| b.capacity())
-        .map(|(i, _)| i);
-    match best {
-        Some(pos) => pool.swap_remove(pos),
-        None => pool.pop().unwrap_or_default(),
-    }
-}
-
-fn pool_put(pool: &Mutex<Vec<Vec<u8>>>, buf: Vec<u8>) {
-    pool.lock().unwrap_or_else(|e| e.into_inner()).push(buf);
-}
-
-/// One rank's endpoint in a socket world. Cheap to clone (shared
-/// mesh); the process-global instance lives for the process.
-#[derive(Clone)]
-pub struct SocketComm {
-    shared: Arc<SocketShared>,
-}
+/// One rank's endpoint in a socket world.
+pub type SocketComm = MeshComm<TcpLink>;
 
 /// Factory for socket-mesh endpoints.
 pub struct SocketWorld;
@@ -298,8 +129,9 @@ fn bind_rendezvous(base: u16) -> TcpListener {
 /// retrying with jittered backoff until the connect timeout. A
 /// connection only qualifies if the service presents the rendezvous
 /// hello magic within a short read window — an unrelated server
-/// squatting a scanned port is skipped, not crashed into.
-fn find_rendezvous(base: u16) -> TcpStream {
+/// squatting a scanned port is skipped, not crashed into. Returns the
+/// connection and the collective-algorithm byte of the hello.
+fn find_rendezvous(base: u16) -> (TcpStream, u8) {
     let deadline = Instant::now() + connect_timeout();
     let mut rng = SplitMix64::new((std::process::id() as u64) << 16 | base as u64 | 1);
     let mut pause = Duration::from_millis(10);
@@ -308,13 +140,13 @@ fn find_rendezvous(base: u16) -> TcpStream {
             let port = base.wrapping_add(offset);
             let Ok(mut s) = TcpStream::connect(("127.0.0.1", port)) else { continue };
             s.set_read_timeout(Some(Duration::from_millis(250))).expect("set hello read timeout");
-            let mut hello = [0u8; 6];
+            let mut hello = [0u8; HELLO_LEN];
             if s.read_exact(&mut hello).is_ok()
                 && hello[0..4] == RENDEZVOUS_HELLO
                 && hello[4..6] == base.to_le_bytes()
             {
                 s.set_read_timeout(None).expect("clear hello read timeout");
-                return s;
+                return (s, hello[6]);
             }
             // Wrong service (or a rendezvous not yet writing); keep
             // scanning — rank 0 accepts until every rank registered,
@@ -358,18 +190,18 @@ impl SocketWorld {
     /// rendezvous `port`, with fault knobs from the environment.
     /// Blocks until the full mesh is connected.
     pub fn connect(rank: usize, size: usize, port: u16) -> SocketComm {
-        Self::connect_with_config(rank, size, port, SocketConfig::from_env())
+        Self::connect_with_config(rank, size, port, MeshConfig::from_env())
     }
 
-    /// [`SocketWorld::connect`] with explicit fault-detection knobs
-    /// and injection plan — the chaos tests' entry point (environment
-    /// variables are process-global; per-rank knobs cannot come from
-    /// them in in-process tests).
+    /// [`SocketWorld::connect`] with explicit fault-detection knobs,
+    /// injection plan, and collective algorithm — the chaos tests'
+    /// entry point (environment variables are process-global; per-rank
+    /// knobs cannot come from them in in-process tests).
     pub fn connect_with_config(
         rank: usize,
         size: usize,
         port: u16,
-        config: SocketConfig,
+        config: MeshConfig,
     ) -> SocketComm {
         assert!(size > 0 && rank < size, "rank {rank} outside world of {size}");
         assert!(size <= u32::MAX as usize);
@@ -382,12 +214,21 @@ impl SocketWorld {
             let data_listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind data listener");
             let data_port = data_listener.local_addr().expect("data listener addr").port();
 
-            // The hello a rendezvous presents: magic + the base port it
-            // serves, so a rank scanning the port window never joins a
-            // *different* world whose window happens to overlap.
-            let mut hello = [0u8; 6];
+            let mut hello = [0u8; HELLO_LEN];
             hello[0..4].copy_from_slice(&RENDEZVOUS_HELLO);
             hello[4..6].copy_from_slice(&port.to_le_bytes());
+            hello[6] = config.coll.wire_code();
+            // Both sides of a registration check the other's algorithm
+            // byte only after sending their own, so a mixed world fails
+            // loudly on both ranks instead of stranding one of them.
+            let check_coll = |peer: usize, code: u8| {
+                if code != config.coll.wire_code() {
+                    let theirs = CollAlgo::from_wire_code(code).unwrap_or_else(|| {
+                        panic!("rank {peer} sent an unknown collective algorithm code {code}")
+                    });
+                    panic!("{}", coll_mismatch((rank, config.coll), (Some(peer), theirs)));
+                }
+            };
 
             let table: Vec<u16> = if rank == 0 {
                 let rendezvous = bind_rendezvous(port);
@@ -403,7 +244,7 @@ impl SocketWorld {
                     if s.write_all(&hello).is_err() {
                         continue;
                     }
-                    let mut reg = [0u8; 8];
+                    let mut reg = [0u8; REGISTRATION_LEN];
                     if s.read_exact(&mut reg).is_err() {
                         continue;
                     }
@@ -411,6 +252,7 @@ impl SocketWorld {
                     let p = u32::from_le_bytes([reg[4], reg[5], reg[6], reg[7]]);
                     assert!(r > 0 && r < size, "bogus registration from rank {r}");
                     assert!(regs[r].is_none(), "rank {r} registered twice");
+                    check_coll(r, reg[8]);
                     ports[r] = p as u16;
                     regs[r] = Some(s);
                     registered += 1;
@@ -424,11 +266,13 @@ impl SocketWorld {
                 }
                 ports
             } else {
-                let mut s = find_rendezvous(port);
-                let mut reg = [0u8; 8];
+                let (mut s, coll0) = find_rendezvous(port);
+                let mut reg = [0u8; REGISTRATION_LEN];
                 reg[0..4].copy_from_slice(&(rank as u32).to_le_bytes());
                 reg[4..8].copy_from_slice(&(data_port as u32).to_le_bytes());
+                reg[8] = config.coll.wire_code();
                 s.write_all(&reg).expect("send registration");
+                check_coll(0, coll0);
                 let mut table = vec![0u8; size * 4];
                 s.read_exact(&mut table).expect("read port table");
                 table
@@ -457,509 +301,17 @@ impl SocketWorld {
             }
         }
 
-        let fault_seed = config.faults.as_ref().map(|p| p.seed).unwrap_or(0);
-        let shared = Arc::new(SocketShared {
-            rank,
-            size,
-            mailbox: Mailbox::with_deadline(config.recv_deadline),
-            senders: streams
-                .iter()
-                .map(|s| {
-                    s.as_ref().map(|s| {
-                        s.set_nodelay(true).expect("TCP_NODELAY");
-                        Mutex::new(SendHalf {
-                            stream: s.try_clone().expect("clone send half"),
-                            staging: Vec::new(),
-                        })
-                    })
+        let links = streams
+            .into_iter()
+            .map(|s| {
+                s.map(|stream| {
+                    stream.set_nodelay(true).expect("TCP_NODELAY");
+                    let reader = stream.try_clone().expect("clone read half");
+                    (TcpLink { stream }, reader)
                 })
-                .collect(),
-            pools: (0..size).map(|_| Mutex::new(Vec::new())).collect(),
-            data_sent: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            data_delivered: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            collective_seq: AtomicU64::new(0),
-            coll: Mutex::new(CollState {
-                scratch: CollScratch::default(),
-                row: Vec::new(),
-                counts: Vec::new(),
-            }),
-            counters: CollCounters::default(),
-            config,
-            epoch: Instant::now(),
-            last_heard: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            fault_ops: AtomicU64::new(0),
-            fault_rng: Mutex::new(SplitMix64::for_rank(fault_seed, rank as u64)),
-        });
-
-        for (peer, stream) in streams.into_iter().enumerate() {
-            let Some(stream) = stream else { continue };
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("hpgmxp-reader-{peer}"))
-                .spawn(move || reader_loop(shared, peer, stream))
-                .expect("spawn reader thread");
-        }
-
-        if size > 1 && (shared.config.heartbeat.is_some() || shared.config.peer_timeout.is_some()) {
-            let weak = Arc::downgrade(&shared);
-            std::thread::Builder::new()
-                .name(format!("hpgmxp-heartbeat-{rank}"))
-                .spawn(move || heartbeat_loop(weak))
-                .expect("spawn heartbeat thread");
-        }
-
-        SocketComm { shared }
-    }
-}
-
-/// Emit heartbeat frames to every peer and watch for peers that have
-/// gone silent. One thread per mesh; it holds only a weak reference so
-/// a torn-down world (tests) lets go of its sockets.
-///
-/// Send failures are deliberately ignored — the reader thread on the
-/// same connection observes the EOF/error and records the fault with
-/// better attribution. The send path reuses the per-connection staging
-/// buffer, so steady-state heartbeating allocates nothing (the
-/// zero-allocation gate stays green with heartbeats on).
-fn heartbeat_loop(weak: Weak<SocketShared>) {
-    loop {
-        let Some(shared) = weak.upgrade() else { return };
-        if let Some(timeout) = shared.config.peer_timeout {
-            let now = shared.millis_since_epoch();
-            for (peer, heard) in shared.last_heard.iter().enumerate() {
-                if peer == shared.rank || shared.senders[peer].is_none() {
-                    continue;
-                }
-                let silent = now.saturating_sub(heard.load(Ordering::SeqCst));
-                histogram!("wire.heartbeat_lag_ms").observe(silent);
-                if silent > timeout.as_millis() as u64 {
-                    shared.mailbox.fail(
-                        peer,
-                        CommErrorKind::PeerLost,
-                        format!(
-                            "no heartbeat from rank {peer} for {:.3}s (peer timeout {:.3}s)",
-                            silent as f64 / 1e3,
-                            timeout.as_secs_f64()
-                        ),
-                    );
-                }
-            }
-        }
-        if shared.config.heartbeat.is_some() {
-            for half in shared.senders.iter().flatten() {
-                let mut half = half.lock().unwrap_or_else(|e| e.into_inner());
-                stage_frame(&mut half.staging, shared.rank, HEARTBEAT_TAG, &[]);
-                let SendHalf { stream, staging } = &mut *half;
-                let _ = stream.write_all(staging);
-            }
-        }
-        let pause = shared
-            .config
-            .heartbeat
-            .or(shared.config.peer_timeout)
-            .unwrap_or(Duration::from_millis(500));
-        drop(shared); // don't pin the mesh while sleeping
-        std::thread::sleep(pause);
-    }
-}
-
-/// Per-connection reader: decode frames into the shared mailbox until
-/// the peer goes away. Buffers come from the peer's recycled pool, so
-/// a steady-state delivery allocates nothing.
-fn reader_loop(shared: Arc<SocketShared>, peer: usize, mut stream: TcpStream) {
-    loop {
-        match read_frame(&mut stream, |len| pool_take(&shared.pools[peer], len)) {
-            Ok(Some((header, data))) => {
-                debug_assert_eq!(header.from as usize, peer, "frame from wrong rank");
-                counter!("wire.frames_rx").inc();
-                counter!("wire.bytes_rx").add((HEADER_LEN + data.len()) as u64);
-                // Anything decodable counts as proof of life.
-                shared.last_heard[peer].store(shared.millis_since_epoch(), Ordering::SeqCst);
-                if header.tag == HEARTBEAT_TAG {
-                    // Protocol-internal; recycle without delivery.
-                    pool_put(&shared.pools[peer], data);
-                    continue;
-                }
-                // Count before pushing: the mailbox push is what wakes
-                // a flush-barrier waiter, which then re-reads counters.
-                if header.tag & COLLECTIVE_TAG_BIT == 0 {
-                    shared.data_delivered[peer].fetch_add(1, Ordering::SeqCst);
-                }
-                shared.mailbox.push(Message { from: peer, tag: header.tag, data });
-            }
-            Ok(None) => {
-                shared.mailbox.fail(
-                    peer,
-                    CommErrorKind::PeerClosed,
-                    format!("connection to rank {peer} closed"),
-                );
-                return;
-            }
-            Err(e) => {
-                // A framing/CRC violation means the payload cannot be
-                // trusted; an I/O error means the peer (or its path) is
-                // gone. Both are attributed and final for this stream.
-                let (kind, why) = if e.kind() == ErrorKind::InvalidData {
-                    (
-                        CommErrorKind::Corrupt,
-                        format!("protocol error on connection to rank {peer}: {e}"),
-                    )
-                } else {
-                    (CommErrorKind::PeerLost, format!("connection to rank {peer} lost: {e}"))
-                };
-                shared.mailbox.fail(peer, kind, why);
-                return;
-            }
-        }
-    }
-}
-
-impl SocketComm {
-    /// Frame and send on the peer connection, or self-deliver. Used by
-    /// both the public `send_from` (data tags, counted) and the
-    /// collectives (reserved tags, uncounted).
-    fn send_raw(&self, to: usize, tag: u64, bytes: &[u8]) {
-        self.send_raw_checked(to, tag, bytes).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`SocketComm::send_raw`], surfacing a write failure as a typed
-    /// `PeerLost` fault — and the seam where an armed
-    /// [`FaultPlan`] injects wire faults into outgoing data frames.
-    fn send_raw_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        let s = &self.shared;
-        assert!(to < s.size, "send to rank {to} in a world of {}", s.size);
-        if to == s.rank {
-            // Loopback never touches the wire (or the flush ledger —
-            // it is delivered before this call returns).
-            let mut data = pool_take(&s.pools[to], bytes.len());
-            data.clear();
-            data.extend_from_slice(bytes);
-            s.mailbox.push(Message { from: to, tag, data });
-            return Ok(());
-        }
-
-        let mut corrupt_flip = None;
-        let mut duplicate = false;
-        if tag & COLLECTIVE_TAG_BIT == 0 {
-            if let Some(plan) = &s.config.faults {
-                // Scripted events key on this rank's outgoing-data-frame
-                // index — deterministic given the program's send order.
-                let n = s.fault_ops.fetch_add(1, Ordering::SeqCst);
-                if let Some(event) = plan.event_at(s.rank, n) {
-                    match event.kind {
-                        FaultKind::CrashRank => {
-                            eprintln!(
-                                "rank {} crashing deliberately at exchange {n} (fault plan seed \
-                                 {})",
-                                s.rank, plan.seed
-                            );
-                            std::process::exit(7);
-                        }
-                        FaultKind::HangRank => {
-                            eprintln!(
-                                "rank {} hanging deliberately at exchange {n} for {:?} (fault \
-                                 plan seed {})",
-                                s.rank,
-                                plan.hang_duration(),
-                                plan.seed
-                            );
-                            std::thread::sleep(plan.hang_duration());
-                        }
-                    }
-                }
-                if plan.has_wire_faults() {
-                    let (dropped, delayed, dup, corrupt, flip) = {
-                        let mut rng = s.fault_rng.lock().unwrap_or_else(|e| e.into_inner());
-                        (
-                            rng.hit(plan.drop),
-                            rng.hit(plan.delay),
-                            rng.hit(plan.duplicate),
-                            rng.hit(plan.corrupt),
-                            rng.next_u64(),
-                        )
-                    };
-                    if dropped {
-                        // Vanishes *without* touching the sent ledger:
-                        // the flush barrier stays consistent, and the
-                        // receiver's deadline is what detects the loss.
-                        return Ok(());
-                    }
-                    if delayed {
-                        std::thread::sleep(plan.delay_duration());
-                    }
-                    duplicate = dup;
-                    if corrupt && !bytes.is_empty() {
-                        corrupt_flip = Some(flip);
-                    }
-                }
-            }
-        }
-
-        let mut half = s.senders[to]
-            .as_ref()
-            .expect("peer connection")
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        stage_frame(&mut half.staging, s.rank, tag, bytes);
-        if let Some(flip) = corrupt_flip {
-            // Flip one payload byte *after* the CRC was computed — the
-            // receiver's checksum, not this rank, must catch it.
-            let i = HEADER_LEN + (flip as usize) % bytes.len();
-            half.staging[i] ^= 1 << ((flip >> 32) & 7);
-        }
-        if tag & COLLECTIVE_TAG_BIT == 0 {
-            s.data_sent[to].fetch_add(1 + duplicate as u64, Ordering::SeqCst);
-        }
-        counter!("wire.frames_tx").inc();
-        counter!("wire.bytes_tx").add(half.staging.len() as u64);
-        let SendHalf { stream, staging } = &mut *half;
-        let write = |stream: &mut TcpStream, staging: &[u8]| {
-            stream.write_all(staging).map_err(|e| {
-                CommError::new(
-                    CommErrorKind::PeerLost,
-                    Some(to),
-                    format!("send to rank {to} failed: {e}"),
-                )
-                .with_tag(tag)
             })
-        };
-        write(stream, staging)?;
-        if duplicate {
-            write(stream, staging)?;
-        }
-        Ok(())
-    }
-
-    /// Copy a matched message out and recycle its buffer into the
-    /// sender's pool.
-    fn deliver(&self, msg: Message, out: &mut [u8]) {
-        assert_eq!(
-            msg.data.len(),
-            out.len(),
-            "message length mismatch: rank {} got {} bytes from {} tag {}, posted {}",
-            self.shared.rank,
-            msg.data.len(),
-            msg.from,
-            msg.tag,
-            out.len()
-        );
-        out.copy_from_slice(&msg.data);
-        pool_put(&self.shared.pools[msg.from], msg.data);
-    }
-
-    /// Next reserved collective tag; identical on every rank because
-    /// collectives execute in SPMD program order.
-    fn collective_tag(&self) -> u64 {
-        COLLECTIVE_TAG_BIT | self.shared.collective_seq.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Grow the transport's recycled buffers so the steady state is
-    /// allocation-free by construction rather than by high-water mark:
-    /// every per-peer pool is stocked with buffers of at least
-    /// `min_capacity`, and each connection's staging buffer can hold a
-    /// full frame of that size. Call while no messages are in flight.
-    pub fn prewarm_pool(&self, min_capacity: usize) {
-        // The mailbox deque must not grow mid-measurement either: a
-        // parking burst (every peer one full pool ahead, plus
-        // collective traffic) is bounded by the pool stock.
-        self.shared.mailbox.reserve(2 * POOL_STOCK * self.shared.size);
-        for pool in &self.shared.pools {
-            let mut pool = pool.lock().unwrap_or_else(|e| e.into_inner());
-            for buf in pool.iter_mut() {
-                if buf.capacity() < min_capacity {
-                    buf.reserve(min_capacity - buf.len());
-                }
-            }
-            // A peer can run a couple of exchange rounds ahead of its
-            // receiver, with several frames in flight per round; stock
-            // enough that the worst observed in-flight window never
-            // forces the reader to allocate.
-            while pool.len() < POOL_STOCK {
-                pool.push(Vec::with_capacity(min_capacity));
-            }
-        }
-        for half in self.shared.senders.iter().flatten() {
-            let mut half = half.lock().unwrap_or_else(|e| e.into_inner());
-            let want = min_capacity + HEADER_LEN;
-            if half.staging.capacity() < want {
-                let len = half.staging.len();
-                half.staging.reserve(want - len);
-            }
-        }
-        // Size the collective engine's scratch and the flush-barrier
-        // ledger buffers so collectives allocate nothing either.
-        let size = self.shared.size;
-        let mut coll = self.shared.coll.lock().unwrap_or_else(|e| e.into_inner());
-        coll.scratch.prewarm(size, min_capacity.div_ceil(8).max(size));
-        if coll.row.capacity() < size {
-            let len = coll.row.len();
-            coll.row.reserve(size - len);
-        }
-        if coll.counts.capacity() < size * size {
-            let len = coll.counts.len();
-            coll.counts.reserve(size * size - len);
-        }
-    }
-
-    /// Flush every in-flight message into mailboxes (a barrier), then
-    /// discard anything still parked, recycling the buffers. Run
-    /// between SPMD closures on the reused process-global mesh so one
-    /// run's unconsumed messages cannot leak into the next.
-    pub fn quiesce(&self) {
-        self.barrier();
-        // Drain only user data: a fast peer may already have parked its
-        // *next* collective here, and swallowing it would deadlock that
-        // collective on this rank.
-        for msg in self.shared.mailbox.take_where(|m| m.tag & COLLECTIVE_TAG_BIT == 0) {
-            pool_put(&self.shared.pools[msg.from], msg.data);
-        }
-        // Hold everyone until every rank has drained: a peer released
-        // from the first barrier would otherwise start the *next* run's
-        // sends, and a slow rank's drain could swallow them.
-        self.barrier();
-    }
-
-    #[cfg(test)]
-    /// Tear down this rank's side of every connection so peers observe
-    /// EOF — the in-process stand-in for a dying rank.
-    fn close_all_connections(&self) {
-        for half in self.shared.senders.iter().flatten() {
-            let half = half.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = half.stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
-}
-
-impl Comm for SocketComm {
-    fn rank(&self) -> usize {
-        self.shared.rank
-    }
-
-    fn size(&self) -> usize {
-        self.shared.size
-    }
-
-    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) {
-        assert!(tag & COLLECTIVE_TAG_BIT == 0, "tag {tag:#x} uses the reserved collective bit");
-        self.send_raw(to, tag, bytes);
-    }
-
-    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        assert!(tag & COLLECTIVE_TAG_BIT == 0, "tag {tag:#x} uses the reserved collective bit");
-        self.send_raw_checked(to, tag, bytes)
-    }
-
-    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) {
-        let msg = self.shared.mailbox.recv_matching(from, tag);
-        self.deliver(msg, out);
-    }
-
-    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        let msg = self.shared.mailbox.recv_matching_checked(from, tag)?;
-        self.deliver(msg, out);
-        Ok(())
-    }
-
-    fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool {
-        match self.shared.mailbox.try_recv_matching(from, tag) {
-            Some(msg) => {
-                self.deliver(msg, out);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
-        if posts.iter().all(Option::is_none) {
-            return None;
-        }
-        let (slot, msg) = self.shared.mailbox.wait_any_matching(posts);
-        let post = posts[slot].take().expect("slot matched in mailbox");
-        self.deliver(msg, post.buf);
-        Some((slot, post))
-    }
-
-    fn wait_any_checked<'p>(
-        &self,
-        posts: &mut [Option<RecvPost<'p>>],
-    ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
-        if posts.iter().all(Option::is_none) {
-            return Ok(None);
-        }
-        let (slot, msg) = self.shared.mailbox.wait_any_matching_checked(posts)?;
-        let post = posts[slot].take().expect("slot matched in mailbox");
-        self.deliver(msg, post.buf);
-        Ok(Some((slot, post)))
-    }
-
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
-        self.allreduce_checked(vals, op).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
-        let mut coll = self.shared.coll.lock().unwrap_or_else(|e| e.into_inner());
-        collectives::allreduce(self, &mut coll.scratch, vals, op)
-    }
-
-    fn barrier(&self) {
-        self.barrier_checked().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    fn barrier_checked(&self) -> CommResult<()> {
-        let s = &self.shared;
-        if s.size == 1 {
-            return Ok(());
-        }
-        // Flush barrier: allgather every rank's cumulative sent-count
-        // row into the P×P ledger matrix (the allgather itself is the
-        // rendezvous — its completion proves every rank entered), then
-        // wait until this rank's delivery counters reach its column.
-        // Loopback self-sends bypass the ledger, so the diagonal is
-        // trivially satisfied.
-        let mut coll = s.coll.lock().unwrap_or_else(|e| e.into_inner());
-        let CollState { scratch, row, counts } = &mut *coll;
-        row.clear();
-        row.extend(s.data_sent.iter().map(|c| c.load(Ordering::SeqCst)));
-        collectives::allgather_u64(self, scratch, row, counts)?;
-        s.counters.count_barrier();
-        let (size, me) = (s.size, s.rank);
-        s.mailbox.wait_until_checked(|| {
-            (0..size).all(|i| s.data_delivered[i].load(Ordering::SeqCst) >= counts[i * size + me])
-        })?;
-        Ok(())
-    }
-
-    fn coll_stats(&self) -> Option<CollStats> {
-        Some(self.shared.counters.snapshot())
-    }
-}
-
-impl collectives::CollEndpoint for SocketComm {
-    fn rank(&self) -> usize {
-        self.shared.rank
-    }
-
-    fn size(&self) -> usize {
-        self.shared.size
-    }
-
-    fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        self.send_raw_checked(to, tag, bytes)
-    }
-
-    fn coll_recv(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        let msg = self.shared.mailbox.recv_matching_checked(from, tag)?;
-        self.deliver(msg, out);
-        Ok(())
-    }
-
-    fn next_coll_tag(&self) -> u64 {
-        self.collective_tag()
-    }
-
-    fn counters(&self) -> &CollCounters {
-        &self.shared.counters
+            .collect();
+        MeshComm::assemble(rank, links, config)
     }
 }
 
@@ -970,256 +322,34 @@ impl collectives::CollEndpoint for SocketComm {
 pub fn global_from_env() -> &'static SocketComm {
     static MESH: OnceLock<SocketComm> = OnceLock::new();
     MESH.get_or_init(|| {
-        let need = |name: &str| -> usize {
-            std::env::var(name)
-                .unwrap_or_else(|_| {
-                    panic!("{name} not set — socket ranks must be started by hpgmxp-launch")
-                })
-                .parse()
-                .unwrap_or_else(|_| panic!("{name} is not a number"))
-        };
-        let rank = need("HPGMXP_RANK");
-        let size = need("HPGMXP_RANKS");
-        let port = need("HPGMXP_PORT") as u16;
-        SocketWorld::connect(rank, size, port)
+        SocketWorld::connect(
+            launch_knob("HPGMXP_RANK"),
+            launch_knob("HPGMXP_RANKS"),
+            launch_knob("HPGMXP_PORT"),
+        )
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::{pack, unpack};
-    use crate::thread_world::run_threads;
+    use crate::comm::{Comm, ReduceOp};
+    use crate::launch::free_port;
+    use crate::mesh::suite::{mesh_suite, TestWorld};
 
-    /// Pick a port that was just free (bind :0, read it back, release).
-    /// The tiny reuse window is acceptable in a single test process.
-    fn free_port() -> u16 {
-        TcpListener::bind(("127.0.0.1", 0)).unwrap().local_addr().unwrap().port()
-    }
+    impl TestWorld for TcpLink {
+        type Meet = u16;
 
-    /// In-process socket world: each rank is a thread with its own
-    /// endpoint, but every byte still crosses real TCP connections.
-    fn run_socket_threads<T, F>(size: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(SocketComm) -> T + Sync,
-    {
-        let port = free_port();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..size)
-                .map(|rank| {
-                    let fr = &f;
-                    s.spawn(move || fr(SocketWorld::connect(rank, size, port)))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("a rank panicked")).collect()
-        })
-    }
+        fn fresh() -> u16 {
+            free_port()
+        }
 
-    #[test]
-    fn ping_pong_over_tcp() {
-        let results = run_socket_threads(2, |c| {
-            if c.rank() == 0 {
-                c.send_from(1, 7, &pack(&[1.5f64, -2.5]));
-                let mut got = vec![0u8; 8];
-                c.recv_into(1, 8, &mut got);
-                let mut out = [0.0f64; 1];
-                unpack(&got, &mut out);
-                out[0]
-            } else {
-                let mut got = vec![0u8; 16];
-                c.recv_into(0, 7, &mut got);
-                let mut vals = [0.0f64; 2];
-                unpack(&got, &mut vals);
-                c.send_from(0, 8, &pack(&[vals[0] + vals[1]]));
-                0.0
-            }
-        });
-        assert_eq!(results[0], -1.0);
-    }
-
-    #[test]
-    fn allreduce_matches_thread_world_bitwise() {
-        // Same inputs through both transports must reduce to the same
-        // bits — the property that lets GMRES-IR histories replay
-        // across backends.
-        let inputs: Vec<Vec<f64>> =
-            (0..4).map(|r| (0..5).map(|i| ((r * 31 + i) as f64).sin() * 1e3).collect()).collect();
-        let thread: Vec<Vec<f64>> = run_threads(4, |c| {
-            let mut v = inputs[c.rank()].clone();
-            c.allreduce(&mut v, ReduceOp::Sum);
-            v
-        });
-        let socket: Vec<Vec<f64>> = run_socket_threads(4, |c| {
-            let mut v = inputs[c.rank()].clone();
-            c.allreduce(&mut v, ReduceOp::Sum);
-            v
-        });
-        for (t, s) in thread.iter().zip(socket.iter()) {
-            let tb: Vec<u64> = t.iter().map(|x| x.to_bits()).collect();
-            let sb: Vec<u64> = s.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(tb, sb);
+        fn connect(rank: usize, size: usize, port: &u16, config: MeshConfig) -> SocketComm {
+            SocketWorld::connect_with_config(rank, size, *port, config)
         }
     }
 
-    #[test]
-    fn flush_barrier_makes_prebarrier_sends_pollable() {
-        // The conformance suite's parking property: a message sent
-        // before a barrier must be receivable by try_recv after it,
-        // even though it crossed a real socket.
-        let results = run_socket_threads(2, |c| {
-            if c.rank() == 0 {
-                c.send_from(1, 77, &[42]);
-                c.barrier();
-                true
-            } else {
-                c.barrier();
-                let mut buf = [0u8; 1];
-                let got = c.try_recv_into(0, 77, &mut buf);
-                got && buf[0] == 42
-            }
-        });
-        assert!(results.iter().all(|ok| *ok));
-    }
-
-    #[test]
-    fn repeated_collectives_stay_in_lockstep() {
-        let results = run_socket_threads(3, |c| {
-            let mut acc = 0.0;
-            for i in 0..25 {
-                acc = c.allreduce_scalar(acc + i as f64 + c.rank() as f64, ReduceOp::Sum);
-                if i % 5 == 0 {
-                    c.barrier();
-                }
-            }
-            acc
-        });
-        for w in results.windows(2) {
-            assert_eq!(w[0].to_bits(), w[1].to_bits());
-        }
-    }
-
-    #[test]
-    fn wait_any_completes_in_arrival_order_over_tcp() {
-        let results = run_socket_threads(3, |c| {
-            if c.rank() == 2 {
-                let mut b0 = [0u8; 1];
-                let mut b1 = [0u8; 1];
-                // Rank 1's send is flushed (via the barrier) before
-                // rank 0 even sends, so slot 1 completes first.
-                c.barrier();
-                let mut posts =
-                    [Some(RecvPost::new(0, 9, &mut b0)), Some(RecvPost::new(1, 9, &mut b1))];
-                let (first, _) = c.wait_any(&mut posts).expect("two posts live");
-                let (second, _) = c.wait_any(&mut posts).expect("one post live");
-                assert!(c.wait_any(&mut posts).is_none());
-                vec![first, second]
-            } else if c.rank() == 1 {
-                c.send_from(2, 9, &[11]);
-                c.barrier();
-                vec![]
-            } else {
-                c.barrier();
-                c.send_from(2, 9, &[10]);
-                vec![]
-            }
-        });
-        assert_eq!(results[2], vec![1, 0]);
-    }
-
-    #[test]
-    fn quiesce_recycles_unconsumed_messages() {
-        let results = run_socket_threads(2, |c| {
-            if c.rank() == 0 {
-                c.send_from(1, 5, &[1, 2, 3]);
-            }
-            c.quiesce();
-            // The unconsumed message is gone; its buffer is pooled.
-            let mut buf = [0u8; 3];
-            assert!(!c.try_recv_into(0, 5, &mut buf), "quiesce drained the mailbox");
-            c.barrier();
-            true
-        });
-        assert!(results.iter().all(|ok| *ok));
-    }
-
-    #[test]
-    fn dead_peer_fails_receives_loudly() {
-        let port = free_port();
-        let rank0 = std::thread::spawn(move || {
-            let c = SocketWorld::connect(0, 2, port);
-            c.barrier();
-            // Peer closes after the barrier; this receive must panic
-            // with a diagnostic, not hang.
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut buf = [0u8; 1];
-                c.recv_into(1, 3, &mut buf);
-            }))
-            .expect_err("receive from a dead peer must fail");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("connection to rank 1"), "diagnostic names the peer: {msg}");
-        });
-        let rank1 = std::thread::spawn(move || {
-            let c = SocketWorld::connect(1, 2, port);
-            c.barrier();
-            c.close_all_connections();
-        });
-        rank1.join().unwrap();
-        rank0.join().unwrap();
-    }
-
-    #[test]
-    fn steady_state_reuses_pooled_buffers() {
-        // After prewarm, repeated same-size traffic keeps pools at a
-        // stable population — buffers cycle instead of accumulating.
-        let results = run_socket_threads(2, |c| {
-            c.prewarm_pool(256);
-            c.barrier();
-            let peer = 1 - c.rank();
-            let mut buf = [0u8; 256];
-            for round in 0..50u64 {
-                if c.rank() == 0 {
-                    c.send_from(peer, round, &[7u8; 256]);
-                    c.recv_into(peer, round, &mut buf);
-                } else {
-                    c.recv_into(peer, round, &mut buf);
-                    c.send_from(peer, round, &buf);
-                }
-            }
-            c.barrier();
-            c.shared.pools.iter().map(|p| p.lock().unwrap().len()).sum::<usize>()
-        });
-        for pooled in results {
-            assert!(pooled <= 2 * POOL_STOCK + 2, "pool grew without bound: {pooled} buffers");
-        }
-    }
-
-    #[test]
-    fn single_rank_socket_world_is_trivial() {
-        let c = SocketWorld::connect(0, 1, 0);
-        assert_eq!((c.rank(), c.size()), (0, 1));
-        assert_eq!(c.allreduce_scalar(5.0, ReduceOp::Sum), 5.0);
-        c.barrier();
-        // Loopback send/recv works without any connection.
-        c.send_from(0, 1, &[9]);
-        let mut buf = [0u8; 1];
-        c.recv_into(0, 1, &mut buf);
-        assert_eq!(buf[0], 9);
-    }
-
-    /// Two ranks, each with its own [`SocketConfig`], meshed at `port`.
-    fn run_pair<A, B>(port: u16, cfg0: SocketConfig, cfg1: SocketConfig, rank0: A, rank1: B)
-    where
-        A: FnOnce(SocketComm) + Send,
-        B: FnOnce(SocketComm) + Send,
-    {
-        std::thread::scope(|s| {
-            let h0 = s.spawn(move || rank0(SocketWorld::connect_with_config(0, 2, port, cfg0)));
-            let h1 = s.spawn(move || rank1(SocketWorld::connect_with_config(1, 2, port, cfg1)));
-            h0.join().expect("rank 0 panicked");
-            h1.join().expect("rank 1 panicked");
-        });
-    }
+    mesh_suite!(TcpLink);
 
     #[test]
     fn rendezvous_skips_squatted_port() {
@@ -1229,156 +359,13 @@ mod tests {
         // it there rather than crash into the squatter.
         let base = free_port();
         let _squatter = TcpListener::bind(("127.0.0.1", base)).expect("squat the base port");
-        run_pair(
-            base,
-            SocketConfig::default(),
-            SocketConfig::default(),
-            |c| assert_eq!(c.allreduce_scalar(1.0, ReduceOp::Sum), 2.0),
-            |c| assert_eq!(c.allreduce_scalar(1.0, ReduceOp::Sum), 2.0),
-        );
-    }
-
-    #[test]
-    fn silent_peer_trips_the_heartbeat_watchdog() {
-        // Rank 1 connects but never sends anything — not even
-        // heartbeats (its emitter is off). From rank 0's side the
-        // connection is open but silent: only the watchdog can tell,
-        // and it must, within the peer timeout.
-        let port = free_port();
-        let watchdog = SocketConfig {
-            heartbeat: Some(Duration::from_millis(25)),
-            peer_timeout: Some(Duration::from_millis(150)),
-            ..Default::default()
-        };
-        run_pair(
-            port,
-            watchdog,
-            SocketConfig::default(),
-            |c| {
-                let started = Instant::now();
-                let mut buf = [0u8; 1];
-                let err = c.recv_into_checked(1, 3, &mut buf).unwrap_err();
-                assert_eq!(err.kind, CommErrorKind::PeerLost);
-                assert_eq!(err.peer, Some(1));
-                assert!(err.detail.contains("no heartbeat from rank 1"), "{}", err.detail);
-                assert!(started.elapsed() < Duration::from_secs(10), "bounded detection");
-            },
-            |_c| {
-                // Stay wedged (alive, holding the socket open) past the
-                // peer timeout.
-                std::thread::sleep(Duration::from_millis(600));
-            },
-        );
-    }
-
-    #[test]
-    fn receive_deadline_detects_a_hung_but_heartbeating_peer() {
-        // Rank 1 heartbeats (alive!) but never sends data — the
-        // watchdog stays quiet, so only the receive deadline can flag
-        // the hang, as a typed Timeout naming the peer and tag.
-        let port = free_port();
-        let beat = Some(Duration::from_millis(25));
-        let waiter = SocketConfig {
-            recv_deadline: Some(Duration::from_millis(100)),
-            heartbeat: beat,
-            peer_timeout: Some(Duration::from_secs(30)),
-            faults: None,
-        };
-        let hung = SocketConfig { heartbeat: beat, ..Default::default() };
-        run_pair(
-            port,
-            waiter,
-            hung,
-            |c| {
-                let mut buf = [0u8; 1];
-                let err = c.recv_into_checked(1, 3, &mut buf).unwrap_err();
-                assert_eq!(err.kind, CommErrorKind::Timeout);
-                assert_eq!((err.peer, err.tag), (Some(1), Some(3)));
-                assert!(err.elapsed >= Duration::from_millis(100));
-                assert!(err.detail.contains("peer hung?"), "{}", err.detail);
-            },
-            |_c| std::thread::sleep(Duration::from_millis(400)),
-        );
-    }
-
-    #[test]
-    fn corrupted_frame_is_detected_and_attributed() {
-        // Rank 0's interposer flips a payload byte after the CRC is
-        // computed; rank 1's reader must reject the frame and attribute
-        // the corruption to rank 0.
-        let port = free_port();
-        let corruptor = SocketConfig {
-            faults: Some(FaultPlan { corrupt: Some(1.0), ..FaultPlan::clean(3) }),
-            ..Default::default()
-        };
-        run_pair(
-            port,
-            corruptor,
-            SocketConfig::default(),
-            |c| c.send_from(1, 9, &[1, 2, 3, 4]),
-            |c| {
-                let mut buf = [0u8; 4];
-                let err = c.recv_into_checked(0, 9, &mut buf).unwrap_err();
-                assert_eq!(err.kind, CommErrorKind::Corrupt);
-                assert_eq!(err.peer, Some(0));
-                assert!(err.detail.contains("corrupt frame from rank 0"), "{}", err.detail);
-            },
-        );
-    }
-
-    #[test]
-    fn dropped_frame_is_caught_by_deadline_and_barrier_stays_consistent() {
-        // A dropped data frame must not wedge the flush barrier (the
-        // drop is uncounted on the sent ledger); the receiver's typed
-        // Timeout is the detection.
-        let port = free_port();
-        let dropper = SocketConfig {
-            faults: Some(FaultPlan { drop: Some(1.0), ..FaultPlan::clean(11) }),
-            ..Default::default()
-        };
-        let receiver =
-            SocketConfig { recv_deadline: Some(Duration::from_millis(100)), ..Default::default() };
-        run_pair(
-            port,
-            dropper,
-            receiver,
-            |c| {
-                c.send_from(1, 5, &[42]); // vanishes on the wire
-                c.barrier(); // must still complete
-            },
-            |c| {
-                let mut buf = [0u8; 1];
-                let err = c.recv_into_checked(0, 5, &mut buf).unwrap_err();
-                assert_eq!(err.kind, CommErrorKind::Timeout);
-                c.barrier();
-            },
-        );
-    }
-
-    #[test]
-    fn duplicated_frames_are_counted_and_both_delivered() {
-        // A duplicated frame counts twice on the sent ledger, so the
-        // flush barrier still balances — and both copies park.
-        let port = free_port();
-        let duper = SocketConfig {
-            faults: Some(FaultPlan { duplicate: Some(1.0), ..FaultPlan::clean(7) }),
-            ..Default::default()
-        };
-        run_pair(
-            port,
-            duper,
-            SocketConfig::default(),
-            |c| {
-                c.send_from(1, 6, &[9]);
-                c.barrier();
-            },
-            |c| {
-                c.barrier(); // flushes both copies into the mailbox
-                let mut buf = [0u8; 1];
-                assert!(c.try_recv_into(0, 6, &mut buf));
-                assert_eq!(buf[0], 9);
-                assert!(c.try_recv_into(0, 6, &mut buf), "the duplicate is parked too");
-            },
-        );
+        std::thread::scope(|s| {
+            for rank in 0..2 {
+                s.spawn(move || {
+                    let c = SocketWorld::connect_with_config(rank, 2, base, MeshConfig::default());
+                    assert_eq!(c.allreduce_scalar(1.0, ReduceOp::Sum), 2.0);
+                });
+            }
+        });
     }
 }

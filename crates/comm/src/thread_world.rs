@@ -22,58 +22,35 @@
 //! fails with a typed [`CommError`] naming the dead rank instead of
 //! hanging. Because parked messages are matched before faults,
 //! everything a rank sent before finishing stays receivable. Worlds
-//! built with [`ThreadWorld::connect_with_deadline`] additionally
-//! bound every blocking receive (and therefore every collective),
-//! turning a hung-but-alive peer into a `Timeout` fault;
-//! [`run_threads_fallible`] is the chaos-test entry point that reports
-//! each rank's outcome instead of propagating the first panic.
+//! built with [`ThreadWorld::connect_with`] can additionally bound
+//! every blocking receive (and therefore every collective), turning a
+//! hung-but-alive peer into a `Timeout` fault, and pick the collective
+//! algorithm — one constructor call builds every rank, so the world's
+//! ranks share it by construction. [`run_threads_fallible`] is the
+//! chaos-test entry point that reports each rank's outcome instead of
+//! propagating the first panic.
 //!
 //! Transport-agnostic callers should reach this world through
 //! [`crate::world::run_spmd`], which picks the backend from the
 //! `HPGMXP_COMM` environment variable.
 
-use crate::collectives::{self, CollCounters, CollScratch, CollStats};
+use crate::collectives::{
+    self, CollAlgo, CollCounters, CollScratch, CollStats, COLLECTIVE_TAG_BIT,
+};
 use crate::comm::{Comm, RecvPost, ReduceOp};
 use crate::error::{CommErrorKind, CommResult};
-use crate::mailbox::{Mailbox, Message};
-use crate::socket_world::COLLECTIVE_TAG_BIT;
+use crate::mailbox::{deliver, pool_take, BufPool, Mailbox, Message};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 struct WorldShared {
     inboxes: Vec<Mailbox>,
-    /// World-wide free list of message buffers. Buffers only ever grow,
-    /// so after warm-up every message is served without a heap
-    /// allocation (the zero-allocation steady state the halo engine's
-    /// test asserts).
-    pool: StdMutex<Vec<Vec<u8>>>,
-}
-
-impl WorldShared {
-    /// Take a pool buffer that can hold `len` bytes without growing.
-    /// Best fit (smallest sufficient capacity) so a small message never
-    /// claims the pool's only large buffer and forces the next large
-    /// send to reallocate — the steady state must stay allocation-free
-    /// under any interleaving.
-    fn pool_take(&self, len: usize) -> Vec<u8> {
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        let best = pool
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.capacity() >= len)
-            .min_by_key(|(_, b)| b.capacity())
-            .map(|(i, _)| i);
-        match best {
-            Some(pos) => pool.swap_remove(pos),
-            None => pool.pop().unwrap_or_default(),
-        }
-    }
-
-    fn pool_put(&self, buf: Vec<u8>) {
-        self.pool.lock().unwrap_or_else(|e| e.into_inner()).push(buf);
-    }
+    /// World-wide free list of message buffers.
+    pool: BufPool,
+    /// The collective algorithm every rank of this world runs.
+    coll: CollAlgo,
 }
 
 /// One rank's endpoint in a [`ThreadWorld`].
@@ -94,20 +71,27 @@ pub struct ThreadComm {
 pub struct ThreadWorld;
 
 impl ThreadWorld {
-    /// Create a world of `size` connected ranks.
+    /// Create a world of `size` connected ranks with no receive
+    /// deadline, running the collective algorithm `HPGMXP_COLL` names.
     pub fn connect(size: usize) -> Vec<ThreadComm> {
-        Self::connect_with_deadline(size, None)
+        Self::connect_with(size, None, CollAlgo::from_env())
     }
 
-    /// Create a world whose blocking receives and barriers give up with
-    /// a typed `Timeout` fault after `deadline` — the hang detector for
-    /// chaos tests (a hung rank is alive, so no `PeerClosed`/`PeerLost`
-    /// fault will ever fire for it).
-    pub fn connect_with_deadline(size: usize, deadline: Option<Duration>) -> Vec<ThreadComm> {
+    /// Create a world running the collective algorithm `coll`, whose
+    /// blocking receives and barriers give up with a typed `Timeout`
+    /// fault after `deadline` — the hang detector for chaos tests (a
+    /// hung rank is alive, so no `PeerClosed`/`PeerLost` fault will
+    /// ever fire for it).
+    pub fn connect_with(
+        size: usize,
+        deadline: Option<Duration>,
+        coll: CollAlgo,
+    ) -> Vec<ThreadComm> {
         assert!(size > 0);
         let shared = Arc::new(WorldShared {
             inboxes: (0..size).map(|_| Mailbox::with_deadline(deadline)).collect(),
-            pool: StdMutex::new(Vec::new()),
+            pool: BufPool::default(),
+            coll,
         });
         (0..size)
             .map(|rank| ThreadComm {
@@ -123,22 +107,12 @@ impl ThreadWorld {
 }
 
 impl ThreadComm {
-    /// Copy a matched message into `out` and recycle its buffer. The
-    /// mailbox lock is already released — the pool lock is never taken
-    /// under the queue lock.
+    fn inbox(&self) -> &Mailbox {
+        &self.shared.inboxes[self.rank]
+    }
+
     fn deliver(&self, msg: Message, out: &mut [u8]) {
-        assert_eq!(
-            msg.data.len(),
-            out.len(),
-            "message length mismatch: rank {} got {} bytes from {} tag {}, posted {}",
-            self.rank,
-            msg.data.len(),
-            msg.from,
-            msg.tag,
-            out.len()
-        );
-        out.copy_from_slice(&msg.data);
-        self.shared.pool_put(msg.data);
+        deliver(msg, out, self.rank, &self.shared.pool);
     }
 
     /// Grow every currently pooled transport buffer to at least
@@ -166,8 +140,8 @@ impl ThreadComm {
         // rank can have a message posted to every other rank before
         // any receiver drains one, and `pool_take` on an empty pool
         // hands out a fresh zero-capacity `Vec` — one allocation at a
-        // scheduler-dependent moment. (The socket transport stocks
-        // its per-peer pools the same way.)
+        // scheduler-dependent moment. (The mesh transports stock
+        // their per-peer pools the same way.)
         let want = 2 * self.size * self.size;
         let have = pool.len();
         pool.reserve(want.saturating_sub(have));
@@ -195,42 +169,28 @@ impl Comm for ThreadComm {
         self.size
     }
 
-    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) {
-        let mut data = self.shared.pool_take(bytes.len());
+    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
+        let mut data = pool_take(&self.shared.pool, bytes.len());
         data.clear();
         data.extend_from_slice(bytes);
         self.shared.inboxes[to].push(Message { from: self.rank, tag, data });
-    }
-
-    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) {
-        let msg = self.shared.inboxes[self.rank].recv_matching(from, tag);
-        self.deliver(msg, out);
+        Ok(())
     }
 
     fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        let msg = self.shared.inboxes[self.rank].recv_matching_checked(from, tag)?;
+        let msg = self.inbox().recv_matching_checked(from, tag)?;
         self.deliver(msg, out);
         Ok(())
     }
 
     fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool {
-        match self.shared.inboxes[self.rank].try_recv_matching(from, tag) {
+        match self.inbox().try_recv_matching(from, tag) {
             Some(msg) => {
                 self.deliver(msg, out);
                 true
             }
             None => false,
         }
-    }
-
-    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
-        if posts.iter().all(Option::is_none) {
-            return None;
-        }
-        let (slot, msg) = self.shared.inboxes[self.rank].wait_any_matching(posts);
-        let post = posts[slot].take().expect("slot matched in mailbox");
-        self.deliver(msg, post.buf);
-        Some((slot, post))
     }
 
     fn wait_any_checked<'p>(
@@ -240,23 +200,15 @@ impl Comm for ThreadComm {
         if posts.iter().all(Option::is_none) {
             return Ok(None);
         }
-        let (slot, msg) = self.shared.inboxes[self.rank].wait_any_matching_checked(posts)?;
+        let (slot, msg) = self.inbox().wait_any_matching_checked(posts)?;
         let post = posts[slot].take().expect("slot matched in mailbox");
         self.deliver(msg, post.buf);
         Ok(Some((slot, post)))
     }
 
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
-        self.allreduce_checked(vals, op).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
         let mut scratch = self.coll_scratch.lock();
         collectives::allreduce(self, &mut scratch, vals, op)
-    }
-
-    fn barrier(&self) {
-        self.barrier_checked().unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn barrier_checked(&self) -> CommResult<()> {
@@ -277,18 +229,16 @@ impl collectives::CollEndpoint for ThreadComm {
         self.size
     }
 
+    fn algo(&self) -> CollAlgo {
+        self.shared.coll
+    }
+
     fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        let mut data = self.shared.pool_take(bytes.len());
-        data.clear();
-        data.extend_from_slice(bytes);
-        self.shared.inboxes[to].push(Message { from: self.rank, tag, data });
-        Ok(())
+        self.send_from_checked(to, tag, bytes)
     }
 
     fn coll_recv(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        let msg = self.shared.inboxes[self.rank].recv_matching_checked(from, tag)?;
-        self.deliver(msg, out);
-        Ok(())
+        self.recv_into_checked(from, tag, out)
     }
 
     fn next_coll_tag(&self) -> u64 {
@@ -330,24 +280,29 @@ where
     T: Send,
     F: Fn(ThreadComm) -> T + Sync,
 {
-    run_threads_fallible(size, None, f).into_iter().map(|r| r.expect("a rank panicked")).collect()
+    run_threads_fallible(size, None, CollAlgo::from_env(), f)
+        .into_iter()
+        .map(|r| r.expect("a rank panicked"))
+        .collect()
 }
 
 /// [`run_threads`] for chaos tests: report each rank's outcome
 /// (`Err` = that rank panicked) instead of propagating the first
-/// panic, and optionally bound every blocking receive and barrier by
+/// panic, optionally bound every blocking receive and barrier by
 /// `deadline` so a hung rank surfaces as a typed `Timeout` fault on
-/// its peers rather than wedging the whole world.
+/// its peers rather than wedging the whole world, and run the world
+/// under the collective algorithm `coll`.
 pub fn run_threads_fallible<T, F>(
     size: usize,
     deadline: Option<Duration>,
+    coll: CollAlgo,
     f: F,
 ) -> Vec<std::thread::Result<T>>
 where
     T: Send,
     F: Fn(ThreadComm) -> T + Sync,
 {
-    let comms = ThreadWorld::connect_with_deadline(size, deadline);
+    let comms = ThreadWorld::connect_with(size, deadline, coll);
     std::thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
@@ -423,6 +378,34 @@ mod tests {
         // All ranks must agree after every round.
         for w in results.windows(2) {
             assert_eq!(w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn star_and_rd_worlds_run_side_by_side_with_identical_bits() {
+        // The algorithm belongs to the world: two worlds of one process
+        // run different algorithms concurrently without disturbing each
+        // other (a process-wide switch would flip one world's ranks
+        // mid-allreduce), and the rank-order fold makes their sums
+        // bit-identical.
+        let run = |coll: CollAlgo| {
+            run_threads_fallible(4, Some(Duration::from_secs(60)), coll, |c| {
+                let mut acc = 0.0;
+                for i in 0..200 {
+                    let mine = ((c.rank() * 31 + i) as f64).sin();
+                    acc = c.allreduce_scalar(0.5 * acc + mine, ReduceOp::Sum);
+                }
+                acc.to_bits()
+            })
+        };
+        let (star, rd) = std::thread::scope(|s| {
+            let star = s.spawn(|| run(CollAlgo::Star));
+            let rd = s.spawn(|| run(CollAlgo::RecursiveDoubling));
+            (star.join().expect("star world"), rd.join().expect("rd world"))
+        });
+        let first = *star[0].as_ref().expect("a star rank panicked");
+        for bits in star.iter().chain(&rd) {
+            assert_eq!(*bits.as_ref().expect("a rank panicked"), first);
         }
     }
 
@@ -599,7 +582,7 @@ mod tests {
         // Rank 1 returns without ever sending; rank 0's checked receive
         // must fail with a PeerClosed fault naming rank 1, within
         // bounded time, instead of hanging.
-        let results = run_threads_fallible(2, None, |c| {
+        let results = run_threads_fallible(2, None, CollAlgo::default(), |c| {
             if c.rank() == 0 {
                 let mut buf = [0u8; 1];
                 let err = c.recv_into_checked(1, 7, &mut buf).unwrap_err();
@@ -615,7 +598,7 @@ mod tests {
     fn dead_rank_breaks_collectives_with_typed_error() {
         // Rank 1 dies (panics) before the collective; the survivors'
         // allreduce fails loudly, attributed to rank 1.
-        let results = run_threads_fallible(3, None, |c| {
+        let results = run_threads_fallible(3, None, CollAlgo::default(), |c| {
             if c.rank() == 1 {
                 panic!("rank 1 crashing deliberately");
             }
@@ -635,18 +618,19 @@ mod tests {
         // for it); the receive deadline is the only detector.
         use std::sync::atomic::{AtomicBool, Ordering};
         let woke = AtomicBool::new(false);
-        let results = run_threads_fallible(2, Some(Duration::from_millis(50)), |c| {
-            if c.rank() == 0 {
-                let mut buf = [0u8; 1];
-                let err = c.recv_into_checked(1, 7, &mut buf).unwrap_err();
-                assert_eq!(err.kind, crate::error::CommErrorKind::Timeout);
-                assert_eq!((err.peer, err.tag), (Some(1), Some(7)));
-                assert!(err.elapsed >= Duration::from_millis(50));
-            } else {
-                std::thread::sleep(Duration::from_millis(200)); // wedged
-                woke.store(true, Ordering::SeqCst);
-            }
-        });
+        let results =
+            run_threads_fallible(2, Some(Duration::from_millis(50)), CollAlgo::default(), |c| {
+                if c.rank() == 0 {
+                    let mut buf = [0u8; 1];
+                    let err = c.recv_into_checked(1, 7, &mut buf).unwrap_err();
+                    assert_eq!(err.kind, crate::error::CommErrorKind::Timeout);
+                    assert_eq!((err.peer, err.tag), (Some(1), Some(7)));
+                    assert!(err.elapsed >= Duration::from_millis(50));
+                } else {
+                    std::thread::sleep(Duration::from_millis(200)); // wedged
+                    woke.store(true, Ordering::SeqCst);
+                }
+            });
         assert!(results.into_iter().all(|r| r.is_ok()));
         assert!(woke.load(Ordering::SeqCst), "the hung rank was never killed, only detected");
     }
@@ -655,7 +639,7 @@ mod tests {
     fn messages_sent_before_finishing_stay_receivable() {
         // Rank 1 sends then immediately exits; rank 0 must still get
         // the data (parked messages are matched before faults).
-        let results = run_threads_fallible(2, None, |c| {
+        let results = run_threads_fallible(2, None, CollAlgo::default(), |c| {
             if c.rank() == 0 {
                 let mut buf = [0u8; 1];
                 // Rank 1 may have already exited; the parked message

@@ -28,6 +28,7 @@
 use crate::collectives::CollStats;
 use crate::comm::{Comm, RecvPost, ReduceOp};
 use crate::error::CommResult;
+use crate::mesh::{Link, MeshComm};
 use crate::shmem_world::{self, ShmemComm};
 use crate::socket_world::{self, SocketComm};
 use crate::thread_world::{run_threads, ThreadComm};
@@ -83,7 +84,7 @@ pub fn socket_world_size() -> Option<usize> {
     if !Transport::from_env().is_process_per_rank() {
         return None;
     }
-    std::env::var("HPGMXP_RANKS").ok().and_then(|v| v.parse().ok())
+    crate::mesh::env_knob("HPGMXP_RANKS")
 }
 
 /// A rank endpoint of whichever transport [`run_spmd`] selected.
@@ -136,27 +137,11 @@ impl Comm for WorldComm {
         }
     }
 
-    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) {
-        match self {
-            WorldComm::Thread(c) => c.send_from(to, tag, bytes),
-            WorldComm::Socket(c) => c.send_from(to, tag, bytes),
-            WorldComm::Shmem(c) => c.send_from(to, tag, bytes),
-        }
-    }
-
     fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         match self {
             WorldComm::Thread(c) => c.send_from_checked(to, tag, bytes),
             WorldComm::Socket(c) => c.send_from_checked(to, tag, bytes),
             WorldComm::Shmem(c) => c.send_from_checked(to, tag, bytes),
-        }
-    }
-
-    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) {
-        match self {
-            WorldComm::Thread(c) => c.recv_into(from, tag, out),
-            WorldComm::Socket(c) => c.recv_into(from, tag, out),
-            WorldComm::Shmem(c) => c.recv_into(from, tag, out),
         }
     }
 
@@ -176,14 +161,6 @@ impl Comm for WorldComm {
         }
     }
 
-    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
-        match self {
-            WorldComm::Thread(c) => c.wait_any(posts),
-            WorldComm::Socket(c) => c.wait_any(posts),
-            WorldComm::Shmem(c) => c.wait_any(posts),
-        }
-    }
-
     fn wait_any_checked<'p>(
         &self,
         posts: &mut [Option<RecvPost<'p>>],
@@ -195,27 +172,11 @@ impl Comm for WorldComm {
         }
     }
 
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
-        match self {
-            WorldComm::Thread(c) => c.allreduce(vals, op),
-            WorldComm::Socket(c) => c.allreduce(vals, op),
-            WorldComm::Shmem(c) => c.allreduce(vals, op),
-        }
-    }
-
     fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
         match self {
             WorldComm::Thread(c) => c.allreduce_checked(vals, op),
             WorldComm::Socket(c) => c.allreduce_checked(vals, op),
             WorldComm::Shmem(c) => c.allreduce_checked(vals, op),
-        }
-    }
-
-    fn barrier(&self) {
-        match self {
-            WorldComm::Thread(c) => c.barrier(),
-            WorldComm::Socket(c) => c.barrier(),
-            WorldComm::Shmem(c) => c.barrier(),
         }
     }
 
@@ -256,36 +217,36 @@ where
             run_threads(size, |c| f(WorldComm::Thread(c)))
         }
         Transport::Socket => {
-            let comm = socket_world::global_from_env().clone();
-            let _trace = hpgmxp_trace::FlushGuard::new(comm.rank() as u32);
-            assert_eq!(
-                comm.size(),
-                size,
-                "socket mesh has {} ranks but this run wants {size} — start it as \
-                 `hpgmxp-launch -n {size} -- ...`",
-                comm.size()
-            );
-            let result = f(WorldComm::Socket(comm.clone()));
-            // Flush and drain so one run's messages can't leak into
-            // the next on the reused process-global mesh.
-            comm.quiesce();
-            vec![result]
+            run_on_mesh(socket_world::global_from_env(), size, "", WorldComm::Socket, f)
         }
         Transport::Shmem => {
-            let comm = shmem_world::global_from_env().clone();
-            let _trace = hpgmxp_trace::FlushGuard::new(comm.rank() as u32);
-            assert_eq!(
-                comm.size(),
-                size,
-                "shmem mesh has {} ranks but this run wants {size} — start it as \
-                 `hpgmxp-launch --comm shmem -n {size} -- ...`",
-                comm.size()
-            );
-            let result = f(WorldComm::Shmem(comm.clone()));
-            comm.quiesce();
-            vec![result]
+            run_on_mesh(shmem_world::global_from_env(), size, " --comm shmem", WorldComm::Shmem, f)
         }
     }
+}
+
+/// The process-per-rank arm of [`run_spmd`]: run `f` once on this
+/// process's rank of the launched `mesh`, then flush and drain so one
+/// run's messages cannot leak into the next on the reused
+/// process-global mesh.
+fn run_on_mesh<L: Link, T>(
+    mesh: &MeshComm<L>,
+    size: usize,
+    launch_flag: &str,
+    wrap: fn(MeshComm<L>) -> WorldComm,
+    f: impl Fn(WorldComm) -> T,
+) -> Vec<T> {
+    let _trace = hpgmxp_trace::FlushGuard::new(mesh.rank() as u32);
+    assert_eq!(
+        mesh.size(),
+        size,
+        "the launched mesh has {} ranks but this run wants {size} — start it as \
+         `hpgmxp-launch{launch_flag} -n {size} -- ...`",
+        mesh.size()
+    );
+    let result = f(wrap(mesh.clone()));
+    mesh.quiesce();
+    vec![result]
 }
 
 #[cfg(test)]

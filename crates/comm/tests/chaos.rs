@@ -14,22 +14,14 @@
 // property at the bottom.
 #![recursion_limit = "512"]
 
-use hpgmxp_comm::socket_world::SocketConfig;
 use hpgmxp_comm::{
-    run_threads_fallible, set_algo_override, CollAlgo, Comm, CommError, CommErrorKind, CommResult,
-    FaultEvent, FaultKind, FaultPlan, FaultyComm, ReduceOp, ShmemWorld, ThreadComm,
+    run_threads_fallible, CollAlgo, Comm, CommError, CommErrorKind, CommResult, FaultEvent,
+    FaultKind, FaultPlan, FaultyComm, MeshConfig, ReduceOp, ShmemWorld, ThreadComm,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
 use std::time::Duration;
 
 const P: usize = 4;
-
-/// Serializes the tests that pin the process-global `HPGMXP_COLL`
-/// override, so concurrently running tests cannot flip each other's
-/// algorithm mid-run. (Every *other* test in this file is
-/// algorithm-agnostic by the determinism contract.)
-static ALGO_LOCK: Mutex<()> = Mutex::new(());
 
 /// A deterministic SPMD workload: `rounds` of (allreduce, ring
 /// send/recv). Returns the final allreduce value so clean runs can be
@@ -56,7 +48,7 @@ fn run_plan(
     rounds: usize,
     deadline: Duration,
 ) -> Vec<std::thread::Result<CommResult<f64>>> {
-    run_threads_fallible(P, Some(deadline), move |c| {
+    run_threads_fallible(P, Some(deadline), CollAlgo::from_env(), move |c| {
         let c = FaultyComm::new(c, plan.clone());
         ring_workload(&c, rounds)
     })
@@ -225,24 +217,50 @@ fn assert_survivors_failed_typed(
     assert_eq!(typed, P - 1, "{label}: every survivor reports");
 }
 
+/// Assert a hang inside a collective was detected by the deadline:
+/// nobody panics and nobody hangs, every survivor fails typed (Timeout,
+/// or PeerClosed once a timed-out peer tore down), and at least one
+/// reports Timeout with the waited duration attached.
+fn assert_hang_timed_out(
+    results: &[std::thread::Result<CommResult<f64>>],
+    hung: usize,
+    deadline: Duration,
+    label: &str,
+) {
+    let mut timeouts = 0;
+    for (rank, res) in results.iter().enumerate() {
+        let res = res.as_ref().unwrap_or_else(|_| panic!("[{label}] rank {rank} must not panic"));
+        if rank == hung {
+            continue;
+        }
+        let err = res.as_ref().expect_err("survivor must fail typed");
+        assert!(
+            matches!(err.kind, CommErrorKind::Timeout | CommErrorKind::PeerClosed),
+            "[{label}] rank {rank}: {err}"
+        );
+        if err.kind == CommErrorKind::Timeout {
+            assert!(err.elapsed >= deadline, "[{label}] rank {rank}: {err}");
+            timeouts += 1;
+        }
+    }
+    assert!(timeouts >= 1, "[{label}] a peer timed out on the hung rank");
+}
+
 #[test]
 fn crash_inside_an_allreduce_fails_typed_under_both_algorithms() {
-    let _guard = ALGO_LOCK.lock().unwrap();
     for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        set_algo_override(Some(algo));
         // Exchange 5 is mid-stream in the pure-collective workload:
         // rank 1 dies inside its 3rd allreduce (alternating
         // allreduce/barrier, 0-indexed), under way on every rank.
         let plan = crash_plan(21, 1, 5);
         let started = std::time::Instant::now();
-        let results = run_threads_fallible(P, Some(Duration::from_millis(300)), {
+        let results = run_threads_fallible(P, Some(Duration::from_millis(300)), algo, {
             let plan = plan.clone();
             move |c| {
                 let c = FaultyComm::new(c, plan.clone());
                 collective_workload(&c, 20)
             }
         });
-        set_algo_override(None);
         assert!(results[1].is_err(), "[{}] rank 1 must have crashed", algo.name());
         assert_survivors_failed_typed(
             &results,
@@ -256,48 +274,31 @@ fn crash_inside_an_allreduce_fails_typed_under_both_algorithms() {
 
 #[test]
 fn hang_inside_an_allreduce_times_out_under_both_algorithms() {
-    let _guard = ALGO_LOCK.lock().unwrap();
     for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        set_algo_override(Some(algo));
         let mut plan = FaultPlan::clean(22);
         plan.hang_millis = Some(1_200);
         plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 2, at_exchange: 4 }]);
-        let results = run_threads_fallible(P, Some(Duration::from_millis(200)), {
+        let results = run_threads_fallible(P, Some(Duration::from_millis(200)), algo, {
             let plan = plan.clone();
             move |c| {
                 let c = FaultyComm::new(c, plan.clone());
                 collective_workload(&c, 20)
             }
         });
-        set_algo_override(None);
         // The hung rank resumes after its stall and then fails typed
-        // itself (its peers have already torn down) — nobody panics
-        // and nobody hangs.
-        let mut timeouts = 0;
-        for (rank, res) in results.iter().enumerate() {
-            let res = res.as_ref().unwrap_or_else(|_| panic!("rank {rank} must not panic"));
-            if rank == 2 {
-                continue;
-            }
-            let err = res.as_ref().expect_err("survivor must fail typed");
-            assert!(
-                matches!(err.kind, CommErrorKind::Timeout | CommErrorKind::PeerClosed),
-                "[{}] rank {rank}: {err}",
-                algo.name()
-            );
-            if err.kind == CommErrorKind::Timeout {
-                assert!(err.elapsed >= Duration::from_millis(200));
-                timeouts += 1;
-            }
-        }
-        assert!(timeouts >= 1, "[{}] a peer timed out on the hung rank", algo.name());
+        // itself (its peers have already torn down).
+        assert_hang_timed_out(&results, 2, Duration::from_millis(200), algo.name());
     }
 }
 
-/// Run `f` on every rank of a P-rank in-process shmem world with a
-/// recv deadline, collecting per-rank outcomes (panics included) like
-/// [`run_threads_fallible`] does for the thread world.
-fn run_shmem_fallible<F>(deadline: Duration, f: F) -> Vec<std::thread::Result<CommResult<f64>>>
+/// Run `f` on every rank of a P-rank in-process shmem world under
+/// `coll` with a recv deadline, collecting per-rank outcomes (panics
+/// included) like [`run_threads_fallible`] does for the thread world.
+fn run_shmem_fallible<F>(
+    deadline: Duration,
+    coll: CollAlgo,
+    f: F,
+) -> Vec<std::thread::Result<CommResult<f64>>>
 where
     F: Fn(hpgmxp_comm::ShmemComm) -> CommResult<f64> + Send + Sync + Copy,
 {
@@ -307,11 +308,12 @@ where
         std::process::id(),
         NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     );
-    let config = SocketConfig {
+    let config = MeshConfig {
         recv_deadline: Some(deadline),
         heartbeat: Some(Duration::from_millis(50)),
         peer_timeout: Some(Duration::from_secs(5)),
         faults: None,
+        coll,
     };
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..P)
@@ -327,20 +329,17 @@ where
 
 #[test]
 fn crash_inside_a_shmem_exchange_fails_typed_under_both_algorithms() {
-    let _guard = ALGO_LOCK.lock().unwrap();
     for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        set_algo_override(Some(algo));
         // Rank 3 panics inside its 3rd collective; its Drop marks the
         // outgoing rings closed, so survivors see PeerClosed (or their
         // deadline, whichever their blocking wait hits first).
-        let results = run_shmem_fallible(Duration::from_millis(400), |c| {
+        let results = run_shmem_fallible(Duration::from_millis(400), algo, |c| {
             let mut plan = FaultPlan::clean(31);
             plan.events =
                 Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 3, at_exchange: 4 }]);
             let c = FaultyComm::new(c, plan);
             collective_workload(&c, 20)
         });
-        set_algo_override(None);
         assert!(results[3].is_err(), "[{}] rank 3 must have crashed", algo.name());
         assert_survivors_failed_typed(
             &results,
@@ -353,10 +352,8 @@ fn crash_inside_a_shmem_exchange_fails_typed_under_both_algorithms() {
 
 #[test]
 fn hang_inside_a_shmem_exchange_times_out_under_both_algorithms() {
-    let _guard = ALGO_LOCK.lock().unwrap();
     for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        set_algo_override(Some(algo));
-        let results = run_shmem_fallible(Duration::from_millis(250), |c| {
+        let results = run_shmem_fallible(Duration::from_millis(250), algo, |c| {
             let mut plan = FaultPlan::clean(32);
             plan.hang_millis = Some(1_500);
             plan.events =
@@ -364,28 +361,9 @@ fn hang_inside_a_shmem_exchange_times_out_under_both_algorithms() {
             let c = FaultyComm::new(c, plan);
             collective_workload(&c, 20)
         });
-        set_algo_override(None);
         // A hung shmem rank still heartbeats (its emitter thread is
-        // alive), so only the recv deadline catches it: at least one
-        // survivor reports Timeout with the waited duration attached.
-        let mut timeouts = 0;
-        for (rank, res) in results.iter().enumerate() {
-            let res = res.as_ref().unwrap_or_else(|_| panic!("rank {rank} must not panic"));
-            if rank == 1 {
-                continue;
-            }
-            let err = res.as_ref().expect_err("survivor must fail typed");
-            assert!(
-                matches!(err.kind, CommErrorKind::Timeout | CommErrorKind::PeerClosed),
-                "[{}] rank {rank}: {err}",
-                algo.name()
-            );
-            if err.kind == CommErrorKind::Timeout {
-                assert!(err.elapsed >= Duration::from_millis(250), "{err}");
-                timeouts += 1;
-            }
-        }
-        assert!(timeouts >= 1, "[{}] a peer timed out on the hung rank", algo.name());
+        // alive), so only the recv deadline catches it.
+        assert_hang_timed_out(&results, 1, Duration::from_millis(250), algo.name());
     }
 }
 

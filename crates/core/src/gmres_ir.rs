@@ -333,20 +333,20 @@ mod tests {
         // same results, but rank 0 stops being the hot spot. Under the
         // star algorithm the root receives P-1 messages per allreduce;
         // under recursive doubling every rank receives ceil(log2 P).
-        use hpgmxp_comm::{rd_rounds, run_threads, set_algo_override, CollAlgo};
+        use hpgmxp_comm::{rd_rounds, run_threads_fallible, CollAlgo};
         let procs = ProcGrid::new(2, 2, 1);
-        let run = |algo: CollAlgo| {
-            set_algo_override(Some(algo));
-            let stats = run_threads(4, |c| {
+        let run = |algo: CollAlgo| -> Vec<_> {
+            run_threads_fallible(4, None, algo, |c| {
                 let prob = assemble(&spec(procs, 8, 2), c.rank());
                 let tl = Timeline::disabled();
                 let opts = GmresOptions { max_iters: 300, ..Default::default() };
                 let (_, st) = gmres_ir_solve(&c, &prob, &opts, &tl);
                 assert!(st.converged);
                 tl.collective_stats().expect("the solver records its collective traffic")
-            });
-            set_algo_override(None);
-            stats
+            })
+            .into_iter()
+            .map(|r| r.expect("a rank panicked"))
+            .collect()
         };
         let star = run(CollAlgo::Star);
         let rd = run(CollAlgo::RecursiveDoubling);

@@ -91,7 +91,7 @@ impl HostMeta {
             simd_level: hpgmxp_sparse::simd::level().name().to_string(),
             simd_override: hpgmxp_sparse::simd::env_override().map(str::to_string),
             transport: hpgmxp_comm::Transport::from_env().name().to_string(),
-            coll_algo: hpgmxp_comm::collectives::algo().name().to_string(),
+            coll_algo: hpgmxp_comm::CollAlgo::from_env().name().to_string(),
         }
     }
 }
