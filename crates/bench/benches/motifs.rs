@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpgmxp_bench::single_rank_problem;
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_sparse::blas::{self, Basis};
 use hpgmxp_sparse::gauss_seidel::{
     gs_forward, gs_forward_reference, gs_multicolor, split_lower_upper,
@@ -22,7 +23,7 @@ fn tune(c: &mut Criterion) -> &mut Criterion {
 }
 
 fn bench_spmv(c: &mut Criterion) {
-    let prob = single_rank_problem(N, 1);
+    let prob = single_rank_problem(N, 1, &PrecisionPolicy::f64());
     let csr64 = &prob.levels[0].csr64();
     let ell64 = &prob.levels[0].ell64();
     let csr32: CsrMatrix<f32> = csr64.convert();
@@ -87,8 +88,11 @@ fn bench_spmv(c: &mut Criterion) {
 }
 
 fn bench_gauss_seidel(c: &mut Criterion) {
-    let prob = single_rank_problem(N, 1);
+    let prob = single_rank_problem(N, 1, &PrecisionPolicy::f64());
     let l = &prob.levels[0];
+    // Same rows, same coloring (same seed), fp32-stored values.
+    let prob32 = single_rank_problem(N, 1, &PrecisionPolicy::f32());
+    let ell32 = prob32.levels[0].ell32();
     let n = l.n_local();
     let r64: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
     let r32: Vec<f32> = r64.iter().map(|&v| v as f32).collect();
@@ -109,16 +113,16 @@ fn bench_gauss_seidel(c: &mut Criterion) {
         let mut z = vec![0.0f64; l.vec_len()];
         b.iter(|| gs_multicolor(l.ell64(), &l.coloring, black_box(&r64), &mut z))
     });
-    g.throughput(Throughput::Bytes(l.ell32().spmv_matrix_bytes() as u64));
+    g.throughput(Throughput::Bytes(ell32.spmv_matrix_bytes() as u64));
     g.bench_function("multicolor ELL fp32", |b| {
         let mut z = vec![0.0f32; l.vec_len()];
-        b.iter(|| gs_multicolor(l.ell32(), &l.coloring, black_box(&r32), &mut z))
+        b.iter(|| gs_multicolor(ell32, &l.coloring, black_box(&r32), &mut z))
     });
     // Split sweep (precision-policy engine): fp32-stored values, f64
     // relaxation arithmetic — matrix traffic of fp32 at f64 rounding.
     g.bench_function("multicolor ELL split f32s-f64a", |b| {
         let mut z = vec![0.0f64; l.vec_len()];
-        b.iter(|| gs_multicolor(l.ell32(), &l.coloring, black_box(&r64), &mut z))
+        b.iter(|| gs_multicolor(ell32, &l.coloring, black_box(&r64), &mut z))
     });
     // One sweep streams the upper factor (SpMV) then the lower factor
     // (triangular solve); together they cover A's nonzeros once, plus
@@ -213,7 +217,7 @@ fn forceable_levels() -> Vec<(&'static str, SimdLevel)> {
 /// default-dispatch entries above stay as the tracked regression
 /// surface; these isolate the dispatch variable.
 fn bench_simd_dispatch(c: &mut Criterion) {
-    let prob = single_rank_problem(N, 1);
+    let prob = single_rank_problem(N, 1, &PrecisionPolicy::f64());
     let l = &prob.levels[0];
     let ell64 = l.ell64();
     let ell16: EllMatrix<Half> = ell64.convert();
@@ -275,7 +279,7 @@ fn bench_simd_dispatch(c: &mut Criterion) {
 }
 
 fn bench_coloring(c: &mut Criterion) {
-    let prob = single_rank_problem(16, 1);
+    let prob = single_rank_problem(16, 1, &PrecisionPolicy::f64());
     let a = &prob.levels[0].csr64();
     let mut g = c.benchmark_group("coloring");
     g.warm_up_time(Duration::from_millis(300))

@@ -10,15 +10,17 @@ use hpgmxp_bench::single_rank_problem;
 use hpgmxp_comm::{SelfComm, Timeline};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::gmres::{gmres_solve_f64, GmresOptions};
-use hpgmxp_core::gmres_ir::gmres_ir_solve;
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
 use hpgmxp_core::mg::{apply_mg, MgWorkspace, SmootherKind};
 use hpgmxp_core::motifs::MotifStats;
 use hpgmxp_core::ops::OpCtx;
+use hpgmxp_core::PrecisionPolicy;
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_mg_cycle(c: &mut Criterion) {
-    let prob = single_rank_problem(32, 4);
+    let prob = single_rank_problem(32, 4, &PrecisionPolicy::f64());
+    let prob32 = single_rank_problem(32, 4, &PrecisionPolicy::f32());
     let comm = SelfComm;
     let tl = Timeline::disabled();
     let rhs = prob.b.clone();
@@ -50,12 +52,12 @@ fn bench_mg_cycle(c: &mut Criterion) {
         });
         g.bench_function(format!("{:?} fp32", variant), |b| {
             let mut stats = MotifStats::new();
-            let mut ws: MgWorkspace<f32> = MgWorkspace::new(&prob.levels);
-            let mut out = vec![0.0f32; prob.n_local()];
+            let mut ws: MgWorkspace<f32> = MgWorkspace::new(&prob32.levels);
+            let mut out = vec![0.0f32; prob32.n_local()];
             b.iter(|| {
                 apply_mg(
                     &ctx,
-                    &prob.levels,
+                    &prob32.levels,
                     &mut stats,
                     &mut ws,
                     1,
@@ -73,7 +75,9 @@ fn bench_mg_cycle(c: &mut Criterion) {
 fn bench_full_solvers(c: &mut Criterion) {
     // The headline measured comparison: 30 fixed iterations of double
     // GMRES vs mixed GMRES-IR on a 32³ problem.
-    let prob = single_rank_problem(32, 4);
+    let prob = single_rank_problem(32, 4, &PrecisionPolicy::f64());
+    let mxp = PrecisionPolicy::f32();
+    let prob32 = single_rank_problem(32, 4, &mxp);
     let comm = SelfComm;
     let tl = Timeline::disabled();
     let opts = GmresOptions { max_iters: 30, tol: 0.0, ..Default::default() };
@@ -84,7 +88,7 @@ fn bench_full_solvers(c: &mut Criterion) {
         .sample_size(10);
     g.bench_function("double", |b| b.iter(|| black_box(gmres_solve_f64(&comm, &prob, &opts, &tl))));
     g.bench_function("mxp (GMRES-IR)", |b| {
-        b.iter(|| black_box(gmres_ir_solve(&comm, &prob, &opts, &tl)))
+        b.iter(|| black_box(gmres_ir_solve_policy(&comm, &prob32, &mxp, &opts, &tl)))
     });
     g.finish();
 }

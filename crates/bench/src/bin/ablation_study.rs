@@ -204,8 +204,8 @@ fn main() {
     println!("Host-side mixed vector ops (§3.1 item 6) per restart, 320^3 (modeled, ms):");
     let n = s.n;
     let host = machine.host_copy_time(4.0 * n * 8.0);
-    let device = kernels::scale_narrow(n).bytes / machine.mem_bw
-        + kernels::axpy_mixed(n).bytes / machine.mem_bw;
+    let device = kernels::scale_narrow_split(n, sb).bytes / machine.mem_bw
+        + kernels::axpy_mixed_split(n, sb).bytes / machine.mem_bw;
     println!(
         "  host round-trips: {:>8.2}   fused device kernels (§3.2.5): {:>8.3}  ({:.0}x)\n",
         host * 1e3,
@@ -215,7 +215,7 @@ fn main() {
 
     // Measured: CGS2 vs MGS orthogonality quality and the all-reduce count.
     println!("Measured orthogonalization quality (40 basis vectors, 16^3 problem, f32):");
-    let prob = single_rank_problem(16, 1);
+    let prob = single_rank_problem(16, 1, &PrecisionPolicy::f64());
     let n_loc = prob.n_local();
     let comm = SelfComm;
     let build_basis = || {

@@ -5,7 +5,6 @@
 //! Run: `cargo run --release -p hpgmxp-bench --bin fig6_k80`
 
 use hpgmxp_bench::series_table;
-use hpgmxp_core::config::ImplVariant;
 use hpgmxp_machine::simulate::{motif_speedups, SimConfig};
 use hpgmxp_machine::{MachineModel, NetworkModel};
 
@@ -13,16 +12,7 @@ fn main() {
     let machine = MachineModel::k80_die();
     let net = NetworkModel::commodity_ib();
     // K80-era memory: 12 GB per die fits ~128^3 comfortably.
-    let cfg = SimConfig {
-        local: (128, 128, 128),
-        mg_levels: 4,
-        restart: 30,
-        variant: ImplVariant::Optimized,
-        mixed: true,
-        inner_bytes: 4,
-        penalty: 0.968,
-        policy: None,
-    };
+    let cfg = SimConfig { local: (128, 128, 128), penalty: 0.968, ..SimConfig::paper_mxp() };
 
     let gpus = [1usize, 2, 4, 8, 16];
     let mut rows = Vec::new();

@@ -14,6 +14,7 @@ use hpgmxp_bench::{workstation_params, workstation_ranks};
 use hpgmxp_core::benchmark::{run_phase, PhaseResult};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::motifs::Motif;
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_machine::simulate::{simulate, SimConfig, SimResult};
 use hpgmxp_machine::{MachineModel, NetworkModel};
 
@@ -68,8 +69,8 @@ fn main() {
         "{:<28} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "configuration", "GS", "Ortho", "SpMV", "Restr", "wall"
     );
-    let mxp = run_phase(&params, ImplVariant::Optimized, ranks, true);
-    let dbl = run_phase(&params, ImplVariant::Optimized, ranks, false);
+    let mxp = run_phase(&params, ImplVariant::Optimized, ranks, &PrecisionPolicy::f32());
+    let dbl = run_phase(&params, ImplVariant::Optimized, ranks, &PrecisionPolicy::f64());
     print_measured(&format!("mxp, {} ranks", ranks), &mxp);
     print_measured(&format!("double, {} ranks", ranks), &dbl);
 }

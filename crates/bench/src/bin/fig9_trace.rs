@@ -20,7 +20,8 @@ use hpgmxp_comm::{run_spmd, Comm, OverlapRecord, Timeline, Transport};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::motifs::MotifStats;
 use hpgmxp_core::ops::{dist_gs_sweep, OpCtx, SweepDir};
-use hpgmxp_core::problem::{assemble, ProblemSpec};
+use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 use hpgmxp_machine::trace::{gs_sweep_trace, render_ascii};
 use hpgmxp_machine::workload::Workload;
@@ -58,7 +59,7 @@ fn measured_sweep(
     let procs = ProcGrid::factor(ranks as u32);
     let mid = procs.rank_of(procs.px / 2, procs.py / 2, procs.pz / 2) as usize;
     let mut out = run_spmd(ranks, move |c| {
-        let prob = assemble(
+        let prob = assemble_with_policy(
             &ProblemSpec {
                 local: (local, local, local),
                 procs,
@@ -67,6 +68,7 @@ fn measured_sweep(
                 seed: 9,
             },
             c.rank(),
+            &PrecisionPolicy::f64(),
         );
         let l = &prob.levels[0];
         let tl = Timeline::enabled();

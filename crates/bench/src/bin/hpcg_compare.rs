@@ -15,8 +15,9 @@ use hpgmxp_comm::{run_spmd, Comm, Timeline};
 use hpgmxp_core::cg::{cg_solve, CgOptions};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::gmres::GmresOptions;
-use hpgmxp_core::gmres_ir::gmres_ir_solve;
-use hpgmxp_core::problem::{assemble, ProblemSpec};
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
+use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_machine::simulate::{simulate, SimConfig};
 use hpgmxp_machine::{MachineModel, NetworkModel};
 
@@ -27,11 +28,13 @@ fn main() {
     let iters = params.max_iters_per_solve;
 
     let results = run_spmd(ranks, move |c| {
-        let prob = assemble(&spec_src, c.rank());
         let tl = Timeline::disabled();
-        // HPCG phase: CG for a fixed iteration count.
+        // HPCG phase: CG (all double) for a fixed iteration count.
         let cg_opts = CgOptions { max_iters: iters, tol: 0.0, ..Default::default() };
-        let (_, cg_st) = cg_solve(&c, &prob, &cg_opts, &tl);
+        let (_, cg_st) = {
+            let prob = assemble_with_policy(&spec_src, c.rank(), &PrecisionPolicy::f64());
+            cg_solve(&c, &prob, &cg_opts, &tl)
+        };
         // HPG-MxP phase: GMRES-IR for the same fixed count.
         let ir_opts = GmresOptions {
             max_iters: iters,
@@ -39,7 +42,9 @@ fn main() {
             variant: ImplVariant::Optimized,
             ..Default::default()
         };
-        let (_, ir_st) = gmres_ir_solve(&c, &prob, &ir_opts, &tl);
+        let mxp = PrecisionPolicy::f32();
+        let prob = assemble_with_policy(&spec_src, c.rank(), &mxp);
+        let (_, ir_st) = gmres_ir_solve_policy(&c, &prob, &mxp, &ir_opts, &tl);
         (cg_st.motifs, ir_st.motifs)
     });
 

@@ -13,6 +13,7 @@
 use hpgmxp_bench::{env_usize, workstation_params};
 use hpgmxp_core::benchmark::{validate, ValidationMode};
 use hpgmxp_core::config::ImplVariant;
+use hpgmxp_core::PrecisionPolicy;
 
 fn main() {
     let params = workstation_params();
@@ -27,8 +28,9 @@ fn main() {
     );
     let mut ranks = 1usize;
     while ranks <= max_ranks {
-        let std = validate(&params, ImplVariant::Optimized, ranks, ValidationMode::Standard);
-        let fs = validate(&params, ImplVariant::Optimized, ranks, ValidationMode::FullScale);
+        let mxp = PrecisionPolicy::f32();
+        let std = validate(&params, ImplVariant::Optimized, ranks, ValidationMode::Standard, &mxp);
+        let fs = validate(&params, ImplVariant::Optimized, ranks, ValidationMode::FullScale, &mxp);
         println!(
             "{:>6} {:>6} {:>6} {:>10.3} | {:>6} {:>6} {:>10.3} {:>16.3e}",
             ranks, std.nd, std.nir, std.ratio, fs.nd, fs.nir, fs.ratio, fs.achieved_relres

@@ -14,13 +14,23 @@
 //! * `HPGMXP_RANKS` — thread-rank count for real runs (default 4),
 //! * `HPGMXP_SOLVES` — timed solves per phase (default 1).
 
+use hpgmxp_comm::mesh::parse_knob;
 use hpgmxp_core::config::BenchmarkParams;
-use hpgmxp_core::problem::{assemble, LocalProblem, ProblemSpec};
+use hpgmxp_core::problem::{assemble_with_policy, LocalProblem, ProblemSpec};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 
-/// Read an env var with a default.
+/// A size knob's value: `default` when unset, otherwise the number it
+/// spells — a typo or a negative value is an error naming the knob,
+/// never a silent run at the default size.
+fn size_knob(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    value.map_or(Ok(default), |v| parse_knob(name, v))
+}
+
+/// Read a size knob from the environment with a default, panicking on
+/// a value that is not a size.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    size_knob(name, std::env::var(name).ok().as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Benchmark parameters scaled for a workstation run, honoring the
@@ -42,9 +52,9 @@ pub fn workstation_ranks() -> usize {
     env_usize("HPGMXP_RANKS", 4)
 }
 
-/// A single-rank problem for kernel benches.
-pub fn single_rank_problem(n: u32, levels: usize) -> LocalProblem {
-    assemble(
+/// A single-rank problem for kernel benches, assembled under `policy`.
+pub fn single_rank_problem(n: u32, levels: usize, policy: &PrecisionPolicy) -> LocalProblem {
+    assemble_with_policy(
         &ProblemSpec {
             local: (n, n, n),
             procs: ProcGrid::new(1, 1, 1),
@@ -53,6 +63,7 @@ pub fn single_rank_problem(n: u32, levels: usize) -> LocalProblem {
             seed: 42,
         },
         0,
+        policy,
     )
 }
 
@@ -93,8 +104,23 @@ mod tests {
     }
 
     #[test]
+    fn a_mistyped_size_knob_is_a_loud_error_not_the_default_size() {
+        // HPGMXP_LOCAL_N=abc and HPGMXP_RANKS=-1 used to run 16^3 on 4 ranks.
+        assert_eq!(size_knob("HPGMXP_LOCAL_N", None, 16), Ok(16));
+        assert_eq!(size_knob("HPGMXP_LOCAL_N", Some("32"), 16), Ok(32));
+        assert_eq!(
+            size_knob("HPGMXP_LOCAL_N", Some("abc"), 16).unwrap_err(),
+            "HPGMXP_LOCAL_N is not a number: \"abc\""
+        );
+        assert_eq!(
+            size_knob("HPGMXP_RANKS", Some("-1"), 4).unwrap_err(),
+            "HPGMXP_RANKS is not a number: \"-1\""
+        );
+    }
+
+    #[test]
     fn problem_helper_builds() {
-        let p = single_rank_problem(8, 2);
+        let p = single_rank_problem(8, 2, &PrecisionPolicy::f64());
         assert_eq!(p.n_local(), 512);
     }
 

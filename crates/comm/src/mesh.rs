@@ -73,7 +73,7 @@
 //! ## Writing a `Link`
 //!
 //! A new fabric is a rendezvous that produces one `(Link, Reader)`
-//! pair per peer, handed to `MeshComm::assemble`. The mesh relies on
+//! pair per peer, handed to `MeshComm::from_links`. The mesh relies on
 //! three guarantees: a write returns without waiting for the peer to
 //! *receive* (the pipe buffers, or the peer's reader thread drains it —
 //! the collective round schedules deadlock otherwise); once
@@ -111,7 +111,7 @@ const POOL_STOCK: usize = 8;
 /// Parse the value of a numeric environment knob: a typo or an
 /// out-of-range value is an error naming the knob, never a silent
 /// fallback or truncation.
-fn parse_knob<T: TryFrom<u64>>(name: &str, v: &str) -> Result<T, String> {
+pub fn parse_knob<T: TryFrom<u64>>(name: &str, v: &str) -> Result<T, String> {
     let n: u64 = v.parse().map_err(|_| format!("{name} is not a number: {v:?}"))?;
     T::try_from(n).map_err(|_| format!("{name}={n} is out of range"))
 }
@@ -319,7 +319,7 @@ impl<L: Link> MeshComm<L> {
     /// at `rank`. Spawns one reader thread per link and the heartbeat
     /// thread. The rendezvous that produced the links must already
     /// have checked `config.coll` against every peer.
-    pub(crate) fn assemble(
+    pub(crate) fn from_links(
         rank: usize,
         links: Vec<Option<(L, L::Reader)>>,
         config: MeshConfig,

@@ -500,7 +500,7 @@ impl ShmemWorld {
                 Some((link, consumer))
             })
             .collect();
-        MeshComm::assemble(rank, links, config)
+        MeshComm::from_links(rank, links, config)
     }
 }
 
@@ -631,7 +631,7 @@ mod tests {
         incoming.close();
         let config =
             MeshConfig { peer_timeout: Some(Duration::from_millis(200)), ..Default::default() };
-        let c = MeshComm::assemble(0, vec![None, Some((link, consumer))], config);
+        let c = MeshComm::from_links(0, vec![None, Some((link, consumer))], config);
 
         let payload = vec![7u8; 8192]; // twice the ring
         let started = Instant::now();

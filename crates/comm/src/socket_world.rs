@@ -311,7 +311,7 @@ impl SocketWorld {
                 })
             })
             .collect();
-        MeshComm::assemble(rank, links, config)
+        MeshComm::from_links(rank, links, config)
     }
 }
 

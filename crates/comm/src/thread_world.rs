@@ -144,7 +144,11 @@ impl ThreadComm {
         // their per-peer pools the same way.)
         let want = 2 * self.size * self.size;
         let have = pool.len();
-        pool.reserve(want.saturating_sub(have));
+        // Every rank calls this between barriers, and a peer's barrier
+        // messages can be in flight while this rank counts `have`: the
+        // population may end up above `want`, so leave the free list
+        // room for it rather than growing it when stragglers return.
+        pool.reserve((2 * want).saturating_sub(have));
         while pool.len() < want {
             pool.push(Vec::with_capacity(min_capacity));
         }

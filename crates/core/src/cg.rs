@@ -131,7 +131,8 @@ pub fn cg_solve<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{assemble, ProblemSpec};
+    use crate::problem::tests::assemble_f64;
+    use crate::problem::ProblemSpec;
     use hpgmxp_comm::{run_spmd, SelfComm};
     use hpgmxp_geometry::{ProcGrid, Stencil27};
 
@@ -147,7 +148,7 @@ mod tests {
 
     #[test]
     fn converges_on_spd_problem() {
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
+        let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
         let tl = Timeline::disabled();
         let (x, st) = cg_solve(&SelfComm, &prob, &CgOptions::default(), &tl);
         assert!(st.converged, "relres {}", st.final_relres);
@@ -164,7 +165,7 @@ mod tests {
         let with = CgOptions { tol: 1e-8, ..Default::default() };
         let without = CgOptions { precondition: false, max_iters: 2000, ..with };
         let iters = |n: u32, o: &CgOptions| {
-            let prob = assemble(&spec(ProcGrid::new(1, 1, 1), n, 2), 0);
+            let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), n, 2), 0);
             let (_, st) = cg_solve(&SelfComm, &prob, o, &tl);
             assert!(st.converged);
             st.iters
@@ -192,7 +193,7 @@ mod tests {
     fn distributed_cg_converges() {
         let procs = ProcGrid::new(2, 1, 1);
         let results = run_spmd(2, move |c| {
-            let prob = assemble(&spec(procs, 8, 3), c.rank());
+            let prob = assemble_f64(&spec(procs, 8, 3), c.rank());
             let tl = Timeline::disabled();
             let (_, st) = cg_solve(&c, &prob, &CgOptions::default(), &tl);
             st.converged
@@ -202,7 +203,7 @@ mod tests {
 
     #[test]
     fn residual_history_decreases_overall() {
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 8, 2), 0);
+        let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 8, 2), 0);
         let tl = Timeline::disabled();
         let opts = CgOptions { track_history: true, ..Default::default() };
         let (_, st) = cg_solve(&SelfComm, &prob, &opts, &tl);

@@ -3,20 +3,22 @@
 //! GMRES-IR solver.
 //!
 //! The restart cycle is written once, generic over the working
-//! precision `S`. Instantiated at `f64` it is the benchmark's
-//! double-precision reference solver; driven by the `f64` outer loop of
-//! [`crate::gmres_ir`] at `S = f32` it is the low-precision inner solve
-//! of GMRES-IR (Algorithm 3's blue region). This mirrors the benchmark
-//! design: GMRES-IR *is* restarted GMRES whose restart acts as the
-//! iterative-refinement step, with residual and solution updates kept
-//! in double.
+//! precision `S`, and driven by the one `f64` outer loop of
+//! [`crate::gmres_ir`]: at `S = f64` that is the benchmark's
+//! double-precision reference solver, at `S = f32` the low-precision
+//! inner solve of GMRES-IR (Algorithm 3's blue region). This mirrors
+//! the benchmark design: GMRES-IR *is* restarted GMRES whose restart
+//! acts as the iterative-refinement step, with residual and solution
+//! updates kept in double.
 
 use crate::config::ImplVariant;
 use crate::givens::GivensQr;
+use crate::gmres_ir::gmres_ir_solve_policy;
 use crate::mg::{apply_mg_checked, MgWorkspace, SmootherKind};
 use crate::motifs::{Motif, MotifStats};
-use crate::ops::{axpy_op, dist_norm2, dist_spmv, dist_spmv_checked, waxpby_op, OpCtx};
+use crate::ops::{dist_spmv_checked, OpCtx};
 use crate::ortho::{cgs2_checked, mgs_checked};
+use crate::policy::PrecisionPolicy;
 use crate::problem::{Level, LocalProblem};
 use hpgmxp_comm::{Comm, CommResult, Timeline};
 use hpgmxp_sparse::blas::Basis;
@@ -223,96 +225,24 @@ pub(crate) fn gmres_cycle<S: Scalar, C: Comm>(
 }
 
 /// Solve `A x = b` with double-precision restarted GMRES (Algorithm 2;
-/// the benchmark's "double" phase). Starts from a zero initial guess
-/// and returns the owned solution entries plus statistics.
+/// the benchmark's "double" phase): the refinement loop of
+/// [`crate::gmres_ir`] under the `f64` policy, which `prob` must be
+/// assembled under. Starts from a zero initial guess and returns the
+/// owned solution entries plus statistics.
 pub fn gmres_solve_f64<C: Comm>(
     comm: &C,
     prob: &LocalProblem,
     opts: &GmresOptions,
     timeline: &Timeline,
 ) -> (Vec<f64>, SolveStats) {
-    let ctx = OpCtx::new(comm, opts.variant, timeline);
-    let mut stats = MotifStats::new();
-    let levels = &prob.levels[..];
-    let n = levels[0].n_local();
-
-    let mut x = vec![0.0f64; levels[0].vec_len()];
-    let mut ax = vec![0.0f64; n];
-    let mut r = vec![0.0f64; n];
-    let mut r_unit = vec![0.0f64; n];
-    let mut ws: CycleWorkspace<f64> = CycleWorkspace::new(levels, opts.restart);
-
-    let rho0 = dist_norm2(comm, &mut stats, Motif::Dot, &prob.b);
-    let mut history = Vec::new();
-    let mut iters = 0usize;
-    let mut restarts = 0usize;
-    let mut relres;
-    let mut converged = false;
-
-    loop {
-        // Explicit outer residual r = b − A x.
-        dist_spmv(&ctx, &levels[0], &mut stats, 0, &mut x, &mut ax);
-        waxpby_op(&mut stats, 1.0, &prob.b, -1.0, &ax, &mut r);
-        let rho = dist_norm2(comm, &mut stats, Motif::Dot, &r);
-        relres = if rho0 > 0.0 { rho / rho0 } else { 0.0 };
-        if opts.track_history {
-            history.push(relres);
-        }
-        if relres < opts.tol {
-            converged = true;
-            break;
-        }
-        if !rho.is_finite() {
-            // The inner precision broke down (inf/NaN residual); no
-            // further cycle can repair it. Report honestly.
-            break;
-        }
-        if iters >= opts.max_iters {
-            break;
-        }
-
-        for (u, v) in r_unit.iter_mut().zip(r.iter()) {
-            *u = v / rho;
-        }
-        let outcome = gmres_cycle(
-            &ctx,
-            prob,
-            &mut stats,
-            &mut ws,
-            opts,
-            &r_unit,
-            rho,
-            rho0,
-            opts.max_iters - iters,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        iters += outcome.iters;
-        restarts += 1;
-        axpy_op(&mut stats, 1.0, &outcome.update, &mut x[..n]);
-        if outcome.iters == 0 {
-            break; // no progress possible (budget exhausted mid-cycle)
-        }
-    }
-
-    let solution = x[..n].to_vec();
-    (
-        solution,
-        SolveStats {
-            iters,
-            restarts,
-            converged,
-            final_relres: relres,
-            history,
-            motifs: stats,
-            overlap_efficiency: timeline.overlap_efficiency(),
-        },
-    )
+    gmres_ir_solve_policy(comm, prob, &PrecisionPolicy::f64(), opts, timeline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{assemble, ProblemSpec};
+    use crate::problem::tests::assemble_f64;
+    use crate::problem::ProblemSpec;
     use hpgmxp_comm::{run_spmd, SelfComm};
     use hpgmxp_geometry::{ProcGrid, Stencil27};
 
@@ -328,7 +258,7 @@ mod tests {
 
     #[test]
     fn converges_on_single_rank_to_nine_orders() {
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
+        let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
         let tl = Timeline::disabled();
         let opts = GmresOptions { max_iters: 500, track_history: true, ..Default::default() };
         let (x, st) = gmres_solve_f64(&SelfComm, &prob, &opts, &tl);
@@ -356,7 +286,7 @@ mod tests {
         let with = GmresOptions { max_iters: 2000, tol: 1e-8, ..Default::default() };
         let without = GmresOptions { precondition: false, ..with };
         let iters = |n: u32, o: &GmresOptions| {
-            let prob = assemble(&spec(ProcGrid::new(1, 1, 1), n, 2), 0);
+            let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), n, 2), 0);
             let (_, st) = gmres_solve_f64(&SelfComm, &prob, o, &tl);
             assert!(st.converged);
             st.iters
@@ -382,7 +312,7 @@ mod tests {
     fn reference_variant_converges_identically_in_iterations() {
         // Reference and optimized differ in smoother ordering, so the
         // iteration counts may differ slightly — but both must converge.
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 2), 0);
+        let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 16, 2), 0);
         let tl = Timeline::disabled();
         let o = GmresOptions { max_iters: 400, ..Default::default() };
         let r = GmresOptions { variant: ImplVariant::Reference, ..o };
@@ -399,7 +329,7 @@ mod tests {
         // (nearly) the same iterations; coloring differences across the
         // decomposition allow ±a few.
         let tl_iters = {
-            let prob = assemble(
+            let prob = assemble_f64(
                 &ProblemSpec {
                     local: (16, 8, 8),
                     procs: ProcGrid::new(1, 1, 1),
@@ -417,7 +347,7 @@ mod tests {
 
         let procs = ProcGrid::new(2, 1, 1);
         let results = run_spmd(2, move |c| {
-            let prob = assemble(&spec(procs, 8, 3), c.rank());
+            let prob = assemble_f64(&spec(procs, 8, 3), c.rank());
             let tl = Timeline::disabled();
             let (_, st) = gmres_solve_f64(&c, &prob, &GmresOptions::default(), &tl);
             (st.iters, st.converged)
@@ -434,7 +364,7 @@ mod tests {
         // The ablation §3 motivates: MGS trades blocked reductions for
         // per-vector ones; numerically both must solve the problem in a
         // comparable iteration count.
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 3), 0);
+        let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 16, 3), 0);
         let tl = Timeline::disabled();
         let cgs2_opts = GmresOptions { max_iters: 500, ..Default::default() };
         let mgs_opts = GmresOptions { ortho: OrthoMethod::Mgs, ..cgs2_opts };
@@ -451,7 +381,7 @@ mod tests {
 
     #[test]
     fn respects_iteration_budget() {
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
+        let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
         let tl = Timeline::disabled();
         let opts = GmresOptions { max_iters: 7, tol: 1e-30, ..Default::default() };
         let (_, st) = gmres_solve_f64(&SelfComm, &prob, &opts, &tl);
@@ -461,7 +391,7 @@ mod tests {
 
     #[test]
     fn motif_accounting_covers_all_solver_phases() {
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
+        let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
         let tl = Timeline::disabled();
         let (_, st) = gmres_solve_f64(&SelfComm, &prob, &GmresOptions::default(), &tl);
         for motif in [

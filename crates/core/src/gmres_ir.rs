@@ -20,39 +20,14 @@ use hpgmxp_sparse::blas::scale_f64_into_lo;
 use hpgmxp_sparse::{Half, PrecKind, Scalar};
 use std::time::Instant;
 
-/// Solve `A x = b` with mixed-precision GMRES-IR: the benchmark's
-/// "mxp" solver with its inner restart cycles in `f32`. Starts from a
-/// zero initial guess.
-pub fn gmres_ir_solve<C: Comm>(
-    comm: &C,
-    prob: &LocalProblem,
-    opts: &GmresOptions,
-    timeline: &Timeline,
-) -> (Vec<f64>, SolveStats) {
-    gmres_ir_solve_in::<f32, C>(comm, prob, opts, timeline)
-}
-
-/// GMRES-IR with the inner solve at emulated IEEE fp16 — the paper's
-/// §5 future-work configuration ("if one uses half precision ... in
-/// the blue region in algorithm 3, one can expect an even higher
-/// speedup"). Iterative refinement still recovers f64-level accuracy;
-/// the iteration penalty is larger (see `half_precision_future`
-/// example).
-pub fn gmres_ir_solve_fp16<C: Comm>(
-    comm: &C,
-    prob: &LocalProblem,
-    opts: &GmresOptions,
-    timeline: &Timeline,
-) -> (Vec<f64>, SolveStats) {
-    gmres_ir_solve_in::<Half, C>(comm, prob, opts, timeline)
-}
-
 /// GMRES-IR under a runtime [`PrecisionPolicy`]: the inner solve runs
 /// at the policy's compute precision, loading matrices stored at the
 /// policy's per-level storage precision (split kernels widen on load)
 /// and shipping halo ghosts in the policy's wire format. The outer
 /// residual and solution update stay `f64` with natively-stored
-/// matrices, which is what recovers 1e-9 under every policy.
+/// matrices, which is what recovers 1e-9 under every policy. `prob`
+/// must be assembled under the same policy. Starts from a zero initial
+/// guess; panics on a transport fault.
 pub fn gmres_ir_solve_policy<C: Comm>(
     comm: &C,
     prob: &LocalProblem,
@@ -60,58 +35,37 @@ pub fn gmres_ir_solve_policy<C: Comm>(
     opts: &GmresOptions,
     timeline: &Timeline,
 ) -> (Vec<f64>, SolveStats) {
-    let prec = policy.ctx();
-    match policy.compute {
-        PrecKind::F64 => gmres_ir_solve_prec::<f64, C>(comm, prob, opts, timeline, prec),
-        PrecKind::F32 => gmres_ir_solve_prec::<f32, C>(comm, prob, opts, timeline, prec),
-        PrecKind::F16 => gmres_ir_solve_prec::<Half, C>(comm, prob, opts, timeline, prec),
-    }
-}
-
-/// Mixed-precision GMRES-IR generic over the inner (low) precision
-/// `SLo`: the blue region of Algorithm 3 runs entirely in `SLo`, the
-/// outer residual and solution updates in `f64`.
-pub fn gmres_ir_solve_in<SLo: Scalar, C: Comm>(
-    comm: &C,
-    prob: &LocalProblem,
-    opts: &GmresOptions,
-    timeline: &Timeline,
-) -> (Vec<f64>, SolveStats) {
-    gmres_ir_solve_prec::<SLo, C>(comm, prob, opts, timeline, PrecCtx::native())
-}
-
-/// [`gmres_ir_solve_in`] with an explicit precision context for the
-/// *inner* solve (storage kind per level + ghost wire format). The
-/// outer residual loop always runs with the native f64 mapping.
-pub fn gmres_ir_solve_prec<SLo: Scalar, C: Comm>(
-    comm: &C,
-    prob: &LocalProblem,
-    opts: &GmresOptions,
-    timeline: &Timeline,
-    inner_prec: PrecCtx,
-) -> (Vec<f64>, SolveStats) {
-    gmres_ir_solve_prec_checked::<SLo, C>(comm, prob, opts, timeline, inner_prec, None)
+    gmres_ir_solve_policy_checked(comm, prob, policy, opts, timeline, None)
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fault-tolerant mixed GMRES-IR (f32 inner): transport faults surface
-/// as typed [`CommResult`] errors instead of panics, and an optional
-/// [`CheckpointSpec`] enables write-ahead checkpointing of the outer
-/// iteration plus restore-on-start. A restored run replays the
-/// remaining residual history bit-identically.
-pub fn gmres_ir_solve_ckpt<C: Comm>(
+/// [`gmres_ir_solve_policy`] for fault-tolerant callers: transport
+/// faults surface as typed [`CommResult`] errors instead of panics, and
+/// an optional [`CheckpointSpec`] enables write-ahead checkpointing of
+/// the outer iteration plus restore-on-start. A restored run replays
+/// the remaining residual history bit-identically.
+pub fn gmres_ir_solve_policy_checked<C: Comm>(
     comm: &C,
     prob: &LocalProblem,
+    policy: &PrecisionPolicy,
     opts: &GmresOptions,
     timeline: &Timeline,
     ckpt: Option<&CheckpointSpec>,
 ) -> CommResult<(Vec<f64>, SolveStats)> {
-    gmres_ir_solve_prec_checked::<f32, C>(comm, prob, opts, timeline, PrecCtx::native(), ckpt)
+    let prec = policy.ctx();
+    match policy.compute {
+        PrecKind::F64 => refine::<f64, C>(comm, prob, opts, timeline, prec, ckpt),
+        PrecKind::F32 => refine::<f32, C>(comm, prob, opts, timeline, prec, ckpt),
+        PrecKind::F16 => refine::<Half, C>(comm, prob, opts, timeline, prec, ckpt),
+    }
 }
 
-/// The full solver: [`gmres_ir_solve_prec`] with fault propagation and
-/// optional checkpoint/restart. Every public entry point funnels here.
-pub fn gmres_ir_solve_prec_checked<SLo: Scalar, C: Comm>(
+/// The one outer refinement loop, generic over the inner (low)
+/// precision `SLo`: the blue region of Algorithm 3 runs entirely in
+/// `SLo` under `inner_prec` (storage kind per level + ghost wire
+/// format); the residual and solution update run in `f64` with the
+/// native mapping. At `SLo = f64` this is Algorithm 2.
+fn refine<SLo: Scalar, C: Comm>(
     comm: &C,
     prob: &LocalProblem,
     opts: &GmresOptions,
@@ -254,7 +208,7 @@ mod tests {
     use super::*;
     use crate::config::ImplVariant;
     use crate::gmres::gmres_solve_f64;
-    use crate::problem::{assemble, ProblemSpec};
+    use crate::problem::{assemble_with_policy, ProblemSpec};
     use hpgmxp_comm::{run_spmd, SelfComm};
     use hpgmxp_geometry::{ProcGrid, Stencil27};
 
@@ -268,15 +222,25 @@ mod tests {
         }
     }
 
+    /// Assemble this rank's share of `spec` under `policy` and solve it.
+    fn solve<C: Comm>(
+        comm: &C,
+        spec: &ProblemSpec,
+        policy: &PrecisionPolicy,
+        opts: &GmresOptions,
+    ) -> (Vec<f64>, SolveStats) {
+        let prob = assemble_with_policy(spec, comm.rank(), policy);
+        gmres_ir_solve_policy(comm, &prob, policy, opts, &Timeline::disabled())
+    }
+
     #[test]
     fn reaches_double_precision_accuracy_with_f32_inner() {
         // The defining property of GMRES-IR: 9 orders of residual
         // reduction despite the entire inner solve running in f32
         // (f32 alone bottoms out near 1e-7).
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
-        let tl = Timeline::disabled();
         let opts = GmresOptions { max_iters: 1000, ..Default::default() };
-        let (x, st) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+        let sp = spec(ProcGrid::new(1, 1, 1), 16, 4);
+        let (x, st) = solve(&SelfComm, &sp, &PrecisionPolicy::f32(), &opts);
         assert!(st.converged, "GMRES-IR stalled at relres {}", st.final_relres);
         assert!(st.final_relres < 1e-9);
         for xi in &x {
@@ -292,11 +256,10 @@ mod tests {
         // needs to polish past the f32 stall weighs relatively more —
         // the ratio is legitimately lower here and approaches the
         // paper's band as the problem (and hence n_d) grows.
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
-        let tl = Timeline::disabled();
+        let sp = spec(ProcGrid::new(1, 1, 1), 16, 4);
         let opts = GmresOptions { max_iters: 2000, ..Default::default() };
-        let (_, st_d) = gmres_solve_f64(&SelfComm, &prob, &opts, &tl);
-        let (_, st_ir) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+        let (_, st_d) = solve(&SelfComm, &sp, &PrecisionPolicy::f64(), &opts);
+        let (_, st_ir) = solve(&SelfComm, &sp, &PrecisionPolicy::f32(), &opts);
         assert!(st_d.converged && st_ir.converged);
         let ratio = st_d.iters as f64 / st_ir.iters as f64;
         assert!(
@@ -314,10 +277,8 @@ mod tests {
     fn distributed_ir_converges() {
         let procs = ProcGrid::new(2, 2, 1);
         let results = run_spmd(4, move |c| {
-            let prob = assemble(&spec(procs, 8, 3), c.rank());
-            let tl = Timeline::disabled();
             let opts = GmresOptions { max_iters: 800, ..Default::default() };
-            let (x, st) = gmres_ir_solve(&c, &prob, &opts, &tl);
+            let (x, st) = solve(&c, &spec(procs, 8, 3), &PrecisionPolicy::f32(), &opts);
             let err = x.iter().map(|xi| (xi - 1.0).abs()).fold(0.0f64, f64::max);
             (st.converged, st.final_relres, err)
         });
@@ -337,10 +298,11 @@ mod tests {
         let procs = ProcGrid::new(2, 2, 1);
         let run = |algo: CollAlgo| -> Vec<_> {
             run_threads_fallible(4, None, algo, |c| {
-                let prob = assemble(&spec(procs, 8, 2), c.rank());
+                let policy = PrecisionPolicy::f32();
+                let prob = assemble_with_policy(&spec(procs, 8, 2), c.rank(), &policy);
                 let tl = Timeline::disabled();
                 let opts = GmresOptions { max_iters: 300, ..Default::default() };
-                let (_, st) = gmres_ir_solve(&c, &prob, &opts, &tl);
+                let (_, st) = gmres_ir_solve_policy(&c, &prob, &policy, &opts, &tl);
                 assert!(st.converged);
                 tl.collective_stats().expect("the solver records its collective traffic")
             })
@@ -369,20 +331,18 @@ mod tests {
 
     #[test]
     fn reference_variant_ir_converges() {
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 8, 2), 0);
-        let tl = Timeline::disabled();
         let opts =
             GmresOptions { max_iters: 500, variant: ImplVariant::Reference, ..Default::default() };
-        let (_, st) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+        let sp = spec(ProcGrid::new(1, 1, 1), 8, 2);
+        let (_, st) = solve(&SelfComm, &sp, &PrecisionPolicy::f32(), &opts);
         assert!(st.converged);
     }
 
     #[test]
     fn history_decreases_across_refinements() {
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 16, 3), 0);
-        let tl = Timeline::disabled();
         let opts = GmresOptions { max_iters: 600, track_history: true, ..Default::default() };
-        let (_, st) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+        let sp = spec(ProcGrid::new(1, 1, 1), 16, 3);
+        let (_, st) = solve(&SelfComm, &sp, &PrecisionPolicy::f32(), &opts);
         assert!(st.history.len() >= 2);
         for w in st.history.windows(2) {
             assert!(w[1] <= w[0] * (1.0 + 1e-9), "refinement must not diverge: {:?}", st.history);
@@ -397,10 +357,9 @@ mod tests {
         // slows the per-cycle digit gain, it does not cap the final
         // accuracy. That is the whole point of keeping lines 7 and 47
         // in double.
-        let prob = assemble(&spec(ProcGrid::new(1, 1, 1), 8, 2), 0);
-        let tl = Timeline::disabled();
+        let sp = spec(ProcGrid::new(1, 1, 1), 8, 2);
         let opts = GmresOptions { max_iters: 3000, ..Default::default() };
-        let (x, st16) = gmres_ir_solve_fp16(&SelfComm, &prob, &opts, &tl);
+        let (x, st16) = solve(&SelfComm, &sp, &PrecisionPolicy::stress_f16(), &opts);
         assert!(st16.converged, "fp16 GMRES-IR stalled at {}", st16.final_relres);
         assert!(st16.final_relres < 1e-9);
         for xi in &x {
@@ -408,8 +367,8 @@ mod tests {
         }
         // And the penalty ordering: fp16 needs at least as many
         // iterations as fp32, which needs at least as many as f64.
-        let (_, st32) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
-        let (_, st64) = gmres_solve_f64(&SelfComm, &prob, &opts, &tl);
+        let (_, st32) = solve(&SelfComm, &sp, &PrecisionPolicy::f32(), &opts);
+        let (_, st64) = solve(&SelfComm, &sp, &PrecisionPolicy::f64(), &opts);
         assert!(st16.iters >= st32.iters, "{} vs {}", st16.iters, st32.iters);
         assert!(st32.iters >= st64.iters, "{} vs {}", st32.iters, st64.iters);
     }
@@ -417,22 +376,72 @@ mod tests {
     #[test]
     fn nonsymmetric_problem_converges() {
         // GMRES's raison d'être: nonsymmetric operators (CG would fail).
-        let prob = assemble(
-            &ProblemSpec {
-                local: (8, 8, 8),
-                procs: ProcGrid::new(1, 1, 1),
-                stencil: Stencil27::nonsymmetric(0.5),
-                mg_levels: 2,
-                seed: 11,
-            },
-            0,
-        );
-        let tl = Timeline::disabled();
+        let sp = ProblemSpec {
+            stencil: Stencil27::nonsymmetric(0.5),
+            ..spec(ProcGrid::new(1, 1, 1), 8, 2)
+        };
         let opts = GmresOptions { max_iters: 600, ..Default::default() };
-        let (x, st) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+        let (x, st) = solve(&SelfComm, &sp, &PrecisionPolicy::f32(), &opts);
         assert!(st.converged);
         for xi in &x {
             assert!((xi - 1.0).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn double_solver_is_the_f64_instance_of_the_refinement_loop() {
+        use hpgmxp_comm::{
+            run_threads_fallible, CollAlgo, FaultEvent, FaultKind, FaultPlan, FaultyComm,
+        };
+        let policy = PrecisionPolicy::f64();
+        let opts = GmresOptions { max_iters: 500, track_history: true, ..Default::default() };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // One body: the two names agree bit for bit.
+        let prob = assemble_with_policy(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0, &policy);
+        let tl = Timeline::disabled();
+        let (x_d, st_d) = gmres_solve_f64(&SelfComm, &prob, &opts, &tl);
+        let (x_p, st_p) = gmres_ir_solve_policy(&SelfComm, &prob, &policy, &opts, &tl);
+        assert!(st_d.converged && st_d.restarts > 0);
+        assert_eq!(bits(&x_d), bits(&x_p));
+        assert_eq!((st_d.iters, st_d.restarts), (st_p.iters, st_p.restarts));
+        assert_eq!(bits(&st_d.history), bits(&st_p.history));
+
+        // The double solve accounts the residual normalisation like
+        // every other instance: per outer pass one waxpby (r = b − Ax),
+        // per restart one scale and one solution update.
+        let (n, cycles) = (prob.n_local(), st_d.restarts as f64);
+        let expected = (cycles + 1.0) * crate::flops::waxpby(n)
+            + cycles * (crate::flops::scal(n) + crate::flops::axpy(n));
+        assert_eq!(st_d.motifs.flops(Motif::Waxpby), expected);
+
+        // It records its collective traffic …
+        let procs = ProcGrid::new(2, 1, 1);
+        let recorded = run_spmd(2, move |c| {
+            let prob = assemble_with_policy(&spec(procs, 16, 4), c.rank(), &PrecisionPolicy::f64());
+            let tl = Timeline::disabled();
+            gmres_solve_f64(&c, &prob, &opts, &tl);
+            tl.collective_stats().map(|s| s.allreduces)
+        });
+        assert!(recorded.iter().all(|a| a.is_some_and(|n| n > 0)), "{recorded:?}");
+
+        // … and a dead peer reaches the caller of the `Result` form as
+        // a typed error, not a panic.
+        let mut plan = FaultPlan::clean(3);
+        plan.events =
+            Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 1, at_exchange: 40 }]);
+        let deadline = Some(std::time::Duration::from_millis(500));
+        let outcomes = run_threads_fallible(2, deadline, CollAlgo::RecursiveDoubling, |c| {
+            let c = FaultyComm::new(c, plan.clone());
+            let policy = PrecisionPolicy::f64();
+            let prob = assemble_with_policy(&spec(procs, 16, 4), c.rank(), &policy);
+            let tl = Timeline::disabled();
+            gmres_ir_solve_policy_checked(&c, &prob, &policy, &opts, &tl, None).map(|_| ())
+        });
+        assert!(outcomes[1].is_err(), "rank 1 crashes by plan");
+        match &outcomes[0] {
+            Ok(Err(e)) => assert!(!e.to_string().is_empty()),
+            other => panic!("rank 0 must see a typed transport fault, got {other:?}"),
         }
     }
 }

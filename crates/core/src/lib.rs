@@ -8,8 +8,9 @@
 //!
 //! * [`config`] — the benchmark parameters of Table 1;
 //! * [`problem`] — distributed assembly of the 27-point operator and
-//!   the full 4-level multigrid hierarchy, in both precisions and both
-//!   storage formats, with coloring, level schedules, and halo plans;
+//!   the full 4-level multigrid hierarchy, in the precisions a policy
+//!   names and both storage formats, with coloring, level schedules,
+//!   and halo plans;
 //! * [`motifs`] — the motif taxonomy (GS, SpMV, Ortho, Restriction, …)
 //!   with per-motif time/FLOP accounting;
 //! * [`flops`] — the operation-count model used for the GFLOP/s metric;
@@ -50,7 +51,6 @@ pub use benchmark::{BenchmarkReport, ValidationMode, ValidationResult};
 pub use checkpoint::{CheckpointSpec, OuterState};
 pub use config::{BenchmarkParams, ImplVariant};
 pub use gmres::{GmresOptions, SolveStats};
-pub use gmres_ir::gmres_ir_solve_ckpt;
 pub use motifs::{Motif, MotifStats};
 pub use policy::{PrecCtx, PrecisionPolicy};
 pub use problem::{Level, LocalProblem, ProblemSpec};

@@ -124,7 +124,8 @@ pub fn dist_spmv_matrix_free<S: Scalar, C: Comm>(
 mod tests {
     use super::*;
     use crate::config::ImplVariant;
-    use crate::problem::{assemble, ProblemSpec};
+    use crate::problem::tests::assemble_f64;
+    use crate::problem::ProblemSpec;
     use hpgmxp_comm::{run_spmd, SelfComm, Timeline};
     use hpgmxp_geometry::ProcGrid;
 
@@ -140,7 +141,7 @@ mod tests {
 
     #[test]
     fn matches_assembled_spmv_bitwise_serial() {
-        let p = assemble(&spec(ProcGrid::new(1, 1, 1), 8), 0);
+        let p = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 8), 0);
         let l = &p.levels[0];
         let op = StencilOperator::new(l.grid, p.spec.stencil);
         let x: Vec<f64> = (0..l.vec_len()).map(|i| (i as f64 * 0.013).sin()).collect();
@@ -155,7 +156,7 @@ mod tests {
     fn matches_assembled_spmv_distributed() {
         let procs = ProcGrid::new(2, 2, 1);
         run_spmd(4, move |c| {
-            let p = assemble(&spec(procs, 4), c.rank());
+            let p = assemble_f64(&spec(procs, 4), c.rank());
             let l = &p.levels[0];
             let op = StencilOperator::new(l.grid, p.spec.stencil);
             let tl = Timeline::disabled();
@@ -175,7 +176,9 @@ mod tests {
 
     #[test]
     fn works_at_low_precision() {
-        let p = assemble(&spec(ProcGrid::new(1, 1, 1), 4), 0);
+        let f32_policy = crate::policy::PrecisionPolicy::f32();
+        let p =
+            crate::problem::assemble_with_policy(&spec(ProcGrid::new(1, 1, 1), 4), 0, &f32_policy);
         let l = &p.levels[0];
         let op = StencilOperator::new(l.grid, p.spec.stencil);
         let x: Vec<f32> = (0..l.vec_len()).map(|i| (i % 5) as f32).collect();
@@ -195,7 +198,7 @@ mod tests {
             mg_levels: 1,
             seed: 3,
         };
-        let p = assemble(&spec, 0);
+        let p = assemble_f64(&spec, 0);
         let l = &p.levels[0];
         let op = StencilOperator::new(l.grid, spec.stencil);
         let x: Vec<f64> = (0..l.vec_len()).map(|i| i as f64).collect();
@@ -208,7 +211,7 @@ mod tests {
 
     #[test]
     fn flop_count_matches_assembled() {
-        let p = assemble(&spec(ProcGrid::new(1, 1, 1), 6), 0);
+        let p = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 6), 0);
         let l = &p.levels[0];
         let op = StencilOperator::new(l.grid, p.spec.stencil);
         assert_eq!(op.apply_flops(l), crate::flops::spmv(l.nnz()));

@@ -168,21 +168,23 @@ mod tests {
     use crate::config::ImplVariant;
     use crate::motifs::Motif;
     use crate::ops::dist_gs_sweep;
-    use crate::problem::{assemble, ProblemSpec};
+    use crate::problem::tests::assemble_f64;
+    use crate::problem::ProblemSpec;
     use hpgmxp_comm::{run_spmd, SelfComm, Timeline};
     use hpgmxp_geometry::{ProcGrid, Stencil27};
 
+    fn spec_1rank(n: u32, levels: usize) -> ProblemSpec {
+        ProblemSpec {
+            local: (n, n, n),
+            procs: ProcGrid::new(1, 1, 1),
+            stencil: Stencil27::symmetric(),
+            mg_levels: levels,
+            seed: 5,
+        }
+    }
+
     fn problem_1rank(n: u32, levels: usize) -> crate::problem::LocalProblem {
-        assemble(
-            &ProblemSpec {
-                local: (n, n, n),
-                procs: ProcGrid::new(1, 1, 1),
-                stencil: Stencil27::symmetric(),
-                mg_levels: levels,
-                seed: 5,
-            },
-            0,
-        )
+        assemble_f64(&spec_1rank(n, levels), 0)
     }
 
     fn residual_norm(p: &crate::problem::LocalProblem, rhs: &[f64], z: &[f64]) -> f64 {
@@ -294,7 +296,7 @@ mod tests {
     fn optimized_and_reference_cycles_agree() {
         let procs = ProcGrid::new(2, 1, 1);
         run_spmd(2, move |c| {
-            let p = assemble(
+            let p = assemble_f64(
                 &ProblemSpec {
                     local: (8, 8, 8),
                     procs,
@@ -386,12 +388,17 @@ mod tests {
             &mut z64,
         );
 
-        let rhs32: Vec<f32> = p.b.iter().map(|&v| v as f32).collect();
-        let mut ws32: MgWorkspace<f32> = MgWorkspace::new(&p.levels);
+        let p32 = crate::problem::assemble_with_policy(
+            &spec_1rank(8, 2),
+            0,
+            &crate::policy::PrecisionPolicy::f32(),
+        );
+        let rhs32: Vec<f32> = p32.b.iter().map(|&v| v as f32).collect();
+        let mut ws32: MgWorkspace<f32> = MgWorkspace::new(&p32.levels);
         let mut z32 = vec![0.0f32; n];
         apply_mg(
             &ctx,
-            &p.levels,
+            &p32.levels,
             &mut stats,
             &mut ws32,
             1,

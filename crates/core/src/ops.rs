@@ -79,15 +79,6 @@ macro_rules! with_storage {
 }
 
 impl<'a> EllRef<'a> {
-    /// Storage kind of the viewed matrix.
-    pub fn kind(&self) -> PrecKind {
-        match self {
-            EllRef::F64(_) => PrecKind::F64,
-            EllRef::F32(_) => PrecKind::F32,
-            EllRef::F16(_) => PrecKind::F16,
-        }
-    }
-
     /// Padded row width.
     pub fn width(&self) -> usize {
         with_storage!(self, EllRef, m => m.width())
@@ -105,15 +96,6 @@ impl<'a> EllRef<'a> {
 }
 
 impl<'a> CsrRef<'a> {
-    /// Storage kind of the viewed matrix.
-    pub fn kind(&self) -> PrecKind {
-        match self {
-            CsrRef::F64(_) => PrecKind::F64,
-            CsrRef::F32(_) => PrecKind::F32,
-            CsrRef::F16(_) => PrecKind::F16,
-        }
-    }
-
     /// Matrix-value bytes of one full pass (storage precision).
     pub fn value_bytes(&self) -> usize {
         with_storage!(self, CsrRef, m => m.value_bytes())
@@ -148,58 +130,10 @@ impl Level {
     /// This level's reference-path factors at a runtime storage kind.
     pub fn refpath_at(&self, kind: PrecKind) -> RefPathRef<'_> {
         match kind {
-            PrecKind::F64 => RefPathRef::F64(self.ref64()),
-            PrecKind::F32 => RefPathRef::F32(self.ref32()),
-            PrecKind::F16 => RefPathRef::F16(self.ref16()),
+            PrecKind::F64 => RefPathRef::F64(&self.set64().refpath),
+            PrecKind::F32 => RefPathRef::F32(&self.set32().refpath),
+            PrecKind::F16 => RefPathRef::F16(&self.set16().refpath),
         }
-    }
-}
-
-/// Access to a level's operator data at one precision; implemented for
-/// `f64` (reference precision) and `f32` (the benchmark's low
-/// precision) so solver code is written once.
-pub trait PrecLevel<S: Scalar> {
-    /// CSR form of the operator.
-    fn csr(&self) -> &CsrMatrix<S>;
-    /// ELL form of the operator.
-    fn ell(&self) -> &EllMatrix<S>;
-    /// Reference-path triangular factors.
-    fn refpath(&self) -> &RefPath<S>;
-}
-
-impl PrecLevel<f64> for Level {
-    fn csr(&self) -> &CsrMatrix<f64> {
-        self.csr64()
-    }
-    fn ell(&self) -> &EllMatrix<f64> {
-        self.ell64()
-    }
-    fn refpath(&self) -> &RefPath<f64> {
-        self.ref64()
-    }
-}
-
-impl PrecLevel<f32> for Level {
-    fn csr(&self) -> &CsrMatrix<f32> {
-        self.csr32()
-    }
-    fn ell(&self) -> &EllMatrix<f32> {
-        self.ell32()
-    }
-    fn refpath(&self) -> &RefPath<f32> {
-        self.ref32()
-    }
-}
-
-impl PrecLevel<Half> for Level {
-    fn csr(&self) -> &CsrMatrix<Half> {
-        self.csr16()
-    }
-    fn ell(&self) -> &EllMatrix<Half> {
-        self.ell16()
-    }
-    fn refpath(&self) -> &RefPath<Half> {
-        self.ref16()
     }
 }
 
@@ -648,7 +582,8 @@ pub fn axpy_lo_mixed_op<S: Scalar>(stats: &mut MotifStats, alpha: f64, x: &[S], 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{assemble, ProblemSpec};
+    use crate::problem::tests::assemble_f64;
+    use crate::problem::ProblemSpec;
     use hpgmxp_comm::{run_spmd, SelfComm};
     use hpgmxp_geometry::{ProcGrid, Stencil27};
 
@@ -662,11 +597,6 @@ mod tests {
         }
     }
 
-    fn ctx<C: Comm>(comm: &C, variant: ImplVariant) -> (OpCtx<'_, C>, Timeline) {
-        let _ = &comm;
-        (OpCtx::new(comm, variant, Box::leak(Box::new(Timeline::disabled()))), Timeline::disabled())
-    }
-
     /// Distributed SpMV across 2 ranks must equal the serial SpMV of the
     /// equivalent global problem, in both variants.
     #[test]
@@ -674,7 +604,7 @@ mod tests {
         for variant in [ImplVariant::Optimized, ImplVariant::Reference] {
             let procs = ProcGrid::new(2, 1, 1);
             let results = run_spmd(2, move |c| {
-                let p = assemble(&spec(procs, 4, 1), c.rank());
+                let p = assemble_f64(&spec(procs, 4, 1), c.rank());
                 let l = &p.levels[0];
                 let mut stats = MotifStats::new();
                 let tl = Timeline::disabled();
@@ -700,7 +630,7 @@ mod tests {
                 mg_levels: 1,
                 seed: 7,
             };
-            let sp = assemble(&serial_spec, 0);
+            let sp = assemble_f64(&serial_spec, 0);
             let sl = &sp.levels[0];
             let g = sl.grid.global();
             let mut x = vec![0.0f64; sl.vec_len()];
@@ -737,7 +667,7 @@ mod tests {
     fn gs_variants_agree_with_their_references() {
         let procs = ProcGrid::new(2, 1, 1);
         run_spmd(2, move |c| {
-            let p = assemble(&spec(procs, 4, 1), c.rank());
+            let p = assemble_f64(&spec(procs, 4, 1), c.rank());
             let l = &p.levels[0];
             let tl = Timeline::disabled();
             let mut stats = MotifStats::new();
@@ -774,7 +704,7 @@ mod tests {
     fn restrict_variants_agree() {
         let procs = ProcGrid::new(2, 1, 1);
         run_spmd(2, move |c| {
-            let p = assemble(&spec(procs, 8, 2), c.rank());
+            let p = assemble_f64(&spec(procs, 8, 2), c.rank());
             let l = &p.levels[0];
             let nc = p.levels[1].n_local();
             let tl = Timeline::disabled();
@@ -800,7 +730,7 @@ mod tests {
 
     #[test]
     fn prolong_scatters_to_collocated_points() {
-        let p = assemble(&spec(ProcGrid::new(1, 1, 1), 4, 2), 0);
+        let p = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 4, 2), 0);
         let l = &p.levels[0];
         let mut stats = MotifStats::new();
         let map = l.c2f.as_ref().unwrap();
@@ -833,7 +763,6 @@ mod tests {
         let x = vec![3.0f32, 4.0];
         let n = dist_norm2(&c, &mut stats, Motif::Dot, &x);
         assert!((n - 5.0).abs() < 1e-6);
-        let (_octx, _tl) = ctx(&c, ImplVariant::Optimized);
     }
 
     #[test]

@@ -57,6 +57,31 @@ impl PrecisionPolicy {
         PrecisionPolicy { name: name.to_string(), storage: vec![storage], compute, wire: compute }
     }
 
+    /// Everything double: Algorithm 2, the benchmark's "double" phase.
+    pub fn f64() -> Self {
+        Self::uniform("f64", PrecKind::F64, PrecKind::F64)
+    }
+
+    /// The benchmark's mixed solver, Algorithm 3: storage = compute =
+    /// wire = fp32 in the inner solve.
+    pub fn f32() -> Self {
+        Self::uniform("f32", PrecKind::F32, PrecKind::F32)
+    }
+
+    /// The same axes under another report label (the benchmark reports
+    /// its `f32` and `f64` phases as `"mxp"` and `"double"`).
+    pub fn named(self, name: &str) -> Self {
+        PrecisionPolicy { name: name.to_string(), ..self }
+    }
+
+    /// Is this the plain double solver — every axis `f64` on every
+    /// level, so refinement has nothing to recover and the iteration
+    /// penalty is 1 by construction?
+    pub fn is_double(&self) -> bool {
+        let all_f64 = self.storage.iter().all(|&k| k == PrecKind::F64);
+        all_f64 && self.compute == PrecKind::F64 && self.wire == PrecKind::F64
+    }
+
     /// Storage kind of multigrid level `depth` (last entry repeats).
     pub fn storage_at(&self, depth: usize) -> PrecKind {
         *self
@@ -93,14 +118,14 @@ impl PrecisionPolicy {
     pub fn shipped() -> Vec<PrecisionPolicy> {
         use PrecKind::{F16, F32, F64};
         vec![
-            PrecisionPolicy::uniform("f64", F64, F64),
+            PrecisionPolicy::f64(),
             PrecisionPolicy {
                 name: "f32s-f64c".into(),
                 storage: vec![F32],
                 compute: F64,
                 wire: F64,
             },
-            PrecisionPolicy::uniform("f32", F32, F32),
+            PrecisionPolicy::f32(),
             PrecisionPolicy {
                 name: "f16s-f32c".into(),
                 storage: vec![F16],
@@ -136,14 +161,6 @@ impl PrecisionPolicy {
             .into_iter()
             .chain(std::iter::once(Self::stress_f16()))
             .find(|p| p.name == name)
-    }
-
-    /// Every distinct storage kind this policy materializes.
-    pub fn storage_kinds(&self) -> Vec<PrecKind> {
-        let mut kinds = self.storage.clone();
-        kinds.sort_unstable();
-        kinds.dedup();
-        kinds
     }
 
     /// The compact per-kernel view the distributed kernels dispatch on.
@@ -216,7 +233,6 @@ mod tests {
         assert_eq!(p.storage_at(0), F64);
         assert_eq!(p.storage_at(1), F32);
         assert_eq!(p.storage_at(3), F32, "last entry repeats on coarser levels");
-        assert_eq!(p.storage_kinds(), vec![F32, F64]);
     }
 
     #[test]

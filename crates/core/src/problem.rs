@@ -5,10 +5,11 @@
 //! (diagonal 26, off-diagonals −1; §3), with ghost columns numbered by
 //! the geometric halo plan, on every level of the 4-level hierarchy.
 //! A [`Level`] carries everything both implementation variants need:
-//! the operator in CSR (reference) and ELL (optimized) storage at both
-//! precisions, the JPL coloring with its interior/boundary split for
-//! overlap, the level schedule and triangular split of the reference
-//! Gauss–Seidel, and the injection map to the next coarser level.
+//! the operator in CSR (reference) and ELL (optimized) storage at the
+//! precisions its policy names, the JPL coloring with its
+//! interior/boundary split for overlap, the level schedule and
+//! triangular split of the reference Gauss–Seidel, and the injection
+//! map to the next coarser level.
 
 use crate::config::BenchmarkParams;
 use crate::policy::PrecisionPolicy;
@@ -83,6 +84,15 @@ impl<S: Scalar> MatrixSet<S> {
         let (lower, upper) = split_lower_upper(&csr);
         MatrixSet { csr, ell, refpath: RefPath { lower, upper } }
     }
+
+    /// Resident value bytes of this set: both formats plus the
+    /// triangular factors, which hold a further full copy of the values.
+    fn value_bytes(&self) -> usize {
+        self.ell.value_bytes()
+            + self.csr.value_bytes()
+            + self.refpath.lower.value_bytes()
+            + self.refpath.upper.value_bytes()
+    }
 }
 
 /// The per-precision matrix sets one level holds (absent = the policy
@@ -117,17 +127,9 @@ impl LevelStore {
     /// Resident bytes of all materialized matrix values (the capacity
     /// cost a policy pays; indices excluded — they are shared-size).
     pub fn value_bytes(&self) -> usize {
-        let mut b = 0;
-        if let Some(m) = &self.m64 {
-            b += m.ell.value_bytes() + m.csr.value_bytes();
-        }
-        if let Some(m) = &self.m32 {
-            b += m.ell.value_bytes() + m.csr.value_bytes();
-        }
-        if let Some(m) = &self.m16 {
-            b += m.ell.value_bytes() + m.csr.value_bytes();
-        }
-        b
+        self.m64.as_ref().map_or(0, MatrixSet::value_bytes)
+            + self.m32.as_ref().map_or(0, MatrixSet::value_bytes)
+            + self.m16.as_ref().map_or(0, MatrixSet::value_bytes)
     }
 }
 
@@ -246,21 +248,6 @@ impl Level {
     pub fn ell16(&self) -> &EllMatrix<Half> {
         &self.set16().ell
     }
-
-    /// Reference-path factors, double.
-    pub fn ref64(&self) -> &RefPath<f64> {
-        &self.set64().refpath
-    }
-
-    /// Reference-path factors, single.
-    pub fn ref32(&self) -> &RefPath<f32> {
-        &self.set32().refpath
-    }
-
-    /// Reference-path factors, half.
-    pub fn ref16(&self) -> &RefPath<Half> {
-        &self.set16().refpath
-    }
 }
 
 /// A rank's fully assembled benchmark problem.
@@ -352,59 +339,18 @@ fn split_colors(
     (interior, boundary)
 }
 
-/// Assemble the complete local problem of `rank`, materializing every
-/// precision on every level (the compatibility kitchen-sink used by
-/// tests, examples, and ad-hoc experiments that mix precisions
-/// freely). The benchmark and ablation paths use
-/// [`assemble_with_policy`], which builds each level's matrices once
-/// in their policy precision instead.
-pub fn assemble(spec: &ProblemSpec, rank: usize) -> LocalProblem {
-    assemble_storing(spec, rank, |_| vec![PrecKind::F64, PrecKind::F32, PrecKind::F16], |_| 8)
-}
-
-/// Assemble only what `policy` needs: per level, the policy's storage
-/// precision for that depth, plus `f64` on the fine level (the GMRES-IR
-/// outer residual is always double — that invariant is what recovers
-/// 1e-9 under every policy). Halo staging is sized from the policy's
-/// wire scalar (and the widest exchange the level will actually run)
-/// instead of unconditionally at 8 bytes.
+/// Assemble the local problem of `rank` with exactly what `policy`
+/// needs: per level, the policy's storage precision for that depth,
+/// plus `f64` on the fine level (the GMRES-IR outer residual is always
+/// double — that invariant is what recovers 1e-9 under every policy).
+/// Halo staging is sized from the widest wire format each level's
+/// exchanges use: f64 on the fine level (the outer residual exchanges
+/// at native f64 wire), the policy wire / compute width on the coarser,
+/// inner-solve-only levels.
 pub fn assemble_with_policy(
     spec: &ProblemSpec,
     rank: usize,
     policy: &PrecisionPolicy,
-) -> LocalProblem {
-    assemble_storing(
-        spec,
-        rank,
-        |depth| {
-            let mut kinds = vec![policy.storage_at(depth)];
-            if depth == 0 && !kinds.contains(&PrecKind::F64) {
-                kinds.push(PrecKind::F64);
-            }
-            kinds
-        },
-        // Halo staging capacity: the widest wire format each level's
-        // exchanges use — f64 on the fine level (the outer residual
-        // exchanges at native f64 wire), the policy wire / compute
-        // width on the coarser, inner-solve-only levels.
-        |depth| {
-            if depth == 0 {
-                8
-            } else {
-                policy.wire.bytes().max(policy.compute.bytes())
-            }
-        },
-    )
-}
-
-/// Shared assembly skeleton: `kinds_of(depth)` chooses which storage
-/// precisions to materialize on each level; `staging_of(depth)` the
-/// halo staging width in bytes.
-fn assemble_storing(
-    spec: &ProblemSpec,
-    rank: usize,
-    kinds_of: impl Fn(usize) -> Vec<PrecKind>,
-    staging_of: impl Fn(usize) -> usize,
 ) -> LocalProblem {
     let fine_grid = LocalGrid::new(spec.local, spec.procs, rank as u32);
     let hierarchy = GridHierarchy::build(&fine_grid, spec.mg_levels);
@@ -438,20 +384,15 @@ fn assemble_storing(
 
         // Materialize exactly the storage precisions this level needs.
         let mut store = LevelStore::default();
-        for kind in kinds_of(l) {
-            match kind {
-                PrecKind::F64 if store.m64.is_none() => {
-                    store.m64 = Some(MatrixSet::build(&csr64));
-                }
-                PrecKind::F32 if store.m32.is_none() => {
-                    store.m32 = Some(MatrixSet::build(&csr64));
-                }
-                PrecKind::F16 if store.m16.is_none() => {
-                    store.m16 = Some(MatrixSet::build(&csr64));
-                }
-                _ => {}
-            }
+        match policy.storage_at(l) {
+            PrecKind::F64 => store.m64 = Some(MatrixSet::build(&csr64)),
+            PrecKind::F32 => store.m32 = Some(MatrixSet::build(&csr64)),
+            PrecKind::F16 => store.m16 = Some(MatrixSet::build(&csr64)),
         }
+        if l == 0 && store.m64.is_none() {
+            store.m64 = Some(MatrixSet::build(&csr64));
+        }
+        let staging = if l == 0 { 8 } else { policy.wire.bytes().max(policy.compute.bytes()) };
 
         levels.push(Level {
             grid: *grid,
@@ -465,7 +406,7 @@ fn assemble_storing(
             interior_rows,
             boundary_rows,
             schedule,
-            halo: HaloExchange::new_sized(plan, staging_of(l)),
+            halo: HaloExchange::new_sized(plan, staging),
             c2f,
             restrict_interior,
             restrict_boundary,
@@ -474,8 +415,7 @@ fn assemble_storing(
 
     // b = A·1 — with the exact solution all-ones, ghost values are also
     // ones, so no exchange is needed to form the right-hand side. The
-    // fine level always carries f64 (enforced for policies above); the
-    // kitchen-sink path materializes it unconditionally.
+    // fine level always carries f64 (materialized above).
     let fine = &levels[0];
     let ones = vec![1.0f64; fine.vec_len()];
     let mut b = vec![0.0f64; fine.n_local()];
@@ -486,8 +426,13 @@ fn assemble_storing(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The all-double problem most of this crate's unit tests run on.
+    pub(crate) fn assemble_f64(spec: &ProblemSpec, rank: usize) -> LocalProblem {
+        assemble_with_policy(spec, rank, &PrecisionPolicy::f64())
+    }
 
     fn spec_1rank(n: u32, levels: usize) -> ProblemSpec {
         ProblemSpec {
@@ -501,7 +446,7 @@ mod tests {
 
     #[test]
     fn single_rank_interior_row_has_27_entries() {
-        let p = assemble(&spec_1rank(8, 1), 0);
+        let p = assemble_f64(&spec_1rank(8, 1), 0);
         let a = &p.levels[0].csr64();
         // Center point of the 8³ box is interior.
         let lg = p.levels[0].grid;
@@ -516,7 +461,7 @@ mod tests {
 
     #[test]
     fn corner_row_has_8_entries() {
-        let p = assemble(&spec_1rank(8, 1), 0);
+        let p = assemble_f64(&spec_1rank(8, 1), 0);
         let a = &p.levels[0].csr64();
         let (cols, _) = a.row(0);
         assert_eq!(cols.len(), 8);
@@ -525,7 +470,7 @@ mod tests {
 
     #[test]
     fn rhs_is_row_sums() {
-        let p = assemble(&spec_1rank(4, 1), 0);
+        let p = assemble_f64(&spec_1rank(4, 1), 0);
         let a = &p.levels[0].csr64();
         for i in 0..a.nrows() {
             let (_, vals) = a.row(i);
@@ -538,7 +483,7 @@ mod tests {
 
     #[test]
     fn hierarchy_has_expected_sizes() {
-        let p = assemble(&spec_1rank(16, 4), 0);
+        let p = assemble_f64(&spec_1rank(16, 4), 0);
         let sizes: Vec<usize> = p.levels.iter().map(|l| l.n_local()).collect();
         assert_eq!(sizes, vec![4096, 512, 64, 8]);
         assert!(p.levels[0].c2f.is_some());
@@ -547,7 +492,7 @@ mod tests {
 
     #[test]
     fn coloring_is_valid_with_8_colors_on_27pt() {
-        let p = assemble(&spec_1rank(8, 1), 0);
+        let p = assemble_f64(&spec_1rank(8, 1), 0);
         let l = &p.levels[0];
         assert!(l.coloring.verify(l.csr64()));
         // The 27-point stencil needs at least 8 colors (2×2×2 parity).
@@ -572,7 +517,7 @@ mod tests {
             mg_levels: 1,
             seed: 1,
         };
-        let p0 = assemble(&spec, 0);
+        let p0 = assemble_f64(&spec, 0);
         let l = &p0.levels[0];
         assert_eq!(l.halo.num_ghosts(), 16);
         assert_eq!(l.csr64().ncols(), 64 + 16);
@@ -594,7 +539,7 @@ mod tests {
             mg_levels: 1,
             seed: 3,
         };
-        let p = assemble(&spec, 3);
+        let p = assemble_f64(&spec, 3);
         let l = &p.levels[0];
         for c in 0..l.coloring.num_colors as usize {
             let class = &l.coloring.rows_of[c];
@@ -620,8 +565,8 @@ mod tests {
             mg_levels: 1,
             seed: 1,
         };
-        let nnz2: usize = (0..2).map(|r| assemble(&spec2, r).levels[0].nnz()).sum();
-        let nnz1 = assemble(&serial, 0).levels[0].nnz();
+        let nnz2: usize = (0..2).map(|r| assemble_f64(&spec2, r).levels[0].nnz()).sum();
+        let nnz1 = assemble_f64(&serial, 0).levels[0].nnz();
         assert_eq!(nnz2, nnz1);
     }
 
@@ -634,7 +579,7 @@ mod tests {
             mg_levels: 1,
             seed: 1,
         };
-        let p = assemble(&spec, 0);
+        let p = assemble_f64(&spec, 0);
         let a = &p.levels[0].csr64();
         let d = a.to_dense();
         // Not symmetric...
@@ -667,13 +612,13 @@ mod tests {
         // coarse point collocates with: all its coarse rows are
         // interior. Rank 1's face is at ix = 0 (even): its coarse rows
         // there must be classified as boundary.
-        let p0 = assemble(&spec, 0);
+        let p0 = assemble_f64(&spec, 0);
         let l0 = &p0.levels[0];
         let n_coarse = p0.levels[1].n_local();
         assert_eq!(l0.restrict_interior.len() + l0.restrict_boundary.len(), n_coarse);
         assert!(l0.restrict_boundary.is_empty());
 
-        let p1 = assemble(&spec, 1);
+        let p1 = assemble_f64(&spec, 1);
         let l1 = &p1.levels[0];
         assert_eq!(l1.restrict_interior.len() + l1.restrict_boundary.len(), n_coarse);
         assert_eq!(l1.restrict_boundary.len(), 16, "the 4x4 coarse face at ix=0");
@@ -681,7 +626,7 @@ mod tests {
 
     #[test]
     fn nnz_coarse_rows_counts() {
-        let p = assemble(&spec_1rank(8, 2), 0);
+        let p = assemble_f64(&spec_1rank(8, 2), 0);
         let l = &p.levels[0];
         let expected: usize =
             l.c2f.as_ref().unwrap().c2f.iter().map(|&f| l.csr64().row(f as usize).0.len()).sum();

@@ -6,10 +6,9 @@
 //!
 //! * **Measured** — real SPMD runs over the `HPGMXP_COMM`-selected
 //!   transport (thread-ranks by default, socket-rank processes under
-//!   `hpgmxp-launch`; each cell records which in its `transport`):
-//!   classic solvers via `core::benchmark::{validate, run_phase}`,
-//!   policies via `validate_policy_checked` + `run_policy_phase`. A
-//!   policy whose solver breaks down yields an `Unrated` cell — the
+//!   `hpgmxp-launch`; each cell records which in its `transport`) via
+//!   `core::benchmark::{validate, run_phase}` under the cell's policy.
+//!   A policy whose solver breaks down yields an `Unrated` cell — the
 //!   iteration count where it gave up is carried, a GF/s number is not.
 //! * **Modeled** — `machine::simulate` projections at each node count,
 //!   per policy through [`SimConfig::policy`].
@@ -22,19 +21,18 @@
 
 use crate::measure::{reconcile, MeasuredTraffic, RECONCILE_RANKS};
 use crate::report::{CampaignReport, CellReport, CellStatus, HostMeta, REPORT_SCHEMA};
-use crate::spec::{CampaignSpec, SeriesMode, SeriesSolver, SeriesSpec};
-use hpgmxp_core::benchmark::{
-    run_phase, run_policy_phase, validate, validate_policy_checked, PhaseResult, ValidationMode,
-};
+use crate::spec::{CampaignSpec, SeriesMode, SeriesSpec};
+use hpgmxp_core::benchmark::{run_phase, validate, PhaseResult, ValidationMode};
 use hpgmxp_core::config::BenchmarkParams;
 use hpgmxp_core::motifs::Motif;
+use hpgmxp_core::policy::PrecisionPolicy;
 use hpgmxp_machine::simulate::{simulate, SimConfig};
 use hpgmxp_machine::{MachineModel, NetworkModel};
 use std::collections::HashMap;
 
-/// The paper's measured 1-node iteration penalty of the classic mixed
-/// solver (2305/2382) — the default for modeled `"mxp"` cells with no
-/// explicit or measured penalty, matching `SimConfig::paper_mxp`.
+/// The paper's measured 1-node iteration penalty of its mixed solver
+/// (2305/2382) — the default for modeled `"mxp"` cells with no explicit
+/// or measured penalty, matching `SimConfig::paper_mxp`.
 pub const PAPER_MXP_PENALTY: f64 = 2305.0 / 2382.0;
 
 /// The scale axis of one planned cell.
@@ -146,14 +144,14 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
 
     for (i, cp) in cells.iter().enumerate() {
         let series = &spec.series[cp.series];
-        let solver = series.policies[cp.policy].resolve()?;
+        let policy = series.policies[cp.policy].resolve()?;
         eprintln!(
             "[campaign {}] cell {}/{} series `{}` policy `{}` {:?} ({:.1}s elapsed)",
             spec.name,
             i + 1,
             total,
             series.label,
-            solver.label(),
+            policy.name,
             cp.scale,
             t0.elapsed().as_secs_f64()
         );
@@ -161,26 +159,22 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
         // Hybrid policies reconcile bytes once, before any cell runs.
         let key = (cp.series, cp.policy);
         if series.mode == SeriesMode::Hybrid {
-            if let SeriesSolver::Policy(p) = &solver {
-                let st = states.entry(key).or_default();
-                if st.reconciled.is_none() {
-                    let m = reconcile(&params, p)?;
-                    st.traffic = Some(m);
-                    st.reconciled = Some(true);
-                    eprintln!(
-                        "[campaign {}]   bytes reconciled for `{}` at P={} \
-                         (spmv value {:.0} B, wire {:.0} B)",
-                        spec.name, p.name, RECONCILE_RANKS, m.spmv_value, m.wire
-                    );
-                }
+            let st = states.entry(key).or_default();
+            if st.reconciled.is_none() {
+                let m = reconcile(&params, &policy)?;
+                st.traffic = Some(m);
+                st.reconciled = Some(true);
+                eprintln!(
+                    "[campaign {}]   bytes reconciled for `{}` at P={} \
+                     (spmv value {:.0} B, wire {:.0} B)",
+                    spec.name, policy.name, RECONCILE_RANKS, m.spmv_value, m.wire
+                );
             }
         }
 
         let cell = match cp.scale {
             CellScale::Measured { ranks } => {
-                let mut cell = measured_cell(&params, series, &solver, ranks).map_err(|e| {
-                    format!("series `{}` policy `{}`: {e}", series.label, solver.label())
-                })?;
+                let mut cell = measured_cell(&params, series, &policy, ranks);
                 let st = states.entry(key).or_default();
                 if cell.status == CellStatus::Rated {
                     if let Some(p) = cell.penalty {
@@ -202,7 +196,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
                     let mut cell = CellReport::new(
                         &series.label,
                         series.mode,
-                        solver.label(),
+                        &policy.name,
                         nodes * machine.devices_per_node,
                     );
                     cell.nodes = Some(nodes);
@@ -217,12 +211,12 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
                 let (penalty, provenance) = match (series.penalty, st.measured_penalty) {
                     (Some(p), _) => (p, "spec penalty"),
                     (None, Some(p)) => (p, "penalty from measured validation on this host"),
-                    (None, None) => match solver {
-                        SeriesSolver::ClassicMixed => (PAPER_MXP_PENALTY, "paper 1-node penalty"),
-                        _ => (1.0, "no penalty applied"),
-                    },
+                    (None, None) if policy.name == "mxp" => {
+                        (PAPER_MXP_PENALTY, "paper 1-node penalty")
+                    }
+                    (None, None) => (1.0, "no penalty applied"),
                 };
-                let mut cell = modeled_cell(spec, series, &solver, &machine, &net, nodes, penalty);
+                let mut cell = modeled_cell(spec, series, &policy, &machine, &net, nodes, penalty);
                 cell.note = provenance.to_string();
                 cell.reconciled = st.reconciled;
                 cell.spmv_value_bytes = st.traffic.map(|t| t.spmv_value);
@@ -240,54 +234,37 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
     Ok(report)
 }
 
-/// Execute one measured cell.
+/// Execute one measured cell: validation (the iteration penalty), then
+/// the timed phase if the policy's solver converged.
 fn measured_cell(
     params: &BenchmarkParams,
     series: &SeriesSpec,
-    solver: &SeriesSolver,
+    policy: &PrecisionPolicy,
     ranks: usize,
-) -> Result<CellReport, String> {
-    let mut cell = CellReport::new(&series.label, series.mode, solver.label(), ranks);
+) -> CellReport {
+    let mut cell = CellReport::new(&series.label, series.mode, &policy.name, ranks);
     cell.transport = hpgmxp_comm::Transport::from_env().name().to_string();
     // Per-cell metrics delta: only populated when the registry is
     // armed, so untraced campaign reports (the golden, cross-transport
     // compares) stay free of timing-dependent fields.
     let metrics_before = hpgmxp_trace::MetricsSnapshot::capture();
-    match solver {
-        SeriesSolver::ClassicDouble => {
-            let phase = run_phase(params, series.variant, ranks, false);
-            fill_measured(&mut cell, &phase, 1.0);
-        }
-        SeriesSolver::ClassicMixed => {
-            let v = validate(params, series.variant, ranks, ValidationMode::Standard);
-            let phase = run_phase(params, series.variant, ranks, true);
-            cell.nd = Some(v.nd);
-            cell.nir = Some(v.nir);
-            cell.penalty = Some(v.penalty);
-            fill_measured(&mut cell, &phase, v.penalty);
-        }
-        SeriesSolver::Policy(policy) => {
-            let pv = validate_policy_checked(params, series.variant, ranks, policy);
-            cell.nd = Some(pv.result.nd);
-            cell.nir = Some(pv.result.nir);
-            if pv.converged {
-                cell.penalty = Some(pv.result.penalty);
-                let phase = run_policy_phase(params, series.variant, ranks, policy);
-                fill_measured(&mut cell, &phase, pv.result.penalty);
-            } else {
-                // The honesty path: no GF/s for a broken solver.
-                cell.status = CellStatus::Unrated;
-                cell.note = format!(
-                    "breakdown at relres {:.3e} after {} iterations",
-                    pv.ir_final_relres, pv.result.nir
-                );
-            }
-        }
+    let v = validate(params, series.variant, ranks, ValidationMode::Standard, policy);
+    cell.nd = Some(v.nd);
+    cell.nir = Some(v.nir);
+    if v.converged {
+        cell.penalty = Some(v.penalty);
+        let phase = run_phase(params, series.variant, ranks, policy);
+        fill_measured(&mut cell, &phase, v.penalty);
+    } else {
+        // The honesty path: no GF/s for a broken solver.
+        cell.status = CellStatus::Unrated;
+        cell.note =
+            format!("breakdown at relres {:.3e} after {} iterations", v.ir_final_relres, v.nir);
     }
     if hpgmxp_trace::counters_armed() {
         cell.metrics = Some(hpgmxp_trace::MetricsSnapshot::capture().delta_since(&metrics_before));
     }
-    Ok(cell)
+    cell
 }
 
 fn fill_measured(cell: &mut CellReport, phase: &PhaseResult, penalty: f64) {
@@ -302,40 +279,29 @@ fn fill_measured(cell: &mut CellReport, phase: &PhaseResult, penalty: f64) {
 fn modeled_cell(
     spec: &CampaignSpec,
     series: &SeriesSpec,
-    solver: &SeriesSolver,
+    policy: &PrecisionPolicy,
     machine: &MachineModel,
     net: &NetworkModel,
     nodes: usize,
     penalty: f64,
 ) -> CellReport {
-    let local = series.modeled_local.unwrap_or(spec.local);
-    let base = SimConfig {
-        local,
+    let cfg = SimConfig {
+        local: series.modeled_local.unwrap_or(spec.local),
         mg_levels: spec.mg_levels,
         restart: spec.restart,
         variant: series.variant,
-        mixed: true,
-        inner_bytes: 4,
         penalty,
-        policy: None,
-    };
-    let cfg = match solver {
-        SeriesSolver::ClassicMixed => base,
-        SeriesSolver::ClassicDouble => SimConfig { mixed: false, penalty: 1.0, ..base },
-        SeriesSolver::Policy(p) => SimConfig { policy: Some(p.clone()), ..base },
+        policy: policy.clone(),
     };
     let ranks = nodes * machine.devices_per_node;
     let r = simulate(&cfg, machine, net, ranks);
-    let mut cell = CellReport::new(&series.label, series.mode, solver.label(), ranks);
+    let mut cell = CellReport::new(&series.label, series.mode, &policy.name, ranks);
     cell.nodes = Some(nodes);
     cell.transport = "model".into();
     cell.gflops_per_rank = Some(r.gflops_per_rank);
     cell.gflops_per_rank_raw = Some(r.gflops_per_rank_raw);
     cell.total_pflops = Some(r.total_pflops);
-    cell.penalty = Some(match solver {
-        SeriesSolver::ClassicDouble => 1.0,
-        _ => penalty.min(1.0),
-    });
+    cell.penalty = Some(cfg.applied_penalty());
     cell.motif_gflops = motif_gflops(|m| (r.per_iter.seconds(m), r.per_iter.flops(m)));
     cell
 }
@@ -404,7 +370,7 @@ mod tests {
             assert!(c.total_pflops.unwrap() > 0.0);
             assert_eq!(c.ranks, c.nodes.unwrap() * 8, "Frontier has 8 GCDs per node");
         }
-        // Classic mxp cells default to the paper's measured penalty.
+        // `mxp` cells default to the paper's measured penalty.
         let mxp = report.find_cell("s", "mxp", Some(512), None).unwrap();
         assert!((mxp.penalty.unwrap() - PAPER_MXP_PENALTY).abs() < 1e-12);
         // Weak scaling: GF/rank non-increasing with node count.

@@ -21,8 +21,8 @@ pub const SPEC_SCHEMA: u32 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SeriesMode {
     /// Real runs over `ThreadWorld` thread-ranks
-    /// (`core::benchmark::{run_phase, run_policy_phase,
-    /// validate_policy_checked}`): one cell per policy × rank count.
+    /// (`core::benchmark::{validate, run_phase}`): one cell per policy
+    /// × rank count.
     Measured,
     /// Machine-model projections (`machine::simulate`): one cell per
     /// policy × node count.
@@ -36,47 +36,25 @@ pub enum SeriesMode {
 }
 
 /// A precision scenario reference: a shipped policy by name, an inline
-/// policy definition, or one of the two reserved classic solvers.
+/// policy definition, or one of the benchmark's two phase labels.
 ///
-/// Reserved names (resolved ahead of the shipped policy list):
+/// Reserved names (resolved ahead of the shipped policy list) — the
+/// paper's pair, reported under the benchmark's own labels:
 ///
-/// * `"mxp"` — the classic mixed-precision benchmark pair (GMRES-IR
-///   with the fp32 inner solve; measured via `run_phase(mixed)`,
-///   modeled via the classic `mixed`/`inner_bytes` path);
-/// * `"double"` — pure-f64 GMRES (the "double" reference phase).
+/// * `"mxp"` — the `f32` policy (GMRES-IR with the fp32 inner solve);
+///   modeled cells default to the paper's measured 1-node penalty;
+/// * `"double"` — the `f64` policy (the "double" reference phase).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyRef {
     /// Name of a shipped policy (`PrecisionPolicy::by_name`) or a
-    /// reserved classic solver (`"mxp"` / `"double"`).
+    /// reserved phase label (`"mxp"` / `"double"`).
     pub name: Option<String>,
     /// Inline policy definition (wins over `name` when both are set).
     pub inline: Option<PrecisionPolicy>,
 }
 
-/// A resolved [`PolicyRef`]: which solver a cell runs or models.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SeriesSolver {
-    /// Classic mixed-precision GMRES-IR (fp32 inner solve).
-    ClassicMixed,
-    /// Classic pure-f64 GMRES.
-    ClassicDouble,
-    /// A runtime precision policy.
-    Policy(PrecisionPolicy),
-}
-
-impl SeriesSolver {
-    /// Short label used in report cells.
-    pub fn label(&self) -> &str {
-        match self {
-            SeriesSolver::ClassicMixed => "mxp",
-            SeriesSolver::ClassicDouble => "double",
-            SeriesSolver::Policy(p) => &p.name,
-        }
-    }
-}
-
 impl PolicyRef {
-    /// Reference a shipped policy or reserved solver by name.
+    /// Reference a shipped policy or reserved phase label by name.
     pub fn by_name(name: &str) -> Self {
         PolicyRef { name: Some(name.to_string()), inline: None }
     }
@@ -86,16 +64,16 @@ impl PolicyRef {
         PolicyRef { name: None, inline: Some(policy) }
     }
 
-    /// Resolve to a concrete solver.
-    pub fn resolve(&self) -> Result<SeriesSolver, String> {
+    /// Resolve to the policy a cell runs or models; its `name` is the
+    /// cell's report label.
+    pub fn resolve(&self) -> Result<PrecisionPolicy, String> {
         if let Some(p) = &self.inline {
-            return Ok(SeriesSolver::Policy(p.clone()));
+            return Ok(p.clone());
         }
         match self.name.as_deref() {
-            Some("mxp") => Ok(SeriesSolver::ClassicMixed),
-            Some("double") => Ok(SeriesSolver::ClassicDouble),
+            Some("mxp") => Ok(PrecisionPolicy::f32().named("mxp")),
+            Some("double") => Ok(PrecisionPolicy::f64().named("double")),
             Some(n) => PrecisionPolicy::by_name(n)
-                .map(SeriesSolver::Policy)
                 .ok_or_else(|| format!("unknown policy `{n}` (and no inline definition)")),
             None => Err("policy reference needs a `name` or an `inline` definition".to_string()),
         }
@@ -327,11 +305,14 @@ mod tests {
     }
 
     #[test]
-    fn reserved_names_resolve_to_classic_solvers() {
-        assert_eq!(PolicyRef::by_name("mxp").resolve().unwrap(), SeriesSolver::ClassicMixed);
-        assert_eq!(PolicyRef::by_name("double").resolve().unwrap(), SeriesSolver::ClassicDouble);
+    fn reserved_names_resolve_to_the_benchmark_pair() {
+        let mxp = PolicyRef::by_name("mxp").resolve().unwrap();
+        assert_eq!(mxp, PrecisionPolicy::f32().named("mxp"));
+        let double = PolicyRef::by_name("double").resolve().unwrap();
+        assert_eq!(double.name, "double");
+        assert!(double.is_double() && !mxp.is_double());
         let f32p = PolicyRef::by_name("f32").resolve().unwrap();
-        assert_eq!(f32p.label(), "f32");
+        assert_eq!(f32p.name, "f32");
         assert!(PolicyRef::by_name("nope").resolve().is_err());
     }
 
@@ -355,7 +336,7 @@ mod tests {
     fn inline_policy_wins_over_name() {
         let custom = PrecisionPolicy::uniform("custom", PrecKind::F16, PrecKind::F32);
         let r = PolicyRef { name: Some("f64".into()), inline: Some(custom.clone()) };
-        assert_eq!(r.resolve().unwrap(), SeriesSolver::Policy(custom));
+        assert_eq!(r.resolve().unwrap(), custom);
     }
 
     #[test]

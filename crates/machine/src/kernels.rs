@@ -186,21 +186,11 @@ pub fn waxpby(n: f64, sb: usize) -> KernelCost {
     KernelCost { bytes: 3.0 * n * sb as f64, flops: flops::waxpby(n as usize) }
 }
 
-/// The fused f64→f32 scale-and-narrow residual hand-off of GMRES-IR.
-pub fn scale_narrow(n: f64) -> KernelCost {
-    scale_narrow_split(n, 4)
-}
-
-/// The scale-and-narrow hand-off at an arbitrary inner width: read the
-/// f64 residual, write the `lo_b`-byte narrowed copy (the policy
-/// engine's compute axis decides `lo_b`).
+/// The fused scale-and-narrow residual hand-off of GMRES-IR at an
+/// arbitrary inner width: read the f64 residual, write the `lo_b`-byte
+/// narrowed copy (the policy's compute axis decides `lo_b`).
 pub fn scale_narrow_split(n: f64, lo_b: usize) -> KernelCost {
     KernelCost { bytes: n * (8.0 + lo_b as f64), flops: flops::scal(n as usize) }
-}
-
-/// The mixed f32→f64 solution update (read f32 correction, RMW f64 x).
-pub fn axpy_mixed(n: f64) -> KernelCost {
-    axpy_mixed_split(n, 4)
 }
 
 /// The widening solution update at an arbitrary inner width: read the
@@ -295,9 +285,9 @@ mod tests {
 
     #[test]
     fn mixed_kernels_cost() {
-        let c = scale_narrow(1000.0);
+        let c = scale_narrow_split(1000.0, 4);
         assert_eq!(c.bytes, 12_000.0);
-        let a = axpy_mixed(1000.0);
+        let a = axpy_mixed_split(1000.0, 4);
         assert_eq!(a.bytes, 20_000.0);
     }
 }

@@ -14,19 +14,18 @@
 //!
 //! **Precision resolution.** Each level's kernels are priced at three
 //! independent widths (matrix-value storage, vector/accumulate, halo
-//! wire), resolved per level from either the classic
-//! `mixed`/`inner_bytes` pair (all three follow the inner width — the
-//! pre-policy behavior, bit-compatible) or from a runtime
-//! [`PrecisionPolicy`] via [`SimConfig::policy`]: storage per multigrid
-//! level through the split kernels ([`kernels::spmv_ell_split`] /
-//! [`kernels::gs_multicolor_ell_split`] / [`kernels::
-//! fused_restrict_split`]), peak rates keyed by the compute kind
-//! ([`MachineModel::kernel_time_kind`]), and halo volume at the wire
-//! width (the same byte shares as [`Workload::policy_matrix_bytes`] /
-//! [`Workload::policy_wire_bytes`], which the campaign harness
-//! reconciles against measurement). A policy run always models
-//! GMRES-IR — the outer residual SpMV and outer vector work stay f64,
-//! exactly like `gmres_ir_solve_policy`.
+//! wire), resolved per level from the [`PrecisionPolicy`] in
+//! [`SimConfig::policy`]: storage per multigrid level through the split
+//! kernels ([`kernels::spmv_ell_split`] / [`kernels::
+//! gs_multicolor_ell_split`] / [`kernels::fused_restrict_split`]), peak
+//! rates keyed by the compute kind ([`MachineModel::kernel_time_kind`]),
+//! and halo volume at the wire width (the same byte shares as
+//! [`Workload::policy_matrix_bytes`] / [`Workload::policy_wire_bytes`],
+//! which the campaign harness reconciles against measurement). The
+//! outer residual SpMV and outer vector work stay f64, exactly like
+//! `gmres_ir_solve_policy`; every policy but plain double
+//! ([`PrecisionPolicy::is_double`]) additionally pays the GMRES-IR
+//! narrow/widen hand-off and its iteration penalty.
 
 use crate::kernels::{self, KernelCost};
 use crate::model::MachineModel;
@@ -49,37 +48,21 @@ pub struct SimConfig {
     pub restart: usize,
     /// Implementation variant.
     pub variant: ImplVariant,
-    /// Mixed-precision (GMRES-IR) vs pure double GMRES.
-    pub mixed: bool,
-    /// Scalar width of the inner solve when `mixed` (4 = f32, the
-    /// benchmark; 2 = fp16, the paper's §5 future-work projection).
-    pub inner_bytes: usize,
     /// Iteration-ratio penalty `min(1, n_d/n_ir)` applied to the final
-    /// rating (only meaningful for mixed runs; the paper measured
+    /// rating (ignored for the plain double policy; the paper measured
     /// 0.968 at 1 node).
     pub penalty: f64,
-    /// Runtime precision policy to model instead of the classic
-    /// `mixed`/`inner_bytes` pair. When set it overrides both: the
-    /// inner solve is GMRES-IR with per-level storage, compute, and
-    /// wire widths taken from the policy's three axes (the modeled
-    /// counterpart of `run_policy_phase`).
-    pub policy: Option<PrecisionPolicy>,
+    /// Precision policy to model: per-level storage, compute, and wire
+    /// widths of the inner solve (the modeled counterpart of
+    /// `run_phase`).
+    pub policy: PrecisionPolicy,
 }
 
 impl SimConfig {
     /// The paper's Frontier operating point (Table 1), optimized
     /// implementation, mixed precision, measured 1-node penalty.
     pub fn paper_mxp() -> Self {
-        SimConfig {
-            local: (320, 320, 320),
-            mg_levels: 4,
-            restart: 30,
-            variant: ImplVariant::Optimized,
-            mixed: true,
-            inner_bytes: 4,
-            penalty: 2305.0 / 2382.0,
-            policy: None,
-        }
+        Self::paper_policy(PrecisionPolicy::f32(), 2305.0 / 2382.0)
     }
 
     /// The §5 future-work configuration: the inner solve at fp16.
@@ -88,41 +71,49 @@ impl SimConfig {
     /// refinement cycles than f32; see the half_precision_future
     /// example).
     pub fn paper_mxp_fp16() -> Self {
-        SimConfig { inner_bytes: 2, penalty: 0.85, ..Self::paper_mxp() }
+        Self::paper_policy(PrecisionPolicy::stress_f16(), 0.85)
     }
 
     /// Same operating point, pure double (the "double" phase).
     pub fn paper_double() -> Self {
-        SimConfig { mixed: false, penalty: 1.0, ..Self::paper_mxp() }
+        Self::paper_policy(PrecisionPolicy::f64(), 1.0)
     }
 
     /// The paper operating point under a runtime precision policy with
     /// an iteration penalty (`min(1, n_d/n_ir)`, typically the measured
     /// ratio a Hybrid campaign cell produced).
     pub fn paper_policy(policy: PrecisionPolicy, penalty: f64) -> Self {
-        SimConfig { policy: Some(policy), penalty, ..Self::paper_mxp() }
+        SimConfig {
+            local: (320, 320, 320),
+            mg_levels: 4,
+            restart: 30,
+            variant: ImplVariant::Optimized,
+            penalty,
+            policy,
+        }
     }
 
     /// Is the modeled solver GMRES-IR (inner/outer hand-off work
-    /// present)? True for classic mixed runs and for every policy run.
+    /// present)? True for every policy but plain double.
     fn is_ir(&self) -> bool {
-        self.policy.is_some() || self.mixed
+        !self.policy.is_double()
+    }
+
+    /// The factor the rating is multiplied by: `min(1, penalty)`, or 1
+    /// for plain double, which has no refinement to be penalized for.
+    pub fn applied_penalty(&self) -> f64 {
+        if self.is_ir() {
+            self.penalty.min(1.0)
+        } else {
+            1.0
+        }
     }
 
     /// Resolved precision widths of multigrid level `depth` of the
     /// inner solve.
     fn inner_prec(&self, depth: usize) -> LevelPrec {
-        match &self.policy {
-            Some(p) => LevelPrec {
-                storage_b: p.storage_at(depth).bytes(),
-                acc: p.compute,
-                wire_b: p.wire.bytes(),
-            },
-            None => {
-                let sb = if self.mixed { self.inner_bytes } else { 8 };
-                LevelPrec { storage_b: sb, acc: kind_of_width(sb), wire_b: sb }
-            }
-        }
+        let p = &self.policy;
+        LevelPrec { storage_b: p.storage_at(depth).bytes(), acc: p.compute, wire_b: p.wire.bytes() }
     }
 }
 
@@ -144,16 +135,6 @@ struct LevelPrec {
 impl LevelPrec {
     fn acc_b(self) -> usize {
         self.acc.bytes()
-    }
-}
-
-/// Precision kind of a classic scalar width (8 → f64, 4 → f32,
-/// otherwise fp16 — the only widths the classic path uses).
-fn kind_of_width(bytes: usize) -> PrecKind {
-    match bytes {
-        8 => PrecKind::F64,
-        4 => PrecKind::F32,
-        _ => PrecKind::F16,
     }
 }
 
@@ -377,8 +358,7 @@ pub fn simulate(
 
     let time_per_iter = acc.total_seconds();
     let gflops_raw = acc.total_flops() / time_per_iter / 1e9;
-    let penalty = if cfg.is_ir() { cfg.penalty.min(1.0) } else { 1.0 };
-    let gflops = gflops_raw * penalty;
+    let gflops = gflops_raw * cfg.applied_penalty();
     SimResult {
         ranks,
         per_iter: acc,
@@ -400,17 +380,17 @@ pub fn weak_scaling(
     rank_counts.iter().map(|&p| simulate(cfg, machine, net, p)).collect()
 }
 
-/// Per-motif penalized speedups of mixed over double at one scale
-/// (figure 5's bars), plus the total.
+/// Per-motif penalized speedups of `base`'s policy over plain double at
+/// one scale (figure 5's bars), plus the total.
 pub fn motif_speedups(
     base: &SimConfig,
     machine: &MachineModel,
     net: &NetworkModel,
     ranks: usize,
 ) -> Vec<(String, f64)> {
-    let mxp = simulate(&SimConfig { mixed: true, ..base.clone() }, machine, net, ranks);
+    let mxp = simulate(base, machine, net, ranks);
     let dbl = simulate(
-        &SimConfig { mixed: false, penalty: 1.0, policy: None, ..base.clone() },
+        &SimConfig { policy: PrecisionPolicy::f64(), ..base.clone() },
         machine,
         net,
         ranks,
@@ -529,16 +509,7 @@ mod tests {
         // Figure 6: the same shape on a K80 cluster.
         let m = MachineModel::k80_die();
         let n = NetworkModel::commodity_ib();
-        let cfg = SimConfig {
-            local: (64, 64, 64),
-            mg_levels: 4,
-            restart: 30,
-            variant: ImplVariant::Optimized,
-            mixed: true,
-            inner_bytes: 4,
-            penalty: 0.97,
-            policy: None,
-        };
+        let cfg = SimConfig { local: (64, 64, 64), penalty: 0.97, ..SimConfig::paper_mxp() };
         let sp = motif_speedups(&cfg, &m, &n, 8);
         let total = sp.iter().find(|(l, _)| l == "Total").unwrap().1;
         assert!(total > 1.2 && total < 2.0, "K80 total speedup = {}", total);
@@ -576,29 +547,6 @@ mod tests {
         let a = simulate(&SimConfig { penalty: 0.5, ..SimConfig::paper_double() }, &m, &n, 8);
         let b = simulate(&SimConfig::paper_double(), &m, &n, 8);
         assert_eq!(a.gflops_per_rank, b.gflops_per_rank);
-    }
-
-    #[test]
-    fn uniform_f32_policy_reproduces_classic_mixed_path_exactly() {
-        // The classic mixed path (inner_bytes = 4) and the uniform-f32
-        // policy describe the same solver; the policy resolution layer
-        // must not perturb a single term.
-        let (m, n) = frontier();
-        for ranks in [8usize, 512, 75_264] {
-            let classic = simulate(&SimConfig::paper_mxp(), &m, &n, ranks);
-            let policy = simulate(
-                &SimConfig::paper_policy(
-                    PrecisionPolicy::by_name("f32").unwrap(),
-                    SimConfig::paper_mxp().penalty,
-                ),
-                &m,
-                &n,
-                ranks,
-            );
-            assert_eq!(classic.time_per_iter, policy.time_per_iter);
-            assert_eq!(classic.gflops_per_rank, policy.gflops_per_rank);
-            assert_eq!(classic.total_pflops, policy.total_pflops);
-        }
     }
 
     #[test]

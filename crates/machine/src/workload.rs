@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn nnz_closed_form_matches_real_assembly_distributed() {
-        use hpgmxp_core::problem::{assemble, ProblemSpec};
+        use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
         use hpgmxp_geometry::Stencil27;
         // 27 ranks: the middle rank is fully interior.
         let procs = ProcGrid::factor(27);
@@ -239,7 +239,7 @@ mod tests {
             mg_levels: 1,
             seed: 1,
         };
-        let prob = assemble(&spec, mid as usize);
+        let prob = assemble_with_policy(&spec, mid as usize, &PrecisionPolicy::f64());
         let wl = Workload::build((4, 4, 4), 1, 30, 27);
         assert_eq!(wl.fine().nnz, prob.levels[0].nnz() as f64);
         assert_eq!(wl.fine().halo_msgs, 26);

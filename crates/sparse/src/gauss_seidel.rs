@@ -234,19 +234,6 @@ pub fn gs_multicolor<S: Scalar, M: SweepMatrix<S>>(
     }
 }
 
-/// Multicolor backward sweep (colors in reverse) for a symmetric
-/// multicolor smoother.
-pub fn gs_multicolor_backward<S: Scalar, M: SweepMatrix<S>>(
-    a: &M,
-    coloring: &Coloring,
-    r: &[S],
-    x: &mut [S],
-) {
-    for class in coloring.rows_of.iter().rev() {
-        gs_color_class(a, class, r, x);
-    }
-}
-
 /// Split a local matrix into `(D + L, U)`: the lower-triangular-plus-
 /// diagonal factor and the strictly upper part. Ghost columns belong to
 /// `U` (they are frozen inputs of a local sweep). This is the data

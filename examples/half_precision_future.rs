@@ -15,9 +15,10 @@
 //! Run: `cargo run --release --example half_precision_future`
 
 use hpg_mxp::comm::{SelfComm, Timeline};
-use hpg_mxp::core::gmres::{gmres_solve_f64, GmresOptions};
-use hpg_mxp::core::gmres_ir::{gmres_ir_solve, gmres_ir_solve_fp16};
-use hpg_mxp::core::problem::{assemble, ProblemSpec};
+use hpg_mxp::core::gmres::GmresOptions;
+use hpg_mxp::core::gmres_ir::gmres_ir_solve_policy;
+use hpg_mxp::core::policy::PrecisionPolicy;
+use hpg_mxp::core::problem::{assemble_with_policy, ProblemSpec};
 use hpg_mxp::geometry::{ProcGrid, Stencil27};
 use hpg_mxp::machine::simulate::{simulate, SimConfig};
 use hpg_mxp::machine::{MachineModel, NetworkModel};
@@ -31,13 +32,18 @@ fn main() {
         mg_levels: 4,
         seed: 7,
     };
-    let prob = assemble(&spec, 0);
     let tl = Timeline::disabled();
     let opts = GmresOptions { max_iters: 5000, track_history: true, ..Default::default() };
 
-    let (_, st64) = gmres_solve_f64(&SelfComm, &prob, &opts, &tl);
-    let (_, st32) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
-    let (_, st16) = gmres_ir_solve_fp16(&SelfComm, &prob, &opts, &tl);
+    // One assembly per precision setting: each problem holds only the
+    // matrices its policy's inner solve loads.
+    let solve = |policy: PrecisionPolicy| {
+        let prob = assemble_with_policy(&spec, 0, &policy);
+        gmres_ir_solve_policy(&SelfComm, &prob, &policy, &opts, &tl).1
+    };
+    let st64 = solve(PrecisionPolicy::f64());
+    let st32 = solve(PrecisionPolicy::f32());
+    let st16 = solve(PrecisionPolicy::stress_f16());
 
     println!(
         "{:<26} {:>8} {:>10} {:>14} {:>12}",

@@ -5,7 +5,8 @@
 //!
 //! Run: `cargo run --release --example mixed_precision_study`
 
-use hpg_mxp::core::problem::{assemble, ProblemSpec};
+use hpg_mxp::core::policy::PrecisionPolicy;
+use hpg_mxp::core::problem::{assemble_with_policy, ProblemSpec};
 use hpg_mxp::geometry::{ProcGrid, Stencil27};
 use hpg_mxp::sparse::blas::{self, Basis};
 use hpg_mxp::sparse::gauss_seidel::gs_multicolor;
@@ -36,7 +37,7 @@ fn main() {
         mg_levels: 1,
         seed: 3,
     };
-    let problem = assemble(&spec, 0);
+    let problem = assemble_with_policy(&spec, 0, &PrecisionPolicy::f64());
     let l = &problem.levels[0];
     let n = l.n_local();
     println!("measured f64 -> f32 kernel speedups, {}^3 ({} rows):\n", n_edge, n);

@@ -5,9 +5,10 @@
 
 use hpg_mxp::comm::{SelfComm, Timeline};
 use hpg_mxp::core::gmres::GmresOptions;
-use hpg_mxp::core::gmres_ir::gmres_ir_solve;
+use hpg_mxp::core::gmres_ir::gmres_ir_solve_policy;
 use hpg_mxp::core::motifs::Motif;
-use hpg_mxp::core::problem::{assemble, ProblemSpec};
+use hpg_mxp::core::policy::PrecisionPolicy;
+use hpg_mxp::core::problem::{assemble_with_policy, ProblemSpec};
 use hpg_mxp::geometry::{ProcGrid, Stencil27};
 
 fn main() {
@@ -21,7 +22,11 @@ fn main() {
         mg_levels: 4,
         seed: 7,
     };
-    let problem = assemble(&spec, 0);
+    // The precision policy names what the inner solve runs in; `f32` is
+    // the benchmark's mixed solver. Assembly materializes exactly the
+    // matrices that policy loads.
+    let policy = PrecisionPolicy::f32();
+    let problem = assemble_with_policy(&spec, 0, &policy);
     println!(
         "problem: {} rows, {} nonzeros, {} multigrid levels, {} colors on the fine level",
         problem.n_local(),
@@ -36,7 +41,7 @@ fn main() {
     let opts =
         GmresOptions { tol: 1e-9, max_iters: 500, track_history: true, ..Default::default() };
     let timeline = Timeline::disabled();
-    let (x, stats) = gmres_ir_solve(&SelfComm, &problem, &opts, &timeline);
+    let (x, stats) = gmres_ir_solve_policy(&SelfComm, &problem, &policy, &opts, &timeline);
 
     println!(
         "\nGMRES-IR: converged = {}, {} inner iterations in {} refinement cycles",

@@ -10,7 +10,8 @@
 
 use hpg_mxp::comm::{SelfComm, Timeline};
 use hpg_mxp::core::gmres::{gmres_solve_f64, GmresOptions};
-use hpg_mxp::core::problem::{assemble, ProblemSpec};
+use hpg_mxp::core::policy::PrecisionPolicy;
+use hpg_mxp::core::problem::{assemble_with_policy, ProblemSpec};
 use hpg_mxp::geometry::{ProcGrid, Stencil27};
 use hpg_mxp::sparse::ordering::bandwidth;
 use hpg_mxp::sparse::ordering::rcm_order;
@@ -24,7 +25,7 @@ fn main() {
         mg_levels: 4,
         seed: 7,
     };
-    let problem = assemble(&spec, 0);
+    let problem = assemble_with_policy(&spec, 0, &PrecisionPolicy::f64());
     let a = &problem.levels[0].csr64();
     let n = a.nrows();
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run a campaign spec with the release build and pinned environment,
-# writing the versioned JSON report under reports/ (mirrors
-# record_bench_baseline.sh's conventions). Run from the repository root:
+# writing the versioned JSON report under reports/. Run from the
+# repository root:
 #
 #   scripts/run_campaign.sh campaigns/policy_sweep.json        # 1 thread
 #   scripts/run_campaign.sh campaigns/smoke.json 4             # 4 threads

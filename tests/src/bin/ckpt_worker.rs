@@ -22,9 +22,9 @@
 
 use hpgmxp_comm::{run_spmd, Comm, FaultPlan, FaultyComm, Timeline};
 use hpgmxp_core::checkpoint::CheckpointSpec;
-use hpgmxp_core::gmres_ir::gmres_ir_solve_ckpt;
-use hpgmxp_core::problem::{assemble, ProblemSpec};
-use hpgmxp_core::GmresOptions;
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy_checked;
+use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
+use hpgmxp_core::{GmresOptions, PrecisionPolicy};
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 
 fn main() {
@@ -59,7 +59,8 @@ fn main() {
         let wrapper_plan =
             plan.clone().map(FaultPlan::without_wire_faults).unwrap_or_else(|| FaultPlan::clean(0));
         let c = FaultyComm::new(c, wrapper_plan).with_process_exit();
-        let prob = assemble(&spec, rank);
+        let mxp = PrecisionPolicy::f32();
+        let prob = assemble_with_policy(&spec, rank, &mxp);
         // On a restore attempt, peek at the committed checkpoint and
         // leave bit-exact evidence of the generation actually resumed
         // from — the e2e test asserts it is a mid-solve generation, not
@@ -88,7 +89,7 @@ fn main() {
         // crash always lands between two commits.
         let opts =
             GmresOptions { restart: 4, max_iters: 400, track_history: true, ..Default::default() };
-        match gmres_ir_solve_ckpt(&c, &prob, &opts, &tl, ckpt.as_ref()) {
+        match gmres_ir_solve_policy_checked(&c, &prob, &mxp, &opts, &tl, ckpt.as_ref()) {
             Ok((_, stats)) => {
                 if std::env::var("HPGMXP_CKPT_VERBOSE").is_ok() {
                     println!("rank {rank}: {} exchanges total", c.exchanges());

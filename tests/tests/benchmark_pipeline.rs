@@ -4,6 +4,7 @@
 use hpgmxp_core::benchmark::{run_benchmark, run_phase, validate, ValidationMode};
 use hpgmxp_core::config::{BenchmarkParams, ImplVariant};
 use hpgmxp_core::motifs::Motif;
+use hpgmxp_core::PrecisionPolicy;
 
 fn tiny() -> BenchmarkParams {
     BenchmarkParams {
@@ -22,8 +23,8 @@ fn phases_count_equal_flops_for_equal_iterations() {
     // same iteration count the mxp and double phases must count nearly
     // the same FLOPs (mixed adds only the narrow/widen kernels).
     let params = tiny();
-    let mxp = run_phase(&params, ImplVariant::Optimized, 2, true);
-    let dbl = run_phase(&params, ImplVariant::Optimized, 2, false);
+    let mxp = run_phase(&params, ImplVariant::Optimized, 2, &PrecisionPolicy::f32());
+    let dbl = run_phase(&params, ImplVariant::Optimized, 2, &PrecisionPolicy::f64());
     assert_eq!(mxp.iters, dbl.iters);
     let f_mxp: f64 = mxp.motif_flops.iter().map(|(_, v)| v).sum();
     let f_dbl: f64 = dbl.motif_flops.iter().map(|(_, v)| v).sum();
@@ -47,8 +48,9 @@ fn validation_modes_agree_at_small_scale() {
     // their counts must be identical (Table 2's small-node rows, where
     // std and fullscale ratios match).
     let params = tiny();
-    let std = validate(&params, ImplVariant::Optimized, 2, ValidationMode::Standard);
-    let fs = validate(&params, ImplVariant::Optimized, 2, ValidationMode::FullScale);
+    let mxp = PrecisionPolicy::f32();
+    let std = validate(&params, ImplVariant::Optimized, 2, ValidationMode::Standard, &mxp);
+    let fs = validate(&params, ImplVariant::Optimized, 2, ValidationMode::FullScale, &mxp);
     assert_eq!(std.nd, fs.nd);
     assert_eq!(std.nir, fs.nir);
 }
@@ -57,8 +59,9 @@ fn validation_modes_agree_at_small_scale() {
 fn fullscale_validation_uses_all_ranks_standard_is_capped() {
     let mut params = tiny();
     params.validation_ranks = 2;
-    let std = validate(&params, ImplVariant::Optimized, 4, ValidationMode::Standard);
-    let fs = validate(&params, ImplVariant::Optimized, 4, ValidationMode::FullScale);
+    let mxp = PrecisionPolicy::f32();
+    let std = validate(&params, ImplVariant::Optimized, 4, ValidationMode::Standard, &mxp);
+    let fs = validate(&params, ImplVariant::Optimized, 4, ValidationMode::FullScale, &mxp);
     assert_eq!(std.ranks, 2, "standard mode validates on the configured subset");
     assert_eq!(fs.ranks, 4, "fullscale mode validates on every rank");
     // Larger global problem needs more iterations (the paper's
@@ -90,8 +93,8 @@ fn gs_dominates_flops_in_both_phases() {
     // Figure 7's structure: the multigrid smoother is the largest FLOP
     // (and usually time) component.
     let params = tiny();
-    for mixed in [true, false] {
-        let phase = run_phase(&params, ImplVariant::Optimized, 2, mixed);
+    for policy in [PrecisionPolicy::f32(), PrecisionPolicy::f64()] {
+        let phase = run_phase(&params, ImplVariant::Optimized, 2, &policy);
         let gs = phase.flops_of(Motif::GaussSeidel);
         for m in [Motif::SpMV, Motif::Ortho, Motif::Restriction, Motif::Prolongation] {
             assert!(gs > phase.flops_of(m), "GS must dominate {:?}", m);

@@ -6,6 +6,7 @@ use hpgmxp_comm::{run_spmd, Comm, Timeline};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::motifs::{Motif, MotifStats};
 use hpgmxp_core::ops::{dist_dot, dist_gs_sweep, dist_spmv, OpCtx, SweepDir};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{LocalGrid, ProcGrid};
 use hpgmxp_integration_tests::{dist_problem, serial_equivalent};
 
@@ -32,7 +33,7 @@ fn distributed_spmv_bitwise_matches_serial() {
     for procs in [ProcGrid::new(2, 1, 1), ProcGrid::new(2, 2, 1), ProcGrid::new(2, 2, 2)] {
         let n = 4u32;
         let p = procs.size() as usize;
-        let serial = serial_equivalent(n, procs, 1);
+        let serial = serial_equivalent(n, procs, 1, &PrecisionPolicy::f64());
         let sl = &serial.levels[0];
         let sx = serial_fill(&sl.grid, sl.vec_len());
         let mut sy = vec![0.0f64; sl.n_local()];
@@ -40,7 +41,7 @@ fn distributed_spmv_bitwise_matches_serial() {
 
         for variant in [ImplVariant::Optimized, ImplVariant::Reference] {
             let results = run_spmd(p, move |c| {
-                let prob = dist_problem(n, procs, c.rank(), 1);
+                let prob = dist_problem(n, procs, c.rank(), 1, &PrecisionPolicy::f64());
                 let l = &prob.levels[0];
                 let tl = Timeline::disabled();
                 let ctx = OpCtx::new(&c, variant, &tl);
@@ -75,7 +76,7 @@ fn reference_gs_sweep_matches_serial_lexicographic() {
     // simulation of exactly that semantics.
     let procs = ProcGrid::new(2, 1, 1);
     run_spmd(2, move |c| {
-        let prob = dist_problem(4, procs, c.rank(), 1);
+        let prob = dist_problem(4, procs, c.rank(), 1, &PrecisionPolicy::f64());
         let l = &prob.levels[0];
         let tl = Timeline::disabled();
         let r: Vec<f64> = (0..l.n_local()).map(|i| (i as f64 * 0.37).cos()).collect();
@@ -129,7 +130,7 @@ fn optimized_gs_is_deterministic_across_runs() {
     let runs: Vec<Vec<Vec<f64>>> = (0..2)
         .map(|_| {
             run_spmd(4, move |c| {
-                let prob = dist_problem(8, procs, c.rank(), 2);
+                let prob = dist_problem(8, procs, c.rank(), 2, &PrecisionPolicy::f64());
                 let l = &prob.levels[0];
                 let tl = Timeline::disabled();
                 let ctx = OpCtx::new(&c, ImplVariant::Optimized, &tl);

@@ -5,12 +5,17 @@
 
 use hpgmxp_comm::{run_spmd, Comm, Timeline};
 use hpgmxp_core::gmres::{gmres_solve_f64, GmresOptions};
-use hpgmxp_core::gmres_ir::gmres_ir_solve;
-use hpgmxp_core::problem::{assemble, ProblemSpec};
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
+use hpgmxp_core::problem::{assemble_with_policy, LocalProblem, ProblemSpec};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 
 fn spec(local: (u32, u32, u32), procs: ProcGrid, levels: usize) -> ProblemSpec {
     ProblemSpec { local, procs, stencil: Stencil27::symmetric(), mg_levels: levels, seed: 77 }
+}
+
+fn assemble_f64(spec: ProblemSpec, rank: usize) -> LocalProblem {
+    assemble_with_policy(&spec, rank, &PrecisionPolicy::f64())
 }
 
 #[test]
@@ -19,7 +24,7 @@ fn pencil_decomposition_1x1x8() {
     // neighbors and the halo is a single face each way.
     let procs = ProcGrid::new(1, 1, 8);
     let results = run_spmd(8, move |c| {
-        let prob = assemble(&spec((4, 4, 4), procs, 1), c.rank());
+        let prob = assemble_f64(spec((4, 4, 4), procs, 1), c.rank());
         let l = &prob.levels[0];
         let nbrs = l.halo.plan().neighbors.len();
         let tl = Timeline::disabled();
@@ -40,10 +45,11 @@ fn pencil_decomposition_1x1x8() {
 fn slab_decomposition_1x4x1() {
     let procs = ProcGrid::new(1, 4, 1);
     let results = run_spmd(4, move |c| {
-        let prob = assemble(&spec((4, 4, 4), procs, 2), c.rank());
+        let mxp = PrecisionPolicy::f32();
+        let prob = assemble_with_policy(&spec((4, 4, 4), procs, 2), c.rank(), &mxp);
         let tl = Timeline::disabled();
         let opts = GmresOptions { max_iters: 600, ..Default::default() };
-        let (_, st) = gmres_ir_solve(&c, &prob, &opts, &tl);
+        let (_, st) = gmres_ir_solve_policy(&c, &prob, &mxp, &opts, &tl);
         st.converged
     });
     assert!(results.into_iter().all(|c| c));
@@ -54,7 +60,7 @@ fn anisotropic_local_boxes() {
     // Non-cubic boxes exercise every index-arithmetic path that cubic
     // tests can't tell apart (nx, ny, nz all different).
     for local in [(8u32, 4u32, 2u32), (2, 8, 4), (4, 2, 8)] {
-        let prob = assemble(&spec(local, ProcGrid::new(1, 1, 1), 2), 0);
+        let prob = assemble_f64(spec(local, ProcGrid::new(1, 1, 1), 2), 0);
         assert_eq!(prob.n_local(), (local.0 * local.1 * local.2) as usize);
         let tl = Timeline::disabled();
         let opts = GmresOptions { max_iters: 400, tol: 1e-8, ..Default::default() };
@@ -70,7 +76,7 @@ fn anisotropic_local_boxes() {
 fn anisotropic_distributed_boxes() {
     let procs = ProcGrid::new(2, 1, 2);
     let results = run_spmd(4, move |c| {
-        let prob = assemble(&spec((4, 8, 2), procs, 1), c.rank());
+        let prob = assemble_f64(spec((4, 8, 2), procs, 1), c.rank());
         let tl = Timeline::disabled();
         let opts = GmresOptions { max_iters: 600, ..Default::default() };
         let (x, st) = gmres_solve_f64(&c, &prob, &opts, &tl);
@@ -87,7 +93,7 @@ fn anisotropic_distributed_boxes() {
 fn minimum_multigrid_box() {
     // The smallest legal 4-level box: 8^3 (coarsest level is a single
     // point per rank).
-    let prob = assemble(&spec((8, 8, 8), ProcGrid::new(1, 1, 1), 4), 0);
+    let prob = assemble_f64(spec((8, 8, 8), ProcGrid::new(1, 1, 1), 4), 0);
     assert_eq!(prob.levels[3].n_local(), 1);
     let tl = Timeline::disabled();
     let (_, st) = gmres_solve_f64(&hpgmxp_comm::SelfComm, &prob, &GmresOptions::default(), &tl);
@@ -98,7 +104,7 @@ fn minimum_multigrid_box() {
 fn two_point_domain() {
     // Degenerate global domain: 2 points along each axis — every row is
     // a corner row with 8 nonzeros.
-    let prob = assemble(&spec((2, 2, 2), ProcGrid::new(1, 1, 1), 1), 0);
+    let prob = assemble_f64(spec((2, 2, 2), ProcGrid::new(1, 1, 1), 1), 0);
     let a = &prob.levels[0].csr64();
     for i in 0..a.nrows() {
         let (cols, _) = a.row(i);
@@ -118,7 +124,7 @@ fn large_rank_count_assembles_consistently() {
     // neighbors — the shape the performance model assumes.
     let procs = ProcGrid::new(3, 3, 3);
     let results = run_spmd(27, move |c| {
-        let prob = assemble(&spec((2, 2, 2), procs, 1), c.rank());
+        let prob = assemble_f64(spec((2, 2, 2), procs, 1), c.rank());
         let l = &prob.levels[0];
         (c.rank(), l.halo.plan().neighbors.len(), l.nnz())
     });

@@ -21,7 +21,8 @@
 //! test would pollute the counted window.
 
 use hpgmxp_comm::{run_spmd, Comm, Timeline};
-use hpgmxp_core::problem::{assemble, ProblemSpec};
+use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,7 +79,7 @@ fn steady_state_exchange_allocates_nothing() {
     };
 
     let counted = run_spmd(ranks, move |c| {
-        let prob = assemble(
+        let prob = assemble_with_policy(
             &ProblemSpec {
                 local: (6, 6, 6),
                 procs,
@@ -87,6 +88,7 @@ fn steady_state_exchange_allocates_nothing() {
                 seed: 11,
             },
             c.rank(),
+            &PrecisionPolicy::f64(),
         );
         let l = &prob.levels[0];
         let tl = Timeline::disabled();

@@ -5,6 +5,7 @@
 use hpgmxp_core::benchmark::run_phase;
 use hpgmxp_core::config::{BenchmarkParams, ImplVariant};
 use hpgmxp_core::motifs::Motif;
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_machine::simulate::{simulate, SimConfig};
 use hpgmxp_machine::workload::Workload;
 use hpgmxp_machine::{MachineModel, NetworkModel};
@@ -26,7 +27,7 @@ fn modeled_flops_per_iteration_match_measured_counts() {
     // FLOP count against the model built from the same workload shape.
     let params = tiny_params();
     let ranks = 1usize;
-    let phase = run_phase(&params, ImplVariant::Optimized, ranks, false);
+    let phase = run_phase(&params, ImplVariant::Optimized, ranks, &PrecisionPolicy::f64());
     let measured_per_iter: f64 =
         phase.motif_flops.iter().map(|(_, v)| v).sum::<f64>() / phase.iters as f64;
 
@@ -35,10 +36,8 @@ fn modeled_flops_per_iteration_match_measured_counts() {
         mg_levels: params.mg_levels,
         restart: params.restart,
         variant: ImplVariant::Optimized,
-        mixed: false,
-        inner_bytes: 4,
         penalty: 1.0,
-        policy: None,
+        policy: PrecisionPolicy::f64(),
     };
     let m = MachineModel::cpu_socket();
     let n = NetworkModel::shared_memory();
@@ -57,12 +56,12 @@ fn modeled_flops_per_iteration_match_measured_counts() {
 
 #[test]
 fn workload_shape_matches_measured_problem_dimensions() {
-    use hpgmxp_core::problem::{assemble, ProblemSpec};
+    use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
     let params = tiny_params();
     let spec = ProblemSpec::from_params(&params, 8);
     let procs = spec.procs;
     let mid = procs.rank_of(procs.px / 2, procs.py / 2, procs.pz / 2);
-    let prob = assemble(&spec, mid as usize);
+    let prob = assemble_with_policy(&spec, mid as usize, &PrecisionPolicy::f64());
     let wl = Workload::build(params.local_dims, params.mg_levels, params.restart, 8);
     for (lvl, shape) in prob.levels.iter().zip(wl.levels.iter()) {
         assert_eq!(lvl.n_local() as f64, shape.n);
@@ -81,7 +80,7 @@ fn halo_bytes_reconcile_measured_vs_model_per_precision() {
     // the network model is charged (`halo_values × S::BYTES` in
     // trace/simulate) must agree — at fp64, fp32, and fp16 ghosts.
     use hpgmxp_comm::{run_spmd, Comm, Timeline};
-    use hpgmxp_core::problem::{assemble, ProblemSpec};
+    use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
     use hpgmxp_geometry::{ProcGrid, Stencil27};
     use hpgmxp_sparse::{Half, Scalar};
 
@@ -89,7 +88,7 @@ fn halo_bytes_reconcile_measured_vs_model_per_precision() {
         let procs = ProcGrid::factor(ranks);
         let mid = procs.rank_of(procs.px / 2, procs.py / 2, procs.pz / 2) as usize;
         let results = run_spmd(ranks as usize, move |c| {
-            let prob = assemble(
+            let prob = assemble_with_policy(
                 &ProblemSpec {
                     local: (local, local, local),
                     procs,
@@ -98,6 +97,7 @@ fn halo_bytes_reconcile_measured_vs_model_per_precision() {
                     seed: 3,
                 },
                 c.rank(),
+                &PrecisionPolicy::f64(),
             );
             let l = &prob.levels[0];
             let tl = Timeline::enabled();
@@ -137,13 +137,7 @@ fn model_time_is_monotone_in_problem_size_and_scale() {
     let n = NetworkModel::frontier_slingshot();
     let mk = |edge: u32| SimConfig {
         local: (edge, edge, edge),
-        mg_levels: 4,
-        restart: 30,
-        variant: ImplVariant::Optimized,
-        mixed: true,
-        inner_bytes: 4,
-        penalty: 1.0,
-        policy: None,
+        ..SimConfig::paper_policy(PrecisionPolicy::f32(), 1.0)
     };
     // More points per rank => more time per iteration.
     let t64 = simulate(&mk(64), &m, &n, 64).time_per_iter;
@@ -182,8 +176,8 @@ fn measured_motif_flops_agree_between_variants() {
     // FLOP accounting — except restriction, where the fused kernel
     // legitimately does ~8x less work (§3.2.4's updated accounting).
     let params = tiny_params();
-    let opt = run_phase(&params, ImplVariant::Optimized, 1, false);
-    let rf = run_phase(&params, ImplVariant::Reference, 1, false);
+    let opt = run_phase(&params, ImplVariant::Optimized, 1, &PrecisionPolicy::f64());
+    let rf = run_phase(&params, ImplVariant::Reference, 1, &PrecisionPolicy::f64());
     assert_eq!(opt.iters, rf.iters);
     for m in [Motif::GaussSeidel, Motif::SpMV, Motif::Ortho] {
         let fo = opt.flops_of(m);

@@ -16,8 +16,9 @@
 
 use hpgmxp_comm::{run_spmd, Comm, Timeline};
 use hpgmxp_core::gmres::GmresOptions;
-use hpgmxp_core::gmres_ir::gmres_ir_solve;
-use hpgmxp_core::problem::{assemble, ProblemSpec};
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
+use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 
 const TOL: f64 = 1e-9;
@@ -28,14 +29,16 @@ const TOL: f64 = 1e-9;
 fn solve_history(p: u32, local: (u32, u32, u32)) -> (Vec<u64>, usize, bool) {
     let procs = ProcGrid::factor(p);
     let results = run_spmd(p as usize, move |c| {
-        let prob = assemble(
+        let mxp = PrecisionPolicy::f32();
+        let prob = assemble_with_policy(
             &ProblemSpec { local, procs, stencil: Stencil27::symmetric(), mg_levels: 2, seed: 7 },
             c.rank(),
+            &mxp,
         );
         let opts =
             GmresOptions { max_iters: 60, tol: TOL, track_history: true, ..Default::default() };
         let tl = Timeline::disabled();
-        let (_, stats) = gmres_ir_solve(&c, &prob, &opts, &tl);
+        let (_, stats) = gmres_ir_solve_policy(&c, &prob, &mxp, &opts, &tl);
         (
             stats.history.iter().map(|h| h.to_bits()).collect::<Vec<u64>>(),
             stats.iters,

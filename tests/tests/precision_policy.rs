@@ -20,7 +20,7 @@ use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
 use hpgmxp_core::motifs::{Motif, MotifStats};
 use hpgmxp_core::ops::{dist_gs_sweep, dist_spmv, OpCtx, SweepDir};
 use hpgmxp_core::policy::PrecisionPolicy;
-use hpgmxp_core::problem::{assemble, assemble_with_policy, ProblemSpec};
+use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 use hpgmxp_sparse::csr::{CsrBuilder, CsrMatrix};
 use hpgmxp_sparse::{EllMatrix, PrecKind};
@@ -158,8 +158,8 @@ fn every_shipped_policy_reaches_1e9_with_reported_penalty() {
     let opts = GmresOptions { max_iters: 8000, tol: 1e-9, ..Default::default() };
 
     // The double-precision yardstick n_d.
-    let prob_full = assemble(&sp, 0);
-    let (_, st_d) = gmres_solve_f64(&SelfComm, &prob_full, &opts, &tl);
+    let prob_f64 = assemble_with_policy(&sp, 0, &PrecisionPolicy::f64());
+    let (_, st_d) = gmres_solve_f64(&SelfComm, &prob_f64, &opts, &tl);
     assert!(st_d.converged);
     let nd = st_d.iters;
 
@@ -232,8 +232,8 @@ fn f32_storage_under_f64_compute_matches_f64_iterations() {
     let tl = Timeline::disabled();
     let opts = GmresOptions { max_iters: 2000, tol: 1e-9, ..Default::default() };
 
-    let prob_full = assemble(&sp, 0);
-    let (_, st_d) = gmres_solve_f64(&SelfComm, &prob_full, &opts, &tl);
+    let prob_f64 = assemble_with_policy(&sp, 0, &PrecisionPolicy::f64());
+    let (_, st_d) = gmres_solve_f64(&SelfComm, &prob_f64, &opts, &tl);
 
     let policy = PrecisionPolicy::by_name("f32s-f64c").unwrap();
     let prob = assemble_with_policy(&sp, 0, &policy);
@@ -253,19 +253,31 @@ fn f32_storage_under_f64_compute_matches_f64_iterations() {
 #[test]
 fn policy_assembly_materializes_only_whats_needed() {
     let sp = spec(ProcGrid::new(1, 1, 1), 8, 2);
-    let full = assemble(&sp, 0);
+    let p64 = assemble_with_policy(&sp, 0, &PrecisionPolicy::f64());
+    assert_eq!(p64.levels[0].store.kinds(), vec![PrecKind::F64]);
+    assert_eq!(p64.levels[1].store.kinds(), vec![PrecKind::F64]);
+    // Resident values: ELL + CSR + the (D+L, U) factors, which hold
+    // every stored value once more.
+    let set = p64.levels[0].set64();
+    let factor_nnz = set.refpath.lower.nnz() + set.refpath.upper.nnz();
+    assert!(factor_nnz >= set.csr.nnz());
     assert_eq!(
-        full.levels[0].store.kinds(),
-        vec![PrecKind::F64, PrecKind::F32, PrecKind::F16],
-        "kitchen-sink assembly keeps every precision"
+        p64.levels[0].store.value_bytes(),
+        set.ell.value_bytes() + 8 * (set.csr.nnz() + factor_nnz)
     );
 
-    let p32 = assemble_with_policy(&sp, 0, &PrecisionPolicy::by_name("f32").unwrap());
+    let p32 = assemble_with_policy(&sp, 0, &PrecisionPolicy::f32());
     assert_eq!(p32.levels[0].store.kinds(), vec![PrecKind::F64, PrecKind::F32]);
     assert_eq!(p32.levels[1].store.kinds(), vec![PrecKind::F32]);
-    assert!(
-        p32.levels[0].store.value_bytes() < full.levels[0].store.value_bytes(),
-        "policy assembly must hold strictly fewer value bytes"
+    assert_eq!(
+        2 * p32.levels[1].store.value_bytes(),
+        p64.levels[1].store.value_bytes(),
+        "an inner-solve-only level holds the fp32 set alone: half the f64 policy's bytes"
+    );
+    assert_eq!(
+        2 * p32.levels[0].store.value_bytes(),
+        3 * p64.levels[0].store.value_bytes(),
+        "the fine level adds the fp32 set to the outer residual's f64 set"
     );
 
     let descent = assemble_with_policy(&sp, 0, &PrecisionPolicy::by_name("descent").unwrap());
@@ -284,7 +296,7 @@ fn distributed_split_and_wire_precision_behave() {
         let tl = Timeline::disabled();
 
         // Baseline: all-f64.
-        let prob = assemble(&sp, c.rank());
+        let prob = assemble_with_policy(&sp, c.rank(), &PrecisionPolicy::f64());
         let l = &prob.levels[0];
         let n = l.n_local();
         let mk_x =

@@ -6,12 +6,19 @@
 
 use hpgmxp_core::benchmark::{validate, ValidationMode};
 use hpgmxp_core::config::{BenchmarkParams, ImplVariant};
+use hpgmxp_core::PrecisionPolicy;
 
 #[test]
 fn standard_validation_converges_on_16cubed_single_rank() {
     let params =
         BenchmarkParams { local_dims: (16, 16, 16), validation_ranks: 1, ..Default::default() };
-    let result = validate(&params, ImplVariant::Optimized, 1, ValidationMode::Standard);
+    let result = validate(
+        &params,
+        ImplVariant::Optimized,
+        1,
+        ValidationMode::Standard,
+        &PrecisionPolicy::f32(),
+    );
 
     assert_eq!(result.mode, ValidationMode::Standard);
     assert_eq!(result.ranks, 1);

@@ -6,18 +6,21 @@ use hpgmxp_comm::{run_spmd, Comm, SelfComm, Timeline};
 use hpgmxp_core::cg::{cg_solve, CgOptions};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::gmres::{gmres_solve_f64, GmresOptions};
-use hpgmxp_core::gmres_ir::gmres_ir_solve;
-use hpgmxp_core::problem::{assemble, ProblemSpec};
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
+use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 use hpgmxp_integration_tests::dist_problem;
 
 #[test]
 fn all_three_solvers_agree_on_the_solution() {
-    let prob = dist_problem(16, ProcGrid::new(1, 1, 1), 0, 4);
+    let mxp = PrecisionPolicy::f32();
+    let prob = dist_problem(16, ProcGrid::new(1, 1, 1), 0, 4, &PrecisionPolicy::f64());
+    let prob_mxp = dist_problem(16, ProcGrid::new(1, 1, 1), 0, 4, &mxp);
     let tl = Timeline::disabled();
     let g_opts = GmresOptions { max_iters: 600, ..Default::default() };
     let (x_g, st_g) = gmres_solve_f64(&SelfComm, &prob, &g_opts, &tl);
-    let (x_ir, st_ir) = gmres_ir_solve(&SelfComm, &prob, &g_opts, &tl);
+    let (x_ir, st_ir) = gmres_ir_solve_policy(&SelfComm, &prob_mxp, &mxp, &g_opts, &tl);
     let (x_cg, st_cg) = cg_solve(&SelfComm, &prob, &CgOptions::default(), &tl);
     assert!(st_g.converged && st_ir.converged && st_cg.converged);
     for i in 0..prob.n_local() {
@@ -37,10 +40,12 @@ fn gmres_ir_penalty_overhead_is_bounded_by_one_cycle() {
     // absolute gap stays bounded).
     let tl = Timeline::disabled();
     for n in [8u32, 16, 24] {
-        let prob = dist_problem(n, ProcGrid::new(1, 1, 1), 0, 2);
+        let mxp = PrecisionPolicy::f32();
+        let prob = dist_problem(n, ProcGrid::new(1, 1, 1), 0, 2, &PrecisionPolicy::f64());
+        let prob_mxp = dist_problem(n, ProcGrid::new(1, 1, 1), 0, 2, &mxp);
         let opts = GmresOptions { max_iters: 3000, ..Default::default() };
         let (_, d) = gmres_solve_f64(&SelfComm, &prob, &opts, &tl);
-        let (_, ir) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+        let (_, ir) = gmres_ir_solve_policy(&SelfComm, &prob_mxp, &mxp, &opts, &tl);
         assert!(d.converged && ir.converged);
         let ratio = d.iters as f64 / ir.iters as f64;
         assert!(
@@ -67,10 +72,11 @@ fn variants_converge_on_every_decomposition() {
         let p = procs.size() as usize;
         for variant in [ImplVariant::Optimized, ImplVariant::Reference] {
             let results = run_spmd(p, move |c| {
-                let prob = dist_problem(8, procs, c.rank(), 2);
+                let mxp = PrecisionPolicy::f32();
+                let prob = dist_problem(8, procs, c.rank(), 2, &mxp);
                 let tl = Timeline::disabled();
                 let opts = GmresOptions { max_iters: 600, variant, ..Default::default() };
-                let (x, st) = gmres_ir_solve(&c, &prob, &opts, &tl);
+                let (x, st) = gmres_ir_solve_policy(&c, &prob, &mxp, &opts, &tl);
                 let err = x.iter().map(|v| (v - 1.0).abs()).fold(0.0f64, f64::max);
                 (st.converged, err)
             });
@@ -88,7 +94,7 @@ fn iteration_counts_identical_across_ranks_within_a_run() {
     // decisions (they share the reduction results).
     let procs = ProcGrid::new(2, 2, 2);
     let results = run_spmd(8, move |c| {
-        let prob = dist_problem(8, procs, c.rank(), 2);
+        let prob = dist_problem(8, procs, c.rank(), 2, &PrecisionPolicy::f64());
         let tl = Timeline::disabled();
         let (_, st) = gmres_solve_f64(&c, &prob, &GmresOptions::default(), &tl);
         (st.iters, st.restarts, st.converged)
@@ -110,10 +116,11 @@ fn nonsymmetric_needs_gmres_not_cg() {
         mg_levels: 2,
         seed: 5,
     };
-    let prob = assemble(&spec, 0);
+    let mxp = PrecisionPolicy::f32();
+    let prob = assemble_with_policy(&spec, 0, &mxp);
     let tl = Timeline::disabled();
     let opts = GmresOptions { max_iters: 800, ..Default::default() };
-    let (x, st) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+    let (x, st) = gmres_ir_solve_policy(&SelfComm, &prob, &mxp, &opts, &tl);
     assert!(st.converged);
     for xi in &x {
         assert!((xi - 1.0).abs() < 1e-5);
@@ -133,7 +140,7 @@ fn symmetric_problem_is_at_least_as_hard_for_gmres() {
             mg_levels: 2,
             seed: 5,
         };
-        let prob = assemble(&spec, 0);
+        let prob = assemble_with_policy(&spec, 0, &PrecisionPolicy::f64());
         let opts = GmresOptions { max_iters: 2000, tol: 1e-8, ..Default::default() };
         let (_, st) = gmres_solve_f64(&SelfComm, &prob, &opts, &tl);
         assert!(st.converged);
@@ -151,7 +158,7 @@ fn symmetric_problem_is_at_least_as_hard_for_gmres() {
 
 #[test]
 fn zero_rhs_converges_immediately() {
-    let mut prob = dist_problem(8, ProcGrid::new(1, 1, 1), 0, 2);
+    let mut prob = dist_problem(8, ProcGrid::new(1, 1, 1), 0, 2, &PrecisionPolicy::f64());
     prob.b.iter_mut().for_each(|v| *v = 0.0);
     let tl = Timeline::disabled();
     let (x, st) = gmres_solve_f64(&SelfComm, &prob, &GmresOptions::default(), &tl);
@@ -163,9 +170,10 @@ fn zero_rhs_converges_immediately() {
 #[test]
 fn restart_length_one_still_converges() {
     // Degenerate restart: every iteration is its own refinement cycle.
-    let prob = dist_problem(8, ProcGrid::new(1, 1, 1), 0, 2);
+    let mxp = PrecisionPolicy::f32();
+    let prob = dist_problem(8, ProcGrid::new(1, 1, 1), 0, 2, &mxp);
     let tl = Timeline::disabled();
     let opts = GmresOptions { restart: 1, max_iters: 3000, tol: 1e-6, ..Default::default() };
-    let (_, st) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+    let (_, st) = gmres_ir_solve_policy(&SelfComm, &prob, &mxp, &opts, &tl);
     assert!(st.converged, "stalled at {}", st.final_relres);
 }

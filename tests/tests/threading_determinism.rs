@@ -19,8 +19,9 @@
 use hpgmxp_comm::{SelfComm, Timeline};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::gmres::GmresOptions;
-use hpgmxp_core::gmres_ir::gmres_ir_solve;
-use hpgmxp_core::problem::{assemble, ProblemSpec};
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
+use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
 use hpgmxp_sparse::gauss_seidel::gs_multicolor;
 use hpgmxp_sparse::{blas, EllMatrix};
@@ -43,8 +44,10 @@ fn assert_thread_invariant<T: PartialEq + std::fmt::Debug>(what: &str, kernel: i
     }
 }
 
+/// Assembled under the `f32` policy the solves below run; its fine
+/// level also carries the f64 matrices the kernel tests read.
 fn test_problem(n: u32, levels: usize) -> hpgmxp_core::problem::LocalProblem {
-    assemble(
+    assemble_with_policy(
         &ProblemSpec {
             local: (n, n, n),
             procs: ProcGrid::new(1, 1, 1),
@@ -53,6 +56,7 @@ fn test_problem(n: u32, levels: usize) -> hpgmxp_core::problem::LocalProblem {
             seed: 3,
         },
         0,
+        &PrecisionPolicy::f32(),
     )
 }
 
@@ -136,7 +140,7 @@ fn gmres_ir_residual_history_is_bit_identical_across_thread_counts() {
             variant: ImplVariant::Optimized,
             ..Default::default()
         };
-        let (x, st) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+        let (x, st) = gmres_ir_solve_policy(&SelfComm, &prob, &PrecisionPolicy::f32(), &opts, &tl);
         assert!(st.converged, "smoke solve must converge (relres {})", st.final_relres);
         let history_bits: Vec<u64> = st.history.iter().map(|v| v.to_bits()).collect();
         let x_bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
@@ -158,7 +162,7 @@ fn reference_variant_history_is_bit_identical_across_thread_counts() {
             variant: ImplVariant::Reference,
             ..Default::default()
         };
-        let (_, st) = gmres_ir_solve(&SelfComm, &prob, &opts, &tl);
+        let (_, st) = gmres_ir_solve_policy(&SelfComm, &prob, &PrecisionPolicy::f32(), &opts, &tl);
         st.history.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
     };
     assert_thread_invariant("gmres_ir reference history", run);

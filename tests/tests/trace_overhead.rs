@@ -12,7 +12,8 @@
 use hpgmxp_comm::{run_spmd, Comm, Stream, Timeline};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::gmres::GmresOptions;
-use hpgmxp_core::gmres_ir::gmres_ir_solve;
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::ProcGrid;
 use hpgmxp_integration_tests::dist_problem;
 use hpgmxp_trace::{global, MetricsSnapshot, Mode};
@@ -25,11 +26,12 @@ fn off_mode_records_nothing() {
 
     let procs = ProcGrid::new(2, 1, 1);
     let converged = run_spmd(2, move |c| {
-        let prob = dist_problem(8, procs, c.rank(), 2);
+        let mxp = PrecisionPolicy::f32();
+        let prob = dist_problem(8, procs, c.rank(), 2, &mxp);
         let tl = Timeline::disabled();
         let opts =
             GmresOptions { max_iters: 200, variant: ImplVariant::Optimized, ..Default::default() };
-        gmres_ir_solve(&c, &prob, &opts, &tl).1.converged
+        gmres_ir_solve_policy(&c, &prob, &mxp, &opts, &tl).1.converged
     });
     assert!(converged.iter().all(|c| *c));
 

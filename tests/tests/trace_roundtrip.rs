@@ -12,7 +12,8 @@
 use hpgmxp_comm::{run_spmd, Comm, Timeline};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::gmres::GmresOptions;
-use hpgmxp_core::gmres_ir::gmres_ir_solve;
+use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
+use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::ProcGrid;
 use hpgmxp_integration_tests::dist_problem;
 use hpgmxp_trace::chrome::{merge, summary_table, ChromeTrace};
@@ -24,11 +25,12 @@ fn two_rank_solve_round_trips_into_valid_chrome_json() {
     hpgmxp_trace::set_mode_override(Mode::Spans);
     let procs = ProcGrid::new(2, 1, 1);
     let per_rank = run_spmd(2, move |c| {
-        let prob = dist_problem(8, procs, c.rank(), 2);
+        let mxp = PrecisionPolicy::f32();
+        let prob = dist_problem(8, procs, c.rank(), 2, &mxp);
         let tl = Timeline::disabled();
         let opts =
             GmresOptions { max_iters: 200, variant: ImplVariant::Optimized, ..Default::default() };
-        let (_, st) = gmres_ir_solve(&c, &prob, &opts, &tl);
+        let (_, st) = gmres_ir_solve_policy(&c, &prob, &mxp, &opts, &tl);
         (st.converged, st.restarts)
     });
     assert!(per_rank.iter().all(|(conv, _)| *conv), "solve must converge: {per_rank:?}");
