@@ -55,15 +55,6 @@ fn bench_spmv(c: &mut Criterion) {
     g.bench_function(BenchmarkId::new("ell", "fp32"), |b| {
         b.iter(|| ell32.spmv(black_box(&x32), &mut y32))
     });
-    // The CPU traversal study (ROADMAP "ELL SpMV tuning"): sequential
-    // row-blocked walk vs the two parallel traversals; `ell_par` is the
-    // heuristic pick.
-    g.bench_function(BenchmarkId::new("ell_rowblock", "fp64"), |b| {
-        b.iter(|| ell64.spmv_rowblock(black_box(&x64), &mut y64))
-    });
-    g.bench_function(BenchmarkId::new("ell_par_rowwise", "fp64"), |b| {
-        b.iter(|| ell64.spmv_par_rowwise(black_box(&x64), &mut y64))
-    });
     g.bench_function(BenchmarkId::new("ell_par", "fp64"), |b| {
         b.iter(|| ell64.spmv_par(black_box(&x64), &mut y64))
     });
@@ -111,18 +102,18 @@ fn bench_gauss_seidel(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(l.ell64().spmv_matrix_bytes() as u64));
     g.bench_function("multicolor ELL fp64", |b| {
         let mut z = vec![0.0f64; l.vec_len()];
-        b.iter(|| gs_multicolor(l.ell64(), &l.coloring, black_box(&r64), &mut z))
+        b.iter(|| gs_multicolor(l.ell64(), &l.color_ranges, black_box(&r64), &mut z))
     });
     g.throughput(Throughput::Bytes(ell32.spmv_matrix_bytes() as u64));
     g.bench_function("multicolor ELL fp32", |b| {
         let mut z = vec![0.0f32; l.vec_len()];
-        b.iter(|| gs_multicolor(ell32, &l.coloring, black_box(&r32), &mut z))
+        b.iter(|| gs_multicolor(ell32, &l.color_ranges, black_box(&r32), &mut z))
     });
     // Split sweep (precision-policy engine): fp32-stored values, f64
     // relaxation arithmetic — matrix traffic of fp32 at f64 rounding.
     g.bench_function("multicolor ELL split f32s-f64a", |b| {
         let mut z = vec![0.0f64; l.vec_len()];
-        b.iter(|| gs_multicolor(ell32, &l.coloring, black_box(&r64), &mut z))
+        b.iter(|| gs_multicolor(ell32, &l.color_ranges, black_box(&r64), &mut z))
     });
     // One sweep streams the upper factor (SpMV) then the lower factor
     // (triangular solve); together they cover A's nonzeros once, plus
@@ -252,7 +243,7 @@ fn bench_simd_dispatch(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(ell64.spmv_matrix_bytes() as u64));
         g.bench_function(BenchmarkId::new("gs_simd", format!("fp64 {label}")), |b| {
             let mut z = vec![0.0f64; l.vec_len()];
-            b.iter(|| gs_multicolor(ell64, &l.coloring, black_box(&r64), &mut z))
+            b.iter(|| gs_multicolor(ell64, &l.color_ranges, black_box(&r64), &mut z))
         });
         g.finish();
 

@@ -2,9 +2,10 @@
 //!
 //! Every kernel exists in the two forms the paper compares:
 //!
-//! * **Optimized** (§3.2): ELL storage, multicolor Gauss–Seidel in
-//!   relaxation form, fused SpMV-restriction, and split-phase halo
-//!   exchange that hides communication under interior work;
+//! * **Optimized** (§3.2): color-block ordered ELL storage, multicolor
+//!   Gauss–Seidel in relaxation form, fused SpMV-restriction, and
+//!   split-phase halo exchange that hides communication under interior
+//!   work;
 //! * **Reference** (§3.1): CSR storage, two-kernel level-scheduled
 //!   Gauss–Seidel, full-grid residual + injection restriction, and
 //!   blocking exchange before every kernel.
@@ -13,6 +14,15 @@
 //! layout, fused work, and communication scheduling — exactly the
 //! paper's claim that its speedups are implementation quality, not
 //! algorithm changes.
+//!
+//! The optimized kernels walk [`Level::color_ranges`]: a Gauss–Seidel
+//! color is one contiguous range of ELL positions, streamed as slab
+//! tiles with a fused relaxation epilogue; the overlapped SpMV runs the
+//! interior part (`start..split`) of every color while the halo is in
+//! flight and the boundary part (`split..end`) after it, and the fused
+//! restriction does the same over [`Level::restrict_ranges`], each
+//! color's coarse-collocated positions. Vectors stay in natural row
+//! numbering, so both variants read and write the same entries.
 
 use crate::config::ImplVariant;
 use crate::flops;
@@ -20,11 +30,13 @@ use crate::motifs::{Motif, MotifStats};
 use crate::policy::PrecCtx;
 use crate::problem::{Level, RefPath};
 use hpgmxp_comm::{Comm, CommResult, Stream, Timeline};
+use hpgmxp_geometry::CoarseMap;
 use hpgmxp_sparse::blas;
 use hpgmxp_sparse::csr::CsrMatrix;
-use hpgmxp_sparse::gauss_seidel::{gs_backward, gs_color_class, gs_forward_reference, SweepMatrix};
-use hpgmxp_sparse::{EllMatrix, Half, PrecKind, Scalar};
+use hpgmxp_sparse::gauss_seidel::{gs_backward, gs_forward_reference, gs_range};
+use hpgmxp_sparse::{ColorRange, EllMatrix, Half, Permutation, PrecKind, Scalar};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::Instant;
 
 /// A borrowed view of one level's ELL operator at a runtime-selected
@@ -92,6 +104,11 @@ impl<'a> EllRef<'a> {
     /// Value + index bytes of one full pass.
     pub fn spmv_matrix_bytes(&self) -> usize {
         with_storage!(self, EllRef, m => m.spmv_matrix_bytes())
+    }
+
+    /// The storage order (position ↔ row).
+    pub fn order(&self) -> &'a Permutation {
+        with_storage!(*self, EllRef, m => m.order())
     }
 }
 
@@ -221,12 +238,14 @@ pub fn dist_spmv_checked<S: Scalar, C: Comm>(
             let halo = level.halo.begin_wire_checked(ctx.comm, tag, x, wire, ctx.timeline)?;
             {
                 let _s = ctx.timeline.span("SpMV interior", Stream::Compute);
-                with_storage!(ell, EllRef, m => m.spmv_rows_par(&level.interior_rows, x, y));
+                let interior = level.color_ranges.iter().map(ColorRange::interior);
+                with_storage!(ell, EllRef, m => m.spmv_ranges(interior, x, y));
             }
             halo.finish_checked(ctx.comm, x, ctx.timeline)?;
             {
                 let _s = ctx.timeline.span("SpMV boundary", Stream::Compute);
-                with_storage!(ell, EllRef, m => m.spmv_rows_par(&level.boundary_rows, x, y));
+                let boundary = level.color_ranges.iter().map(ColorRange::boundary);
+                with_storage!(ell, EllRef, m => m.spmv_ranges(boundary, x, y));
             }
             stats.record_traffic(
                 Motif::SpMV,
@@ -282,39 +301,32 @@ pub fn dist_gs_sweep_checked<S: Scalar, C: Comm>(
     let wire = ctx.prec.wire_bytes(S::KIND);
     match ctx.variant {
         ImplVariant::Optimized => {
-            let ncolors = level.coloring.num_colors as usize;
             // The first-processed color's interior rows hide the halo
             // exchange; its boundary rows and all later colors run after
             // the ghosts arrive. Packing happens inside `begin`, before
             // any row is updated — the paper's event-ordering constraint.
-            let first = match dir {
-                SweepDir::Forward => 0,
-                SweepDir::Backward => ncolors - 1,
-            };
+            let colors = &level.color_ranges;
+            let (first, rest) = match dir {
+                SweepDir::Forward => colors.split_first(),
+                SweepDir::Backward => colors.split_last(),
+            }
+            .expect("a level has at least one color");
             let ell = level.ell_at(kind);
             with_storage!(ell, EllRef, m => {
                 let halo = level.halo.begin_wire_checked(ctx.comm, tag, z, wire, ctx.timeline)?;
                 {
                     let _s = ctx.timeline.span("GS interior (first color)", Stream::Compute);
-                    gs_color_class(m, &level.color_interior[first], r, z);
+                    gs_range(m, first.interior(), r, z);
                 }
                 halo.finish_checked(ctx.comm, z, ctx.timeline)?;
                 {
                     let _s = ctx.timeline.span("GS boundary (first color)", Stream::Compute);
-                    gs_color_class(m, &level.color_boundary[first], r, z);
+                    gs_range(m, first.boundary(), r, z);
                 }
                 let _s = ctx.timeline.span("GS remaining colors", Stream::Compute);
                 match dir {
-                    SweepDir::Forward => {
-                        for c in 1..ncolors {
-                            gs_color_class(m, &level.coloring.rows_of[c], r, z);
-                        }
-                    }
-                    SweepDir::Backward => {
-                        for c in (0..ncolors - 1).rev() {
-                            gs_color_class(m, &level.coloring.rows_of[c], r, z);
-                        }
-                    }
+                    SweepDir::Forward => rest.iter().for_each(|c| gs_range(m, c.all(), r, z)),
+                    SweepDir::Backward => rest.iter().rev().for_each(|c| gs_range(m, c.all(), r, z)),
                 }
             });
             // One pass over the padded matrix + rhs read + solution
@@ -398,11 +410,11 @@ pub fn dist_restrict_checked<S: Scalar, C: Comm>(
                 let halo = fine.halo.begin_wire_checked(ctx.comm, tag, z, wire, ctx.timeline)?;
                 {
                     let _s = ctx.timeline.span("fused SpMV-restrict interior", Stream::Compute);
-                    fused_restrict_rows(m, &fine.restrict_interior, &map.c2f, b_f, z, rc);
+                    fused_restrict(m, fine, ColorRange::interior, b_f, z, rc);
                 }
                 halo.finish_checked(ctx.comm, z, ctx.timeline)?;
                 let _s = ctx.timeline.span("fused SpMV-restrict boundary", Stream::Compute);
-                fused_restrict_rows(m, &fine.restrict_boundary, &map.c2f, b_f, z, rc);
+                fused_restrict(m, fine, ColorRange::boundary, b_f, z, rc);
             });
             // The fused kernel touches `width` padded entries of each
             // coarse-collocated row (ELL row walk).
@@ -447,25 +459,31 @@ pub fn dist_restrict_checked<S: Scalar, C: Comm>(
     Ok(())
 }
 
-/// Fused residual-evaluate-and-inject over one list of coarse points
-/// (§3.2.4), parallel over the list.
-fn fused_restrict_rows<S: Scalar, M: SweepMatrix<S>>(
-    ell: &M,
-    coarse_rows: &[u32],
-    c2f: &[u32],
-    b_f: &[S],
-    z: &[S],
-    rc: &mut [S],
+/// Fused residual-evaluate-and-inject (§3.2.4) over the `part`
+/// (interior or boundary) of every color's collocated positions:
+/// `rc[c] = b_f[f] − (A z)_f` for each coarse point `c` and its
+/// collocated fine row `f`, in parallel slab tiles.
+fn fused_restrict<S: Scalar, Acc: Scalar>(
+    ell: &EllMatrix<S>,
+    fine: &Level,
+    part: fn(&ColorRange) -> Range<usize>,
+    b_f: &[Acc],
+    z: &[Acc],
+    rc: &mut [Acc],
 ) {
     let shared = hpgmxp_sparse::shared::SharedMut::new(rc);
     let sh = &shared;
-    coarse_rows.par_iter().for_each(move |&ci| {
-        assert!((ci as usize) < sh.len(), "coarse row {} out of range {}", ci, sh.len());
-        let f = c2f[ci as usize] as usize;
-        // SAFETY: `coarse_rows` lists pairwise-distinct coarse indices;
-        // each task writes only its own `rc[ci]` and reads only `b_f`
-        // and `z`, which no task writes.
-        unsafe { *sh.get_mut(ci as usize) = b_f[f] - ell.row_dot(f, z) };
+    ell.row_dots(fine.restrict_ranges.iter().map(part), z, |p0, dots| {
+        for (j, &dot) in dots.iter().enumerate() {
+            let f = ell.order().old_of_new(p0 + j);
+            let c = CoarseMap::coarse_of(&fine.grid, f);
+            assert!(c < sh.len(), "coarse row {} out of range {}", c, sh.len());
+            // SAFETY: every position reaches one tile (`row_dots`) and
+            // the collocated rows map to pairwise-distinct coarse rows,
+            // so each task writes only its own `rc[c]`; tasks read only
+            // `b_f` and `z`, which no task writes.
+            unsafe { *sh.get_mut(c) = b_f[f] - dot };
+        }
     });
 }
 
@@ -582,10 +600,12 @@ pub fn axpy_lo_mixed_op<S: Scalar>(stats: &mut MotifStats, alpha: f64, x: &[S], 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PrecisionPolicy;
     use crate::problem::tests::assemble_f64;
-    use crate::problem::ProblemSpec;
+    use crate::problem::{assemble_with_policy, ProblemSpec};
     use hpgmxp_comm::{run_spmd, SelfComm};
     use hpgmxp_geometry::{ProcGrid, Stencil27};
+    use hpgmxp_sparse::gauss_seidel::gs_rows_ordered;
 
     fn spec(procs: ProcGrid, n: u32, levels: usize) -> ProblemSpec {
         ProblemSpec {
@@ -661,32 +681,71 @@ mod tests {
         }
     }
 
-    /// Optimized (multicolor, overlapped) and plain multicolor sweeps
-    /// produce identical results; reference and lexicographic agree.
+    /// One overlapped optimized sweep under `policy` equals, bit for
+    /// bit, the sequential sweep over the rows in color order (colors
+    /// descending for a backward sweep) after the same halo exchange.
+    fn assert_sweep_is_color_ordered<S: Scalar, C: Comm>(
+        c: &C,
+        l: &Level,
+        policy: &PrecisionPolicy,
+        dir: SweepDir,
+        tag: u64,
+    ) {
+        let tl = Timeline::disabled();
+        let mut stats = MotifStats::new();
+        let prec = policy.ctx();
+        let r: Vec<S> = (0..l.n_local()).map(|i| S::from_f64((i as f64) * 0.1 - 2.0)).collect();
+        let octx = OpCtx::with_prec(c, ImplVariant::Optimized, &tl, prec);
+        let mut z_opt = vec![S::from_f64(0.3); l.vec_len()];
+        dist_gs_sweep(&octx, l, &mut stats, tag, dir, &r, &mut z_opt);
+
+        let mut z_seq = vec![S::from_f64(0.3); l.vec_len()];
+        l.halo.exchange_wire(c, tag + 1, &mut z_seq, prec.wire_bytes(S::KIND), &tl);
+        let ell = l.ell_at(prec.storage_kind(l.depth, S::KIND));
+        let mut positions: Vec<usize> = (0..l.n_local()).collect();
+        if dir == SweepDir::Backward {
+            let colors = l.color_ranges.iter().rev();
+            positions = colors.flat_map(ColorRange::all).collect();
+        }
+        let rows: Vec<u32> = positions.iter().map(|&p| ell.order().old_of_new(p) as u32).collect();
+        with_storage!(ell, EllRef, m => gs_rows_ordered(m, &rows, &r, &mut z_seq));
+        let bits = |z: &[S]| z.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&z_opt), bits(&z_seq), "policy {} {dir:?}", policy.name);
+    }
+
+    /// The optimized sweep is the color-ordered sequential sweep in both
+    /// directions and at every storage/compute precision; reference and
+    /// lexicographic agree.
     #[test]
     fn gs_variants_agree_with_their_references() {
         let procs = ProcGrid::new(2, 1, 1);
         run_spmd(2, move |c| {
+            let f16s = PrecisionPolicy::by_name("f16s-f32c").expect("shipped policy");
+            for (k, policy) in
+                [PrecisionPolicy::f64(), PrecisionPolicy::f32(), f16s].iter().enumerate()
+            {
+                let p = assemble_with_policy(&spec(procs, 8, 1), c.rank(), policy);
+                let l = &p.levels[0];
+                for (d, dir) in [SweepDir::Forward, SweepDir::Backward].into_iter().enumerate() {
+                    let tag = 10 * (2 * k + d) as u64;
+                    match policy.compute {
+                        PrecKind::F64 => {
+                            assert_sweep_is_color_ordered::<f64, _>(&c, l, policy, dir, tag)
+                        }
+                        PrecKind::F32 => {
+                            assert_sweep_is_color_ordered::<f32, _>(&c, l, policy, dir, tag)
+                        }
+                        PrecKind::F16 => unreachable!("no fp16-compute policy in this list"),
+                    }
+                }
+            }
+
+            // Reference sweep equals the sequential lexicographic sweep.
             let p = assemble_f64(&spec(procs, 4, 1), c.rank());
             let l = &p.levels[0];
             let tl = Timeline::disabled();
             let mut stats = MotifStats::new();
             let r: Vec<f64> = (0..l.n_local()).map(|i| (i as f64) * 0.1 - 2.0).collect();
-
-            // Overlapped optimized sweep.
-            let octx = OpCtx::new(&c, ImplVariant::Optimized, &tl);
-            let mut z_opt = vec![0.3f64; l.vec_len()];
-            dist_gs_sweep(&octx, l, &mut stats, 0, SweepDir::Forward, &r, &mut z_opt);
-
-            // Plain (non-overlapped) multicolor sweep: exchange then sweep.
-            let mut z_plain = vec![0.3f64; l.vec_len()];
-            l.halo.exchange(&c, 1, &mut z_plain, &tl);
-            hpgmxp_sparse::gauss_seidel::gs_multicolor(l.ell64(), &l.coloring, &r, &mut z_plain);
-            for (a, b) in z_opt.iter().zip(z_plain.iter()) {
-                assert!((a - b).abs() < 1e-14);
-            }
-
-            // Reference sweep equals the sequential lexicographic sweep.
             let rctx = OpCtx::new(&c, ImplVariant::Reference, &tl);
             let mut z_ref = vec![0.3f64; l.vec_len()];
             dist_gs_sweep(&rctx, l, &mut stats, 2, SweepDir::Forward, &r, &mut z_ref);

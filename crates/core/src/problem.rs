@@ -6,10 +6,20 @@
 //! the geometric halo plan, on every level of the 4-level hierarchy.
 //! A [`Level`] carries everything both implementation variants need:
 //! the operator in CSR (reference) and ELL (optimized) storage at the
-//! precisions its policy names, the JPL coloring with its
-//! interior/boundary split for overlap, the level schedule and
+//! precisions its policy names, the JPL coloring, the level schedule and
 //! triangular split of the reference Gauss–Seidel, and the injection
 //! map to the next coarser level.
+//!
+//! Every ELL operator is stored **color-block ordered**: all rows of
+//! color 0, then color 1, …, and within each color the interior rows
+//! (no ghost column) before the boundary rows. Color `c` is then the
+//! contiguous slab positions `color_ranges[c].start..end`, split at
+//! `color_ranges[c].split` into the part that may run while the halo is
+//! in flight and the part that must wait for it (§3.2.1, §3.2.3). The
+//! rows collocated with coarse points sit on either side of that split,
+//! so they too are one range per color (`restrict_ranges`) for the
+//! fused restriction (§3.2.4). Only the storage is reordered: rows,
+//! vectors, halo plans and injection maps keep natural numbering.
 
 use crate::config::BenchmarkParams;
 use crate::policy::PrecisionPolicy;
@@ -17,7 +27,12 @@ use hpgmxp_comm::HaloExchange;
 use hpgmxp_geometry::{GridHierarchy, HaloPlan, LocalGrid, ProcGrid, Stencil27, STENCIL_OFFSETS};
 use hpgmxp_sparse::csr::{CsrBuilder, CsrMatrix};
 use hpgmxp_sparse::gauss_seidel::split_lower_upper;
-use hpgmxp_sparse::{jpl_coloring, Coloring, EllMatrix, Half, LevelSchedule, PrecKind, Scalar};
+use hpgmxp_sparse::ordering::color_block_order;
+use hpgmxp_sparse::{
+    jpl_coloring, ColorRange, Coloring, EllMatrix, Half, LevelSchedule, Permutation, PrecKind,
+    Scalar,
+};
+use std::sync::Arc;
 
 /// Global description of a benchmark problem instance.
 #[derive(Debug, Clone, Copy)]
@@ -78,9 +93,9 @@ pub struct MatrixSet<S> {
 }
 
 impl<S: Scalar> MatrixSet<S> {
-    fn build(csr64: &CsrMatrix<f64>) -> Self {
+    fn build(csr64: &CsrMatrix<f64>, order: &Arc<Permutation>) -> Self {
         let csr: CsrMatrix<S> = csr64.convert();
-        let ell = EllMatrix::from_csr(&csr);
+        let ell = EllMatrix::from_csr_ordered(&csr, Arc::clone(order));
         let (lower, upper) = split_lower_upper(&csr);
         MatrixSet { csr, ell, refpath: RefPath { lower, upper } }
     }
@@ -150,26 +165,20 @@ pub struct Level {
     nnz_coarse: usize,
     /// JPL multicoloring of the local graph.
     pub coloring: Coloring,
-    /// Per color: rows whose stencil touches no ghost (safe during
-    /// communication).
-    pub color_interior: Vec<Vec<u32>>,
-    /// Per color: rows that read ghost values (must wait for the halo).
-    pub color_boundary: Vec<Vec<u32>>,
-    /// All interior rows (for overlapped SpMV).
-    pub interior_rows: Vec<u32>,
-    /// All boundary rows.
-    pub boundary_rows: Vec<u32>,
+    /// Per color: its ELL slab positions, interior rows (stencil touches
+    /// no ghost; safe during communication) before `split`, boundary
+    /// rows (read ghost values; must wait for the halo) after it.
+    pub color_ranges: Vec<ColorRange>,
+    /// Per color: the positions of its rows collocated with a coarse
+    /// point (empty on the coarsest level) — the rows the fused
+    /// restriction evaluates, interior before `split` as above.
+    pub restrict_ranges: Vec<ColorRange>,
     /// Level schedule of the lower-triangular sweep (reference GS).
     pub schedule: LevelSchedule,
     /// Halo exchange executor for this level.
     pub halo: HaloExchange,
     /// Injection map to the next coarser level (`None` on the coarsest).
     pub c2f: Option<hpgmxp_geometry::CoarseMap>,
-    /// Coarse rows whose collocated fine row is interior (fused
-    /// restriction may compute them during the halo exchange).
-    pub restrict_interior: Vec<u32>,
-    /// Coarse rows whose collocated fine row reads ghosts.
-    pub restrict_boundary: Vec<u32>,
 }
 
 impl Level {
@@ -318,27 +327,6 @@ fn assemble_matrix(grid: &LocalGrid, plan: &HaloPlan, stencil: &Stencil27) -> Cs
     b.finish()
 }
 
-/// Split row lists of each color into interior/boundary sub-lists.
-fn split_colors(
-    coloring: &Coloring,
-    plan: &HaloPlan,
-    grid: &LocalGrid,
-) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
-    let mut interior = vec![Vec::new(); coloring.num_colors as usize];
-    let mut boundary = vec![Vec::new(); coloring.num_colors as usize];
-    for (c, rows) in coloring.rows_of.iter().enumerate() {
-        for &r in rows {
-            let (ix, iy, iz) = grid.coords(r as usize);
-            if plan.is_boundary_row(ix, iy, iz) {
-                boundary[c].push(r);
-            } else {
-                interior[c].push(r);
-            }
-        }
-    }
-    (interior, boundary)
-}
-
 /// Assemble the local problem of `rank` with exactly what `policy`
 /// needs: per level, the policy's storage precision for that depth,
 /// plus `f64` on the fine level (the GMRES-IR outer residual is always
@@ -361,36 +349,52 @@ pub fn assemble_with_policy(
         let csr64 = assemble_matrix(grid, &plan, &spec.stencil);
         let coloring = jpl_coloring(&csr64, spec.seed.wrapping_add(l as u64));
         debug_assert!(coloring.verify(&csr64));
-        let (color_interior, color_boundary) = split_colors(&coloring, &plan, grid);
-        let (interior_rows, boundary_rows) = plan.split_rows();
         let schedule = LevelSchedule::build(&csr64);
         let c2f = if l + 1 < spec.mg_levels { Some(hierarchy.maps[l].clone()) } else { None };
-
-        // Coarse-row overlap split for the fused restriction, plus the
-        // fused-restriction work count (precision-independent).
-        let (mut restrict_interior, mut restrict_boundary) = (Vec::new(), Vec::new());
-        let mut nnz_coarse = 0usize;
-        if let Some(map) = &c2f {
-            for (ci, &f) in map.c2f.iter().enumerate() {
-                let (ix, iy, iz) = grid.coords(f as usize);
-                if plan.is_boundary_row(ix, iy, iz) {
-                    restrict_boundary.push(ci as u32);
-                } else {
-                    restrict_interior.push(ci as u32);
-                }
-                nnz_coarse += csr64.row(f as usize).0.len();
-            }
+        let mut collocated = vec![false; grid.total_points()];
+        for &f in c2f.iter().flat_map(|map| &map.c2f) {
+            collocated[f as usize] = true;
         }
+        // Within each color: interior rows, then the interior rows the
+        // fused restriction evaluates, then the boundary ones it
+        // evaluates, then the remaining boundary rows — so a color, its
+        // interior/boundary split and its collocated rows are all
+        // contiguous position ranges.
+        let (order, bounds) = color_block_order(&coloring.color_of, 4, |i| {
+            let (ix, iy, iz) = grid.coords(i);
+            match (plan.is_boundary_row(ix, iy, iz), collocated[i]) {
+                (false, false) => 0,
+                (false, true) => 1,
+                (true, true) => 2,
+                (true, false) => 3,
+            }
+        });
+        // One order per level, shared by every stored precision.
+        let order = Arc::new(order);
+        let b = |c: usize, k: usize| bounds[4 * c + k];
+        let ncolors = coloring.num_colors as usize;
+        let color_ranges: Vec<ColorRange> = (0..ncolors)
+            .map(|c| ColorRange { start: b(c, 0), split: b(c, 2), end: b(c, 4) })
+            .collect();
+        let restrict_ranges: Vec<ColorRange> = match c2f {
+            Some(_) => (0..ncolors)
+                .map(|c| ColorRange { start: b(c, 1), split: b(c, 2), end: b(c, 3) })
+                .collect(),
+            None => Vec::new(),
+        };
+        // Fused-restriction work count (precision-independent).
+        let nnz_coarse: usize =
+            c2f.iter().flat_map(|map| &map.c2f).map(|&f| csr64.row(f as usize).0.len()).sum();
 
         // Materialize exactly the storage precisions this level needs.
         let mut store = LevelStore::default();
         match policy.storage_at(l) {
-            PrecKind::F64 => store.m64 = Some(MatrixSet::build(&csr64)),
-            PrecKind::F32 => store.m32 = Some(MatrixSet::build(&csr64)),
-            PrecKind::F16 => store.m16 = Some(MatrixSet::build(&csr64)),
+            PrecKind::F64 => store.m64 = Some(MatrixSet::build(&csr64, &order)),
+            PrecKind::F32 => store.m32 = Some(MatrixSet::build(&csr64, &order)),
+            PrecKind::F16 => store.m16 = Some(MatrixSet::build(&csr64, &order)),
         }
         if l == 0 && store.m64.is_none() {
-            store.m64 = Some(MatrixSet::build(&csr64));
+            store.m64 = Some(MatrixSet::build(&csr64, &order));
         }
         let staging = if l == 0 { 8 } else { policy.wire.bytes().max(policy.compute.bytes()) };
 
@@ -401,15 +405,11 @@ pub fn assemble_with_policy(
             nnz_coarse,
             store,
             coloring,
-            color_interior,
-            color_boundary,
-            interior_rows,
-            boundary_rows,
+            color_ranges,
+            restrict_ranges,
             schedule,
             halo: HaloExchange::new_sized(plan, staging),
             c2f,
-            restrict_interior,
-            restrict_boundary,
         });
     }
 
@@ -525,25 +525,62 @@ pub(crate) mod tests {
         let row = l.grid.index(3, 1, 1);
         let (cols, _) = l.csr64().row(row);
         assert!(cols.iter().any(|&c| c as usize >= 64));
-        // Interior/boundary row split is consistent.
-        assert_eq!(l.interior_rows.len() + l.boundary_rows.len(), 64);
-        assert!(l.boundary_rows.contains(&(row as u32)));
+        // ...and is stored in its color's boundary part.
+        let color = &l.color_ranges[l.coloring.color_of[row] as usize];
+        assert!(color.boundary().contains(&l.ell64().order().new_of_old(row)));
     }
 
+    /// On every level, at every materialized precision, each color's
+    /// rows occupy exactly one contiguous range of ELL positions,
+    /// interior rows before `split` and boundary rows after it, and its
+    /// rows collocated with a coarse point one sub-range straddling
+    /// `split`.
     #[test]
     fn color_split_partitions_each_class() {
         let spec = ProblemSpec {
-            local: (4, 4, 4),
+            local: (8, 8, 8),
             procs: ProcGrid::new(2, 2, 1),
             stencil: Stencil27::symmetric(),
-            mg_levels: 1,
+            mg_levels: 3,
             seed: 3,
         };
-        let p = assemble_f64(&spec, 3);
-        let l = &p.levels[0];
-        for c in 0..l.coloring.num_colors as usize {
-            let class = &l.coloring.rows_of[c];
-            assert_eq!(l.color_interior[c].len() + l.color_boundary[c].len(), class.len());
+        let f16s = PrecisionPolicy::by_name("f16s-f32c").expect("shipped policy");
+        for policy in [PrecisionPolicy::f64(), PrecisionPolicy::f32(), f16s] {
+            let p = assemble_with_policy(&spec, 3, &policy);
+            for l in &p.levels {
+                let ranges = &l.color_ranges;
+                assert_eq!(ranges.len(), l.coloring.num_colors as usize);
+                let collocated: Vec<u32> = l.c2f.iter().flat_map(|m| m.c2f.clone()).collect();
+                assert_eq!(l.restrict_ranges.len(), if l.c2f.is_some() { ranges.len() } else { 0 });
+                assert_eq!((ranges[0].start, ranges[ranges.len() - 1].end), (0, l.n_local()));
+                assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+                let mut boundary_seen = 0;
+                for kind in l.store.kinds() {
+                    let order = l.ell_at(kind).order();
+                    for (c, color) in ranges.iter().enumerate() {
+                        assert!(color.start <= color.split && color.split <= color.end);
+                        assert_eq!(color.all().len(), l.coloring.rows_of[c].len());
+                        if let Some(coarse) = l.restrict_ranges.get(c) {
+                            assert!(color.start <= coarse.start && coarse.end <= color.end);
+                            assert_eq!(coarse.split, color.split);
+                            for pos in color.all() {
+                                let f = order.old_of_new(pos) as u32;
+                                assert_eq!(coarse.all().contains(&pos), collocated.contains(&f));
+                            }
+                        }
+                        for pos in color.all() {
+                            let i = order.old_of_new(pos);
+                            assert_eq!(order.new_of_old(i), pos);
+                            assert_eq!(l.coloring.color_of[i] as usize, c);
+                            let (ix, iy, iz) = l.grid.coords(i);
+                            let boundary = l.halo.plan().is_boundary_row(ix, iy, iz);
+                            assert_eq!(boundary, pos >= color.split, "row {i} at position {pos}");
+                            boundary_seen += boundary as usize;
+                        }
+                    }
+                }
+                assert!(boundary_seen > 0, "a rank with neighbors has boundary rows");
+            }
         }
     }
 
@@ -612,16 +649,20 @@ pub(crate) mod tests {
         // coarse point collocates with: all its coarse rows are
         // interior. Rank 1's face is at ix = 0 (even): its coarse rows
         // there must be classified as boundary.
+        let count = |l: &Level, part: fn(&ColorRange) -> std::ops::Range<usize>| -> usize {
+            l.restrict_ranges.iter().map(|c| part(c).len()).sum()
+        };
         let p0 = assemble_f64(&spec, 0);
         let l0 = &p0.levels[0];
         let n_coarse = p0.levels[1].n_local();
-        assert_eq!(l0.restrict_interior.len() + l0.restrict_boundary.len(), n_coarse);
-        assert!(l0.restrict_boundary.is_empty());
+        assert_eq!(count(l0, ColorRange::all), n_coarse);
+        assert_eq!(count(l0, ColorRange::boundary), 0);
 
         let p1 = assemble_f64(&spec, 1);
         let l1 = &p1.levels[0];
-        assert_eq!(l1.restrict_interior.len() + l1.restrict_boundary.len(), n_coarse);
-        assert_eq!(l1.restrict_boundary.len(), 16, "the 4x4 coarse face at ix=0");
+        assert_eq!(count(l1, ColorRange::all), n_coarse);
+        assert_eq!(count(l1, ColorRange::boundary), 16, "the 4x4 coarse face at ix=0");
+        assert!(p1.levels[1].restrict_ranges.is_empty(), "the coarsest level restricts nothing");
     }
 
     #[test]

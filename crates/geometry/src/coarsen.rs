@@ -55,6 +55,16 @@ impl CoarseMap {
         CoarseMap { c2f, n_fine: fine.total_points(), n_coarse }
     }
 
+    /// Coarse index of the collocated fine point `f` of `fine` — the
+    /// inverse of `c2f`. `f` must lie on the even sub-lattice.
+    #[inline]
+    pub fn coarse_of(fine: &LocalGrid, f: usize) -> usize {
+        let (x, y, z) = fine.coords(f);
+        debug_assert!(x % 2 == 0 && y % 2 == 0 && z % 2 == 0, "fine point {f} is not collocated");
+        let (cnx, cny) = ((fine.nx / 2) as usize, (fine.ny / 2) as usize);
+        ((z / 2) as usize * cny + (y / 2) as usize) * cnx + (x / 2) as usize
+    }
+
     /// Apply restriction by injection: `coarse[i] = fine[c2f[i]]`.
     pub fn restrict_into<T: Copy>(&self, fine: &[T], coarse: &mut [T]) {
         debug_assert!(fine.len() >= self.n_fine);
@@ -153,6 +163,15 @@ mod tests {
         // Injection points are distinct.
         let set: std::collections::HashSet<u32> = map.c2f.iter().copied().collect();
         assert_eq!(set.len(), 64);
+    }
+
+    #[test]
+    fn coarse_of_inverts_c2f() {
+        let fine = LocalGrid::new((8, 4, 6), ProcGrid::new(1, 1, 1), 0);
+        let map = CoarseMap::build(&fine);
+        for (ci, &f) in map.c2f.iter().enumerate() {
+            assert_eq!(CoarseMap::coarse_of(&fine, f as usize), ci);
+        }
     }
 
     #[test]

@@ -215,36 +215,6 @@ impl<S: Scalar> CsrMatrix<S> {
         });
     }
 
-    /// `y[i] = (A x)[i]` for the given subset of rows only — used to
-    /// update interior rows while halo communication is in flight and
-    /// boundary rows afterwards (§3.2.3).
-    pub fn spmv_rows<Acc: Scalar>(&self, rows: &[u32], x: &[Acc], y: &mut [Acc]) {
-        assert!(x.len() >= self.ncols);
-        for &i in rows {
-            let (cols, vals) = self.row(i as usize);
-            y[i as usize] = row_dot_acc(cols, vals, x);
-        }
-    }
-
-    /// Parallel [`CsrMatrix::spmv_rows`]: the interior/boundary halves
-    /// of the overlap split are large row sets, so they go through the
-    /// pool too. `rows` must not contain duplicates.
-    pub fn spmv_rows_par<Acc: Scalar>(&self, rows: &[u32], x: &[Acc], y: &mut [Acc]) {
-        assert!(x.len() >= self.ncols);
-        assert!(y.len() >= self.nrows);
-        let shared = crate::shared::SharedMut::new(y);
-        let sh = &shared;
-        rows.par_iter().for_each(move |&i| {
-            let i = i as usize;
-            assert!(i < self.nrows, "row {} out of range {}", i, self.nrows);
-            let (cols, vals) = self.row(i);
-            let acc = row_dot_acc(cols, vals, x);
-            // SAFETY: `rows` lists pairwise-distinct row indices and the
-            // kernel reads only `x`; each task writes its own `y[i]`.
-            unsafe { *sh.get_mut(i) = acc };
-        });
-    }
-
     /// Convert every stored value to another precision. Ghost structure
     /// and sparsity are unchanged; this is how the mixed-precision solver
     /// obtains its low-precision operator copy.
@@ -382,29 +352,6 @@ mod tests {
         a.spmv(&x, &mut y1);
         a.spmv_par(&x, &mut y2);
         assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn spmv_rows_subset() {
-        let a = laplacian_1d(10);
-        let x = vec![1.0; 10];
-        let mut full = vec![0.0; 10];
-        a.spmv(&x, &mut full);
-        let mut partial = vec![f64::NAN; 10];
-        let evens: Vec<u32> = (0..10).step_by(2).map(|i| i as u32).collect();
-        a.spmv_rows(&evens, &x, &mut partial);
-        for i in 0..10 {
-            if i % 2 == 0 {
-                assert_eq!(partial[i], full[i]);
-            } else {
-                assert!(partial[i].is_nan());
-            }
-        }
-        let mut par = vec![f64::NAN; 10];
-        a.spmv_rows_par(&evens, &x, &mut par);
-        for i in (0..10).step_by(2) {
-            assert_eq!(par[i], full[i]);
-        }
     }
 
     #[test]

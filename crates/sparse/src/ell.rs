@@ -7,61 +7,32 @@
 //! exact layout so the byte-traffic accounting, padding overhead, and
 //! access pattern studied by the paper are faithfully reproduced.
 //!
+//! Rows are stored in a chosen *storage order*: position `p` of every
+//! slab holds row `order().old_of_new(p)`. The solver stores each
+//! level's operator color-block ordered (§3.2.1), so one color is one
+//! contiguous range of positions and a Gauss–Seidel color sweep streams
+//! contiguous slab segments instead of gathering through a row list.
+//! Only the storage moves: row and column numbering, and therefore every
+//! vector the kernels read or write, stay natural.
+//!
 //! Padding convention: a padded slot stores column `= row index` with
 //! value `0`, so kernels need no branch on a sentinel (the extra
 //! multiply-add contributes exactly zero).
 
 use crate::csr::CsrMatrix;
+use crate::ordering::Permutation;
 use crate::scalar::Scalar;
+use crate::shared::SharedMut;
 use crate::simd;
 use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Row-block length of the blocked CPU traversal: 256 rows keep one
-/// block of every stream (values, indices, accumulators) within L1
-/// while amortizing the per-slab loop overhead.
-pub const ROW_BLOCK: usize = 256;
-
-/// Lookahead distance (in rows) of the software prefetch issued for
-/// the gathered `x` entries in the row-blocked traversal (ROADMAP "ELL
-/// SpMV tuning, part 2"). The column indices of a slab segment are
-/// read sequentially, so the gather targets are known this many
-/// iterations early; the default of 16 rows ≈ two cache lines of
-/// indices of latency cover without flooding the prefetch queue.
-///
-/// Tunable per host via `HPGMXP_PREFETCH` (0 disables the prefetch
-/// entirely; `scripts/sweep_prefetch.sh` sweeps the distance on this
-/// box). Read once and cached — the distance is a pure hint and never
-/// changes results, so a mid-process change would only confuse a
-/// sweep.
-pub fn prefetch_ahead() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var("HPGMXP_PREFETCH") {
-        Ok(v) if v.is_empty() => 16,
-        Ok(v) => {
-            v.trim().parse().unwrap_or_else(|_| panic!("HPGMXP_PREFETCH={v:?} is not a row count"))
-        }
-        Err(_) => 16,
-    })
-}
-
-/// Hint the CPU to pull `slice[idx]` toward L1. No-op (after the
-/// bounds check) on architectures without a stable prefetch intrinsic;
-/// never changes results — it only warms the cache for the upcoming
-/// gather.
-#[inline(always)]
-fn prefetch_read<T>(slice: &[T], idx: usize) {
-    if idx >= slice.len() {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `idx` is in bounds, so the address is valid to prefetch.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<{ _MM_HINT_T0 }>(slice.as_ptr().add(idx) as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (slice, idx);
-}
+/// Tile length of every traversal: 64 positions keep the `x` entries
+/// one color's tile gathers (rows about one color-count apart, plus
+/// their stencil neighbors) within L1, while each kernel call still
+/// streams every slab's segment of the tile.
+pub const ROW_BLOCK: usize = 64;
 
 /// An ELLPACK matrix with scalar type `S`.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,42 +40,57 @@ pub struct EllMatrix<S> {
     nrows: usize,
     ncols: usize,
     width: usize,
-    /// Column-major `width × nrows` indices: entry `k` of row `i` is at
-    /// `k * nrows + i`.
+    /// Column-major `width × nrows` indices: entry `k` of the row at
+    /// position `p` is at `k * nrows + p`. Invariant: every index is
+    /// `< ncols` (CSR columns are checked on insertion; padding repeats
+    /// the row index) — the vector tile kernel relies on it.
     col_idx: Vec<u32>,
     /// Column-major values, same layout as `col_idx`.
     values: Vec<S>,
-    /// Diagonal values, extracted for the Gauss-Seidel kernels.
+    /// Diagonal value of the row at each position.
     diag: Vec<S>,
+    /// Storage order: new index = position, old index = row. Shared by
+    /// the copies of one operator at other storage precisions.
+    order: Arc<Permutation>,
     /// True (unpadded) nonzero count, for FLOP accounting.
     nnz: usize,
 }
 
 impl<S: Scalar> EllMatrix<S> {
-    /// Convert from CSR, padding to the maximum row width.
+    /// Convert from CSR, padding to the maximum row width; rows are
+    /// stored in natural order.
     pub fn from_csr(a: &CsrMatrix<S>) -> Self {
+        Self::from_csr_ordered(a, Permutation::identity(a.nrows()))
+    }
+
+    /// Convert from CSR, storing row `order.old_of_new(p)` at position
+    /// `p` — one pass over the CSR, as [`EllMatrix::from_csr`]. Pass an
+    /// `Arc` to share one order among several matrices.
+    pub fn from_csr_ordered(a: &CsrMatrix<S>, order: impl Into<Arc<Permutation>>) -> Self {
+        let order = order.into();
         let nrows = a.nrows();
+        assert_eq!(order.len(), nrows, "storage order must cover every row");
         let width = a.max_row_nnz();
         let mut col_idx = vec![0u32; width * nrows];
         let mut values = vec![S::ZERO; width * nrows];
         let mut diag = vec![S::ZERO; nrows];
-        for (i, di) in diag.iter_mut().enumerate() {
+        for (p, dp) in diag.iter_mut().enumerate() {
+            let i = order.old_of_new(p);
             let (cols, vals) = a.row(i);
             for k in 0..width {
-                let slot = k * nrows + i;
+                let slot = k * nrows + p;
                 if k < cols.len() {
                     col_idx[slot] = cols[k];
                     values[slot] = vals[k];
                     if cols[k] as usize == i {
-                        *di = vals[k];
+                        *dp = vals[k];
                     }
                 } else {
                     col_idx[slot] = i as u32;
-                    values[slot] = S::ZERO;
                 }
             }
         }
-        EllMatrix { nrows, ncols: a.ncols(), width, col_idx, values, diag, nnz: a.nnz() }
+        EllMatrix { nrows, ncols: a.ncols(), width, col_idx, values, diag, order, nnz: a.nnz() }
     }
 
     /// Number of owned rows.
@@ -132,15 +118,22 @@ impl<S: Scalar> EllMatrix<S> {
         self.width * self.nrows
     }
 
-    /// The extracted diagonal.
-    pub fn diagonal(&self) -> &[S] {
-        &self.diag
+    /// The storage order: position `p` holds row `order().old_of_new(p)`
+    /// and row `i` lives at position `order().new_of_old(i)`.
+    pub fn order(&self) -> &Permutation {
+        &self.order
+    }
+
+    /// Diagonal value of row `i`.
+    #[inline]
+    pub fn diag(&self, i: usize) -> S {
+        self.diag[self.order.new_of_old(i)]
     }
 
     /// Entry `k` of row `i` as `(col, value)`.
     #[inline]
     pub fn entry(&self, i: usize, k: usize) -> (u32, S) {
-        let slot = k * self.nrows + i;
+        let slot = k * self.nrows + self.order.new_of_old(i);
         (self.col_idx[slot], self.values[slot])
     }
 
@@ -157,213 +150,121 @@ impl<S: Scalar> EllMatrix<S> {
     pub fn spmv<Acc: Scalar>(&self, x: &[Acc], y: &mut [Acc]) {
         assert!(x.len() >= self.ncols);
         assert!(y.len() >= self.nrows);
-        let n = self.nrows;
-        for yi in y[..n].iter_mut() {
-            *yi = Acc::ZERO;
-        }
-        // Column-major traversal: stream each "slab" of the ELL arrays.
-        let yb = &mut y[..n];
-        for k in 0..self.width {
-            let cs = &self.col_idx[k * n..(k + 1) * n];
-            let vs = &self.values[k * n..(k + 1) * n];
-            if simd::try_ell_slab_fma(vs, cs, x, yb) {
-                continue;
-            }
-            for i in 0..n {
-                yb[i] = Acc::from_scalar(vs[i]).mul_add(x[cs[i] as usize], yb[i]);
+        let mut acc = [Acc::ZERO; ROW_BLOCK];
+        for p0 in (0..self.nrows).step_by(ROW_BLOCK) {
+            let acc = &mut acc[..ROW_BLOCK.min(self.nrows - p0)];
+            self.tile_dots(p0, x, acc);
+            for (j, &a) in acc.iter().enumerate() {
+                y[self.order.old_of_new(p0 + j)] = a;
             }
         }
     }
 
-    /// `y = A x`, parallel. Chooses between the per-row slab walk and
-    /// the row-blocked traversal (see [`EllMatrix::spmv_rowblock`]) by
-    /// a locality heuristic; both accumulate each row in ascending
-    /// slab order, so the choice never changes a single result bit.
+    /// `y = A x`, parallel over tiles of positions.
     pub fn spmv_par<Acc: Scalar>(&self, x: &[Acc], y: &mut [Acc]) {
-        if self.prefer_rowblock() {
-            self.spmv_par_rowblock(x, y);
-        } else {
-            self.spmv_par_rowwise(x, y);
-        }
+        self.spmv_ranges(std::iter::once(0..self.nrows), x, y);
     }
 
-    /// Heuristic behind [`EllMatrix::spmv_par`]: the per-row walk
-    /// touches `width` cache lines `nrows × S::BYTES` apart per row —
-    /// hostile once the slab stride leaves L2 — while blocking keeps
-    /// `ROW_BLOCK`-long slab segments resident across the `k` loop.
-    /// Narrow or tiny matrices (few slabs, or fewer rows than two
-    /// blocks) don't recoup the extra accumulator traffic.
-    fn prefer_rowblock(&self) -> bool {
-        self.width >= 8 && self.nrows >= 2 * ROW_BLOCK
-    }
-
-    /// `y = A x`, parallel over rows; each task walks its row across
-    /// slabs (stride `nrows` between consecutive entries — the
-    /// transposition of the GPU access pattern).
-    pub fn spmv_par_rowwise<Acc: Scalar>(&self, x: &[Acc], y: &mut [Acc]) {
-        assert!(x.len() >= self.ncols);
+    /// `y[i] = (A x)[i]` for the rows `i` stored at the positions in
+    /// `ranges`, in parallel — the overlap split of §3.2.3 runs the
+    /// interior ranges while the halo is in flight and the boundary
+    /// ranges after it. `ranges` must ascend without overlapping and lie
+    /// in `0..nrows` (checked). Every row accumulates in ascending slab
+    /// order, so results match [`EllMatrix::spmv`] bit for bit.
+    pub fn spmv_ranges<Acc, I>(&self, ranges: I, x: &[Acc], y: &mut [Acc])
+    where
+        Acc: Scalar,
+        I: Iterator<Item = Range<usize>> + Clone + Sync,
+    {
         assert!(y.len() >= self.nrows);
-        let n = self.nrows;
-        let w = self.width;
-        let ci = &self.col_idx;
-        let vs = &self.values;
-        y[..n].par_iter_mut().enumerate().for_each(|(i, yi)| {
-            let mut acc = Acc::ZERO;
-            for k in 0..w {
-                let slot = k * n + i;
-                acc = Acc::from_scalar(vs[slot]).mul_add(x[ci[slot] as usize], acc);
+        let shared = SharedMut::new(y);
+        let ys = &shared;
+        self.row_dots(ranges, x, |p0, acc| {
+            for (j, &a) in acc.iter().enumerate() {
+                let i = self.order.old_of_new(p0 + j);
+                // SAFETY: `order` is a bijection and `row_dots` hands
+                // out each position of the (checked disjoint) ranges to
+                // exactly one tile, so each task writes its
+                // own rows `i < nrows <= y.len()`; `y` is never read.
+                unsafe { *ys.get_mut(i) = a };
             }
-            *yi = acc;
         });
     }
 
-    /// `y = A x`, parallel over [`ROW_BLOCK`]-row blocks, each block
-    /// walking the slabs with the cache-friendly blocked traversal.
-    pub fn spmv_par_rowblock<Acc: Scalar>(&self, x: &[Acc], y: &mut [Acc]) {
+    /// The one parallel traversal every ELL kernel shares (SpMV, the
+    /// Gauss–Seidel sweep, the fused restriction): the positions in
+    /// `ranges` are cut into [`ROW_BLOCK`] tiles (none straddling two
+    /// ranges), the tiles run on the pool, and each hands its row dots to
+    /// `finish(p0, dots)` — `dots[j]` is row `order().old_of_new(p0 + j)`'s
+    /// `Σ_k a_ik x_k` in ascending slab order. `ranges` must ascend
+    /// without overlapping and lie in `0..nrows` (checked), so every
+    /// position reaches exactly one `finish` call. No heap allocation.
+    pub fn row_dots<Acc, I, F>(&self, ranges: I, x: &[Acc], finish: F)
+    where
+        Acc: Scalar,
+        I: Iterator<Item = Range<usize>> + Clone + Sync,
+        F: Fn(usize, &[Acc]) + Sync,
+    {
         assert!(x.len() >= self.ncols);
-        assert!(y.len() >= self.nrows);
-        let n = self.nrows;
-        y[..n].par_chunks_mut(ROW_BLOCK).enumerate().for_each(|(bi, yb)| {
-            self.spmv_block(bi * ROW_BLOCK, x, yb);
-        });
-    }
-
-    /// `y = A x`, sequential row-blocked traversal: rows are processed
-    /// in blocks of [`ROW_BLOCK`]; within a block the slabs are walked
-    /// in order, so every memory stream (values, indices, outputs) is a
-    /// short contiguous run instead of a full-column slab. This is the
-    /// CPU-friendly counterpart of the column-major walk the GPU wants
-    /// (ROADMAP "ELL SpMV tuning").
-    pub fn spmv_rowblock<Acc: Scalar>(&self, x: &[Acc], y: &mut [Acc]) {
-        assert!(x.len() >= self.ncols);
-        assert!(y.len() >= self.nrows);
-        let n = self.nrows;
-        for (bi, yb) in y[..n].chunks_mut(ROW_BLOCK).enumerate() {
-            self.spmv_block(bi * ROW_BLOCK, x, yb);
+        let mut prev_end = 0;
+        for r in ranges.clone() {
+            assert!(
+                prev_end <= r.start && r.start <= r.end && r.end <= self.nrows,
+                "position ranges must ascend without overlapping inside 0..{}",
+                self.nrows
+            );
+            prev_end = r.end;
         }
-    }
-
-    /// Compute rows `[row0, row0 + yb.len())` into `yb`, slab by slab.
-    /// Accumulation order per row is ascending `k`, identical to every
-    /// other SpMV variant in this type. While a slab segment streams,
-    /// the gather targets [`prefetch_ahead`] rows ahead are prefetched
-    /// — the indices are read sequentially, so the upcoming `x`
-    /// addresses are known long before they are needed.
-    #[inline]
-    fn spmv_block<Acc: Scalar>(&self, row0: usize, x: &[Acc], yb: &mut [Acc]) {
-        let n = self.nrows;
-        let len = yb.len();
-        let pf = prefetch_ahead();
-        for yi in yb.iter_mut() {
-            *yi = Acc::ZERO;
-        }
-        for k in 0..self.width {
-            let base = k * n + row0;
-            let cs = &self.col_idx[base..base + len];
-            let vs = &self.values[base..base + len];
-            if simd::try_ell_slab_fma(vs, cs, x, yb) {
-                continue;
-            }
-            for i in 0..len {
-                if pf > 0 && i + pf < len {
-                    prefetch_read(x, cs[i + pf] as usize);
+        let tiles = |r: &Range<usize>| r.len().div_ceil(ROW_BLOCK);
+        let total: usize = ranges.clone().map(|r| tiles(&r)).sum();
+        (0..total).into_par_iter().for_each(|mut t| {
+            let mut rest = ranges.clone();
+            let r = loop {
+                let r = rest.next().expect("tile index lies inside the ranges' tiles");
+                if t < tiles(&r) {
+                    break r;
                 }
-                yb[i] = Acc::from_scalar(vs[i]).mul_add(x[cs[i] as usize], yb[i]);
-            }
-        }
+                t -= tiles(&r);
+            };
+            let p0 = r.start + t * ROW_BLOCK;
+            let mut acc = [Acc::ZERO; ROW_BLOCK];
+            let acc = &mut acc[..ROW_BLOCK.min(r.end - p0)];
+            self.tile_dots(p0, x, acc);
+            finish(p0, acc);
+        });
     }
 
-    /// `y[i] = (A x)[i]` for a subset of rows (overlap split, §3.2.3).
-    pub fn spmv_rows<Acc: Scalar>(&self, rows: &[u32], x: &[Acc], y: &mut [Acc]) {
-        assert!(x.len() >= self.ncols);
-        // SAFETY: the builder guarantees every stored column `< ncols
-        // <= x.len()`; row indices and lengths are validated inside
-        // (out-of-range rows fall through to the panicking loop below).
-        let done = unsafe {
-            simd::try_ell_rows_spmv(
-                &self.values,
-                &self.col_idx,
-                self.nrows,
-                self.width,
-                rows,
-                x,
-                y.as_mut_ptr(),
-                y.len(),
-            )
-        };
-        if done {
+    /// Row dots of positions `[p0, p0 + acc.len())` into `acc`: every
+    /// slab's contiguous segment of the tile, ascending `k` — the vector
+    /// kernel, or the scalar reference walk it reproduces bit for bit.
+    /// Callers assert `x.len() >= ncols`.
+    #[inline]
+    fn tile_dots<Acc: Scalar>(&self, p0: usize, x: &[Acc], acc: &mut [Acc]) {
+        let (n, len) = (self.nrows, acc.len());
+        let (vs, cs) = (&self.values[p0..], &self.col_idx[p0..]);
+        // SAFETY: every stored column is `< ncols` (the `col_idx`
+        // invariant) and every caller has asserted `x.len() >= ncols`.
+        if unsafe { simd::try_ell_tile(vs, cs, n, self.width, x, acc) } {
             return;
         }
-        self.spmv_rows_scalar(rows, x, y);
-    }
-
-    /// Reference per-row walk behind [`EllMatrix::spmv_rows`].
-    fn spmv_rows_scalar<Acc: Scalar>(&self, rows: &[u32], x: &[Acc], y: &mut [Acc]) {
-        let n = self.nrows;
-        for &i in rows {
-            let i = i as usize;
-            let mut acc = Acc::ZERO;
-            for k in 0..self.width {
-                let slot = k * n + i;
-                acc = Acc::from_scalar(self.values[slot])
-                    .mul_add(x[self.col_idx[slot] as usize], acc);
+        acc.fill(Acc::ZERO);
+        for k in 0..self.width {
+            let (cs, vs) = (&cs[k * n..k * n + len], &vs[k * n..k * n + len]);
+            for ((a, &c), &v) in acc.iter_mut().zip(cs).zip(vs) {
+                *a = Acc::from_scalar(v).mul_add(x[c as usize], *a);
             }
-            y[i] = acc;
         }
     }
 
-    /// Parallel [`EllMatrix::spmv_rows`]. `rows` must not contain
-    /// duplicates. Rows are tiled in [`ROW_BLOCK`] groups so the
-    /// vector path gets whole tiles of lanes; per-row accumulation
-    /// order is unchanged, so results match the sequential walk
-    /// bit-for-bit.
-    pub fn spmv_rows_par<Acc: Scalar>(&self, rows: &[u32], x: &[Acc], y: &mut [Acc]) {
-        assert!(x.len() >= self.ncols);
-        assert!(y.len() >= self.nrows);
-        let n = self.nrows;
-        let y_len = y.len();
-        let shared = crate::shared::SharedMut::new(y);
-        let sh = &shared;
-        rows.par_chunks(ROW_BLOCK).for_each(move |tile| {
-            // SAFETY: builder-bounded columns (see `spmv_rows`); tiles
-            // of pairwise-distinct rows write disjoint `y` entries and
-            // the kernel reads only `x`; row bounds validated inside.
-            let done = !tile.is_empty()
-                && y_len > 0
-                && unsafe {
-                    simd::try_ell_rows_spmv(
-                        &self.values,
-                        &self.col_idx,
-                        n,
-                        self.width,
-                        tile,
-                        x,
-                        sh.get_mut(0),
-                        y_len,
-                    )
-                };
-            if done {
-                return;
-            }
-            for &i in tile {
-                let i = i as usize;
-                assert!(i < n, "row {} out of range {}", i, n);
-                let mut acc = Acc::ZERO;
-                for k in 0..self.width {
-                    let slot = k * n + i;
-                    acc = Acc::from_scalar(self.values[slot])
-                        .mul_add(x[self.col_idx[slot] as usize], acc);
-                }
-                // SAFETY: `rows` lists pairwise-distinct row indices and
-                // the kernel reads only `x`; each task writes its own
-                // `y[i]`.
-                unsafe { *sh.get_mut(i) = acc };
-            }
-        });
+    /// Diagonal values in position order (crate-internal: the
+    /// Gauss–Seidel epilogue streams them beside the tile dots).
+    pub(crate) fn diag_by_position(&self) -> &[S] {
+        &self.diag
     }
 
     /// Convert stored values to another precision (batched through the
-    /// SIMD converters; same per-element rounding as `from_f64`).
+    /// SIMD converters; same per-element rounding as `from_f64`). The
+    /// storage order is kept, and shared.
     pub fn convert<T: Scalar>(&self) -> EllMatrix<T> {
         let mut values = vec![T::ZERO; self.values.len()];
         crate::scalar::convert_slice(&self.values, &mut values);
@@ -376,19 +277,9 @@ impl<S: Scalar> EllMatrix<S> {
             col_idx: self.col_idx.clone(),
             values,
             diag,
+            order: self.order.clone(),
             nnz: self.nnz,
         }
-    }
-
-    /// Column-major stored values (crate-internal: the Gauss-Seidel
-    /// vector kernels address slabs directly).
-    pub(crate) fn values_slab(&self) -> &[S] {
-        &self.values
-    }
-
-    /// Column-major stored column indices (crate-internal).
-    pub(crate) fn col_idx_slab(&self) -> &[u32] {
-        &self.col_idx
     }
 
     /// Bytes of matrix data read by one SpMV sweep in this format:
@@ -433,51 +324,70 @@ mod tests {
         b.finish()
     }
 
+    /// Rows of `example_csr` stored in the order 2, 0, 3, 1.
+    fn reordered() -> EllMatrix<f64> {
+        EllMatrix::from_csr_ordered(&example_csr(), Permutation::from_new_order(&[2, 0, 3, 1]))
+    }
+
     #[test]
     fn layout_is_column_major_with_padding() {
-        let a = EllMatrix::from_csr(&example_csr());
-        assert_eq!(a.width(), 4);
-        assert_eq!(a.nnz(), 9);
-        assert_eq!(a.stored_entries(), 16);
-        // Row 3 has one entry then padding pointing at itself with 0.
-        assert_eq!(a.entry(3, 0), (3, 4.0));
-        assert_eq!(a.entry(3, 1), (3, 0.0));
-        // Row 1 keeps its CSR order across slabs.
-        assert_eq!(a.entry(1, 0), (0, -1.0));
-        assert_eq!(a.entry(1, 3), (4, -0.5));
+        for a in [EllMatrix::from_csr(&example_csr()), reordered()] {
+            assert_eq!(a.width(), 4);
+            assert_eq!(a.nnz(), 9);
+            assert_eq!(a.stored_entries(), 16);
+            // Row 3 has one entry then padding pointing at itself with 0.
+            assert_eq!(a.entry(3, 0), (3, 4.0));
+            assert_eq!(a.entry(3, 1), (3, 0.0));
+            // Row 1 keeps its CSR order across slabs.
+            assert_eq!(a.entry(1, 0), (0, -1.0));
+            assert_eq!(a.entry(1, 3), (4, -0.5));
+        }
+        // Row 2 sits at position 0 of every slab of the reordered copy.
+        let a = reordered();
+        assert_eq!((a.order().old_of_new(0), a.order().new_of_old(2)), (2, 0));
     }
 
     #[test]
     fn spmv_matches_csr() {
         let csr = example_csr();
-        let ell = EllMatrix::from_csr(&csr);
         let x = vec![1.0, 2.0, 3.0, 4.0, 10.0];
         let mut y_csr = vec![0.0; 4];
-        let mut y_ell = vec![0.0; 4];
         csr.spmv(&x, &mut y_csr);
-        ell.spmv(&x, &mut y_ell);
-        assert_eq!(y_csr, y_ell);
-        let mut y_par = vec![0.0; 4];
-        ell.spmv_par(&x, &mut y_par);
-        assert_eq!(y_csr, y_par);
+        for ell in [EllMatrix::from_csr(&csr), reordered()] {
+            let mut y_ell = vec![0.0; 4];
+            ell.spmv(&x, &mut y_ell);
+            assert_eq!(y_csr, y_ell);
+            let mut y_par = vec![0.0; 4];
+            ell.spmv_par(&x, &mut y_par);
+            assert_eq!(y_csr, y_par);
+        }
     }
 
     #[test]
     fn spmv_rows_subset_matches() {
-        let csr = example_csr();
-        let ell = EllMatrix::from_csr(&csr);
+        // Positions 1..3 of the reordered copy hold rows 0 and 3.
+        let ell = reordered();
         let x = vec![1.0, -1.0, 0.5, 2.0, 3.0];
         let mut full = vec![0.0; 4];
         ell.spmv(&x, &mut full);
         let mut part = vec![f64::NAN; 4];
-        ell.spmv_rows(&[1, 3], &x, &mut part);
-        assert_eq!(part[1], full[1]);
+        ell.spmv_ranges(std::iter::once(1..3), &x, &mut part);
+        assert_eq!(part[0], full[0]);
         assert_eq!(part[3], full[3]);
-        assert!(part[0].is_nan());
+        assert!(part[1].is_nan() && part[2].is_nan());
     }
 
-    /// A matrix large and wide enough to trip the row-block heuristic:
-    /// a 1D 17-point band on `n` rows.
+    #[test]
+    #[should_panic(expected = "ascend without overlapping")]
+    fn overlapping_ranges_are_rejected() {
+        let ell = reordered();
+        let x = vec![0.0; 5];
+        let mut y = vec![0.0; 4];
+        ell.spmv_ranges([0..3, 2..4].into_iter(), &x, &mut y);
+    }
+
+    /// A matrix large and wide enough for several tiles: a 1D 17-point
+    /// band on `n` rows.
     fn wide_band(n: usize) -> CsrMatrix<f64> {
         let mut b = CsrBuilder::new(n, n, 17 * n);
         for i in 0..n as i64 {
@@ -494,52 +404,71 @@ mod tests {
         b.finish()
     }
 
+    /// Odd rows first, then even rows: a storage order unlike the
+    /// natural one.
+    fn odd_even(n: usize) -> Permutation {
+        let order: Vec<u32> = (1..n as u32).step_by(2).chain((0..n as u32).step_by(2)).collect();
+        Permutation::from_new_order(&order)
+    }
+
     #[test]
     fn rowblock_variants_are_bit_identical_to_rowwise() {
+        // Every tiled traversal equals the row-wise dot of each row.
         let a = wide_band(3 * ROW_BLOCK + 41);
-        let ell = EllMatrix::from_csr(&a);
-        assert!(ell.width() >= 8);
         let n = a.nrows();
+        let ell = EllMatrix::from_csr_ordered(&a, odd_even(n));
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let rowwise: Vec<f64> = (0..n)
+            .map(|i| {
+                (0..ell.width()).fold(0.0, |acc, k| {
+                    let (c, v) = ell.entry(i, k);
+                    v.mul_add(x[c as usize], acc)
+                })
+            })
+            .collect();
         let mut y_seq = vec![0.0; n];
-        let mut y_blk = vec![0.0; n];
-        let mut y_row = vec![0.0; n];
         let mut y_par = vec![0.0; n];
         ell.spmv(&x, &mut y_seq);
-        ell.spmv_rowblock(&x, &mut y_blk);
-        ell.spmv_par_rowwise(&x, &mut y_row);
-        ell.spmv_par(&x, &mut y_par);
-        assert_eq!(y_seq, y_blk);
-        assert_eq!(y_seq, y_row);
-        assert_eq!(y_seq, y_par);
+        rayon::ThreadPool::new(4).install(|| ell.spmv_par(&x, &mut y_par));
+        assert_eq!(y_seq, rowwise);
+        assert_eq!(y_par, rowwise);
     }
 
     #[test]
     fn spmv_rows_par_matches_serial_subset() {
         let a = wide_band(600);
-        let ell = EllMatrix::from_csr(&a);
+        let ell = EllMatrix::from_csr_ordered(&a, odd_even(600));
         let x: Vec<f64> = (0..600).map(|i| (i % 7) as f64 - 3.0).collect();
         let mut full = vec![0.0; 600];
         ell.spmv(&x, &mut full);
-        let rows: Vec<u32> = (0..600).step_by(3).map(|i| i as u32).collect();
+        let ranges = [3..290, 290..290, 300..599];
         let mut part = vec![f64::NAN; 600];
-        ell.spmv_rows_par(&rows, &x, &mut part);
-        for &i in &rows {
-            assert_eq!(part[i as usize], full[i as usize]);
+        rayon::ThreadPool::new(4)
+            .install(|| ell.spmv_ranges(ranges.iter().cloned(), &x, &mut part));
+        for p in 0..600 {
+            let i = ell.order().old_of_new(p);
+            if ranges.iter().any(|r| r.contains(&p)) {
+                assert_eq!(part[i], full[i]);
+            } else {
+                assert!(part[i].is_nan(), "position {p} is outside the ranges");
+            }
         }
     }
 
     #[test]
     fn diagonal_extraction() {
-        let ell = EllMatrix::from_csr(&example_csr());
-        assert_eq!(ell.diagonal(), &[4.0, 4.0, 4.0, 4.0]);
+        for ell in [EllMatrix::from_csr(&example_csr()), reordered()] {
+            let d: Vec<f64> = (0..4).map(|i| ell.diag(i)).collect();
+            assert_eq!(d, [4.0, 4.0, 4.0, 4.0]);
+        }
     }
 
     #[test]
     fn conversion_to_f32() {
-        let ell = EllMatrix::from_csr(&example_csr());
+        let ell = reordered();
         let e32: EllMatrix<f32> = ell.convert();
         assert_eq!(e32.nnz(), ell.nnz());
+        assert_eq!(e32.order(), ell.order());
         let x = vec![1.0f32; 5];
         let mut y = vec![0.0f32; 4];
         e32.spmv(&x, &mut y);
@@ -573,12 +502,9 @@ mod tests {
             let bound = 2.0 * f32::EPSILON as f64 * row_scale + 1e-300;
             assert!((a - b).abs() <= bound, "row {i}: {a} vs {b}, bound {bound}");
         }
-        // All traversals agree bit-for-bit at the split precision too.
-        let mut y_blk = vec![0.0f64; n];
+        // Both traversals agree bit-for-bit at the split precision too.
         let mut y_par = vec![0.0f64; n];
-        ell32.spmv_rowblock(&x, &mut y_blk);
         ell32.spmv_par(&x, &mut y_par);
-        assert_eq!(y_split, y_blk);
         assert_eq!(y_split, y_par);
     }
 

@@ -11,8 +11,9 @@
 //!   solve (§3.1, items 1–2) — which is bit-identical to the sequential
 //!   sweep but exposes only limited parallelism,
 //! * the optimized *multicolor relaxation* form (§3.2.1): one sweep over
-//!   the matrix, colors processed in sequence, all rows within a color
-//!   updated in parallel.
+//!   the color-block ordered ELL matrix, colors processed in sequence,
+//!   each color's contiguous range of slab positions updated in
+//!   parallel.
 //!
 //! All sweeps use the relaxation update
 //! `x_i ← x_i + (r_i − Σ_j a_ij x_j) / a_ii`,
@@ -22,12 +23,13 @@
 //! benchmark where each rank smooths its subdomain with the latest halo
 //! values.
 
-use crate::coloring::Coloring;
 use crate::csr::{CsrBuilder, CsrMatrix};
 use crate::ell::EllMatrix;
 use crate::levels::LevelSchedule;
+use crate::ordering::ColorRange;
 use crate::scalar::Scalar;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Matrix access needed by a Gauss–Seidel sweep, implemented by both
 /// storage formats so every variant runs on CSR and ELL alike.
@@ -50,29 +52,6 @@ pub trait SweepMatrix<Acc: Scalar>: Sync {
     /// `Σ_j a_ij x[j]` over all stored entries of row `i`, accumulated
     /// in `Acc`.
     fn row_dot(&self, i: usize, x: &[Acc]) -> Acc;
-
-    /// Relax a tile of rows from one color class:
-    /// `x[i] += (r[i] - row_dot(i)) / diag(i)` for each listed row.
-    ///
-    /// The default runs the scalar reference sequence; storage formats
-    /// with a vector kernel override it (same per-row arithmetic, so
-    /// results stay bit-identical).
-    ///
-    /// # Safety
-    /// `rows` must be an independent set of the matrix graph, every
-    /// listed row in bounds for `r` and `xs`, and no other thread may
-    /// concurrently touch the listed rows of `xs`.
-    unsafe fn relax_rows(&self, rows: &[u32], r: &[Acc], xs: &crate::shared::SharedMut<Acc>) {
-        for &iw in rows {
-            let i = iw as usize;
-            // SAFETY: forwarded from the caller — independent set, row
-            // in bounds, this tile's rows written by this thread only.
-            unsafe {
-                let acc = self.row_dot(i, xs.slice());
-                *xs.get_mut(i) += (r[i] - acc) / self.diag(i);
-            }
-        }
-    }
 }
 
 impl<Stored: Scalar, Acc: Scalar> SweepMatrix<Acc> for CsrMatrix<Stored> {
@@ -106,7 +85,7 @@ impl<Stored: Scalar, Acc: Scalar> SweepMatrix<Acc> for EllMatrix<Stored> {
     }
     #[inline]
     fn diag(&self, i: usize) -> Acc {
-        Acc::from_scalar(self.diagonal()[i])
+        Acc::from_scalar(EllMatrix::diag(self, i))
     }
     #[inline]
     fn row_dot(&self, i: usize, x: &[Acc]) -> Acc {
@@ -116,35 +95,6 @@ impl<Stored: Scalar, Acc: Scalar> SweepMatrix<Acc> for EllMatrix<Stored> {
             acc = Acc::from_scalar(v).mul_add(x[c as usize], acc);
         }
         acc
-    }
-
-    unsafe fn relax_rows(&self, rows: &[u32], r: &[Acc], xs: &crate::shared::SharedMut<Acc>) {
-        // SAFETY: caller's contract (independent set, bounds, exclusive
-        // rows) plus the builder invariant that stored columns are
-        // `< ncols <= xs.len()` (asserted by the sweep entry points).
-        let done = unsafe {
-            crate::simd::try_ell_relax_rows(
-                self.values_slab(),
-                self.col_idx_slab(),
-                self.diagonal(),
-                EllMatrix::nrows(self),
-                self.width(),
-                rows,
-                r,
-                xs,
-            )
-        };
-        if done {
-            return;
-        }
-        for &iw in rows {
-            let i = iw as usize;
-            // SAFETY: forwarded from the caller (see trait default).
-            unsafe {
-                let acc = self.row_dot(i, xs.slice());
-                *xs.get_mut(i) += (r[i] - acc) / self.diag(i);
-            }
-        }
     }
 }
 
@@ -177,9 +127,8 @@ pub fn gs_symmetric<S: Scalar, M: SweepMatrix<S>>(a: &M, r: &[S], x: &mut [S]) {
     gs_backward(a, r, x);
 }
 
-/// Sequential sweep over an explicit row order (used by tests and by the
-/// overlap-split execution in the solver, which sweeps interior rows of
-/// a color while the halo is in flight).
+/// Sequential sweep over an explicit row order — the reference the
+/// multicolor sweep is tested against, rows taken in color order.
 pub fn gs_rows_ordered<S: Scalar, M: SweepMatrix<S>>(a: &M, rows: &[u32], r: &[S], x: &mut [S]) {
     assert!(x.len() >= a.ncols());
     for &i in rows {
@@ -187,50 +136,56 @@ pub fn gs_rows_ordered<S: Scalar, M: SweepMatrix<S>>(a: &M, rows: &[u32], r: &[S
     }
 }
 
-/// Update every row of one color class in parallel (the body of the
-/// multicolor sweep; exposed so the solver can interleave colors with
-/// halo communication).
+/// Relax the rows stored at positions `pos` of a color-block ordered
+/// ELL matrix in parallel: the slab tiles of [`EllMatrix`]'s shared
+/// traversal, then the fused epilogue `x[i] += (r[i] − dot_i) / a_ii`
+/// per tile (the body of the multicolor sweep; exposed so the solver
+/// can interleave a color's interior and boundary positions with halo
+/// communication).
 ///
-/// `rows` must be an independent set of `a`'s graph: no two listed rows
-/// may be coupled by a stored entry.
-pub fn gs_color_class<S: Scalar, M: SweepMatrix<S>>(a: &M, rows: &[u32], r: &[S], x: &mut [S]) {
+/// The rows at `pos` must be an independent set of `a`'s graph — all
+/// of one color: no two of them may be coupled by a stored entry.
+pub fn gs_range<S: Scalar, Acc: Scalar>(
+    a: &EllMatrix<S>,
+    pos: Range<usize>,
+    r: &[Acc],
+    x: &mut [Acc],
+) {
     assert!(x.len() >= a.ncols() && r.len() >= a.nrows());
-    let n = a.nrows();
-    for &iw in rows {
-        assert!((iw as usize) < n, "row {} out of range {}", iw, n);
-    }
+    let d = a.diag_by_position();
     let shared = crate::shared::SharedMut::new(x);
     let xs = &shared;
-    rows.par_chunks(GS_TILE).for_each(move |tile| {
-        // SAFETY: within one color the rows form an independent set of
-        // the matrix graph. Each tile writes only `x[i]` for its own
-        // rows `i` (validated `< nrows` above), and reads `x[j]` only
-        // for stored columns `j` of its rows — which by the coloring
-        // invariant are never rows of the *same* color (other than the
-        // row itself). Hence all concurrent writes are disjoint and no
-        // element is concurrently read and written.
-        unsafe { a.relax_rows(tile, r, xs) };
+    // SAFETY: within one color the rows form an independent set of the
+    // matrix graph. Each tile writes only `x[i]` for the rows `i` it
+    // holds (positions are handed to exactly one tile, `i < nrows`),
+    // and reads `x[j]` only for stored columns `j` of its rows — which
+    // by the coloring invariant are never rows of the *same* color
+    // (other than the row itself, read before it is written). Hence all
+    // concurrent writes are disjoint and no element is concurrently
+    // read and written.
+    let x_read = unsafe { xs.slice() };
+    a.row_dots(std::iter::once(pos), x_read, |p0, dots| {
+        for (j, &dot) in dots.iter().enumerate() {
+            let i = a.order().old_of_new(p0 + j);
+            // SAFETY: see above — row `i` belongs to this tile alone.
+            unsafe { *xs.get_mut(i) += (r[i] - dot) / Acc::from_scalar(d[p0 + j]) };
+        }
     });
 }
 
-/// Tile length of the parallel color sweep: rows of one color are
-/// relaxed in contiguous `GS_TILE`-row work items, so a tile's row
-/// indices, residual entries, and gathered `x` segments stay cache
-/// resident across the slab walk (and the vector kernel gets whole
-/// tiles of lanes).
-pub const GS_TILE: usize = 512;
-
-/// Multicolor forward Gauss–Seidel: colors in sequence, rows within a
-/// color in parallel (§3.2.1's optimized smoother).
-pub fn gs_multicolor<S: Scalar, M: SweepMatrix<S>>(
-    a: &M,
-    coloring: &Coloring,
-    r: &[S],
-    x: &mut [S],
+/// Multicolor forward Gauss–Seidel over a color-block ordered ELL
+/// matrix: colors in sequence, each color's contiguous position range
+/// relaxed in parallel (§3.2.1's optimized smoother). `colors` are the
+/// ranges of the color-block order the matrix is stored in
+/// ([`crate::ordering::color_block_order`]).
+pub fn gs_multicolor<S: Scalar, Acc: Scalar>(
+    a: &EllMatrix<S>,
+    colors: &[ColorRange],
+    r: &[Acc],
+    x: &mut [Acc],
 ) {
-    debug_assert_eq!(coloring.color_of.len(), a.nrows());
-    for class in &coloring.rows_of {
-        gs_color_class(a, class, r, x);
+    for c in colors {
+        gs_range(a, c.all(), r, x);
     }
 }
 
@@ -327,6 +282,7 @@ mod tests {
     use super::*;
     use crate::coloring::greedy_coloring;
     use crate::csr::CsrBuilder;
+    use crate::ordering::color_block_order;
 
     /// 2D 5-point Laplacian with an extra ghost column per boundary row,
     /// to exercise frozen halo values.
@@ -397,18 +353,22 @@ mod tests {
         let a = laplacian_2d(6, 5);
         let coloring = greedy_coloring(&a);
         assert!(coloring.verify(&a));
+        let (order, bounds) = color_block_order(&coloring.color_of, 2, |i| (i % 4 == 0) as usize);
+        let colors: Vec<ColorRange> = bounds
+            .windows(3)
+            .step_by(2)
+            .map(|w| ColorRange { start: w[0], split: w[1], end: w[2] })
+            .collect();
+        let e = EllMatrix::from_csr_ordered(&a, order);
         let r: Vec<f64> = (0..30).map(|i| (i as f64) * 0.1 - 1.0).collect();
 
         let mut x_par = vec![0.5; 30];
-        gs_multicolor(&a, &coloring, &r, &mut x_par);
+        gs_multicolor(&e, &colors, &r, &mut x_par);
 
         let mut x_seq = vec![0.5; 30];
-        let order: Vec<u32> = coloring.rows_of.iter().flatten().copied().collect();
-        gs_rows_ordered(&a, &order, &r, &mut x_seq);
-
-        for (p, s) in x_par.iter().zip(x_seq.iter()) {
-            assert!((p - s).abs() < 1e-14);
-        }
+        let rows: Vec<u32> = (0..30).map(|p| e.order().old_of_new(p) as u32).collect();
+        gs_rows_ordered(&e, &rows, &r, &mut x_seq);
+        assert_eq!(x_par, x_seq);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`csr`] — compressed sparse row storage (the reference
 //!   implementation's format),
 //! * [`ell`] — ELLPACK storage with column-major padding (the paper's
-//!   optimized format, §3.2.2),
+//!   optimized format, §3.2.2), rows stored in a chosen order so each
+//!   color of a multicolored matrix is one contiguous slab range,
 //! * [`coloring`] — greedy and Jones–Plassmann–Luby multicoloring used
 //!   to expose parallelism inside Gauss–Seidel (§3.2.1),
 //! * [`ordering`] — permutations, color-block ordering, and reverse
@@ -46,5 +47,5 @@ pub use csr::{CsrBuilder, CsrMatrix};
 pub use ell::EllMatrix;
 pub use half::Half;
 pub use levels::LevelSchedule;
-pub use ordering::Permutation;
+pub use ordering::{ColorRange, Permutation};
 pub use scalar::{PrecKind, Scalar};

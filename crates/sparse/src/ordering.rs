@@ -9,6 +9,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
+use std::ops::Range;
 
 /// A bijection between "old" (natural/lexicographic) and "new"
 /// (reordered) row indices.
@@ -63,21 +64,13 @@ impl Permutation {
     /// Permute a vector: `out[new_of_old[i]] = x[i]`.
     pub fn apply<S: Copy>(&self, x: &[S]) -> Vec<S> {
         assert_eq!(x.len(), self.len());
-        let mut out = vec![x[0]; x.len()];
-        for (old, &new) in self.new_of_old.iter().enumerate() {
-            out[new as usize] = x[old];
-        }
-        out
+        self.old_of_new.iter().map(|&old| x[old as usize]).collect()
     }
 
     /// Inverse-permute a vector: `out[i] = x[new_of_old[i]]`.
     pub fn apply_inverse<S: Copy>(&self, x: &[S]) -> Vec<S> {
         assert_eq!(x.len(), self.len());
-        let mut out = vec![x[0]; x.len()];
-        for (old, &new) in self.new_of_old.iter().enumerate() {
-            out[old] = x[new as usize];
-        }
-        out
+        self.new_of_old.iter().map(|&new| x[new as usize]).collect()
     }
 
     /// The inverse permutation as its own object.
@@ -94,21 +87,78 @@ impl Permutation {
     }
 }
 
-/// Order rows by color (stable within a color): all color-0 rows first,
-/// then color-1, etc. This is the independent-set ordering of §3.2.1 —
-/// after it, each color's rows form a contiguous block that a GPU (or a
-/// thread pool) can sweep in parallel.
-pub fn color_block_order(colors: &[u32]) -> Permutation {
-    let ncolors = colors.iter().copied().max().map_or(0, |m| m as usize + 1);
-    let mut order: Vec<u32> = Vec::with_capacity(colors.len());
-    for c in 0..ncolors as u32 {
-        for (i, &ci) in colors.iter().enumerate() {
-            if ci == c {
-                order.push(i as u32);
-            }
-        }
+/// Positions of one color in a color-block order, cut in two: the color
+/// is `start..end`, its interior rows `start..split` and its boundary
+/// rows `split..end` (rows that may be relaxed while the halo is in
+/// flight, and rows that read ghosts).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColorRange {
+    /// First position of the color.
+    pub start: usize,
+    /// First boundary position of the color (`end` if it has none).
+    pub split: usize,
+    /// One past the color's last position.
+    pub end: usize,
+}
+
+impl ColorRange {
+    /// Every position of the color.
+    pub fn all(&self) -> Range<usize> {
+        self.start..self.end
     }
-    Permutation::from_new_order(&order)
+
+    /// Positions of the color's interior rows.
+    pub fn interior(&self) -> Range<usize> {
+        self.start..self.split
+    }
+
+    /// Positions of the color's boundary rows.
+    pub fn boundary(&self) -> Range<usize> {
+        self.split..self.end
+    }
+}
+
+/// Order rows by `(color, class, row)`: all color-0 rows first, then
+/// color-1, etc.; within a color the rows of class 0, then class 1, …
+/// (`class(row) < nclasses`); increasing row order within each such
+/// bucket. This is the independent-set ordering of §3.2.1 — after it,
+/// each color's rows form a contiguous block that a GPU (or a thread
+/// pool) can sweep in parallel, and each class (say, the rows that must
+/// wait for the halo) is one sub-range of it. One counting-sort pass
+/// over the rows.
+///
+/// Returns the permutation (new index = position) and the
+/// `ncolors * nclasses + 1` bucket bounds: color `c`'s class-`k` rows
+/// sit at positions `bounds[c * nclasses + k]..bounds[c * nclasses + k + 1]`.
+pub fn color_block_order(
+    colors: &[u32],
+    nclasses: usize,
+    class: impl Fn(usize) -> usize,
+) -> (Permutation, Vec<usize>) {
+    let ncolors = colors.iter().copied().max().map_or(0, |m| m as usize + 1);
+    let buckets: Vec<u32> = colors
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| {
+            let k = class(i);
+            assert!(k < nclasses, "row {i} has class {k}, not below {nclasses}");
+            (c as usize * nclasses + k) as u32
+        })
+        .collect();
+    let mut bounds = vec![0usize; ncolors * nclasses + 1];
+    for &b in &buckets {
+        bounds[b as usize + 1] += 1;
+    }
+    for b in 1..bounds.len() {
+        bounds[b] += bounds[b - 1];
+    }
+    let mut next = bounds.clone();
+    let mut order = vec![0u32; colors.len()];
+    for (i, &b) in buckets.iter().enumerate() {
+        order[next[b as usize]] = i as u32;
+        next[b as usize] += 1;
+    }
+    (Permutation::from_new_order(&order), bounds)
 }
 
 /// Reverse Cuthill–McKee ordering of the owned block's graph.
@@ -204,6 +254,14 @@ mod tests {
     }
 
     #[test]
+    fn empty_permutation_applies_to_empty_vectors() {
+        let p = Permutation::identity(0);
+        assert!(p.is_empty());
+        assert!(p.apply::<f64>(&[]).is_empty());
+        assert!(p.apply_inverse::<f64>(&[]).is_empty());
+    }
+
+    #[test]
     fn apply_and_inverse_cancel() {
         let p = Permutation::from_new_order(&[2, 0, 3, 1]);
         let x = vec![10.0, 20.0, 30.0, 40.0];
@@ -230,13 +288,17 @@ mod tests {
     #[test]
     fn color_block_groups_rows() {
         let colors = vec![1, 0, 1, 0, 2];
-        let p = color_block_order(&colors);
+        let (p, bounds) = color_block_order(&colors, 1, |_| 0);
         // New order: old rows 1,3 (color 0), then 0,2 (color 1), then 4.
-        assert_eq!(p.old_of_new(0), 1);
-        assert_eq!(p.old_of_new(1), 3);
-        assert_eq!(p.old_of_new(2), 0);
-        assert_eq!(p.old_of_new(3), 2);
-        assert_eq!(p.old_of_new(4), 4);
+        let order: Vec<usize> = (0..5).map(|i| p.old_of_new(i)).collect();
+        assert_eq!(order, vec![1, 3, 0, 2, 4]);
+        assert_eq!(bounds, vec![0, 2, 4, 5]);
+
+        // Class-1 rows sort last within their color.
+        let (p, bounds) = color_block_order(&colors, 2, |i| (i == 1 || i == 4) as usize);
+        let order: Vec<usize> = (0..5).map(|i| p.old_of_new(i)).collect();
+        assert_eq!(order, vec![3, 1, 0, 2, 4]);
+        assert_eq!(bounds, vec![0, 1, 2, 4, 4, 4, 5]);
     }
 
     #[test]

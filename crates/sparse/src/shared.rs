@@ -1,9 +1,9 @@
 //! Raw shared-mutable slice view for provably disjoint parallel writes.
 //!
 //! Several motif kernels update a vector at a set of pairwise-distinct
-//! indices (rows of one Gauss–Seidel color class, rows of a level in a
-//! triangular solve, the interior/boundary row lists of the overlap
-//! split, the injection points of restriction). Safe Rust cannot
+//! indices (the rows a tile of color-block ordered ELL positions holds,
+//! rows of a level in a triangular solve, the injection points of
+//! restriction). Safe Rust cannot
 //! express "these `&mut` borrows are disjoint because the index list
 //! has no duplicates", so the kernels share one erased pointer and
 //! uphold the invariant themselves.

@@ -33,7 +33,6 @@ mod x86;
 
 use crate::half::Half;
 use crate::scalar::Scalar;
-use crate::shared::SharedMut;
 use core::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -494,59 +493,69 @@ pub fn try_scale_narrow<Lo: Scalar>(alpha: f64, hi: &[f64], lo: &mut [Lo]) -> bo
 // ELL kernel entry points.
 // ---------------------------------------------------------------------------
 
-/// Vectorized slab segment `yb[i] = fma(widen(vs[i]), x[cs[i]], yb[i])`
-/// — the inner loop of the column-major ELL SpMV traversals. Safe: the
-/// column indices are bounds-checked here (one cheap linear scan that
-/// also warms the index cache line stream).
-pub fn try_ell_slab_fma<S: Scalar, Acc: Scalar>(
+/// Vectorized row dots of one ELL tile — the kernel under every ELL
+/// traversal, SpMV and Gauss–Seidel alike:
+/// `acc[j] = Σ_k widen(vs[k * stride + j]) * x[cs[k * stride + j]]` for
+/// `j < acc.len()`, `k` ascending from zero over `width` slabs (`vs`
+/// and `cs` start at the tile's first position of slab 0). The vector
+/// path keeps each row's accumulator in a register across the slabs,
+/// with the scalar walk's per-row operation sequence. Lengths are
+/// checked here.
+///
+/// # Safety
+/// Every column index the tile reads, `cs[k * stride + j]` for
+/// `k < width` and `j < acc.len()`, must be `< x.len()`.
+pub(crate) unsafe fn try_ell_tile<S: Scalar, Acc: Scalar>(
     vs: &[S],
     cs: &[u32],
+    stride: usize,
+    width: usize,
     x: &[Acc],
-    yb: &mut [Acc],
+    acc: &mut [Acc],
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if level() != SimdLevel::Avx2 {
+        if level() != SimdLevel::Avx2 || x.len() > MAX_GATHER_LEN {
             return false;
         }
-        let len = yb.len();
-        if vs.len() < len || cs.len() < len || x.len() > MAX_GATHER_LEN {
-            return false;
+        // The tile reads slots up to `(width - 1) * stride + len - 1`.
+        let need =
+            width.saturating_sub(1).checked_mul(stride).and_then(|e| e.checked_add(acc.len()));
+        match need {
+            Some(need) if width > 0 && vs.len() >= need && cs.len() >= need => {}
+            _ => return false,
         }
-        let limit = x.len() as u32;
-        if !cs[..len].iter().all(|&c| c < limit) {
-            return false;
-        }
-        if let Some(yv) = as_f64s_mut(yb) {
+        if let Some(av) = as_f64s_mut(acc) {
             let xv = as_f64s(x).unwrap();
-            // SAFETY (all arms): features verified; vs/cs cover yb's
-            // length; every cs[..len] < x.len() <= i32::MAX.
+            // SAFETY (all arms): features verified; vs/cs cover every
+            // slot the tile reads (checked above); every index read is
+            // `< x.len() <= i32::MAX` by the caller's contract.
             if let Some(v) = as_f64s(vs) {
-                unsafe { x86::ell_slab_f64_f64(v, cs, xv, yv) };
+                unsafe { x86::ell_tile_f64_f64(v, cs, stride, width, xv, av) };
                 return true;
             }
             if let Some(v) = as_f32s(vs) {
-                unsafe { x86::ell_slab_f32_f64(v, cs, xv, yv) };
+                unsafe { x86::ell_tile_f32_f64(v, cs, stride, width, xv, av) };
                 return true;
             }
             if let Some(v) = as_f16s(vs) {
-                unsafe { x86::ell_slab_f16_f64(v, cs, xv, yv) };
+                unsafe { x86::ell_tile_f16_f64(v, cs, stride, width, xv, av) };
                 return true;
             }
             return false;
         }
-        if let Some(yv) = as_f32s_mut(yb) {
+        if let Some(av) = as_f32s_mut(acc) {
             let xv = as_f32s(x).unwrap();
             if let Some(v) = as_f32s(vs) {
-                unsafe { x86::ell_slab_f32_f32(v, cs, xv, yv) };
+                unsafe { x86::ell_tile_f32_f32(v, cs, stride, width, xv, av) };
                 return true;
             }
             if let Some(v) = as_f16s(vs) {
-                unsafe { x86::ell_slab_f16_f32(v, cs, xv, yv) };
+                unsafe { x86::ell_tile_f16_f32(v, cs, stride, width, xv, av) };
                 return true;
             }
             if let Some(v) = as_f64s(vs) {
-                unsafe { x86::ell_slab_f64_f32(v, cs, xv, yv) };
+                unsafe { x86::ell_tile_f64_f32(v, cs, stride, width, xv, av) };
                 return true;
             }
             return false;
@@ -555,199 +564,7 @@ pub fn try_ell_slab_fma<S: Scalar, Acc: Scalar>(
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (vs, cs, x, yb);
-        false
-    }
-}
-
-/// Vectorized full-row ELL SpMV for an explicit row list:
-/// `y[i] = Σ_k widen(values[k*nrows+i]) * x[col_idx[k*nrows+i]]` with
-/// the ascending-`k` FMA order of the scalar path.
-///
-/// # Safety
-/// `values`/`col_idx` must hold at least `width * nrows` entries with
-/// every stored column index `< x.len()` (the `EllMatrix` builder
-/// guarantees columns `< ncols`); `y` must be valid for writes at
-/// every listed row, and no listed row may be written concurrently by
-/// another thread. Rows and lengths are checked here; column contents
-/// are the caller's contract.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn try_ell_rows_spmv<S: Scalar, Acc: Scalar>(
-    values: &[S],
-    col_idx: &[u32],
-    nrows: usize,
-    width: usize,
-    rows: &[u32],
-    x: &[Acc],
-    y: *mut Acc,
-    y_len: usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level() != SimdLevel::Avx2 {
-            return false;
-        }
-        let entries = match width.checked_mul(nrows) {
-            Some(e) => e,
-            None => return false,
-        };
-        if values.len() < entries
-            || col_idx.len() < entries
-            || entries > MAX_GATHER_LEN
-            || nrows > MAX_GATHER_LEN
-            || x.len() > MAX_GATHER_LEN
-        {
-            return false;
-        }
-        let row_limit = nrows.min(y_len) as u64;
-        if !rows.iter().all(|&i| (i as u64) < row_limit) {
-            return false;
-        }
-        let values = &values[..entries];
-        let col_idx = &col_idx[..entries];
-        if let Some(xv) = as_f64s(x) {
-            let yp = y as *mut f64;
-            // SAFETY (all arms): features verified; slot indices stay
-            // below `entries <= i32::MAX`; rows validated above;
-            // column contents in-bounds by the caller's contract.
-            if let Some(v) = as_f64s(values) {
-                unsafe { x86::ell_rows_f64_f64(v, col_idx, nrows, width, rows, xv, yp) };
-                return true;
-            }
-            if let Some(v) = as_f32s(values) {
-                unsafe { x86::ell_rows_f32_f64(v, col_idx, nrows, width, rows, xv, yp) };
-                return true;
-            }
-            if let Some(v) = as_f16s(values) {
-                unsafe { x86::ell_rows_f16_f64(v, col_idx, nrows, width, rows, xv, yp) };
-                return true;
-            }
-            return false;
-        }
-        if let Some(xv) = as_f32s(x) {
-            let yp = y as *mut f32;
-            if let Some(v) = as_f32s(values) {
-                unsafe { x86::ell_rows_f32_f32(v, col_idx, nrows, width, rows, xv, yp) };
-                return true;
-            }
-            if let Some(v) = as_f16s(values) {
-                unsafe { x86::ell_rows_f16_f32(v, col_idx, nrows, width, rows, xv, yp) };
-                return true;
-            }
-            if let Some(v) = as_f64s(values) {
-                unsafe { x86::ell_rows_f64_f32(v, col_idx, nrows, width, rows, xv, yp) };
-                return true;
-            }
-            return false;
-        }
-        false
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (values, col_idx, nrows, width, rows, x, y, y_len);
-        false
-    }
-}
-
-/// Vectorized multicolor Gauss-Seidel relaxation over an independent
-/// row set: `x[i] += (r[i] - row_dot(i)) / diag[i]` with the scalar
-/// path's exact per-row arithmetic sequence.
-///
-/// # Safety
-/// Contract of [`try_ell_rows_spmv`] for `values`/`col_idx`/column
-/// contents (against `xs.len()`), plus: `rows` must be an independent
-/// set under the matrix sparsity (no listed row reads another listed
-/// row's entry), and no other thread may touch the listed rows of
-/// `xs` concurrently. Rows, `diag`, `r`, and lengths are checked here.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn try_ell_relax_rows<S: Scalar, Acc: Scalar>(
-    values: &[S],
-    col_idx: &[u32],
-    diag: &[S],
-    nrows: usize,
-    width: usize,
-    rows: &[u32],
-    r: &[Acc],
-    xs: &SharedMut<Acc>,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level() != SimdLevel::Avx2 {
-            return false;
-        }
-        let entries = match width.checked_mul(nrows) {
-            Some(e) => e,
-            None => return false,
-        };
-        if values.len() < entries
-            || col_idx.len() < entries
-            || diag.len() < nrows
-            || entries > MAX_GATHER_LEN
-            || nrows > MAX_GATHER_LEN
-            || xs.len() > MAX_GATHER_LEN
-        {
-            return false;
-        }
-        let row_limit = nrows.min(r.len()).min(xs.len()) as u64;
-        if !rows.iter().all(|&i| (i as u64) < row_limit) {
-            return false;
-        }
-        if rows.is_empty() {
-            return true;
-        }
-        let values = &values[..entries];
-        let col_idx = &col_idx[..entries];
-        // SAFETY: rows non-empty and validated < xs.len(), so index 0
-        // is in bounds; the raw pointer aliases only rows this call is
-        // entitled to write (caller's independent-set contract).
-        let xp = unsafe { xs.get_mut(0) };
-        if is::<Acc, f64>() {
-            let rv = as_f64s(r).unwrap();
-            let xp = xp as *mut f64;
-            // SAFETY (all arms): as in `try_ell_rows_spmv`, plus diag
-            // covers nrows and r covers every listed row.
-            if let Some(v) = as_f64s(values) {
-                let d = as_f64s(diag).unwrap();
-                unsafe { x86::ell_relax_f64_f64(v, col_idx, d, nrows, width, rows, rv, xp) };
-                return true;
-            }
-            if let Some(v) = as_f32s(values) {
-                let d = as_f32s(diag).unwrap();
-                unsafe { x86::ell_relax_f32_f64(v, col_idx, d, nrows, width, rows, rv, xp) };
-                return true;
-            }
-            if let Some(v) = as_f16s(values) {
-                let d = as_f16s(diag).unwrap();
-                unsafe { x86::ell_relax_f16_f64(v, col_idx, d, nrows, width, rows, rv, xp) };
-                return true;
-            }
-            return false;
-        }
-        if is::<Acc, f32>() {
-            let rv = as_f32s(r).unwrap();
-            let xp = xp as *mut f32;
-            if let Some(v) = as_f32s(values) {
-                let d = as_f32s(diag).unwrap();
-                unsafe { x86::ell_relax_f32_f32(v, col_idx, d, nrows, width, rows, rv, xp) };
-                return true;
-            }
-            if let Some(v) = as_f16s(values) {
-                let d = as_f16s(diag).unwrap();
-                unsafe { x86::ell_relax_f16_f32(v, col_idx, d, nrows, width, rows, rv, xp) };
-                return true;
-            }
-            if let Some(v) = as_f64s(values) {
-                let d = as_f64s(diag).unwrap();
-                unsafe { x86::ell_relax_f64_f32(v, col_idx, d, nrows, width, rows, rv, xp) };
-                return true;
-            }
-            return false;
-        }
-        false
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (values, col_idx, diag, nrows, width, rows, r, xs);
+        let _ = (vs, cs, stride, width, x, acc);
         false
     }
 }

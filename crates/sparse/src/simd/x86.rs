@@ -15,8 +15,8 @@
 //!   the same rounding as `as f32` / `f32_to_f16_bits` for every finite
 //!   and infinite value (NaN *payload* bits may differ; the software
 //!   narrower canonicalizes, the hardware one preserves),
-//! * `vdivpd`/`vdivps` and the add/sub/mul lanes are IEEE
-//!   correctly-rounded, matching the scalar operators.
+//! * the add/mul lanes are IEEE correctly-rounded, matching the scalar
+//!   operators.
 //!
 //! Loose tails (`len % lane_count`) always run the same scalar
 //! expressions as the portable fallback.
@@ -40,15 +40,6 @@ use core::arch::x86_64::*;
 /// rounding `f32_to_f16_bits` implements. (The 3-bit immediate has no
 /// room for `_MM_FROUND_NO_EXC`; conversion never traps here anyway.)
 const ROUND_NE: i32 = _MM_FROUND_TO_NEAREST_INT;
-
-/// Gather-target prefetch lookahead, matching the scalar ELL
-/// traversal: the cached `HPGMXP_PREFETCH` distance (default 16, 0
-/// disables). Hoisted to a local at each kernel's entry so the hot
-/// loop never touches the `OnceLock`.
-#[inline]
-fn pf_dist() -> usize {
-    crate::ell::prefetch_ahead()
-}
 
 // ---------------------------------------------------------------------------
 // Scalar widening helpers for loop tails (exact; same arithmetic as
@@ -120,88 +111,6 @@ unsafe fn ld8_f32_from_f64(p: *const f64) -> __m256 {
     let lo = _mm256_cvtpd_ps(_mm256_loadu_pd(p));
     let hi = _mm256_cvtpd_ps(_mm256_loadu_pd(p.add(4)));
     _mm256_set_m128(hi, lo)
-}
-
-// ---------------------------------------------------------------------------
-// Strided (gathered) widening loads: `lane_count` stored values at the
-// i32 element offsets in `slot` → one Acc vector. fp16 has no hardware
-// gather; its lanes are collected scalar-wise and widened in one go.
-// ---------------------------------------------------------------------------
-
-#[target_feature(enable = "avx2,fma,f16c")]
-#[inline]
-unsafe fn g4_f64(p: *const f64, slot: __m128i) -> __m256d {
-    _mm256_i32gather_pd::<8>(p, slot)
-}
-
-#[target_feature(enable = "avx2,fma,f16c")]
-#[inline]
-unsafe fn g4_f64_from_f32(p: *const f32, slot: __m128i) -> __m256d {
-    _mm256_cvtps_pd(_mm_i32gather_ps::<4>(p, slot))
-}
-
-#[target_feature(enable = "avx2,fma,f16c")]
-#[inline]
-unsafe fn g4_f64_from_f16(p: *const u16, slot: __m128i) -> __m256d {
-    let mut s = [0i32; 4];
-    _mm_storeu_si128(s.as_mut_ptr() as *mut __m128i, slot);
-    let b: [u16; 4] = [
-        *p.add(s[0] as usize),
-        *p.add(s[1] as usize),
-        *p.add(s[2] as usize),
-        *p.add(s[3] as usize),
-    ];
-    ld4_f64_from_f16(b.as_ptr())
-}
-
-#[target_feature(enable = "avx2,fma,f16c")]
-#[inline]
-unsafe fn g8_f32(p: *const f32, slot: __m256i) -> __m256 {
-    _mm256_i32gather_ps::<4>(p, slot)
-}
-
-#[target_feature(enable = "avx2,fma,f16c")]
-#[inline]
-unsafe fn g8_f32_from_f16(p: *const u16, slot: __m256i) -> __m256 {
-    let mut s = [0i32; 8];
-    _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, slot);
-    let b: [u16; 8] = [
-        *p.add(s[0] as usize),
-        *p.add(s[1] as usize),
-        *p.add(s[2] as usize),
-        *p.add(s[3] as usize),
-        *p.add(s[4] as usize),
-        *p.add(s[5] as usize),
-        *p.add(s[6] as usize),
-        *p.add(s[7] as usize),
-    ];
-    ld8_f32_from_f16(b.as_ptr())
-}
-
-#[target_feature(enable = "avx2,fma,f16c")]
-#[inline]
-unsafe fn g8_f32_from_f64(p: *const f64, slot: __m256i) -> __m256 {
-    let lo = _mm256_i32gather_pd::<8>(p, _mm256_castsi256_si128(slot));
-    let hi = _mm256_i32gather_pd::<8>(p, _mm256_extracti128_si256::<1>(slot));
-    _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
-}
-
-/// Prefetch the gather targets `cp[at..at+count]` point to (element
-/// width `elem_bytes`) — the vector-loop counterpart of the scalar
-/// traversal's one-target-per-row software prefetch.
-#[target_feature(enable = "avx2,fma,f16c")]
-#[inline]
-unsafe fn prefetch_gather_targets(
-    base: *const u8,
-    cp: *const u32,
-    at: usize,
-    elem_bytes: usize,
-    count: usize,
-) {
-    for t in 0..count {
-        let c = *cp.add(at + t) as usize;
-        _mm_prefetch::<{ _MM_HINT_T0 }>(base.add(c * elem_bytes) as *const i8);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -532,344 +441,104 @@ pub unsafe fn scale_f64_to_f16(alpha: f64, hi: &[f64], lo: &mut [u16]) {
 }
 
 // ---------------------------------------------------------------------------
-// ELL slab segment: `yb[i] = fma(widen(vs[i]), x[cs[i]], yb[i])` for a
-// contiguous run of rows of one slab — the inner loop of every blocked
-// SpMV traversal. Four (f64) / eight (f32) rows advance per iteration,
-// each lane holding its own row's accumulator, so per-row rounding
-// order is untouched.
+// ELL tile: `acc[j] = Σ_k fma(widen(vs[k·stride + j]), x[cs[k·stride + j]])`
+// for a run of consecutive positions — every slab's segment of the
+// tile, ascending `k`, in one call. Four (f64) / eight (f32) positions
+// advance together, each lane holding its own row's accumulator in a
+// register across all slabs, so per-row rounding order is that of the
+// scalar walk.
 // ---------------------------------------------------------------------------
 
-macro_rules! ell_slab_into_f64 {
+macro_rules! ell_tile_into_f64 {
     ($name:ident, $S:ty, $ld:ident, $wide:ident) => {
         /// # Safety
-        /// `vs.len() >= yb.len()`, `cs.len() >= yb.len()`, every
-        /// `cs[i] < x.len()`, and `x.len() <= i32::MAX`.
-        #[target_feature(enable = "avx2,fma,f16c")]
-        pub unsafe fn $name(vs: &[$S], cs: &[u32], x: &[f64], yb: &mut [f64]) {
-            let len = yb.len();
-            let xp = x.as_ptr();
-            let vp = vs.as_ptr();
-            let cp = cs.as_ptr();
-            let yp = yb.as_mut_ptr();
-            let pf = pf_dist();
-            let mut i = 0usize;
-            while i + 4 <= len {
-                if pf > 0 && i + pf + 4 <= len {
-                    prefetch_gather_targets(xp as *const u8, cp, i + pf, 8, 4);
-                }
-                let idx = _mm_loadu_si128(cp.add(i) as *const __m128i);
-                let xv = _mm256_i32gather_pd::<8>(xp, idx);
-                let vv = $ld(vp.add(i));
-                let yv = _mm256_loadu_pd(yp.add(i));
-                _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(vv, xv, yv));
-                i += 4;
-            }
-            while i < len {
-                let c = *cp.add(i) as usize;
-                *yp.add(i) = $wide(*vp.add(i)).mul_add(*xp.add(c), *yp.add(i));
-                i += 1;
-            }
-            _mm256_zeroupper();
-        }
-    };
-}
-
-macro_rules! ell_slab_into_f32 {
-    ($name:ident, $S:ty, $ld:ident, $wide:ident) => {
-        /// # Safety
-        /// `vs.len() >= yb.len()`, `cs.len() >= yb.len()`, every
-        /// `cs[i] < x.len()`, and `x.len() <= i32::MAX`.
-        #[target_feature(enable = "avx2,fma,f16c")]
-        pub unsafe fn $name(vs: &[$S], cs: &[u32], x: &[f32], yb: &mut [f32]) {
-            let len = yb.len();
-            let xp = x.as_ptr();
-            let vp = vs.as_ptr();
-            let cp = cs.as_ptr();
-            let yp = yb.as_mut_ptr();
-            let pf = pf_dist();
-            let mut i = 0usize;
-            while i + 8 <= len {
-                if pf > 0 && i + pf + 8 <= len {
-                    prefetch_gather_targets(xp as *const u8, cp, i + pf, 4, 8);
-                }
-                let idx = _mm256_loadu_si256(cp.add(i) as *const __m256i);
-                let xv = _mm256_i32gather_ps::<4>(xp, idx);
-                let vv = $ld(vp.add(i));
-                let yv = _mm256_loadu_ps(yp.add(i));
-                _mm256_storeu_ps(yp.add(i), _mm256_fmadd_ps(vv, xv, yv));
-                i += 8;
-            }
-            while i < len {
-                let c = *cp.add(i) as usize;
-                *yp.add(i) = $wide(*vp.add(i)).mul_add(*xp.add(c), *yp.add(i));
-                i += 1;
-            }
-            _mm256_zeroupper();
-        }
-    };
-}
-
-ell_slab_into_f64!(ell_slab_f64_f64, f64, ld4_f64, w64_f64);
-ell_slab_into_f64!(ell_slab_f32_f64, f32, ld4_f64_from_f32, w64_f32);
-ell_slab_into_f64!(ell_slab_f16_f64, u16, ld4_f64_from_f16, w64_f16);
-ell_slab_into_f32!(ell_slab_f32_f32, f32, ld8_f32, w32_f32);
-ell_slab_into_f32!(ell_slab_f16_f32, u16, ld8_f32_from_f16, w32_f16);
-ell_slab_into_f32!(ell_slab_f64_f32, f64, ld8_f32_from_f64, w32_f64);
-
-// ---------------------------------------------------------------------------
-// ELL row-list SpMV: full row dots (ascending slab order) for an
-// explicit list of rows — the overlap-split traversal. One lane per
-// row; values, column indices, and `x` entries are gathered per slab.
-// ---------------------------------------------------------------------------
-
-macro_rules! ell_rows_spmv_into_f64 {
-    ($name:ident, $S:ty, $g4:ident, $wide:ident) => {
-        /// # Safety
-        /// `values`/`col_idx` hold `width * nrows` entries with every
-        /// column `< x.len()`; every row in `rows` addresses a valid
-        /// `y` element no other thread touches concurrently; all slot
-        /// and column indices fit in `i32`.
+        /// With `len = acc.len()` and `width > 0`: `vs` and `cs` hold at
+        /// least `(width - 1) * stride + len` entries, every
+        /// `cs[k * stride + j]` (`k < width`, `j < len`) is `< x.len()`,
+        /// and `x.len() <= i32::MAX`.
         #[target_feature(enable = "avx2,fma,f16c")]
         pub unsafe fn $name(
-            values: &[$S],
-            col_idx: &[u32],
-            nrows: usize,
+            vs: &[$S],
+            cs: &[u32],
+            stride: usize,
             width: usize,
-            rows: &[u32],
             x: &[f64],
-            y: *mut f64,
+            acc: &mut [f64],
         ) {
-            let vp = values.as_ptr();
-            let cp = col_idx.as_ptr();
-            let xp = x.as_ptr();
-            let rp = rows.as_ptr();
-            let stride = _mm_set1_epi32(nrows as i32);
+            let len = acc.len();
+            let (xp, vp, cp, yp) = (x.as_ptr(), vs.as_ptr(), cs.as_ptr(), acc.as_mut_ptr());
             let mut j = 0usize;
-            while j + 4 <= rows.len() {
-                let rowv = _mm_loadu_si128(rp.add(j) as *const __m128i);
-                let mut slot = rowv;
-                let mut acc = _mm256_setzero_pd();
-                for _k in 0..width {
-                    let cols = _mm_i32gather_epi32::<4>(cp as *const i32, slot);
-                    let xv = _mm256_i32gather_pd::<8>(xp, cols);
-                    let vv = $g4(vp, slot);
-                    acc = _mm256_fmadd_pd(vv, xv, acc);
-                    slot = _mm_add_epi32(slot, stride);
+            while j + 4 <= len {
+                let mut a = _mm256_setzero_pd();
+                for k in 0..width {
+                    let o = k * stride + j;
+                    let xv =
+                        _mm256_i32gather_pd::<8>(xp, _mm_loadu_si128(cp.add(o) as *const __m128i));
+                    a = _mm256_fmadd_pd($ld(vp.add(o)), xv, a);
                 }
-                let mut lanes = [0.0f64; 4];
-                _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-                for (t, &l) in lanes.iter().enumerate() {
-                    *y.add(*rp.add(j + t) as usize) = l;
-                }
+                _mm256_storeu_pd(yp.add(j), a);
                 j += 4;
             }
-            for &iw in &rows[j..] {
-                let i = iw as usize;
-                let mut acc = 0.0f64;
+            while j < len {
+                let mut a = 0.0f64;
                 for k in 0..width {
-                    let slot = k * nrows + i;
-                    acc = $wide(*vp.add(slot)).mul_add(*xp.add(*cp.add(slot) as usize), acc);
+                    let o = k * stride + j;
+                    a = $wide(*vp.add(o)).mul_add(*xp.add(*cp.add(o) as usize), a);
                 }
-                *y.add(i) = acc;
+                *yp.add(j) = a;
+                j += 1;
             }
             _mm256_zeroupper();
         }
     };
 }
 
-macro_rules! ell_rows_spmv_into_f32 {
-    ($name:ident, $S:ty, $g8:ident, $wide:ident) => {
+macro_rules! ell_tile_into_f32 {
+    ($name:ident, $S:ty, $ld:ident, $wide:ident) => {
         /// # Safety
         /// Same contract as the f64-accumulating variant.
         #[target_feature(enable = "avx2,fma,f16c")]
         pub unsafe fn $name(
-            values: &[$S],
-            col_idx: &[u32],
-            nrows: usize,
+            vs: &[$S],
+            cs: &[u32],
+            stride: usize,
             width: usize,
-            rows: &[u32],
             x: &[f32],
-            y: *mut f32,
+            acc: &mut [f32],
         ) {
-            let vp = values.as_ptr();
-            let cp = col_idx.as_ptr();
-            let xp = x.as_ptr();
-            let rp = rows.as_ptr();
-            let stride = _mm256_set1_epi32(nrows as i32);
+            let len = acc.len();
+            let (xp, vp, cp, yp) = (x.as_ptr(), vs.as_ptr(), cs.as_ptr(), acc.as_mut_ptr());
             let mut j = 0usize;
-            while j + 8 <= rows.len() {
-                let rowv = _mm256_loadu_si256(rp.add(j) as *const __m256i);
-                let mut slot = rowv;
-                let mut acc = _mm256_setzero_ps();
-                for _k in 0..width {
-                    let cols = _mm256_i32gather_epi32::<4>(cp as *const i32, slot);
-                    let xv = _mm256_i32gather_ps::<4>(xp, cols);
-                    let vv = $g8(vp, slot);
-                    acc = _mm256_fmadd_ps(vv, xv, acc);
-                    slot = _mm256_add_epi32(slot, stride);
+            while j + 8 <= len {
+                let mut a = _mm256_setzero_ps();
+                for k in 0..width {
+                    let o = k * stride + j;
+                    let xv = _mm256_i32gather_ps::<4>(
+                        xp,
+                        _mm256_loadu_si256(cp.add(o) as *const __m256i),
+                    );
+                    a = _mm256_fmadd_ps($ld(vp.add(o)), xv, a);
                 }
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-                for (t, &l) in lanes.iter().enumerate() {
-                    *y.add(*rp.add(j + t) as usize) = l;
-                }
+                _mm256_storeu_ps(yp.add(j), a);
                 j += 8;
             }
-            for &iw in &rows[j..] {
-                let i = iw as usize;
-                let mut acc = 0.0f32;
+            while j < len {
+                let mut a = 0.0f32;
                 for k in 0..width {
-                    let slot = k * nrows + i;
-                    acc = $wide(*vp.add(slot)).mul_add(*xp.add(*cp.add(slot) as usize), acc);
+                    let o = k * stride + j;
+                    a = $wide(*vp.add(o)).mul_add(*xp.add(*cp.add(o) as usize), a);
                 }
-                *y.add(i) = acc;
+                *yp.add(j) = a;
+                j += 1;
             }
             _mm256_zeroupper();
         }
     };
 }
 
-ell_rows_spmv_into_f64!(ell_rows_f64_f64, f64, g4_f64, w64_f64);
-ell_rows_spmv_into_f64!(ell_rows_f32_f64, f32, g4_f64_from_f32, w64_f32);
-ell_rows_spmv_into_f64!(ell_rows_f16_f64, u16, g4_f64_from_f16, w64_f16);
-ell_rows_spmv_into_f32!(ell_rows_f32_f32, f32, g8_f32, w32_f32);
-ell_rows_spmv_into_f32!(ell_rows_f16_f32, u16, g8_f32_from_f16, w32_f16);
-ell_rows_spmv_into_f32!(ell_rows_f64_f32, f64, g8_f32_from_f64, w32_f64);
-
-// ---------------------------------------------------------------------------
-// ELL multicolor relaxation: `x[i] += (r[i] - row_dot(i)) / diag[i]`
-// for an independent set of rows. Identical lane-wise sequence to the
-// scalar relax (ascending-k FMA dot, one sub, one IEEE-rounded divide,
-// one add), so results are bit-identical.
-// ---------------------------------------------------------------------------
-
-macro_rules! ell_relax_into_f64 {
-    ($name:ident, $S:ty, $g4:ident, $wide:ident) => {
-        /// # Safety
-        /// Contract of the row-list SpMV, plus: `diag` holds `nrows`
-        /// entries, `r` holds at least `nrows`, `rows` is an
-        /// independent set (no listed row's columns — other than
-        /// itself — are written concurrently), and `x` is valid for
-        /// reads of every column and writes at every listed row.
-        #[allow(clippy::too_many_arguments)]
-        #[target_feature(enable = "avx2,fma,f16c")]
-        pub unsafe fn $name(
-            values: &[$S],
-            col_idx: &[u32],
-            diag: &[$S],
-            nrows: usize,
-            width: usize,
-            rows: &[u32],
-            r: &[f64],
-            x: *mut f64,
-        ) {
-            let vp = values.as_ptr();
-            let cp = col_idx.as_ptr();
-            let dp = diag.as_ptr();
-            let rp = r.as_ptr();
-            let rop = rows.as_ptr();
-            let xr = x as *const f64;
-            let stride = _mm_set1_epi32(nrows as i32);
-            let mut j = 0usize;
-            while j + 4 <= rows.len() {
-                let rowv = _mm_loadu_si128(rop.add(j) as *const __m128i);
-                let mut slot = rowv;
-                let mut acc = _mm256_setzero_pd();
-                for _k in 0..width {
-                    let cols = _mm_i32gather_epi32::<4>(cp as *const i32, slot);
-                    let xv = _mm256_i32gather_pd::<8>(xr, cols);
-                    let vv = $g4(vp, slot);
-                    acc = _mm256_fmadd_pd(vv, xv, acc);
-                    slot = _mm_add_epi32(slot, stride);
-                }
-                let rv = _mm256_i32gather_pd::<8>(rp, rowv);
-                let dv = $g4(dp, rowv);
-                let xv = _mm256_i32gather_pd::<8>(xr, rowv);
-                let res = _mm256_add_pd(xv, _mm256_div_pd(_mm256_sub_pd(rv, acc), dv));
-                let mut lanes = [0.0f64; 4];
-                _mm256_storeu_pd(lanes.as_mut_ptr(), res);
-                for (t, &l) in lanes.iter().enumerate() {
-                    *x.add(*rop.add(j + t) as usize) = l;
-                }
-                j += 4;
-            }
-            for &iw in &rows[j..] {
-                let i = iw as usize;
-                let mut acc = 0.0f64;
-                for k in 0..width {
-                    let slot = k * nrows + i;
-                    acc = $wide(*vp.add(slot)).mul_add(*xr.add(*cp.add(slot) as usize), acc);
-                }
-                *x.add(i) += (*rp.add(i) - acc) / $wide(*dp.add(i));
-            }
-            _mm256_zeroupper();
-        }
-    };
-}
-
-macro_rules! ell_relax_into_f32 {
-    ($name:ident, $S:ty, $g8:ident, $wide:ident) => {
-        /// # Safety
-        /// Same contract as the f64-accumulating variant.
-        #[allow(clippy::too_many_arguments)]
-        #[target_feature(enable = "avx2,fma,f16c")]
-        pub unsafe fn $name(
-            values: &[$S],
-            col_idx: &[u32],
-            diag: &[$S],
-            nrows: usize,
-            width: usize,
-            rows: &[u32],
-            r: &[f32],
-            x: *mut f32,
-        ) {
-            let vp = values.as_ptr();
-            let cp = col_idx.as_ptr();
-            let dp = diag.as_ptr();
-            let rp = r.as_ptr();
-            let rop = rows.as_ptr();
-            let xr = x as *const f32;
-            let stride = _mm256_set1_epi32(nrows as i32);
-            let mut j = 0usize;
-            while j + 8 <= rows.len() {
-                let rowv = _mm256_loadu_si256(rop.add(j) as *const __m256i);
-                let mut slot = rowv;
-                let mut acc = _mm256_setzero_ps();
-                for _k in 0..width {
-                    let cols = _mm256_i32gather_epi32::<4>(cp as *const i32, slot);
-                    let xv = _mm256_i32gather_ps::<4>(xr, cols);
-                    let vv = $g8(vp, slot);
-                    acc = _mm256_fmadd_ps(vv, xv, acc);
-                    slot = _mm256_add_epi32(slot, stride);
-                }
-                let rv = _mm256_i32gather_ps::<4>(rp, rowv);
-                let dv = $g8(dp, rowv);
-                let xv = _mm256_i32gather_ps::<4>(xr, rowv);
-                let res = _mm256_add_ps(xv, _mm256_div_ps(_mm256_sub_ps(rv, acc), dv));
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), res);
-                for (t, &l) in lanes.iter().enumerate() {
-                    *x.add(*rop.add(j + t) as usize) = l;
-                }
-                j += 8;
-            }
-            for &iw in &rows[j..] {
-                let i = iw as usize;
-                let mut acc = 0.0f32;
-                for k in 0..width {
-                    let slot = k * nrows + i;
-                    acc = $wide(*vp.add(slot)).mul_add(*xr.add(*cp.add(slot) as usize), acc);
-                }
-                *x.add(i) += (*rp.add(i) - acc) / $wide(*dp.add(i));
-            }
-            _mm256_zeroupper();
-        }
-    };
-}
-
-ell_relax_into_f64!(ell_relax_f64_f64, f64, g4_f64, w64_f64);
-ell_relax_into_f64!(ell_relax_f32_f64, f32, g4_f64_from_f32, w64_f32);
-ell_relax_into_f64!(ell_relax_f16_f64, u16, g4_f64_from_f16, w64_f16);
-ell_relax_into_f32!(ell_relax_f32_f32, f32, g8_f32, w32_f32);
-ell_relax_into_f32!(ell_relax_f16_f32, u16, g8_f32_from_f16, w32_f16);
-ell_relax_into_f32!(ell_relax_f64_f32, f64, g8_f32_from_f64, w32_f64);
+ell_tile_into_f64!(ell_tile_f64_f64, f64, ld4_f64, w64_f64);
+ell_tile_into_f64!(ell_tile_f32_f64, f32, ld4_f64_from_f32, w64_f32);
+ell_tile_into_f64!(ell_tile_f16_f64, u16, ld4_f64_from_f16, w64_f16);
+ell_tile_into_f32!(ell_tile_f32_f32, f32, ld8_f32, w32_f32);
+ell_tile_into_f32!(ell_tile_f16_f32, u16, ld8_f32_from_f16, w32_f16);
+ell_tile_into_f32!(ell_tile_f64_f32, f64, ld8_f32_from_f64, w32_f64);

@@ -65,9 +65,9 @@ fn main() {
 
     // Multicolor Gauss–Seidel sweep.
     let mut z64 = vec![0.0f64; l.vec_len()];
-    let t64 = time_it(5, || gs_multicolor(l.ell64(), &l.coloring, black_box(&r64), &mut z64));
+    let t64 = time_it(5, || gs_multicolor(l.ell64(), &l.color_ranges, black_box(&r64), &mut z64));
     let mut z32 = vec![0.0f32; l.vec_len()];
-    let t32 = time_it(5, || gs_multicolor(&ell32, &l.coloring, black_box(&r32), &mut z32));
+    let t32 = time_it(5, || gs_multicolor(&ell32, &l.color_ranges, black_box(&r32), &mut z32));
     results.push(("GS sweep (multicolor)", t64, t32));
 
     // CGS2's GEMV-T over 15 basis vectors.

@@ -1,15 +1,25 @@
 #!/usr/bin/env bash
 # Lines of Rust per crate — the source of ROADMAP's lines-per-crate
-# figure. Counts every line of every .rs file (code, comments, tests);
-# nothing cleverer, so the number is reproducible with find + wc.
+# figure — and the `unsafe` budget: occurrences of the word `unsafe`
+# per crate. Counts every line of every .rs file (code, comments,
+# tests); nothing cleverer, so both numbers are reproducible with
+# find + wc / grep.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+rs_files() {
+    find "$1" -name '*.rs' -not -path '*/target/*' -print0
+}
+
 total=0
+unsafe_total=0
+printf '%7s  %7s\n' lines unsafe
 for dir in crates/* src examples tests benchmark; do
     [ -d "$dir" ] || continue
-    n=$(find "$dir" -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l)
-    printf '%7d  %s\n' "$n" "$dir"
+    n=$(rs_files "$dir" | xargs -0 cat | wc -l)
+    u=$(rs_files "$dir" | xargs -0 cat | { grep -ow unsafe || true; } | wc -l)
+    printf '%7d  %7d  %s\n' "$n" "$u" "$dir"
     total=$((total + n))
+    unsafe_total=$((unsafe_total + u))
 done
-printf '%7d  total\n' "$total"
+printf '%7d  %7d  total\n' "$total" "$unsafe_total"

@@ -1,4 +1,5 @@
-//! Steady-state halo exchanges perform **zero heap allocations**.
+//! Steady-state halo exchanges — and the distributed kernels built on
+//! them — perform **zero heap allocations**.
 //!
 //! The comm-v2 redesign gives `HaloExchange` persistent per-neighbor
 //! staging buffers and both transports recycled buffer pools
@@ -16,11 +17,19 @@
 //! under `HPGMXP_COMM=socket` each rank process has its own counter
 //! and independently asserts its own transport stack stayed quiet.
 //!
+//! A second window runs the optimized `dist_gs_sweep` (both directions)
+//! and `dist_spmv` at f64 and f32 inside a 1-thread pool: the slab-tile
+//! traversal under them builds no per-call tile list and no heap
+//! accumulator.
+//!
 //! This file must stay a single-test binary: the global allocator and
 //! its counter are process-wide, and a concurrently running unrelated
 //! test would pollute the counted window.
 
 use hpgmxp_comm::{run_spmd, Comm, Timeline};
+use hpgmxp_core::config::ImplVariant;
+use hpgmxp_core::motifs::MotifStats;
+use hpgmxp_core::ops::{dist_gs_sweep, dist_spmv, OpCtx, SweepDir};
 use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
 use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
@@ -59,6 +68,22 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Run `measured` on every rank with the counter armed, fenced by
+/// barriers so no rank's set-up or teardown leaks into the window;
+/// returns `(allocations, last size tag)` seen during it.
+fn counted_window<C: Comm>(c: &C, measured: impl FnOnce()) -> (u64, u64) {
+    c.barrier();
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    c.barrier();
+    measured();
+    c.barrier();
+    ARMED.store(false, Ordering::SeqCst);
+    let seen = (ALLOCATIONS.load(Ordering::SeqCst), LAST_SIZE.load(Ordering::SeqCst));
+    c.barrier();
+    seen
+}
+
 #[test]
 fn steady_state_exchange_allocates_nothing() {
     // Span tracing is part of the zero-allocation contract: with the
@@ -88,7 +113,9 @@ fn steady_state_exchange_allocates_nothing() {
                 seed: 11,
             },
             c.rank(),
-            &PrecisionPolicy::f64(),
+            // The fine level carries f64 and f32 matrices: the kernel
+            // window runs both.
+            &PrecisionPolicy::f32(),
         );
         let l = &prob.levels[0];
         let tl = Timeline::disabled();
@@ -120,32 +147,60 @@ fn steady_state_exchange_allocates_nothing() {
         c.barrier();
         let widest = l.halo.plan().neighbors.iter().map(|n| n.staging_bytes(8)).max().unwrap_or(0);
         c.prewarm_pool(widest);
-        c.barrier();
-        ALLOCATIONS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
-        c.barrier();
+        let exchanges = counted_window(&c, || {
+            for i in 0..MEASURED as u64 {
+                let tag = (WARMUP as u64 + i) * 2;
+                l.halo.exchange(&c, tag, &mut x64, &tl);
+                l.halo.exchange(&c, tag + 1, &mut x32, &tl);
+                c.barrier();
+            }
+        });
 
-        for i in 0..MEASURED as u64 {
-            let tag = (WARMUP as u64 + i) * 2;
-            l.halo.exchange(&c, tag, &mut x64, &tl);
-            l.halo.exchange(&c, tag + 1, &mut x32, &tl);
+        // One round of the optimized smoother and SpMV at both
+        // precisions, each with its embedded halo exchange.
+        let ctx = OpCtx::new(&c, ImplVariant::Optimized, &tl);
+        let mut stats = MotifStats::new();
+        let (r64, r32) = (vec![0.25f64; l.n_local()], vec![0.25f32; l.n_local()]);
+        let (mut y64, mut y32) = (vec![0.0f64; l.n_local()], vec![0.0f32; l.n_local()]);
+        let mut kernels = |round: u64| {
+            let tag = 1_000_000 + 8 * round;
+            dist_gs_sweep(&ctx, l, &mut stats, tag, SweepDir::Forward, &r64, &mut x64);
+            dist_gs_sweep(&ctx, l, &mut stats, tag + 1, SweepDir::Backward, &r64, &mut x64);
+            dist_spmv(&ctx, l, &mut stats, tag + 2, &mut x64, &mut y64);
+            dist_gs_sweep(&ctx, l, &mut stats, tag + 3, SweepDir::Forward, &r32, &mut x32);
+            dist_gs_sweep(&ctx, l, &mut stats, tag + 4, SweepDir::Backward, &r32, &mut x32);
+            dist_spmv(&ctx, l, &mut stats, tag + 5, &mut x32, &mut y32);
             c.barrier();
-        }
-
-        c.barrier();
-        ARMED.store(false, Ordering::SeqCst);
-        (ALLOCATIONS.load(Ordering::SeqCst), LAST_SIZE.load(Ordering::SeqCst))
+        };
+        let pool = rayon::ThreadPool::new(1);
+        let kernel_calls = pool.install(|| {
+            for round in 0..WARMUP as u64 {
+                kernels(round);
+            }
+            counted_window(&c, || {
+                for round in 0..MEASURED as u64 {
+                    kernels(WARMUP as u64 + round);
+                }
+            })
+        });
+        (exchanges, kernel_calls)
     });
 
     // Thread mode returns all ranks (one shared counter), socket mode
     // this process's rank alone (its own counter) — every entry must
     // be zero either way.
-    for (allocations, last_size) in counted {
+    for ((allocations, last_size), (kernel_allocations, kernel_last_size)) in counted {
         assert_eq!(
             allocations, 0,
             "steady-state halo exchange must not touch the allocator: \
              {allocations} allocations across {MEASURED} exchange rounds on {ranks} ranks \
              (last size tag: {last_size:#x})"
+        );
+        assert_eq!(
+            kernel_allocations, 0,
+            "steady-state dist_gs_sweep/dist_spmv must not touch the allocator: \
+             {kernel_allocations} allocations across {MEASURED} kernel rounds on {ranks} ranks \
+             (last size tag: {kernel_last_size:#x})"
         );
     }
 }

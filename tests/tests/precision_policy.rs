@@ -93,12 +93,11 @@ proptest! {
         // CSR and ELL split kernels agree bit-for-bit (same accumulation order).
         let mut y_csr = vec![0.0f64; n];
         a32.spmv(&x, &mut y_csr);
-        let mut y_rows = vec![0.0f64; n];
-        let rows: Vec<u32> = (0..n as u32).collect();
-        ell32.spmv_rows(&rows, &x, &mut y_rows);
+        let mut y_par = vec![0.0f64; n];
+        ell32.spmv_par(&x, &mut y_par);
         for i in 0..n {
             prop_assert_eq!(y_csr[i].to_bits(), y_split[i].to_bits());
-            prop_assert_eq!(y_rows[i].to_bits(), y_split[i].to_bits());
+            prop_assert_eq!(y_par[i].to_bits(), y_split[i].to_bits());
         }
     }
 

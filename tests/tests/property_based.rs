@@ -6,8 +6,8 @@ use hpgmxp_sparse::blas;
 use hpgmxp_sparse::coloring::{greedy_coloring, jpl_coloring};
 use hpgmxp_sparse::csr::CsrBuilder;
 use hpgmxp_sparse::gauss_seidel::{gs_forward, gs_multicolor, gs_rows_ordered};
-use hpgmxp_sparse::ordering::Permutation;
-use hpgmxp_sparse::{CsrMatrix, EllMatrix, LevelSchedule};
+use hpgmxp_sparse::ordering::{color_block_order, Permutation};
+use hpgmxp_sparse::{ColorRange, CsrMatrix, EllMatrix, LevelSchedule};
 use proptest::prelude::*;
 
 /// A random sparse, strictly diagonally dominant matrix: always a
@@ -79,19 +79,33 @@ proptest! {
         prop_assert_eq!(total, a.nrows());
     }
 
+    // The range sweep over a color-block ordered ELL matrix is, bit for
+    // bit, the sequential sweep over its rows in storage order — at
+    // random sizes, JPL seeds and interior/boundary splits.
     #[test]
-    fn multicolor_sweep_equals_color_ordered_sequential(a in arb_dd_matrix(20), seed in 0u64..100) {
+    fn multicolor_sweep_equals_color_ordered_sequential(
+        a in arb_dd_matrix(1500),
+        seed in 0u64..100,
+        boundary_every in 1usize..5,
+    ) {
         let n = a.nrows();
         let coloring = jpl_coloring(&a, seed);
+        let (order, bounds) =
+            color_block_order(&coloring.color_of, 2, |i| (i % boundary_every == 0) as usize);
+        let colors: Vec<ColorRange> = bounds
+            .windows(3)
+            .step_by(2)
+            .map(|w| ColorRange { start: w[0], split: w[1], end: w[2] })
+            .collect();
+        let ell = EllMatrix::from_csr_ordered(&a, order);
         let r: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) as f64).cos()).collect();
         let mut z_par = vec![0.1f64; n];
-        gs_multicolor(&a, &coloring, &r, &mut z_par);
-        let order: Vec<u32> = coloring.rows_of.iter().flatten().copied().collect();
+        gs_multicolor(&ell, &colors, &r, &mut z_par);
+        let rows: Vec<u32> = (0..n).map(|p| ell.order().old_of_new(p) as u32).collect();
         let mut z_seq = vec![0.1f64; n];
-        gs_rows_ordered(&a, &order, &r, &mut z_seq);
-        for (p, s) in z_par.iter().zip(z_seq.iter()) {
-            prop_assert!((p - s).abs() < 1e-12);
-        }
+        gs_rows_ordered(&ell, &rows, &r, &mut z_seq);
+        let bits = |z: &[f64]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&z_par), bits(&z_seq));
     }
 
     #[test]

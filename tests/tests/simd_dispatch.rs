@@ -22,8 +22,9 @@ use hpgmxp_geometry::{ProcGrid, Stencil27};
 use hpgmxp_sparse::coloring::greedy_coloring;
 use hpgmxp_sparse::csr::{CsrBuilder, CsrMatrix};
 use hpgmxp_sparse::gauss_seidel::gs_multicolor;
+use hpgmxp_sparse::ordering::color_block_order;
 use hpgmxp_sparse::simd::{self, SimdLevel};
-use hpgmxp_sparse::{blas, EllMatrix, Half, Scalar};
+use hpgmxp_sparse::{blas, ColorRange, EllMatrix, Half, Scalar};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -177,23 +178,29 @@ proptest! {
     ) {
         let a = band_matrix(n, band, seed);
         let coloring = greedy_coloring(&a);
+        let (order, bounds) = color_block_order(&coloring.color_of, 2, |i| (i % 3 == 0) as usize);
+        let colors: Vec<ColorRange> = bounds
+            .windows(3)
+            .step_by(2)
+            .map(|w| ColorRange { start: w[0], split: w[1], end: w[2] })
+            .collect();
         let got = on_both_levels(|| {
-            let ell = EllMatrix::from_csr(&a);
+            let ell = EllMatrix::from_csr_ordered(&a, order.clone());
             let x = vec_f64(seed, n);
             let mut y = vec![0.0f64; n];
             ell.spmv(&x, &mut y);
             let r = vec_f64(seed ^ 5, n);
             let mut z = vec![0.1f64; n];
-            gs_multicolor(&ell, &coloring, &r, &mut z);
+            gs_multicolor(&ell, &colors, &r, &mut z);
 
             let a32: CsrMatrix<f32> = a.convert();
-            let ell32 = EllMatrix::from_csr(&a32);
+            let ell32 = EllMatrix::from_csr_ordered(&a32, order.clone());
             let x32 = vec_f32(seed, n);
             let mut y32 = vec![0.0f32; n];
             ell32.spmv(&x32, &mut y32);
             let r32 = vec_f32(seed ^ 5, n);
             let mut z32 = vec![0.1f32; n];
-            gs_multicolor(&ell32, &coloring, &r32, &mut z32);
+            gs_multicolor(&ell32, &colors, &r32, &mut z32);
 
             let b64: Vec<u64> = y.iter().chain(&z).map(|v| v.to_bits()).collect();
             let b32: Vec<u32> = y32.iter().chain(&z32).map(|v| v.to_bits()).collect();
