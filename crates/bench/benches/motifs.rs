@@ -6,13 +6,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpgmxp_bench::single_rank_problem;
+use hpgmxp_core::ops::CsrRef;
 use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_sparse::blas::{self, Basis};
-use hpgmxp_sparse::gauss_seidel::{
-    gs_forward, gs_forward_reference, gs_multicolor, split_lower_upper,
-};
+use hpgmxp_sparse::gauss_seidel::{gs_forward, gs_forward_reference, gs_multicolor};
 use hpgmxp_sparse::simd::{self, SimdLevel};
-use hpgmxp_sparse::{CsrMatrix, EllMatrix, Half, LevelSchedule, Scalar};
+use hpgmxp_sparse::{Half, PrecKind, Scalar};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -22,12 +21,16 @@ fn tune(c: &mut Criterion) -> &mut Criterion {
     c
 }
 
+/// A problem whose fine level holds `f64` and the policy's storage.
+fn fine_problem(name: &str) -> hpgmxp_core::problem::LocalProblem {
+    let policy = PrecisionPolicy::by_name(name).expect("shipped policy");
+    single_rank_problem(N, 1, &policy)
+}
+
 fn bench_spmv(c: &mut Criterion) {
-    let prob = single_rank_problem(N, 1, &PrecisionPolicy::f64());
-    let csr64 = &prob.levels[0].csr64();
-    let ell64 = &prob.levels[0].ell64();
-    let csr32: CsrMatrix<f32> = csr64.convert();
-    let ell32: EllMatrix<f32> = ell64.convert();
+    let prob = fine_problem("f32");
+    let (csr64, ell64) = (prob.levels[0].csr64(), prob.levels[0].ell64());
+    let (csr32, ell32) = (prob.levels[0].csr32(), prob.levels[0].ell32());
     let n = csr64.ncols();
     let x64: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
     let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
@@ -66,7 +69,8 @@ fn bench_spmv(c: &mut Criterion) {
     // at a narrower storage precision than the accumulators — the
     // matrix-value stream halves/quarters while results keep the
     // accumulate precision's rounding.
-    let ell16: EllMatrix<hpgmxp_sparse::Half> = ell64.convert();
+    let prob16 = fine_problem("f16s-f32c");
+    let ell16 = prob16.levels[0].ell16();
     g.throughput(Throughput::Bytes(ell32.spmv_matrix_bytes() as u64));
     g.bench_function(BenchmarkId::new("ell_split", "f32s-f64a"), |b| {
         b.iter(|| ell32.spmv_par(black_box(&x64), &mut y64))
@@ -79,16 +83,14 @@ fn bench_spmv(c: &mut Criterion) {
 }
 
 fn bench_gauss_seidel(c: &mut Criterion) {
-    let prob = single_rank_problem(N, 1, &PrecisionPolicy::f64());
+    let prob = fine_problem("f32");
     let l = &prob.levels[0];
-    // Same rows, same coloring (same seed), fp32-stored values.
-    let prob32 = single_rank_problem(N, 1, &PrecisionPolicy::f32());
-    let ell32 = prob32.levels[0].ell32();
+    let ell32 = l.ell32();
     let n = l.n_local();
     let r64: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
     let r32: Vec<f32> = r64.iter().map(|&v| v as f32).collect();
-    let (low, up) = split_lower_upper(l.csr64());
-    let schedule = LevelSchedule::build(l.csr64());
+    let CsrRef::F64(reference) = l.csr_at(PrecKind::F64) else { unreachable!("f64 asked") };
+    let (low, up, schedule) = (&reference.lower, &reference.upper, l.schedule());
 
     let mut g = c.benchmark_group("gauss_seidel");
     g.warm_up_time(Duration::from_millis(300))
@@ -121,7 +123,7 @@ fn bench_gauss_seidel(c: &mut Criterion) {
     g.throughput(Throughput::Bytes((low.spmv_matrix_bytes() + up.spmv_matrix_bytes()) as u64));
     g.bench_function("reference two-kernel fp64", |b| {
         let mut z = vec![0.0f64; l.vec_len()];
-        b.iter(|| gs_forward_reference(&low, &up, &schedule, black_box(&r64), &mut z))
+        b.iter(|| gs_forward_reference(low, up, schedule, black_box(&r64), &mut z))
     });
     g.finish();
 }
@@ -208,10 +210,9 @@ fn forceable_levels() -> Vec<(&'static str, SimdLevel)> {
 /// default-dispatch entries above stay as the tracked regression
 /// surface; these isolate the dispatch variable.
 fn bench_simd_dispatch(c: &mut Criterion) {
-    let prob = single_rank_problem(N, 1, &PrecisionPolicy::f64());
+    let prob = fine_problem("f16s-f32c");
     let l = &prob.levels[0];
-    let ell64 = l.ell64();
-    let ell16: EllMatrix<Half> = ell64.convert();
+    let (ell64, ell16) = (l.ell64(), l.ell16());
     let n = ell64.ncols();
     let x64: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
     let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();

@@ -28,13 +28,12 @@ use crate::config::ImplVariant;
 use crate::flops;
 use crate::motifs::{Motif, MotifStats};
 use crate::policy::PrecCtx;
-use crate::problem::{Level, RefPath};
+use crate::problem::{Level, RefOperator};
 use hpgmxp_comm::{Comm, CommResult, Stream, Timeline};
 use hpgmxp_geometry::CoarseMap;
 use hpgmxp_sparse::blas;
-use hpgmxp_sparse::csr::CsrMatrix;
 use hpgmxp_sparse::gauss_seidel::{gs_backward, gs_forward_reference, gs_range};
-use hpgmxp_sparse::{ColorRange, EllMatrix, Half, Permutation, PrecKind, Scalar};
+use hpgmxp_sparse::{ColorRange, EllMatrix, Half, Permutation, Scalar};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
@@ -53,33 +52,22 @@ pub enum EllRef<'a> {
     F16(&'a EllMatrix<Half>),
 }
 
-/// A borrowed view of one level's CSR operator at a runtime storage
-/// precision (the reference variant's format).
+/// A borrowed view of one level's reference operator — CSR form and
+/// `(D+L, U)` factors — at a runtime storage precision (the reference
+/// variant's format).
 #[derive(Clone, Copy)]
 pub enum CsrRef<'a> {
     /// Double-stored values.
-    F64(&'a CsrMatrix<f64>),
+    F64(&'a RefOperator<f64>),
     /// Single-stored values.
-    F32(&'a CsrMatrix<f32>),
+    F32(&'a RefOperator<f32>),
     /// Half-stored values.
-    F16(&'a CsrMatrix<Half>),
+    F16(&'a RefOperator<Half>),
 }
 
-/// A borrowed view of the reference-path triangular factors at a
-/// runtime storage precision.
-#[derive(Clone, Copy)]
-pub enum RefPathRef<'a> {
-    /// Double-stored factors.
-    F64(&'a RefPath<f64>),
-    /// Single-stored factors.
-    F32(&'a RefPath<f32>),
-    /// Half-stored factors.
-    F16(&'a RefPath<Half>),
-}
-
-/// Run `$body` with `$m` bound to the concrete matrix inside an
-/// [`EllRef`] / [`CsrRef`] / [`RefPathRef`] — each kernel body is
-/// written once and monomorphized per storage precision.
+/// Run `$body` with `$m` bound to the concrete operator inside an
+/// [`EllRef`] / [`CsrRef`] — each kernel body is written once and
+/// monomorphized per storage precision.
 macro_rules! with_storage {
     ($r:expr, $enum:ident, $m:ident => $body:expr) => {
         match $r {
@@ -113,44 +101,14 @@ impl<'a> EllRef<'a> {
 }
 
 impl<'a> CsrRef<'a> {
-    /// Matrix-value bytes of one full pass (storage precision).
+    /// Matrix-value bytes of one full CSR pass (storage precision).
     pub fn value_bytes(&self) -> usize {
-        with_storage!(self, CsrRef, m => m.value_bytes())
+        with_storage!(self, CsrRef, m => m.csr.value_bytes())
     }
 
-    /// Value + index + row-pointer bytes of one full pass.
+    /// Value + index + row-pointer bytes of one full CSR pass.
     pub fn spmv_matrix_bytes(&self) -> usize {
-        with_storage!(self, CsrRef, m => m.spmv_matrix_bytes())
-    }
-}
-
-impl Level {
-    /// This level's ELL operator at a runtime storage kind (panics if
-    /// the assembly policy never materialized it).
-    pub fn ell_at(&self, kind: PrecKind) -> EllRef<'_> {
-        match kind {
-            PrecKind::F64 => EllRef::F64(self.ell64()),
-            PrecKind::F32 => EllRef::F32(self.ell32()),
-            PrecKind::F16 => EllRef::F16(self.ell16()),
-        }
-    }
-
-    /// This level's CSR operator at a runtime storage kind.
-    pub fn csr_at(&self, kind: PrecKind) -> CsrRef<'_> {
-        match kind {
-            PrecKind::F64 => CsrRef::F64(self.csr64()),
-            PrecKind::F32 => CsrRef::F32(self.csr32()),
-            PrecKind::F16 => CsrRef::F16(self.csr16()),
-        }
-    }
-
-    /// This level's reference-path factors at a runtime storage kind.
-    pub fn refpath_at(&self, kind: PrecKind) -> RefPathRef<'_> {
-        match kind {
-            PrecKind::F64 => RefPathRef::F64(&self.set64().refpath),
-            PrecKind::F32 => RefPathRef::F32(&self.set32().refpath),
-            PrecKind::F16 => RefPathRef::F16(&self.set16().refpath),
-        }
+        with_storage!(self, CsrRef, m => m.csr.spmv_matrix_bytes())
     }
 }
 
@@ -257,7 +215,7 @@ pub fn dist_spmv_checked<S: Scalar, C: Comm>(
             level.halo.exchange_wire_checked(ctx.comm, tag, x, wire, ctx.timeline)?;
             let _s = ctx.timeline.span("SpMV", Stream::Compute);
             let csr = level.csr_at(kind);
-            with_storage!(csr, CsrRef, m => m.spmv_par(x, y));
+            with_storage!(csr, CsrRef, m => m.csr.spmv_par(x, y));
             stats.record_traffic(
                 Motif::SpMV,
                 csr.value_bytes() as f64,
@@ -340,19 +298,15 @@ pub fn dist_gs_sweep_checked<S: Scalar, C: Comm>(
         ImplVariant::Reference => {
             level.halo.exchange_wire_checked(ctx.comm, tag, z, wire, ctx.timeline)?;
             let _s = ctx.timeline.span("GS (reference)", Stream::Compute);
+            let csr = level.csr_at(kind);
             match dir {
-                SweepDir::Forward => {
-                    with_storage!(level.refpath_at(kind), RefPathRef, rp => {
-                        gs_forward_reference(&rp.lower, &rp.upper, &level.schedule, r, z);
-                    });
-                }
+                SweepDir::Forward => with_storage!(csr, CsrRef, m => {
+                    gs_forward_reference(&m.lower, &m.upper, level.schedule(), r, z)
+                }),
                 // The reference code has no backward path on GPU; the
                 // sequential sweep is its semantic equivalent.
-                SweepDir::Backward => {
-                    with_storage!(level.csr_at(kind), CsrRef, m => gs_backward(m, r, z))
-                }
+                SweepDir::Backward => with_storage!(csr, CsrRef, m => gs_backward(&m.csr, r, z)),
             }
-            let csr = level.csr_at(kind);
             stats.record_traffic(
                 Motif::GaussSeidel,
                 csr.value_bytes() as f64,
@@ -436,7 +390,7 @@ pub fn dist_restrict_checked<S: Scalar, C: Comm>(
             let n = fine.n_local();
             let mut tmp = vec![S::ZERO; n];
             let csr = fine.csr_at(kind);
-            with_storage!(csr, CsrRef, m => m.spmv(z, &mut tmp));
+            with_storage!(csr, CsrRef, m => m.csr.spmv(z, &mut tmp));
             for i in 0..n {
                 tmp[i] = b_f[i] - tmp[i];
             }
@@ -606,6 +560,7 @@ mod tests {
     use hpgmxp_comm::{run_spmd, SelfComm};
     use hpgmxp_geometry::{ProcGrid, Stencil27};
     use hpgmxp_sparse::gauss_seidel::gs_rows_ordered;
+    use hpgmxp_sparse::PrecKind;
 
     fn spec(procs: ProcGrid, n: u32, levels: usize) -> ProblemSpec {
         ProblemSpec {

@@ -4,11 +4,20 @@
 //! Each rank assembles its block of rows of the 27-point operator
 //! (diagonal 26, off-diagonals −1; §3), with ghost columns numbered by
 //! the geometric halo plan, on every level of the 4-level hierarchy.
-//! A [`Level`] carries everything both implementation variants need:
-//! the operator in CSR (reference) and ELL (optimized) storage at the
-//! precisions its policy names, the JPL coloring, the level schedule and
-//! triangular split of the reference Gauss–Seidel, and the injection
-//! map to the next coarser level.
+//!
+//! **What is resident.** After [`assemble_with_policy`] a [`Level`]
+//! holds its operator once, in ELL storage: one column-index array and
+//! one storage order, shared (`Arc`) by an [`EllMatrix`] per storage
+//! precision the policy names for that depth (plus `f64` on the fine
+//! level, for the outer residual). Each lower-precision copy is one
+//! narrowing pass over the `f64` values. The assembly CSR serves the
+//! JPL coloring, the fused-restriction work count and `b = A·1`, and is
+//! then dropped. What only the reference variant reads — the CSR form,
+//! the `(D+L, U)` factors of its two-kernel Gauss–Seidel and the level
+//! schedule — is built on first use, by running the same assembly
+//! again, so it is bit-identical to an eager build and costs nothing
+//! under the optimized variant. [`Level::value_bytes`] and
+//! [`Level::index_bytes`] count exactly that.
 //!
 //! Every ELL operator is stored **color-block ordered**: all rows of
 //! color 0, then color 1, …, and within each color the interior rows
@@ -22,6 +31,7 @@
 //! vectors, halo plans and injection maps keep natural numbering.
 
 use crate::config::BenchmarkParams;
+use crate::ops::{CsrRef, EllRef};
 use crate::policy::PrecisionPolicy;
 use hpgmxp_comm::HaloExchange;
 use hpgmxp_geometry::{GridHierarchy, HaloPlan, LocalGrid, ProcGrid, Stencil27, STENCIL_OFFSETS};
@@ -29,10 +39,9 @@ use hpgmxp_sparse::csr::{CsrBuilder, CsrMatrix};
 use hpgmxp_sparse::gauss_seidel::split_lower_upper;
 use hpgmxp_sparse::ordering::color_block_order;
 use hpgmxp_sparse::{
-    jpl_coloring, ColorRange, Coloring, EllMatrix, Half, LevelSchedule, Permutation, PrecKind,
-    Scalar,
+    jpl_coloring, ColorRange, Coloring, EllMatrix, Half, LevelSchedule, PrecKind, Scalar,
 };
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Global description of a benchmark problem instance.
 #[derive(Debug, Clone, Copy)]
@@ -60,92 +69,44 @@ impl ProblemSpec {
             seed: 0xC0FFEE,
         }
     }
-
-    /// Global row count of the fine-level problem.
-    pub fn global_rows(&self) -> u64 {
-        self.local.0 as u64 * self.local.1 as u64 * self.local.2 as u64 * self.procs.size() as u64
-    }
 }
 
-/// The reference implementation's triangular data for Gauss–Seidel.
+/// The reference variant's operator at one storage precision: the CSR
+/// form and the `(D+L, U)` factors its two-kernel Gauss–Seidel reads.
 #[derive(Debug, Clone)]
-pub struct RefPath<S> {
+pub struct RefOperator<S> {
+    /// CSR form.
+    pub csr: CsrMatrix<S>,
     /// `D + L` factor.
     pub lower: CsrMatrix<S>,
     /// Strictly upper factor (with structural zero diagonal).
     pub upper: CsrMatrix<S>,
 }
 
-/// One level's operator data at one *storage* precision: both formats
-/// plus the reference-path triangular factors. Under the precision
-/// policy a level materializes only the sets its policy needs (storage
-/// precision per level, plus `f64` on the fine level for the outer
-/// residual); the split kernels widen stored values on load, so one
-/// set serves every compute precision.
-#[derive(Debug, Clone)]
-pub struct MatrixSet<S> {
-    /// CSR form (reference format).
-    pub csr: CsrMatrix<S>,
-    /// ELL form (optimized format).
-    pub ell: EllMatrix<S>,
-    /// Reference-path `(D+L, U)` factors.
-    pub refpath: RefPath<S>,
-}
-
-impl<S: Scalar> MatrixSet<S> {
-    fn build(csr64: &CsrMatrix<f64>, order: &Arc<Permutation>) -> Self {
+impl<S: Scalar> RefOperator<S> {
+    fn build(csr64: &CsrMatrix<f64>) -> Self {
         let csr: CsrMatrix<S> = csr64.convert();
-        let ell = EllMatrix::from_csr_ordered(&csr, Arc::clone(order));
         let (lower, upper) = split_lower_upper(&csr);
-        MatrixSet { csr, ell, refpath: RefPath { lower, upper } }
+        RefOperator { csr, lower, upper }
     }
 
-    /// Resident value bytes of this set: both formats plus the
-    /// triangular factors, which hold a further full copy of the values.
-    fn value_bytes(&self) -> usize {
-        self.ell.value_bytes()
-            + self.csr.value_bytes()
-            + self.refpath.lower.value_bytes()
-            + self.refpath.upper.value_bytes()
+    /// Resident `(value, index)` bytes of the three matrices.
+    fn bytes(&self) -> (usize, usize) {
+        [&self.csr, &self.lower, &self.upper]
+            .iter()
+            .fold((0, 0), |(v, i), m| (v + m.value_bytes(), i + m.index_bytes()))
     }
 }
 
-/// The per-precision matrix sets one level holds (absent = the policy
-/// this problem was assembled under never touches that precision on
-/// this level).
-#[derive(Debug, Clone, Default)]
-pub struct LevelStore {
-    /// Double-precision set.
-    pub m64: Option<MatrixSet<f64>>,
-    /// Single-precision set.
-    pub m32: Option<MatrixSet<f32>>,
-    /// Half-precision set.
-    pub m16: Option<MatrixSet<Half>>,
-}
-
-impl LevelStore {
-    /// Which kinds are materialized.
-    pub fn kinds(&self) -> Vec<PrecKind> {
-        let mut out = Vec::new();
-        if self.m64.is_some() {
-            out.push(PrecKind::F64);
-        }
-        if self.m32.is_some() {
-            out.push(PrecKind::F32);
-        }
-        if self.m16.is_some() {
-            out.push(PrecKind::F16);
-        }
-        out
-    }
-
-    /// Resident bytes of all materialized matrix values (the capacity
-    /// cost a policy pays; indices excluded — they are shared-size).
-    pub fn value_bytes(&self) -> usize {
-        self.m64.as_ref().map_or(0, MatrixSet::value_bytes)
-            + self.m32.as_ref().map_or(0, MatrixSet::value_bytes)
-            + self.m16.as_ref().map_or(0, MatrixSet::value_bytes)
-    }
+/// What only the reference variant reads on one level: its operator at
+/// every storage precision the level holds, and the level schedule of
+/// the lower-triangular sweep.
+#[derive(Debug, Clone)]
+pub(crate) struct ReferenceForms {
+    m64: Option<RefOperator<f64>>,
+    m32: Option<RefOperator<f32>>,
+    m16: Option<RefOperator<Half>>,
+    schedule: LevelSchedule,
 }
 
 /// One multigrid level of one rank, fully assembled.
@@ -156,8 +117,19 @@ pub struct Level {
     /// Depth in the multigrid hierarchy (0 = finest); the index the
     /// precision policy's per-level storage axis keys on.
     pub depth: usize,
-    /// Operator data per materialized storage precision.
-    pub store: LevelStore,
+    /// The operator in ELL storage, one copy per storage precision the
+    /// assembly policy names for this depth (`None` = not held). The
+    /// copies share one column-index array and one storage order; each
+    /// owns only its values and diagonal.
+    ell64: Option<EllMatrix<f64>>,
+    ell32: Option<EllMatrix<f32>>,
+    ell16: Option<EllMatrix<Half>>,
+    /// The stencil the operator was assembled from: the reference forms
+    /// are assembled from it again on first use.
+    stencil: Stencil27,
+    /// The reference variant's forms; empty until a reference kernel or
+    /// a CSR accessor first asks for them.
+    reference: OnceLock<ReferenceForms>,
     /// Stored nonzeros of the local operator (precision-independent).
     nnz_stored: usize,
     /// Fine-matrix nonzeros in coarse-collocated rows (fused
@@ -173,8 +145,6 @@ pub struct Level {
     /// point (empty on the coarsest level) — the rows the fused
     /// restriction evaluates, interior before `split` as above.
     pub restrict_ranges: Vec<ColorRange>,
-    /// Level schedule of the lower-triangular sweep (reference GS).
-    pub schedule: LevelSchedule,
     /// Halo exchange executor for this level.
     pub halo: HaloExchange,
     /// Injection map to the next coarser level (`None` on the coarsest).
@@ -203,59 +173,127 @@ impl Level {
         self.nnz_coarse
     }
 
-    fn missing(&self, kind: PrecKind) -> ! {
-        panic!(
-            "level {} was assembled without {} matrices (materialized: {:?}); \
-             assemble with a policy whose storage covers this level's kernels",
-            self.depth,
-            kind.name(),
-            self.store.kinds()
-        )
+    /// The storage precisions this level holds its operator at.
+    pub fn kinds(&self) -> Vec<PrecKind> {
+        let held = [self.ell64.is_some(), self.ell32.is_some(), self.ell16.is_some()];
+        let kinds = [PrecKind::F64, PrecKind::F32, PrecKind::F16].into_iter();
+        kinds.zip(held).filter_map(|(k, h)| h.then_some(k)).collect()
     }
 
-    /// Double-precision matrix set (panics if not materialized).
-    pub fn set64(&self) -> &MatrixSet<f64> {
-        self.store.m64.as_ref().unwrap_or_else(|| self.missing(PrecKind::F64))
+    /// Resident bytes of matrix values on this level: every held ELL
+    /// copy's padded values and diagonal, plus the reference forms'
+    /// values once they have been built.
+    pub fn value_bytes(&self) -> usize {
+        let n = self.n_local();
+        let ell: usize =
+            self.kinds().into_iter().map(|k| self.ell_at(k).value_bytes() + n * k.bytes()).sum();
+        ell + self.reference_bytes().0
     }
 
-    /// Single-precision matrix set (panics if not materialized).
-    pub fn set32(&self) -> &MatrixSet<f32> {
-        self.store.m32.as_ref().unwrap_or_else(|| self.missing(PrecKind::F32))
+    /// Resident bytes of index data on this level: the padded column
+    /// indices and the storage order (two `u32` maps) that every ELL
+    /// copy shares, counted once, plus the reference forms' row
+    /// pointers, column indices and schedule once they have been built.
+    pub fn index_bytes(&self) -> usize {
+        let n = self.n_local();
+        self.ell_at(self.kinds()[0]).width() * n * 4 + 2 * n * 4 + self.reference_bytes().1
     }
 
-    /// Half-precision matrix set (panics if not materialized).
-    pub fn set16(&self) -> &MatrixSet<Half> {
-        self.store.m16.as_ref().unwrap_or_else(|| self.missing(PrecKind::F16))
+    /// Resident `(value, index)` bytes of the reference forms: every
+    /// operator, plus the schedule's two `u32` row maps; zero until built.
+    fn reference_bytes(&self) -> (usize, usize) {
+        let Some(r) = self.reference.get() else { return (0, 0) };
+        let ops = [
+            r.m64.as_ref().map(RefOperator::bytes),
+            r.m32.as_ref().map(RefOperator::bytes),
+            r.m16.as_ref().map(RefOperator::bytes),
+        ];
+        ops.into_iter().flatten().fold((0, 8 * self.n_local()), |(v, i), b| (v + b.0, i + b.1))
     }
 
-    /// Operator, CSR double (reference format / outer residuals).
-    pub fn csr64(&self) -> &CsrMatrix<f64> {
-        &self.set64().csr
+    /// `slot`'s content, or a panic naming what this level holds.
+    fn held<'a, T>(&self, slot: &'a Option<T>, kind: PrecKind) -> &'a T {
+        slot.as_ref().unwrap_or_else(|| {
+            panic!(
+                "level {} was assembled without {} matrices (materialized: {:?}); \
+                 assemble with a policy whose storage covers this level's kernels",
+                self.depth,
+                kind.name(),
+                self.kinds()
+            )
+        })
     }
 
-    /// Operator, ELL double (optimized format).
+    /// The reference forms, built on first use: the level's operator is
+    /// assembled again, then converted, split and scheduled exactly as
+    /// an eager build would, for every precision the level holds.
+    pub(crate) fn reference(&self) -> &ReferenceForms {
+        self.reference.get_or_init(|| {
+            let csr64 = assemble_matrix(&self.grid, self.halo.plan(), &self.stencil);
+            ReferenceForms {
+                m64: self.ell64.as_ref().map(|_| RefOperator::build(&csr64)),
+                m32: self.ell32.as_ref().map(|_| RefOperator::build(&csr64)),
+                m16: self.ell16.as_ref().map(|_| RefOperator::build(&csr64)),
+                schedule: LevelSchedule::build(&csr64),
+            }
+        })
+    }
+
+    /// This level's ELL operator at a runtime storage kind (panics if
+    /// the assembly policy never materialized it).
+    pub fn ell_at(&self, kind: PrecKind) -> EllRef<'_> {
+        match kind {
+            PrecKind::F64 => EllRef::F64(self.ell64()),
+            PrecKind::F32 => EllRef::F32(self.ell32()),
+            PrecKind::F16 => EllRef::F16(self.ell16()),
+        }
+    }
+
+    /// This level's reference operator (CSR + factors) at a runtime
+    /// storage kind; builds the reference forms on first use.
+    pub fn csr_at(&self, kind: PrecKind) -> CsrRef<'_> {
+        let r = self.reference();
+        match kind {
+            PrecKind::F64 => CsrRef::F64(self.held(&r.m64, kind)),
+            PrecKind::F32 => CsrRef::F32(self.held(&r.m32, kind)),
+            PrecKind::F16 => CsrRef::F16(self.held(&r.m16, kind)),
+        }
+    }
+
+    /// Level schedule of the reference lower-triangular sweep (built on
+    /// first use, with the other reference forms).
+    pub fn schedule(&self) -> &LevelSchedule {
+        &self.reference().schedule
+    }
+
+    /// Operator, ELL double (optimized format / outer residuals).
     pub fn ell64(&self) -> &EllMatrix<f64> {
-        &self.set64().ell
-    }
-
-    /// Operator, CSR single.
-    pub fn csr32(&self) -> &CsrMatrix<f32> {
-        &self.set32().csr
+        self.held(&self.ell64, PrecKind::F64)
     }
 
     /// Operator, ELL single.
     pub fn ell32(&self) -> &EllMatrix<f32> {
-        &self.set32().ell
-    }
-
-    /// Operator, CSR half.
-    pub fn csr16(&self) -> &CsrMatrix<Half> {
-        &self.set16().csr
+        self.held(&self.ell32, PrecKind::F32)
     }
 
     /// Operator, ELL half.
     pub fn ell16(&self) -> &EllMatrix<Half> {
-        &self.set16().ell
+        self.held(&self.ell16, PrecKind::F16)
+    }
+
+    /// Operator, CSR double (reference format; built on first use).
+    pub fn csr64(&self) -> &CsrMatrix<f64> {
+        &self.held(&self.reference().m64, PrecKind::F64).csr
+    }
+
+    /// Operator, CSR single (built on first use).
+    pub fn csr32(&self) -> &CsrMatrix<f32> {
+        &self.held(&self.reference().m32, PrecKind::F32).csr
+    }
+
+    /// Operator, CSR half (built on first use).
+    pub fn csr16(&self) -> &CsrMatrix<Half> {
+        &self.held(&self.reference().m16, PrecKind::F16).csr
     }
 }
 
@@ -328,9 +366,10 @@ fn assemble_matrix(grid: &LocalGrid, plan: &HaloPlan, stencil: &Stencil27) -> Cs
 }
 
 /// Assemble the local problem of `rank` with exactly what `policy`
-/// needs: per level, the policy's storage precision for that depth,
-/// plus `f64` on the fine level (the GMRES-IR outer residual is always
-/// double — that invariant is what recovers 1e-9 under every policy).
+/// needs: per level, the ELL operator at the policy's storage precision
+/// for that depth, plus `f64` on the fine level (the GMRES-IR outer
+/// residual is always double — that invariant is what recovers 1e-9
+/// under every policy); see the module docs for what else is resident.
 /// Halo staging is sized from the widest wire format each level's
 /// exchanges use: f64 on the fine level (the outer residual exchanges
 /// at native f64 wire), the policy wire / compute width on the coarser,
@@ -343,13 +382,13 @@ pub fn assemble_with_policy(
     let fine_grid = LocalGrid::new(spec.local, spec.procs, rank as u32);
     let hierarchy = GridHierarchy::build(&fine_grid, spec.mg_levels);
     let mut levels = Vec::with_capacity(spec.mg_levels);
+    let mut rhs = Vec::new();
 
     for (l, grid) in hierarchy.grids.iter().enumerate() {
         let plan = HaloPlan::build(grid);
         let csr64 = assemble_matrix(grid, &plan, &spec.stencil);
         let coloring = jpl_coloring(&csr64, spec.seed.wrapping_add(l as u64));
         debug_assert!(coloring.verify(&csr64));
-        let schedule = LevelSchedule::build(&csr64);
         let c2f = if l + 1 < spec.mg_levels { Some(hierarchy.maps[l].clone()) } else { None };
         let mut collocated = vec![false; grid.total_points()];
         for &f in c2f.iter().flat_map(|map| &map.c2f) {
@@ -369,8 +408,6 @@ pub fn assemble_with_policy(
                 (true, false) => 3,
             }
         });
-        // One order per level, shared by every stored precision.
-        let order = Arc::new(order);
         let b = |c: usize, k: usize| bounds[4 * c + k];
         let ncolors = coloring.num_colors as usize;
         let color_ranges: Vec<ColorRange> = (0..ncolors)
@@ -385,44 +422,43 @@ pub fn assemble_with_policy(
         // Fused-restriction work count (precision-independent).
         let nnz_coarse: usize =
             c2f.iter().flat_map(|map| &map.c2f).map(|&f| csr64.row(f as usize).0.len()).sum();
+        if l == 0 {
+            // b = A·1 — with the exact solution all-ones, ghost values
+            // are also ones, so no exchange is needed to form it.
+            rhs = vec![0.0f64; grid.total_points()];
+            csr64.spmv(&vec![1.0f64; csr64.ncols()], &mut rhs);
+        }
+        let nnz_stored = csr64.nnz();
+        let ell = EllMatrix::from_csr_ordered(&csr64, order);
+        drop(csr64);
 
-        // Materialize exactly the storage precisions this level needs.
-        let mut store = LevelStore::default();
-        match policy.storage_at(l) {
-            PrecKind::F64 => store.m64 = Some(MatrixSet::build(&csr64, &order)),
-            PrecKind::F32 => store.m32 = Some(MatrixSet::build(&csr64, &order)),
-            PrecKind::F16 => store.m16 = Some(MatrixSet::build(&csr64, &order)),
-        }
-        if l == 0 && store.m64.is_none() {
-            store.m64 = Some(MatrixSet::build(&csr64, &order));
-        }
+        // Values at exactly the storage precisions this level needs,
+        // narrowed from the f64 copy; every copy shares its indices.
+        let storage = policy.storage_at(l);
+        let ell32 = (storage == PrecKind::F32).then(|| ell.convert());
+        let ell16 = (storage == PrecKind::F16).then(|| ell.convert());
+        let ell64 = (l == 0 || storage == PrecKind::F64).then_some(ell);
         let staging = if l == 0 { 8 } else { policy.wire.bytes().max(policy.compute.bytes()) };
 
         levels.push(Level {
             grid: *grid,
             depth: l,
-            nnz_stored: csr64.nnz(),
+            ell64,
+            ell32,
+            ell16,
+            stencil: spec.stencil,
+            reference: OnceLock::new(),
+            nnz_stored,
             nnz_coarse,
-            store,
             coloring,
             color_ranges,
             restrict_ranges,
-            schedule,
             halo: HaloExchange::new_sized(plan, staging),
             c2f,
         });
     }
 
-    // b = A·1 — with the exact solution all-ones, ghost values are also
-    // ones, so no exchange is needed to form the right-hand side. The
-    // fine level always carries f64 (materialized above).
-    let fine = &levels[0];
-    let ones = vec![1.0f64; fine.vec_len()];
-    let mut b = vec![0.0f64; fine.n_local()];
-    fine.csr64().spmv(&ones, &mut b);
-    let x_exact = vec![1.0f64; fine.n_local()];
-
-    LocalProblem { spec: *spec, levels, b, x_exact }
+    LocalProblem { spec: *spec, levels, x_exact: vec![1.0; rhs.len()], b: rhs }
 }
 
 #[cfg(test)]
@@ -534,7 +570,9 @@ pub(crate) mod tests {
     /// rows occupy exactly one contiguous range of ELL positions,
     /// interior rows before `split` and boundary rows after it, and its
     /// rows collocated with a coarse point one sub-range straddling
-    /// `split`.
+    /// `split`. The precisions share one index allocation, and the
+    /// reference forms wait for their first reader, which builds them
+    /// for exactly the held precisions.
     #[test]
     fn color_split_partitions_each_class() {
         let spec = ProblemSpec {
@@ -544,10 +582,14 @@ pub(crate) mod tests {
             mg_levels: 3,
             seed: 3,
         };
-        let f16s = PrecisionPolicy::by_name("f16s-f32c").expect("shipped policy");
-        for policy in [PrecisionPolicy::f64(), PrecisionPolicy::f32(), f16s] {
+        let stress = [PrecisionPolicy::stress_f16()];
+        for policy in PrecisionPolicy::shipped().into_iter().chain(stress) {
             let p = assemble_with_policy(&spec, 3, &policy);
             for l in &p.levels {
+                assert!(l.reference.get().is_none(), "{} level {}", policy.name, l.depth);
+                let (a, b, c) = (&l.ell64, &l.ell32, &l.ell16);
+                let shared = |a: &EllMatrix<f64>| b.iter().all(|b| a.shares_indices(b));
+                assert!(a.iter().all(|a| shared(a) && c.iter().all(|c| a.shares_indices(c))));
                 let ranges = &l.color_ranges;
                 assert_eq!(ranges.len(), l.coloring.num_colors as usize);
                 let collocated: Vec<u32> = l.c2f.iter().flat_map(|m| m.c2f.clone()).collect();
@@ -555,7 +597,7 @@ pub(crate) mod tests {
                 assert_eq!((ranges[0].start, ranges[ranges.len() - 1].end), (0, l.n_local()));
                 assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
                 let mut boundary_seen = 0;
-                for kind in l.store.kinds() {
+                for kind in l.kinds() {
                     let order = l.ell_at(kind).order();
                     for (c, color) in ranges.iter().enumerate() {
                         assert!(color.start <= color.split && color.split <= color.end);
@@ -581,6 +623,11 @@ pub(crate) mod tests {
                 }
                 assert!(boundary_seen > 0, "a rank with neighbors has boundary rows");
             }
+            let fine = &p.levels[0];
+            assert_eq!(fine.csr64().nnz(), fine.nnz());
+            let r = fine.reference.get().expect("built by the accessor");
+            let built = [r.m64.is_some(), r.m32.is_some(), r.m16.is_some()];
+            assert_eq!(built, [fine.ell64.is_some(), fine.ell32.is_some(), fine.ell16.is_some()]);
         }
     }
 

@@ -26,6 +26,9 @@ pub enum StorageConfig {
     StoredDouble,
     /// GMRES-IR as the benchmark runs it: f64 **and** f32 ELL
     /// operators + f32 basis (the conclusion's memory complaint).
+    /// The paper's accounting; the `f32` policy holds less (measured by
+    /// `hpgmxp-core`'s `Level::{value_bytes, index_bytes}`): its copies
+    /// share one index array per level and coarse levels hold no f64.
     StoredMixed,
     /// Matrix-free GMRES-IR: the f64 fine operator applied from the
     /// stencil; only the f32 preconditioner matrices are stored.

@@ -118,24 +118,6 @@ impl<S: Scalar> CsrBuilder<S> {
 }
 
 impl<S: Scalar> CsrMatrix<S> {
-    /// Build a (small, square, fully local) matrix from dense row data;
-    /// intended for tests and examples.
-    pub fn from_dense_rows(rows: &[Vec<f64>]) -> Self {
-        let n = rows.len();
-        let mut b = CsrBuilder::new(n, n, n * n / 2);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.len(), n);
-            b.push_row(r.iter().enumerate().filter_map(|(j, &v)| {
-                if v != 0.0 || i == j {
-                    Some((j as u32, S::from_f64(v)))
-                } else {
-                    None
-                }
-            }));
-        }
-        b.finish()
-    }
-
     /// Number of owned rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -151,11 +133,6 @@ impl<S: Scalar> CsrMatrix<S> {
         self.col_idx.len()
     }
 
-    /// The raw row pointer array.
-    pub fn row_ptr(&self) -> &[u32] {
-        &self.row_ptr
-    }
-
     /// A row's `(columns, values)` pair.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[S]) {
@@ -168,22 +145,6 @@ impl<S: Scalar> CsrMatrix<S> {
     #[inline]
     pub fn diag(&self, i: usize) -> S {
         self.values[self.diag_pos[i] as usize]
-    }
-
-    /// Copy of the diagonal as a vector.
-    pub fn diagonal(&self) -> Vec<S> {
-        (0..self.nrows).map(|i| self.diag(i)).collect()
-    }
-
-    /// Mutable access to a value by position (used by tests to inject
-    /// perturbations).
-    pub fn values_mut(&mut self) -> &mut [S] {
-        &mut self.values
-    }
-
-    /// The raw column index array.
-    pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
     }
 
     /// `y = A x`, sequential. `x` must cover the full column space

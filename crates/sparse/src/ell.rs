@@ -43,8 +43,10 @@ pub struct EllMatrix<S> {
     /// Column-major `width × nrows` indices: entry `k` of the row at
     /// position `p` is at `k * nrows + p`. Invariant: every index is
     /// `< ncols` (CSR columns are checked on insertion; padding repeats
-    /// the row index) — the vector tile kernel relies on it.
-    col_idx: Vec<u32>,
+    /// the row index) — the vector tile kernel relies on it. Shared,
+    /// like `order`, by the copies of one operator at other storage
+    /// precisions: a copy owns only its values and diagonal.
+    col_idx: Arc<[u32]>,
     /// Column-major values, same layout as `col_idx`.
     values: Vec<S>,
     /// Diagonal value of the row at each position.
@@ -64,14 +66,15 @@ impl<S: Scalar> EllMatrix<S> {
     }
 
     /// Convert from CSR, storing row `order.old_of_new(p)` at position
-    /// `p` — one pass over the CSR, as [`EllMatrix::from_csr`]. Pass an
-    /// `Arc` to share one order among several matrices.
-    pub fn from_csr_ordered(a: &CsrMatrix<S>, order: impl Into<Arc<Permutation>>) -> Self {
-        let order = order.into();
+    /// `p` — one pass over the CSR, as [`EllMatrix::from_csr`]. Copies
+    /// at other precisions come from [`EllMatrix::convert`].
+    pub fn from_csr_ordered(a: &CsrMatrix<S>, order: Permutation) -> Self {
         let nrows = a.nrows();
         assert_eq!(order.len(), nrows, "storage order must cover every row");
         let width = a.max_row_nnz();
-        let mut col_idx = vec![0u32; width * nrows];
+        // Filled in place: one allocation (`Vec -> Arc` would copy it).
+        let mut col_idx: Arc<[u32]> = std::iter::repeat_n(0, width * nrows).collect();
+        let col_idx_mut = Arc::get_mut(&mut col_idx).expect("a fresh Arc has one owner");
         let mut values = vec![S::ZERO; width * nrows];
         let mut diag = vec![S::ZERO; nrows];
         for (p, dp) in diag.iter_mut().enumerate() {
@@ -80,16 +83,17 @@ impl<S: Scalar> EllMatrix<S> {
             for k in 0..width {
                 let slot = k * nrows + p;
                 if k < cols.len() {
-                    col_idx[slot] = cols[k];
+                    col_idx_mut[slot] = cols[k];
                     values[slot] = vals[k];
                     if cols[k] as usize == i {
                         *dp = vals[k];
                     }
                 } else {
-                    col_idx[slot] = i as u32;
+                    col_idx_mut[slot] = i as u32;
                 }
             }
         }
+        let order = Arc::new(order);
         EllMatrix { nrows, ncols: a.ncols(), width, col_idx, values, diag, order, nnz: a.nnz() }
     }
 
@@ -264,7 +268,7 @@ impl<S: Scalar> EllMatrix<S> {
 
     /// Convert stored values to another precision (batched through the
     /// SIMD converters; same per-element rounding as `from_f64`). The
-    /// storage order is kept, and shared.
+    /// column indices and the storage order are shared, not copied.
     pub fn convert<T: Scalar>(&self) -> EllMatrix<T> {
         let mut values = vec![T::ZERO; self.values.len()];
         crate::scalar::convert_slice(&self.values, &mut values);
@@ -274,7 +278,7 @@ impl<S: Scalar> EllMatrix<S> {
             nrows: self.nrows,
             ncols: self.ncols,
             width: self.width,
-            col_idx: self.col_idx.clone(),
+            col_idx: Arc::clone(&self.col_idx),
             values,
             diag,
             order: self.order.clone(),
@@ -303,9 +307,10 @@ impl<S: Scalar> EllMatrix<S> {
         self.stored_entries() * 4
     }
 
-    /// Padding overhead ratio `stored / nnz` (1.0 means no padding).
-    pub fn padding_ratio(&self) -> f64 {
-        self.stored_entries() as f64 / self.nnz as f64
+    /// Whether `other` reads this matrix's column-index allocation (as
+    /// every copy made by [`EllMatrix::convert`] does).
+    pub fn shares_indices<T>(&self, other: &EllMatrix<T>) -> bool {
+        Arc::ptr_eq(&self.col_idx, &other.col_idx)
     }
 }
 
@@ -469,6 +474,9 @@ mod tests {
         let e32: EllMatrix<f32> = ell.convert();
         assert_eq!(e32.nnz(), ell.nnz());
         assert_eq!(e32.order(), ell.order());
+        // One index allocation for both copies; a fresh build has its own.
+        assert!(e32.shares_indices(&ell));
+        assert!(!EllMatrix::from_csr(&example_csr()).shares_indices(&ell));
         let x = vec![1.0f32; 5];
         let mut y = vec![0.0f32; 4];
         e32.spmv(&x, &mut y);
@@ -523,7 +531,7 @@ mod tests {
     fn bytes_and_padding() {
         let ell = EllMatrix::from_csr(&example_csr());
         assert_eq!(ell.spmv_matrix_bytes(), 16 * 12);
-        assert!((ell.padding_ratio() - 16.0 / 9.0).abs() < 1e-12);
+        assert_eq!((ell.stored_entries(), ell.nnz()), (16, 9), "7 padded slots");
         let e32: EllMatrix<f32> = ell.convert();
         assert_eq!(e32.spmv_matrix_bytes(), 16 * 8);
     }

@@ -10,7 +10,6 @@ use hpg_mxp::core::problem::{assemble_with_policy, ProblemSpec};
 use hpg_mxp::geometry::{ProcGrid, Stencil27};
 use hpg_mxp::sparse::blas::{self, Basis};
 use hpg_mxp::sparse::gauss_seidel::gs_multicolor;
-use hpg_mxp::sparse::{CsrMatrix, EllMatrix};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -37,13 +36,13 @@ fn main() {
         mg_levels: 1,
         seed: 3,
     };
-    let problem = assemble_with_policy(&spec, 0, &PrecisionPolicy::f64());
+    // The f32 policy's fine level holds the operator at f64 and f32.
+    let problem = assemble_with_policy(&spec, 0, &PrecisionPolicy::f32());
     let l = &problem.levels[0];
     let n = l.n_local();
     println!("measured f64 -> f32 kernel speedups, {}^3 ({} rows):\n", n_edge, n);
 
-    let csr32: CsrMatrix<f32> = l.csr64().convert();
-    let ell32: EllMatrix<f32> = l.ell64().convert();
+    let (csr32, ell32) = (l.csr32(), l.ell32());
     let x64: Vec<f64> = (0..l.vec_len()).map(|i| (i as f64 * 1e-3).sin()).collect();
     let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
     let r64: Vec<f64> = (0..n).map(|i| (i % 17) as f64).collect();
@@ -67,7 +66,7 @@ fn main() {
     let mut z64 = vec![0.0f64; l.vec_len()];
     let t64 = time_it(5, || gs_multicolor(l.ell64(), &l.color_ranges, black_box(&r64), &mut z64));
     let mut z32 = vec![0.0f32; l.vec_len()];
-    let t32 = time_it(5, || gs_multicolor(&ell32, &l.color_ranges, black_box(&r32), &mut z32));
+    let t32 = time_it(5, || gs_multicolor(ell32, &l.color_ranges, black_box(&r32), &mut z32));
     results.push(("GS sweep (multicolor)", t64, t32));
 
     // CGS2's GEMV-T over 15 basis vectors.

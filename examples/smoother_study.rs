@@ -15,7 +15,7 @@ use hpg_mxp::core::problem::{assemble_with_policy, ProblemSpec};
 use hpg_mxp::geometry::{ProcGrid, Stencil27};
 use hpg_mxp::sparse::ordering::bandwidth;
 use hpg_mxp::sparse::ordering::rcm_order;
-use hpg_mxp::sparse::{greedy_coloring, jpl_coloring, LevelSchedule};
+use hpg_mxp::sparse::{greedy_coloring, jpl_coloring};
 
 fn main() {
     let spec = ProblemSpec {
@@ -26,13 +26,13 @@ fn main() {
         seed: 7,
     };
     let problem = assemble_with_policy(&spec, 0, &PrecisionPolicy::f64());
-    let a = &problem.levels[0].csr64();
+    let a = problem.levels[0].csr64();
     let n = a.nrows();
 
     println!("operator: {} rows, {} nonzeros (27-point stencil, 16^3)\n", n, a.nnz());
 
     // 1. Parallelism exposed by each strategy.
-    let schedule = LevelSchedule::build(a);
+    let schedule = problem.levels[0].schedule();
     println!("level scheduling (reference GS parallelism):");
     println!(
         "   {} dependency levels, mean {:.1} rows/level ({:.1}% of the matrix per step)",

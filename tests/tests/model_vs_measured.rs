@@ -6,6 +6,7 @@ use hpgmxp_core::benchmark::run_phase;
 use hpgmxp_core::config::{BenchmarkParams, ImplVariant};
 use hpgmxp_core::motifs::Motif;
 use hpgmxp_core::PrecisionPolicy;
+use hpgmxp_machine::memory::{footprint, StorageConfig};
 use hpgmxp_machine::simulate::{simulate, SimConfig};
 use hpgmxp_machine::workload::Workload;
 use hpgmxp_machine::{MachineModel, NetworkModel};
@@ -62,13 +63,30 @@ fn workload_shape_matches_measured_problem_dimensions() {
     let procs = spec.procs;
     let mid = procs.rank_of(procs.px / 2, procs.py / 2, procs.pz / 2);
     let prob = assemble_with_policy(&spec, mid as usize, &PrecisionPolicy::f64());
+
+    // Resident operator bytes vs the capacity model, read before
+    // `schedule()` below builds the reference forms (see StoredMixed's
+    // doc for why `f32` undercuts the model).
+    let resident = |p: &hpgmxp_core::problem::LocalProblem| -> f64 {
+        p.levels.iter().map(|l| (l.value_bytes() + l.index_bytes()) as f64).sum()
+    };
+    let model = |config| footprint(params.local_dims, params.mg_levels, params.restart, config);
+    let (measured, modeled) = (resident(&prob), model(StorageConfig::StoredDouble).matrices);
+    assert!(
+        (measured - modeled).abs() <= 0.1 * modeled,
+        "f64 policy: resident {measured} vs modeled stored-double {modeled} bytes"
+    );
+    let p32 = assemble_with_policy(&spec, mid as usize, &PrecisionPolicy::f32());
+    let (measured, modeled) = (resident(&p32), model(StorageConfig::StoredMixed).matrices);
+    assert!(measured < modeled, "f32 policy: resident {measured} vs stored-mixed {modeled} bytes");
+
     let wl = Workload::build(params.local_dims, params.mg_levels, params.restart, 8);
     for (lvl, shape) in prob.levels.iter().zip(wl.levels.iter()) {
         assert_eq!(lvl.n_local() as f64, shape.n);
         assert_eq!(lvl.nnz() as f64, shape.nnz);
         assert_eq!(lvl.halo.plan().neighbors.len(), shape.halo_msgs);
         assert_eq!(lvl.halo.send_volume() as f64, shape.halo_values);
-        assert_eq!(lvl.schedule.num_levels(), shape.sched_stages);
+        assert_eq!(lvl.schedule().num_levels(), shape.sched_stages);
     }
 }
 

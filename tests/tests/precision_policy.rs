@@ -246,42 +246,49 @@ fn f32_storage_under_f64_compute_matches_f64_iterations() {
     );
 }
 
-/// Policy-assembled problems materialize exactly the matrix sets the
-/// policy needs — the memory-capacity payoff of building each level's
-/// matrices once in their policy precision.
+/// Policy-assembled problems hold exactly what the policy's kernels
+/// read: one index structure per level, the values once per stored
+/// precision, and nothing of the reference variant's until it runs.
 #[test]
 fn policy_assembly_materializes_only_whats_needed() {
     let sp = spec(ProcGrid::new(1, 1, 1), 8, 2);
     let p64 = assemble_with_policy(&sp, 0, &PrecisionPolicy::f64());
-    assert_eq!(p64.levels[0].store.kinds(), vec![PrecKind::F64]);
-    assert_eq!(p64.levels[1].store.kinds(), vec![PrecKind::F64]);
-    // Resident values: ELL + CSR + the (D+L, U) factors, which hold
-    // every stored value once more.
-    let set = p64.levels[0].set64();
-    let factor_nnz = set.refpath.lower.nnz() + set.refpath.upper.nnz();
-    assert!(factor_nnz >= set.csr.nnz());
-    assert_eq!(
-        p64.levels[0].store.value_bytes(),
-        set.ell.value_bytes() + 8 * (set.csr.nnz() + factor_nnz)
-    );
-
     let p32 = assemble_with_policy(&sp, 0, &PrecisionPolicy::f32());
-    assert_eq!(p32.levels[0].store.kinds(), vec![PrecKind::F64, PrecKind::F32]);
-    assert_eq!(p32.levels[1].store.kinds(), vec![PrecKind::F32]);
+    assert!(p64.levels.iter().all(|l| l.kinds() == [PrecKind::F64]));
+    assert_eq!(p32.levels[0].kinds(), vec![PrecKind::F64, PrecKind::F32]);
+    assert_eq!(p32.levels[1].kinds(), vec![PrecKind::F32]);
+    for (l64, l32) in p64.levels.iter().zip(&p32.levels) {
+        assert_eq!(l64.index_bytes(), l32.index_bytes(), "indices are shared, not per precision");
+    }
     assert_eq!(
-        2 * p32.levels[1].store.value_bytes(),
-        p64.levels[1].store.value_bytes(),
-        "an inner-solve-only level holds the fp32 set alone: half the f64 policy's bytes"
+        2 * p32.levels[0].value_bytes(),
+        3 * p64.levels[0].value_bytes(),
+        "the fine level adds fp32 values to the outer residual's f64 values, nothing more"
     );
-    assert_eq!(
-        2 * p32.levels[0].store.value_bytes(),
-        3 * p64.levels[0].store.value_bytes(),
-        "the fine level adds the fp32 set to the outer residual's f64 set"
-    );
+    assert_eq!(2 * p32.levels[1].value_bytes(), p64.levels[1].value_bytes());
 
     let descent = assemble_with_policy(&sp, 0, &PrecisionPolicy::by_name("descent").unwrap());
-    assert_eq!(descent.levels[0].store.kinds(), vec![PrecKind::F64]);
-    assert_eq!(descent.levels[1].store.kinds(), vec![PrecKind::F32]);
+    assert_eq!(descent.levels[0].kinds(), vec![PrecKind::F64]);
+    assert_eq!(descent.levels[1].kinds(), vec![PrecKind::F32]);
+
+    // The reference forms appear with the first reference kernel.
+    let policy = PrecisionPolicy::f32();
+    let resident = |p: &hpgmxp_core::problem::LocalProblem| -> Vec<(usize, usize)> {
+        p.levels.iter().map(|l| (l.value_bytes(), l.index_bytes())).collect()
+    };
+    let assembled = resident(&p32);
+    let tl = Timeline::disabled();
+    let opts = GmresOptions { max_iters: 30, tol: 0.0, ..Default::default() };
+    gmres_ir_solve_policy(&SelfComm, &p32, &policy, &opts, &tl);
+    assert_eq!(resident(&p32), assembled, "an optimized solve reads ELL only");
+    let fine = &p32.levels[0];
+    let ctx = OpCtx::with_prec(&SelfComm, ImplVariant::Reference, &tl, policy.ctx());
+    let r = vec![1.0f32; fine.n_local()];
+    let mut z = vec![0.0f32; fine.vec_len()];
+    dist_gs_sweep(&ctx, fine, &mut MotifStats::new(), 0, SweepDir::Forward, &r, &mut z);
+    let swept = resident(&p32);
+    assert!(swept[0].0 > assembled[0].0 && swept[0].1 > assembled[0].1, "{swept:?}");
+    assert_eq!(swept[1], assembled[1], "only the swept level built its forms");
 }
 
 /// Distributed split-storage kernels: a 2-rank fp32-stored/f64-compute

@@ -193,8 +193,7 @@ proptest! {
             let mut z = vec![0.1f64; n];
             gs_multicolor(&ell, &colors, &r, &mut z);
 
-            let a32: CsrMatrix<f32> = a.convert();
-            let ell32 = EllMatrix::from_csr_ordered(&a32, order.clone());
+            let ell32: EllMatrix<f32> = ell.convert();
             let x32 = vec_f32(seed, n);
             let mut y32 = vec![0.0f32; n];
             ell32.spmv(&x32, &mut y32);
@@ -229,8 +228,7 @@ proptest! {
         let w = ell64.width() as f64;
 
         let got = on_both_levels(|| {
-            let a32: CsrMatrix<f32> = a.convert();
-            let ell32 = EllMatrix::from_csr(&a32);
+            let ell32: EllMatrix<f32> = ell64.convert();
             let mut y = vec![0.0f64; n];
             ell32.spmv(&x, &mut y);
             y
