@@ -129,7 +129,8 @@ fn bench_gauss_seidel(c: &mut Criterion) {
 }
 
 fn bench_ortho(c: &mut Criterion) {
-    let n = 32usize * 32 * 32;
+    // Three row tiles of the GEMV-T, the last one ragged.
+    let n = 2 * blas::DOT_BLOCK + 17;
     let k = 15usize;
     let mut q64: Basis<f64> = Basis::new(n, k + 1);
     let mut q32: Basis<f32> = Basis::new(n, k + 1);
@@ -145,10 +146,11 @@ fn bench_ortho(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1))
         .sample_size(10);
-    g.throughput(Throughput::Bytes((n * k * 8) as u64));
-    g.bench_function("project fp64", |b| b.iter(|| black_box(q64.project_local(k))));
-    g.throughput(Throughput::Bytes((n * k * 4) as u64));
-    g.bench_function("project fp32", |b| b.iter(|| black_box(q32.project_local(k))));
+    // k columns plus the projected column, each read once.
+    g.throughput(Throughput::Bytes((n * (k + 1) * 8) as u64));
+    g.bench_function("project fp64", |b| b.iter(|| black_box(q64.project_local(k)[0])));
+    g.throughput(Throughput::Bytes((n * (k + 1) * 4) as u64));
+    g.bench_function("project fp32", |b| b.iter(|| black_box(q32.project_local(k)[0])));
     g.finish();
 }
 
@@ -168,6 +170,7 @@ fn bench_vector_ops(c: &mut Criterion) {
     g.bench_function("dot_par fp64", |b| b.iter(|| black_box(blas::dot_par(&x64, &y64))));
     g.throughput(Throughput::Bytes((n * 8) as u64));
     g.bench_function("dot fp32", |b| b.iter(|| black_box(blas::dot(&x32, &y32))));
+    g.bench_function("dot_par fp32", |b| b.iter(|| black_box(blas::dot_par(&x32, &y32))));
     // waxpby streams x, y in and w out: 3 slices.
     g.throughput(Throughput::Bytes((n * 24) as u64));
     g.bench_function("waxpby fp64", |b| {

@@ -186,9 +186,10 @@ pub(crate) fn gmres_cycle<S: Scalar, C: Comm>(
             OrthoMethod::Mgs => mgs_checked(ctx.comm, stats, &mut ws.basis, k + 1)?,
         };
 
-        // Givens update (lines 31–43), redundantly on every rank.
+        // Givens update (lines 31–43), redundantly on every rank, from
+        // the Hessenberg column the basis' workspace holds.
         let rho_est = stats.timed(Motif::Ortho, crate::flops::givens_update(k + 1), || {
-            ws.qr.push_column(&ortho.h, ortho.beta)
+            ws.qr.push_column(ws.basis.hessenberg(k + 1), ortho.beta)
         });
         k += 1;
 

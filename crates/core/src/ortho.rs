@@ -18,12 +18,11 @@ use hpgmxp_sparse::blas::{self, Basis};
 use hpgmxp_sparse::Scalar;
 use std::time::Instant;
 
-/// Result of orthogonalizing one new basis vector.
-#[derive(Debug, Clone)]
+/// Result of orthogonalizing one new basis vector. The Hessenberg
+/// column `h_{0..k, k}` stays in the basis' workspace
+/// ([`Basis::hessenberg`]), in `f64` for the Givens QR.
+#[derive(Debug, Clone, Copy)]
 pub struct OrthoResult {
-    /// Hessenberg column `h_{0..k, k}` (combined over both CGS2
-    /// passes), in `f64` for the Givens QR.
-    pub h: Vec<f64>,
     /// The new vector's norm after projection, `h_{k+1,k}`.
     pub beta: f64,
     /// Whether the norm vanished (happy breakdown / exact solve).
@@ -31,7 +30,7 @@ pub struct OrthoResult {
 }
 
 /// CGS2: orthonormalize basis column `k` against columns `0..k`
-/// in place and return the Hessenberg coefficients.
+/// in place; the Hessenberg coefficients land in `q.hessenberg(k)`.
 pub fn cgs2<S: Scalar, C: Comm>(
     comm: &C,
     stats: &mut MotifStats,
@@ -41,7 +40,8 @@ pub fn cgs2<S: Scalar, C: Comm>(
     cgs2_checked(comm, stats, q, k).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`cgs2`] that surfaces transport faults as a typed error.
+/// [`cgs2`] that surfaces transport faults as a typed error. Runs in
+/// the basis' workspace and allocates nothing.
 pub fn cgs2_checked<S: Scalar, C: Comm>(
     comm: &C,
     stats: &mut MotifStats,
@@ -50,19 +50,9 @@ pub fn cgs2_checked<S: Scalar, C: Comm>(
 ) -> CommResult<OrthoResult> {
     let t0 = Instant::now();
     let n = q.n();
-    let mut h = vec![0.0f64; k];
-
-    // Two identical projection passes (the "2" in CGS2).
-    for _pass in 0..2 {
-        let local = q.project_local(k);
-        let mut hf: Vec<f64> = local.iter().map(|v| v.to_f64()).collect();
-        comm.allreduce_checked(&mut hf, ReduceOp::Sum)?;
-        let hs: Vec<S> = hf.iter().map(|&v| S::from_f64(v)).collect();
-        q.subtract(k, &hs);
-        for (acc, v) in h.iter_mut().zip(hf.iter()) {
-            *acc += v;
-        }
-    }
+    // Two identical projection passes (the "2" in CGS2), one k-value
+    // all-reduce each.
+    q.cgs2_passes(k, |hf| comm.allreduce_checked(hf, ReduceOp::Sum))?;
 
     // Normalize (deterministic blocked parallel reduction).
     let local_sq = blas::norm2_sq_par(q.col(k)).to_f64();
@@ -73,7 +63,7 @@ pub fn cgs2_checked<S: Scalar, C: Comm>(
     }
 
     stats.record(Motif::Ortho, t0.elapsed().as_secs_f64(), flops::cgs2_step(n, k));
-    Ok(OrthoResult { h, beta, breakdown })
+    Ok(OrthoResult { beta, breakdown })
 }
 
 /// Modified Gram–Schmidt (single pass, one all-reduce per column) —
@@ -97,11 +87,10 @@ pub fn mgs_checked<S: Scalar, C: Comm>(
 ) -> CommResult<OrthoResult> {
     let t0 = Instant::now();
     let n = q.n();
-    let mut h = vec![0.0f64; k];
-    for (j, hjs) in h.iter_mut().enumerate() {
+    for j in 0..k {
         let local = blas::dot_par(q.col(j), q.col(k)).to_f64();
         let hj = comm.allreduce_scalar_checked(local, ReduceOp::Sum)?;
-        *hjs = hj;
+        q.hessenberg_mut(k)[j] = hj;
         q.axpy_cols(j, k, S::from_f64(hj));
     }
     let local_sq = blas::norm2_sq_par(q.col(k)).to_f64();
@@ -111,7 +100,7 @@ pub fn mgs_checked<S: Scalar, C: Comm>(
         blas::scal(S::from_f64(1.0 / beta), q.col_mut(k));
     }
     stats.record(Motif::Ortho, t0.elapsed().as_secs_f64(), flops::cgs2_step(n, k) / 2.0);
-    Ok(OrthoResult { h, beta, breakdown })
+    Ok(OrthoResult { beta, breakdown })
 }
 
 /// Measure the worst pairwise loss of orthogonality `max |qᵢ·qⱼ|`
@@ -155,7 +144,7 @@ mod tests {
             fill_col(&mut q, k, |i| ((i * k + 1) as f64).cos() + 0.9 * ((i + 1) as f64).sin());
             let r = cgs2(&comm, &mut stats, &mut q, k);
             assert!(!r.breakdown);
-            assert_eq!(r.h.len(), k);
+            assert_eq!(q.hessenberg(k).len(), k);
         }
         assert!(orthogonality_defect(&comm, &q, 6) < 1e-13);
         assert!(stats.flops(Motif::Ortho) > 0.0);
@@ -170,7 +159,7 @@ mod tests {
         q.col_mut(0).copy_from_slice(&[1.0, 0.0, 0.0, 0.0]);
         q.col_mut(1).copy_from_slice(&[2.0, 0.0, 3.0, 0.0]);
         let r = cgs2(&comm, &mut stats, &mut q, 1);
-        assert!((r.h[0] - 2.0).abs() < 1e-14);
+        assert!((q.hessenberg(1)[0] - 2.0).abs() < 1e-14);
         assert!((r.beta - 3.0).abs() < 1e-14);
         assert_eq!(q.col(1), &[0.0, 0.0, 1.0, 0.0]);
     }
@@ -203,7 +192,7 @@ mod tests {
         let ra = cgs2(&comm, &mut s1, &mut qa, 1);
         let mut qb = make();
         let rb = mgs(&comm, &mut s2, &mut qb, 1);
-        assert!((ra.h[0] - rb.h[0]).abs() < 1e-12);
+        assert!((qa.hessenberg(1)[0] - qb.hessenberg(1)[0]).abs() < 1e-12);
         assert!((ra.beta - rb.beta).abs() < 1e-12);
     }
 
@@ -226,7 +215,7 @@ mod tests {
                 *v = ((off + i) as f64).cos();
             }
             let r = cgs2(&c, &mut stats, &mut q, 1);
-            (r.h[0], r.beta)
+            (q.hessenberg(1)[0], r.beta)
         });
 
         // Serial reference on the concatenated vector.
@@ -244,7 +233,7 @@ mod tests {
         let r = cgs2(&comm, &mut stats, &mut q, 1);
 
         for (h, beta) in results {
-            assert!((h - r.h[0]).abs() < 1e-12);
+            assert!((h - q.hessenberg(1)[0]).abs() < 1e-12);
             assert!((beta - r.beta).abs() < 1e-12);
         }
     }

@@ -7,19 +7,28 @@
 //! device (§3.2.5, removing the reference code's host round-trips) are
 //! provided explicitly.
 //!
+//! Every inner product has **one shape**: the vector is cut into
+//! [`DOT_BLOCK`]-element blocks, each block is reduced by the
+//! lane-blocked kernel [`simd::lane_dot`] (fixed lanes × unroll
+//! accumulators summed pairwise, then the ragged tail), and the block
+//! partials are summed by the same pairwise tree, shaped by the block
+//! count alone. [`dot`], [`dot_par`], [`norm2_sq`], [`norm2_sq_par`]
+//! and [`Basis::project_local`] are instances of it, so their bits
+//! depend on neither the SIMD dispatch level nor the thread count, and
+//! `project_local(k)[j]` is bitwise `dot_par(col j, col k)`.
+//!
 //! Only *local* (per-rank) arithmetic lives here; distributed reductions
 //! compose these with an all-reduce in the solver layer.
 
-use crate::half::Half;
 use crate::scalar::Scalar;
 use crate::simd;
-use core::any::TypeId;
+use core::ops::Range;
 use rayon::prelude::*;
 
-/// Fixed reduction block for [`dot_par`]: partial sums are always
-/// computed over `DOT_BLOCK`-element blocks regardless of thread
-/// count, so the summation tree — and the bits of the result — depend
-/// only on the vector length.
+/// Fixed reduction block: partial sums are always computed over
+/// `DOT_BLOCK`-element blocks regardless of thread count, so the
+/// summation tree — and the bits of the result — depend only on the
+/// vector length.
 pub const DOT_BLOCK: usize = 1 << 14;
 
 /// Leaf size for parallel elementwise kernels. Elementwise updates are
@@ -27,61 +36,51 @@ pub const DOT_BLOCK: usize = 1 << 14;
 /// granularity (32 KiB of f64 per leaf).
 const ELEM_CHUNK: usize = 4096;
 
-/// Local dot product `x · y`, sequential (the yardstick the
-/// deterministic parallel reduction is built from).
-///
-/// `S = Half` routes to [`crate::half::dot_f16`]: one f32 accumulation
-/// chain over batch-widened operands with a single final narrowing,
-/// instead of rounding every partial sum back to fp16 — the semantics
-/// of a hardware fp16 dot unit. All other precisions keep the
-/// sequential fused chain below, whose order [`dot_par`]'s blocked
-/// pairwise reduction depends on.
-pub fn dot<S: Scalar>(x: &[S], y: &[S]) -> S {
-    assert_eq!(x.len(), y.len());
-    if TypeId::of::<S>() == TypeId::of::<Half>() {
-        // SAFETY: S is exactly Half (repr(transparent) over u16).
-        let xh = unsafe { std::slice::from_raw_parts(x.as_ptr() as *const Half, x.len()) };
-        let yh = unsafe { std::slice::from_raw_parts(y.as_ptr() as *const Half, y.len()) };
-        // Exact round-trip back into S (an f16 value survives
-        // f64 → f16 unchanged).
-        return S::from_f64(crate::half::dot_f16(xh, yh).to_f64());
-    }
-    let mut acc = S::ZERO;
-    for (a, b) in x.iter().zip(y.iter()) {
-        acc = a.mul_add(*b, acc);
-    }
-    acc
+/// Element range of block `b` of a length-`n` vector.
+fn block(b: usize, n: usize) -> Range<usize> {
+    b * DOT_BLOCK..((b + 1) * DOT_BLOCK).min(n)
 }
 
-/// Deterministic pairwise sum over a slice of partial results: the
-/// recursion shape depends only on `v.len()`.
-fn pairwise_sum<S: Scalar>(v: &[S]) -> S {
-    match v.len() {
+/// Deterministic pairwise sum of `leaf(i)` over `range`: split at half
+/// the length, recursively, so the tree depends only on the length.
+/// With `par` the halves run under `rayon::join` — the same tree, the
+/// same bits, and no allocation.
+fn pairwise<S: Scalar>(range: Range<usize>, par: bool, leaf: &(impl Fn(usize) -> S + Sync)) -> S {
+    match range.len() {
         0 => S::ZERO,
-        1 => v[0],
-        2 => v[0] + v[1],
-        n => {
-            let (lo, hi) = v.split_at(n / 2);
-            pairwise_sum(lo) + pairwise_sum(hi)
+        1 => leaf(range.start),
+        len => {
+            let (lo, hi) = (range.start..range.start + len / 2, range.start + len / 2..range.end);
+            let (a, b) = if par {
+                rayon::join(|| pairwise(lo, par, leaf), || pairwise(hi, par, leaf))
+            } else {
+                (pairwise(lo, par, leaf), pairwise(hi, par, leaf))
+            };
+            a + b
         }
     }
 }
 
-/// Parallel local dot product with a **deterministic blocked-pairwise
-/// reduction**: per-block partial dots are computed in parallel but
-/// collected in block order (the pool's `collect` preserves sequential
-/// order), then combined by a pairwise tree whose shape depends only
-/// on the vector length. The result is bit-identical for every
-/// `RAYON_NUM_THREADS`, which is what keeps GMRES residual histories
-/// reproducible across thread counts.
-pub fn dot_par<S: Scalar>(x: &[S], y: &[S]) -> S {
+fn blocked_dot<S: Scalar>(x: &[S], y: &[S], par: bool) -> S {
     assert_eq!(x.len(), y.len());
-    if x.len() <= DOT_BLOCK {
-        return dot(x, y);
-    }
-    let partials: Vec<S> =
-        x.par_chunks(DOT_BLOCK).zip(y.par_chunks(DOT_BLOCK)).map(|(xa, ya)| dot(xa, ya)).collect();
-    pairwise_sum(&partials)
+    let n = x.len();
+    pairwise(0..n.div_ceil(DOT_BLOCK), par, &|b| simd::lane_dot(&x[block(b, n)], &y[block(b, n)]))
+}
+
+/// Local dot product `x · y`, sequential, in the module's one shape:
+/// lane-blocked [`DOT_BLOCK`] partials summed pairwise. `S = Half`
+/// accumulates each block in f32 and rounds it to fp16 once.
+pub fn dot<S: Scalar>(x: &[S], y: &[S]) -> S {
+    blocked_dot(x, y, false)
+}
+
+/// Parallel local dot product, bitwise equal to [`dot`]: the block
+/// partials are computed in parallel but combined by the same pairwise
+/// tree, so the result is identical for every `RAYON_NUM_THREADS` —
+/// which is what keeps GMRES residual histories reproducible across
+/// thread counts.
+pub fn dot_par<S: Scalar>(x: &[S], y: &[S]) -> S {
+    blocked_dot(x, y, true)
 }
 
 /// Local squared 2-norm.
@@ -89,10 +88,20 @@ pub fn norm2_sq<S: Scalar>(x: &[S]) -> S {
     dot(x, x)
 }
 
-/// Parallel local squared 2-norm with the deterministic blocked
-/// reduction of [`dot_par`].
+/// Parallel local squared 2-norm (see [`dot_par`]).
 pub fn norm2_sq_par<S: Scalar>(x: &[S]) -> S {
     dot_par(x, x)
+}
+
+/// `y[i] = alpha.mul_add(x[i], y[i])` on one chunk: the elementwise
+/// step under every AXPY-shaped kernel here.
+fn axpy_chunk<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
+    if simd::try_axpy(alpha, x, y) {
+        return;
+    }
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi = alpha.mul_add(*xi, *yi);
+    }
 }
 
 /// `w = alpha*x + beta*y` (HPCG's WAXPBY motif), parallel over chunks.
@@ -116,14 +125,9 @@ pub fn waxpby<S: Scalar>(alpha: S, x: &[S], beta: S, y: &[S], w: &mut [S]) {
 /// thread count).
 pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
     assert_eq!(x.len(), y.len());
-    y.par_chunks_mut(ELEM_CHUNK).zip(x.par_chunks(ELEM_CHUNK)).for_each(|(yc, xc)| {
-        if simd::try_axpy(alpha, xc, yc) {
-            return;
-        }
-        for (yi, xi) in yc.iter_mut().zip(xc) {
-            *yi = alpha.mul_add(*xi, *yi);
-        }
-    });
+    y.par_chunks_mut(ELEM_CHUNK)
+        .zip(x.par_chunks(ELEM_CHUNK))
+        .for_each(|(yc, xc)| axpy_chunk(alpha, xc, yc));
 }
 
 /// `x *= alpha`, parallel over chunks.
@@ -184,7 +188,7 @@ pub fn scale_f64_into_lo<S: Scalar>(alpha: f64, hi: &[f64], lo: &mut [S]) {
 pub fn axpy_lo_into_f64<S: Scalar>(alpha: f64, x: &[S], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
     y.par_chunks_mut(ELEM_CHUNK).zip(x.par_chunks(ELEM_CHUNK)).for_each(|(yc, xc)| {
-        if simd::try_axpy_acc(alpha, xc, yc) {
+        if simd::try_axpy_into_f64(alpha, xc, yc) {
             return;
         }
         for (yi, xi) in yc.iter_mut().zip(xc) {
@@ -193,59 +197,23 @@ pub fn axpy_lo_into_f64<S: Scalar>(alpha: f64, x: &[S], y: &mut [f64]) {
     });
 }
 
-/// Widening-on-load dot product: operands stored in `Lo`, every
-/// multiply-add accumulated in `Acc` (e.g. fp16-stored basis vectors
-/// with f32 accumulation — the hardware-FMA semantics of tensor-style
-/// units, applied to storage the memory wall cares about).
-pub fn dot_acc<Lo: Scalar, Acc: Scalar>(x: &[Lo], y: &[Lo]) -> Acc {
-    assert_eq!(x.len(), y.len());
-    let mut acc = Acc::ZERO;
-    if TypeId::of::<Lo>() != TypeId::of::<Acc>() {
-        // Split storage: widen operand chunks in one batch (exact —
-        // `from_scalar` is the same widening per element), then run
-        // the identical fused chain. Bit-identical to the loop below.
-        const CHUNK: usize = 256;
-        let mut xw = [Acc::ZERO; CHUNK];
-        let mut yw = [Acc::ZERO; CHUNK];
-        let mut at = 0usize;
-        while at < x.len() {
-            let len = CHUNK.min(x.len() - at);
-            crate::scalar::convert_slice(&x[at..at + len], &mut xw[..len]);
-            crate::scalar::convert_slice(&y[at..at + len], &mut yw[..len]);
-            for i in 0..len {
-                acc = xw[i].mul_add(yw[i], acc);
-            }
-            at += len;
-        }
-        return acc;
-    }
-    for (a, b) in x.iter().zip(y.iter()) {
-        acc = Acc::from_scalar(*a).mul_add(Acc::from_scalar(*b), acc);
-    }
-    acc
-}
-
-/// Widening-on-load squared 2-norm (see [`dot_acc`]).
-pub fn norm2_sq_acc<Lo: Scalar, Acc: Scalar>(x: &[Lo]) -> Acc {
-    dot_acc(x, x)
-}
-
-/// Widening AXPY with both operands in low precision and accumulation
-/// in `Acc`: `y[i] = alpha * widen(x[i]) + y[i]` where `y` is an `Acc`
-/// vector and `x` is stored narrow.
-pub fn axpy_acc<Lo: Scalar, Acc: Scalar>(alpha: Acc, x: &[Lo], y: &mut [Acc]) {
-    assert_eq!(x.len(), y.len());
-    y.par_chunks_mut(ELEM_CHUNK).zip(x.par_chunks(ELEM_CHUNK)).for_each(|(yc, xc)| {
-        if simd::try_axpy_acc(alpha, xc, yc) {
-            return;
-        }
-        for (yi, xi) in yc.iter_mut().zip(xc) {
-            *yi = alpha.mul_add(Acc::from_scalar(*xi), *yi);
+/// `w -= Q[:, 0..h.len()] · h`, `w` the column right after them: each
+/// row chunk of `w` applies the columns in order, so the result is
+/// bit-identical to the sequential double loop.
+fn subtract_cols<S: Scalar>(data: &mut [S], n: usize, h: &[S]) {
+    let (head, tail) = data.split_at_mut(h.len() * n);
+    let head = &*head;
+    tail[..n].par_chunks_mut(ELEM_CHUNK).enumerate().for_each(|(ci, wc)| {
+        let off = ci * ELEM_CHUNK;
+        for (j, &hj) in h.iter().enumerate() {
+            axpy_chunk(-hj, &head[j * n + off..][..wc.len()], wc);
         }
     });
 }
 
-/// Column-major Krylov basis storage `Q ∈ R^{n × max_cols}`.
+/// Column-major Krylov basis storage `Q ∈ R^{n × max_cols}`, plus the
+/// coefficient workspace orthogonalization runs in, so projecting a
+/// column against the block allocates nothing.
 ///
 /// GMRES stores every basis vector of the current restart cycle; CGS2
 /// works on the block, which is why the paper calls orthogonalization a
@@ -255,12 +223,30 @@ pub struct Basis<S> {
     n: usize,
     max_cols: usize,
     data: Vec<S>,
+    /// [`Basis::project_local`]'s per-tile partials, tile-major:
+    /// `max_cols` slots per [`DOT_BLOCK`] tile of a column.
+    partials: Vec<S>,
+    /// Projection coefficients in the working precision.
+    hs: Vec<S>,
+    /// The same coefficients in f64: the all-reduce buffer.
+    hf: Vec<f64>,
+    /// Hessenberg column of the last orthogonalized vector.
+    h: Vec<f64>,
 }
 
 impl<S: Scalar> Basis<S> {
-    /// Allocate an `n × max_cols` basis initialized to zero.
+    /// Allocate an `n × max_cols` basis initialized to zero, with its
+    /// `⌈n / DOT_BLOCK⌉ × max_cols` projection workspace.
     pub fn new(n: usize, max_cols: usize) -> Self {
-        Basis { n, max_cols, data: vec![S::ZERO; n * max_cols] }
+        Basis {
+            n,
+            max_cols,
+            data: vec![S::ZERO; n * max_cols],
+            partials: vec![S::ZERO; n.div_ceil(DOT_BLOCK) * max_cols],
+            hs: vec![S::ZERO; max_cols],
+            hf: vec![0.0; max_cols],
+            h: vec![0.0; max_cols],
+        }
     }
 
     /// Local vector length.
@@ -286,12 +272,28 @@ impl<S: Scalar> Basis<S> {
     }
 
     /// GEMV-T: local part of `h = Q[:, 0..k]ᵀ · (col k)` — the batched
-    /// inner products of one CGS2 pass. The caller all-reduces `h`
-    /// before the subtraction.
-    pub fn project_local(&self, k: usize) -> Vec<S> {
-        let (head, tail) = self.data.split_at(k * self.n);
-        let w = &tail[..self.n];
-        (0..k).into_par_iter().map(|j| dot(&head[j * self.n..(j + 1) * self.n], w)).collect()
+    /// inner products of one CGS2 pass — into the basis' workspace.
+    /// Row-tiled: each [`DOT_BLOCK`] tile of column `k` is reduced
+    /// against all `k` columns while it sits in cache, so it streams
+    /// from memory once per pass, and each column's tile partials are
+    /// summed by [`dot_par`]'s tree: entry `j` is bitwise
+    /// `dot_par(col j, col k)`. The caller all-reduces `h` before the
+    /// subtraction.
+    pub fn project_local(&mut self, k: usize) -> &[S] {
+        let (n, stride, tiles) = (self.n, self.max_cols, self.n.div_ceil(DOT_BLOCK));
+        let (head, tail) = self.data.split_at(k * n);
+        let w = &tail[..n];
+        self.partials.par_chunks_mut(stride).enumerate().for_each(|(t, row)| {
+            let r = block(t, n);
+            for (j, p) in row[..k].iter_mut().enumerate() {
+                *p = simd::lane_dot(&head[j * n..][r.clone()], &w[r.clone()]);
+            }
+        });
+        let partials = &self.partials;
+        for (j, hj) in self.hs[..k].iter_mut().enumerate() {
+            *hj = pairwise(0..tiles, false, &|t| partials[t * stride + j]);
+        }
+        &self.hs[..k]
     }
 
     /// GEMV: `col k -= Q[:, 0..k] · h` — the update half of a CGS2
@@ -300,22 +302,47 @@ impl<S: Scalar> Basis<S> {
     /// bit-identical to the sequential double loop.
     pub fn subtract(&mut self, k: usize, h: &[S]) {
         assert_eq!(h.len(), k);
-        let n = self.n;
-        let (head, tail) = self.data.split_at_mut(k * n);
-        let head = &*head;
-        let w = &mut tail[..n];
-        w.par_chunks_mut(ELEM_CHUNK).enumerate().for_each(|(ci, wc)| {
-            let off = ci * ELEM_CHUNK;
-            for (j, &hj) in h.iter().enumerate() {
-                let qj = &head[j * n + off..j * n + off + wc.len()];
-                if simd::try_axpy(-hj, qj, wc) {
-                    continue;
-                }
-                for (wi, qi) in wc.iter_mut().zip(qj.iter()) {
-                    *wi = (-hj).mul_add(*qi, *wi);
-                }
+        subtract_cols(&mut self.data, self.n, h);
+    }
+
+    /// Both classical Gram–Schmidt passes of CGS2 on column `k` (the
+    /// "2"), in the basis' workspace. Each pass runs
+    /// [`project_local`](Self::project_local), hands the `k`
+    /// coefficients to `reduce` in f64 (the caller's all-reduce),
+    /// subtracts them rounded to the working precision, and adds them
+    /// to the [`hessenberg`](Self::hessenberg) column.
+    pub fn cgs2_passes<E>(
+        &mut self,
+        k: usize,
+        mut reduce: impl FnMut(&mut [f64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.h[..k].fill(0.0);
+        for _pass in 0..2 {
+            self.project_local(k);
+            let (hs, hf) = (&mut self.hs[..k], &mut self.hf[..k]);
+            for (f, s) in hf.iter_mut().zip(hs.iter()) {
+                *f = s.to_f64();
             }
-        });
+            reduce(hf)?;
+            for ((s, f), h) in hs.iter_mut().zip(hf.iter()).zip(&mut self.h) {
+                *s = S::from_f64(*f);
+                *h += f;
+            }
+            subtract_cols(&mut self.data, self.n, hs);
+        }
+        Ok(())
+    }
+
+    /// The Hessenberg column `h_{0..k}` of the last orthogonalized
+    /// vector, in f64 for the Givens QR.
+    pub fn hessenberg(&self, k: usize) -> &[f64] {
+        &self.h[..k]
+    }
+
+    /// Mutable [`hessenberg`](Self::hessenberg) column, for
+    /// orthogonalizations that fill it entry by entry (MGS).
+    pub fn hessenberg_mut(&mut self, k: usize) -> &mut [f64] {
+        &mut self.h[..k]
     }
 
     /// `col dst -= alpha · col src` with `src < dst` — the elementary
@@ -325,33 +352,34 @@ impl<S: Scalar> Basis<S> {
         let (head, tail) = self.data.split_at_mut(dst * self.n);
         let s = &head[src * self.n..(src + 1) * self.n];
         let d = &mut tail[..self.n];
-        d.par_chunks_mut(ELEM_CHUNK).zip(s.par_chunks(ELEM_CHUNK)).for_each(|(dc, sc)| {
-            if simd::try_axpy(-alpha, sc, dc) {
-                return;
-            }
-            for (di, si) in dc.iter_mut().zip(sc.iter()) {
-                *di = (-alpha).mul_add(*si, *di);
-            }
-        });
+        d.par_chunks_mut(ELEM_CHUNK)
+            .zip(s.par_chunks(ELEM_CHUNK))
+            .for_each(|(dc, sc)| axpy_chunk(-alpha, sc, dc));
     }
 
     /// `out = Q[:, 0..k] · t` (the restart-time basis combination,
-    /// line 46 of Algorithm 3).
+    /// line 46 of Algorithm 3). One pass over row chunks of `out`, each
+    /// zeroed and then updated by columns `0..k` in order — the
+    /// per-element FMA sequence of `k` column-by-column AXPYs, with
+    /// `out` streamed once.
     pub fn combine(&self, k: usize, t: &[S], out: &mut [S]) {
         assert_eq!(t.len(), k);
         assert_eq!(out.len(), self.n);
-        for o in out.iter_mut() {
-            *o = S::ZERO;
-        }
-        for (j, &tj) in t.iter().enumerate().take(k) {
-            axpy(tj, self.col(j), out);
-        }
+        let (n, data) = (self.n, &self.data);
+        out.par_chunks_mut(ELEM_CHUNK).enumerate().for_each(|(ci, oc)| {
+            let off = ci * ELEM_CHUNK;
+            oc.fill(S::ZERO);
+            for (j, &tj) in t.iter().enumerate() {
+                axpy_chunk(tj, &data[j * n + off..][..oc.len()], oc);
+            }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::half::Half;
 
     #[test]
     fn dot_and_norm() {
@@ -364,11 +392,24 @@ mod tests {
 
     #[test]
     fn dot_par_large_matches_serial_closely() {
+        // One shape for both: equal to the last bit, not just closely.
         let x: Vec<f64> = (0..100_000).map(|i| ((i % 97) as f64) * 1e-3).collect();
         let y: Vec<f64> = (0..100_000).map(|i| ((i % 89) as f64) * 1e-3 - 0.04).collect();
-        let a = dot(&x, &y);
-        let b = dot_par(&x, &y);
-        assert!((a - b).abs() < 1e-9 * a.abs().max(1.0));
+        assert_eq!(dot(&x, &y).to_bits(), dot_par(&x, &y).to_bits());
+        let exact: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
+        assert!((dot(&x, &y) - exact).abs() < 1e-9 * exact.abs().max(1.0));
+    }
+
+    #[test]
+    fn dot_is_pairwise_over_lane_blocked_partials() {
+        // The definition, spelled out: portable lane dots per block,
+        // combined ((b0 + b1) + (b2 + b3)) for four blocks.
+        let x: Vec<f64> = (0..3 * DOT_BLOCK + 17).map(|i| ((i * 37 % 1013) as f64).sin()).collect();
+        let y: Vec<f64> = (0..x.len()).map(|i| ((i * 53 % 997) as f64).cos()).collect();
+        let b: Vec<f64> = (0..4)
+            .map(|i| simd::portable::dot_f64(&x[block(i, x.len())], &y[block(i, x.len())]))
+            .collect();
+        assert_eq!(dot(&x, &y).to_bits(), ((b[0] + b[1]) + (b[2] + b[3])).to_bits());
     }
 
     #[test]
@@ -451,30 +492,23 @@ mod tests {
 
     #[test]
     fn widening_dot_accumulates_past_the_storage_precision() {
-        use crate::half::Half;
         // 4096 fp16 ones dotted with themselves: fp16 accumulation
-        // would saturate at 2048; f32 accumulation is exact.
+        // would saturate at 2048; the f32 lane accumulators are exact
+        // and 4096 rounds into fp16 unchanged.
         let x: Vec<Half> = vec![Half::ONE; 4096];
-        let d: f32 = dot_acc(&x, &x);
-        assert_eq!(d, 4096.0);
-        let n: f32 = norm2_sq_acc(&x);
-        assert_eq!(n, 4096.0);
-        // Same-precision instantiation matches the plain dot bitwise.
-        let y: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
-        let a: f64 = dot_acc(&y, &y);
-        assert_eq!(a.to_bits(), dot(&y, &y).to_bits());
+        assert_eq!(dot(&x, &x).to_f32(), 4096.0);
+        assert_eq!(norm2_sq_par(&x).to_f32(), 4096.0);
     }
 
     #[test]
     fn widening_axpy_keeps_accumulator_resolution() {
-        use crate::half::Half;
         let x = vec![Half::ONE; 8];
-        let mut y = vec![1.0f32; 8];
-        // 1e-6 is far below fp16 resolution around 1.0 but must
-        // survive in the f32 accumulator.
-        axpy_acc(1e-6f32, &x, &mut y);
+        let mut y = vec![1.0f64; 8];
+        // 1e-9 is far below fp16 resolution around 1.0 but must
+        // survive in the f64 accumulator.
+        axpy_lo_into_f64(1e-9, &x, &mut y);
         for v in &y {
-            assert_eq!(*v, 1.0 + 1e-6);
+            assert_eq!(*v, 1.0 + 1e-9);
         }
     }
 
@@ -486,7 +520,7 @@ mod tests {
         q.col_mut(0).copy_from_slice(&[1.0, 0.0, 0.0, 0.0]);
         q.col_mut(1).copy_from_slice(&[0.0, 1.0, 0.0, 0.0]);
         q.col_mut(2).copy_from_slice(&[3.0, 4.0, 5.0, 0.0]);
-        let h = q.project_local(2);
+        let h = q.project_local(2).to_vec();
         assert_eq!(h, vec![3.0, 4.0]);
         q.subtract(2, &h);
         assert_eq!(q.col(2), &[0.0, 0.0, 5.0, 0.0]);
@@ -507,11 +541,33 @@ mod tests {
     }
 
     #[test]
+    fn basis_combine_matches_column_by_column_axpy() {
+        // The one-pass combination against the loop it replaced: zero
+        // `out`, then one full-length parallel AXPY per column.
+        let (n, k) = (3 * ELEM_CHUNK + 5, 6);
+        let mut q: Basis<f32> = Basis::new(n, k);
+        for j in 0..k {
+            for (i, v) in q.col_mut(j).iter_mut().enumerate() {
+                *v = ((i * 31 + j * 7) % 211) as f32 * 0.013 - 1.3;
+            }
+        }
+        let t: Vec<f32> = (0..k).map(|j| 0.7 - j as f32 * 0.31).collect();
+        let mut want = vec![0.0f32; n];
+        for (j, &tj) in t.iter().enumerate() {
+            axpy(tj, q.col(j), &mut want);
+        }
+        let mut got = vec![1.0f32; n];
+        q.combine(k, &t, &mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
     fn basis_generic_over_f32() {
         let mut q: Basis<f32> = Basis::new(2, 2);
         q.col_mut(0).copy_from_slice(&[0.6, 0.8]);
         q.col_mut(1).copy_from_slice(&[1.0, 0.0]);
-        let h = q.project_local(1);
+        let h = q.project_local(1).to_vec();
         assert!((h[0] - 0.6).abs() < 1e-6);
         q.subtract(1, &h);
         let c = q.col(1);

@@ -166,50 +166,13 @@ pub fn narrow_f32_slice(src: &[f32], dst: &mut [Half]) {
     crate::simd::narrow_f32_f16(src, as_bits_mut(dst));
 }
 
-/// Slice dot product in fp16 storage with a single f32 accumulation
-/// chain: both operands are batch-widened (exact), multiplied and
-/// accumulated with one fused `mul_add` per element in index order,
-/// and narrowed **once** at the end — instead of the generic kernel's
-/// per-element round-trip through fp16, which rounds every partial
-/// sum. `blas::dot` routes `S = Half` here.
+/// Slice dot product in fp16 storage: the lane-blocked reduction of
+/// `blas::dot` with operands widened exactly and accumulated in f32 —
+/// each block's sum narrowed **once**, instead of the generic
+/// arithmetic's per-element round-trip through fp16, which rounds
+/// every partial sum.
 pub fn dot_f16(x: &[Half], y: &[Half]) -> Half {
-    const CHUNK: usize = 256;
-    let n = x.len().min(y.len());
-    let mut xw = [0.0f32; CHUNK];
-    let mut yw = [0.0f32; CHUNK];
-    let mut acc = 0.0f32;
-    let mut at = 0usize;
-    while at < n {
-        let len = CHUNK.min(n - at);
-        crate::simd::widen_f16_f32(as_bits(&x[at..at + len]), &mut xw[..len]);
-        crate::simd::widen_f16_f32(as_bits(&y[at..at + len]), &mut yw[..len]);
-        for i in 0..len {
-            acc = xw[i].mul_add(yw[i], acc);
-        }
-        at += len;
-    }
-    Half::from_f32(acc)
-}
-
-/// Slice sum in fp16 storage: batch-widened, sequentially accumulated
-/// in f32 (index order, matching the `Sum` impl bit-for-bit), narrowed
-/// once.
-pub fn sum_f16_slice(x: &[Half]) -> Half {
-    const CHUNK: usize = 256;
-    let mut w = [0.0f32; CHUNK];
-    // std's float `Sum` folds from -0.0 (the additive identity);
-    // start there so the bits match the iterator path exactly.
-    let mut acc = -0.0f32;
-    let mut at = 0usize;
-    while at < x.len() {
-        let len = CHUNK.min(x.len() - at);
-        crate::simd::widen_f16_f32(as_bits(&x[at..at + len]), &mut w[..len]);
-        for v in &w[..len] {
-            acc += *v;
-        }
-        at += len;
-    }
-    Half::from_f32(acc)
+    crate::blas::dot(x, y)
 }
 
 impl fmt::Debug for Half {
@@ -453,24 +416,13 @@ mod tests {
     }
 
     #[test]
-    fn sum_slice_matches_iterator_sum_bitwise() {
-        for len in [0usize, 1, 7, 8, 9, 255, 256, 257, 1000] {
-            let v: Vec<Half> =
-                (0..len).map(|i| Half::from_f32((i as f32 * 0.17 - 3.0).sin())).collect();
-            let iter_sum: Half = v.iter().copied().sum();
-            assert_eq!(sum_f16_slice(&v).to_bits(), iter_sum.to_bits(), "len {len}");
-        }
-    }
-
-    #[test]
-    fn dot_f16_uses_one_accumulation_chain() {
-        for len in [0usize, 1, 8, 9, 256, 257, 600] {
+    fn dot_f16_accumulates_in_f32_lanes_and_narrows_once() {
+        // Within one block: the f32 lane-blocked sum of the widened
+        // operands, rounded to fp16 exactly once.
+        for len in [0usize, 1, 8, 9, 31, 32, 33, 256, 257, 600] {
             let x: Vec<Half> = (0..len).map(|i| Half::from_f32((i as f32 * 0.23).cos())).collect();
             let y: Vec<Half> = (0..len).map(|i| Half::from_f32((i as f32 * 0.11).sin())).collect();
-            let mut acc = 0.0f32;
-            for (a, b) in x.iter().zip(y.iter()) {
-                acc = a.to_f32().mul_add(b.to_f32(), acc);
-            }
+            let acc = crate::simd::portable::dot_f16(as_bits(&x), as_bits(&y));
             assert_eq!(dot_f16(&x, &y).to_bits(), Half::from_f32(acc).to_bits(), "len {len}");
         }
     }

@@ -18,9 +18,15 @@
 //! rows/elements, every lane op is the IEEE correctly-rounded scalar
 //! op). Split `(Stored, Acc)` kernels widen exactly in-register, so
 //! they too match the scalar sequence bit-for-bit; the existing
-//! eps bounds in the proptests remain valid unchanged. The blocked
-//! pairwise reduction order of `dot_par` and the per-motif byte
-//! counters are not touched by this layer.
+//! eps bounds in the proptests remain valid unchanged.
+//!
+//! This layer also owns the *shape* of every dot product: [`lane_dot`]
+//! is the one per-block reduction (`portable::lane_dot` defines it,
+//! the AVX2 kernels reproduce it), and `blas::dot`/`dot_par`/
+//! `Basis::project_local` combine its `DOT_BLOCK` partials by a
+//! pairwise tree shaped by the length alone — so neither the dispatch
+//! level nor the thread count moves a bit. The per-motif byte counters
+//! are not touched by this layer.
 //!
 //! Every `try_*` kernel returns `false` when dispatch (or a safety
 //! precondition) rules the vector path out — callers keep their scalar
@@ -306,6 +312,48 @@ pub fn convert_slice_fast<Src: Scalar, Dst: Scalar>(src: &[Src], dst: &mut [Dst]
 }
 
 // ---------------------------------------------------------------------------
+// The one local reduction.
+// ---------------------------------------------------------------------------
+
+macro_rules! dispatch_dot {
+    ($name:ident, $T:ty, $Acc:ty) => {
+        fn $name(x: &[$T], y: &[$T]) -> $Acc {
+            #[cfg(target_arch = "x86_64")]
+            if level() == SimdLevel::Avx2 {
+                // SAFETY: features verified by `level()`; `lane_dot`
+                // checked the lengths are equal.
+                return unsafe { x86::$name(x, y) };
+            }
+            portable::$name(x, y)
+        }
+    };
+}
+
+dispatch_dot!(dot_f64, f64, f64);
+dispatch_dot!(dot_f32, f32, f32);
+dispatch_dot!(dot_f16, u16, f32);
+
+/// `x · y` over one block in the lane-blocked shape of
+/// [`portable::lane_dot`]: 16 f64 or 32 f32 accumulators, fp16
+/// operands widened into f32 and the result narrowed once. The same
+/// bits on every dispatch level; callers keep blocks at most
+/// `blas::DOT_BLOCK` long and combine them pairwise.
+pub fn lane_dot<S: Scalar>(x: &[S], y: &[S]) -> S {
+    assert_eq!(x.len(), y.len());
+    if let (Some(a), Some(b)) = (as_f64s(x), as_f64s(y)) {
+        return S::from_f64(dot_f64(a, b));
+    }
+    if let (Some(a), Some(b)) = (as_f32s(x), as_f32s(y)) {
+        return S::from_f64(dot_f32(a, b) as f64);
+    }
+    if let (Some(a), Some(b)) = (as_f16s(x), as_f16s(y)) {
+        return S::from_f64(dot_f16(a, b) as f64);
+    }
+    // Any other precision: the same shape in its own arithmetic.
+    portable::lane_dot::<_, _, 16>(x, y, |v| v)
+}
+
+// ---------------------------------------------------------------------------
 // Streaming BLAS-1 entry points.
 // ---------------------------------------------------------------------------
 
@@ -338,44 +386,27 @@ pub fn try_axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) -> bool {
     }
 }
 
-/// Vectorized `y[i] = alpha.mul_add(Acc::from_scalar(x[i]), y[i])`:
-/// the widening axpy of `axpy_acc` / `axpy_lo_into_f64`.
-pub fn try_axpy_acc<Lo: Scalar, Acc: Scalar>(alpha: Acc, x: &[Lo], y: &mut [Acc]) -> bool {
+/// Vectorized `y[i] = alpha.mul_add(x[i].to_f64(), y[i])`: the
+/// widening axpy of `axpy_lo_into_f64`.
+pub fn try_axpy_into_f64<Lo: Scalar>(alpha: f64, x: &[Lo], y: &mut [f64]) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         if level() != SimdLevel::Avx2 || x.len() < y.len() {
             return false;
         }
-        if let Some(yv) = as_f64s_mut(y) {
-            let a = alpha.to_f64();
-            let n = yv.len();
-            // SAFETY (all arms): features verified; x covers y's length.
-            if let Some(xv) = as_f64s(x) {
-                unsafe { x86::axpy_f64_f64(a, &xv[..n], yv) };
-                return true;
-            }
-            if let Some(xv) = as_f32s(x) {
-                unsafe { x86::axpy_f32_f64(a, &xv[..n], yv) };
-                return true;
-            }
-            if let Some(xv) = as_f16s(x) {
-                unsafe { x86::axpy_f16_f64(a, &xv[..n], yv) };
-                return true;
-            }
-            return false;
+        let n = y.len();
+        // SAFETY (all arms): features verified; x covers y's length.
+        if let Some(xv) = as_f64s(x) {
+            unsafe { x86::axpy_f64_f64(alpha, &xv[..n], y) };
+            return true;
         }
-        if let Some(yv) = as_f32s_mut(y) {
-            let a = alpha.to_f64() as f32;
-            let n = yv.len();
-            if let Some(xv) = as_f32s(x) {
-                unsafe { x86::axpy_f32_f32(a, &xv[..n], yv) };
-                return true;
-            }
-            if let Some(xv) = as_f16s(x) {
-                unsafe { x86::axpy_f16_f32(a, &xv[..n], yv) };
-                return true;
-            }
-            return false;
+        if let Some(xv) = as_f32s(x) {
+            unsafe { x86::axpy_f32_f64(alpha, &xv[..n], y) };
+            return true;
+        }
+        if let Some(xv) = as_f16s(x) {
+            unsafe { x86::axpy_f16_f64(alpha, &xv[..n], y) };
+            return true;
         }
         false
     }

@@ -33,6 +33,7 @@
 //! fits in `i32` (gathers sign-extend), and the CPU supports
 //! avx2+fma+f16c.
 
+use super::portable::{lane_fold, UNROLL};
 use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
 use core::arch::x86_64::*;
 
@@ -287,7 +288,77 @@ axpy_into_f64!(axpy_f64_f64, f64, ld4_f64, w64_f64);
 axpy_into_f64!(axpy_f32_f64, f32, ld4_f64_from_f32, w64_f32);
 axpy_into_f64!(axpy_f16_f64, u16, ld4_f64_from_f16, w64_f16);
 axpy_into_f32!(axpy_f32_f32, f32, ld8_f32, w32_f32);
-axpy_into_f32!(axpy_f16_f32, u16, ld8_f32_from_f16, w32_f16);
+
+// ---------------------------------------------------------------------------
+// The lane-blocked dot of `portable::lane_dot`: `UNROLL` registers of
+// `lanes` accumulators, register `u` lane `l` holding accumulator
+// `u·lanes + l`, so element `i` of the main part feeds accumulator
+// `i % (UNROLL·lanes)` exactly as in the definition. The registers are
+// spilled to that accumulator array and finished by the shared
+// `portable::lane_fold` (pairwise tree, then the tail).
+// ---------------------------------------------------------------------------
+
+macro_rules! lane_dot {
+    ($name:ident, $S:ty, $Acc:ty, $lanes:literal, $zero:ident, $fma:ident, $st:ident, $ld:ident, $wide:ident) => {
+        /// # Safety
+        /// `x.len() == y.len()`.
+        #[target_feature(enable = "avx2,fma,f16c")]
+        pub unsafe fn $name(x: &[$S], y: &[$S]) -> $Acc {
+            const W: usize = UNROLL * $lanes;
+            let m = x.len() - x.len() % W;
+            let (xp, yp) = (x.as_ptr(), y.as_ptr());
+            let mut r = [$zero(); UNROLL];
+            let mut i = 0usize;
+            while i < m {
+                for (u, ru) in r.iter_mut().enumerate() {
+                    let o = i + u * $lanes;
+                    *ru = $fma($ld(xp.add(o)), $ld(yp.add(o)), *ru);
+                }
+                i += W;
+            }
+            let mut acc = [0.0 as $Acc; W];
+            for (u, ru) in r.iter().enumerate() {
+                $st(acc.as_mut_ptr().add(u * $lanes), *ru);
+            }
+            _mm256_zeroupper();
+            lane_fold(acc, &x[m..], &y[m..], $wide)
+        }
+    };
+}
+
+lane_dot!(
+    dot_f64,
+    f64,
+    f64,
+    4,
+    _mm256_setzero_pd,
+    _mm256_fmadd_pd,
+    _mm256_storeu_pd,
+    ld4_f64,
+    w64_f64
+);
+lane_dot!(
+    dot_f32,
+    f32,
+    f32,
+    8,
+    _mm256_setzero_ps,
+    _mm256_fmadd_ps,
+    _mm256_storeu_ps,
+    ld8_f32,
+    w32_f32
+);
+lane_dot!(
+    dot_f16,
+    u16,
+    f32,
+    8,
+    _mm256_setzero_ps,
+    _mm256_fmadd_ps,
+    _mm256_storeu_ps,
+    ld8_f32_from_f16,
+    w32_f16
+);
 
 /// `w = alpha*x + beta*y` in f64: two rounded multiplies and one
 /// rounded add per element — exactly the scalar

@@ -20,7 +20,11 @@
 //! A second window runs the optimized `dist_gs_sweep` (both directions)
 //! and `dist_spmv` at f64 and f32 inside a 1-thread pool: the slab-tile
 //! traversal under them builds no per-call tile list and no heap
-//! accumulator.
+//! accumulator. A third, in the same pool, runs `cgs2` over a whole
+//! restart cycle (k = 1..=m) at f64 and f32 on a basis several
+//! projection tiles long: the tile partials and the coefficient buffers
+//! live in `Basis`, and the normalisation's pairwise tree allocates no
+//! partials vector.
 //!
 //! This file must stay a single-test binary: the global allocator and
 //! its counter are process-wide, and a concurrently running unrelated
@@ -30,9 +34,12 @@ use hpgmxp_comm::{run_spmd, Comm, Timeline};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::motifs::MotifStats;
 use hpgmxp_core::ops::{dist_gs_sweep, dist_spmv, OpCtx, SweepDir};
+use hpgmxp_core::ortho::cgs2;
 use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
 use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
+use hpgmxp_sparse::blas::{Basis, DOT_BLOCK};
+use hpgmxp_sparse::Scalar;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -183,13 +190,36 @@ fn steady_state_exchange_allocates_nothing() {
                 }
             })
         });
-        (exchanges, kernel_calls)
+
+        // CGS2 over one restart cycle at both precisions, the multi-tile
+        // projection and the normalisation included, over this rank's
+        // comm (one k-value all-reduce per pass).
+        let (mut q64, mut q32) = (filled_basis::<f64>(), filled_basis::<f32>());
+        let mut cycle = || {
+            for k in 1..=CYCLE {
+                cgs2(&c, &mut stats, &mut q64, k);
+                cgs2(&c, &mut stats, &mut q32, k);
+            }
+        };
+        let ortho_calls = pool.install(|| {
+            for _ in 0..2 {
+                cycle();
+            }
+            counted_window(&c, || {
+                for _ in 0..3 {
+                    cycle();
+                }
+            })
+        });
+        (exchanges, kernel_calls, ortho_calls)
     });
 
     // Thread mode returns all ranks (one shared counter), socket mode
     // this process's rank alone (its own counter) — every entry must
     // be zero either way.
-    for ((allocations, last_size), (kernel_allocations, kernel_last_size)) in counted {
+    for (exchange, kernel, ortho) in counted {
+        let ((allocations, last_size), (kernel_allocations, kernel_last_size)) = (exchange, kernel);
+        let (ortho_allocations, ortho_last_size) = ortho;
         assert_eq!(
             allocations, 0,
             "steady-state halo exchange must not touch the allocator: \
@@ -202,5 +232,25 @@ fn steady_state_exchange_allocates_nothing() {
              {kernel_allocations} allocations across {MEASURED} kernel rounds on {ranks} ranks \
              (last size tag: {kernel_last_size:#x})"
         );
+        assert_eq!(
+            ortho_allocations, 0,
+            "steady-state cgs2 must not touch the allocator: {ortho_allocations} allocations \
+             across 3 restart cycles on {ranks} ranks (last size tag: {ortho_last_size:#x})"
+        );
     }
+}
+
+/// Columns in the CGS2 window's restart cycle.
+const CYCLE: usize = 8;
+
+/// A basis three full projection tiles plus a ragged one long, with
+/// linearly independent columns.
+fn filled_basis<S: Scalar>() -> Basis<S> {
+    let mut q = Basis::new(3 * DOT_BLOCK + 17, CYCLE + 1);
+    for j in 0..=CYCLE {
+        for (i, v) in q.col_mut(j).iter_mut().enumerate() {
+            *v = S::from_f64(((i * (j + 3)) % 101) as f64 * 0.01 + 0.5);
+        }
+    }
+    q
 }

@@ -19,6 +19,7 @@ use hpgmxp_core::motifs::Motif;
 use hpgmxp_core::policy::PrecisionPolicy;
 use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
 use hpgmxp_geometry::{ProcGrid, Stencil27};
+use hpgmxp_sparse::blas::Basis;
 use hpgmxp_sparse::coloring::greedy_coloring;
 use hpgmxp_sparse::csr::{CsrBuilder, CsrMatrix};
 use hpgmxp_sparse::gauss_seidel::gs_multicolor;
@@ -62,6 +63,33 @@ fn on_both_levels<T>(mut f: impl FnMut() -> T) -> Option<(T, T)> {
 fn ragged_len() -> impl Strategy<Value = usize> {
     const LENS: [usize; 11] = [1, 3, 4, 5, 7, 8, 9, 31, 255, 256, 257];
     (0usize..LENS.len()).prop_map(|i| LENS[i])
+}
+
+/// Every remainder path of the lane-blocked dot: 0, 1, the lane widths
+/// (4, 8) ± 1, lanes × unroll (16, 32) ± 1, `DOT_BLOCK` ± 1 and several
+/// blocks with a ragged last one.
+const DOT_LENS: [usize; 18] = {
+    const B: usize = blas::DOT_BLOCK;
+    [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, B - 1, B, B + 1, 3 * B + 17]
+};
+
+/// `dot`, `dot_par` and `project_local(3)` against the last column of a
+/// four-column basis of length `len`, as f64 bits, after checking that
+/// each projection entry is bitwise the `dot_par` of its column.
+fn reduction_bits<S: Scalar>(seed: u64, len: usize) -> Vec<u64> {
+    let mut q: Basis<S> = Basis::new(len, 4);
+    for j in 0..4 {
+        for (i, v) in q.col_mut(j).iter_mut().enumerate() {
+            *v = S::from_f64(lcg(seed + j as u64, i));
+        }
+    }
+    let bits = |v: S| v.to_f64().to_bits();
+    let dots: Vec<u64> = (0..3).map(|j| bits(blas::dot(q.col(j), q.col(3)))).collect();
+    let pars: Vec<u64> = (0..3).map(|j| bits(blas::dot_par(q.col(j), q.col(3)))).collect();
+    let proj: Vec<u64> = q.project_local(3).iter().map(|&v| bits(v)).collect();
+    assert_eq!(proj, pars, "{}: project_local(3)[j] != dot_par(col j, col 3)", S::NAME);
+    assert_eq!(dots, pars, "{}: dot != dot_par", S::NAME);
+    dots.into_iter().chain(proj).collect()
 }
 
 /// Deterministic pseudo-random f64 in roughly [-4, 4) from a seed.
@@ -243,6 +271,32 @@ proptest! {
                 prop_assert!((v[i] - y64[i]).abs() <= bound,
                     "avx2 split row {i}: {} vs {} (bound {bound:e})", v[i], y64[i]);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // The one local reduction: `dot`, `dot_par` and the row-tiled
+    // projection produce the same bits on both paths, at every
+    // precision, across every remainder and block boundary.
+    #[test]
+    fn dots_and_projection_bit_identical_across_dispatch(seed in 0u64..1000) {
+        let got = on_both_levels(|| {
+            DOT_LENS
+                .iter()
+                .flat_map(|&len| {
+                    [
+                        reduction_bits::<f64>(seed, len),
+                        reduction_bits::<f32>(seed, len),
+                        reduction_bits::<Half>(seed, len),
+                    ]
+                })
+                .collect::<Vec<_>>()
+        });
+        if let Some((s, v)) = got {
+            prop_assert_eq!(s, v);
         }
     }
 }

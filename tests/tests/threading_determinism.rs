@@ -7,8 +7,9 @@
 //!
 //! * elementwise kernels (axpy, waxpby, scaled narrowing) are chunked
 //!   but order-preserving,
-//! * dot products use the deterministic blocked-pairwise reduction
-//!   (`blas::dot_par`),
+//! * dot products and the CGS2 projection use the one deterministic
+//!   reduction (`blas::dot_par`, `Basis::project_local`: lane-blocked
+//!   partials per fixed block, a pairwise tree over the blocks),
 //! * SpMV accumulates each row in fixed slab/entry order in every
 //!   traversal variant,
 //! * the multicolor Gauss–Seidel sweep writes disjoint rows per color
@@ -24,8 +25,9 @@ use hpgmxp_core::gmres_ir::gmres_ir_solve_policy;
 use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
 use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{ProcGrid, Stencil27};
+use hpgmxp_sparse::blas::{self, Basis};
 use hpgmxp_sparse::gauss_seidel::gs_multicolor;
-use hpgmxp_sparse::{blas, ColorRange, EllMatrix};
+use hpgmxp_sparse::{ColorRange, EllMatrix};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -68,6 +70,15 @@ fn vector_kernels_are_bit_identical_across_thread_counts() {
     let y: Vec<f64> = (0..n).map(|i| ((i * 17 % 997) as f64).cos()).collect();
 
     assert_thread_invariant("dot_par", || blas::dot_par(&x, &y).to_bits());
+    // The row-tiled GEMV-T over seven projection tiles, last one ragged.
+    let mut basis: Basis<f64> = Basis::new(n, 4);
+    for (j, v) in [&x, &y, &x, &y].into_iter().enumerate() {
+        basis.col_mut(j).iter_mut().zip(v).for_each(|(b, &s)| *b = s * (j + 1) as f64);
+    }
+    assert_thread_invariant("project_local", || {
+        let mut q = basis.clone();
+        q.project_local(3).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    });
     assert_thread_invariant("axpy", || {
         let mut z = y.clone();
         blas::axpy(1.2345678901234, &x, &mut z);
