@@ -1,5 +1,5 @@
 //! Collective-engine microbenchmarks: allreduce and barrier latency
-//! under both collective algorithms, per transport, at P ∈ {2, 4}.
+//! per transport at P ∈ {2, 4}.
 //!
 //! Run: `cargo bench -p hpgmxp-bench --bench collectives`
 //!
@@ -14,20 +14,16 @@
 //!   iteration (the control allreduce IS the measured op).
 //! * `barrier_*` benches time one control allreduce plus
 //!   [`BARRIERS_PER_STEP`] barriers per iteration, so the barrier cost
-//!   dominates and the (identical-per-algorithm) control overhead
-//!   stays in the noise.
+//!   dominates and the control overhead stays in the noise.
 //!
-//! The star-vs-rd comparison on a single box measures the *total
-//! scheduling work* of each schedule, not the at-scale critical path:
-//! on a 1-core host all P ranks serialize, so the star's root
-//! bottleneck (the thing `rank0_allreduce_receive_load_drops_to_log_p`
-//! pins structurally) does not translate into wall clock the way it
-//! does across real nodes. The tracked numbers gate regressions in
-//! the engine itself.
+//! On a single box this measures the *total scheduling work* of the
+//! recursive-doubling schedule, not the at-scale critical path: on a
+//! 1-core host all P ranks serialize. The numbers are for spotting
+//! regressions in the engine itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpgmxp_comm::launch::free_port;
-use hpgmxp_comm::{CollAlgo, Comm, MeshConfig, ReduceOp, ShmemWorld, SocketWorld, ThreadWorld};
+use hpgmxp_comm::{Comm, ReduceOp, ShmemWorld, SocketWorld, ThreadWorld};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -90,52 +86,44 @@ fn bench_collectives(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(600))
         .sample_size(10);
 
-    for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        // Every world is built with its algorithm, regardless of the
-        // environment's HPGMXP_COLL.
-        let config = MeshConfig { coll: algo, ..MeshConfig::from_env() };
-        for p in [2usize, 4] {
-            for (op, barriers) in [("allreduce", 0), ("barrier", BARRIERS_PER_STEP)] {
-                let label = |transport: &str| format!("{op}_{}/{transport}/P{p}", algo.name());
+    for p in [2usize, 4] {
+        for (op, barriers) in [("allreduce", 0), ("barrier", BARRIERS_PER_STEP)] {
+            let label = |transport: &str| format!("{op}/{transport}/P{p}");
 
-                bench_world(&mut g, label("thread"), barriers, || {
-                    let mut comms = ThreadWorld::connect_with(p, None, algo);
-                    let root = comms.remove(0);
-                    let helpers = comms
-                        .into_iter()
-                        .map(|c| std::thread::spawn(move || helper_loop(&c, barriers)))
-                        .collect();
-                    (root, helpers)
-                });
+            bench_world(&mut g, label("thread"), barriers, || {
+                let mut comms = ThreadWorld::connect(p);
+                let root = comms.remove(0);
+                let helpers = comms
+                    .into_iter()
+                    .map(|c| std::thread::spawn(move || helper_loop(&c, barriers)))
+                    .collect();
+                (root, helpers)
+            });
 
-                bench_world(&mut g, label("shmem"), barriers, || {
-                    let shm_id = fresh_shm_id();
-                    let helpers = (1..p)
-                        .map(|rank| {
-                            let (id, config) = (shm_id.clone(), config.clone());
-                            std::thread::spawn(move || {
-                                let c = ShmemWorld::connect_with_config(rank, p, &id, config);
-                                helper_loop(&c, barriers);
-                            })
+            bench_world(&mut g, label("shmem"), barriers, || {
+                let shm_id = fresh_shm_id();
+                let helpers = (1..p)
+                    .map(|rank| {
+                        let id = shm_id.clone();
+                        std::thread::spawn(move || {
+                            helper_loop(&ShmemWorld::connect(rank, p, &id), barriers)
                         })
-                        .collect();
-                    (ShmemWorld::connect_with_config(0, p, &shm_id, config.clone()), helpers)
-                });
+                    })
+                    .collect();
+                (ShmemWorld::connect(0, p, &shm_id), helpers)
+            });
 
-                bench_world(&mut g, label("socket"), barriers, || {
-                    let port = free_port();
-                    let helpers = (1..p)
-                        .map(|rank| {
-                            let config = config.clone();
-                            std::thread::spawn(move || {
-                                let c = SocketWorld::connect_with_config(rank, p, port, config);
-                                helper_loop(&c, barriers);
-                            })
+            bench_world(&mut g, label("socket"), barriers, || {
+                let port = free_port();
+                let helpers = (1..p)
+                    .map(|rank| {
+                        std::thread::spawn(move || {
+                            helper_loop(&SocketWorld::connect(rank, p, port), barriers)
                         })
-                        .collect();
-                    (SocketWorld::connect_with_config(0, p, port, config.clone()), helpers)
-                });
-            }
+                    })
+                    .collect();
+                (SocketWorld::connect(0, p, port), helpers)
+            });
         }
     }
     g.finish();

@@ -96,12 +96,11 @@ fn main() {
 
     if print_modeled {
         // The armed execution stack, so a pasted trace is attributable:
-        // numbers measured over different transports, collective
-        // algorithms, or SIMD levels are not comparable.
+        // numbers measured over different transports or SIMD levels
+        // are not comparable.
         println!(
-            "[fig9] transport {}, coll {}, simd {} (features {})\n",
+            "[fig9] transport {}, simd {} (features {})\n",
             transport.name(),
-            hpgmxp_comm::CollAlgo::from_env().name(),
             hpgmxp_sparse::simd::level().name(),
             hpgmxp_sparse::simd::features().summary()
         );

@@ -5,40 +5,35 @@
 //! behind a condvar barrier in the thread world). This module factors
 //! the collectives out into one engine written against checked
 //! point-to-point operations ([`CollEndpoint`]), so a transport only
-//! has to provide `send`/`recv`/`tag` and inherits every algorithm —
+//! has to provide `send`/`recv`/`tag` and inherits every collective —
 //! including the fault semantics of its mailbox (typed [`CommError`]s
 //! with peer attribution instead of hangs).
 //!
-//! Two algorithms are implemented. Which one a world runs is an
-//! immutable property of that world, fixed when it is constructed
-//! (from `HPGMXP_COLL` unless the constructor is told otherwise) and
-//! read by the engine through `CollEndpoint::algo` — ranks of one
-//! world cannot disagree about the message pattern:
+//! There is one algorithm, recursive doubling:
 //!
-//! * **`star`** — the original O(P) pattern: rank 0 receives every
-//!   contribution in rank order, reduces, and broadcasts. The root
-//!   performs P−1 sequential receives per collective. Kept as the
-//!   oracle the bit-identity and chaos suites compare `rd` against.
-//! * **`rd`** (the default) — a recursive-doubling / Bruck
-//!   **allgather**-based allreduce in ⌈log₂P⌉ rounds: round `k` sends
-//!   the `min(2^k, P−2^k)` blocks held so far to rank `r−2^k` and
-//!   receives as many from `r+2^k`, so every rank ends holding all `P`
-//!   contributions after ⌈log₂P⌉ receives. The barrier is the classic
-//!   dissemination barrier (same round structure, empty payloads).
+//! * **allreduce** — a Bruck **allgather** in ⌈log₂P⌉ rounds: round
+//!   `k` sends the `min(2^k, P−2^k)` blocks held so far to rank
+//!   `r−2^k` and receives as many from `r+2^k`, so every rank ends
+//!   holding all `P` contributions after ⌈log₂P⌉ receives (the last
+//!   round of a non-power-of-two `P` moves a partial set of blocks);
+//! * **barrier** — the classic dissemination barrier (same round
+//!   structure, empty payloads);
+//! * **allgather** of one `u64` row per rank — the same Bruck kernel,
+//!   which is how the mesh flush barrier distributes its ledger.
 //!
-//! **Determinism contract.** Whatever the algorithm, every rank folds
-//! the gathered contributions *locally in rank order 0..P* — the same
-//! trick as the deterministic blocked-pairwise dot. The floating-point
-//! reduction tree is therefore a constant of the program: `star` and
-//! `rd` produce bit-identical results to each other and across
-//! transports and world sizes, which is what lets GMRES-IR residual
-//! histories replay bit-for-bit under any `HPGMXP_COMM`/`HPGMXP_COLL`
-//! combination (pinned by the multirank determinism suite).
+//! **Determinism contract.** Every rank folds the gathered
+//! contributions *locally in rank order 0..P* — the same trick as the
+//! deterministic blocked-pairwise dot. The floating-point reduction
+//! tree is therefore a constant of the program: results are
+//! bit-identical across transports and world sizes, which is what
+//! lets GMRES-IR residual histories replay bit-for-bit under any
+//! `HPGMXP_COMM` (pinned by the multirank determinism suite, and by
+//! the mesh suite's comparison against a plain rank-order fold).
 //!
 //! Every operation updates the endpoint's [`CollCounters`] (operation,
-//! round, receive, and byte counts), so the O(P)→O(log P) root-load
-//! claim is measured, not asserted: rank 0's per-allreduce receive
-//! count drops from P−1 to ⌈log₂P⌉, and the Timeline can record the
+//! round, receive, and byte counts), so the O(log P) load claim is
+//! measured, not asserted: every rank, rank 0 included, performs
+//! ⌈log₂P⌉ receives per allreduce, and the Timeline can record the
 //! per-solve totals.
 
 use crate::comm::{reduce_into, ReduceOp};
@@ -50,68 +45,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// User tags must leave it clear; the halo engine and every test tag
 /// sit far below it.
 pub const COLLECTIVE_TAG_BIT: u64 = 1 << 63;
-
-/// Which collective algorithm a world runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CollAlgo {
-    /// Rank-0 gather + broadcast: O(P) sequential receives at the root.
-    Star,
-    /// Recursive-doubling (Bruck) allgather + local rank-order fold:
-    /// O(log P) rounds on every rank. The default.
-    #[default]
-    RecursiveDoubling,
-}
-
-impl CollAlgo {
-    /// Stable lowercase name (`HPGMXP_COLL` values, report fields).
-    pub fn name(self) -> &'static str {
-        match self {
-            CollAlgo::Star => "star",
-            CollAlgo::RecursiveDoubling => "rd",
-        }
-    }
-
-    /// Parse an `HPGMXP_COLL` value. Unknown values are a loud error.
-    pub fn parse(v: &str) -> Option<CollAlgo> {
-        match v {
-            "star" => Some(CollAlgo::Star),
-            "rd" => Some(CollAlgo::RecursiveDoubling),
-            _ => None,
-        }
-    }
-
-    /// Read `HPGMXP_COLL` (default: `rd`) — what a world constructed
-    /// without an explicit algorithm runs. Unknown values panic — a
-    /// typo must not silently change the message pattern.
-    pub fn from_env() -> CollAlgo {
-        match std::env::var("HPGMXP_COLL") {
-            Ok(v) if v.is_empty() => CollAlgo::default(),
-            Ok(v) => CollAlgo::parse(&v).unwrap_or_else(|| {
-                panic!("unknown HPGMXP_COLL={v:?} (expected \"star\" or \"rd\")")
-            }),
-            Err(_) => CollAlgo::default(),
-        }
-    }
-
-    /// The byte a mesh rendezvous carries so every rank can check it
-    /// joined a world running its algorithm (never 0, so an
-    /// uninitialized field cannot pass for one).
-    pub(crate) fn wire_code(self) -> u8 {
-        match self {
-            CollAlgo::Star => 1,
-            CollAlgo::RecursiveDoubling => 2,
-        }
-    }
-
-    /// Inverse of [`CollAlgo::wire_code`].
-    pub(crate) fn from_wire_code(code: u8) -> Option<CollAlgo> {
-        match code {
-            1 => Some(CollAlgo::Star),
-            2 => Some(CollAlgo::RecursiveDoubling),
-            _ => None,
-        }
-    }
-}
 
 /// Per-endpoint collective traffic counters, updated by the engine on
 /// every operation. All counts are cumulative since endpoint creation;
@@ -125,9 +58,8 @@ pub struct CollCounters {
     allgathers: AtomicU64,
     /// Sequential message waves this rank participated in.
     rounds: AtomicU64,
-    /// Blocking collective receives this rank performed — the root-load
-    /// metric: per allreduce, P−1 at rank 0 under `star`, ⌈log₂P⌉
-    /// everywhere under `rd`.
+    /// Blocking collective receives this rank performed — the load
+    /// metric: ⌈log₂P⌉ per allreduce on every rank, root included.
     recvs: AtomicU64,
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
@@ -205,12 +137,9 @@ pub fn rd_rounds(p: usize) -> u32 {
 /// (typed error when the peer died or the receive deadline elapsed).
 /// `next_coll_tag` returns a fresh reserved tag; collectives execute
 /// in SPMD program order, so every rank draws the same sequence.
-/// `algo` is the world's algorithm — the same value on every rank of
-/// the world, for the world's whole life.
 pub(crate) trait CollEndpoint {
     fn rank(&self) -> usize;
     fn size(&self) -> usize;
-    fn algo(&self) -> CollAlgo;
     fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()>;
     fn coll_recv(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()>;
     fn next_coll_tag(&self) -> u64;
@@ -222,7 +151,7 @@ pub(crate) trait CollEndpoint {
 /// state, preserving the transports' zero-allocation discipline.
 #[derive(Debug, Default)]
 pub(crate) struct CollScratch {
-    /// Bruck ring / star staging: up to P blocks of the payload.
+    /// Bruck ring: up to P blocks of the payload.
     ring: Vec<u8>,
     /// Rank-order fold accumulator.
     acc: Vec<f64>,
@@ -260,9 +189,8 @@ fn decode_f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
     out.extend(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())));
 }
 
-/// Allreduce under the endpoint's algorithm. Both algorithms fold the
-/// P contributions in rank order 0..P, so their results are
-/// bit-identical; only the message pattern differs.
+/// Allreduce: a Bruck allgather of every rank's contribution, then a
+/// local fold in rank order 0..P on every rank.
 pub(crate) fn allreduce<E: CollEndpoint + ?Sized>(
     ep: &E,
     scratch: &mut CollScratch,
@@ -270,8 +198,7 @@ pub(crate) fn allreduce<E: CollEndpoint + ?Sized>(
     op: ReduceOp,
 ) -> CommResult<()> {
     let (p, r) = (ep.size(), ep.rank());
-    let c = ep.counters();
-    c.allreduces.fetch_add(1, Ordering::SeqCst);
+    ep.counters().allreduces.fetch_add(1, Ordering::SeqCst);
     counter!("coll.allreduces").inc();
     if p == 1 {
         return Ok(());
@@ -280,63 +207,24 @@ pub(crate) fn allreduce<E: CollEndpoint + ?Sized>(
     sp.set_arg(vals.len() as u64);
     let tag = ep.next_coll_tag();
     let b = vals.len() * 8;
-    match ep.algo() {
-        CollAlgo::Star => {
-            scratch.ring.clear();
-            scratch.ring.resize(b, 0);
-            if r == 0 {
-                // Reduce in rank order 0..P — the fixed fold order the
-                // determinism contract pins.
-                scratch.acc.clear();
-                scratch.acc.extend_from_slice(vals);
-                for src in 1..p {
-                    ep.coll_recv(src, tag, &mut scratch.ring)?;
-                    c.recvs.fetch_add(1, Ordering::SeqCst);
-                    c.bytes_received.fetch_add(b as u64, Ordering::SeqCst);
-                    decode_f64s_into(&scratch.ring, &mut scratch.peer);
-                    reduce_into(op, &mut scratch.acc, &scratch.peer);
-                }
-                vals.copy_from_slice(&scratch.acc);
-                encode_f64s(vals, &mut scratch.ring);
-                for dst in 1..p {
-                    ep.coll_send(dst, tag, &scratch.ring)?;
-                    c.bytes_sent.fetch_add(b as u64, Ordering::SeqCst);
-                }
-                c.rounds.fetch_add((p - 1) as u64, Ordering::SeqCst);
-            } else {
-                encode_f64s(vals, &mut scratch.ring);
-                ep.coll_send(0, tag, &scratch.ring)?;
-                c.bytes_sent.fetch_add(b as u64, Ordering::SeqCst);
-                ep.coll_recv(0, tag, &mut scratch.ring)?;
-                c.recvs.fetch_add(1, Ordering::SeqCst);
-                c.bytes_received.fetch_add(b as u64, Ordering::SeqCst);
-                for (v, chunk) in vals.iter_mut().zip(scratch.ring.chunks_exact(8)) {
-                    *v = f64::from_le_bytes(chunk.try_into().unwrap());
-                }
-                c.rounds.fetch_add(2, Ordering::SeqCst);
-            }
-        }
-        CollAlgo::RecursiveDoubling => {
-            scratch.ring.clear();
-            scratch.ring.resize(p * b, 0);
-            encode_f64s(vals, &mut scratch.ring[..b]);
-            bruck_allgather(ep, tag, b, &mut scratch.ring)?;
-            // Every rank now holds all P blocks (slot j = rank
-            // (r+j) mod P); fold them locally in rank order 0..P.
-            scratch.acc.clear();
-            for i in 0..p {
-                let slot = (i + p - r) % p;
-                let block = &scratch.ring[slot * b..slot * b + b];
-                if i == 0 {
-                    decode_f64s_into(block, &mut scratch.acc);
-                } else {
-                    decode_f64s_into(block, &mut scratch.peer);
-                    reduce_into(op, &mut scratch.acc, &scratch.peer);
-                }
-            }
-            vals.copy_from_slice(&scratch.acc);
+    scratch.ring.clear();
+    scratch.ring.resize(p * b, 0);
+    encode_f64s(vals, &mut scratch.ring[..b]);
+    bruck_allgather(ep, tag, b, &mut scratch.ring)?;
+    // Every rank now holds all P blocks (slot j = rank (r+j) mod P);
+    // fold them locally in rank order 0..P.
+    scratch.acc.clear();
+    for i in 0..p {
+        let slot = (i + p - r) % p;
+        let block = &scratch.ring[slot * b..slot * b + b];
+        if i == 0 {
+            decode_f64s_into(block, &mut scratch.acc);
+        } else {
+            decode_f64s_into(block, &mut scratch.peer);
+            reduce_into(op, &mut scratch.acc, &scratch.peer);
         }
     }
+    vals.copy_from_slice(&scratch.acc);
     Ok(())
 }
 
@@ -370,9 +258,8 @@ fn bruck_allgather<E: CollEndpoint + ?Sized>(
     Ok(())
 }
 
-/// Barrier under the endpoint's algorithm: a rank-0 star of empty
-/// messages, or the dissemination barrier (round `k`: send to
-/// `r+2^k`, receive from `r−2^k`, ⌈log₂P⌉ rounds).
+/// Dissemination barrier: round `k` sends an empty message to `r+2^k`
+/// and receives one from `r−2^k`, ⌈log₂P⌉ rounds.
 pub(crate) fn barrier<E: CollEndpoint + ?Sized>(ep: &E) -> CommResult<()> {
     let (p, r) = (ep.size(), ep.rank());
     let c = ep.counters();
@@ -383,43 +270,22 @@ pub(crate) fn barrier<E: CollEndpoint + ?Sized>(ep: &E) -> CommResult<()> {
     }
     let _sp = hpgmxp_trace::span("barrier", Lane::Coll);
     let tag = ep.next_coll_tag();
-    match ep.algo() {
-        CollAlgo::Star => {
-            if r == 0 {
-                for src in 1..p {
-                    ep.coll_recv(src, tag, &mut [])?;
-                    c.recvs.fetch_add(1, Ordering::SeqCst);
-                }
-                for dst in 1..p {
-                    ep.coll_send(dst, tag, &[])?;
-                }
-                c.rounds.fetch_add((p - 1) as u64, Ordering::SeqCst);
-            } else {
-                ep.coll_send(0, tag, &[])?;
-                ep.coll_recv(0, tag, &mut [])?;
-                c.recvs.fetch_add(1, Ordering::SeqCst);
-                c.rounds.fetch_add(2, Ordering::SeqCst);
-            }
-        }
-        CollAlgo::RecursiveDoubling => {
-            let mut k = 1usize;
-            while k < p {
-                let _round = hpgmxp_trace::span("coll round", Lane::Coll);
-                ep.coll_send((r + k) % p, tag, &[])?;
-                ep.coll_recv((r + p - k) % p, tag, &mut [])?;
-                c.recvs.fetch_add(1, Ordering::SeqCst);
-                c.rounds.fetch_add(1, Ordering::SeqCst);
-                k <<= 1;
-            }
-        }
+    let mut k = 1usize;
+    while k < p {
+        let _round = hpgmxp_trace::span("coll round", Lane::Coll);
+        ep.coll_send((r + k) % p, tag, &[])?;
+        ep.coll_recv((r + p - k) % p, tag, &mut [])?;
+        c.recvs.fetch_add(1, Ordering::SeqCst);
+        c.rounds.fetch_add(1, Ordering::SeqCst);
+        k <<= 1;
     }
     Ok(())
 }
 
-/// Allgather of one `u64` row per rank under the endpoint's algorithm:
-/// on return `out` holds P rows of `row.len()` values in rank order.
-/// This is how the mesh flush barrier distributes the sent-count
-/// matrix (row `i` = what rank `i` has sent to each peer).
+/// Allgather of one `u64` row per rank: on return `out` holds P rows
+/// of `row.len()` values in rank order. This is how the mesh flush
+/// barrier distributes the sent-count matrix (row `i` = what rank `i`
+/// has sent to each peer).
 pub(crate) fn allgather_u64<E: CollEndpoint + ?Sized>(
     ep: &E,
     scratch: &mut CollScratch,
@@ -427,8 +293,7 @@ pub(crate) fn allgather_u64<E: CollEndpoint + ?Sized>(
     out: &mut Vec<u64>,
 ) -> CommResult<()> {
     let (p, r) = (ep.size(), ep.rank());
-    let c = ep.counters();
-    c.allgathers.fetch_add(1, Ordering::SeqCst);
+    ep.counters().allgathers.fetch_add(1, Ordering::SeqCst);
     counter!("coll.allgathers").inc();
     let _sp = hpgmxp_trace::span("allgather", Lane::Coll);
     let n = row.len();
@@ -440,55 +305,17 @@ pub(crate) fn allgather_u64<E: CollEndpoint + ?Sized>(
     }
     let tag = ep.next_coll_tag();
     let b = n * 8;
-    let encode_row = |row: &[u64], dst: &mut [u8]| {
-        for (v, chunk) in row.iter().zip(dst.chunks_exact_mut(8)) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-    };
-    let decode_row = |src: &[u8], dst: &mut [u64]| {
-        for (v, chunk) in dst.iter_mut().zip(src.chunks_exact(8)) {
+    scratch.ring.clear();
+    scratch.ring.resize(p * b, 0);
+    for (v, chunk) in row.iter().zip(scratch.ring.chunks_exact_mut(8)) {
+        chunk.copy_from_slice(&v.to_le_bytes());
+    }
+    bruck_allgather(ep, tag, b, &mut scratch.ring)?;
+    for i in 0..p {
+        let slot = (i + p - r) % p;
+        let block = scratch.ring[slot * b..(slot + 1) * b].chunks_exact(8);
+        for (v, chunk) in out[i * n..(i + 1) * n].iter_mut().zip(block) {
             *v = u64::from_le_bytes(chunk.try_into().unwrap());
-        }
-    };
-    match ep.algo() {
-        CollAlgo::Star => {
-            scratch.ring.clear();
-            scratch.ring.resize(p * b, 0);
-            if r == 0 {
-                out[..n].copy_from_slice(row);
-                for src in 1..p {
-                    let (lo, hi) = (src * b, (src + 1) * b);
-                    ep.coll_recv(src, tag, &mut scratch.ring[lo..hi])?;
-                    c.recvs.fetch_add(1, Ordering::SeqCst);
-                    c.bytes_received.fetch_add(b as u64, Ordering::SeqCst);
-                    decode_row(&scratch.ring[lo..hi], &mut out[src * n..(src + 1) * n]);
-                }
-                encode_row(out, &mut scratch.ring);
-                for dst in 1..p {
-                    ep.coll_send(dst, tag, &scratch.ring)?;
-                    c.bytes_sent.fetch_add((p * b) as u64, Ordering::SeqCst);
-                }
-                c.rounds.fetch_add((p - 1) as u64, Ordering::SeqCst);
-            } else {
-                encode_row(row, &mut scratch.ring[..b]);
-                ep.coll_send(0, tag, &scratch.ring[..b])?;
-                c.bytes_sent.fetch_add(b as u64, Ordering::SeqCst);
-                ep.coll_recv(0, tag, &mut scratch.ring)?;
-                c.recvs.fetch_add(1, Ordering::SeqCst);
-                c.bytes_received.fetch_add((p * b) as u64, Ordering::SeqCst);
-                decode_row(&scratch.ring, out);
-                c.rounds.fetch_add(2, Ordering::SeqCst);
-            }
-        }
-        CollAlgo::RecursiveDoubling => {
-            scratch.ring.clear();
-            scratch.ring.resize(p * b, 0);
-            encode_row(row, &mut scratch.ring[..b]);
-            bruck_allgather(ep, tag, b, &mut scratch.ring)?;
-            for i in 0..p {
-                let slot = (i + p - r) % p;
-                decode_row(&scratch.ring[slot * b..(slot + 1) * b], &mut out[i * n..(i + 1) * n]);
-            }
         }
     }
     Ok(())
@@ -497,19 +324,6 @@ pub(crate) fn allgather_u64<E: CollEndpoint + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn algo_names_and_parse_roundtrip() {
-        assert_eq!(CollAlgo::parse("star"), Some(CollAlgo::Star));
-        assert_eq!(CollAlgo::parse("rd"), Some(CollAlgo::RecursiveDoubling));
-        assert_eq!(CollAlgo::parse("tree"), None);
-        assert_eq!(CollAlgo::Star.name(), "star");
-        assert_eq!(CollAlgo::RecursiveDoubling.name(), "rd");
-        for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-            assert_eq!(CollAlgo::from_wire_code(algo.wire_code()), Some(algo));
-        }
-        assert_eq!(CollAlgo::from_wire_code(0), None, "a zeroed field is not an algorithm");
-    }
 
     #[test]
     fn rd_round_counts() {

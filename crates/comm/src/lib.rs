@@ -26,12 +26,11 @@
 //! * [`shmem_world`] — [`ShmemWorld`]: the mesh over per-pair mmap'd
 //!   ring buffers in `/dev/shm` (rendezvous + `RingLink`) — no kernel
 //!   socket on the data path;
-//! * [`collectives`] — the shared collective engine: star and
-//!   recursive-doubling allreduce/barrier/allgather written against
-//!   checked point-to-point ops, bit-identical across algorithms and
-//!   transports, with per-endpoint traffic counters. The algorithm is
-//!   a property of each world, fixed at construction
-//!   (`HPGMXP_COLL=star|rd` by default);
+//! * [`collectives`] — the shared collective engine: recursive-doubling
+//!   allreduce/barrier/allgather written against checked
+//!   point-to-point ops, folding in rank order so results are
+//!   bit-identical across transports, with per-endpoint traffic
+//!   counters;
 //! * [`world`] — transport selection: [`run_spmd`] reads
 //!   `HPGMXP_COMM=thread|socket|shmem` once and hands the closure a
 //!   [`WorldComm`] over whichever backend it picked;
@@ -64,7 +63,7 @@ pub mod thread_world;
 pub mod timeline;
 pub mod world;
 
-pub use collectives::{rd_rounds, CollAlgo, CollStats};
+pub use collectives::{rd_rounds, CollStats};
 pub use comm::{Comm, RecvPost, ReduceOp, SelfComm};
 pub use error::{CommError, CommErrorKind, CommResult};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyComm};

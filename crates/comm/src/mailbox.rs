@@ -32,6 +32,7 @@
 use crate::comm::RecvPost;
 use crate::error::{CommError, CommErrorKind, CommResult};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -121,9 +122,16 @@ impl Mailbox {
         }
     }
 
-    /// Deliver one message (producer side) and wake any waiter.
-    pub fn push(&self, msg: Message) {
+    /// Deliver one message (producer side) and wake any waiter. A
+    /// `ledger` counter is bumped inside the same critical section, so
+    /// a [`Mailbox::wait_until_checked`] predicate that reads it (the
+    /// mesh flush barrier's delivery count) can never see the count
+    /// before the message is receivable.
+    pub fn push(&self, msg: Message, ledger: Option<&AtomicU64>) {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(count) = ledger {
+            count.fetch_add(1, Ordering::SeqCst);
+        }
         q.messages.push_back(msg);
         drop(q);
         self.arrived.notify_all();
@@ -346,7 +354,7 @@ mod tests {
         // finished peer keeps receives from live peers working.
         let mb = Mailbox::new();
         mb.fail(1, CommErrorKind::PeerClosed, "connection to rank 1 closed".into());
-        mb.push(msg(2, 7, 42));
+        mb.push(msg(2, 7, 42), None);
         let got = mb.recv_matching_checked(2, 7).expect("rank 2 is alive");
         assert_eq!((got.from, got.tag, got.data[0]), (2, 7, 42));
         // But a receive that *needs* the dead peer fails, typed.
@@ -362,7 +370,7 @@ mod tests {
         // Parked data is checked before faults: what a peer sent before
         // dying must still be consumable.
         let mb = Mailbox::new();
-        mb.push(msg(1, 3, 9));
+        mb.push(msg(1, 3, 9), None);
         mb.fail(1, CommErrorKind::PeerClosed, "connection to rank 1 closed".into());
         let got = mb.recv_matching_checked(1, 3).expect("pre-fault message is receivable");
         assert_eq!(got.data[0], 9);
@@ -375,10 +383,10 @@ mod tests {
         // The quiesce drain must leave non-matching (protocol) messages
         // parked and receivable, in order.
         let mb = Mailbox::new();
-        mb.push(msg(0, 10, 1));
-        mb.push(msg(0, 99, 2)); // "protocol" message the drain must keep
-        mb.push(msg(1, 10, 3));
-        mb.push(msg(0, 99, 4));
+        mb.push(msg(0, 10, 1), None);
+        mb.push(msg(0, 99, 2), None); // "protocol" message the drain must keep
+        mb.push(msg(1, 10, 3), None);
+        mb.push(msg(0, 99, 4), None);
         let drained = mb.take_where(|m| m.tag == 10);
         assert_eq!(drained.len(), 2);
         assert_eq!(mb.parked(), 2);
@@ -416,6 +424,40 @@ mod tests {
         let err = mb.wait_until_checked(|| false).unwrap_err();
         assert_eq!(err.kind, CommErrorKind::PeerLost);
         assert!(err.detail.contains("barrier cannot complete: rank 2"), "{}", err.detail);
+    }
+
+    #[test]
+    fn a_counted_delivery_is_receivable_once_the_count_is_seen() {
+        // The flush-barrier ledger: a waiter that sees the delivery
+        // count pass `i` must find message `i` in the mailbox. The
+        // producer delivers message `i` only once the waiter has taken
+        // `i - 1`, so every delivery races the waiter's next check.
+        const N: u64 = 2000;
+        let mb = Mailbox::new();
+        let (delivered, taken) = (AtomicU64::new(0), AtomicU64::new(0));
+        let mut absent = None;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..N {
+                    while taken.load(Ordering::SeqCst) < i {
+                        std::thread::yield_now();
+                    }
+                    mb.push(Message { from: 1, tag: i, data: vec![] }, Some(&delivered));
+                }
+            });
+            for i in 0..N {
+                mb.wait_until_checked(|| delivered.load(Ordering::SeqCst) > i).expect("no fault");
+                if mb.try_recv_matching(1, i).is_none() {
+                    // Release the producer before failing: the scope
+                    // joins it.
+                    absent = Some(i);
+                    taken.store(N, Ordering::SeqCst);
+                    break;
+                }
+                taken.store(i + 1, Ordering::SeqCst);
+            }
+        });
+        assert_eq!(absent, None, "a message was counted before it was receivable");
     }
 
     #[test]

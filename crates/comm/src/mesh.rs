@@ -28,18 +28,27 @@
 //!
 //! Collectives travel over reserved tags (bit 63 set) with a sequence
 //! number every rank advances in SPMD lockstep, and run in the shared
-//! [`crate::collectives`] engine under the world's algorithm
-//! ([`MeshConfig::coll`] — checked equal on every rank by the
-//! rendezvous, so a world cannot mix message patterns). Every rank
+//! [`crate::collectives`] engine (recursive doubling). Every rank
 //! folds contributions **in rank order**, bit-identical to the thread
 //! world, which is what lets GMRES-IR histories replay across
 //! transports. `barrier` is a *flush* barrier: the engine allgathers
 //! every rank's cumulative sent-count row (the P×P ledger matrix),
 //! then each rank waits until its delivery counters reach its column.
-//! That gives the thread-world guarantee that a message sent before a
-//! barrier is *receivable* after it (it sits in the mailbox, not in a
-//! pipe) — the property the conformance suite's parking test demands,
-//! and what isolates consecutive SPMD runs on a reused mesh.
+//! A reader thread bumps a peer's delivery counter and pushes the
+//! frame into the mailbox under one mailbox lock, so a satisfied
+//! count always means the frames are there.
+//!
+//! The contract, exactly: when `barrier` returns on rank `r`, every
+//! data frame that any rank sent *to `r`* before entering the barrier
+//! is in `r`'s mailbox (receivable by `try_recv`, not in a pipe). That
+//! is the property the conformance suite's parking test demands, and
+//! what isolates consecutive SPMD runs on a reused mesh. It promises
+//! nothing about *other* ranks' mailboxes: rank `q` may leave the
+//! barrier, and send to `r`, before `r` has finished flushing — the
+//! recursive-doubling rounds do not make `q` wait on every link into
+//! `r`. A send that must land after `r`'s flush goes after a second
+//! barrier, which `r` only enters once its flush is done (the pattern
+//! [`MeshComm::quiesce`] uses).
 //!
 //! ## Fault detection and injection
 //!
@@ -83,9 +92,7 @@
 //! instead of blocking forever (the mesh turns the error into a typed
 //! `PeerLost`).
 
-use crate::collectives::{
-    self, CollAlgo, CollCounters, CollScratch, CollStats, COLLECTIVE_TAG_BIT,
-};
+use crate::collectives::{self, CollCounters, CollScratch, CollStats, COLLECTIVE_TAG_BIT};
 use crate::comm::{Comm, RecvPost, ReduceOp};
 use crate::error::{CommError, CommErrorKind, CommResult};
 use crate::fault::{FaultKind, FaultPlan, SplitMix64};
@@ -150,8 +157,8 @@ pub(crate) fn launch_knob<T: TryFrom<u64>>(name: &str) -> T {
     parse_knob(name, &launch_var(name)).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fault-detection knobs, fault-injection plan, and collective
-/// algorithm of one mesh endpoint.
+/// Fault-detection knobs and fault-injection plan of one mesh
+/// endpoint.
 #[derive(Clone, Debug, Default)]
 pub struct MeshConfig {
     /// Bound on every blocking receive and barrier wait
@@ -169,10 +176,6 @@ pub struct MeshConfig {
     /// Wire-fault injection plan (`HPGMXP_FAULT_PLAN`: inline JSON or
     /// a path to it).
     pub faults: Option<FaultPlan>,
-    /// The collective algorithm this world runs (`HPGMXP_COLL`; default
-    /// `rd`). Must be the same on every rank — the rendezvous checks it
-    /// and a mismatch fails the connect.
-    pub coll: CollAlgo,
 }
 
 impl MeshConfig {
@@ -184,22 +187,8 @@ impl MeshConfig {
             heartbeat: env_millis("HPGMXP_HEARTBEAT_MILLIS", Some(500)),
             peer_timeout: env_millis("HPGMXP_PEER_TIMEOUT_MILLIS", Some(10_000)),
             faults: FaultPlan::from_env(),
-            coll: CollAlgo::from_env(),
         }
     }
-}
-
-/// The connect-time error for a world whose ranks were configured with
-/// different collective algorithms.
-pub(crate) fn coll_mismatch(mine: (usize, CollAlgo), theirs: (Option<usize>, CollAlgo)) -> String {
-    let who = theirs.0.map_or("another rank".to_string(), |r| format!("rank {r}"));
-    format!(
-        "collective algorithm mismatch: rank {} runs {}, {who} runs {} — every rank of a world \
-         must use the same HPGMXP_COLL",
-        mine.0,
-        mine.1.name(),
-        theirs.1.name()
-    )
 }
 
 /// The write half of a per-peer byte pipe; its read half is
@@ -317,8 +306,7 @@ impl<L: Link> MeshComm<L> {
     /// Build rank `rank`'s endpoint from its connected links:
     /// `links[peer]` holds the pipe to and from `peer`, `None` exactly
     /// at `rank`. Spawns one reader thread per link and the heartbeat
-    /// thread. The rendezvous that produced the links must already
-    /// have checked `config.coll` against every peer.
+    /// thread.
     pub(crate) fn from_links(
         rank: usize,
         links: Vec<Option<(L, L::Reader)>>,
@@ -392,7 +380,7 @@ impl<L: Link> MeshComm<L> {
             let mut data = pool_take(&s.pools[to], bytes.len());
             data.clear();
             data.extend_from_slice(bytes);
-            s.mailbox.push(Message { from: to, tag, data });
+            s.mailbox.push(Message { from: to, tag, data }, None);
             return Ok(());
         }
 
@@ -627,12 +615,12 @@ fn reader_loop<L: Link>(shared: Arc<FramedMesh<L>>, peer: usize, mut reader: L::
                     pool_put(&shared.pools[peer], data);
                     continue;
                 }
-                // Count before pushing: the mailbox push is what wakes
-                // a flush-barrier waiter, which then re-reads counters.
-                if header.tag & COLLECTIVE_TAG_BIT == 0 {
-                    shared.data_delivered[peer].fetch_add(1, Ordering::SeqCst);
-                }
-                shared.mailbox.push(Message { from: peer, tag: header.tag, data });
+                // Data frames are counted on the flush ledger in the
+                // same mailbox critical section that parks them, so a
+                // barrier waiter never sees the count without the frame.
+                let ledger =
+                    (header.tag & COLLECTIVE_TAG_BIT == 0).then(|| &shared.data_delivered[peer]);
+                shared.mailbox.push(Message { from: peer, tag: header.tag, data }, ledger);
             }
             Ok(None) => {
                 shared.mailbox.fail(
@@ -746,10 +734,6 @@ impl<L: Link> collectives::CollEndpoint for MeshComm<L> {
         self.shared.size
     }
 
-    fn algo(&self) -> CollAlgo {
-        self.shared.config.coll
-    }
-
     fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         self.send_raw_checked(to, tag, bytes)
     }
@@ -799,7 +783,7 @@ mod tests {
 pub(crate) mod suite {
     use super::*;
     use crate::comm::{pack, unpack};
-    use crate::thread_world::run_threads_fallible;
+    use crate::thread_world::run_threads;
 
     /// How the suite builds an in-process world over one link type:
     /// each rank is a thread with its own endpoint, but every byte
@@ -881,30 +865,59 @@ pub(crate) mod suite {
         assert_eq!(results[0], -1.0);
     }
 
+    /// Rank `r`'s allreduce input in a world of `p`: element 0 is
+    /// ±2⁵³ on the first and last rank and 1 in between, so its sum is
+    /// 0 folded in rank order and `p − 2` folded backwards; the rest
+    /// spread over eight decades.
+    fn allreduce_input(r: usize, p: usize) -> Vec<f64> {
+        let big = 2f64.powi(53);
+        let first = if r == 0 {
+            big
+        } else if r == p - 1 {
+            -big
+        } else {
+            1.0
+        };
+        let spread =
+            (1..5).map(|i| ((r * 31 + i) as f64).sin() * 10f64.powi((r * 3 + i) as i32 % 8));
+        std::iter::once(first).chain(spread).collect()
+    }
+
+    /// The rank-order oracle: fold `inputs` with [`reduce_into`] in
+    /// rank order 0..P — the reduction tree every collective promises,
+    /// computed without any message.
+    fn rank_order_fold(inputs: &[Vec<f64>], op: ReduceOp) -> Vec<f64> {
+        let mut acc = inputs[0].clone();
+        for v in &inputs[1..] {
+            crate::comm::reduce_into(op, &mut acc, v);
+        }
+        acc
+    }
+
     pub(crate) fn allreduce_matches_thread_world_bitwise<L: TestWorld>() {
-        // Same inputs through every transport and both algorithms must
-        // reduce to the same bits — the property that lets GMRES-IR
-        // histories replay across backends.
-        let inputs: Vec<Vec<f64>> =
-            (0..4).map(|r| (0..5).map(|i| ((r * 31 + i) as f64).sin() * 1e3).collect()).collect();
-        let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        let oracle: Vec<Vec<f64>> = run_threads_fallible(4, None, CollAlgo::Star, |c| {
-            let mut v = inputs[c.rank()].clone();
-            c.allreduce(&mut v, ReduceOp::Sum);
-            v
-        })
-        .into_iter()
-        .map(|r| r.expect("a thread rank panicked"))
-        .collect();
-        for coll in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-            let config = MeshConfig { coll, ..MeshConfig::from_env() };
-            let mesh = run_ranks::<L, _>(vec![config; 4], |c| {
+        // The same inputs through the thread world and this link must
+        // reduce to the bits of a plain rank-order fold — the property
+        // that lets GMRES-IR histories replay across backends. P = 3
+        // and 5 exercise the Bruck schedule's partial last round.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for p in 2..=5 {
+            let inputs: Vec<Vec<f64>> = (0..p).map(|r| allreduce_input(r, p)).collect();
+            let want = bits(&rank_order_fold(&inputs, ReduceOp::Sum));
+            if p > 2 {
+                let reversed: Vec<Vec<f64>> = inputs.iter().rev().cloned().collect();
+                let other = bits(&rank_order_fold(&reversed, ReduceOp::Sum));
+                assert_ne!(want, other, "P = {p}: the inputs must be fold-order sensitive");
+            }
+            fn reduce(c: &impl Comm, inputs: &[Vec<f64>]) -> Vec<f64> {
                 let mut v = inputs[c.rank()].clone();
                 c.allreduce(&mut v, ReduceOp::Sum);
                 v
-            });
-            for (t, m) in oracle.iter().zip(mesh) {
-                assert_eq!(bits(t), bits(&m.expect("a mesh rank panicked")), "{}", coll.name());
+            }
+            let thread = run_threads(p, |c| reduce(&c, &inputs));
+            let mesh = run_world::<L, _>(p, |c| reduce(&c, &inputs));
+            for (r, (t, m)) in thread.iter().zip(&mesh).enumerate() {
+                assert_eq!(bits(t), want, "thread world, P = {p}, rank {r}");
+                assert_eq!(bits(m), want, "mesh, P = {p}, rank {r}");
             }
         }
     }
@@ -946,11 +959,15 @@ pub(crate) mod suite {
 
     pub(crate) fn wait_any_completes_in_arrival_order<L: TestWorld>() {
         let results = run_world::<L, _>(3, |c| {
+            // The first barrier flushes rank 1's send into rank 2's
+            // mailbox by the time rank 2 leaves it; the second keeps
+            // rank 0 from sending until rank 2 has left the first (the
+            // flush barrier only orders frames *into* the exiting
+            // rank — see the module docs). So slot 1 completes first.
             if c.rank() == 2 {
                 let mut b0 = [0u8; 1];
                 let mut b1 = [0u8; 1];
-                // Rank 1's send is flushed (via the barrier) before
-                // rank 0 even sends, so slot 1 completes first.
+                c.barrier();
                 c.barrier();
                 let mut posts =
                     [Some(RecvPost::new(0, 9, &mut b0)), Some(RecvPost::new(1, 9, &mut b1))];
@@ -961,8 +978,10 @@ pub(crate) mod suite {
             } else if c.rank() == 1 {
                 c.send_from(2, 9, &[11]);
                 c.barrier();
+                c.barrier();
                 vec![]
             } else {
+                c.barrier();
                 c.barrier();
                 c.send_from(2, 9, &[10]);
                 vec![]
@@ -1164,19 +1183,6 @@ pub(crate) mod suite {
         });
     }
 
-    pub(crate) fn mismatched_coll_fails_at_connect_naming_both_algorithms<L: TestWorld>() {
-        // Ranks of one world must agree on the wire protocol of their
-        // collectives before the first one runs: the rendezvous refuses
-        // a mixed world, on both sides, naming both algorithms.
-        let star = MeshConfig { coll: CollAlgo::Star, ..Default::default() };
-        let rd = MeshConfig { coll: CollAlgo::RecursiveDoubling, ..Default::default() };
-        for outcome in run_ranks::<L, _>(vec![star, rd], |_c| ()) {
-            let panic = outcome.expect_err("a mixed world must not connect");
-            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("star") && msg.contains("rd"), "names both algorithms: {msg}");
-        }
-    }
-
     /// Instantiate every suite test for one link type.
     macro_rules! mesh_suite {
         ($link:ty) => {
@@ -1195,7 +1201,6 @@ pub(crate) mod suite {
                 corrupted_frame_is_detected_and_attributed,
                 dropped_frame_is_caught_by_deadline_and_barrier_stays_consistent,
                 duplicated_frames_are_counted_and_both_delivered,
-                mismatched_coll_fails_at_connect_naming_both_algorithms,
             );
         };
         ($link:ty: $($test:ident,)*) => {

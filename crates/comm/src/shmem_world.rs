@@ -16,7 +16,7 @@
 //! ## File layout
 //!
 //! ```text
-//! [ header page: magic, size P, ring_bytes, algorithms, attached counter ]
+//! [ header page: magic, size P, ring_bytes, attached counter ]
 //! [ ring (0,0) ][ ring (0,1) ] ... [ ring (P-1,P-1) ]
 //! ```
 //!
@@ -35,12 +35,12 @@
 //! Rank 0 creates the file (`HPGMXP_SHM_ID` names it, unique per
 //! launch attempt), sizes it, initializes the header, and publishes
 //! the magic last; other ranks poll for the file and magic, map it,
-//! and bump the `attached` counter. Every rank also ORs the bit of its
-//! collective algorithm into the header's `algorithms` word before
-//! attaching; a word with more than one bit set is a mixed world, and
-//! every rank that sees one refuses to connect. Once every rank is
-//! attached rank 0 *unlinks* the file — the mapping stays valid for
-//! the attached processes, and a crashed job leaks no `/dev/shm` entry.
+//! and bump the `attached` counter. The magic carries the layout
+//! version, so a rank built against another header layout never
+//! recognises the file and fails the connect timeout naming it. Once
+//! every rank is attached rank 0 *unlinks* the file — the mapping
+//! stays valid for the attached processes, and a crashed job leaks no
+//! `/dev/shm` entry.
 //!
 //! ## Blocking and failure
 //!
@@ -57,10 +57,7 @@
 //! — the same three detectors, same typed faults, as the socket
 //! world.
 
-use crate::collectives::CollAlgo;
-use crate::mesh::{
-    coll_mismatch, connect_timeout, env_knob, launch_knob, launch_var, Link, MeshComm, MeshConfig,
-};
+use crate::mesh::{connect_timeout, env_knob, launch_knob, launch_var, Link, MeshComm, MeshConfig};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read};
 use std::os::unix::io::AsRawFd;
@@ -80,8 +77,9 @@ const PROT_READ: i32 = 0x1;
 const PROT_WRITE: i32 = 0x2;
 const MAP_SHARED: i32 = 0x01;
 
-/// First u64 of the file once fully initialized ("HPGMXSH1").
-const SHM_MAGIC: u64 = u64::from_le_bytes(*b"HPGMXSH1");
+/// First u64 of the file once fully initialized ("HPGMXSH2"; the last
+/// byte is the header-layout version).
+const SHM_MAGIC: u64 = u64::from_le_bytes(*b"HPGMXSH2");
 
 /// Bytes reserved for the file header.
 const FILE_HEADER: usize = 4096;
@@ -89,9 +87,6 @@ const FILE_HEADER: usize = 4096;
 const OFF_MAGIC: usize = 0;
 const OFF_SIZE: usize = 8;
 const OFF_RING_BYTES: usize = 16;
-/// Bitmask of the collective algorithms (`1 << wire_code`) the ranks
-/// of this world were configured with; exactly one bit in a sane world.
-const OFF_COLL_MASK: usize = 24;
 const OFF_ATTACHED: usize = 64;
 
 /// Bytes of one ring's header (head / tail / closed, one cache line
@@ -358,9 +353,8 @@ impl ShmemWorld {
         Self::connect_with_config(rank, size, shm_id, MeshConfig::from_env())
     }
 
-    /// [`ShmemWorld::connect`] with explicit fault-detection knobs,
-    /// injection plan, and collective algorithm — the chaos tests'
-    /// entry point.
+    /// [`ShmemWorld::connect`] with explicit fault-detection knobs and
+    /// injection plan — the chaos tests' entry point.
     pub fn connect_with_config(
         rank: usize,
         size: usize,
@@ -384,7 +378,6 @@ impl ShmemWorld {
         let layout = Layout { size, ring_bytes };
         let deadline = Instant::now() + connect_timeout();
         let path = format!("/dev/shm/hpgmxp-{shm_id}");
-        let coll_bit = 1u64 << config.coll.wire_code();
 
         let map: Option<Arc<Mapping>> = if size > 1 {
             let map = if rank == 0 {
@@ -404,7 +397,6 @@ impl ShmemWorld {
                 let map = Mapping::map(&file, layout.total_len());
                 map.atomic(OFF_SIZE).store(size as u64, Ordering::Relaxed);
                 map.atomic(OFF_RING_BYTES).store(ring_bytes as u64, Ordering::Relaxed);
-                map.atomic(OFF_COLL_MASK).store(coll_bit, Ordering::Relaxed);
                 // Publish last: a scanner that sees the magic sees a
                 // fully initialized header.
                 map.atomic(OFF_MAGIC).store(SHM_MAGIC, Ordering::Release);
@@ -435,16 +427,13 @@ impl ShmemWorld {
                     if Instant::now() >= deadline {
                         panic!(
                             "rank {rank} could not find an initialized shmem world at {path} \
-                             within the connect timeout"
+                             within the connect timeout (a world created by another header \
+                             version is not recognised)"
                         );
                     }
                     backoff.wait();
                 }
             };
-            // Declare our algorithm before attaching: whoever observes
-            // the world complete also observes every rank's bit.
-            let coll_mask = map.atomic(OFF_COLL_MASK);
-            coll_mask.fetch_or(coll_bit, Ordering::SeqCst);
             let attached = map.atomic(OFF_ATTACHED);
             attached.fetch_add(1, Ordering::SeqCst);
             if rank == 0 {
@@ -464,18 +453,6 @@ impl ShmemWorld {
                     backoff.wait();
                 }
                 let _ = std::fs::remove_file(&path);
-            }
-            // A mixed world is refused by every rank that can see it is
-            // mixed: a joiner as soon as its bit lands next to rank 0's,
-            // rank 0 once everyone has attached.
-            let others = coll_mask.load(Ordering::SeqCst) & !coll_bit;
-            if others != 0 {
-                let theirs = CollAlgo::from_wire_code(others.trailing_zeros() as u8)
-                    .unwrap_or_else(|| panic!("shmem world {shm_id}: bad algorithm mask"));
-                panic!(
-                    "shmem world {shm_id}: {}",
-                    coll_mismatch((rank, config.coll), (None, theirs))
-                );
             }
             Some(Arc::new(map))
         } else {

@@ -14,9 +14,7 @@
 //! Every rank binds an ephemeral *data* listener, then meets the
 //! others at a rendezvous port (`HPGMXP_PORT`): rank 0 listens there,
 //! ranks 1..P connect (with retry, so start order is free) and
-//! register `(rank, data_port, collective algorithm)`; rank 0 — whose
-//! hello carries its own algorithm — refuses a rank that disagrees
-//! (and that rank refuses the hello), then answers each with the full
+//! register `(rank, data_port)`; rank 0 answers each with the full
 //! port table. The mesh itself is one TCP connection per rank pair —
 //! the lower rank accepts, the higher connects and leads with its rank
 //! id, so accepts can land in any order. All streams get
@@ -31,9 +29,8 @@
 //! boundary. The kernel bounds a write to a dead process by failing it,
 //! so [`TcpLink`] needs no stall timer of its own.
 
-use crate::collectives::CollAlgo;
 use crate::fault::SplitMix64;
-use crate::mesh::{coll_mismatch, connect_timeout, launch_knob, Link, MeshComm, MeshConfig};
+use crate::mesh::{connect_timeout, launch_knob, Link, MeshComm, MeshConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::OnceLock;
@@ -47,17 +44,19 @@ pub const PORT_SCAN_SPAN: u16 = 16;
 
 /// First bytes rank 0 writes on every accepted rendezvous connection,
 /// so a scanning rank can tell the rendezvous from an unrelated
-/// service squatting a port in the scan window.
-const RENDEZVOUS_HELLO: [u8; 4] = *b"HPRV";
+/// service squatting a port in the scan window. The last byte is the
+/// protocol version: a rank built against another rendezvous layout
+/// does not recognise the hello and times out naming the rendezvous,
+/// instead of misreading it.
+const RENDEZVOUS_HELLO: [u8; 4] = *b"HPR2";
 
-/// Bytes of the rendezvous hello: magic, the base port the rendezvous
-/// serves (so a rank scanning the port window never joins a
-/// *different* world whose window happens to overlap), and rank 0's
-/// collective algorithm.
-const HELLO_LEN: usize = 7;
+/// Bytes of the rendezvous hello: magic, then the base port the
+/// rendezvous serves (so a rank scanning the port window never joins a
+/// *different* world whose window happens to overlap).
+const HELLO_LEN: usize = 6;
 
-/// Bytes of a registration: rank, data port, collective algorithm.
-const REGISTRATION_LEN: usize = 9;
+/// Bytes of a registration: rank, data port.
+const REGISTRATION_LEN: usize = 8;
 
 /// One TCP connection to a peer — the socket mesh's [`Link`]. The read
 /// half is a clone of the same stream.
@@ -129,9 +128,8 @@ fn bind_rendezvous(base: u16) -> TcpListener {
 /// retrying with jittered backoff until the connect timeout. A
 /// connection only qualifies if the service presents the rendezvous
 /// hello magic within a short read window — an unrelated server
-/// squatting a scanned port is skipped, not crashed into. Returns the
-/// connection and the collective-algorithm byte of the hello.
-fn find_rendezvous(base: u16) -> (TcpStream, u8) {
+/// squatting a scanned port is skipped, not crashed into.
+fn find_rendezvous(base: u16) -> TcpStream {
     let deadline = Instant::now() + connect_timeout();
     let mut rng = SplitMix64::new((std::process::id() as u64) << 16 | base as u64 | 1);
     let mut pause = Duration::from_millis(10);
@@ -146,7 +144,7 @@ fn find_rendezvous(base: u16) -> (TcpStream, u8) {
                 && hello[4..6] == base.to_le_bytes()
             {
                 s.set_read_timeout(None).expect("clear hello read timeout");
-                return (s, hello[6]);
+                return s;
             }
             // Wrong service (or a rendezvous not yet writing); keep
             // scanning — rank 0 accepts until every rank registered,
@@ -155,7 +153,7 @@ fn find_rendezvous(base: u16) -> (TcpStream, u8) {
         if Instant::now() >= deadline {
             panic!(
                 "could not find the rank-0 rendezvous in ports {base}..{} within the connect \
-                 timeout",
+                 timeout (a rank 0 built with another rendezvous version is not recognised)",
                 base.wrapping_add(PORT_SCAN_SPAN)
             );
         }
@@ -193,9 +191,8 @@ impl SocketWorld {
         Self::connect_with_config(rank, size, port, MeshConfig::from_env())
     }
 
-    /// [`SocketWorld::connect`] with explicit fault-detection knobs,
-    /// injection plan, and collective algorithm — the chaos tests'
-    /// entry point (environment variables are process-global; per-rank
+    /// [`SocketWorld::connect`] with explicit fault-detection knobs and
+    /// injection plan — the chaos tests' entry point (environment variables are process-global; per-rank
     /// knobs cannot come from them in in-process tests).
     pub fn connect_with_config(
         rank: usize,
@@ -217,18 +214,6 @@ impl SocketWorld {
             let mut hello = [0u8; HELLO_LEN];
             hello[0..4].copy_from_slice(&RENDEZVOUS_HELLO);
             hello[4..6].copy_from_slice(&port.to_le_bytes());
-            hello[6] = config.coll.wire_code();
-            // Both sides of a registration check the other's algorithm
-            // byte only after sending their own, so a mixed world fails
-            // loudly on both ranks instead of stranding one of them.
-            let check_coll = |peer: usize, code: u8| {
-                if code != config.coll.wire_code() {
-                    let theirs = CollAlgo::from_wire_code(code).unwrap_or_else(|| {
-                        panic!("rank {peer} sent an unknown collective algorithm code {code}")
-                    });
-                    panic!("{}", coll_mismatch((rank, config.coll), (Some(peer), theirs)));
-                }
-            };
 
             let table: Vec<u16> = if rank == 0 {
                 let rendezvous = bind_rendezvous(port);
@@ -252,7 +237,6 @@ impl SocketWorld {
                     let p = u32::from_le_bytes([reg[4], reg[5], reg[6], reg[7]]);
                     assert!(r > 0 && r < size, "bogus registration from rank {r}");
                     assert!(regs[r].is_none(), "rank {r} registered twice");
-                    check_coll(r, reg[8]);
                     ports[r] = p as u16;
                     regs[r] = Some(s);
                     registered += 1;
@@ -266,13 +250,11 @@ impl SocketWorld {
                 }
                 ports
             } else {
-                let (mut s, coll0) = find_rendezvous(port);
+                let mut s = find_rendezvous(port);
                 let mut reg = [0u8; REGISTRATION_LEN];
                 reg[0..4].copy_from_slice(&(rank as u32).to_le_bytes());
                 reg[4..8].copy_from_slice(&(data_port as u32).to_le_bytes());
-                reg[8] = config.coll.wire_code();
                 s.write_all(&reg).expect("send registration");
-                check_coll(0, coll0);
                 let mut table = vec![0u8; size * 4];
                 s.read_exact(&mut table).expect("read port table");
                 table

@@ -24,19 +24,15 @@
 //! everything a rank sent before finishing stays receivable. Worlds
 //! built with [`ThreadWorld::connect_with`] can additionally bound
 //! every blocking receive (and therefore every collective), turning a
-//! hung-but-alive peer into a `Timeout` fault, and pick the collective
-//! algorithm — one constructor call builds every rank, so the world's
-//! ranks share it by construction. [`run_threads_fallible`] is the
-//! chaos-test entry point that reports each rank's outcome instead of
-//! propagating the first panic.
+//! hung-but-alive peer into a `Timeout` fault. [`run_threads_fallible`]
+//! is the chaos-test entry point that reports each rank's outcome
+//! instead of propagating the first panic.
 //!
 //! Transport-agnostic callers should reach this world through
 //! [`crate::world::run_spmd`], which picks the backend from the
 //! `HPGMXP_COMM` environment variable.
 
-use crate::collectives::{
-    self, CollAlgo, CollCounters, CollScratch, CollStats, COLLECTIVE_TAG_BIT,
-};
+use crate::collectives::{self, CollCounters, CollScratch, CollStats, COLLECTIVE_TAG_BIT};
 use crate::comm::{Comm, RecvPost, ReduceOp};
 use crate::error::{CommErrorKind, CommResult};
 use crate::mailbox::{deliver, pool_take, BufPool, Mailbox, Message};
@@ -49,8 +45,6 @@ struct WorldShared {
     inboxes: Vec<Mailbox>,
     /// World-wide free list of message buffers.
     pool: BufPool,
-    /// The collective algorithm every rank of this world runs.
-    coll: CollAlgo,
 }
 
 /// One rank's endpoint in a [`ThreadWorld`].
@@ -72,26 +66,20 @@ pub struct ThreadWorld;
 
 impl ThreadWorld {
     /// Create a world of `size` connected ranks with no receive
-    /// deadline, running the collective algorithm `HPGMXP_COLL` names.
+    /// deadline.
     pub fn connect(size: usize) -> Vec<ThreadComm> {
-        Self::connect_with(size, None, CollAlgo::from_env())
+        Self::connect_with(size, None)
     }
 
-    /// Create a world running the collective algorithm `coll`, whose
-    /// blocking receives and barriers give up with a typed `Timeout`
-    /// fault after `deadline` — the hang detector for chaos tests (a
-    /// hung rank is alive, so no `PeerClosed`/`PeerLost` fault will
-    /// ever fire for it).
-    pub fn connect_with(
-        size: usize,
-        deadline: Option<Duration>,
-        coll: CollAlgo,
-    ) -> Vec<ThreadComm> {
+    /// Create a world whose blocking receives and barriers give up
+    /// with a typed `Timeout` fault after `deadline` — the hang
+    /// detector for chaos tests (a hung rank is alive, so no
+    /// `PeerClosed`/`PeerLost` fault will ever fire for it).
+    pub fn connect_with(size: usize, deadline: Option<Duration>) -> Vec<ThreadComm> {
         assert!(size > 0);
         let shared = Arc::new(WorldShared {
             inboxes: (0..size).map(|_| Mailbox::with_deadline(deadline)).collect(),
             pool: BufPool::default(),
-            coll,
         });
         (0..size)
             .map(|rank| ThreadComm {
@@ -177,7 +165,7 @@ impl Comm for ThreadComm {
         let mut data = pool_take(&self.shared.pool, bytes.len());
         data.clear();
         data.extend_from_slice(bytes);
-        self.shared.inboxes[to].push(Message { from: self.rank, tag, data });
+        self.shared.inboxes[to].push(Message { from: self.rank, tag, data }, None);
         Ok(())
     }
 
@@ -233,10 +221,6 @@ impl collectives::CollEndpoint for ThreadComm {
         self.size
     }
 
-    fn algo(&self) -> CollAlgo {
-        self.shared.coll
-    }
-
     fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         self.send_from_checked(to, tag, bytes)
     }
@@ -284,29 +268,24 @@ where
     T: Send,
     F: Fn(ThreadComm) -> T + Sync,
 {
-    run_threads_fallible(size, None, CollAlgo::from_env(), f)
-        .into_iter()
-        .map(|r| r.expect("a rank panicked"))
-        .collect()
+    run_threads_fallible(size, None, f).into_iter().map(|r| r.expect("a rank panicked")).collect()
 }
 
 /// [`run_threads`] for chaos tests: report each rank's outcome
 /// (`Err` = that rank panicked) instead of propagating the first
 /// panic, optionally bound every blocking receive and barrier by
 /// `deadline` so a hung rank surfaces as a typed `Timeout` fault on
-/// its peers rather than wedging the whole world, and run the world
-/// under the collective algorithm `coll`.
+/// its peers rather than wedging the whole world.
 pub fn run_threads_fallible<T, F>(
     size: usize,
     deadline: Option<Duration>,
-    coll: CollAlgo,
     f: F,
 ) -> Vec<std::thread::Result<T>>
 where
     T: Send,
     F: Fn(ThreadComm) -> T + Sync,
 {
-    let comms = ThreadWorld::connect_with(size, deadline, coll);
+    let comms = ThreadWorld::connect_with(size, deadline);
     std::thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
@@ -382,34 +361,6 @@ mod tests {
         // All ranks must agree after every round.
         for w in results.windows(2) {
             assert_eq!(w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn star_and_rd_worlds_run_side_by_side_with_identical_bits() {
-        // The algorithm belongs to the world: two worlds of one process
-        // run different algorithms concurrently without disturbing each
-        // other (a process-wide switch would flip one world's ranks
-        // mid-allreduce), and the rank-order fold makes their sums
-        // bit-identical.
-        let run = |coll: CollAlgo| {
-            run_threads_fallible(4, Some(Duration::from_secs(60)), coll, |c| {
-                let mut acc = 0.0;
-                for i in 0..200 {
-                    let mine = ((c.rank() * 31 + i) as f64).sin();
-                    acc = c.allreduce_scalar(0.5 * acc + mine, ReduceOp::Sum);
-                }
-                acc.to_bits()
-            })
-        };
-        let (star, rd) = std::thread::scope(|s| {
-            let star = s.spawn(|| run(CollAlgo::Star));
-            let rd = s.spawn(|| run(CollAlgo::RecursiveDoubling));
-            (star.join().expect("star world"), rd.join().expect("rd world"))
-        });
-        let first = *star[0].as_ref().expect("a star rank panicked");
-        for bits in star.iter().chain(&rd) {
-            assert_eq!(*bits.as_ref().expect("a rank panicked"), first);
         }
     }
 
@@ -586,7 +537,7 @@ mod tests {
         // Rank 1 returns without ever sending; rank 0's checked receive
         // must fail with a PeerClosed fault naming rank 1, within
         // bounded time, instead of hanging.
-        let results = run_threads_fallible(2, None, CollAlgo::default(), |c| {
+        let results = run_threads_fallible(2, None, |c| {
             if c.rank() == 0 {
                 let mut buf = [0u8; 1];
                 let err = c.recv_into_checked(1, 7, &mut buf).unwrap_err();
@@ -602,7 +553,7 @@ mod tests {
     fn dead_rank_breaks_collectives_with_typed_error() {
         // Rank 1 dies (panics) before the collective; the survivors'
         // allreduce fails loudly, attributed to rank 1.
-        let results = run_threads_fallible(3, None, CollAlgo::default(), |c| {
+        let results = run_threads_fallible(3, None, |c| {
             if c.rank() == 1 {
                 panic!("rank 1 crashing deliberately");
             }
@@ -622,19 +573,18 @@ mod tests {
         // for it); the receive deadline is the only detector.
         use std::sync::atomic::{AtomicBool, Ordering};
         let woke = AtomicBool::new(false);
-        let results =
-            run_threads_fallible(2, Some(Duration::from_millis(50)), CollAlgo::default(), |c| {
-                if c.rank() == 0 {
-                    let mut buf = [0u8; 1];
-                    let err = c.recv_into_checked(1, 7, &mut buf).unwrap_err();
-                    assert_eq!(err.kind, crate::error::CommErrorKind::Timeout);
-                    assert_eq!((err.peer, err.tag), (Some(1), Some(7)));
-                    assert!(err.elapsed >= Duration::from_millis(50));
-                } else {
-                    std::thread::sleep(Duration::from_millis(200)); // wedged
-                    woke.store(true, Ordering::SeqCst);
-                }
-            });
+        let results = run_threads_fallible(2, Some(Duration::from_millis(50)), |c| {
+            if c.rank() == 0 {
+                let mut buf = [0u8; 1];
+                let err = c.recv_into_checked(1, 7, &mut buf).unwrap_err();
+                assert_eq!(err.kind, crate::error::CommErrorKind::Timeout);
+                assert_eq!((err.peer, err.tag), (Some(1), Some(7)));
+                assert!(err.elapsed >= Duration::from_millis(50));
+            } else {
+                std::thread::sleep(Duration::from_millis(200)); // wedged
+                woke.store(true, Ordering::SeqCst);
+            }
+        });
         assert!(results.into_iter().all(|r| r.is_ok()));
         assert!(woke.load(Ordering::SeqCst), "the hung rank was never killed, only detected");
     }
@@ -643,7 +593,7 @@ mod tests {
     fn messages_sent_before_finishing_stay_receivable() {
         // Rank 1 sends then immediately exits; rank 0 must still get
         // the data (parked messages are matched before faults).
-        let results = run_threads_fallible(2, None, CollAlgo::default(), |c| {
+        let results = run_threads_fallible(2, None, |c| {
             if c.rank() == 0 {
                 let mut buf = [0u8; 1];
                 // Rank 1 may have already exited; the parked message

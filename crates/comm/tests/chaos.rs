@@ -15,8 +15,8 @@
 #![recursion_limit = "512"]
 
 use hpgmxp_comm::{
-    run_threads_fallible, CollAlgo, Comm, CommError, CommErrorKind, CommResult, FaultEvent,
-    FaultKind, FaultPlan, FaultyComm, MeshConfig, ReduceOp, ShmemWorld, ThreadComm,
+    run_threads_fallible, Comm, CommError, CommErrorKind, CommResult, FaultEvent, FaultKind,
+    FaultPlan, FaultyComm, MeshConfig, ReduceOp, ShmemWorld, ThreadComm,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -48,7 +48,7 @@ fn run_plan(
     rounds: usize,
     deadline: Duration,
 ) -> Vec<std::thread::Result<CommResult<f64>>> {
-    run_threads_fallible(P, Some(deadline), CollAlgo::from_env(), move |c| {
+    run_threads_fallible(P, Some(deadline), move |c| {
         let c = FaultyComm::new(c, plan.clone());
         ring_workload(&c, rounds)
     })
@@ -247,58 +247,39 @@ fn assert_hang_timed_out(
 }
 
 #[test]
-fn crash_inside_an_allreduce_fails_typed_under_both_algorithms() {
-    for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        // Exchange 5 is mid-stream in the pure-collective workload:
-        // rank 1 dies inside its 3rd allreduce (alternating
-        // allreduce/barrier, 0-indexed), under way on every rank.
-        let plan = crash_plan(21, 1, 5);
-        let started = std::time::Instant::now();
-        let results = run_threads_fallible(P, Some(Duration::from_millis(300)), algo, {
-            let plan = plan.clone();
-            move |c| {
-                let c = FaultyComm::new(c, plan.clone());
-                collective_workload(&c, 20)
-            }
-        });
-        assert!(results[1].is_err(), "[{}] rank 1 must have crashed", algo.name());
-        assert_survivors_failed_typed(
-            &results,
-            1,
-            Duration::from_millis(300),
-            &format!("crash/{}", algo.name()),
-        );
-        assert!(started.elapsed() < Duration::from_secs(30), "bounded detection");
-    }
+fn crash_inside_an_allreduce_fails_typed() {
+    // Exchange 5 is mid-stream in the pure-collective workload: rank 1
+    // dies inside its 3rd allreduce (alternating allreduce/barrier,
+    // 0-indexed), under way on every rank.
+    let plan = crash_plan(21, 1, 5);
+    let started = std::time::Instant::now();
+    let results = run_threads_fallible(P, Some(Duration::from_millis(300)), move |c| {
+        let c = FaultyComm::new(c, plan.clone());
+        collective_workload(&c, 20)
+    });
+    assert!(results[1].is_err(), "rank 1 must have crashed");
+    assert_survivors_failed_typed(&results, 1, Duration::from_millis(300), "crash");
+    assert!(started.elapsed() < Duration::from_secs(30), "bounded detection");
 }
 
 #[test]
-fn hang_inside_an_allreduce_times_out_under_both_algorithms() {
-    for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        let mut plan = FaultPlan::clean(22);
-        plan.hang_millis = Some(1_200);
-        plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 2, at_exchange: 4 }]);
-        let results = run_threads_fallible(P, Some(Duration::from_millis(200)), algo, {
-            let plan = plan.clone();
-            move |c| {
-                let c = FaultyComm::new(c, plan.clone());
-                collective_workload(&c, 20)
-            }
-        });
-        // The hung rank resumes after its stall and then fails typed
-        // itself (its peers have already torn down).
-        assert_hang_timed_out(&results, 2, Duration::from_millis(200), algo.name());
-    }
+fn hang_inside_an_allreduce_times_out() {
+    let mut plan = FaultPlan::clean(22);
+    plan.hang_millis = Some(1_200);
+    plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 2, at_exchange: 4 }]);
+    let results = run_threads_fallible(P, Some(Duration::from_millis(200)), move |c| {
+        let c = FaultyComm::new(c, plan.clone());
+        collective_workload(&c, 20)
+    });
+    // The hung rank resumes after its stall and then fails typed
+    // itself (its peers have already torn down).
+    assert_hang_timed_out(&results, 2, Duration::from_millis(200), "hang");
 }
 
-/// Run `f` on every rank of a P-rank in-process shmem world under
-/// `coll` with a recv deadline, collecting per-rank outcomes (panics
-/// included) like [`run_threads_fallible`] does for the thread world.
-fn run_shmem_fallible<F>(
-    deadline: Duration,
-    coll: CollAlgo,
-    f: F,
-) -> Vec<std::thread::Result<CommResult<f64>>>
+/// Run `f` on every rank of a P-rank in-process shmem world with a recv
+/// deadline, collecting per-rank outcomes (panics included) like
+/// [`run_threads_fallible`] does for the thread world.
+fn run_shmem_fallible<F>(deadline: Duration, f: F) -> Vec<std::thread::Result<CommResult<f64>>>
 where
     F: Fn(hpgmxp_comm::ShmemComm) -> CommResult<f64> + Send + Sync + Copy,
 {
@@ -313,7 +294,6 @@ where
         heartbeat: Some(Duration::from_millis(50)),
         peer_timeout: Some(Duration::from_secs(5)),
         faults: None,
-        coll,
     };
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..P)
@@ -328,43 +308,33 @@ where
 }
 
 #[test]
-fn crash_inside_a_shmem_exchange_fails_typed_under_both_algorithms() {
-    for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        // Rank 3 panics inside its 3rd collective; its Drop marks the
-        // outgoing rings closed, so survivors see PeerClosed (or their
-        // deadline, whichever their blocking wait hits first).
-        let results = run_shmem_fallible(Duration::from_millis(400), algo, |c| {
-            let mut plan = FaultPlan::clean(31);
-            plan.events =
-                Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 3, at_exchange: 4 }]);
-            let c = FaultyComm::new(c, plan);
-            collective_workload(&c, 20)
-        });
-        assert!(results[3].is_err(), "[{}] rank 3 must have crashed", algo.name());
-        assert_survivors_failed_typed(
-            &results,
-            3,
-            Duration::from_millis(400),
-            &format!("shmem-crash/{}", algo.name()),
-        );
-    }
+fn crash_inside_a_shmem_exchange_fails_typed() {
+    // Rank 3 panics inside its 3rd collective; its Drop marks the
+    // outgoing rings closed, so survivors see PeerClosed (or their
+    // deadline, whichever their blocking wait hits first).
+    let results = run_shmem_fallible(Duration::from_millis(400), |c| {
+        let mut plan = FaultPlan::clean(31);
+        plan.events =
+            Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 3, at_exchange: 4 }]);
+        let c = FaultyComm::new(c, plan);
+        collective_workload(&c, 20)
+    });
+    assert!(results[3].is_err(), "rank 3 must have crashed");
+    assert_survivors_failed_typed(&results, 3, Duration::from_millis(400), "shmem-crash");
 }
 
 #[test]
-fn hang_inside_a_shmem_exchange_times_out_under_both_algorithms() {
-    for algo in [CollAlgo::Star, CollAlgo::RecursiveDoubling] {
-        let results = run_shmem_fallible(Duration::from_millis(250), algo, |c| {
-            let mut plan = FaultPlan::clean(32);
-            plan.hang_millis = Some(1_500);
-            plan.events =
-                Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 1, at_exchange: 6 }]);
-            let c = FaultyComm::new(c, plan);
-            collective_workload(&c, 20)
-        });
-        // A hung shmem rank still heartbeats (its emitter thread is
-        // alive), so only the recv deadline catches it.
-        assert_hang_timed_out(&results, 1, Duration::from_millis(250), algo.name());
-    }
+fn hang_inside_a_shmem_exchange_times_out() {
+    let results = run_shmem_fallible(Duration::from_millis(250), |c| {
+        let mut plan = FaultPlan::clean(32);
+        plan.hang_millis = Some(1_500);
+        plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 1, at_exchange: 6 }]);
+        let c = FaultyComm::new(c, plan);
+        collective_workload(&c, 20)
+    });
+    // A hung shmem rank still heartbeats (its emitter thread is alive),
+    // so only the recv deadline catches it.
+    assert_hang_timed_out(&results, 1, Duration::from_millis(250), "shmem-hang");
 }
 
 /// The body of the property below: any single scripted crash, at any

@@ -290,14 +290,14 @@ mod tests {
 
     #[test]
     fn rank0_allreduce_receive_load_drops_to_log_p() {
-        // The headline of the collective engine: the same solve, the
-        // same results, but rank 0 stops being the hot spot. Under the
-        // star algorithm the root receives P-1 messages per allreduce;
-        // under recursive doubling every rank receives ceil(log2 P).
-        use hpgmxp_comm::{rd_rounds, run_threads_fallible, CollAlgo};
-        let procs = ProcGrid::new(2, 2, 1);
-        let run = |algo: CollAlgo| -> Vec<_> {
-            run_threads_fallible(4, None, algo, |c| {
+        // The headline of the collective engine: rank 0 is not a hot
+        // spot. Every rank, root included, receives ceil(log2 P)
+        // messages per allreduce — also at a non-power-of-two P, where
+        // the last recursive-doubling round is partial.
+        use hpgmxp_comm::{rd_rounds, run_threads};
+        for procs in [ProcGrid::new(2, 2, 1), ProcGrid::new(3, 1, 1)] {
+            let p = procs.size() as usize;
+            let stats = run_threads(p, |c| {
                 let policy = PrecisionPolicy::f32();
                 let prob = assemble_with_policy(&spec(procs, 8, 2), c.rank(), &policy);
                 let tl = Timeline::disabled();
@@ -305,27 +305,17 @@ mod tests {
                 let (_, st) = gmres_ir_solve_policy(&c, &prob, &policy, &opts, &tl);
                 assert!(st.converged);
                 tl.collective_stats().expect("the solver records its collective traffic")
-            })
-            .into_iter()
-            .map(|r| r.expect("a rank panicked"))
-            .collect()
-        };
-        let star = run(CollAlgo::Star);
-        let rd = run(CollAlgo::RecursiveDoubling);
-
-        // Bit-identical algorithms take identical iteration paths, so
-        // the operation counts agree; only the traffic shape differs.
-        let m = star[0].allreduces;
-        assert!(m > 0);
-        assert_eq!(rd[0].allreduces, m);
-        assert_eq!(star[0].recvs, m * 3, "star root receives P-1 messages per allreduce");
-        assert_eq!(star[1].recvs, m, "star leaves receive only the broadcast");
-        for s in &rd {
-            assert_eq!(
-                s.recvs,
-                m * u64::from(rd_rounds(4)),
-                "recursive doubling spreads ceil(log2 P) receives evenly"
-            );
+            });
+            let m = stats[0].allreduces;
+            assert!(m > 0);
+            for s in &stats {
+                assert_eq!(s.allreduces, m, "P = {p}: every rank runs the same collectives");
+                assert_eq!(
+                    s.recvs,
+                    m * u64::from(rd_rounds(p)),
+                    "P = {p}: recursive doubling spreads ceil(log2 P) receives evenly"
+                );
+            }
         }
     }
 
@@ -390,9 +380,7 @@ mod tests {
 
     #[test]
     fn double_solver_is_the_f64_instance_of_the_refinement_loop() {
-        use hpgmxp_comm::{
-            run_threads_fallible, CollAlgo, FaultEvent, FaultKind, FaultPlan, FaultyComm,
-        };
+        use hpgmxp_comm::{run_threads_fallible, FaultEvent, FaultKind, FaultPlan, FaultyComm};
         let policy = PrecisionPolicy::f64();
         let opts = GmresOptions { max_iters: 500, track_history: true, ..Default::default() };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -431,7 +419,7 @@ mod tests {
         plan.events =
             Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 1, at_exchange: 40 }]);
         let deadline = Some(std::time::Duration::from_millis(500));
-        let outcomes = run_threads_fallible(2, deadline, CollAlgo::RecursiveDoubling, |c| {
+        let outcomes = run_threads_fallible(2, deadline, |c| {
             let c = FaultyComm::new(c, plan.clone());
             let policy = PrecisionPolicy::f64();
             let prob = assemble_with_policy(&spec(procs, 16, 4), c.rank(), &policy);

@@ -17,13 +17,12 @@
 //! (the measured cells are SPMD), but only rank 0 prints and writes
 //! the report — the others produce identical cells and stay quiet.
 //!
-//! The `compare` subcommand pins transport- and collective-algorithm
-//! independence: it diffs the *deterministic* fields of two reports
-//! (solver trajectories, byte counters, statuses — everything except
-//! wall-clock-derived rates and the transport/collective stamps
-//! themselves) and exits non-zero on any drift, printing each report's
-//! `HPGMXP_COMM`/`HPGMXP_COLL` configuration. CI runs it across
-//! thread/socket/shmem reports of the same campaign.
+//! The `compare` subcommand pins transport independence: it diffs the
+//! *deterministic* fields of two reports (solver trajectories, byte
+//! counters, statuses — everything except wall-clock-derived rates and
+//! the transport stamps themselves) and exits non-zero on any drift,
+//! printing each report's `HPGMXP_COMM` configuration. CI runs it
+//! across thread/socket/shmem reports of the same campaign.
 
 use hpgmxp_harness::{run_campaign, CampaignReport, CampaignSpec, CellReport};
 use std::process::ExitCode;
@@ -105,15 +104,13 @@ fn compare(a_path: &str, b_path: &str) -> Result<(), String> {
     }
     println!(
         "campaign compare: `{}` — {} cells reconcile identically \
-         ({} [comm {}, coll {}] vs {} [comm {}, coll {}])",
+         ({} [comm {}] vs {} [comm {}])",
         a.campaign,
         a.cells.len(),
         transports.0.join("+"),
         a.host.transport,
-        a.host.coll_algo,
         transports.1.join("+"),
         b.host.transport,
-        b.host.coll_algo,
     );
     Ok(())
 }

@@ -23,14 +23,15 @@ use std::fmt::Write as _;
 /// socket backend made the measuring transport a real variable; v3
 /// added the host SIMD fields (`simd_features`/`simd_level`/
 /// `simd_override`) when the motif kernels grew a runtime-dispatched
-/// vector path; v4 added the host `transport` and `coll_algo` fields
-/// when the collective engine made the algorithm (`HPGMXP_COLL`) a
-/// second measurement variable alongside the transport; v5 added the
-/// per-cell `metrics` snapshot (a [`MetricsSnapshot`] delta over the
-/// cell's execution), populated only when `HPGMXP_TRACE` arms the
-/// metrics registry — untraced campaigns keep emitting `null` there,
-/// so cross-transport compares stay byte-stable.
-pub const REPORT_SCHEMA: u32 = 5;
+/// vector path; v4 added the host `transport` field and a
+/// collective-algorithm stamp when the collective engine made the
+/// algorithm a second measurement variable alongside the transport; v5 added the per-cell `metrics`
+/// snapshot (a [`MetricsSnapshot`] delta over the cell's execution),
+/// populated only when `HPGMXP_TRACE` arms the metrics registry —
+/// untraced campaigns keep emitting `null` there, so cross-transport
+/// compares stay byte-stable; v6 dropped the algorithm stamp when
+/// recursive doubling became the only collective algorithm.
+pub const REPORT_SCHEMA: u32 = 6;
 
 /// Whether a cell earned a performance rating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,9 +69,6 @@ pub struct HostMeta {
     /// Transport the run's measured cells communicate over
     /// (`HPGMXP_COMM`: `"thread"`, `"socket"`, or `"shmem"`).
     pub transport: String,
-    /// Collective algorithm in force (`HPGMXP_COLL`: `"star"` or
-    /// `"rd"`). Results are bit-identical either way; rates are not.
-    pub coll_algo: String,
 }
 
 impl HostMeta {
@@ -91,7 +89,6 @@ impl HostMeta {
             simd_level: hpgmxp_sparse::simd::level().name().to_string(),
             simd_override: hpgmxp_sparse::simd::env_override().map(str::to_string),
             transport: hpgmxp_comm::Transport::from_env().name().to_string(),
-            coll_algo: hpgmxp_comm::CollAlgo::from_env().name().to_string(),
         }
     }
 }
@@ -256,7 +253,7 @@ impl CampaignReport {
         let _ = writeln!(
             s,
             "   host: {} cores, {} rayon threads, {}/{}, simd {} (features {}{}), \
-             comm {}, coll {}",
+             comm {}",
             self.host.logical_cores,
             self.host.rayon_threads,
             self.host.os,
@@ -268,7 +265,6 @@ impl CampaignReport {
                 .as_deref()
                 .map_or(String::new(), |o| format!(", HPGMXP_SIMD={o}")),
             self.host.transport,
-            self.host.coll_algo,
         );
         let mut seen: Vec<&str> = Vec::new();
         for cell in &self.cells {
@@ -354,7 +350,6 @@ mod tests {
                 simd_level: "avx2".into(),
                 simd_override: None,
                 transport: "thread".into(),
-                coll_algo: "rd".into(),
             },
             cells: vec![rated, unrated],
         }
@@ -395,6 +390,5 @@ mod tests {
         assert!(!h.simd_features.is_empty());
         assert!(h.simd_level == "avx2" || h.simd_level == "scalar");
         assert!(["thread", "socket", "shmem"].contains(&h.transport.as_str()));
-        assert!(h.coll_algo == "star" || h.coll_algo == "rd");
     }
 }

@@ -45,6 +45,6 @@ pub mod trace;
 pub mod workload;
 
 pub use model::MachineModel;
-pub use network::{CollModel, NetworkModel};
+pub use network::NetworkModel;
 pub use simulate::{SimConfig, SimResult};
 pub use workload::Workload;

@@ -10,42 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which collective algorithm the model prices — the modeled twin of
-/// the comm crate's `HPGMXP_COLL` engine selector (this crate cannot
-/// depend on the comm crate, so the tiny env parse is duplicated here
-/// with identical semantics: `star`, `rd`, default `rd`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CollModel {
-    /// Rank 0 serializes P-1 receives, reduces, and sends P-1 copies
-    /// back: O(P) latency *and* O(P·bytes) root bandwidth.
-    Star,
-    /// Recursive doubling / tree: ceil(log2 P) rounds, every rank
-    /// carrying the same load.
-    RecursiveDoubling,
-}
-
-impl CollModel {
-    /// Stable lowercase name (matches `HPGMXP_COLL` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            CollModel::Star => "star",
-            CollModel::RecursiveDoubling => "rd",
-        }
-    }
-
-    /// Read `HPGMXP_COLL` once (default: recursive doubling, like the
-    /// measured engine). Unknown values are a loud error.
-    pub fn from_env() -> CollModel {
-        static CACHED: std::sync::OnceLock<CollModel> = std::sync::OnceLock::new();
-        *CACHED.get_or_init(|| match std::env::var("HPGMXP_COLL") {
-            Ok(v) if v == "star" => CollModel::Star,
-            Ok(v) if v == "rd" || v.is_empty() => CollModel::RecursiveDoubling,
-            Ok(v) => panic!("unknown HPGMXP_COLL={v:?} (expected \"star\" or \"rd\")"),
-            Err(_) => CollModel::RecursiveDoubling,
-        })
-    }
-}
-
 /// A cluster interconnect as seen by one rank.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkModel {
@@ -116,43 +80,19 @@ impl NetworkModel {
         msgs as f64 * self.latency + bytes / self.bandwidth
     }
 
-    /// Time for one all-reduce of `bytes` over `ranks` ranks under the
-    /// `HPGMXP_COLL`-selected algorithm (see
-    /// [`NetworkModel::allreduce_time_with`]).
+    /// Time for one all-reduce of `bytes` over `ranks` ranks, priced as
+    /// the collective engine runs it — recursive doubling: reduce +
+    /// broadcast over `2·⌈log₂P⌉` hops, plus the bandwidth term
+    /// (negligible for the scalar reductions of GMRES but kept for the
+    /// blocked CGS2 reductions), plus the `√P` congestion term (OS
+    /// noise and fabric contention every participant absorbs).
     pub fn allreduce_time(&self, ranks: usize, bytes: f64) -> f64 {
-        self.allreduce_time_with(ranks, bytes, CollModel::from_env())
-    }
-
-    /// Time for one all-reduce of `bytes` over `ranks` ranks under an
-    /// explicit collective algorithm:
-    ///
-    /// * recursive doubling — reduce + broadcast over `2·⌈log₂P⌉`
-    ///   hops, plus the bandwidth term (negligible for the scalar
-    ///   reductions of GMRES but kept for the blocked CGS2
-    ///   reductions);
-    /// * star — the root serializes `P−1` receives and `P−1` sends
-    ///   (`2·(P−1)` hop costs) and moves `(P−1)·bytes` through its own
-    ///   NIC each way, so both terms scale linearly in `P`.
-    ///
-    /// Both shapes share the `√P` congestion term — it models OS noise
-    /// and fabric contention every participant absorbs, independent of
-    /// the schedule.
-    pub fn allreduce_time_with(&self, ranks: usize, bytes: f64, algo: CollModel) -> f64 {
         if ranks <= 1 {
             return 0.0;
         }
         let p = ranks as f64;
-        let congestion = self.congestion * p.sqrt();
-        match algo {
-            CollModel::RecursiveDoubling => {
-                let hops = 2.0 * p.log2().ceil();
-                hops * self.allreduce_hop + congestion + bytes / self.bandwidth
-            }
-            CollModel::Star => {
-                let hops = 2.0 * (p - 1.0);
-                hops * self.allreduce_hop + congestion + (p - 1.0) * bytes / self.bandwidth
-            }
-        }
+        let hops = 2.0 * p.log2().ceil();
+        hops * self.allreduce_hop + self.congestion * p.sqrt() + bytes / self.bandwidth
     }
 }
 
@@ -189,31 +129,5 @@ mod tests {
     fn single_rank_communicates_nothing() {
         let n = NetworkModel::shared_memory();
         assert_eq!(n.allreduce_time(1, 1e9), 0.0);
-        assert_eq!(n.allreduce_time_with(1, 1e9, CollModel::Star), 0.0);
-    }
-
-    #[test]
-    fn star_costs_linearly_more_than_recursive_doubling() {
-        let n = NetworkModel::frontier_slingshot();
-        for p in [4usize, 64, 1024] {
-            let star = n.allreduce_time_with(p, 8.0, CollModel::Star);
-            let rd = n.allreduce_time_with(p, 8.0, CollModel::RecursiveDoubling);
-            assert!(star > rd, "P={p}: star {star} must exceed rd {rd}");
-        }
-        // The gap is the point: linear vs logarithmic hop counts.
-        let star = n.allreduce_time_with(1024, 8.0, CollModel::Star);
-        let rd = n.allreduce_time_with(1024, 8.0, CollModel::RecursiveDoubling);
-        let hop_ratio = (star - n.congestion * 32.0) / (rd - n.congestion * 32.0);
-        assert!(hop_ratio > 20.0, "1023 hops vs 10 rounds, got ratio {hop_ratio}");
-        // P=2 is the degenerate case where the schedules coincide.
-        let s2 = n.allreduce_time_with(2, 8.0, CollModel::Star);
-        let r2 = n.allreduce_time_with(2, 8.0, CollModel::RecursiveDoubling);
-        assert_eq!(s2, r2);
-    }
-
-    #[test]
-    fn coll_model_names_are_stable() {
-        assert_eq!(CollModel::Star.name(), "star");
-        assert_eq!(CollModel::RecursiveDoubling.name(), "rd");
     }
 }

@@ -1,5 +1,5 @@
 //! Integration tests of the campaign harness: spec/report serde
-//! round-trips, the golden file pinning report schema v5, the Hybrid
+//! round-trips, the golden file pinning report schema v6, the Hybrid
 //! engine end to end on a tiny world, the unrated (`n/c`) honesty
 //! path, and the per-policy weak-scaling monotonicity property.
 
@@ -131,14 +131,14 @@ fn breakdown_cells_are_unrated_and_render_nc() {
     assert!(row.contains("n/c"), "unrated row must print n/c: {row}");
 }
 
-/// The golden file pinning report schema v5 (v4 + the per-cell
-/// `metrics` snapshot delta): a fully-populated report with fixed
+/// The golden file pinning report schema v6 (v5 without the host's
+/// collective-algorithm stamp): a fully-populated report with fixed
 /// values must serialize to the exact committed JSON. Any field
 /// addition/rename/reorder fails here until `REPORT_SCHEMA` is
 /// bumped and the golden regenerated (set `UPDATE_GOLDEN=1` to
 /// rewrite, then commit the diff deliberately).
 #[test]
-fn report_schema_v5_matches_golden_file() {
+fn report_schema_v6_matches_golden_file() {
     let mut rated = CellReport::new("weak-scaling", SeriesMode::Hybrid, "f32s-f64c", 2);
     rated.transport = "thread".into();
     rated.gflops_per_rank = Some(0.5);
@@ -190,12 +190,11 @@ fn report_schema_v5_matches_golden_file() {
             simd_level: "avx2".into(),
             simd_override: None,
             transport: "shmem".into(),
-            coll_algo: "rd".into(),
         },
         cells: vec![rated, modeled, unrated],
     };
     let json = report.to_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/campaign_report_v5.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/campaign_report_v6.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(path, &json).unwrap();
     }
