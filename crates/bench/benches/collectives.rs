@@ -41,7 +41,7 @@ fn step<C: Comm>(c: &C, signal: f64, barriers: usize) -> bool {
         return false;
     }
     for _ in 0..barriers {
-        c.barrier();
+        c.barrier().unwrap();
     }
     true
 }

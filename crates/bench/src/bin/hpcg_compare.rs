@@ -33,7 +33,7 @@ fn main() {
         let cg_opts = CgOptions { max_iters: iters, tol: 0.0, ..Default::default() };
         let (_, cg_st) = {
             let prob = assemble_with_policy(&spec_src, c.rank(), &PrecisionPolicy::f64());
-            cg_solve(&c, &prob, &cg_opts, &tl)
+            cg_solve(&c, &prob, &cg_opts, &tl).unwrap_or_else(|e| panic!("HPCG phase: {e}"))
         };
         // HPG-MxP phase: GMRES-IR for the same fixed count.
         let ir_opts = GmresOptions {

@@ -112,7 +112,7 @@ fn worker(args: &[String]) {
             }
             // A solve-shaped round: a global reduction plus a ring
             // halo exchange, with real wall time in between.
-            let sum = match c.allreduce_scalar_checked((rank + round) as f64, ReduceOp::Sum) {
+            let sum = match c.allreduce_scalar((rank + round) as f64, ReduceOp::Sum) {
                 Ok(sum) => sum,
                 Err(e) => {
                     eprintln!("rank {rank}: {e}");
@@ -125,8 +125,8 @@ fn worker(args: &[String]) {
                 let payload = (rank as u64).to_le_bytes();
                 let mut buf = [0u8; 8];
                 let exchanged = c
-                    .send_from_checked(next, round as u64, &payload)
-                    .and_then(|_| c.recv_into_checked(prev, round as u64, &mut buf));
+                    .send_from(next, round as u64, &payload)
+                    .and_then(|_| c.recv_into(prev, round as u64, &mut buf));
                 if let Err(e) = exchanged {
                     eprintln!("rank {rank}: {e}");
                     std::process::exit(9);

@@ -3,7 +3,7 @@
 //! Both multi-rank transports used to carry their own allreduce and
 //! barrier (a rank-0 star in the socket world, a leader-reduces path
 //! behind a condvar barrier in the thread world). This module factors
-//! the collectives out into one engine written against checked
+//! the collectives out into one engine written against fallible
 //! point-to-point operations ([`CollEndpoint`]), so a transport only
 //! has to provide `send`/`recv`/`tag` and inherits every collective —
 //! including the fault semantics of its mailbox (typed [`CommError`]s
@@ -128,7 +128,7 @@ pub fn rd_rounds(p: usize) -> u32 {
     usize::BITS - (p - 1).leading_zeros()
 }
 
-/// The checked point-to-point operations a transport lends the engine.
+/// The fallible point-to-point operations a transport lends the engine.
 ///
 /// `coll_send` must be non-blocking with respect to the peer's receive
 /// (delivery into a mailbox / kernel buffer), or the round schedules

@@ -89,20 +89,20 @@ pub trait Comm: Send + Sync {
 
     // ---- required operations ----------------------------------------
     //
-    // Backends implement the fallible `*_checked` family: a detected
-    // transport fault is a typed [`CommError`](crate::CommError) a
-    // solver can propagate up to a diagnostic exit. The panicking
-    // names below are provided on top of them.
+    // Every operation is fallible: a detected transport fault is a
+    // typed [`CommError`](crate::CommError) — its `Display` form names
+    // the peer, e.g. "connection to rank 1 closed" — that a solver
+    // propagates up to a diagnostic exit.
 
     /// Non-blocking buffered send of a tagged message. The backend
     /// copies `bytes` into pooled storage; no ownership transfer. A
     /// send on a dead connection returns the fault.
-    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()>;
+    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()>;
     /// Blocking receive of the next message from `from` with `tag`.
     /// The message length must equal `out.len()`. A failed peer or an
     /// elapsed receive deadline returns a typed fault naming the peer
     /// and tag.
-    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()>;
+    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()>;
     /// Poll for a matching message without blocking; `true` if `out`
     /// was filled.
     fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool;
@@ -110,54 +110,25 @@ pub trait Comm: Send + Sync {
     /// completes, fill its buffer, and hand the completed post back as
     /// `(slot index, post)`. Returns `Ok(None)` once every slot is
     /// `None`.
-    fn wait_any_checked<'p>(
+    fn wait_any<'p>(
         &self,
         posts: &mut [Option<RecvPost<'p>>],
     ) -> CommResult<Option<(usize, RecvPost<'p>)>>;
     /// In-place elementwise all-reduce over all ranks.
     fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()>;
     /// Block until every rank has entered the barrier.
-    fn barrier_checked(&self) -> CommResult<()>;
+    fn barrier(&self) -> CommResult<()>;
 
-    // ---- provided: the loud-failure names ---------------------------
-    //
-    // Each panics with the fault's `Display` form, which names the
-    // peer (e.g. "connection to rank 1 closed").
+    // ---- provided ----------------------------------------------------
 
-    /// [`Comm::send_from_checked`], panicking on a fault.
-    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) {
-        self.send_from_checked(to, tag, bytes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Comm::recv_into_checked`], panicking on a fault.
-    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) {
-        self.recv_into_checked(from, tag, out).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Comm::wait_any_checked`], panicking on a fault.
-    fn wait_any<'p>(&self, posts: &mut [Option<RecvPost<'p>>]) -> Option<(usize, RecvPost<'p>)> {
-        self.wait_any_checked(posts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Comm::allreduce_checked`], panicking on a fault.
+    /// [`Comm::allreduce_checked`], panicking on a fault. Pinned by the
+    /// benchmark adapter, which calls this form.
     fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
         self.allreduce_checked(vals, op).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Comm::barrier_checked`], panicking on a fault.
-    fn barrier(&self) {
-        self.barrier_checked().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// All-reduce a single scalar (the hot path of the DOT motif).
-    fn allreduce_scalar(&self, val: f64, op: ReduceOp) -> f64 {
-        let mut buf = [val];
-        self.allreduce(&mut buf, op);
-        buf[0]
-    }
-
-    /// Fallible [`Comm::allreduce_scalar`].
-    fn allreduce_scalar_checked(&self, val: f64, op: ReduceOp) -> CommResult<f64> {
+    fn allreduce_scalar(&self, val: f64, op: ReduceOp) -> CommResult<f64> {
         let mut buf = [val];
         self.allreduce_checked(&mut buf, op)?;
         Ok(buf[0])
@@ -170,26 +141,6 @@ pub trait Comm: Send + Sync {
     /// real collectives (`SelfComm`).
     fn coll_stats(&self) -> Option<crate::collectives::CollStats> {
         None
-    }
-
-    /// Typed send of a scalar slice (setup-path convenience; packs
-    /// through a temporary buffer).
-    fn send_slice<S: Scalar>(&self, to: usize, tag: u64, data: &[S])
-    where
-        Self: Sized,
-    {
-        self.send_from(to, tag, &pack(data));
-    }
-
-    /// Typed blocking receive into a scalar slice of the expected
-    /// length (setup-path convenience).
-    fn recv_slice<S: Scalar>(&self, from: usize, tag: u64, out: &mut [S])
-    where
-        Self: Sized,
-    {
-        let mut bytes = vec![0u8; out.len() * S::BYTES];
-        self.recv_into(from, tag, &mut bytes);
-        unpack(&bytes, out);
     }
 }
 
@@ -371,16 +322,16 @@ impl Comm for SelfComm {
     fn size(&self) -> usize {
         1
     }
-    fn send_from_checked(&self, _to: usize, _tag: u64, _bytes: &[u8]) -> CommResult<()> {
+    fn send_from(&self, _to: usize, _tag: u64, _bytes: &[u8]) -> CommResult<()> {
         unreachable!("SelfComm has no peers to send to");
     }
-    fn recv_into_checked(&self, _from: usize, _tag: u64, _out: &mut [u8]) -> CommResult<()> {
+    fn recv_into(&self, _from: usize, _tag: u64, _out: &mut [u8]) -> CommResult<()> {
         unreachable!("SelfComm has no peers to receive from");
     }
     fn try_recv_into(&self, _from: usize, _tag: u64, _out: &mut [u8]) -> bool {
         false
     }
-    fn wait_any_checked<'p>(
+    fn wait_any<'p>(
         &self,
         posts: &mut [Option<RecvPost<'p>>],
     ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
@@ -390,7 +341,7 @@ impl Comm for SelfComm {
     fn allreduce_checked(&self, _vals: &mut [f64], _op: ReduceOp) -> CommResult<()> {
         Ok(())
     }
-    fn barrier_checked(&self) -> CommResult<()> {
+    fn barrier(&self) -> CommResult<()> {
         Ok(())
     }
 }
@@ -454,15 +405,15 @@ mod tests {
         let mut v = vec![3.0, -1.0];
         c.allreduce(&mut v, ReduceOp::Sum);
         assert_eq!(v, vec![3.0, -1.0]);
-        assert_eq!(c.allreduce_scalar(7.5, ReduceOp::Max), 7.5);
-        c.barrier();
+        assert_eq!(c.allreduce_scalar(7.5, ReduceOp::Max).unwrap(), 7.5);
+        c.barrier().unwrap();
     }
 
     #[test]
     fn self_comm_wait_any_with_no_posts_is_none() {
         let c = SelfComm;
         let mut posts: [Option<RecvPost>; 2] = [None, None];
-        assert!(c.wait_any(&mut posts).is_none());
+        assert!(c.wait_any(&mut posts).unwrap().is_none());
     }
 
     #[test]

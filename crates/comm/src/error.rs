@@ -8,11 +8,10 @@
 //! that names the culprit instead of hanging until an external
 //! watchdog kills the job.
 //!
-//! The `*_checked` methods on [`crate::Comm`] return
-//! [`CommResult`]; the legacy infallible methods wrap them and panic
-//! with the error's `Display` form, so existing callers keep their
-//! loud-failure behavior and existing diagnostics (every message still
-//! names the peer, e.g. "connection to rank 1 closed").
+//! Every operation of [`crate::Comm`] returns [`CommResult`]. The
+//! error's `Display` form names the peer (e.g. "connection to rank 1
+//! closed"); the one panicking method left, `Comm::allreduce`, panics
+//! with it.
 
 use std::time::Duration;
 

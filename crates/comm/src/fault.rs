@@ -315,7 +315,7 @@ impl<C: Comm> FaultyComm<C> {
     /// at shutdown (the stashed message may have been the last send).
     fn flush_stash(&self) {
         if let Some(held) = self.stash.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            let _ = self.inner.send_from_checked(held.to, held.tag, &held.bytes);
+            let _ = self.inner.send_from(held.to, held.tag, &held.bytes);
         }
     }
 }
@@ -335,7 +335,7 @@ impl<C: Comm> Comm for FaultyComm<C> {
         self.inner.size()
     }
 
-    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
+    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         self.tick();
         let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
         if rng.hit(self.plan.drop) {
@@ -366,29 +366,29 @@ impl<C: Comm> Comm for FaultyComm<C> {
             *stash = Some(Stashed { to, tag, bytes: payload.to_vec() });
             return Ok(());
         }
-        self.inner.send_from_checked(to, tag, payload)?;
+        self.inner.send_from(to, tag, payload)?;
         if duplicate {
-            self.inner.send_from_checked(to, tag, payload)?;
+            self.inner.send_from(to, tag, payload)?;
         }
         if let Some(held) = stash.take() {
-            self.inner.send_from_checked(held.to, held.tag, &held.bytes)?;
+            self.inner.send_from(held.to, held.tag, &held.bytes)?;
         }
         Ok(())
     }
 
-    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        self.inner.recv_into_checked(from, tag, out)
+    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
+        self.inner.recv_into(from, tag, out)
     }
 
     fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool {
         self.inner.try_recv_into(from, tag, out)
     }
 
-    fn wait_any_checked<'p>(
+    fn wait_any<'p>(
         &self,
         posts: &mut [Option<RecvPost<'p>>],
     ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
-        self.inner.wait_any_checked(posts)
+        self.inner.wait_any(posts)
     }
 
     fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
@@ -397,10 +397,10 @@ impl<C: Comm> Comm for FaultyComm<C> {
         self.inner.allreduce_checked(vals, op)
     }
 
-    fn barrier_checked(&self) -> CommResult<()> {
+    fn barrier(&self) -> CommResult<()> {
         self.tick();
         self.flush_stash();
-        self.inner.barrier_checked()
+        self.inner.barrier()
     }
 
     fn coll_stats(&self) -> Option<crate::collectives::CollStats> {
@@ -492,8 +492,8 @@ mod tests {
         assert!(!plan.has_wire_faults());
         let c = FaultyComm::new(SelfComm, plan);
         // Collectives pass through untouched and count exchanges.
-        assert_eq!(c.allreduce_scalar(2.5, ReduceOp::Sum), 2.5);
-        c.barrier();
+        assert_eq!(c.allreduce_scalar(2.5, ReduceOp::Sum).unwrap(), 2.5);
+        c.barrier().unwrap();
         assert_eq!(c.exchanges(), 2);
     }
 
@@ -504,8 +504,8 @@ mod tests {
         plan.events =
             Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 0, at_exchange: 1 }]);
         let c = FaultyComm::new(SelfComm, plan);
-        c.barrier(); // exchange 0 — survives
-        c.barrier(); // exchange 1 — crashes
+        c.barrier().unwrap(); // exchange 0 — survives
+        c.barrier().unwrap(); // exchange 1 — crashes
     }
 
     #[test]
@@ -515,9 +515,9 @@ mod tests {
         plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 0, at_exchange: 0 }]);
         let c = FaultyComm::new(SelfComm, plan);
         let t0 = std::time::Instant::now();
-        c.barrier();
+        c.barrier().unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(60), "the hang really stalls");
-        c.barrier(); // resumes afterwards
+        c.barrier().unwrap(); // resumes afterwards
         assert_eq!(c.exchanges(), 2);
     }
 }

@@ -4,8 +4,9 @@
 //! exchange; this module actually moves the data. Two interfaces are
 //! provided, mirroring the two code paths in the paper:
 //!
-//! * [`HaloExchange::exchange`] — the blocking pattern of the reference
-//!   implementation (pack, send, receive, unpack, then compute);
+//! * [`HaloExchange::exchange_wire_checked`] — the blocking pattern of
+//!   the reference implementation (pack, send, receive, unpack, then
+//!   compute);
 //! * [`HaloExchange::begin`] / [`ActiveExchange::finish`] — the
 //!   split-phase pattern of the optimized implementation (§3.2.3): after
 //!   `begin`, the caller updates interior rows while messages are in
@@ -132,54 +133,20 @@ impl HaloExchange {
     /// and send them to every neighbor (non-blocking transport; the
     /// backend copies out of the staging buffers before returning).
     ///
+    /// The ghost **wire format** is chosen at runtime, independently of
+    /// the compute scalar `S` (the precision policy's wire axis):
+    /// boundary values are rounded to `wire_bytes`-wide wire scalars
+    /// during the pack, and `finish` widens arriving ghosts back into
+    /// `S`. `wire_bytes == S::BYTES` is the native exchange.
+    ///
     /// Returns the type-state handle for this exchange: interior
     /// compute may run while it is alive, and [`ActiveExchange::finish`]
     /// consumes it to scatter the arriving ghosts. Beginning a second
     /// exchange on the same `HaloExchange` while a handle is alive is a
-    /// usage error and panics.
+    /// usage error and panics. A transport fault is returned with the
+    /// staging-buffer lock released, so a caller that recovers can
+    /// begin a fresh exchange.
     pub fn begin<'a, S: Scalar, C: Comm>(
-        &'a self,
-        comm: &C,
-        tag: u64,
-        x: &[S],
-        tl: &Timeline,
-    ) -> ActiveExchange<'a, S> {
-        self.begin_wire(comm, tag, x, S::BYTES, tl)
-    }
-
-    /// [`HaloExchange::begin`] that reports transport faults instead of
-    /// panicking — the fault-tolerant solver path.
-    pub fn begin_checked<'a, S: Scalar, C: Comm>(
-        &'a self,
-        comm: &C,
-        tag: u64,
-        x: &[S],
-        tl: &Timeline,
-    ) -> CommResult<ActiveExchange<'a, S>> {
-        self.begin_wire_checked(comm, tag, x, S::BYTES, tl)
-    }
-
-    /// [`HaloExchange::begin`] with the ghost **wire format** chosen at
-    /// runtime, independently of the compute scalar `S` (the precision
-    /// policy's wire axis): boundary values are rounded to
-    /// `wire_bytes`-wide wire scalars during the pack, and `finish`
-    /// widens arriving ghosts back into `S`. `wire_bytes == S::BYTES`
-    /// is exactly the native exchange.
-    pub fn begin_wire<'a, S: Scalar, C: Comm>(
-        &'a self,
-        comm: &C,
-        tag: u64,
-        x: &[S],
-        wire_bytes: usize,
-        tl: &Timeline,
-    ) -> ActiveExchange<'a, S> {
-        self.begin_wire_checked(comm, tag, x, wire_bytes, tl).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`HaloExchange::begin_wire`] that reports transport faults
-    /// instead of panicking. On error the staging-buffer lock is
-    /// released, so a caller that recovers can begin a fresh exchange.
-    pub fn begin_wire_checked<'a, S: Scalar, C: Comm>(
         &'a self,
         comm: &C,
         tag: u64,
@@ -207,7 +174,7 @@ impl HaloExchange {
                 pack_secs += tl.now() - t0;
             }
             let _send_span = tl.span("halo send", Stream::Comm);
-            comm.send_from_checked(nbr.rank as usize, tag, buf)?;
+            comm.send_from(nbr.rank as usize, tag, buf)?;
             bytes_sent += buf.len();
         }
         Ok(ActiveExchange {
@@ -223,25 +190,10 @@ impl HaloExchange {
     }
 
     /// Blocking exchange: `begin` immediately followed by `finish`
-    /// (the reference implementation's non-overlapped pattern, §3.1).
-    pub fn exchange<S: Scalar, C: Comm>(&self, comm: &C, tag: u64, x: &mut [S], tl: &Timeline) {
-        self.begin(comm, tag, x, tl).finish(comm, x, tl);
-    }
-
-    /// [`HaloExchange::exchange`] that reports transport faults instead
-    /// of panicking.
-    pub fn exchange_checked<S: Scalar, C: Comm>(
-        &self,
-        comm: &C,
-        tag: u64,
-        x: &mut [S],
-        tl: &Timeline,
-    ) -> CommResult<()> {
-        self.begin_checked(comm, tag, x, tl)?.finish_checked(comm, x, tl)
-    }
-
-    /// Blocking exchange at an explicit wire width (see
-    /// [`HaloExchange::begin_wire`]).
+    /// (the reference implementation's non-overlapped pattern, §3.1),
+    /// panicking on a fault. Pinned by the benchmark adapter, which
+    /// calls this form; everything else calls
+    /// [`HaloExchange::exchange_wire_checked`].
     pub fn exchange_wire<S: Scalar, C: Comm>(
         &self,
         comm: &C,
@@ -250,11 +202,11 @@ impl HaloExchange {
         wire_bytes: usize,
         tl: &Timeline,
     ) {
-        self.begin_wire(comm, tag, x, wire_bytes, tl).finish(comm, x, tl);
+        self.exchange_wire_checked(comm, tag, x, wire_bytes, tl).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`HaloExchange::exchange_wire`] that reports transport faults
-    /// instead of panicking.
+    /// Blocking exchange at an explicit wire width (see
+    /// [`HaloExchange::begin`]) that reports transport faults.
     pub fn exchange_wire_checked<S: Scalar, C: Comm>(
         &self,
         comm: &C,
@@ -263,7 +215,7 @@ impl HaloExchange {
         wire_bytes: usize,
         tl: &Timeline,
     ) -> CommResult<()> {
-        self.begin_wire_checked(comm, tag, x, wire_bytes, tl)?.finish_checked(comm, x, tl)
+        self.begin(comm, tag, x, wire_bytes, tl)?.finish(comm, x, tl)
     }
 
     /// Values sent per exchange (per rank), for communication-volume
@@ -314,22 +266,11 @@ impl<S: Scalar> ActiveExchange<'_, S> {
 
     /// Receive from every neighbor — in whatever order the messages
     /// land — and scatter each into the ghost region of `x` while later
-    /// messages are still in flight. Consumes the handle; records an
-    /// [`OverlapRecord`] on the timeline.
-    pub fn finish<C: Comm>(self, comm: &C, x: &mut [S], tl: &Timeline) {
-        self.finish_checked(comm, x, tl).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ActiveExchange::finish`] that reports transport faults (a dead
-    /// or hung neighbor, a corrupt frame) instead of panicking. The
-    /// handle is consumed either way, so the staging buffers are free
-    /// for a post-recovery exchange.
-    pub fn finish_checked<C: Comm>(
-        mut self,
-        comm: &C,
-        x: &mut [S],
-        tl: &Timeline,
-    ) -> CommResult<()> {
+    /// messages are still in flight. Records an [`OverlapRecord`] on
+    /// the timeline. A transport fault (a dead or hung neighbor, a
+    /// corrupt frame) is returned; the handle is consumed either way,
+    /// so the staging buffers are free for a post-recovery exchange.
+    pub fn finish<C: Comm>(mut self, comm: &C, x: &mut [S], tl: &Timeline) -> CommResult<()> {
         let hx = self.hx;
         assert!(x.len() >= hx.n_local + hx.num_ghosts());
         let traced = tl.is_traced();
@@ -350,7 +291,7 @@ impl<S: Scalar> ActiveExchange<'_, S> {
             let t0 = if traced { tl.now() } else { 0.0 };
             let completed = {
                 let _wait_span = tl.span("halo wait", Stream::Comm);
-                comm.wait_any_checked(&mut posts[..nbrs.len()])?
+                comm.wait_any(&mut posts[..nbrs.len()])?
             };
             let Some((slot, post)) = completed else { break };
             let t1 = if traced {
@@ -388,10 +329,9 @@ impl<S: Scalar> ActiveExchange<'_, S> {
 }
 
 /// Gather `x[indices]` into `buf` through the one wire encoder
-/// ([`crate::comm::encode_slice_wire_append`], also behind `pack`/
-/// `send_slice`, so send packing can never desynchronize from
-/// setup-path packing), rounding each value to the exchange's wire
-/// width. Indices are gathered into a stack-resident staging chunk so
+/// ([`crate::comm::encode_slice_wire_append`], also behind `pack`, so
+/// send packing can never desynchronize from setup-path packing),
+/// rounding each value to the exchange's wire width. Indices are gathered into a stack-resident staging chunk so
 /// the wire conversion runs through the batch (SIMD) converters.
 /// `buf` is cleared first; with the staging capacity reserved at
 /// construction this never allocates.
@@ -459,7 +399,7 @@ mod tests {
             let hx = HaloExchange::new(HaloPlan::build(&lg));
             let mut x = global_id_vector(&lg, hx.num_ghosts());
             let tl = Timeline::disabled();
-            hx.exchange(&c, 0, &mut x, &tl);
+            hx.exchange_wire_checked(&c, 0, &mut x, f64::BYTES, &tl).unwrap();
             check_ghosts(&lg, hx.plan(), &x);
         });
     }
@@ -493,13 +433,13 @@ mod tests {
             let tl = Timeline::disabled();
 
             let mut x1 = global_id_vector(&lg, hx.num_ghosts());
-            hx.exchange(&c, 1, &mut x1, &tl);
+            hx.exchange_wire_checked(&c, 1, &mut x1, f64::BYTES, &tl).unwrap();
 
             let mut x2 = global_id_vector(&lg, hx.num_ghosts());
-            let active = hx.begin(&c, 2, &x2, &tl);
+            let active = hx.begin(&c, 2, &x2, f64::BYTES, &tl).unwrap();
             // Simulated interior work between the phases.
             std::hint::black_box(x2.iter().sum::<f64>());
-            active.finish(&c, &mut x2, &tl);
+            active.finish(&c, &mut x2, &tl).unwrap();
 
             assert_eq!(x1, x2);
         });
@@ -516,7 +456,7 @@ mod tests {
             let tl = Timeline::disabled();
             for round in 0..5u64 {
                 let mut x = global_id_vector(&lg, hx.num_ghosts());
-                hx.exchange(&c, round * 2, &mut x, &tl);
+                hx.exchange_wire_checked(&c, round * 2, &mut x, f64::BYTES, &tl).unwrap();
                 check_ghosts(&lg, hx.plan(), &x);
 
                 let n = lg.total_points();
@@ -524,7 +464,7 @@ mod tests {
                 for (i, v) in x32[..n].iter_mut().enumerate() {
                     *v = (c.rank() * 1000 + i) as f32;
                 }
-                hx.exchange(&c, round * 2 + 1, &mut x32, &tl);
+                hx.exchange_wire_checked(&c, round * 2 + 1, &mut x32, f32::BYTES, &tl).unwrap();
                 let expect_base = if c.rank() == 0 { 1000.0 } else { 0.0 };
                 // +x face of rank 0 is x=2 column: indices 2,5,8,...
                 // -x face of rank 1 is x=0 column: indices 0,3,6,...
@@ -548,8 +488,42 @@ mod tests {
         let tl = Timeline::disabled();
         let c = crate::comm::SelfComm;
         let x = vec![0.0f64; lg.total_points()];
-        let _active = hx.begin(&c, 0, &x, &tl);
-        let _second = hx.begin(&c, 1, &x, &tl); // must panic
+        let _active = hx.begin(&c, 0, &x, f64::BYTES, &tl).unwrap();
+        let _second = hx.begin(&c, 1, &x, f64::BYTES, &tl).unwrap(); // must panic
+    }
+
+    #[test]
+    fn a_failed_finish_releases_the_staging_buffers() {
+        // Rank 1 crashes at its first comm operation (the send inside
+        // its first `begin`), so rank 0's `finish` waits on a dead peer.
+        use crate::error::CommErrorKind;
+        use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultyComm};
+        use crate::thread_world::run_threads_fallible;
+        let mut plan = FaultPlan::clean(1);
+        plan.events =
+            Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 1, at_exchange: 0 }]);
+        let procs = ProcGrid::new(2, 1, 1);
+        let deadline = Some(std::time::Duration::from_secs(10));
+        let results = run_threads_fallible(2, deadline, move |c| {
+            let c = FaultyComm::new(c, plan.clone());
+            let lg = LocalGrid::new((2, 2, 2), procs, c.rank() as u32);
+            let hx = HaloExchange::new(HaloPlan::build(&lg));
+            let tl = Timeline::disabled();
+            let mut x = global_id_vector(&lg, hx.num_ghosts());
+            let active = hx.begin(&c, 0, &x, f64::BYTES, &tl).expect("sends are buffered");
+            let err = active.finish(&c, &mut x, &tl).expect_err("the peer crashed");
+            // A recovering caller begins again on the same level: the
+            // failed `finish` must have released the staging lock.
+            let again = hx.begin(&c, 1, &x, f64::BYTES, &tl);
+            (err.kind, again.is_ok())
+        });
+        assert!(results[1].is_err(), "rank 1 must have crashed");
+        let (kind, began) = results[0].as_ref().expect("rank 0 must not panic");
+        assert!(
+            matches!(kind, CommErrorKind::PeerLost | CommErrorKind::PeerClosed),
+            "unexpected fault kind {kind:?}"
+        );
+        assert!(began, "the second begin reached the transport");
     }
 
     #[test]
@@ -564,7 +538,7 @@ mod tests {
                 *v = (c.rank() * 100 + i) as f32;
             }
             let tl = Timeline::disabled();
-            hx.exchange(&c, 0, &mut x, &tl);
+            hx.exchange_wire_checked(&c, 0, &mut x, f32::BYTES, &tl).unwrap();
             // Rank 0's +x face is its x=1 column: local indices 1,3,5,7
             // → values 1,3,5,7 (+100 on rank 1's side).
             if c.rank() == 1 {
@@ -588,7 +562,7 @@ mod tests {
                 *v = Half::from_f32((c.rank() * 100 + i) as f32);
             }
             let tl = Timeline::disabled();
-            hx.exchange(&c, 0, &mut x, &tl);
+            hx.exchange_wire_checked(&c, 0, &mut x, Half::BYTES, &tl).unwrap();
             let got: Vec<f32> = x[n..n + 4].iter().map(|h| h.to_f32()).collect();
             if c.rank() == 1 {
                 assert_eq!(got, vec![1.0, 3.0, 5.0, 7.0]);
@@ -638,16 +612,21 @@ mod tests {
 
     #[test]
     fn wire_native_matches_typed_exchange_bitwise() {
+        // An f64 vector shipped on a 4-byte wire lands the same ghosts
+        // as its f32 copy shipped at native width, widened on arrival.
         let procs = ProcGrid::new(2, 1, 1);
         run_spmd(2, move |c| {
             let lg = LocalGrid::new((3, 3, 3), procs, c.rank() as u32);
             let hx = HaloExchange::new(HaloPlan::build(&lg));
             let tl = Timeline::disabled();
-            let mut a = global_id_vector(&lg, hx.num_ghosts());
-            let mut b = a.clone();
-            hx.exchange(&c, 0, &mut a, &tl);
-            hx.exchange_wire(&c, 1, &mut b, 8, &tl);
-            assert_eq!(a, b);
+            let mut a: Vec<f64> =
+                global_id_vector(&lg, hx.num_ghosts()).iter().map(|v| 0.01 + v * 0.1).collect();
+            let mut b: Vec<f32> = a.iter().map(|&v| v as f32).collect();
+            hx.exchange_wire_checked(&c, 0, &mut a, f32::BYTES, &tl).unwrap();
+            hx.exchange_wire_checked(&c, 1, &mut b, f32::BYTES, &tl).unwrap();
+            let n = lg.total_points();
+            let widened: Vec<f64> = b[n..].iter().map(|&v| v as f64).collect();
+            assert_eq!(&a[n..], &widened[..]);
         });
     }
 
@@ -660,7 +639,7 @@ mod tests {
             let n = lg.total_points();
             let mut x = vec![1.0f64; n + hx.num_ghosts()];
             let tl = Timeline::enabled();
-            hx.exchange(&c, 0, &mut x, &tl);
+            hx.exchange_wire_checked(&c, 0, &mut x, f64::BYTES, &tl).unwrap();
             (tl.events().len(), tl.overlap_records(), hx.send_bytes::<f64>())
         });
         for (n_events, records, wire_bytes) in per_rank {

@@ -10,8 +10,8 @@
 //!   nonblocking sends out of caller buffers (`send_from`), posted
 //!   receives into caller buffers (`recv_into`), an any-neighbor
 //!   completion wait (`wait_any`, the `MPI_Waitany` pattern),
-//!   all-reduce, barrier — plus [`SelfComm`], the trivial single-rank
-//!   world;
+//!   all-reduce, barrier — each returning a typed [`CommResult`] — plus
+//!   [`SelfComm`], the trivial single-rank world;
 //! * [`thread_world`] — [`ThreadWorld`]: a world of `P` ranks backed by
 //!   OS threads and condvar-signalled mailboxes with pooled message
 //!   buffers (allocation-free at steady state), with MPI-like per-pair
@@ -27,7 +27,7 @@
 //!   ring buffers in `/dev/shm` (rendezvous + `RingLink`) — no kernel
 //!   socket on the data path;
 //! * [`collectives`] — the shared collective engine: recursive-doubling
-//!   allreduce/barrier/allgather written against checked
+//!   allreduce/barrier/allgather written against the fallible
 //!   point-to-point ops, folding in rank order so results are
 //!   bit-identical across transports, with per-endpoint traffic
 //!   counters;

@@ -124,7 +124,7 @@ impl Mailbox {
 
     /// Deliver one message (producer side) and wake any waiter. A
     /// `ledger` counter is bumped inside the same critical section, so
-    /// a [`Mailbox::wait_until_checked`] predicate that reads it (the
+    /// a [`Mailbox::wait_until`] predicate that reads it (the
     /// mesh flush barrier's delivery count) can never see the count
     /// before the message is receivable.
     pub fn push(&self, msg: Message, ledger: Option<&AtomicU64>) {
@@ -241,7 +241,7 @@ impl Mailbox {
     /// Blocking receive of the next message matching `(from, tag)`,
     /// returning a typed fault if the peer failed or the receive
     /// deadline elapsed.
-    pub fn recv_matching_checked(&self, from: usize, tag: u64) -> CommResult<Message> {
+    pub fn recv_matching(&self, from: usize, tag: u64) -> CommResult<Message> {
         let started = Instant::now();
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -270,7 +270,7 @@ impl Mailbox {
     /// post, copies the payload, and recycles the buffer. A fault on
     /// any still-posted peer, or the receive deadline, is a typed
     /// error.
-    pub fn wait_any_matching_checked(
+    pub fn wait_any_matching(
         &self,
         posts: &[Option<RecvPost<'_>>],
     ) -> CommResult<(usize, Message)> {
@@ -310,7 +310,7 @@ impl Mailbox {
     /// returns true — the mesh flush barrier waits on per-peer
     /// delivery counters this way. Any peer fault (a barrier needs
     /// everyone), or the receive deadline, is a typed error.
-    pub fn wait_until_checked(&self, mut enough: impl FnMut() -> bool) -> CommResult<()> {
+    pub fn wait_until(&self, mut enough: impl FnMut() -> bool) -> CommResult<()> {
         let started = Instant::now();
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -355,10 +355,10 @@ mod tests {
         let mb = Mailbox::new();
         mb.fail(1, CommErrorKind::PeerClosed, "connection to rank 1 closed".into());
         mb.push(msg(2, 7, 42), None);
-        let got = mb.recv_matching_checked(2, 7).expect("rank 2 is alive");
+        let got = mb.recv_matching(2, 7).expect("rank 2 is alive");
         assert_eq!((got.from, got.tag, got.data[0]), (2, 7, 42));
         // But a receive that *needs* the dead peer fails, typed.
-        let err = mb.recv_matching_checked(1, 7).unwrap_err();
+        let err = mb.recv_matching(1, 7).unwrap_err();
         assert_eq!(err.kind, CommErrorKind::PeerClosed);
         assert_eq!(err.peer, Some(1));
         assert_eq!(err.tag, Some(7));
@@ -372,10 +372,10 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(1, 3, 9), None);
         mb.fail(1, CommErrorKind::PeerClosed, "connection to rank 1 closed".into());
-        let got = mb.recv_matching_checked(1, 3).expect("pre-fault message is receivable");
+        let got = mb.recv_matching(1, 3).expect("pre-fault message is receivable");
         assert_eq!(got.data[0], 9);
         // The next receive hits the fault.
-        assert!(mb.recv_matching_checked(1, 3).is_err());
+        assert!(mb.recv_matching(1, 3).is_err());
     }
 
     #[test]
@@ -400,7 +400,7 @@ mod tests {
     fn receive_deadline_returns_typed_timeout() {
         let mb = Mailbox::with_deadline(Some(Duration::from_millis(30)));
         let started = Instant::now();
-        let err = mb.recv_matching_checked(0, 5).unwrap_err();
+        let err = mb.recv_matching(0, 5).unwrap_err();
         assert_eq!(err.kind, CommErrorKind::Timeout);
         assert_eq!((err.peer, err.tag), (Some(0), Some(5)));
         assert!(err.elapsed >= Duration::from_millis(30), "elapsed {:?}", err.elapsed);
@@ -412,7 +412,7 @@ mod tests {
         let mb = Mailbox::with_deadline(Some(Duration::from_millis(30)));
         let mut b = [0u8; 1];
         let posts = [Some(RecvPost::new(3, 11, &mut b))];
-        let err = mb.wait_any_matching_checked(&posts).unwrap_err();
+        let err = mb.wait_any_matching(&posts).unwrap_err();
         assert_eq!(err.kind, CommErrorKind::Timeout);
         assert_eq!((err.peer, err.tag), (Some(3), Some(11)));
     }
@@ -421,7 +421,7 @@ mod tests {
     fn barrier_wait_reports_any_fault() {
         let mb = Mailbox::new();
         mb.fail(2, CommErrorKind::PeerLost, "connection to rank 2 lost: io".into());
-        let err = mb.wait_until_checked(|| false).unwrap_err();
+        let err = mb.wait_until(|| false).unwrap_err();
         assert_eq!(err.kind, CommErrorKind::PeerLost);
         assert!(err.detail.contains("barrier cannot complete: rank 2"), "{}", err.detail);
     }
@@ -446,7 +446,7 @@ mod tests {
                 }
             });
             for i in 0..N {
-                mb.wait_until_checked(|| delivered.load(Ordering::SeqCst) > i).expect("no fault");
+                mb.wait_until(|| delivered.load(Ordering::SeqCst) > i).expect("no fault");
                 if mb.try_recv_matching(1, i).is_none() {
                     // Release the producer before failing: the scope
                     // joins it.

@@ -367,11 +367,11 @@ impl<L: Link> MeshComm<L> {
     }
 
     /// Frame and send on the peer's link, or self-deliver. Used by both
-    /// `send_from_checked` (data tags, counted on the flush ledger) and
+    /// `send_from` (data tags, counted on the flush ledger) and
     /// the collectives (reserved tags, uncounted). A write failure is a
     /// typed `PeerLost` fault — and this is the seam where an armed
     /// [`FaultPlan`] injects wire faults into outgoing data frames.
-    fn send_raw_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
+    fn send_raw(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         let s = &self.shared;
         assert!(to < s.size, "send to rank {to} in a world of {}", s.size);
         if to == s.rank {
@@ -530,8 +530,8 @@ impl<L: Link> MeshComm<L> {
     /// discard anything still parked, recycling the buffers. Run
     /// between SPMD closures on the reused process-global mesh so one
     /// run's unconsumed messages cannot leak into the next.
-    pub fn quiesce(&self) {
-        self.barrier();
+    pub fn quiesce(&self) -> CommResult<()> {
+        self.barrier()?;
         // Drain only user data: a fast peer may already have parked its
         // *next* collective here, and swallowing it would deadlock that
         // collective on this rank.
@@ -541,7 +541,7 @@ impl<L: Link> MeshComm<L> {
         // Hold everyone until every rank has drained: a peer released
         // from the first barrier would otherwise start the *next* run's
         // sends, and a slow rank's drain could swallow them.
-        self.barrier();
+        self.barrier()
     }
 }
 
@@ -658,13 +658,13 @@ impl<L: Link> Comm for MeshComm<L> {
         self.shared.size
     }
 
-    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
+    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         assert!(tag & COLLECTIVE_TAG_BIT == 0, "tag {tag:#x} uses the reserved collective bit");
-        self.send_raw_checked(to, tag, bytes)
+        self.send_raw(to, tag, bytes)
     }
 
-    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        let msg = self.shared.mailbox.recv_matching_checked(from, tag)?;
+    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
+        let msg = self.shared.mailbox.recv_matching(from, tag)?;
         self.deliver(msg, out);
         Ok(())
     }
@@ -679,14 +679,14 @@ impl<L: Link> Comm for MeshComm<L> {
         }
     }
 
-    fn wait_any_checked<'p>(
+    fn wait_any<'p>(
         &self,
         posts: &mut [Option<RecvPost<'p>>],
     ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
         if posts.iter().all(Option::is_none) {
             return Ok(None);
         }
-        let (slot, msg) = self.shared.mailbox.wait_any_matching_checked(posts)?;
+        let (slot, msg) = self.shared.mailbox.wait_any_matching(posts)?;
         let post = posts[slot].take().expect("slot matched in mailbox");
         self.deliver(msg, post.buf);
         Ok(Some((slot, post)))
@@ -697,7 +697,7 @@ impl<L: Link> Comm for MeshComm<L> {
         collectives::allreduce(self, &mut coll.scratch, vals, op)
     }
 
-    fn barrier_checked(&self) -> CommResult<()> {
+    fn barrier(&self) -> CommResult<()> {
         let s = &self.shared;
         if s.size == 1 {
             return Ok(());
@@ -715,7 +715,7 @@ impl<L: Link> Comm for MeshComm<L> {
         collectives::allgather_u64(self, scratch, row, counts)?;
         s.counters.count_barrier();
         let (size, me) = (s.size, s.rank);
-        s.mailbox.wait_until_checked(|| {
+        s.mailbox.wait_until(|| {
             (0..size).all(|i| s.data_delivered[i].load(Ordering::SeqCst) >= counts[i * size + me])
         })
     }
@@ -735,11 +735,11 @@ impl<L: Link> collectives::CollEndpoint for MeshComm<L> {
     }
 
     fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        self.send_raw_checked(to, tag, bytes)
+        self.send_raw(to, tag, bytes)
     }
 
     fn coll_recv(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        self.recv_into_checked(from, tag, out)
+        self.recv_into(from, tag, out)
     }
 
     /// Next reserved collective tag; identical on every rank because
@@ -847,18 +847,18 @@ pub(crate) mod suite {
     pub(crate) fn ping_pong<L: TestWorld>() {
         let results = run_world::<L, _>(2, |c| {
             if c.rank() == 0 {
-                c.send_from(1, 7, &pack(&[1.5f64, -2.5]));
+                c.send_from(1, 7, &pack(&[1.5f64, -2.5])).unwrap();
                 let mut got = vec![0u8; 8];
-                c.recv_into(1, 8, &mut got);
+                c.recv_into(1, 8, &mut got).unwrap();
                 let mut out = [0.0f64; 1];
                 unpack(&got, &mut out);
                 out[0]
             } else {
                 let mut got = vec![0u8; 16];
-                c.recv_into(0, 7, &mut got);
+                c.recv_into(0, 7, &mut got).unwrap();
                 let mut vals = [0.0f64; 2];
                 unpack(&got, &mut vals);
-                c.send_from(0, 8, &pack(&[vals[0] + vals[1]]));
+                c.send_from(0, 8, &pack(&[vals[0] + vals[1]])).unwrap();
                 0.0
             }
         });
@@ -928,11 +928,11 @@ pub(crate) mod suite {
         // even though it crossed a real pipe.
         let results = run_world::<L, _>(2, |c| {
             if c.rank() == 0 {
-                c.send_from(1, 77, &[42]);
-                c.barrier();
+                c.send_from(1, 77, &[42]).unwrap();
+                c.barrier().unwrap();
                 true
             } else {
-                c.barrier();
+                c.barrier().unwrap();
                 let mut buf = [0u8; 1];
                 let got = c.try_recv_into(0, 77, &mut buf);
                 got && buf[0] == 42
@@ -945,9 +945,9 @@ pub(crate) mod suite {
         let results = run_world::<L, _>(3, |c| {
             let mut acc = 0.0;
             for i in 0..25 {
-                acc = c.allreduce_scalar(acc + i as f64 + c.rank() as f64, ReduceOp::Sum);
+                acc = c.allreduce_scalar(acc + i as f64 + c.rank() as f64, ReduceOp::Sum).unwrap();
                 if i % 5 == 0 {
-                    c.barrier();
+                    c.barrier().unwrap();
                 }
             }
             acc
@@ -967,23 +967,23 @@ pub(crate) mod suite {
             if c.rank() == 2 {
                 let mut b0 = [0u8; 1];
                 let mut b1 = [0u8; 1];
-                c.barrier();
-                c.barrier();
+                c.barrier().unwrap();
+                c.barrier().unwrap();
                 let mut posts =
                     [Some(RecvPost::new(0, 9, &mut b0)), Some(RecvPost::new(1, 9, &mut b1))];
-                let (first, _) = c.wait_any(&mut posts).expect("two posts live");
-                let (second, _) = c.wait_any(&mut posts).expect("one post live");
-                assert!(c.wait_any(&mut posts).is_none());
+                let (first, _) = c.wait_any(&mut posts).unwrap().expect("two posts live");
+                let (second, _) = c.wait_any(&mut posts).unwrap().expect("one post live");
+                assert!(c.wait_any(&mut posts).unwrap().is_none());
                 vec![first, second]
             } else if c.rank() == 1 {
-                c.send_from(2, 9, &[11]);
-                c.barrier();
-                c.barrier();
+                c.send_from(2, 9, &[11]).unwrap();
+                c.barrier().unwrap();
+                c.barrier().unwrap();
                 vec![]
             } else {
-                c.barrier();
-                c.barrier();
-                c.send_from(2, 9, &[10]);
+                c.barrier().unwrap();
+                c.barrier().unwrap();
+                c.send_from(2, 9, &[10]).unwrap();
                 vec![]
             }
         });
@@ -993,13 +993,13 @@ pub(crate) mod suite {
     pub(crate) fn quiesce_recycles_unconsumed_messages<L: TestWorld>() {
         run_world::<L, _>(2, |c| {
             if c.rank() == 0 {
-                c.send_from(1, 5, &[1, 2, 3]);
+                c.send_from(1, 5, &[1, 2, 3]).unwrap();
             }
-            c.quiesce();
+            c.quiesce().unwrap();
             // The unconsumed message is gone; its buffer is pooled.
             let mut buf = [0u8; 3];
             assert!(!c.try_recv_into(0, 5, &mut buf), "quiesce drained the mailbox");
-            c.barrier();
+            c.barrier().unwrap();
         });
     }
 
@@ -1008,19 +1008,19 @@ pub(crate) mod suite {
         // stable population — buffers cycle instead of accumulating.
         let results = run_world::<L, _>(2, |c| {
             c.prewarm_pool(256);
-            c.barrier();
+            c.barrier().unwrap();
             let peer = 1 - c.rank();
             let mut buf = [0u8; 256];
             for round in 0..50u64 {
                 if c.rank() == 0 {
-                    c.send_from(peer, round, &[7u8; 256]);
-                    c.recv_into(peer, round, &mut buf);
+                    c.send_from(peer, round, &[7u8; 256]).unwrap();
+                    c.recv_into(peer, round, &mut buf).unwrap();
                 } else {
-                    c.recv_into(peer, round, &mut buf);
-                    c.send_from(peer, round, &buf);
+                    c.recv_into(peer, round, &mut buf).unwrap();
+                    c.send_from(peer, round, &buf).unwrap();
                 }
             }
-            c.barrier();
+            c.barrier().unwrap();
             c.shared.pools.iter().map(|p| p.lock().unwrap().len()).sum::<usize>()
         });
         for pooled in results {
@@ -1031,38 +1031,31 @@ pub(crate) mod suite {
     pub(crate) fn single_rank_world_is_trivial<L: TestWorld>() {
         let c = L::connect(0, 1, &L::fresh(), MeshConfig::from_env());
         assert_eq!((c.rank(), c.size()), (0, 1));
-        assert_eq!(c.allreduce_scalar(5.0, ReduceOp::Sum), 5.0);
-        c.barrier();
+        assert_eq!(c.allreduce_scalar(5.0, ReduceOp::Sum).unwrap(), 5.0);
+        c.barrier().unwrap();
         // Loopback send/recv works without any link.
-        c.send_from(0, 1, &[9]);
+        c.send_from(0, 1, &[9]).unwrap();
         let mut buf = [0u8; 1];
-        c.recv_into(0, 1, &mut buf);
+        c.recv_into(0, 1, &mut buf).unwrap();
         assert_eq!(buf[0], 9);
     }
 
     pub(crate) fn dead_peer_fails_receives_loudly<L: TestWorld>() {
         // Rank 1 leaves after the barrier; dropping its endpoint closes
-        // its links, so rank 0's receive must fail typed — and the
-        // panicking name must die with the same diagnostic — not hang.
+        // its links, so rank 0's receive must fail typed, naming the
+        // peer — and so must a retry — not hang.
         run_world::<L, _>(2, |c| {
-            c.barrier();
+            c.barrier().unwrap();
             if c.rank() == 1 {
                 return;
             }
             let mut buf = [0u8; 1];
-            let err = c.recv_into_checked(1, 3, &mut buf).unwrap_err();
+            let err = c.recv_into(1, 3, &mut buf).unwrap_err();
             assert_eq!(err.kind, CommErrorKind::PeerClosed);
             assert_eq!((err.peer, err.tag), (Some(1), Some(3)));
             assert!(err.detail.contains("connection to rank 1 closed"), "{}", err.detail);
-            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c.recv_into(1, 3, &mut buf);
-            }))
-            .expect_err("receive from a dead peer must fail");
-            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(
-                msg.contains("connection to rank 1 closed"),
-                "diagnostic names the peer: {msg}"
-            );
+            let again = c.recv_into(1, 3, &mut buf).unwrap_err();
+            assert!(again.to_string().contains("connection to rank 1 closed"), "{again}");
         });
     }
 
@@ -1085,7 +1078,7 @@ pub(crate) mod suite {
             }
             let started = Instant::now();
             let mut buf = [0u8; 1];
-            let err = c.recv_into_checked(1, 3, &mut buf).unwrap_err();
+            let err = c.recv_into(1, 3, &mut buf).unwrap_err();
             assert_eq!(err.kind, CommErrorKind::PeerLost);
             assert_eq!(err.peer, Some(1));
             assert!(err.detail.contains("no heartbeat from rank 1"), "{}", err.detail);
@@ -1111,7 +1104,7 @@ pub(crate) mod suite {
                 return;
             }
             let mut buf = [0u8; 1];
-            let err = c.recv_into_checked(1, 3, &mut buf).unwrap_err();
+            let err = c.recv_into(1, 3, &mut buf).unwrap_err();
             assert_eq!(err.kind, CommErrorKind::Timeout);
             assert_eq!((err.peer, err.tag), (Some(1), Some(3)));
             assert!(err.elapsed >= Duration::from_millis(100));
@@ -1129,11 +1122,11 @@ pub(crate) mod suite {
         };
         run_pair::<L>(corruptor, MeshConfig::default(), |c| {
             if c.rank() == 0 {
-                c.send_from(1, 9, &[1, 2, 3, 4]);
+                c.send_from(1, 9, &[1, 2, 3, 4]).unwrap();
                 return;
             }
             let mut buf = [0u8; 4];
-            let err = c.recv_into_checked(0, 9, &mut buf).unwrap_err();
+            let err = c.recv_into(0, 9, &mut buf).unwrap_err();
             assert_eq!(err.kind, CommErrorKind::Corrupt);
             assert_eq!(err.peer, Some(0));
             assert!(err.detail.contains("corrupt frame from rank 0"), "{}", err.detail);
@@ -1152,13 +1145,13 @@ pub(crate) mod suite {
             MeshConfig { recv_deadline: Some(Duration::from_millis(100)), ..Default::default() };
         run_pair::<L>(dropper, receiver, |c| {
             if c.rank() == 0 {
-                c.send_from(1, 5, &[42]); // vanishes on the wire
+                c.send_from(1, 5, &[42]).unwrap(); // vanishes on the wire
             } else {
                 let mut buf = [0u8; 1];
-                let err = c.recv_into_checked(0, 5, &mut buf).unwrap_err();
+                let err = c.recv_into(0, 5, &mut buf).unwrap_err();
                 assert_eq!(err.kind, CommErrorKind::Timeout);
             }
-            c.barrier(); // must still complete
+            c.barrier().unwrap(); // must still complete
         });
     }
 
@@ -1171,10 +1164,10 @@ pub(crate) mod suite {
         };
         run_pair::<L>(duper, MeshConfig::default(), |c| {
             if c.rank() == 0 {
-                c.send_from(1, 6, &[9]);
-                c.barrier();
+                c.send_from(1, 6, &[9]).unwrap();
+                c.barrier().unwrap();
             } else {
-                c.barrier(); // flushes both copies into the mailbox
+                c.barrier().unwrap(); // flushes both copies into the mailbox
                 let mut buf = [0u8; 1];
                 assert!(c.try_recv_into(0, 6, &mut buf));
                 assert_eq!(buf[0], 9);

@@ -568,7 +568,7 @@ mod tests {
     #[test]
     fn world_file_is_unlinked_after_attach() {
         let id = fresh_id("unlink");
-        run_pair(&id, MeshConfig::default(), DEFAULT_RING_BYTES, |c| c.barrier());
+        run_pair(&id, MeshConfig::default(), DEFAULT_RING_BYTES, |c| c.barrier().unwrap());
         assert!(
             !std::path::Path::new(&format!("/dev/shm/hpgmxp-{id}")).exists(),
             "rank 0 must unlink the world file once every rank is attached"
@@ -584,11 +584,11 @@ mod tests {
         let got = run_pair(&fresh_id("bigmsg"), MeshConfig::default(), 4096, |c| {
             let mut got = vec![0u8; 65536];
             if c.rank() == 0 {
-                c.send_from(1, 9, &payload);
+                c.send_from(1, 9, &payload).unwrap();
             } else {
-                c.recv_into(0, 9, &mut got);
+                c.recv_into(0, 9, &mut got).unwrap();
             }
-            c.barrier();
+            c.barrier().unwrap();
             got
         });
         assert_eq!(got[1], payload);
@@ -612,7 +612,7 @@ mod tests {
 
         let payload = vec![7u8; 8192]; // twice the ring
         let started = Instant::now();
-        let err = c.send_from_checked(1, 5, &payload).unwrap_err();
+        let err = c.send_from(1, 5, &payload).unwrap_err();
         assert_eq!(err.kind, CommErrorKind::PeerLost);
         assert_eq!(err.peer, Some(1));
         assert_eq!(err.tag, Some(5));

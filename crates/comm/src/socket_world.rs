@@ -345,7 +345,7 @@ mod tests {
             for rank in 0..2 {
                 s.spawn(move || {
                     let c = SocketWorld::connect_with_config(rank, 2, base, MeshConfig::default());
-                    assert_eq!(c.allreduce_scalar(1.0, ReduceOp::Sum), 2.0);
+                    assert_eq!(c.allreduce_scalar(1.0, ReduceOp::Sum).unwrap(), 2.0);
                 });
             }
         });

@@ -161,7 +161,7 @@ impl Comm for ThreadComm {
         self.size
     }
 
-    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
+    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         let mut data = pool_take(&self.shared.pool, bytes.len());
         data.clear();
         data.extend_from_slice(bytes);
@@ -169,8 +169,8 @@ impl Comm for ThreadComm {
         Ok(())
     }
 
-    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        let msg = self.inbox().recv_matching_checked(from, tag)?;
+    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
+        let msg = self.inbox().recv_matching(from, tag)?;
         self.deliver(msg, out);
         Ok(())
     }
@@ -185,14 +185,14 @@ impl Comm for ThreadComm {
         }
     }
 
-    fn wait_any_checked<'p>(
+    fn wait_any<'p>(
         &self,
         posts: &mut [Option<RecvPost<'p>>],
     ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
         if posts.iter().all(Option::is_none) {
             return Ok(None);
         }
-        let (slot, msg) = self.inbox().wait_any_matching_checked(posts)?;
+        let (slot, msg) = self.inbox().wait_any_matching(posts)?;
         let post = posts[slot].take().expect("slot matched in mailbox");
         self.deliver(msg, post.buf);
         Ok(Some((slot, post)))
@@ -203,7 +203,7 @@ impl Comm for ThreadComm {
         collectives::allreduce(self, &mut scratch, vals, op)
     }
 
-    fn barrier_checked(&self) -> CommResult<()> {
+    fn barrier(&self) -> CommResult<()> {
         collectives::barrier(self)
     }
 
@@ -222,11 +222,11 @@ impl collectives::CollEndpoint for ThreadComm {
     }
 
     fn coll_send(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
-        self.send_from_checked(to, tag, bytes)
+        self.send_from(to, tag, bytes)
     }
 
     fn coll_recv(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
-        self.recv_into_checked(from, tag, out)
+        self.recv_into(from, tag, out)
     }
 
     fn next_coll_tag(&self) -> u64 {
@@ -307,14 +307,14 @@ mod tests {
     fn ping_pong() {
         let results = run_threads(2, |c| {
             if c.rank() == 0 {
-                c.send_from(1, 7, &[1, 2, 3]);
+                c.send_from(1, 7, &[1, 2, 3]).unwrap();
                 let mut got = vec![0u8; 1];
-                c.recv_into(1, 8, &mut got);
+                c.recv_into(1, 8, &mut got).unwrap();
                 got
             } else {
                 let mut got = vec![0u8; 3];
-                c.recv_into(0, 7, &mut got);
-                c.send_from(0, 8, &[9]);
+                c.recv_into(0, 7, &mut got).unwrap();
+                c.send_from(0, 8, &[9]).unwrap();
                 got
             }
         });
@@ -325,9 +325,9 @@ mod tests {
     #[test]
     fn allreduce_sum_and_max() {
         let results = run_threads(4, |c| {
-            let sum = c.allreduce_scalar(c.rank() as f64 + 1.0, ReduceOp::Sum);
-            let max = c.allreduce_scalar(c.rank() as f64, ReduceOp::Max);
-            let min = c.allreduce_scalar(c.rank() as f64, ReduceOp::Min);
+            let sum = c.allreduce_scalar(c.rank() as f64 + 1.0, ReduceOp::Sum).unwrap();
+            let max = c.allreduce_scalar(c.rank() as f64, ReduceOp::Max).unwrap();
+            let min = c.allreduce_scalar(c.rank() as f64, ReduceOp::Min).unwrap();
             (sum, max, min)
         });
         for (sum, max, min) in results {
@@ -354,7 +354,7 @@ mod tests {
         let results = run_threads(4, |c| {
             let mut acc = 0.0;
             for i in 0..50 {
-                acc = c.allreduce_scalar(acc + i as f64, ReduceOp::Sum);
+                acc = c.allreduce_scalar(acc + i as f64, ReduceOp::Sum).unwrap();
             }
             acc
         });
@@ -368,15 +368,15 @@ mod tests {
     fn out_of_order_tags_are_matched() {
         let results = run_threads(2, |c| {
             if c.rank() == 0 {
-                c.send_from(1, 1, &[1]);
-                c.send_from(1, 2, &[2]);
+                c.send_from(1, 1, &[1]).unwrap();
+                c.send_from(1, 2, &[2]).unwrap();
                 vec![]
             } else {
                 // Receive tag 2 first although tag 1 arrived first.
                 let mut b = [0u8; 1];
-                c.recv_into(0, 2, &mut b);
+                c.recv_into(0, 2, &mut b).unwrap();
                 let mut a = [0u8; 1];
-                c.recv_into(0, 1, &mut a);
+                c.recv_into(0, 1, &mut a).unwrap();
                 vec![a[0], b[0]]
             }
         });
@@ -388,14 +388,14 @@ mod tests {
         let results = run_threads(2, |c| {
             if c.rank() == 0 {
                 for i in 0..10u8 {
-                    c.send_from(1, 0, &[i]);
+                    c.send_from(1, 0, &[i]).unwrap();
                 }
                 vec![]
             } else {
                 (0..10)
                     .map(|_| {
                         let mut b = [0u8; 1];
-                        c.recv_into(0, 0, &mut b);
+                        c.recv_into(0, 0, &mut b).unwrap();
                         b[0]
                     })
                     .collect()
@@ -408,7 +408,7 @@ mod tests {
     fn try_recv_polls() {
         let results = run_threads(2, |c| {
             if c.rank() == 0 {
-                c.barrier();
+                c.barrier().unwrap();
                 // After the barrier the message is guaranteed sent.
                 let mut d = vec![0u8; 1];
                 loop {
@@ -418,8 +418,8 @@ mod tests {
                     std::thread::yield_now();
                 }
             } else {
-                c.send_from(0, 5, &[42]);
-                c.barrier();
+                c.send_from(0, 5, &[42]).unwrap();
+                c.barrier().unwrap();
                 vec![]
             }
         });
@@ -436,22 +436,22 @@ mod tests {
                 let mut b1 = [0u8; 1];
                 // Rank 1's send is ordered (via the barrier) before
                 // rank 0's, so it must complete first.
-                c.barrier();
+                c.barrier().unwrap();
                 let mut posts =
                     [Some(RecvPost::new(0, 9, &mut b0)), Some(RecvPost::new(1, 9, &mut b1))];
-                let (first, post) = c.wait_any(&mut posts).expect("two posts live");
+                let (first, post) = c.wait_any(&mut posts).unwrap().expect("two posts live");
                 let first_val = post.buf[0];
-                let (second, post) = c.wait_any(&mut posts).expect("one post live");
+                let (second, post) = c.wait_any(&mut posts).unwrap().expect("one post live");
                 let second_val = post.buf[0];
-                assert!(c.wait_any(&mut posts).is_none(), "all posts drained");
+                assert!(c.wait_any(&mut posts).unwrap().is_none(), "all posts drained");
                 vec![first as u8, first_val, second as u8, second_val]
             } else if c.rank() == 1 {
-                c.send_from(2, 9, &[11]);
-                c.barrier();
+                c.send_from(2, 9, &[11]).unwrap();
+                c.barrier().unwrap();
                 vec![]
             } else {
-                c.barrier();
-                c.send_from(2, 9, &[10]);
+                c.barrier().unwrap();
+                c.send_from(2, 9, &[10]).unwrap();
                 vec![]
             }
         });
@@ -462,11 +462,11 @@ mod tests {
     fn typed_slices_roundtrip() {
         let results = run_threads(2, |c| {
             if c.rank() == 0 {
-                c.send_from(1, 0, &pack(&[1.5f32, -2.5]));
+                c.send_from(1, 0, &pack(&[1.5f32, -2.5])).unwrap();
                 0.0
             } else {
                 let mut bytes = vec![0u8; 8];
-                c.recv_into(0, 0, &mut bytes);
+                c.recv_into(0, 0, &mut bytes).unwrap();
                 let mut out = vec![0.0f32; 2];
                 unpack(&bytes, &mut out);
                 out[0] as f64 + out[1] as f64
@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn single_rank_world_works() {
-        let results = run_threads(1, |c| c.allreduce_scalar(5.0, ReduceOp::Sum));
+        let results = run_threads(1, |c| c.allreduce_scalar(5.0, ReduceOp::Sum).unwrap());
         assert_eq!(results, vec![5.0]);
     }
 
@@ -493,14 +493,14 @@ mod tests {
             let mut buf = [0u8; 256];
             for round in 0..100u64 {
                 if c.rank() == 0 {
-                    c.send_from(1, round, &[7u8; 256]);
-                    c.recv_into(1, round, &mut buf);
+                    c.send_from(1, round, &[7u8; 256]).unwrap();
+                    c.recv_into(1, round, &mut buf).unwrap();
                 } else {
-                    c.recv_into(0, round, &mut buf);
-                    c.send_from(0, round, &buf);
+                    c.recv_into(0, round, &mut buf).unwrap();
+                    c.send_from(0, round, &buf).unwrap();
                 }
             }
-            c.barrier();
+            c.barrier().unwrap();
             c.pool_len()
         });
         // Bounded in-flight traffic: the pool holds a handful of
@@ -519,9 +519,9 @@ mod tests {
             let prev = (r + p - 1) % p;
             let mut token = r as u64;
             for round in 0..20 {
-                c.send_from(next, round, &token.to_le_bytes());
+                c.send_from(next, round, &token.to_le_bytes()).unwrap();
                 let mut got = [0u8; 8];
-                c.recv_into(prev, round, &mut got);
+                c.recv_into(prev, round, &mut got).unwrap();
                 token = u64::from_le_bytes(got) + 1;
             }
             token
@@ -540,7 +540,7 @@ mod tests {
         let results = run_threads_fallible(2, None, |c| {
             if c.rank() == 0 {
                 let mut buf = [0u8; 1];
-                let err = c.recv_into_checked(1, 7, &mut buf).unwrap_err();
+                let err = c.recv_into(1, 7, &mut buf).unwrap_err();
                 assert_eq!(err.kind, crate::error::CommErrorKind::PeerClosed);
                 assert_eq!(err.peer, Some(1));
                 assert!(err.detail.contains("rank 1 finished"), "{}", err.detail);
@@ -557,7 +557,7 @@ mod tests {
             if c.rank() == 1 {
                 panic!("rank 1 crashing deliberately");
             }
-            let err = c.allreduce_scalar_checked(1.0, ReduceOp::Sum).unwrap_err();
+            let err = c.allreduce_scalar(1.0, ReduceOp::Sum).unwrap_err();
             assert_eq!(err.kind, crate::error::CommErrorKind::PeerLost);
             assert_eq!(err.peer, Some(1));
             assert!(err.detail.contains("rank 1 panicked"), "{}", err.detail);
@@ -576,7 +576,7 @@ mod tests {
         let results = run_threads_fallible(2, Some(Duration::from_millis(50)), |c| {
             if c.rank() == 0 {
                 let mut buf = [0u8; 1];
-                let err = c.recv_into_checked(1, 7, &mut buf).unwrap_err();
+                let err = c.recv_into(1, 7, &mut buf).unwrap_err();
                 assert_eq!(err.kind, crate::error::CommErrorKind::Timeout);
                 assert_eq!((err.peer, err.tag), (Some(1), Some(7)));
                 assert!(err.elapsed >= Duration::from_millis(50));
@@ -599,10 +599,10 @@ mod tests {
                 // Rank 1 may have already exited; the parked message
                 // must still match.
                 std::thread::sleep(Duration::from_millis(20));
-                c.recv_into_checked(1, 3, &mut buf).expect("pre-exit send is receivable");
+                c.recv_into(1, 3, &mut buf).expect("pre-exit send is receivable");
                 buf[0]
             } else {
-                c.send_from(0, 3, &[17]);
+                c.send_from(0, 3, &[17]).unwrap();
                 17
             }
         });

@@ -137,19 +137,19 @@ impl Comm for WorldComm {
         }
     }
 
-    fn send_from_checked(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
+    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         match self {
-            WorldComm::Thread(c) => c.send_from_checked(to, tag, bytes),
-            WorldComm::Socket(c) => c.send_from_checked(to, tag, bytes),
-            WorldComm::Shmem(c) => c.send_from_checked(to, tag, bytes),
+            WorldComm::Thread(c) => c.send_from(to, tag, bytes),
+            WorldComm::Socket(c) => c.send_from(to, tag, bytes),
+            WorldComm::Shmem(c) => c.send_from(to, tag, bytes),
         }
     }
 
-    fn recv_into_checked(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
+    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
         match self {
-            WorldComm::Thread(c) => c.recv_into_checked(from, tag, out),
-            WorldComm::Socket(c) => c.recv_into_checked(from, tag, out),
-            WorldComm::Shmem(c) => c.recv_into_checked(from, tag, out),
+            WorldComm::Thread(c) => c.recv_into(from, tag, out),
+            WorldComm::Socket(c) => c.recv_into(from, tag, out),
+            WorldComm::Shmem(c) => c.recv_into(from, tag, out),
         }
     }
 
@@ -161,14 +161,14 @@ impl Comm for WorldComm {
         }
     }
 
-    fn wait_any_checked<'p>(
+    fn wait_any<'p>(
         &self,
         posts: &mut [Option<RecvPost<'p>>],
     ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
         match self {
-            WorldComm::Thread(c) => c.wait_any_checked(posts),
-            WorldComm::Socket(c) => c.wait_any_checked(posts),
-            WorldComm::Shmem(c) => c.wait_any_checked(posts),
+            WorldComm::Thread(c) => c.wait_any(posts),
+            WorldComm::Socket(c) => c.wait_any(posts),
+            WorldComm::Shmem(c) => c.wait_any(posts),
         }
     }
 
@@ -180,11 +180,11 @@ impl Comm for WorldComm {
         }
     }
 
-    fn barrier_checked(&self) -> CommResult<()> {
+    fn barrier(&self) -> CommResult<()> {
         match self {
-            WorldComm::Thread(c) => c.barrier_checked(),
-            WorldComm::Socket(c) => c.barrier_checked(),
-            WorldComm::Shmem(c) => c.barrier_checked(),
+            WorldComm::Thread(c) => c.barrier(),
+            WorldComm::Socket(c) => c.barrier(),
+            WorldComm::Shmem(c) => c.barrier(),
         }
     }
 
@@ -245,7 +245,9 @@ fn run_on_mesh<L: Link, T>(
         mesh.size()
     );
     let result = f(wrap(mesh.clone()));
-    mesh.quiesce();
+    if let Err(e) = mesh.quiesce() {
+        panic!("flushing the mesh after the run: {e}");
+    }
     vec![result]
 }
 
@@ -283,7 +285,7 @@ mod tests {
         }
         let results = run_spmd(3, |c| {
             assert_eq!(c.transport(), Transport::Thread);
-            c.allreduce_scalar(1.0, ReduceOp::Sum)
+            c.allreduce_scalar(1.0, ReduceOp::Sum).unwrap()
         });
         assert_eq!(results, vec![3.0, 3.0, 3.0]);
     }

@@ -34,9 +34,9 @@ fn ring_workload(c: &FaultyComm<ThreadComm>, rounds: usize) -> CommResult<f64> {
     let mut acc = 0.0f64;
     let mut buf = [0u8; 8];
     for round in 0..rounds {
-        acc = c.allreduce_scalar_checked(acc + (rank + round) as f64, ReduceOp::Sum)?;
-        c.send_from_checked(next, round as u64, &acc.to_le_bytes())?;
-        c.recv_into_checked(prev, round as u64, &mut buf)?;
+        acc = c.allreduce_scalar(acc + (rank + round) as f64, ReduceOp::Sum)?;
+        c.send_from(next, round as u64, &acc.to_le_bytes())?;
+        c.recv_into(prev, round as u64, &mut buf)?;
         let got = f64::from_le_bytes(buf);
         assert_eq!(got, acc, "ring payload must survive the wire");
     }
@@ -169,8 +169,8 @@ fn same_seed_replays_the_same_outcome() {
 fn collective_workload<C: Comm>(c: &C, rounds: usize) -> CommResult<f64> {
     let mut acc = 0.0f64;
     for round in 0..rounds {
-        acc = c.allreduce_scalar_checked(acc + (c.rank() + round) as f64, ReduceOp::Sum)?;
-        c.barrier_checked()?;
+        acc = c.allreduce_scalar(acc + (c.rank() + round) as f64, ReduceOp::Sum)?;
+        c.barrier()?;
     }
     Ok(acc)
 }

@@ -266,7 +266,6 @@ fn solve_options(
         pre_smooth: params.pre_smooth,
         post_smooth: params.post_smooth,
         precondition: true,
-        ortho: crate::gmres::OrthoMethod::Cgs2,
         track_history: false,
     }
 }

@@ -9,11 +9,11 @@
 
 use crate::config::ImplVariant;
 use crate::gmres::SolveStats;
-use crate::mg::{apply_mg, MgWorkspace, SmootherKind};
+use crate::mg::{apply_mg_checked, MgWorkspace, SmootherKind};
 use crate::motifs::{Motif, MotifStats};
-use crate::ops::{axpy_op, dist_dot, dist_norm2, dist_spmv, OpCtx};
+use crate::ops::{axpy_op, dist_dot, dist_norm2, dist_spmv_checked, OpCtx};
 use crate::problem::LocalProblem;
-use hpgmxp_comm::{Comm, Timeline};
+use hpgmxp_comm::{Comm, CommResult, Timeline};
 use serde::{Deserialize, Serialize};
 
 /// CG solver configuration.
@@ -45,13 +45,13 @@ impl Default for CgOptions {
 
 /// Solve the SPD system `A x = b` with preconditioned CG from a zero
 /// initial guess. The operator must be symmetric (use the symmetric
-/// benchmark stencil).
+/// benchmark stencil). A transport fault is returned.
 pub fn cg_solve<C: Comm>(
     comm: &C,
     prob: &LocalProblem,
     opts: &CgOptions,
     timeline: &Timeline,
-) -> (Vec<f64>, SolveStats) {
+) -> CommResult<(Vec<f64>, SolveStats)> {
     let ctx = OpCtx::new(comm, opts.variant, timeline);
     let mut stats = MotifStats::new();
     let levels = &prob.levels[..];
@@ -65,7 +65,7 @@ pub fn cg_solve<C: Comm>(
     let mut ap = vec![0.0f64; n];
     let mut ws: MgWorkspace<f64> = MgWorkspace::new(levels);
 
-    let rho0 = dist_norm2(comm, &mut stats, Motif::Dot, &prob.b);
+    let rho0 = dist_norm2(comm, &mut stats, Motif::Dot, &prob.b)?;
     let mut history = Vec::new();
     let mut rtz = 0.0f64;
     let mut iters = 0usize;
@@ -75,12 +75,13 @@ pub fn cg_solve<C: Comm>(
     while iters < opts.max_iters {
         // z = M⁻¹ r (symmetric-GS multigrid keeps M SPD).
         if opts.precondition {
-            apply_mg(&ctx, levels, &mut stats, &mut ws, 1, 1, SmootherKind::Symmetric, &r, &mut z);
+            let sym = SmootherKind::Symmetric;
+            apply_mg_checked(&ctx, levels, &mut stats, &mut ws, 1, 1, sym, &r, &mut z)?;
         } else {
             z.copy_from_slice(&r);
         }
 
-        let rtz_new = dist_dot(comm, &mut stats, Motif::Dot, &r, &z);
+        let rtz_new = dist_dot(comm, &mut stats, Motif::Dot, &r, &z)?;
         if iters == 0 {
             p[..n].copy_from_slice(&z);
         } else {
@@ -94,8 +95,8 @@ pub fn cg_solve<C: Comm>(
         }
         rtz = rtz_new;
 
-        dist_spmv(&ctx, &levels[0], &mut stats, 0, &mut p, &mut ap);
-        let pap = dist_dot(comm, &mut stats, Motif::Dot, &p[..n], &ap);
+        dist_spmv_checked(&ctx, &levels[0], &mut stats, 0, &mut p, &mut ap)?;
+        let pap = dist_dot(comm, &mut stats, Motif::Dot, &p[..n], &ap)?;
         assert!(pap > 0.0, "matrix must be SPD for CG (pAp = {pap})");
         let alpha = rtz / pap;
 
@@ -103,7 +104,7 @@ pub fn cg_solve<C: Comm>(
         axpy_op(&mut stats, -alpha, &ap, &mut r);
         iters += 1;
 
-        let rho = dist_norm2(comm, &mut stats, Motif::Dot, &r);
+        let rho = dist_norm2(comm, &mut stats, Motif::Dot, &r)?;
         relres = if rho0 > 0.0 { rho / rho0 } else { 0.0 };
         if opts.track_history {
             history.push(relres);
@@ -114,7 +115,7 @@ pub fn cg_solve<C: Comm>(
         }
     }
 
-    (
+    Ok((
         x,
         SolveStats {
             iters,
@@ -125,7 +126,7 @@ pub fn cg_solve<C: Comm>(
             motifs: stats,
             overlap_efficiency: timeline.overlap_efficiency(),
         },
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -150,7 +151,7 @@ mod tests {
     fn converges_on_spd_problem() {
         let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 16, 4), 0);
         let tl = Timeline::disabled();
-        let (x, st) = cg_solve(&SelfComm, &prob, &CgOptions::default(), &tl);
+        let (x, st) = cg_solve(&SelfComm, &prob, &CgOptions::default(), &tl).unwrap();
         assert!(st.converged, "relres {}", st.final_relres);
         for xi in &x {
             assert!((xi - 1.0).abs() < 1e-6);
@@ -166,7 +167,7 @@ mod tests {
         let without = CgOptions { precondition: false, max_iters: 2000, ..with };
         let iters = |n: u32, o: &CgOptions| {
             let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), n, 2), 0);
-            let (_, st) = cg_solve(&SelfComm, &prob, o, &tl);
+            let (_, st) = cg_solve(&SelfComm, &prob, o, &tl).unwrap();
             assert!(st.converged);
             st.iters
         };
@@ -195,7 +196,7 @@ mod tests {
         let results = run_spmd(2, move |c| {
             let prob = assemble_f64(&spec(procs, 8, 3), c.rank());
             let tl = Timeline::disabled();
-            let (_, st) = cg_solve(&c, &prob, &CgOptions::default(), &tl);
+            let (_, st) = cg_solve(&c, &prob, &CgOptions::default(), &tl).unwrap();
             st.converged
         });
         assert!(results.into_iter().all(|c| c));
@@ -206,7 +207,7 @@ mod tests {
         let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 8, 2), 0);
         let tl = Timeline::disabled();
         let opts = CgOptions { track_history: true, ..Default::default() };
-        let (_, st) = cg_solve(&SelfComm, &prob, &opts, &tl);
+        let (_, st) = cg_solve(&SelfComm, &prob, &opts, &tl).unwrap();
         assert!(st.history.last().unwrap() < &1e-9);
         // CG residuals may oscillate locally but must shrink by orders.
         assert!(st.history.first().unwrap() > st.history.last().unwrap());

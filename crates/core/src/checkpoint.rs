@@ -203,7 +203,7 @@ pub fn stage_and_commit<C: Comm>(
     }
     // Every rank has durably staged before anyone overwrites the
     // previous generation.
-    comm.barrier_checked()?;
+    comm.barrier()?;
     {
         let _sp = hpgmxp_trace::span("ckpt commit", hpgmxp_trace::Lane::Ckpt);
         let committed = spec.committed_path(rank);
@@ -243,8 +243,8 @@ pub fn restore<C: Comm>(
         });
     // Agree on a generation: -1 encodes "nothing usable here".
     let generation = local.as_ref().map(|s| s.restarts as f64).unwrap_or(-1.0);
-    let lo = comm.allreduce_scalar_checked(generation, ReduceOp::Min)?;
-    let hi = comm.allreduce_scalar_checked(generation, ReduceOp::Max)?;
+    let lo = comm.allreduce_scalar(generation, ReduceOp::Min)?;
+    let hi = comm.allreduce_scalar(generation, ReduceOp::Max)?;
     if lo < 0.0 {
         return Ok(None);
     }

@@ -17,26 +17,13 @@ use crate::gmres_ir::gmres_ir_solve_policy;
 use crate::mg::{apply_mg_checked, MgWorkspace, SmootherKind};
 use crate::motifs::{Motif, MotifStats};
 use crate::ops::{dist_spmv_checked, OpCtx};
-use crate::ortho::{cgs2_checked, mgs_checked};
+use crate::ortho::cgs2_checked;
 use crate::policy::PrecisionPolicy;
 use crate::problem::{Level, LocalProblem};
 use hpgmxp_comm::{Comm, CommResult, Timeline};
 use hpgmxp_sparse::blas::Basis;
 use hpgmxp_sparse::Scalar;
 use serde::{Deserialize, Serialize};
-
-/// Which orthogonalization the Arnoldi process uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OrthoMethod {
-    /// Classical Gram-Schmidt with full reorthogonalization — the
-    /// benchmark's prescription (blocked inner products, two
-    /// all-reduces per iteration, robust orthogonality).
-    Cgs2,
-    /// Modified Gram-Schmidt — the classical alternative §3 discusses:
-    /// one all-reduce per basis vector (k per iteration), provided for
-    /// the communication-cost ablation.
-    Mgs,
-}
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -56,8 +43,6 @@ pub struct GmresOptions {
     /// Apply the multigrid preconditioner (`false` = unpreconditioned,
     /// for ablation).
     pub precondition: bool,
-    /// Orthogonalization method (benchmark: CGS2).
-    pub ortho: OrthoMethod,
     /// Record the per-restart explicit residual history.
     pub track_history: bool,
 }
@@ -72,7 +57,6 @@ impl Default for GmresOptions {
             pre_smooth: 1,
             post_smooth: 1,
             precondition: true,
-            ortho: OrthoMethod::Cgs2,
             track_history: false,
         }
     }
@@ -180,11 +164,8 @@ pub(crate) fn gmres_cycle<S: Scalar, C: Comm>(
             dist_spmv_checked(ctx, &levels[0], stats, 0, zv, basis.col_mut(k + 1))?;
         }
 
-        // Orthogonalize against columns 0..=k (lines 20–27).
-        let ortho = match opts.ortho {
-            OrthoMethod::Cgs2 => cgs2_checked(ctx.comm, stats, &mut ws.basis, k + 1)?,
-            OrthoMethod::Mgs => mgs_checked(ctx.comm, stats, &mut ws.basis, k + 1)?,
-        };
+        // Orthogonalize against columns 0..=k with CGS2 (lines 20–27).
+        let ortho = cgs2_checked(ctx.comm, stats, &mut ws.basis, k + 1)?;
 
         // Givens update (lines 31–43), redundantly on every rank, from
         // the Hessenberg column the basis' workspace holds.
@@ -358,26 +339,6 @@ mod tests {
             let diff = (iters as i64 - tl_iters as i64).abs();
             assert!(diff <= 6, "serial {} vs distributed {}", tl_iters, iters);
         }
-    }
-
-    #[test]
-    fn mgs_variant_converges_like_cgs2() {
-        // The ablation §3 motivates: MGS trades blocked reductions for
-        // per-vector ones; numerically both must solve the problem in a
-        // comparable iteration count.
-        let prob = assemble_f64(&spec(ProcGrid::new(1, 1, 1), 16, 3), 0);
-        let tl = Timeline::disabled();
-        let cgs2_opts = GmresOptions { max_iters: 500, ..Default::default() };
-        let mgs_opts = GmresOptions { ortho: OrthoMethod::Mgs, ..cgs2_opts };
-        let (_, st_c) = gmres_solve_f64(&SelfComm, &prob, &cgs2_opts, &tl);
-        let (_, st_m) = gmres_solve_f64(&SelfComm, &prob, &mgs_opts, &tl);
-        assert!(st_c.converged && st_m.converged);
-        assert!(
-            (st_c.iters as i64 - st_m.iters as i64).abs() <= 3,
-            "CGS2 {} vs MGS {}",
-            st_c.iters,
-            st_m.iters
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::checkpoint::{self, CheckpointSpec};
 use crate::gmres::{gmres_cycle, CycleWorkspace, GmresOptions, SolveStats};
 use crate::motifs::{Motif, MotifStats};
-use crate::ops::{axpy_lo_mixed_op, dist_norm2_checked, dist_spmv_checked, waxpby_op, OpCtx};
+use crate::ops::{axpy_lo_mixed_op, dist_norm2, dist_spmv_checked, waxpby_op, OpCtx};
 use crate::policy::{PrecCtx, PrecisionPolicy};
 use crate::problem::LocalProblem;
 use hpgmxp_comm::{Comm, CommResult, Stream, Timeline};
@@ -27,7 +27,8 @@ use std::time::Instant;
 /// residual and solution update stay `f64` with natively-stored
 /// matrices, which is what recovers 1e-9 under every policy. `prob`
 /// must be assembled under the same policy. Starts from a zero initial
-/// guess; panics on a transport fault.
+/// guess; panics on a transport fault. Pinned by the benchmark adapter,
+/// which calls this form.
 pub fn gmres_ir_solve_policy<C: Comm>(
     comm: &C,
     prob: &LocalProblem,
@@ -93,7 +94,7 @@ fn refine<SLo: Scalar, C: Comm>(
     let mut r_unit_lo = vec![SLo::ZERO; n];
     let mut ws: CycleWorkspace<SLo> = CycleWorkspace::new(levels, opts.restart);
 
-    let rho0 = dist_norm2_checked(comm, &mut stats, Motif::Dot, &prob.b)?;
+    let rho0 = dist_norm2(comm, &mut stats, Motif::Dot, &prob.b)?;
     let mut history = Vec::new();
     let mut iters = 0usize;
     let mut restarts = 0usize;
@@ -118,7 +119,7 @@ fn refine<SLo: Scalar, C: Comm>(
         // Line 7: double-precision residual r = b − A x.
         dist_spmv_checked::<f64, C>(&ctx, &levels[0], &mut stats, 0, &mut x, &mut ax)?;
         waxpby_op(&mut stats, 1.0, &prob.b, -1.0, &ax, &mut r);
-        let rho = dist_norm2_checked(comm, &mut stats, Motif::Dot, &r)?;
+        let rho = dist_norm2(comm, &mut stats, Motif::Dot, &r)?;
         relres = if rho0 > 0.0 { rho / rho0 } else { 0.0 };
         if opts.track_history {
             history.push(relres);

@@ -18,9 +18,8 @@
 //!   Gauss–Seidel, the fused SpMV-restriction (§3.2.4), reductions;
 //! * [`mg`] — the geometric multigrid V-cycle preconditioner;
 //! * [`givens`] — Givens-rotation QR of the Hessenberg matrix;
-//! * [`ortho`] — distributed CGS2 (and MGS) orthogonalization;
-//! * [`matrix_free`] — the stencil operator applied without a stored
-//!   matrix (the conclusion's matrix-free GMRES configuration);
+//! * [`ortho`] — distributed CGS2 orthogonalization (and the MGS
+//!   kernel the ablation study compares it against);
 //! * [`gmres`] — restarted right-preconditioned GMRES, Algorithm 2;
 //! * [`gmres_ir`] — mixed-precision GMRES-IR, Algorithm 3;
 //! * [`cg`] — the HPCG baseline (preconditioned CG, Algorithm 1);
@@ -39,7 +38,6 @@ pub mod flops;
 pub mod givens;
 pub mod gmres;
 pub mod gmres_ir;
-pub mod matrix_free;
 pub mod mg;
 pub mod motifs;
 pub mod ops;

@@ -118,7 +118,9 @@ fn vcycle<S: Scalar, C: Comm>(
 ///
 /// `rhs` is an owned-length vector on the fine level; `out` receives
 /// the owned entries of the correction (callers that need ghosts must
-/// exchange afterwards — the next SpMV does so automatically).
+/// exchange afterwards — the next SpMV does so automatically). Panics
+/// on a transport fault; pinned by the benchmark adapter, which calls
+/// this form.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_mg<S: Scalar, C: Comm>(
     ctx: &OpCtx<C>,
@@ -153,13 +155,6 @@ pub fn apply_mg_checked<S: Scalar, C: Comm>(
     vcycle(ctx, levels, stats, &mut ws.z, &mut ws.r, pre, post, kind, 100)?;
     out[..n].copy_from_slice(&ws.z[0][..n]);
     Ok(())
-}
-
-/// Apply the identity "preconditioner" (no multigrid) — used by tests
-/// and ablation benches to quantify what the V-cycle buys.
-pub fn apply_identity<S: Scalar>(rhs: &[S], out: &mut [S]) {
-    let n = rhs.len().min(out.len());
-    out[..n].copy_from_slice(&rhs[..n]);
 }
 
 #[cfg(test)]
@@ -426,13 +421,5 @@ mod tests {
         // Symmetric = 2 sweeps; single level => exactly 2 sweeps' flops.
         let per_sweep = crate::flops::gs_sweep(p.levels[0].nnz(), p.n_local());
         assert!((stats.flops(Motif::GaussSeidel) - 2.0 * per_sweep).abs() < 1.0);
-    }
-
-    #[test]
-    fn identity_preconditioner_copies() {
-        let rhs = vec![1.0, 2.0, 3.0];
-        let mut out = vec![0.0; 3];
-        apply_identity(&rhs, &mut out);
-        assert_eq!(out, rhs);
     }
 }

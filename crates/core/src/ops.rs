@@ -156,7 +156,8 @@ pub enum SweepDir {
 /// Distributed `y = A x`. `x` must be a full distributed vector
 /// (owned + ghosts); its ghost region is refreshed by the embedded halo
 /// exchange. `y` receives the owned rows. Panics on a transport fault;
-/// see [`dist_spmv_checked`] for the fault-tolerant form.
+/// see [`dist_spmv_checked`] for the fault-tolerant form. Pinned by
+/// the benchmark adapter, which calls this form.
 pub fn dist_spmv<S: Scalar, C: Comm>(
     ctx: &OpCtx<C>,
     level: &Level,
@@ -193,13 +194,13 @@ pub fn dist_spmv_checked<S: Scalar, C: Comm>(
             // and ghost wire format come from the policy context; the
             // kernels widen stored values into `S` on load.
             let ell = level.ell_at(kind);
-            let halo = level.halo.begin_wire_checked(ctx.comm, tag, x, wire, ctx.timeline)?;
+            let halo = level.halo.begin(ctx.comm, tag, x, wire, ctx.timeline)?;
             {
                 let _s = ctx.timeline.span("SpMV interior", Stream::Compute);
                 let interior = level.color_ranges.iter().map(ColorRange::interior);
                 with_storage!(ell, EllRef, m => m.spmv_ranges(interior, x, y));
             }
-            halo.finish_checked(ctx.comm, x, ctx.timeline)?;
+            halo.finish(ctx.comm, x, ctx.timeline)?;
             {
                 let _s = ctx.timeline.span("SpMV boundary", Stream::Compute);
                 let boundary = level.color_ranges.iter().map(ColorRange::boundary);
@@ -231,7 +232,8 @@ pub fn dist_spmv_checked<S: Scalar, C: Comm>(
 /// One distributed Gauss–Seidel sweep for `A z = r`, updating `z` in
 /// place. Ghosts of `z` are refreshed from neighbors' pre-sweep values
 /// (each rank smooths its subdomain against the latest halo, the
-/// standard HPCG semantics).
+/// standard HPCG semantics). Panics on a transport fault; pinned by
+/// the benchmark adapter, which calls this form.
 pub fn dist_gs_sweep<S: Scalar, C: Comm>(
     ctx: &OpCtx<C>,
     level: &Level,
@@ -271,12 +273,12 @@ pub fn dist_gs_sweep_checked<S: Scalar, C: Comm>(
             .expect("a level has at least one color");
             let ell = level.ell_at(kind);
             with_storage!(ell, EllRef, m => {
-                let halo = level.halo.begin_wire_checked(ctx.comm, tag, z, wire, ctx.timeline)?;
+                let halo = level.halo.begin(ctx.comm, tag, z, wire, ctx.timeline)?;
                 {
                     let _s = ctx.timeline.span("GS interior (first color)", Stream::Compute);
                     gs_range(m, first.interior(), r, z);
                 }
-                halo.finish_checked(ctx.comm, z, ctx.timeline)?;
+                halo.finish(ctx.comm, z, ctx.timeline)?;
                 {
                     let _s = ctx.timeline.span("GS boundary (first color)", Stream::Compute);
                     gs_range(m, first.boundary(), r, z);
@@ -330,7 +332,8 @@ pub fn dist_gs_sweep_checked<S: Scalar, C: Comm>(
 /// Optimized = the fused kernel of §3.2.4 (residual evaluated only at
 /// coarse points, overlapped with the halo exchange of `z`).
 /// Reference = §3.1 item 3: full fine-grid residual SpMV followed by
-/// injection.
+/// injection. Panics on a transport fault; pinned by the benchmark
+/// adapter, which calls this form.
 pub fn dist_restrict<S: Scalar, C: Comm>(
     ctx: &OpCtx<C>,
     fine: &Level,
@@ -361,12 +364,12 @@ pub fn dist_restrict_checked<S: Scalar, C: Comm>(
         ImplVariant::Optimized => {
             let ell = fine.ell_at(kind);
             with_storage!(ell, EllRef, m => {
-                let halo = fine.halo.begin_wire_checked(ctx.comm, tag, z, wire, ctx.timeline)?;
+                let halo = fine.halo.begin(ctx.comm, tag, z, wire, ctx.timeline)?;
                 {
                     let _s = ctx.timeline.span("fused SpMV-restrict interior", Stream::Compute);
                     fused_restrict(m, fine, ColorRange::interior, b_f, z, rc);
                 }
-                halo.finish_checked(ctx.comm, z, ctx.timeline)?;
+                halo.finish(ctx.comm, z, ctx.timeline)?;
                 let _s = ctx.timeline.span("fused SpMV-restrict boundary", Stream::Compute);
                 fused_restrict(m, fine, ColorRange::boundary, b_f, z, rc);
             });
@@ -475,21 +478,10 @@ pub fn dist_dot<S: Scalar, C: Comm>(
     motif: Motif,
     x: &[S],
     y: &[S],
-) -> f64 {
-    dist_dot_checked(comm, stats, motif, x, y).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`dist_dot`] that surfaces transport faults as a typed error.
-pub fn dist_dot_checked<S: Scalar, C: Comm>(
-    comm: &C,
-    stats: &mut MotifStats,
-    motif: Motif,
-    x: &[S],
-    y: &[S],
 ) -> CommResult<f64> {
     let t0 = Instant::now();
     let local = blas::dot_par(x, y).to_f64();
-    let global = comm.allreduce_scalar_checked(local, hpgmxp_comm::ReduceOp::Sum)?;
+    let global = comm.allreduce_scalar(local, hpgmxp_comm::ReduceOp::Sum)?;
     stats.record(motif, t0.elapsed().as_secs_f64(), flops::dot(x.len()));
     Ok(global)
 }
@@ -504,18 +496,8 @@ pub fn dist_norm2<S: Scalar, C: Comm>(
     stats: &mut MotifStats,
     motif: Motif,
     x: &[S],
-) -> f64 {
-    dist_norm2_checked(comm, stats, motif, x).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`dist_norm2`] that surfaces transport faults as a typed error.
-pub fn dist_norm2_checked<S: Scalar, C: Comm>(
-    comm: &C,
-    stats: &mut MotifStats,
-    motif: Motif,
-    x: &[S],
 ) -> CommResult<f64> {
-    let d = dist_dot_checked(comm, stats, motif, x, x)?;
+    let d = dist_dot(comm, stats, motif, x, x)?;
     Ok(if d.is_nan() { f64::NAN } else { d.max(0.0).sqrt() })
 }
 
@@ -705,7 +687,7 @@ mod tests {
             let mut z_ref = vec![0.3f64; l.vec_len()];
             dist_gs_sweep(&rctx, l, &mut stats, 2, SweepDir::Forward, &r, &mut z_ref);
             let mut z_lex = vec![0.3f64; l.vec_len()];
-            l.halo.exchange(&c, 3, &mut z_lex, &tl);
+            l.halo.exchange_wire_checked(&c, 3, &mut z_lex, f64::BYTES, &tl).unwrap();
             hpgmxp_sparse::gauss_seidel::gs_forward(l.csr64(), &r, &mut z_lex);
             for (a, b) in z_ref.iter().zip(z_lex.iter()) {
                 assert!((a - b).abs() < 1e-13);
@@ -762,7 +744,7 @@ mod tests {
             let mut stats = MotifStats::new();
             let x = vec![1.0f64; 10];
             let y = vec![c.rank() as f64; 10];
-            dist_dot(&c, &mut stats, Motif::Dot, &x, &y)
+            dist_dot(&c, &mut stats, Motif::Dot, &x, &y).unwrap()
         });
         // sum over ranks of 10*rank = 10*(0+1+2+3) = 60.
         for v in results {
@@ -775,7 +757,7 @@ mod tests {
         let c = SelfComm;
         let mut stats = MotifStats::new();
         let x = vec![3.0f32, 4.0];
-        let n = dist_norm2(&c, &mut stats, Motif::Dot, &x);
+        let n = dist_norm2(&c, &mut stats, Motif::Dot, &x).unwrap();
         assert!((n - 5.0).abs() < 1e-6);
     }
 

@@ -18,8 +18,9 @@
 //!   regardless — that invariant is what lets every policy reach the
 //!   benchmark's 1e-9 tolerance.
 //! * **wire** — the ghost format halo exchanges put on the network,
-//!   rounded on pack and widened on unpack (`hpgmxp-comm`'s
-//!   `begin_wire`), independent of both other axes.
+//!   rounded on pack and widened on unpack (the `wire_bytes` argument
+//!   of `hpgmxp-comm`'s `HaloExchange::begin`), independent of both
+//!   other axes.
 //!
 //! A [`PrecisionPolicy`] is plain serde-configurable data; the
 //! enum-dispatch layer in [`crate::ops`] maps it back onto the

@@ -36,18 +36,18 @@ fn check_fifo_and_tag_matching<C: Comm>(c: &C) {
     let from = (me + p - 1) % p;
     // Two tag streams, interleaved sends: 5 messages per tag.
     for i in 0..5u8 {
-        c.send_from(peer, 10, &[i, me as u8]);
-        c.send_from(peer, 20, &[i + 100, me as u8]);
+        c.send_from(peer, 10, &[i, me as u8]).unwrap();
+        c.send_from(peer, 20, &[i + 100, me as u8]).unwrap();
     }
     // Drain the *later-sent* tag stream first: earlier-tag messages
     // must park, in order.
     let mut buf = [0u8; 2];
     for i in 0..5u8 {
-        c.recv_into(from, 20, &mut buf);
+        c.recv_into(from, 20, &mut buf).unwrap();
         assert_eq!(buf, [i + 100, from as u8], "tag-20 stream is FIFO");
     }
     for i in 0..5u8 {
-        c.recv_into(from, 10, &mut buf);
+        c.recv_into(from, 10, &mut buf).unwrap();
         assert_eq!(buf, [i, from as u8], "parked tag-10 stream stays FIFO");
     }
 }
@@ -62,10 +62,10 @@ fn check_unexpected_message_parking<C: Comm>(c: &C) {
     let me = c.rank();
     let peer = (me + 1) % p;
     let from = (me + p - 1) % p;
-    c.send_from(peer, 77, &[42]);
+    c.send_from(peer, 77, &[42]).unwrap();
     // The barrier guarantees the message has been sent; it sits parked
     // (or queued) until the matching receive.
-    c.barrier();
+    c.barrier().unwrap();
     let mut wrong = [0u8; 1];
     assert!(!c.try_recv_into(from, 78, &mut wrong), "no message with tag 78 exists");
     let mut buf = [0u8; 1];
@@ -80,14 +80,14 @@ fn check_wait_any_any_order<C: Comm>(c: &C) {
     let me = c.rank();
     if p == 1 {
         let mut posts: [Option<RecvPost>; 2] = [None, None];
-        assert!(c.wait_any(&mut posts).is_none(), "no live posts -> None");
+        assert!(c.wait_any(&mut posts).unwrap().is_none(), "no live posts -> None");
         return;
     }
     // Every rank sends one message to every other rank, then posts one
     // receive per peer and drains with wait_any until exhaustion.
     for to in 0..p {
         if to != me {
-            c.send_from(to, 5, &[me as u8]);
+            c.send_from(to, 5, &[me as u8]).unwrap();
         }
     }
     let mut bufs = vec![[0u8; 1]; p];
@@ -98,7 +98,7 @@ fn check_wait_any_any_order<C: Comm>(c: &C) {
         .map(|(from, buf)| Some(RecvPost::new(from, 5, &mut buf[..])))
         .collect();
     let mut seen = vec![false; p];
-    while let Some((slot, post)) = c.wait_any(&mut posts) {
+    while let Some((slot, post)) = c.wait_any(&mut posts).unwrap() {
         assert!(slot < p - 1);
         let from = post.from;
         assert_eq!(post.buf[0] as usize, from, "payload identifies its sender");
@@ -112,12 +112,12 @@ fn check_wait_any_any_order<C: Comm>(c: &C) {
 /// Collectives agree across ranks.
 fn check_collectives<C: Comm>(c: &C) {
     let p = c.size();
-    let sum = c.allreduce_scalar(c.rank() as f64 + 1.0, ReduceOp::Sum);
+    let sum = c.allreduce_scalar(c.rank() as f64 + 1.0, ReduceOp::Sum).unwrap();
     assert_eq!(sum, (p * (p + 1) / 2) as f64);
     let mut v = vec![c.rank() as f64, 1.0];
     c.allreduce(&mut v, ReduceOp::Max);
     assert_eq!(v, vec![(p - 1) as f64, 1.0]);
-    c.barrier();
+    c.barrier().unwrap();
 }
 
 fn conformance<C: Comm>(c: &C) {

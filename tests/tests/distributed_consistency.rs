@@ -9,6 +9,7 @@ use hpgmxp_core::ops::{dist_dot, dist_gs_sweep, dist_spmv, OpCtx, SweepDir};
 use hpgmxp_core::PrecisionPolicy;
 use hpgmxp_geometry::{LocalGrid, ProcGrid};
 use hpgmxp_integration_tests::{dist_problem, serial_equivalent};
+use hpgmxp_sparse::Scalar;
 
 /// Fill a distributed vector with a deterministic function of the
 /// global coordinate, so every rank agrees on the intended content.
@@ -88,7 +89,7 @@ fn reference_gs_sweep_matches_serial_lexicographic() {
 
         // Manual: exchange, then sequential in-place relaxation.
         let mut z2 = global_fill(&l.grid, l.vec_len());
-        l.halo.exchange(&c, 9, &mut z2, &tl);
+        l.halo.exchange_wire_checked(&c, 9, &mut z2, f64::BYTES, &tl).unwrap();
         hpgmxp_sparse::gauss_seidel::gs_forward(l.csr64(), &r, &mut z2);
 
         for (a, b) in z.iter().zip(z2.iter()) {
@@ -109,7 +110,7 @@ fn dot_products_are_rank_count_invariant() {
             let lg = LocalGrid::new(local, procs, c.rank() as u32);
             let x = global_fill(&lg, lg.total_points());
             let mut stats = MotifStats::new();
-            dist_dot(&c, &mut stats, Motif::Dot, &x, &x)
+            dist_dot(&c, &mut stats, Motif::Dot, &x, &x).unwrap()
         });
         let v = results[0];
         for r in &results {

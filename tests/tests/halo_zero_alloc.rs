@@ -79,15 +79,15 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// barriers so no rank's set-up or teardown leaks into the window;
 /// returns `(allocations, last size tag)` seen during it.
 fn counted_window<C: Comm>(c: &C, measured: impl FnOnce()) -> (u64, u64) {
-    c.barrier();
+    c.barrier().unwrap();
     ALLOCATIONS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    c.barrier();
+    c.barrier().unwrap();
     measured();
-    c.barrier();
+    c.barrier().unwrap();
     ARMED.store(false, Ordering::SeqCst);
     let seen = (ALLOCATIONS.load(Ordering::SeqCst), LAST_SIZE.load(Ordering::SeqCst));
-    c.barrier();
+    c.barrier().unwrap();
     seen
 }
 
@@ -139,9 +139,9 @@ fn steady_state_exchange_allocates_nothing() {
         // force one pool growth — mid-measurement, scheduler-dependent.
         // Neither transport's barrier touches the allocator once warm.
         for i in 0..WARMUP as u64 {
-            l.halo.exchange(&c, 2 * i, &mut x64, &tl);
-            l.halo.exchange(&c, 2 * i + 1, &mut x32, &tl);
-            c.barrier();
+            l.halo.exchange_wire_checked(&c, 2 * i, &mut x64, f64::BYTES, &tl).unwrap();
+            l.halo.exchange_wire_checked(&c, 2 * i + 1, &mut x32, f32::BYTES, &tl).unwrap();
+            c.barrier().unwrap();
         }
 
         // Transport pools may still hold buffers that only ever
@@ -151,15 +151,15 @@ fn steady_state_exchange_allocates_nothing() {
         // mid-measurement. Every rank prewarms: under threads the
         // world pool is shared (idempotent), under sockets each
         // process owns its pools and must do its own.
-        c.barrier();
+        c.barrier().unwrap();
         let widest = l.halo.plan().neighbors.iter().map(|n| n.staging_bytes(8)).max().unwrap_or(0);
         c.prewarm_pool(widest);
         let exchanges = counted_window(&c, || {
             for i in 0..MEASURED as u64 {
                 let tag = (WARMUP as u64 + i) * 2;
-                l.halo.exchange(&c, tag, &mut x64, &tl);
-                l.halo.exchange(&c, tag + 1, &mut x32, &tl);
-                c.barrier();
+                l.halo.exchange_wire_checked(&c, tag, &mut x64, f64::BYTES, &tl).unwrap();
+                l.halo.exchange_wire_checked(&c, tag + 1, &mut x32, f32::BYTES, &tl).unwrap();
+                c.barrier().unwrap();
             }
         });
 
@@ -177,7 +177,7 @@ fn steady_state_exchange_allocates_nothing() {
             dist_gs_sweep(&ctx, l, &mut stats, tag + 3, SweepDir::Forward, &r32, &mut x32);
             dist_gs_sweep(&ctx, l, &mut stats, tag + 4, SweepDir::Backward, &r32, &mut x32);
             dist_spmv(&ctx, l, &mut stats, tag + 5, &mut x32, &mut y32);
-            c.barrier();
+            c.barrier().unwrap();
         };
         let pool = rayon::ThreadPool::new(1);
         let kernel_calls = pool.install(|| {

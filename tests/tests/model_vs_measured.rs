@@ -120,7 +120,7 @@ fn halo_bytes_reconcile_measured_vs_model_per_precision() {
             let l = &prob.levels[0];
             let tl = Timeline::enabled();
             let mut x = vec![S::ZERO; l.vec_len()];
-            l.halo.exchange(&c, 0, &mut x, &tl);
+            l.halo.exchange_wire_checked(&c, 0, &mut x, S::BYTES, &tl).unwrap();
             let wire: usize = tl.overlap_records().iter().map(|r| r.bytes_sent).sum();
             let recv: usize = tl.overlap_records().iter().map(|r| r.bytes_received).sum();
             assert_eq!(

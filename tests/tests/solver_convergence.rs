@@ -21,7 +21,7 @@ fn all_three_solvers_agree_on_the_solution() {
     let g_opts = GmresOptions { max_iters: 600, ..Default::default() };
     let (x_g, st_g) = gmres_solve_f64(&SelfComm, &prob, &g_opts, &tl);
     let (x_ir, st_ir) = gmres_ir_solve_policy(&SelfComm, &prob_mxp, &mxp, &g_opts, &tl);
-    let (x_cg, st_cg) = cg_solve(&SelfComm, &prob, &CgOptions::default(), &tl);
+    let (x_cg, st_cg) = cg_solve(&SelfComm, &prob, &CgOptions::default(), &tl).unwrap();
     assert!(st_g.converged && st_ir.converged && st_cg.converged);
     for i in 0..prob.n_local() {
         assert!((x_g[i] - x_ir[i]).abs() < 1e-6);
