@@ -11,13 +11,20 @@
 //! precision the policy names for that depth (plus `f64` on the fine
 //! level, for the outer residual). Each lower-precision copy is one
 //! narrowing pass over the `f64` values. The assembly CSR serves the
-//! JPL coloring, the fused-restriction work count and `b = A·1`, and is
+//! coloring, the fused-restriction work count and `b = A·1`, and is
 //! then dropped. What only the reference variant reads — the CSR form,
 //! the `(D+L, U)` factors of its two-kernel Gauss–Seidel and the level
 //! schedule — is built on first use, by running the same assembly
 //! again, so it is bit-identical to an eager build and costs nothing
 //! under the optimized variant. [`Level::value_bytes`] and
 //! [`Level::index_bytes`] count exactly that.
+//!
+//! Every level is colored by the sequential greedy algorithm, which on
+//! this stencil finds the 8 parity classes of the 2×2×2 block, in a
+//! fixed order chosen for the smoother (see [`sweep_coloring`]). The
+//! paper colors with Jones–Plassmann–Luby because a GPU must build its
+//! coloring in parallel (§3.2.1); on a CPU that costs 14–17 colors,
+//! uneven classes and most of the setup time.
 //!
 //! Every ELL operator is stored **color-block ordered**: all rows of
 //! color 0, then color 1, …, and within each color the interior rows
@@ -39,7 +46,7 @@ use hpgmxp_sparse::csr::{CsrBuilder, CsrMatrix};
 use hpgmxp_sparse::gauss_seidel::split_lower_upper;
 use hpgmxp_sparse::ordering::color_block_order;
 use hpgmxp_sparse::{
-    jpl_coloring, ColorRange, Coloring, EllMatrix, Half, LevelSchedule, PrecKind, Scalar,
+    greedy_coloring, ColorRange, Coloring, EllMatrix, Half, LevelSchedule, PrecKind, Scalar,
 };
 use std::sync::OnceLock;
 
@@ -54,7 +61,11 @@ pub struct ProblemSpec {
     pub stencil: Stencil27,
     /// Multigrid levels (benchmark: 4).
     pub mg_levels: usize,
-    /// Seed for the JPL coloring weights.
+    /// Assembly reads nothing from this field: the coloring is greedy
+    /// and seedless, so every seed assembles the same problem. It
+    /// remains because the benchmark adapter (`benchmark/src/adapter.rs`),
+    /// frozen until its next revision, still sets it; ROADMAP item 1
+    /// deletes it.
     pub seed: u64,
 }
 
@@ -135,7 +146,9 @@ pub struct Level {
     /// Fine-matrix nonzeros in coarse-collocated rows (fused
     /// restriction work; 0 on the coarsest level).
     nnz_coarse: usize,
-    /// JPL multicoloring of the local graph.
+    /// Multicoloring of the local graph in sweep order (see
+    /// [`sweep_coloring`]): 8 equal parity classes on the 27-point
+    /// stencil.
     pub coloring: Coloring,
     /// Per color: its ELL slab positions, interior rows (stencil touches
     /// no ghost; safe during communication) before `split`, boundary
@@ -365,6 +378,32 @@ fn assemble_matrix(grid: &LocalGrid, plan: &HaloPlan, stencil: &Stencil27) -> Cs
     b.finish()
 }
 
+/// The greedy coloring of `a`, relabelled so that greedy color 0 is
+/// relaxed in the middle of a forward sweep: it moves to position
+/// `ncolors/2 − 1` and colors `1..=ncolors/2 − 1` shift down by one.
+///
+/// Greedy color 0 is row 0's parity class. Because local sizes are
+/// divisible by `2^(levels−1)`, it holds every row collocated with a
+/// coarse point. A forward sweep zeroes the residual of the class it
+/// relaxes last, so that class must not go last, or the restricted
+/// residual — and the coarse correction — would vanish. Relaxing it
+/// mid-sweep, after three even-z classes and before the four odd-z
+/// ones, also converges in fewer iterations than relaxing it first.
+fn sweep_coloring(a: &CsrMatrix<f64>) -> Coloring {
+    let greedy = greedy_coloring(a);
+    let mid = (greedy.num_colors / 2).saturating_sub(1);
+    let color_of = greedy
+        .color_of
+        .iter()
+        .map(|&c| match c {
+            0 => mid,
+            c if c <= mid => c - 1,
+            c => c,
+        })
+        .collect();
+    Coloring::from_color_of(color_of)
+}
+
 /// Assemble the local problem of `rank` with exactly what `policy`
 /// needs: per level, the ELL operator at the policy's storage precision
 /// for that depth, plus `f64` on the fine level (the GMRES-IR outer
@@ -387,7 +426,7 @@ pub fn assemble_with_policy(
     for (l, grid) in hierarchy.grids.iter().enumerate() {
         let plan = HaloPlan::build(grid);
         let csr64 = assemble_matrix(grid, &plan, &spec.stencil);
-        let coloring = jpl_coloring(&csr64, spec.seed.wrapping_add(l as u64));
+        let coloring = sweep_coloring(&csr64);
         debug_assert!(coloring.verify(&csr64));
         let c2f = if l + 1 < spec.mg_levels { Some(hierarchy.maps[l].clone()) } else { None };
         let mut collocated = vec![false; grid.total_points()];
@@ -526,22 +565,31 @@ pub(crate) mod tests {
         assert!(p.levels[3].c2f.is_none());
     }
 
+    /// Every level, single-rank and one rank of a 2×2×1 grid, is colored
+    /// with the 8 equal parity classes, and every row collocated with a
+    /// coarse point is in color 3: neither first nor last in a forward
+    /// sweep, so the sweep cannot zero the residual restriction reads.
     #[test]
-    fn coloring_is_valid_with_8_colors_on_27pt() {
-        let p = assemble_f64(&spec_1rank(8, 1), 0);
-        let l = &p.levels[0];
-        assert!(l.coloring.verify(l.csr64()));
-        // The 27-point stencil needs at least 8 colors (2×2×2 parity).
-        // JPL with random weights typically lands between 8 and ~2x the
-        // chromatic number on this dense stencil graph.
-        assert!(
-            l.coloring.num_colors >= 8 && l.coloring.num_colors <= 20,
-            "got {}",
-            l.coloring.num_colors
-        );
-        // Greedy in lexicographic order achieves the optimum, 8.
-        let greedy = hpgmxp_sparse::greedy_coloring(l.csr64());
-        assert_eq!(greedy.num_colors, 8);
+    fn coloring_is_8_parity_classes_with_coarse_class_mid_sweep() {
+        let spec_2x2x1 = ProblemSpec {
+            local: (8, 8, 8),
+            procs: ProcGrid::new(2, 2, 1),
+            stencil: Stencil27::symmetric(),
+            mg_levels: 3,
+            seed: 3,
+        };
+        for (spec, rank) in [(spec_1rank(16, 4), 0), (spec_2x2x1, 3)] {
+            let p = assemble_f64(&spec, rank);
+            for l in &p.levels {
+                let c = &l.coloring;
+                assert!(c.verify(l.csr64()), "level {}", l.depth);
+                assert_eq!(c.num_colors, 8, "level {}", l.depth);
+                assert!(c.rows_of.iter().all(|rows| rows.len() == l.n_local() / 8));
+                for &f in l.c2f.iter().flat_map(|map| &map.c2f) {
+                    assert_eq!(c.color_of[f as usize], 3, "level {} row {f}", l.depth);
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,18 @@
 //! Two algorithms are provided:
 //!
 //! * [`greedy_coloring`] — the sequential greedy algorithm (Saad §3.3.3),
-//!   deterministic, used as the quality yardstick;
+//!   deterministic and seedless. In natural order on the 27-point grid
+//!   it finds the 8 parity classes, equal in size; it is the coloring
+//!   assembly uses (in a fixed relabelled order, see
+//!   `hpgmxp_core::problem`);
 //! * [`jpl_coloring`] — Jones–Plassmann–Luby with deterministic seeded
 //!   random weights, the algorithm the paper runs on the GPU during the
 //!   benchmark's optimization phase. Each round colors the set of
 //!   uncolored vertices whose weight is a local maximum among their
-//!   uncolored neighbors; rounds are embarrassingly parallel.
+//!   uncolored neighbors; rounds are embarrassingly parallel. On the
+//!   27-point stencil it needs 14–17 colors where greedy needs 8; it is
+//!   kept for comparison (`examples/smoother_study.rs`) and the
+//!   benchmark's setup replay.
 
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
@@ -36,7 +42,10 @@ pub struct Coloring {
 }
 
 impl Coloring {
-    fn from_color_of(color_of: Vec<u32>) -> Self {
+    /// The coloring that gives row `i` color `color_of[i]`, with
+    /// `num_colors` one past the largest. Relabelling an existing
+    /// coloring's classes goes through here.
+    pub fn from_color_of(color_of: Vec<u32>) -> Self {
         let num_colors = color_of.iter().copied().max().map_or(0, |m| m + 1);
         let mut rows_of = vec![Vec::new(); num_colors as usize];
         for (i, &c) in color_of.iter().enumerate() {

@@ -14,8 +14,10 @@
 //! * [`ell`] — ELLPACK storage with column-major padding (the paper's
 //!   optimized format, §3.2.2), rows stored in a chosen order so each
 //!   color of a multicolored matrix is one contiguous slab range,
-//! * [`coloring`] — greedy and Jones–Plassmann–Luby multicoloring used
-//!   to expose parallelism inside Gauss–Seidel (§3.2.1),
+//! * [`coloring`] — multicoloring to expose parallelism inside
+//!   Gauss–Seidel (§3.2.1): greedy, which assembly uses, and
+//!   Jones–Plassmann–Luby, the paper's GPU algorithm, kept for
+//!   comparison,
 //! * [`ordering`] — permutations, color-block ordering, and reverse
 //!   Cuthill–McKee (for the ordering-quality comparisons §3.2.1 cites),
 //! * [`levels`] — level scheduling of triangular sweeps (the reference
