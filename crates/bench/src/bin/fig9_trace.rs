@@ -3,14 +3,14 @@
 //! coarsest grid (9b, communication partially exposed).
 //!
 //! Two sections, printed side by side: the modeled rocprof-style
-//! timelines on the Frontier machine model, and a *measured* event
-//! timeline + per-exchange overlap records captured from an actual
-//! threaded run of the optimized smoother on this machine — including
-//! the measured `overlap_efficiency()`, the testable counterpart of
-//! the model's `hidden_fraction`.
+//! timelines on the Frontier machine model, and the *measured*
+//! per-exchange overlap records captured from an actual threaded run
+//! of the optimized smoother on this machine — including the measured
+//! `overlap_efficiency()`, the testable counterpart of the model's
+//! `hidden_fraction`.
 //!
 //! Run: `cargo run --release -p hpgmxp-bench --bin fig9_trace`
-//! Env: `HPGMXP_RANKS` (default 8), `HPGMXP_LOCAL` (default 16),
+//! Env: `HPGMXP_RANKS` (default 8), `HPGMXP_LOCAL_N` (default 16),
 //! `HPGMXP_COMM` (thread | socket — over sockets, start the job as
 //! `hpgmxp-launch -n N -- ... fig9_trace`; rank 0 prints the modeled
 //! sections and the middle-rank process prints the measured ones).
@@ -79,8 +79,7 @@ fn measured_sweep(
         for s in 0..sweeps {
             dist_gs_sweep(&ctx, l, &mut stats, s as u64, SweepDir::Forward, &r, &mut z);
         }
-        let dropped = tl.dropped_events() + tl.dropped_overlaps();
-        (c.rank(), tl.overlap_records(), tl.overlap_efficiency(), dropped)
+        (c.rank(), tl.overlap_records(), tl.overlap_efficiency(), tl.dropped_overlaps())
     });
     let pos = out.iter().position(|(r, _, _, _)| *r == mid)?;
     let (_, records, eff, dropped) = out.swap_remove(pos);
@@ -129,7 +128,7 @@ fn main() {
     // coarse box, with per-exchange overlap records from the
     // persistent-buffer halo engine.
     let ranks = hpgmxp_comm::socket_world_size().unwrap_or_else(|| env_usize("HPGMXP_RANKS", 8));
-    let local = env_usize("HPGMXP_LOCAL", 16) as u32;
+    let local = env_usize("HPGMXP_LOCAL_N", 16) as u32;
     let sweeps = 4;
 
     let fine_out = measured_sweep(ranks, local, sweeps);
@@ -144,8 +143,8 @@ fn main() {
     let dropped = drop_fine + drop_coarse;
     if dropped > 0 {
         eprintln!(
-            "[fig9] warning: timeline ring wrapped ({dropped} records lost) — measured overlap \
-             covers a truncated window; raise HPGMXP_TIMELINE_CAPACITY for full coverage"
+            "[fig9] warning: overlap ledger wrapped ({dropped} records lost) — measured overlap \
+             covers only the newest exchanges"
         );
     }
     println!(

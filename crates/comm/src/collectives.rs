@@ -33,8 +33,8 @@
 //! Every operation updates the endpoint's [`CollCounters`] (operation,
 //! round, receive, and byte counts), so the O(log P) load claim is
 //! measured, not asserted: every rank, rank 0 included, performs
-//! ⌈log₂P⌉ receives per allreduce, and the Timeline can record the
-//! per-solve totals.
+//! ⌈log₂P⌉ receives per allreduce, and GMRES-IR reports the per-solve
+//! totals in `SolveStats::collectives`.
 
 use crate::comm::{reduce_into, ReduceOp};
 use crate::error::CommResult;
@@ -49,8 +49,8 @@ pub const COLLECTIVE_TAG_BIT: u64 = 1 << 63;
 /// Per-endpoint collective traffic counters, updated by the engine on
 /// every operation. All counts are cumulative since endpoint creation;
 /// snapshot with [`CollCounters::snapshot`] and diff two snapshots to
-/// attribute traffic to a phase (the Timeline records per-solve
-/// deltas this way).
+/// attribute traffic to a phase (GMRES-IR reports per-solve deltas
+/// this way).
 #[derive(Debug, Default)]
 pub struct CollCounters {
     allreduces: AtomicU64,

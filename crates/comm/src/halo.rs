@@ -34,12 +34,14 @@
 
 use crate::comm::{unpack_wire, Comm, RecvPost};
 use crate::error::CommResult;
-use crate::timeline::{OverlapRecord, Stream, Timeline};
+use crate::timeline::{OverlapRecord, Timeline};
 use hpgmxp_geometry::HaloPlan;
 use hpgmxp_sparse::Scalar;
+use hpgmxp_trace::Lane;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::MutexGuard;
+use std::time::Instant;
 
 /// Upper bound on halo neighbors of a 27-point stencil rank, used to
 /// size the stack-allocated receive-post array in `finish`.
@@ -165,15 +167,15 @@ impl HaloExchange {
         let mut pack_secs = 0.0;
         let mut bytes_sent = 0usize;
         for (nbr, buf) in self.plan.neighbors.iter().zip(bufs.send.iter_mut()) {
-            let t0 = if traced { tl.now() } else { 0.0 };
+            let t0 = traced.then(Instant::now);
             {
-                let _pack_span = tl.span("halo pack", Stream::Halo);
+                let _pack_span = hpgmxp_trace::span("halo pack", Lane::Halo);
                 pack_gather_into(x, &nbr.send_indices, wire_bytes, buf);
             }
-            if traced {
-                pack_secs += tl.now() - t0;
+            if let Some(t0) = t0 {
+                pack_secs += t0.elapsed().as_secs_f64();
             }
-            let _send_span = tl.span("halo send", Stream::Comm);
+            let _send_span = hpgmxp_trace::span("halo send", Lane::Comm);
             comm.send_from(nbr.rank as usize, tag, buf)?;
             bytes_sent += buf.len();
         }
@@ -184,7 +186,7 @@ impl HaloExchange {
             wire_bytes,
             pack_secs,
             bytes_sent,
-            begin_end: if traced { tl.now() } else { 0.0 },
+            begin_end: traced.then(Instant::now),
             _precision: PhantomData,
         })
     }
@@ -254,7 +256,8 @@ pub struct ActiveExchange<'a, S: Scalar> {
     wire_bytes: usize,
     pack_secs: f64,
     bytes_sent: usize,
-    begin_end: f64,
+    /// When `begin` returned; `None` when the exchange is untraced.
+    begin_end: Option<Instant>,
     _precision: PhantomData<fn(S)>,
 }
 
@@ -273,8 +276,8 @@ impl<S: Scalar> ActiveExchange<'_, S> {
     pub fn finish<C: Comm>(mut self, comm: &C, x: &mut [S], tl: &Timeline) -> CommResult<()> {
         let hx = self.hx;
         assert!(x.len() >= hx.n_local + hx.num_ghosts());
-        let traced = tl.is_traced();
-        let window = if traced { tl.now() - self.begin_end } else { 0.0 };
+        let window = self.begin_end.map_or(0.0, |t| t.elapsed().as_secs_f64());
+        let traced = self.begin_end.is_some();
 
         let nbrs = &hx.plan.neighbors;
         assert!(nbrs.len() <= MAX_NEIGHBORS);
@@ -288,26 +291,24 @@ impl<S: Scalar> ActiveExchange<'_, S> {
         let mut unpack_secs = 0.0;
         let mut bytes_received = 0usize;
         loop {
-            let t0 = if traced { tl.now() } else { 0.0 };
+            let t0 = traced.then(Instant::now);
             let completed = {
-                let _wait_span = tl.span("halo wait", Stream::Comm);
+                let _wait_span = hpgmxp_trace::span("halo wait", Lane::Comm);
                 comm.wait_any(&mut posts[..nbrs.len()])?
             };
             let Some((slot, post)) = completed else { break };
-            let t1 = if traced {
-                let t1 = tl.now();
-                wire_wait += t1 - t0;
+            let t1 = t0.map(|t0| {
+                let t1 = Instant::now();
+                wire_wait += (t1 - t0).as_secs_f64();
                 t1
-            } else {
-                0.0
-            };
-            let _unpack_span = tl.span("halo unpack", Stream::Copy);
+            });
+            let _unpack_span = hpgmxp_trace::span("halo unpack", Lane::Copy);
             let nbr = &nbrs[slot];
             let start = hx.n_local + nbr.recv_start as usize;
             unpack_wire(post.buf, self.wire_bytes, &mut x[start..start + nbr.count as usize]);
             bytes_received += post.buf.len();
-            if traced {
-                unpack_secs += tl.now() - t1;
+            if let Some(t1) = t1 {
+                unpack_secs += t1.elapsed().as_secs_f64();
             }
         }
 
@@ -632,6 +633,11 @@ mod tests {
 
     #[test]
     fn timeline_captures_halo_events_and_overlap_record() {
+        // Arms the process-global span ring under the comm trace lock.
+        // Tests running alongside may record into it while it is armed,
+        // so the span checks keep only this test's rank threads.
+        let _armed = crate::trace_mode_lock();
+        hpgmxp_trace::set_mode_override(hpgmxp_trace::Mode::Spans);
         let procs = ProcGrid::new(2, 1, 1);
         let per_rank = run_spmd(2, move |c| {
             let lg = LocalGrid::new((2, 2, 2), procs, c.rank() as u32);
@@ -640,12 +646,25 @@ mod tests {
             let mut x = vec![1.0f64; n + hx.num_ghosts()];
             let tl = Timeline::enabled();
             hx.exchange_wire_checked(&c, 0, &mut x, f64::BYTES, &tl).unwrap();
-            (tl.events().len(), tl.overlap_records(), hx.send_bytes::<f64>())
+            (hpgmxp_trace::current_tid(), tl.overlap_records(), hx.send_bytes::<f64>())
         });
-        for (n_events, records, wire_bytes) in per_rank {
-            // pack + send + wait + unpack per neighbor (1 neighbor each),
-            // plus the final no-more-posts wait probe.
-            assert_eq!(n_events, 5);
+        hpgmxp_trace::set_mode_override(hpgmxp_trace::Mode::Off);
+        let ring = hpgmxp_trace::global();
+        let events = ring.events();
+        for (tid, records, wire_bytes) in per_rank {
+            let mut halo: Vec<&str> = events
+                .iter()
+                .filter(|e| e.tid == tid && e.name.starts_with("halo "))
+                .map(|e| e.name)
+                .collect();
+            halo.sort_unstable();
+            // pack + send + wait + unpack for the one neighbor, plus the
+            // final no-more-posts wait probe.
+            assert_eq!(
+                halo,
+                ["halo pack", "halo send", "halo unpack", "halo wait", "halo wait"],
+                "tid {tid}"
+            );
             assert_eq!(records.len(), 1, "one exchange, one overlap record");
             let r = &records[0];
             assert_eq!(r.bytes_sent, wire_bytes);
@@ -653,6 +672,8 @@ mod tests {
             assert_eq!(r.bytes_received, r.bytes_sent);
             assert!(r.pack >= 0.0 && r.wire_wait >= 0.0 && r.unpack >= 0.0);
         }
+        let mirrored = ring.overlaps().iter().filter(|o| o.bytes_sent == 4 * 8).count();
+        assert!(mirrored >= 2, "both ranks' overlap records reach the armed global ring");
     }
 
     #[test]

@@ -39,10 +39,10 @@
 //!   buffers sized once from the plan, and the type-state
 //!   **begin/finish** split ([`halo::ActiveExchange`]) used to overlap
 //!   interior computation with communication (§3.2.3 of the paper);
-//! * [`timeline`] — a lightweight event recorder that timestamps
-//!   compute/pack/send/wait intervals and per-exchange
-//!   [`timeline::OverlapRecord`]s, the source of the rocprof-style
-//!   traces of figure 9 and the measured `overlap_efficiency()`.
+//! * [`timeline`] — the per-solve ledger of per-exchange
+//!   [`timeline::OverlapRecord`]s behind the measured
+//!   `overlap_efficiency()` of figure 9 (the compute/pack/send/wait
+//!   spans themselves go to the [`hpgmxp_trace`] recorder).
 //!
 //! The substitution argument (see DESIGN.md): solvers written against
 //! [`Comm`] perform the same message pattern, volume, and ordering as
@@ -63,6 +63,16 @@ pub mod thread_world;
 pub mod timeline;
 pub mod world;
 
+/// Serializes the comm tests that arm the process-global span ring
+/// through [`hpgmxp_trace::set_mode_override`]: the test binary runs
+/// tests on parallel threads, and one test disarming the ring would
+/// cut short the spans of another.
+#[cfg(test)]
+pub(crate) fn trace_mode_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 pub use collectives::{rd_rounds, CollStats};
 pub use comm::{Comm, RecvPost, ReduceOp, SelfComm};
 pub use error::{CommError, CommErrorKind, CommResult};
@@ -72,5 +82,5 @@ pub use mesh::{MeshComm, MeshConfig};
 pub use shmem_world::{ShmemComm, ShmemWorld};
 pub use socket_world::{SocketComm, SocketWorld};
 pub use thread_world::{run_threads, run_threads_fallible, ThreadComm, ThreadWorld};
-pub use timeline::{OverlapRecord, Stream, Timeline, TimelineEvent};
+pub use timeline::{OverlapRecord, Timeline};
 pub use world::{run_spmd, socket_world_size, Transport, WorldComm};

@@ -1,84 +1,22 @@
-//! Lightweight event timeline for compute/communication tracing — a
-//! thin view over the [`hpgmxp_trace`] recorder.
+//! The per-solve halo overlap ledger behind figure 9.
 //!
 //! Figure 9 of the paper shows rocprof traces with a GPU compute
 //! stream, a halo (pack/copy) stream, and communication markers, used
 //! to demonstrate that halo exchange is hidden under the interior
-//! Gauss–Seidel kernel. This facade captures the same kind of
-//! intervals from real executions of our solver so the overlap can be
-//! inspected (and asserted on in tests).
+//! Gauss–Seidel kernel. The spans of those lanes go straight to the
+//! process-global recorder through [`hpgmxp_trace::span`] (armed by
+//! `HPGMXP_TRACE=spans`); a `Timeline` keeps only what one solve
+//! reports about its own exchanges — one [`OverlapRecord`] per
+//! split-phase halo exchange, aggregated by
+//! [`Timeline::overlap_efficiency`].
 //!
-//! Since PR 10 the storage behind it is the trace crate's preallocated
-//! lock-free ring ([`hpgmxp_trace::Recorder`]) rather than a private
-//! `Mutex<Vec>`: a `Timeline` owns one per-instance recorder for its
-//! local views (`events()`, `overlap_records()`, the figure-9
-//! assertions), and every span additionally mirrors into the
-//! **process-global** recorder whenever `HPGMXP_TRACE=spans` is armed
-//! — that is what the per-rank binary trace files and the
-//! `hpgmxp-trace` Chrome export read. A disabled timeline allocates
-//! nothing and costs one branch per probe; collective traffic
-//! ([`Timeline::set_collectives`]) stays a plain snapshot slot because
-//! [`CollStats`] is itself a view over the collective engine's
-//! counters.
+//! Records live in a preallocated lock-free ring (the overlap ring of
+//! an [`hpgmxp_trace::Recorder`]) of [`OVERLAP_CAPACITY`] entries and
+//! are mirrored into the global ring whenever spans are armed, so the
+//! per-rank trace files carry them too. A disabled timeline allocates
+//! nothing.
 
-use crate::collectives::CollStats;
-use hpgmxp_trace::{EventRec, Kind, Lane, OverlapRec, Recorder};
-use parking_lot::Mutex;
-use std::sync::OnceLock;
-use std::time::Instant;
-
-/// Which conceptual stream an event belongs to (mirrors the paper's
-/// trace lanes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stream {
-    /// Kernel work (the GPU "compute stream" in the paper).
-    Compute,
-    /// Halo buffer packing/unpacking (the "halo stream").
-    Halo,
-    /// Host-device style copies (the COPY lane).
-    Copy,
-    /// Message send/receive/wait markers ("Markers and Ranges").
-    Comm,
-}
-
-impl Stream {
-    /// Display label used by trace renderers.
-    pub fn label(self) -> &'static str {
-        self.lane().label()
-    }
-
-    /// The trace-crate lane this stream records into.
-    pub fn lane(self) -> Lane {
-        match self {
-            Stream::Compute => Lane::Compute,
-            Stream::Halo => Lane::Halo,
-            Stream::Copy => Lane::Copy,
-            Stream::Comm => Lane::Comm,
-        }
-    }
-
-    fn from_lane(lane: Lane) -> Stream {
-        match lane {
-            Lane::Compute => Stream::Compute,
-            Lane::Halo => Stream::Halo,
-            Lane::Copy => Stream::Copy,
-            _ => Stream::Comm,
-        }
-    }
-}
-
-/// One recorded interval.
-#[derive(Debug, Clone)]
-pub struct TimelineEvent {
-    /// Kernel or operation name.
-    pub name: String,
-    /// Stream lane.
-    pub stream: Stream,
-    /// Start, seconds since the timeline epoch.
-    pub start: f64,
-    /// End, seconds since the timeline epoch.
-    pub end: f64,
-}
+use hpgmxp_trace::{OverlapRec, Recorder};
 
 /// Measured anatomy of one split-phase halo exchange: what the halo
 /// engine actually did between `begin` and `finish`, recorded so the
@@ -148,135 +86,40 @@ fn secs_to_ns(s: f64) -> u64 {
     (s.max(0.0) * 1e9).round() as u64
 }
 
-/// A concurrent event recorder. A disabled timeline records nothing
-/// locally and costs one branch per event; whenever the global span
-/// ring is armed (`HPGMXP_TRACE=spans`) every span is mirrored there
-/// regardless, so per-rank trace files see solver activity even from
-/// code paths that run with a disabled timeline.
+/// Overlap records an enabled timeline keeps. The ring wraps, keeping
+/// the newest; [`Timeline::dropped_overlaps`] counts what it lost.
+pub const OVERLAP_CAPACITY: usize = 1 << 12;
+
+/// A concurrent per-solve ledger of halo overlap records. The halo
+/// engine pays for clock reads only when [`Timeline::is_traced`].
 #[derive(Debug)]
 pub struct Timeline {
     enabled: bool,
-    epoch: Instant,
     rec: Recorder,
-    /// This timeline's epoch on the global recorder's clock, computed
-    /// lazily on the first mirrored record — so spans stay aligned
-    /// with the rest of the merged trace even when the global ring is
-    /// armed after this timeline was constructed (test overrides,
-    /// late env resolution).
-    global_offset_ns: OnceLock<u64>,
-    collectives: Mutex<Option<CollStats>>,
-}
-
-/// Default instance ring capacities: events and overlap records kept
-/// per enabled timeline (the global ring is sized independently via
-/// `HPGMXP_TRACE_CAPACITY`). `HPGMXP_TIMELINE_CAPACITY` overrides the
-/// event capacity; the overlap ring scales with it at the same 16:1
-/// ratio. The rings wrap, keeping the newest records — see
-/// [`Timeline::dropped_events`] before trusting aggregate figures
-/// from a long run.
-const INSTANCE_EVENTS: usize = 1 << 16;
-const INSTANCE_OVERLAPS: usize = 1 << 12;
-
-fn instance_caps() -> (usize, usize) {
-    static CAPS: OnceLock<(usize, usize)> = OnceLock::new();
-    *CAPS.get_or_init(|| {
-        let ev = std::env::var("HPGMXP_TIMELINE_CAPACITY")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or(INSTANCE_EVENTS);
-        (ev, (ev / (INSTANCE_EVENTS / INSTANCE_OVERLAPS)).max(1))
-    })
 }
 
 impl Timeline {
-    fn new(enabled: bool) -> Self {
-        let (cap, ocap) = if enabled { instance_caps() } else { (0, 0) };
-        Timeline {
-            enabled,
-            epoch: Instant::now(),
-            rec: Recorder::new(cap, ocap),
-            global_offset_ns: OnceLock::new(),
-            collectives: Mutex::new(None),
-        }
-    }
-
-    /// A recording timeline with its epoch at creation time.
+    /// A timeline that keeps the overlap records of its exchanges.
     pub fn enabled() -> Self {
-        Timeline::new(true)
+        Timeline { enabled: true, rec: Recorder::new(0, OVERLAP_CAPACITY) }
     }
 
-    /// A no-op timeline (no local storage is allocated).
+    /// A timeline that keeps nothing (no storage is allocated).
     pub fn disabled() -> Self {
-        Timeline::new(false)
+        Timeline { enabled: false, rec: Recorder::new(0, 0) }
     }
 
-    /// Whether events are being recorded locally.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Whether event timing is observable anywhere — locally or in the
-    /// armed global ring. Instrumentation that pays for clock reads
-    /// only when someone is listening gates on this.
+    /// Whether exchange timing is observable anywhere — in this ledger
+    /// or in the armed global ring.
     pub fn is_traced(&self) -> bool {
         self.enabled || hpgmxp_trace::spans_armed()
     }
 
-    /// Seconds since the epoch.
-    pub fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    /// Record an interval with explicit bounds (and mirror it into the
-    /// global ring when armed).
-    pub fn add(&self, name: &'static str, stream: Stream, start: f64, end: f64) {
-        if self.enabled {
-            self.rec.record(EventRec {
-                name,
-                lane: stream.lane(),
-                kind: Kind::Span,
-                tid: hpgmxp_trace::current_tid(),
-                start_ns: secs_to_ns(start),
-                end_ns: secs_to_ns(end),
-                arg: 0,
-            });
-        }
-        if hpgmxp_trace::spans_armed() {
-            let offset = self.global_offset();
-            hpgmxp_trace::global().record(EventRec {
-                name,
-                lane: stream.lane(),
-                kind: Kind::Span,
-                tid: hpgmxp_trace::current_tid(),
-                start_ns: offset + secs_to_ns(start),
-                end_ns: offset + secs_to_ns(end),
-                arg: 0,
-            });
-        }
-    }
-
-    /// This timeline's epoch on the global recorder's clock, fixed the
-    /// first time a span is mirrored (`now` on both clocks is read
-    /// back-to-back, so the skew is nanoseconds).
-    fn global_offset(&self) -> u64 {
-        *self.global_offset_ns.get_or_init(|| {
-            let elapsed = secs_to_ns(self.now());
-            hpgmxp_trace::global().now_ns().saturating_sub(elapsed)
-        })
-    }
-
-    /// RAII guard that records `[creation, drop]` as an interval.
-    pub fn span(&self, name: &'static str, stream: Stream) -> Span<'_> {
-        Span { tl: self, name, stream, start: self.now() }
-    }
-
-    /// Record the measured anatomy of one halo exchange.
+    /// Record the measured anatomy of one halo exchange (and mirror it
+    /// into the global ring when armed).
     pub fn add_overlap(&self, record: OverlapRecord) {
         let ns = record.to_ns();
-        if self.enabled {
-            self.rec.add_overlap(ns);
-        }
+        self.rec.add_overlap(ns);
         if hpgmxp_trace::spans_armed() {
             hpgmxp_trace::global().add_overlap(ns);
         }
@@ -287,17 +130,9 @@ impl Timeline {
         self.rec.overlaps().iter().map(OverlapRecord::from_ns).collect()
     }
 
-    /// Events this timeline's instance ring lost (wrapped over or
-    /// dropped on contention). When non-zero, [`Timeline::events`],
-    /// [`Timeline::busy_time`], [`Timeline::overlap_fraction`] and
-    /// friends describe only the newest window of the run, not all of
-    /// it — raise `HPGMXP_TIMELINE_CAPACITY` to widen the window.
-    pub fn dropped_events(&self) -> usize {
-        self.rec.dropped()
-    }
-
-    /// Overlap records the instance ring lost; when non-zero,
-    /// [`Timeline::overlap_efficiency`] aggregates a truncated window.
+    /// Overlap records the ring lost; when non-zero,
+    /// [`Timeline::overlap_efficiency`] aggregates only the newest
+    /// [`OVERLAP_CAPACITY`] exchanges.
     pub fn dropped_overlaps(&self) -> usize {
         self.rec.overlaps_dropped()
     }
@@ -321,169 +156,11 @@ impl Timeline {
             Some(1.0)
         }
     }
-
-    /// Record the measured collective traffic of the run this timeline
-    /// traces — typically the [`CollStats`] delta between the start and
-    /// end of a solve (the engine's counters are per-endpoint
-    /// lifetime totals; see `CollStats::since`). Recorded even on a
-    /// disabled timeline: the counters cost nothing to snapshot and the
-    /// root-load assertions need them without paying for event
-    /// recording.
-    pub fn set_collectives(&self, stats: CollStats) {
-        *self.collectives.lock() = Some(stats);
-    }
-
-    /// The collective traffic recorded by [`Timeline::set_collectives`],
-    /// if any.
-    pub fn collective_stats(&self) -> Option<CollStats> {
-        *self.collectives.lock()
-    }
-
-    /// Snapshot of the recorded events, sorted by start time.
-    pub fn events(&self) -> Vec<TimelineEvent> {
-        self.rec
-            .events()
-            .into_iter()
-            .map(|e| TimelineEvent {
-                name: e.name.to_string(),
-                stream: Stream::from_lane(e.lane),
-                start: e.start_ns as f64 / 1e9,
-                end: e.end_ns as f64 / 1e9,
-            })
-            .collect()
-    }
-
-    /// Total time covered by events of a stream (union of intervals).
-    pub fn busy_time(&self, stream: Stream) -> f64 {
-        let mut spans: Vec<(f64, f64)> =
-            self.events().iter().filter(|e| e.stream == stream).map(|e| (e.start, e.end)).collect();
-        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut total = 0.0;
-        let mut cur: Option<(f64, f64)> = None;
-        for (s, e) in spans {
-            match cur {
-                None => cur = Some((s, e)),
-                Some((cs, ce)) => {
-                    if s <= ce {
-                        cur = Some((cs, ce.max(e)));
-                    } else {
-                        total += ce - cs;
-                        cur = Some((s, e));
-                    }
-                }
-            }
-        }
-        if let Some((cs, ce)) = cur {
-            total += ce - cs;
-        }
-        total
-    }
-
-    /// Fraction of a stream's busy time that overlaps another stream's
-    /// busy intervals — the "hidden communication" metric of figure 9.
-    pub fn overlap_fraction(&self, of: Stream, under: Stream) -> f64 {
-        let evs = self.events();
-        let a: Vec<(f64, f64)> =
-            evs.iter().filter(|e| e.stream == of).map(|e| (e.start, e.end)).collect();
-        let b: Vec<(f64, f64)> =
-            evs.iter().filter(|e| e.stream == under).map(|e| (e.start, e.end)).collect();
-        let total: f64 = a.iter().map(|(s, e)| e - s).sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let mut covered = 0.0;
-        for &(s, e) in &a {
-            for &(bs, be) in &b {
-                let lo = s.max(bs);
-                let hi = e.min(be);
-                if hi > lo {
-                    covered += hi - lo;
-                }
-            }
-        }
-        (covered / total).min(1.0)
-    }
-}
-
-/// RAII interval guard produced by [`Timeline::span`].
-pub struct Span<'a> {
-    tl: &'a Timeline,
-    name: &'static str,
-    stream: Stream,
-    start: f64,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.tl.add(self.name, self.stream, self.start, self.tl.now());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_records_nothing() {
-        let tl = Timeline::disabled();
-        tl.add("x", Stream::Compute, 0.0, 1.0);
-        {
-            let _s = tl.span("y", Stream::Halo);
-        }
-        assert!(tl.events().is_empty());
-    }
-
-    #[test]
-    fn add_and_sort() {
-        let tl = Timeline::enabled();
-        tl.add("b", Stream::Compute, 2.0, 3.0);
-        tl.add("a", Stream::Compute, 0.0, 1.0);
-        let ev = tl.events();
-        assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].name, "a");
-        assert_eq!(ev[1].name, "b");
-    }
-
-    #[test]
-    fn span_guard_records() {
-        let tl = Timeline::enabled();
-        {
-            let _s = tl.span("work", Stream::Halo);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let ev = tl.events();
-        assert_eq!(ev.len(), 1);
-        assert!(ev[0].end > ev[0].start);
-        assert_eq!(ev[0].stream, Stream::Halo);
-    }
-
-    #[test]
-    fn busy_time_merges_overlaps() {
-        let tl = Timeline::enabled();
-        tl.add("a", Stream::Compute, 0.0, 2.0);
-        tl.add("b", Stream::Compute, 1.0, 3.0);
-        tl.add("c", Stream::Compute, 5.0, 6.0);
-        assert!((tl.busy_time(Stream::Compute) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_fraction_full_and_partial() {
-        let tl = Timeline::enabled();
-        tl.add("comm", Stream::Comm, 1.0, 2.0);
-        tl.add("kernel", Stream::Compute, 0.0, 3.0);
-        assert!((tl.overlap_fraction(Stream::Comm, Stream::Compute) - 1.0).abs() < 1e-12);
-
-        let tl2 = Timeline::enabled();
-        tl2.add("comm", Stream::Comm, 0.0, 2.0);
-        tl2.add("kernel", Stream::Compute, 1.0, 2.0);
-        assert!((tl2.overlap_fraction(Stream::Comm, Stream::Compute) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stream_labels() {
-        assert_eq!(Stream::Compute.label(), "GPU");
-        assert_eq!(Stream::Copy.label(), "COPY");
-    }
 
     fn record(window: f64, wait: f64) -> OverlapRecord {
         OverlapRecord {
@@ -527,21 +204,49 @@ mod tests {
     }
 
     #[test]
+    fn disabled_records_nothing() {
+        // No ring behind a disabled timeline: nothing kept, nothing lost.
+        let tl = Timeline::disabled();
+        for _ in 0..=OVERLAP_CAPACITY {
+            tl.add_overlap(record(1e-6, 1e-6));
+        }
+        assert!(tl.overlap_records().is_empty());
+        assert_eq!(tl.dropped_overlaps(), 0);
+    }
+
+    #[test]
+    fn the_ledger_keeps_the_newest_records_and_counts_the_rest() {
+        let tl = Timeline::enabled();
+        for tag in 0..OVERLAP_CAPACITY as u64 + 3 {
+            tl.add_overlap(OverlapRecord { tag, ..record(1e-6, 0.0) });
+        }
+        let recs = tl.overlap_records();
+        assert_eq!(recs.len(), OVERLAP_CAPACITY);
+        assert_eq!(recs[0].tag, 3, "the three oldest records were wrapped over");
+        assert_eq!(tl.dropped_overlaps(), 3);
+    }
+
+    #[test]
     fn events_mirror_into_the_global_ring_when_armed() {
-        // Serialized on the trace crate's mode override: no other comm
-        // test arms it.
+        let _armed = crate::trace_mode_lock();
         hpgmxp_trace::set_mode_override(hpgmxp_trace::Mode::Spans);
         let before = hpgmxp_trace::global().recorded();
         let tl = Timeline::disabled();
+        assert!(tl.is_traced(), "an armed global ring makes every timeline traced");
         {
-            let _s = tl.span("mirrored work", Stream::Compute);
+            let _s = hpgmxp_trace::span("mirrored work", hpgmxp_trace::Lane::Compute);
         }
-        tl.add_overlap(record(1e-6, 1e-6));
+        let tag = 0x6d69_7272_6f72;
+        tl.add_overlap(OverlapRecord { tag, ..record(1e-6, 1e-6) });
         hpgmxp_trace::set_mode_override(hpgmxp_trace::Mode::Off);
-        assert!(tl.events().is_empty(), "disabled timeline stays empty locally");
+        assert!(tl.overlap_records().is_empty(), "disabled timeline stays empty locally");
         assert!(
             hpgmxp_trace::global().recorded() > before,
             "the armed global ring observed the span"
+        );
+        assert!(
+            hpgmxp_trace::global().overlaps().iter().any(|o| o.tag == tag),
+            "the armed global ring observed the overlap record"
         );
     }
 }

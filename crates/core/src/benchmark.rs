@@ -358,8 +358,8 @@ pub fn run_phase(
             prob.levels.iter().for_each(|l| _ = l.reference());
         }
         // Enabled so the phase carries measured overlap efficiency
-        // (per-exchange records are a few words each — negligible
-        // against the solve itself).
+        // (it keeps only per-exchange overlap records, a few words
+        // each — negligible against the solve itself).
         let tl = Timeline::enabled();
         let opts = solve_options(&params, variant, params.max_iters_per_solve, 0.0);
         let t0 = Instant::now();

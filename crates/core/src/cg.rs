@@ -125,6 +125,7 @@ pub fn cg_solve<C: Comm>(
             history,
             motifs: stats,
             overlap_efficiency: timeline.overlap_efficiency(),
+            collectives: None,
         },
     ))
 }

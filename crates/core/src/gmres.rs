@@ -20,7 +20,7 @@ use crate::ops::{dist_spmv_checked, OpCtx};
 use crate::ortho::cgs2_checked;
 use crate::policy::PrecisionPolicy;
 use crate::problem::{Level, LocalProblem};
-use hpgmxp_comm::{Comm, CommResult, Timeline};
+use hpgmxp_comm::{CollStats, Comm, CommResult, Timeline};
 use hpgmxp_sparse::blas::Basis;
 use hpgmxp_sparse::Scalar;
 use serde::{Deserialize, Serialize};
@@ -63,7 +63,7 @@ impl Default for GmresOptions {
 }
 
 /// Outcome of a solve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolveStats {
     /// Inner (Arnoldi) iterations performed.
     pub iters: usize,
@@ -81,6 +81,10 @@ pub struct SolveStats {
     /// communication hidden under interior compute), when the run's
     /// timeline was enabled; `None` on untraced runs.
     pub overlap_efficiency: Option<f64>,
+    /// Collective traffic of this GMRES-IR solve (the delta of the
+    /// transport's counters, see `CollStats::since`); `None` on
+    /// transports that do not count (`SelfComm`) and for CG.
+    pub collectives: Option<CollStats>,
 }
 
 /// Workspace reused across restart cycles of one solve.

@@ -15,9 +15,10 @@ use crate::motifs::{Motif, MotifStats};
 use crate::ops::{axpy_lo_mixed_op, dist_norm2, dist_spmv_checked, waxpby_op, OpCtx};
 use crate::policy::{PrecCtx, PrecisionPolicy};
 use crate::problem::LocalProblem;
-use hpgmxp_comm::{Comm, CommResult, Stream, Timeline};
+use hpgmxp_comm::{Comm, CommResult, Timeline};
 use hpgmxp_sparse::blas::scale_f64_into_lo;
 use hpgmxp_sparse::{Half, PrecKind, Scalar};
+use hpgmxp_trace::Lane;
 use std::time::Instant;
 
 /// GMRES-IR under a runtime [`PrecisionPolicy`]: the inner solve runs
@@ -75,8 +76,8 @@ fn refine<SLo: Scalar, C: Comm>(
     ckpt: Option<&CheckpointSpec>,
 ) -> CommResult<(Vec<f64>, SolveStats)> {
     // Snapshot the transport's collective counters so the solve's own
-    // traffic (allreduce rounds, per-rank receive counts) lands in the
-    // timeline as a delta, not a process-lifetime total.
+    // traffic (allreduce rounds, per-rank receive counts) lands in
+    // `SolveStats::collectives` as a delta, not a process-lifetime total.
     let coll_at_start = comm.coll_stats();
 
     // Outer residual: always f64 with natively-stored (f64) matrices.
@@ -146,7 +147,7 @@ fn refine<SLo: Scalar, C: Comm>(
         // The blue region: one restart cycle entirely in low precision,
         // under the policy's storage/wire mapping.
         let outcome = {
-            let _sp = timeline.span("gmres cycle", Stream::Compute);
+            let _sp = hpgmxp_trace::span("gmres cycle", Lane::Compute);
             gmres_cycle(
                 &ctx_inner,
                 prob,
@@ -185,10 +186,7 @@ fn refine<SLo: Scalar, C: Comm>(
         }
     }
 
-    if let (Some(start), Some(end)) = (coll_at_start, comm.coll_stats()) {
-        timeline.set_collectives(end.since(&start));
-    }
-
+    let collectives = coll_at_start.zip(comm.coll_stats()).map(|(start, end)| end.since(&start));
     let solution = x[..n].to_vec();
     Ok((
         solution,
@@ -200,6 +198,7 @@ fn refine<SLo: Scalar, C: Comm>(
             history,
             motifs: stats,
             overlap_efficiency: timeline.overlap_efficiency(),
+            collectives,
         },
     ))
 }
@@ -305,7 +304,7 @@ mod tests {
                 let opts = GmresOptions { max_iters: 300, ..Default::default() };
                 let (_, st) = gmres_ir_solve_policy(&c, &prob, &policy, &opts, &tl);
                 assert!(st.converged);
-                tl.collective_stats().expect("the solver records its collective traffic")
+                st.collectives.expect("the solver records its collective traffic")
             });
             let m = stats[0].allreduces;
             assert!(m > 0);
@@ -408,9 +407,10 @@ mod tests {
         let procs = ProcGrid::new(2, 1, 1);
         let recorded = run_spmd(2, move |c| {
             let prob = assemble_with_policy(&spec(procs, 16, 4), c.rank(), &PrecisionPolicy::f64());
-            let tl = Timeline::disabled();
-            gmres_solve_f64(&c, &prob, &opts, &tl);
-            tl.collective_stats().map(|s| s.allreduces)
+            gmres_solve_f64(&c, &prob, &opts, &Timeline::disabled())
+                .1
+                .collectives
+                .map(|s| s.allreduces)
         });
         assert!(recorded.iter().all(|a| a.is_some_and(|n| n > 0)), "{recorded:?}");
 

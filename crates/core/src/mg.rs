@@ -11,8 +11,9 @@
 use crate::motifs::MotifStats;
 use crate::ops::{dist_gs_sweep_checked, dist_restrict_checked, prolong_add, OpCtx, SweepDir};
 use crate::problem::Level;
-use hpgmxp_comm::{Comm, CommResult, Stream};
+use hpgmxp_comm::{Comm, CommResult};
 use hpgmxp_sparse::Scalar;
+use hpgmxp_trace::Lane;
 
 /// Per-depth span names for the V-cycle trace (`&'static` because the
 /// recorder stores names by reference; deeper hierarchies than the
@@ -97,7 +98,7 @@ fn vcycle<S: Scalar, C: Comm>(
     // `tag` starts at 100 on the fine level and grows by one per
     // recursion, so it doubles as the depth for the trace label.
     let depth = (tag.saturating_sub(100) as usize).min(LEVEL_SPANS.len() - 1);
-    let _sp = ctx.timeline.span(LEVEL_SPANS[depth], Stream::Compute);
+    let _sp = hpgmxp_trace::span(LEVEL_SPANS[depth], Lane::Compute);
     let (z0, zrest) = zs.split_first_mut().expect("workspace depth");
     let (r0, rrest) = rs.split_first_mut().expect("workspace depth");
 

@@ -29,11 +29,12 @@ use crate::flops;
 use crate::motifs::{Motif, MotifStats};
 use crate::policy::PrecCtx;
 use crate::problem::{Level, RefOperator};
-use hpgmxp_comm::{Comm, CommResult, Stream, Timeline};
+use hpgmxp_comm::{Comm, CommResult, Timeline};
 use hpgmxp_geometry::CoarseMap;
 use hpgmxp_sparse::blas;
 use hpgmxp_sparse::gauss_seidel::{gs_backward, gs_forward_reference, gs_range};
 use hpgmxp_sparse::{ColorRange, EllMatrix, Half, Permutation, Scalar};
+use hpgmxp_trace::Lane;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::Instant;
@@ -118,7 +119,7 @@ pub struct OpCtx<'a, C: Comm> {
     pub comm: &'a C,
     /// Which implementation variant to execute.
     pub variant: ImplVariant,
-    /// Event recorder (usually disabled).
+    /// Halo overlap ledger (usually disabled).
     pub timeline: &'a Timeline,
     /// Precision context: storage kind per level and halo wire format.
     /// [`PrecCtx::native`] follows the compute scalar everywhere —
@@ -196,13 +197,13 @@ pub fn dist_spmv_checked<S: Scalar, C: Comm>(
             let ell = level.ell_at(kind);
             let halo = level.halo.begin(ctx.comm, tag, x, wire, ctx.timeline)?;
             {
-                let _s = ctx.timeline.span("SpMV interior", Stream::Compute);
+                let _s = hpgmxp_trace::span("SpMV interior", Lane::Compute);
                 let interior = level.color_ranges.iter().map(ColorRange::interior);
                 with_storage!(ell, EllRef, m => m.spmv_ranges(interior, x, y));
             }
             halo.finish(ctx.comm, x, ctx.timeline)?;
             {
-                let _s = ctx.timeline.span("SpMV boundary", Stream::Compute);
+                let _s = hpgmxp_trace::span("SpMV boundary", Lane::Compute);
                 let boundary = level.color_ranges.iter().map(ColorRange::boundary);
                 with_storage!(ell, EllRef, m => m.spmv_ranges(boundary, x, y));
             }
@@ -214,7 +215,7 @@ pub fn dist_spmv_checked<S: Scalar, C: Comm>(
         }
         ImplVariant::Reference => {
             level.halo.exchange_wire_checked(ctx.comm, tag, x, wire, ctx.timeline)?;
-            let _s = ctx.timeline.span("SpMV", Stream::Compute);
+            let _s = hpgmxp_trace::span("SpMV", Lane::Compute);
             let csr = level.csr_at(kind);
             with_storage!(csr, CsrRef, m => m.csr.spmv_par(x, y));
             stats.record_traffic(
@@ -275,15 +276,15 @@ pub fn dist_gs_sweep_checked<S: Scalar, C: Comm>(
             with_storage!(ell, EllRef, m => {
                 let halo = level.halo.begin(ctx.comm, tag, z, wire, ctx.timeline)?;
                 {
-                    let _s = ctx.timeline.span("GS interior (first color)", Stream::Compute);
+                    let _s = hpgmxp_trace::span("GS interior (first color)", Lane::Compute);
                     gs_range(m, first.interior(), r, z);
                 }
                 halo.finish(ctx.comm, z, ctx.timeline)?;
                 {
-                    let _s = ctx.timeline.span("GS boundary (first color)", Stream::Compute);
+                    let _s = hpgmxp_trace::span("GS boundary (first color)", Lane::Compute);
                     gs_range(m, first.boundary(), r, z);
                 }
-                let _s = ctx.timeline.span("GS remaining colors", Stream::Compute);
+                let _s = hpgmxp_trace::span("GS remaining colors", Lane::Compute);
                 match dir {
                     SweepDir::Forward => rest.iter().for_each(|c| gs_range(m, c.all(), r, z)),
                     SweepDir::Backward => rest.iter().rev().for_each(|c| gs_range(m, c.all(), r, z)),
@@ -299,7 +300,7 @@ pub fn dist_gs_sweep_checked<S: Scalar, C: Comm>(
         }
         ImplVariant::Reference => {
             level.halo.exchange_wire_checked(ctx.comm, tag, z, wire, ctx.timeline)?;
-            let _s = ctx.timeline.span("GS (reference)", Stream::Compute);
+            let _s = hpgmxp_trace::span("GS (reference)", Lane::Compute);
             let csr = level.csr_at(kind);
             match dir {
                 SweepDir::Forward => with_storage!(csr, CsrRef, m => {
@@ -366,11 +367,11 @@ pub fn dist_restrict_checked<S: Scalar, C: Comm>(
             with_storage!(ell, EllRef, m => {
                 let halo = fine.halo.begin(ctx.comm, tag, z, wire, ctx.timeline)?;
                 {
-                    let _s = ctx.timeline.span("fused SpMV-restrict interior", Stream::Compute);
+                    let _s = hpgmxp_trace::span("fused SpMV-restrict interior", Lane::Compute);
                     fused_restrict(m, fine, ColorRange::interior, b_f, z, rc);
                 }
                 halo.finish(ctx.comm, z, ctx.timeline)?;
-                let _s = ctx.timeline.span("fused SpMV-restrict boundary", Stream::Compute);
+                let _s = hpgmxp_trace::span("fused SpMV-restrict boundary", Lane::Compute);
                 fused_restrict(m, fine, ColorRange::boundary, b_f, z, rc);
             });
             // The fused kernel touches `width` padded entries of each
@@ -389,7 +390,7 @@ pub fn dist_restrict_checked<S: Scalar, C: Comm>(
         }
         ImplVariant::Reference => {
             fine.halo.exchange_wire_checked(ctx.comm, tag, z, wire, ctx.timeline)?;
-            let _s = ctx.timeline.span("residual SpMV + restrict", Stream::Compute);
+            let _s = hpgmxp_trace::span("residual SpMV + restrict", Lane::Compute);
             let n = fine.n_local();
             let mut tmp = vec![S::ZERO; n];
             let csr = fine.csr_at(kind);

@@ -12,35 +12,10 @@
 use crate::model::MachineModel;
 use crate::network::NetworkModel;
 use crate::workload::LevelShape;
-use serde::{Deserialize, Serialize};
-
-/// Trace lane, mirroring the paper's rocprof rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Lane {
-    /// GPU compute stream.
-    Gpu,
-    /// Halo (pack/unpack) stream.
-    Halo,
-    /// Host-device copies.
-    Copy,
-    /// Network markers.
-    Comm,
-}
-
-impl Lane {
-    /// Row label used by the ASCII renderer.
-    pub fn label(self) -> &'static str {
-        match self {
-            Lane::Gpu => "GPU  ",
-            Lane::Halo => "HALO ",
-            Lane::Copy => "COPY ",
-            Lane::Comm => "COMM ",
-        }
-    }
-}
+use hpgmxp_trace::Lane;
 
 /// One simulated interval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Operation name.
     pub name: String,
@@ -53,7 +28,7 @@ pub struct TraceEvent {
 }
 
 /// A simulated timeline of one Gauss–Seidel sweep with overlap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepTrace {
     /// Level name for display ("fine grid", "coarsest grid").
     pub level_name: String,
@@ -90,7 +65,7 @@ pub fn gs_sweep_trace(
         let mut t = 0.0;
         events.push(TraceEvent {
             name: "GS interior (color 0)".into(),
-            lane: Lane::Gpu,
+            lane: Lane::Compute,
             start: t,
             end: t + per_color,
         });
@@ -98,7 +73,7 @@ pub fn gs_sweep_trace(
         for c in 1..s.colors {
             events.push(TraceEvent {
                 name: format!("GS color {}", c),
-                lane: Lane::Gpu,
+                lane: Lane::Compute,
                 start: t,
                 end: t + per_color,
             });
@@ -154,7 +129,7 @@ pub fn gs_sweep_trace(
     let int_end = t_pack + interior0;
     events.push(TraceEvent {
         name: "GS interior (color 0)".into(),
-        lane: Lane::Gpu,
+        lane: Lane::Compute,
         start: t_pack,
         end: int_end,
     });
@@ -165,7 +140,7 @@ pub fn gs_sweep_trace(
     let b_end = b_start + boundary0;
     events.push(TraceEvent {
         name: "GS boundary (color 0)".into(),
-        lane: Lane::Gpu,
+        lane: Lane::Compute,
         start: b_start,
         end: b_end,
     });
@@ -175,7 +150,7 @@ pub fn gs_sweep_trace(
     for c in 1..s.colors {
         events.push(TraceEvent {
             name: format!("GS color {}", c),
-            lane: Lane::Gpu,
+            lane: Lane::Compute,
             start: t,
             end: t + per_color,
         });
@@ -203,22 +178,19 @@ pub fn render_ascii(trace: &SweepTrace, width: usize) -> String {
         trace.hidden_fraction * 100.0
     );
     let scale = width as f64 / trace.makespan;
-    for lane in [Lane::Gpu, Lane::Halo, Lane::Copy, Lane::Comm] {
+    // The paper's rocprof rows, each with its glyph.
+    for (lane, ch) in
+        [(Lane::Compute, b'#'), (Lane::Halo, b'p'), (Lane::Copy, b'c'), (Lane::Comm, b'~')]
+    {
         let mut row = vec![b' '; width];
         for ev in trace.events.iter().filter(|e| e.lane == lane) {
             let a = ((ev.start * scale) as usize).min(width - 1);
             let b = ((ev.end * scale) as usize).clamp(a + 1, width);
-            let ch = match lane {
-                Lane::Gpu => b'#',
-                Lane::Halo => b'p',
-                Lane::Copy => b'c',
-                Lane::Comm => b'~',
-            };
             for slot in row.iter_mut().take(b).skip(a) {
                 *slot = ch;
             }
         }
-        let _ = writeln!(s, "{} |{}|", lane.label(), String::from_utf8_lossy(&row));
+        let _ = writeln!(s, "{:<5} |{}|", lane.label(), String::from_utf8_lossy(&row));
     }
     s
 }
@@ -274,7 +246,7 @@ mod tests {
             assert!(ev.end <= t.makespan + 1e-12);
         }
         // One GPU kernel per color plus the interior/boundary split.
-        let gpu_events = t.events.iter().filter(|e| e.lane == Lane::Gpu).count();
+        let gpu_events = t.events.iter().filter(|e| e.lane == Lane::Compute).count();
         assert_eq!(gpu_events, 8 + 1);
     }
 

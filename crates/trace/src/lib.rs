@@ -1,11 +1,11 @@
 //! Unified tracing and metrics for the HPG-MxP reproduction.
 //!
 //! The paper's core claim is about *where time and bytes go* at scale;
-//! this crate is the one mechanism every layer records into, replacing
-//! the fragmented `Timeline`-in-comm / `CollStats`-bolted-on /
-//! log-line-only instrumentation that preceded it. It sits **below**
-//! the comm crate in the dependency order so solver, transports,
-//! checkpointing, and the harness can all share it.
+//! this crate is the one mechanism every layer records spans into —
+//! solver kernels, halo exchanges, collectives, checkpointing, faults —
+//! through one call, [`span`]. It sits **below** the comm crate in the
+//! dependency order so solver, transports, checkpointing, the harness
+//! and the figure-9 machine model can all share it and its [`Lane`]s.
 //!
 //! Three pieces:
 //!

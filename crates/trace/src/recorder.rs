@@ -24,8 +24,9 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which conceptual lane an event belongs to. The first four mirror
-/// the paper's figure-9 trace lanes (and comm's `Stream`); the rest
-/// cover the subsystems PR 10 instruments.
+/// the paper's figure-9 trace lanes (measured here, modeled in the
+/// machine crate); the rest cover collectives, checkpointing, faults
+/// and the transports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Lane {
@@ -48,8 +49,7 @@ pub enum Lane {
 }
 
 impl Lane {
-    /// Display label used by trace renderers (matches the labels the
-    /// comm `Stream` has always printed for its four lanes).
+    /// Display label used by trace renderers.
     pub fn label(self) -> &'static str {
         match self {
             Lane::Compute => "GPU",

@@ -7,14 +7,16 @@
 # panicking/fallible twins still waiting to collapse into one name)
 # and the distinct `HPGMXP_*` names (environment knobs) in the
 # workspace's files (the separate `benchmark/` workspace is left out:
-# it is frozen, and a test name there ends in `_checked`). Exits 1 when the `unsafe` total or the `_checked` count
-# exceeds its budget below: lowering a budget is a one-line change,
-# raising it a reviewed one.
+# it is frozen, and a test name there ends in `_checked`). Exits 1 when
+# the `unsafe` total, the `_checked` count or the knob count exceeds its
+# budget below: lowering a budget is a one-line change, raising it a
+# reviewed one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 UNSAFE_BUDGET=76
 CHECKED_BUDGET=8
+KNOB_BUDGET=24
 
 rs_files() {
     find "$1" -name '*.rs' -not -path '*/target/*' -print0
@@ -45,7 +47,7 @@ printf '%7d  %7d  total\n' "$total" "$unsafe_total"
 checked=$(distinct 'fn [a-z_0-9]+_checked\b')
 knobs=$(distinct 'HPGMXP_[A-Z0-9_]+')
 printf '%7d  distinct `fn *_checked` names (CHECKED_BUDGET=%d)\n' "$checked" "$CHECKED_BUDGET"
-printf '%7d  distinct HPGMXP_* names\n' "$knobs"
+printf '%7d  distinct HPGMXP_* names (KNOB_BUDGET=%d)\n' "$knobs" "$KNOB_BUDGET"
 status=0
 if [ "$unsafe_total" -gt "$UNSAFE_BUDGET" ]; then
     echo "unsafe budget exceeded: $unsafe_total occurrences > UNSAFE_BUDGET=$UNSAFE_BUDGET" >&2
@@ -53,6 +55,10 @@ if [ "$unsafe_total" -gt "$UNSAFE_BUDGET" ]; then
 fi
 if [ "$checked" -gt "$CHECKED_BUDGET" ]; then
     echo "_checked budget exceeded: $checked names > CHECKED_BUDGET=$CHECKED_BUDGET" >&2
+    status=1
+fi
+if [ "$knobs" -gt "$KNOB_BUDGET" ]; then
+    echo "knob budget exceeded: $knobs HPGMXP_* names > KNOB_BUDGET=$KNOB_BUDGET" >&2
     status=1
 fi
 exit "$status"
