@@ -10,21 +10,28 @@
 //! one storage order, shared (`Arc`) by an [`EllMatrix`] per storage
 //! precision the policy names for that depth (plus `f64` on the fine
 //! level, for the outer residual). Each lower-precision copy is one
-//! narrowing pass over the `f64` values. The assembly CSR serves the
-//! coloring, the fused-restriction work count and `b = A·1`, and is
-//! then dropped. What only the reference variant reads — the CSR form,
-//! the `(D+L, U)` factors of its two-kernel Gauss–Seidel and the level
-//! schedule — is built on first use, by running the same assembly
-//! again, so it is bit-identical to an eager build and costs nothing
-//! under the optimized variant. [`Level::value_bytes`] and
-//! [`Level::index_bytes`] count exactly that.
+//! narrowing pass over the `f64` values.
 //!
-//! Every level is colored by the sequential greedy algorithm, which on
-//! this stencil finds the 8 parity classes of the 2×2×2 block, in a
-//! fixed order chosen for the smoother (see [`sweep_coloring`]). The
-//! paper colors with Jones–Plassmann–Luby because a GPU must build its
-//! coloring in parallel (§3.2.1); on a CPU that costs 14–17 colors,
-//! uneven classes and most of the setup time.
+//! **Generated, not assembled.** No CSR is built on the way: each
+//! level's `f64` ELL is written straight at its storage positions, slab
+//! by slab in parallel, with slab `k` holding every row's coupling at
+//! `STENCIL_OFFSETS[k]` and padding at the offsets that leave the
+//! domain. `b = A·1`, the stored nonzero count and the
+//! fused-restriction work count are read off that ELL. What only the
+//! reference variant reads — the CSR form, the `(D+L, U)` factors of
+//! its two-kernel Gauss–Seidel and the level schedule — is built on
+//! first use from the held ELL copies, by dropping their padding, so it
+//! is bit-identical to an eager build and costs nothing under the
+//! optimized variant. [`Level::value_bytes`] and [`Level::index_bytes`]
+//! count exactly that.
+//!
+//! Every level is colored by the sequential greedy algorithm, run over
+//! the grid's stencil neighbors, which on this stencil finds the 8
+//! parity classes of the 2×2×2 block, in a fixed order chosen for the
+//! smoother (see [`sweep_coloring`]). The paper colors with
+//! Jones–Plassmann–Luby because a GPU must build its coloring in
+//! parallel (§3.2.1); on a CPU that costs 14–17 colors, uneven classes
+//! and most of the setup time.
 //!
 //! Every ELL operator is stored **color-block ordered**: all rows of
 //! color 0, then color 1, …, and within each color the interior rows
@@ -36,6 +43,13 @@
 //! so they too are one range per color (`restrict_ranges`) for the
 //! fused restriction (§3.2.4). Only the storage is reordered: rows,
 //! vectors, halo plans and injection maps keep natural numbering.
+//!
+//! A forward sweep from a zero guess needs, in each row, only the
+//! columns of earlier colors; every other column is still zero.
+//! Each level records, per color and tile, the slabs
+//! holding such a column in some row of the tile. Because slot `k`
+//! means the same coupling in every row, a tile's rows agree on those
+//! slabs, and the masks select about 0.47 of the stored entries.
 
 use crate::config::BenchmarkParams;
 use crate::ops::{CsrRef, EllRef};
@@ -43,10 +57,11 @@ use crate::policy::PrecisionPolicy;
 use hpgmxp_comm::HaloExchange;
 use hpgmxp_geometry::{GridHierarchy, HaloPlan, LocalGrid, ProcGrid, Stencil27, STENCIL_OFFSETS};
 use hpgmxp_sparse::csr::{CsrBuilder, CsrMatrix};
-use hpgmxp_sparse::gauss_seidel::split_lower_upper;
-use hpgmxp_sparse::ordering::color_block_order;
+use hpgmxp_sparse::ell::ROW_BLOCK;
+use hpgmxp_sparse::gauss_seidel::{split_lower_upper, zero_guess_masks};
+use hpgmxp_sparse::ordering::{color_block_order, Permutation};
 use hpgmxp_sparse::{
-    greedy_coloring, ColorRange, Coloring, EllMatrix, Half, LevelSchedule, PrecKind, Scalar,
+    greedy_coloring_by, ColorRange, Coloring, EllMatrix, Half, LevelSchedule, PrecKind, Scalar,
 };
 use std::sync::OnceLock;
 
@@ -95,8 +110,16 @@ pub struct RefOperator<S> {
 }
 
 impl<S: Scalar> RefOperator<S> {
-    fn build(csr64: &CsrMatrix<f64>) -> Self {
-        let csr: CsrMatrix<S> = csr64.convert();
+    /// From a generated ELL operator: its rows with the padding dropped
+    /// (see [`is_pad`]), entries in slab order, then split.
+    fn build(ell: &EllMatrix<S>) -> Self {
+        let n = ell.nrows();
+        let mut b = CsrBuilder::new(n, ell.ncols(), ell.nnz());
+        for i in 0..n {
+            let slots = (0..ell.width()).map(|k| (k, ell.entry(i, k)));
+            b.push_row(slots.filter(|&(k, (col, _))| !is_pad(k, col, i)).map(|(_, e)| e));
+        }
+        let csr = b.finish();
         let (lower, upper) = split_lower_upper(&csr);
         RefOperator { csr, lower, upper }
     }
@@ -135,9 +158,6 @@ pub struct Level {
     ell64: Option<EllMatrix<f64>>,
     ell32: Option<EllMatrix<f32>>,
     ell16: Option<EllMatrix<Half>>,
-    /// The stencil the operator was assembled from: the reference forms
-    /// are assembled from it again on first use.
-    stencil: Stencil27,
     /// The reference variant's forms; empty until a reference kernel or
     /// a CSR accessor first asks for them.
     reference: OnceLock<ReferenceForms>,
@@ -158,6 +178,13 @@ pub struct Level {
     /// point (empty on the coarsest level) — the rows the fused
     /// restriction evaluates, interior before `split` as above.
     pub restrict_ranges: Vec<ColorRange>,
+    /// Per color, per [`ROW_BLOCK`] tile of its range: the slabs a
+    /// forward sweep from a zero guess must read (see
+    /// [`zero_guess_masks`]).
+    zero_guess_masks: Vec<Vec<u32>>,
+    /// Stored entries (padding included) those masks select: what one
+    /// zero-guess sweep reads of each slab-shaped array.
+    zero_guess_slots: usize,
     /// Halo exchange executor for this level.
     pub halo: HaloExchange,
     /// Injection map to the next coarser level (`None` on the coarsest).
@@ -184,6 +211,20 @@ impl Level {
     /// (the work of the fused restriction).
     pub fn nnz_coarse_rows(&self) -> usize {
         self.nnz_coarse
+    }
+
+    /// Per color, the slab masks of a forward sweep from a zero guess,
+    /// one per [`ROW_BLOCK`] tile of the color's range: bit `k` is set
+    /// when some row of the tile holds at slab `k` an owned column of an
+    /// earlier color.
+    pub(crate) fn zero_guess_masks(&self) -> &[Vec<u32>] {
+        &self.zero_guess_masks
+    }
+
+    /// Stored entries, padding included, a zero-guess sweep reads: the
+    /// masks' selected slab segments.
+    pub(crate) fn zero_guess_slots(&self) -> usize {
+        self.zero_guess_slots
     }
 
     /// The storage precisions this level holds its operator at.
@@ -237,18 +278,22 @@ impl Level {
         })
     }
 
-    /// The reference forms, built on first use: the level's operator is
-    /// assembled again, then converted, split and scheduled exactly as
-    /// an eager build would, for every precision the level holds.
+    /// The reference forms, built on first use from every held ELL copy
+    /// (its padding dropped), then split and scheduled exactly as an
+    /// eager build would.
     pub(crate) fn reference(&self) -> &ReferenceForms {
         self.reference.get_or_init(|| {
-            let csr64 = assemble_matrix(&self.grid, self.halo.plan(), &self.stencil);
-            ReferenceForms {
-                m64: self.ell64.as_ref().map(|_| RefOperator::build(&csr64)),
-                m32: self.ell32.as_ref().map(|_| RefOperator::build(&csr64)),
-                m16: self.ell16.as_ref().map(|_| RefOperator::build(&csr64)),
-                schedule: LevelSchedule::build(&csr64),
-            }
+            let m64 = self.ell64.as_ref().map(RefOperator::build);
+            let m32 = self.ell32.as_ref().map(RefOperator::build);
+            let m16 = self.ell16.as_ref().map(RefOperator::build);
+            // The schedule reads only the sparsity, which every copy shares.
+            let schedule = match (&m64, &m32, &m16) {
+                (Some(m), _, _) => LevelSchedule::build(&m.csr),
+                (_, Some(m), _) => LevelSchedule::build(&m.csr),
+                (_, _, Some(m)) => LevelSchedule::build(&m.csr),
+                _ => unreachable!("a level holds its operator at some precision"),
+            };
+            ReferenceForms { m64, m32, m16, schedule }
         })
     }
 
@@ -335,52 +380,25 @@ impl LocalProblem {
     }
 }
 
-/// Assemble one level's local operator on `grid` with ghost columns
-/// numbered by `plan`.
-fn assemble_matrix(grid: &LocalGrid, plan: &HaloPlan, stencil: &Stencil27) -> CsrMatrix<f64> {
-    let n = grid.total_points();
-    let global = grid.global();
-    let mut b = CsrBuilder::new(n, n + plan.num_ghosts, n * 27);
-    let mut entries: Vec<(u32, f64)> = Vec::with_capacity(27);
-    for iz in 0..grid.nz {
-        for iy in 0..grid.ny {
-            for ix in 0..grid.nx {
-                entries.clear();
-                let (gx, gy, gz) = grid.to_global(ix, iy, iz);
-                for &(dx, dy, dz) in STENCIL_OFFSETS.iter() {
-                    let (ngx, ngy, ngz) =
-                        (gx as i64 + dx as i64, gy as i64 + dy as i64, gz as i64 + dz as i64);
-                    if !global.contains(ngx, ngy, ngz) {
-                        continue;
-                    }
-                    let (ex, ey, ez) =
-                        (ix as i64 + dx as i64, iy as i64 + dy as i64, iz as i64 + dz as i64);
-                    let col = if ex >= 0
-                        && ey >= 0
-                        && ez >= 0
-                        && ex < grid.nx as i64
-                        && ey < grid.ny as i64
-                        && ez < grid.nz as i64
-                    {
-                        grid.index(ex as u32, ey as u32, ez as u32) as u32
-                    } else {
-                        let g = plan
-                            .ghost_index(ex, ey, ez)
-                            .expect("in-domain off-rank point must have a ghost slot");
-                        (n + g) as u32
-                    };
-                    entries.push((col, stencil.coefficient(dx, dy, dz)));
-                }
-                b.push_row(entries.iter().copied());
-            }
-        }
-    }
-    b.finish()
+/// Slab of the diagonal: `STENCIL_OFFSETS[CENTRE] == (0, 0, 0)`.
+const CENTRE: usize = 13;
+
+/// Whether the entry at slab `k` of row `row`, with column `col`, is
+/// padding. Padding stores the row itself, as the diagonal does, but at
+/// any slab other than the center — so the slab, not the value, tells
+/// the two apart, and an explicit zero coefficient is kept.
+fn is_pad(k: usize, col: u32, row: usize) -> bool {
+    k != CENTRE && col as usize == row
 }
 
-/// The greedy coloring of `a`, relabelled so that greedy color 0 is
-/// relaxed in the middle of a forward sweep: it moves to position
-/// `ncolors/2 − 1` and colors `1..=ncolors/2 − 1` shift down by one.
+/// The greedy coloring of the grid's stencil graph, relabelled so that
+/// greedy color 0 is relaxed in the middle of a forward sweep: it moves
+/// to position `ncolors/2 − 1` and colors `1..=ncolors/2 − 1` shift
+/// down by one.
+///
+/// Rows are colored in natural order, each against its owned stencil
+/// neighbors — the offsets before the center in `STENCIL_OFFSETS` reach
+/// exactly the rows before it, the only ones already colored.
 ///
 /// Greedy color 0 is row 0's parity class. Because local sizes are
 /// divisible by `2^(levels−1)`, it holds every row collocated with a
@@ -389,8 +407,17 @@ fn assemble_matrix(grid: &LocalGrid, plan: &HaloPlan, stencil: &Stencil27) -> Cs
 /// residual — and the coarse correction — would vanish. Relaxing it
 /// mid-sweep, after three even-z classes and before the four odd-z
 /// ones, also converges in fewer iterations than relaxing it first.
-fn sweep_coloring(a: &CsrMatrix<f64>) -> Coloring {
-    let greedy = greedy_coloring(a);
+fn sweep_coloring(grid: &LocalGrid) -> Coloring {
+    let (nx, ny, nz) = (grid.nx as i64, grid.ny as i64, grid.nz as i64);
+    let greedy = greedy_coloring_by(grid.total_points(), |i| {
+        let (ix, iy, iz) = grid.coords(i);
+        STENCIL_OFFSETS[..CENTRE].iter().filter_map(move |&(dx, dy, dz)| {
+            let (ex, ey, ez) =
+                (ix as i64 + dx as i64, iy as i64 + dy as i64, iz as i64 + dz as i64);
+            let inside = (0..nx).contains(&ex) && (0..ny).contains(&ey) && (0..nz).contains(&ez);
+            inside.then(|| grid.index(ex as u32, ey as u32, ez as u32))
+        })
+    });
     let mid = (greedy.num_colors / 2).saturating_sub(1);
     let color_of = greedy
         .color_of
@@ -402,6 +429,100 @@ fn sweep_coloring(a: &CsrMatrix<f64>) -> Coloring {
         })
         .collect();
     Coloring::from_color_of(color_of)
+}
+
+/// Where a stencil offset leads along one axis from local coordinate
+/// `c`: inside the local box, onto a neighbor rank's ghost layer, or
+/// out of the global domain.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    Owned,
+    Ghost,
+    Outside,
+}
+
+/// The level's `f64` operator in ELL storage, rows at the positions of
+/// `order`: slab `k` holds every row's coupling at `STENCIL_OFFSETS[k]`
+/// — the owned row or ghost column the offset reaches (ghosts numbered
+/// by `plan`), with `stencil`'s coefficient — or, where the offset
+/// leaves the global domain, padding. The slabs are written in
+/// parallel, each walking the rows in natural order.
+fn generate_ell(
+    grid: &LocalGrid,
+    plan: &HaloPlan,
+    stencil: &Stencil27,
+    order: Permutation,
+) -> EllMatrix<f64> {
+    let n = grid.total_points();
+    let global = grid.global();
+    let base = grid.base();
+    let (nx, ny, nz) = (grid.nx as usize, grid.ny as usize, grid.nz as usize);
+    // Per axis and offset −1, 0, +1: where the offset leads from each
+    // local coordinate.
+    let axis = |len: usize, base: u64, extent: u64| -> [Vec<Reach>; 3] {
+        [-1i64, 0, 1].map(|d| {
+            (0..len as i64)
+                .map(|c| match c + d {
+                    e if (0..len as i64).contains(&e) => Reach::Owned,
+                    e if (0..extent as i64).contains(&(base as i64 + e)) => Reach::Ghost,
+                    _ => Reach::Outside,
+                })
+                .collect()
+        })
+    };
+    let reach =
+        [axis(nx, base.0, global.nx), axis(ny, base.1, global.ny), axis(nz, base.2, global.nz)];
+    let diag = vec![stencil.coefficient(0, 0, 0); n];
+    let ncols = n + plan.num_ghosts;
+    EllMatrix::from_slabs(ncols, STENCIL_OFFSETS.len(), order, diag, |k, order, cols, vals| {
+        let (dx, dy, dz) = STENCIL_OFFSETS[k];
+        let coefficient = stencil.coefficient(dx, dy, dz);
+        let step = dx as isize + nx as isize * (dy as isize + ny as isize * dz as isize);
+        let at = |axis: usize, d: i32| &reach[axis][(d + 1) as usize];
+        let (xs, ys, zs) = (at(0, dx), at(1, dy), at(2, dz));
+        let mut stored = 0;
+        let mut i = 0;
+        for (iz, &rz) in zs.iter().enumerate() {
+            for (iy, &ry) in ys.iter().enumerate() {
+                for (ix, &rx) in xs.iter().enumerate() {
+                    let (col, value) = match (rx, ry, rz) {
+                        (Reach::Owned, Reach::Owned, Reach::Owned) => {
+                            ((i as isize + step) as u32, coefficient)
+                        }
+                        _ if [rx, ry, rz].contains(&Reach::Outside) => (i as u32, 0.0),
+                        _ => {
+                            let e = |c: usize, d: i32| c as i64 + d as i64;
+                            let g = plan
+                                .ghost_index(e(ix, dx), e(iy, dy), e(iz, dz))
+                                .expect("in-domain off-rank point must have a ghost slot");
+                            ((n + g) as u32, coefficient)
+                        }
+                    };
+                    let p = order.new_of_old(i);
+                    (cols[p], vals[p]) = (col, value);
+                    stored += usize::from(!is_pad(k, col, i));
+                    i += 1;
+                }
+            }
+        }
+        stored
+    })
+}
+
+/// Whether every row whose stencil stays inside the local box stores,
+/// at each slab, the same `col − row`: the offset-per-slab layout the
+/// slab masks rely on.
+fn interior_slots_are_stable(ell: &EllMatrix<f64>, grid: &LocalGrid) -> bool {
+    let interior = |i: usize| {
+        let (ix, iy, iz) = grid.coords(i);
+        let inner = |c: u32, n: u32| c > 0 && c + 1 < n;
+        inner(ix, grid.nx) && inner(iy, grid.ny) && inner(iz, grid.nz)
+    };
+    let rows: Vec<usize> = (0..ell.nrows()).filter(|&i| interior(i)).collect();
+    (0..ell.width()).all(|k| {
+        let delta = |i: usize| ell.entry(i, k).0 as i64 - i as i64;
+        rows.iter().all(|&i| delta(i) == delta(rows[0]))
+    })
 }
 
 /// Assemble the local problem of `rank` with exactly what `policy`
@@ -425,9 +546,7 @@ pub fn assemble_with_policy(
 
     for (l, grid) in hierarchy.grids.iter().enumerate() {
         let plan = HaloPlan::build(grid);
-        let csr64 = assemble_matrix(grid, &plan, &spec.stencil);
-        let coloring = sweep_coloring(&csr64);
-        debug_assert!(coloring.verify(&csr64));
+        let coloring = sweep_coloring(grid);
         let c2f = if l + 1 < spec.mg_levels { Some(hierarchy.maps[l].clone()) } else { None };
         let mut collocated = vec![false; grid.total_points()];
         for &f in c2f.iter().flat_map(|map| &map.c2f) {
@@ -458,18 +577,30 @@ pub fn assemble_with_policy(
                 .collect(),
             None => Vec::new(),
         };
+        let ell = generate_ell(grid, &plan, &spec.stencil, order);
+        debug_assert!(interior_slots_are_stable(&ell, grid), "level {l}: a slab mixes offsets");
         // Fused-restriction work count (precision-independent).
+        let row_nnz =
+            |i: usize| (0..ell.width()).filter(|&k| !is_pad(k, ell.entry(i, k).0, i)).count();
         let nnz_coarse: usize =
-            c2f.iter().flat_map(|map| &map.c2f).map(|&f| csr64.row(f as usize).0.len()).sum();
+            c2f.iter().flat_map(|map| &map.c2f).map(|&f| row_nnz(f as usize)).sum();
         if l == 0 {
             // b = A·1 — with the exact solution all-ones, ghost values
             // are also ones, so no exchange is needed to form it.
             rhs = vec![0.0f64; grid.total_points()];
-            csr64.spmv(&vec![1.0f64; csr64.ncols()], &mut rhs);
+            ell.spmv_par(&vec![1.0f64; ell.ncols()], &mut rhs);
         }
-        let nnz_stored = csr64.nnz();
-        let ell = EllMatrix::from_csr_ordered(&csr64, order);
-        drop(csr64);
+        let nnz_stored = ell.nnz();
+        let zero_guess_masks = zero_guess_masks(&ell, &color_ranges, &coloring.color_of);
+        let zero_guess_slots = color_ranges
+            .iter()
+            .zip(&zero_guess_masks)
+            .flat_map(|(range, masks)| {
+                let tile_len =
+                    move |t: usize| ROW_BLOCK.min(range.end - range.start - t * ROW_BLOCK);
+                masks.iter().enumerate().map(move |(t, m)| m.count_ones() as usize * tile_len(t))
+            })
+            .sum();
 
         // Values at exactly the storage precisions this level needs,
         // narrowed from the f64 copy; every copy shares its indices.
@@ -485,13 +616,14 @@ pub fn assemble_with_policy(
             ell64,
             ell32,
             ell16,
-            stencil: spec.stencil,
             reference: OnceLock::new(),
             nnz_stored,
             nnz_coarse,
             coloring,
             color_ranges,
             restrict_ranges,
+            zero_guess_masks,
+            zero_guess_slots,
             halo: HaloExchange::new_sized(plan, staging),
             c2f,
         });
@@ -503,6 +635,7 @@ pub fn assemble_with_policy(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use hpgmxp_comm::Comm;
 
     /// The all-double problem most of this crate's unit tests run on.
     pub(crate) fn assemble_f64(spec: &ProblemSpec, rank: usize) -> LocalProblem {
@@ -758,6 +891,81 @@ pub(crate) mod tests {
         assert_eq!(count(l1, ColorRange::all), n_coarse);
         assert_eq!(count(l1, ColorRange::boundary), 16, "the 4x4 coarse face at ix=0");
         assert!(p1.levels[1].restrict_ranges.is_empty(), "the coarsest level restricts nothing");
+    }
+
+    /// The generated operator against the geometry, on every level of
+    /// both ranks of a 2×1×1 grid with a nonsymmetric stencil (so each
+    /// offset has its own coefficient): every stored entry at slab `k`
+    /// is the grid neighbor at `STENCIL_OFFSETS[k]` — identified by its
+    /// global id, which a halo exchange brings into the ghost columns —
+    /// with that offset's coefficient, and padding sits exactly at the
+    /// offsets that leave the global domain.
+    #[test]
+    fn generated_slots_are_the_stencil_offsets() {
+        let procs = ProcGrid::new(2, 1, 1);
+        let stencil = Stencil27::nonsymmetric(0.25);
+        hpgmxp_comm::run_spmd(2, move |c| {
+            let spec = ProblemSpec { local: (8, 8, 8), procs, stencil, mg_levels: 3, seed: 1 };
+            let p = assemble_f64(&spec, c.rank());
+            for (t, l) in p.levels.iter().enumerate() {
+                let (n, g, ell) = (l.n_local(), l.grid.global(), l.ell64());
+                let global_id = |(x, y, z): (u64, u64, u64)| g.index(x, y, z) as f64;
+                let mut ids = vec![f64::NAN; l.vec_len()];
+                for (i, id) in ids[..n].iter_mut().enumerate() {
+                    let (ix, iy, iz) = l.grid.coords(i);
+                    *id = global_id(l.grid.to_global(ix, iy, iz));
+                }
+                let tl = hpgmxp_comm::Timeline::disabled();
+                l.halo.exchange_wire(&c, t as u64, &mut ids, 8, &tl);
+                assert_eq!(ell.width(), STENCIL_OFFSETS.len());
+                for i in 0..n {
+                    let (ix, iy, iz) = l.grid.coords(i);
+                    let (gx, gy, gz) = l.grid.to_global(ix, iy, iz);
+                    assert_eq!(ell.diag(i), stencil.coefficient(0, 0, 0));
+                    for (k, &(dx, dy, dz)) in STENCIL_OFFSETS.iter().enumerate() {
+                        let (col, v) = ell.entry(i, k);
+                        let nb =
+                            (gx as i64 + dx as i64, gy as i64 + dy as i64, gz as i64 + dz as i64);
+                        let at = format!("level {} row {i} slab {k}", l.depth);
+                        if g.contains(nb.0, nb.1, nb.2) {
+                            let nb = (nb.0 as u64, nb.1 as u64, nb.2 as u64);
+                            assert_eq!(ids[col as usize], global_id(nb), "{at}");
+                            assert_eq!(v, stencil.coefficient(dx, dy, dz), "{at}");
+                        } else {
+                            assert_eq!((col as usize, v), (i, 0.0), "{at}: padding");
+                        }
+                    }
+                }
+                assert!(interior_slots_are_stable(ell, &l.grid), "level {}", l.depth);
+            }
+        });
+    }
+
+    /// A pad is known by its slab, not its value: the reference CSR keeps
+    /// the diagonal even where it is zero, and drops exactly the padding.
+    #[test]
+    fn reference_csr_drops_padding_by_slab() {
+        let zero_diagonal = Stencil27 { diagonal: 0.0, gamma: 0.0 };
+        let spec = ProblemSpec { stencil: zero_diagonal, ..spec_1rank(4, 1) };
+        let p = assemble_f64(&spec, 0);
+        let a = p.levels[0].csr64();
+        assert_eq!((a.diag(0), a.row(0).0.len()), (0.0, 8), "a corner keeps its zero diagonal");
+        assert_eq!(a.nnz(), p.levels[0].nnz());
+    }
+
+    /// At 16³ on one rank, a zero-guess sweep reads 0.461 of the fine
+    /// level's stored slab entries (8 colors; 64-row tiles): the first
+    /// color none, later colors the slabs of earlier colors' offsets.
+    #[test]
+    fn zero_guess_masks_read_under_half_the_fine_slabs() {
+        let p = assemble_f64(&spec_1rank(16, 4), 0);
+        let l = &p.levels[0];
+        let masks = l.zero_guess_masks();
+        assert!(masks[0].iter().all(|&m| m == 0), "the first color reads no slab");
+        assert!(masks.iter().flatten().all(|&m| m & (1 << CENTRE) == 0), "nor the diagonal");
+        // 50,944 of 27 × 4,096 stored entries: a fraction of 0.461.
+        assert_eq!((l.ell64().width(), l.n_local()), (27, 4096));
+        assert_eq!(l.zero_guess_slots(), 50_944);
     }
 
     #[test]

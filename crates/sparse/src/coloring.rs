@@ -90,12 +90,23 @@ fn local_neighbors<'a, S: Scalar>(
 /// Sequential greedy coloring: rows in natural order take the smallest
 /// color unused by their already-colored neighbors.
 pub fn greedy_coloring<S: Scalar>(a: &CsrMatrix<S>) -> Coloring {
-    let n = a.nrows();
+    greedy_coloring_by(a.nrows(), |i| local_neighbors(a, i))
+}
+
+/// [`greedy_coloring`] of the graph on rows `0..n` in which `neighbors(i)`
+/// lists row `i`'s neighbors — those of them before `i` suffice, since
+/// only already-colored rows constrain row `i`. Lets a caller that
+/// knows the graph's structure (a grid stencil) color it without a
+/// matrix.
+pub fn greedy_coloring_by<I>(n: usize, neighbors: impl Fn(usize) -> I) -> Coloring
+where
+    I: IntoIterator<Item = usize>,
+{
     let mut color_of = vec![u32::MAX; n];
     let mut used: Vec<bool> = Vec::new();
     for i in 0..n {
         used.clear();
-        for j in local_neighbors(a, i) {
+        for j in neighbors(i) {
             let cj = color_of[j];
             if cj != u32::MAX {
                 if used.len() <= cj as usize {

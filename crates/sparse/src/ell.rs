@@ -17,7 +17,15 @@
 //!
 //! Padding convention: a padded slot stores column `= row index` with
 //! value `0`, so kernels need no branch on a sentinel (the extra
-//! multiply-add contributes exactly zero).
+//! multiply-add contributes exactly zero). [`EllMatrix::from_csr`] pads
+//! at the end of each row; the solver's generated operators
+//! ([`EllMatrix::from_slabs`]) keep one stencil offset per slab and so
+//! interleave a boundary row's pads at the slabs of the offsets that
+//! leave the domain — every row's slot `k` means the same coupling.
+//!
+//! A traversal may read only some slabs of a tile: a `u32` slab mask
+//! selects slabs `0..32` ([`EllMatrix::row_dots_masked`]); `u32::MAX` is
+//! the full pass.
 
 use crate::csr::CsrMatrix;
 use crate::ordering::Permutation;
@@ -97,6 +105,42 @@ impl<S: Scalar> EllMatrix<S> {
         EllMatrix { nrows, ncols: a.ncols(), width, col_idx, values, diag, order, nnz: a.nnz() }
     }
 
+    /// Build slab by slab, in parallel: `fill(k, order, cols, values)`
+    /// writes slab `k` — entry `k` of row `i` at position
+    /// `order.new_of_old(i)`, for every row — and returns how many of
+    /// its entries are not padding. `diag` is the diagonal in position
+    /// order. Every column written must be `< ncols` (checked).
+    pub fn from_slabs<F>(
+        ncols: usize,
+        width: usize,
+        order: Permutation,
+        diag: Vec<S>,
+        fill: F,
+    ) -> Self
+    where
+        F: Fn(usize, &Permutation, &mut [u32], &mut [S]) -> usize + Sync,
+    {
+        let nrows = order.len();
+        assert_eq!(diag.len(), nrows, "one diagonal value per position");
+        assert!(nrows > 0 && width > 0, "an ELL matrix has rows and slabs");
+        // Filled in place: one allocation (`Vec -> Arc` would copy it).
+        let mut col_idx: Arc<[u32]> = std::iter::repeat_n(0, width * nrows).collect();
+        let col_idx_mut = Arc::get_mut(&mut col_idx).expect("a fresh Arc has one owner");
+        let mut values = vec![S::ZERO; width * nrows];
+        let nnz = col_idx_mut
+            .par_chunks_mut(nrows)
+            .zip(values.par_chunks_mut(nrows))
+            .enumerate()
+            .map(|(k, (cols, vals))| {
+                let stored = fill(k, &order, cols, vals);
+                assert!(cols.iter().all(|&c| (c as usize) < ncols), "slab {k}: column >= {ncols}");
+                stored
+            })
+            .sum();
+        let order = Arc::new(order);
+        EllMatrix { nrows, ncols, width, col_idx, values, diag, order, nnz }
+    }
+
     /// Number of owned rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -141,6 +185,11 @@ impl<S: Scalar> EllMatrix<S> {
         (self.col_idx[slot], self.values[slot])
     }
 
+    /// Slab `k`'s column indices, in position order.
+    pub(crate) fn slab_cols(&self, k: usize) -> &[u32] {
+        &self.col_idx[k * self.nrows..(k + 1) * self.nrows]
+    }
+
     /// `y = A x`, sequential.
     ///
     /// All SpMV variants on this type are **split-precision**: the
@@ -157,7 +206,7 @@ impl<S: Scalar> EllMatrix<S> {
         let mut acc = [Acc::ZERO; ROW_BLOCK];
         for p0 in (0..self.nrows).step_by(ROW_BLOCK) {
             let acc = &mut acc[..ROW_BLOCK.min(self.nrows - p0)];
-            self.tile_dots(p0, x, acc);
+            self.tile_dots(p0, u32::MAX, x, acc);
             for (j, &a) in acc.iter().enumerate() {
                 y[self.order.old_of_new(p0 + j)] = a;
             }
@@ -209,6 +258,40 @@ impl<S: Scalar> EllMatrix<S> {
         I: Iterator<Item = Range<usize>> + Clone + Sync,
         F: Fn(usize, &[Acc]) + Sync,
     {
+        self.traverse(ranges, |_| u32::MAX, x, finish);
+    }
+
+    /// [`EllMatrix::row_dots`] reading only some slabs: the `t`-th tile
+    /// of the traversal (counted across `ranges` in order) reads the
+    /// slabs `masks[t]` selects, so `dots[j]` sums only those slabs'
+    /// entries, still in ascending slab order. One mask per tile
+    /// (checked); a mask that drops a slab must come with `width <= 32`
+    /// (checked).
+    pub fn row_dots_masked<Acc, I, F>(&self, ranges: I, masks: &[u32], x: &[Acc], finish: F)
+    where
+        Acc: Scalar,
+        I: Iterator<Item = Range<usize>> + Clone + Sync,
+        F: Fn(usize, &[Acc]) + Sync,
+    {
+        assert!(
+            self.width <= 32 || masks.iter().all(|&m| m == u32::MAX),
+            "a slab mask covers at most 32 slabs, not {}",
+            self.width
+        );
+        let tiles: usize = ranges.clone().map(|r| r.len().div_ceil(ROW_BLOCK)).sum();
+        assert_eq!(masks.len(), tiles, "one slab mask per tile");
+        self.traverse(ranges, |t| masks[t], x, finish);
+    }
+
+    /// The traversal under both: the `t`-th tile reads the slabs
+    /// `mask_of(t)` selects.
+    fn traverse<Acc, I, M, F>(&self, ranges: I, mask_of: M, x: &[Acc], finish: F)
+    where
+        Acc: Scalar,
+        I: Iterator<Item = Range<usize>> + Clone + Sync,
+        M: Fn(usize) -> u32 + Sync,
+        F: Fn(usize, &[Acc]) + Sync,
+    {
         assert!(x.len() >= self.ncols);
         let mut prev_end = 0;
         for r in ranges.clone() {
@@ -222,6 +305,7 @@ impl<S: Scalar> EllMatrix<S> {
         let tiles = |r: &Range<usize>| r.len().div_ceil(ROW_BLOCK);
         let total: usize = ranges.clone().map(|r| tiles(&r)).sum();
         (0..total).into_par_iter().for_each(|mut t| {
+            let mask = mask_of(t);
             let mut rest = ranges.clone();
             let r = loop {
                 let r = rest.next().expect("tile index lies inside the ranges' tiles");
@@ -233,26 +317,26 @@ impl<S: Scalar> EllMatrix<S> {
             let p0 = r.start + t * ROW_BLOCK;
             let mut acc = [Acc::ZERO; ROW_BLOCK];
             let acc = &mut acc[..ROW_BLOCK.min(r.end - p0)];
-            self.tile_dots(p0, x, acc);
+            self.tile_dots(p0, mask, x, acc);
             finish(p0, acc);
         });
     }
 
-    /// Row dots of positions `[p0, p0 + acc.len())` into `acc`: every
-    /// slab's contiguous segment of the tile, ascending `k` — the vector
-    /// kernel, or the scalar reference walk it reproduces bit for bit.
-    /// Callers assert `x.len() >= ncols`.
+    /// Row dots of positions `[p0, p0 + acc.len())` into `acc`: the
+    /// contiguous segment of the tile in every slab `mask` selects,
+    /// ascending `k` — the vector kernel, or the scalar reference walk
+    /// it reproduces bit for bit. Callers assert `x.len() >= ncols`.
     #[inline]
-    fn tile_dots<Acc: Scalar>(&self, p0: usize, x: &[Acc], acc: &mut [Acc]) {
+    fn tile_dots<Acc: Scalar>(&self, p0: usize, mask: u32, x: &[Acc], acc: &mut [Acc]) {
         let (n, len) = (self.nrows, acc.len());
         let (vs, cs) = (&self.values[p0..], &self.col_idx[p0..]);
         // SAFETY: every stored column is `< ncols` (the `col_idx`
         // invariant) and every caller has asserted `x.len() >= ncols`.
-        if unsafe { simd::try_ell_tile(vs, cs, n, self.width, x, acc) } {
+        if unsafe { simd::try_ell_tile(vs, cs, n, self.width, mask, x, acc) } {
             return;
         }
         acc.fill(Acc::ZERO);
-        for k in 0..self.width {
+        for k in (0..self.width).filter(|&k| simd::reads_slab(mask, k)) {
             let (cs, vs) = (&cs[k * n..k * n + len], &vs[k * n..k * n + len]);
             for ((a, &c), &v) in acc.iter_mut().zip(cs).zip(vs) {
                 *a = Acc::from_scalar(v).mul_add(x[c as usize], *a);
@@ -271,7 +355,11 @@ impl<S: Scalar> EllMatrix<S> {
     /// column indices and the storage order are shared, not copied.
     pub fn convert<T: Scalar>(&self) -> EllMatrix<T> {
         let mut values = vec![T::ZERO; self.values.len()];
-        crate::scalar::convert_slice(&self.values, &mut values);
+        let n = self.nrows.max(1);
+        values
+            .par_chunks_mut(n)
+            .zip(self.values.par_chunks(n))
+            .for_each(|(dst, src)| crate::scalar::convert_slice(src, dst));
         let mut diag = vec![T::ZERO; self.diag.len()];
         crate::scalar::convert_slice(&self.diag, &mut diag);
         EllMatrix {

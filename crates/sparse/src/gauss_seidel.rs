@@ -13,7 +13,8 @@
 //! * the optimized *multicolor relaxation* form (§3.2.1): one sweep over
 //!   the color-block ordered ELL matrix, colors processed in sequence,
 //!   each color's contiguous range of slab positions updated in
-//!   parallel.
+//!   parallel — from a zero guess reading only the slabs that hold
+//!   earlier colors ([`zero_guess_masks`], [`gs_range_masked`]).
 //!
 //! All sweeps use the relaxation update
 //! `x_i ← x_i + (r_i − Σ_j a_ij x_j) / a_ii`,
@@ -24,7 +25,7 @@
 //! values.
 
 use crate::csr::{CsrBuilder, CsrMatrix};
-use crate::ell::EllMatrix;
+use crate::ell::{EllMatrix, ROW_BLOCK};
 use crate::levels::LevelSchedule;
 use crate::ordering::ColorRange;
 use crate::scalar::Scalar;
@@ -151,6 +152,31 @@ pub fn gs_range<S: Scalar, Acc: Scalar>(
     r: &[Acc],
     x: &mut [Acc],
 ) {
+    relax_positions(a, pos, None, r, x);
+}
+
+/// [`gs_range`] reading, in the `t`-th tile of `pos`, only the slabs
+/// `masks[t]` selects (see [`EllMatrix::row_dots_masked`]). Exact, bit
+/// for bit, when every entry a mask drops multiplies an `x` entry that
+/// is `+0`: the dropped fused multiply-add would have added a zero.
+/// [`zero_guess_masks`] gives such masks for a sweep from `x = 0`.
+pub fn gs_range_masked<S: Scalar, Acc: Scalar>(
+    a: &EllMatrix<S>,
+    pos: Range<usize>,
+    masks: &[u32],
+    r: &[Acc],
+    x: &mut [Acc],
+) {
+    relax_positions(a, pos, Some(masks), r, x);
+}
+
+fn relax_positions<S: Scalar, Acc: Scalar>(
+    a: &EllMatrix<S>,
+    pos: Range<usize>,
+    masks: Option<&[u32]>,
+    r: &[Acc],
+    x: &mut [Acc],
+) {
     assert!(x.len() >= a.ncols() && r.len() >= a.nrows());
     let d = a.diag_by_position();
     let shared = crate::shared::SharedMut::new(x);
@@ -164,13 +190,63 @@ pub fn gs_range<S: Scalar, Acc: Scalar>(
     // concurrent writes are disjoint and no element is concurrently
     // read and written.
     let x_read = unsafe { xs.slice() };
-    a.row_dots(std::iter::once(pos), x_read, |p0, dots| {
+    let epilogue = |p0: usize, dots: &[Acc]| {
         for (j, &dot) in dots.iter().enumerate() {
             let i = a.order().old_of_new(p0 + j);
             // SAFETY: see above — row `i` belongs to this tile alone.
             unsafe { *xs.get_mut(i) += (r[i] - dot) / Acc::from_scalar(d[p0 + j]) };
         }
-    });
+    };
+    match masks {
+        None => a.row_dots(std::iter::once(pos), x_read, epilogue),
+        Some(m) => a.row_dots_masked(std::iter::once(pos), m, x_read, epilogue),
+    }
+}
+
+/// The slab masks of a forward multicolor sweep from `x = 0`, for
+/// [`gs_range_masked`]: per color, one mask per [`ROW_BLOCK`] tile of
+/// its range, with bit `k` set when some row of the tile holds at slab
+/// `k` an owned column of an earlier color. Every other entry — the
+/// diagonal and padding (the row itself, still zero when it is
+/// relaxed), later colors and ghosts (still zero) — multiplies a zero,
+/// so the first color reads no slab at all. `colors[c]` are color
+/// `c`'s positions and `color_of` the colors by row; `a` must be
+/// at most 32 slabs wide.
+pub fn zero_guess_masks<S: Scalar>(
+    a: &EllMatrix<S>,
+    colors: &[ColorRange],
+    color_of: &[u32],
+) -> Vec<Vec<u32>> {
+    assert!(a.width() <= 32, "a slab mask covers at most 32 slabs, not {}", a.width());
+    let n = a.nrows();
+    colors
+        .iter()
+        .enumerate()
+        .map(|(c, range)| {
+            let mut masks = vec![0u32; range.all().len().div_ceil(ROW_BLOCK)];
+            masks.par_iter_mut().enumerate().for_each(|(t, mask)| {
+                let p0 = range.start + t * ROW_BLOCK;
+                let tile = p0..range.end.min(p0 + ROW_BLOCK);
+                for k in 0..a.width() {
+                    let cols = &a.slab_cols(k)[tile.clone()];
+                    debug_assert!(
+                        cols.iter().zip(tile.clone()).all(|(&col, p)| {
+                            let col = col as usize;
+                            col >= n
+                                || col == a.order().old_of_new(p)
+                                || color_of[col] as usize != c
+                        }),
+                        "color {c} couples two of its rows"
+                    );
+                    let earlier = cols
+                        .iter()
+                        .any(|&col| (col as usize) < n && (color_of[col as usize] as usize) < c);
+                    *mask |= u32::from(earlier) << k;
+                }
+            });
+            masks
+        })
+        .collect()
 }
 
 /// Multicolor forward Gauss–Seidel over a color-block ordered ELL

@@ -44,7 +44,7 @@ pub mod scalar;
 pub mod shared;
 pub mod simd;
 
-pub use coloring::{greedy_coloring, jpl_coloring, Coloring};
+pub use coloring::{greedy_coloring, greedy_coloring_by, jpl_coloring, Coloring};
 pub use csr::{CsrBuilder, CsrMatrix};
 pub use ell::EllMatrix;
 pub use half::Half;

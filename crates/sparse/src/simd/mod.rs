@@ -524,14 +524,22 @@ pub fn try_scale_narrow<Lo: Scalar>(alpha: f64, hi: &[f64], lo: &mut [Lo]) -> bo
 // ELL kernel entry points.
 // ---------------------------------------------------------------------------
 
+/// Whether a tile traversal under slab mask `mask` reads slab `k`: bit
+/// `k` selects slab `k`, and slabs from 32 on are always read, so
+/// `u32::MAX` is the full pass at any width.
+#[inline(always)]
+pub(crate) fn reads_slab(mask: u32, k: usize) -> bool {
+    k >= 32 || mask & (1 << k) != 0
+}
+
 /// Vectorized row dots of one ELL tile — the kernel under every ELL
 /// traversal, SpMV and Gauss–Seidel alike:
 /// `acc[j] = Σ_k widen(vs[k * stride + j]) * x[cs[k * stride + j]]` for
-/// `j < acc.len()`, `k` ascending from zero over `width` slabs (`vs`
-/// and `cs` start at the tile's first position of slab 0). The vector
-/// path keeps each row's accumulator in a register across the slabs,
-/// with the scalar walk's per-row operation sequence. Lengths are
-/// checked here.
+/// `j < acc.len()`, `k` ascending from zero over the `width` slabs that
+/// `mask` selects ([`reads_slab`]; `vs` and `cs` start at the tile's
+/// first position of slab 0). The vector path keeps each row's
+/// accumulator in a register across the slabs, with the scalar walk's
+/// per-row operation sequence. Lengths are checked here.
 ///
 /// # Safety
 /// Every column index the tile reads, `cs[k * stride + j]` for
@@ -541,6 +549,7 @@ pub(crate) unsafe fn try_ell_tile<S: Scalar, Acc: Scalar>(
     cs: &[u32],
     stride: usize,
     width: usize,
+    mask: u32,
     x: &[Acc],
     acc: &mut [Acc],
 ) -> bool {
@@ -562,15 +571,15 @@ pub(crate) unsafe fn try_ell_tile<S: Scalar, Acc: Scalar>(
             // slot the tile reads (checked above); every index read is
             // `< x.len() <= i32::MAX` by the caller's contract.
             if let Some(v) = as_f64s(vs) {
-                unsafe { x86::ell_tile_f64_f64(v, cs, stride, width, xv, av) };
+                unsafe { x86::ell_tile_f64_f64(v, cs, stride, width, mask, xv, av) };
                 return true;
             }
             if let Some(v) = as_f32s(vs) {
-                unsafe { x86::ell_tile_f32_f64(v, cs, stride, width, xv, av) };
+                unsafe { x86::ell_tile_f32_f64(v, cs, stride, width, mask, xv, av) };
                 return true;
             }
             if let Some(v) = as_f16s(vs) {
-                unsafe { x86::ell_tile_f16_f64(v, cs, stride, width, xv, av) };
+                unsafe { x86::ell_tile_f16_f64(v, cs, stride, width, mask, xv, av) };
                 return true;
             }
             return false;
@@ -578,15 +587,15 @@ pub(crate) unsafe fn try_ell_tile<S: Scalar, Acc: Scalar>(
         if let Some(av) = as_f32s_mut(acc) {
             let xv = as_f32s(x).unwrap();
             if let Some(v) = as_f32s(vs) {
-                unsafe { x86::ell_tile_f32_f32(v, cs, stride, width, xv, av) };
+                unsafe { x86::ell_tile_f32_f32(v, cs, stride, width, mask, xv, av) };
                 return true;
             }
             if let Some(v) = as_f16s(vs) {
-                unsafe { x86::ell_tile_f16_f32(v, cs, stride, width, xv, av) };
+                unsafe { x86::ell_tile_f16_f32(v, cs, stride, width, mask, xv, av) };
                 return true;
             }
             if let Some(v) = as_f64s(vs) {
-                unsafe { x86::ell_tile_f64_f32(v, cs, stride, width, xv, av) };
+                unsafe { x86::ell_tile_f64_f32(v, cs, stride, width, mask, xv, av) };
                 return true;
             }
             return false;
@@ -595,7 +604,7 @@ pub(crate) unsafe fn try_ell_tile<S: Scalar, Acc: Scalar>(
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (vs, cs, stride, width, x, acc);
+        let _ = (vs, cs, stride, width, mask, x, acc);
         false
     }
 }

@@ -34,6 +34,7 @@
 //! avx2+fma+f16c.
 
 use super::portable::{lane_fold, UNROLL};
+use super::reads_slab;
 use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
 use core::arch::x86_64::*;
 
@@ -520,46 +521,82 @@ pub unsafe fn scale_f64_to_f16(alpha: f64, hi: &[f64], lo: &mut [u16]) {
 // scalar walk.
 // ---------------------------------------------------------------------------
 
+/// The row loop of one tile, with `$slabs` the slabs to read (an
+/// iterator expression, evaluated once per row group).
+macro_rules! ell_tile_rows {
+    ($vs:ident, $cs:ident, $stride:ident, $x:ident, $acc:ident, $slabs:expr,
+     $lanes:literal, $zero:ident, $gather:ident, $fmadd:ident, $store:ident, $ld:ident, $wide:ident,
+     $T:ty) => {{
+        let len = $acc.len();
+        let (xp, vp, cp, yp) = ($x.as_ptr(), $vs.as_ptr(), $cs.as_ptr(), $acc.as_mut_ptr());
+        let mut j = 0usize;
+        while j + $lanes <= len {
+            let mut a = $zero();
+            for k in $slabs {
+                let o = k * $stride + j;
+                a = $fmadd($ld(vp.add(o)), $gather!(xp, cp.add(o)), a);
+            }
+            $store(yp.add(j), a);
+            j += $lanes;
+        }
+        while j < len {
+            let mut a: $T = 0.0;
+            for k in $slabs {
+                let o = k * $stride + j;
+                a = $wide(*vp.add(o)).mul_add(*xp.add(*cp.add(o) as usize), a);
+            }
+            *yp.add(j) = a;
+            j += 1;
+        }
+        _mm256_zeroupper();
+    }};
+}
+
+/// Gather four `f64` at the indices `c[0..4]`.
+macro_rules! gather4_f64 {
+    ($xp:expr, $c:expr) => {
+        _mm256_i32gather_pd::<8>($xp, _mm_loadu_si128($c as *const __m128i))
+    };
+}
+
+/// Gather eight `f32` at the indices `c[0..8]`.
+macro_rules! gather8_f32 {
+    ($xp:expr, $c:expr) => {
+        _mm256_i32gather_ps::<4>($xp, _mm256_loadu_si256($c as *const __m256i))
+    };
+}
+
 macro_rules! ell_tile_into_f64 {
     ($name:ident, $S:ty, $ld:ident, $wide:ident) => {
         /// # Safety
         /// With `len = acc.len()` and `width > 0`: `vs` and `cs` hold at
         /// least `(width - 1) * stride + len` entries, every
         /// `cs[k * stride + j]` (`k < width`, `j < len`) is `< x.len()`,
-        /// and `x.len() <= i32::MAX`.
+        /// and `x.len() <= i32::MAX`. Only the slabs `mask` selects are
+        /// read ([`reads_slab`]); the full pass keeps a plain slab loop.
         #[target_feature(enable = "avx2,fma,f16c")]
         pub unsafe fn $name(
             vs: &[$S],
             cs: &[u32],
             stride: usize,
             width: usize,
+            mask: u32,
             x: &[f64],
             acc: &mut [f64],
         ) {
-            let len = acc.len();
-            let (xp, vp, cp, yp) = (x.as_ptr(), vs.as_ptr(), cs.as_ptr(), acc.as_mut_ptr());
-            let mut j = 0usize;
-            while j + 4 <= len {
-                let mut a = _mm256_setzero_pd();
-                for k in 0..width {
-                    let o = k * stride + j;
-                    let xv =
-                        _mm256_i32gather_pd::<8>(xp, _mm_loadu_si128(cp.add(o) as *const __m128i));
-                    a = _mm256_fmadd_pd($ld(vp.add(o)), xv, a);
+            if mask == u32::MAX {
+                ell_tile_rows! {
+                    vs, cs, stride, x, acc, 0..width,
+                    4, _mm256_setzero_pd, gather4_f64, _mm256_fmadd_pd, _mm256_storeu_pd,
+                    $ld, $wide, f64
                 }
-                _mm256_storeu_pd(yp.add(j), a);
-                j += 4;
-            }
-            while j < len {
-                let mut a = 0.0f64;
-                for k in 0..width {
-                    let o = k * stride + j;
-                    a = $wide(*vp.add(o)).mul_add(*xp.add(*cp.add(o) as usize), a);
+            } else {
+                ell_tile_rows! {
+                    vs, cs, stride, x, acc, (0..width).filter(|&k| reads_slab(mask, k)),
+                    4, _mm256_setzero_pd, gather4_f64, _mm256_fmadd_pd, _mm256_storeu_pd,
+                    $ld, $wide, f64
                 }
-                *yp.add(j) = a;
-                j += 1;
             }
-            _mm256_zeroupper();
         }
     };
 }
@@ -574,35 +611,23 @@ macro_rules! ell_tile_into_f32 {
             cs: &[u32],
             stride: usize,
             width: usize,
+            mask: u32,
             x: &[f32],
             acc: &mut [f32],
         ) {
-            let len = acc.len();
-            let (xp, vp, cp, yp) = (x.as_ptr(), vs.as_ptr(), cs.as_ptr(), acc.as_mut_ptr());
-            let mut j = 0usize;
-            while j + 8 <= len {
-                let mut a = _mm256_setzero_ps();
-                for k in 0..width {
-                    let o = k * stride + j;
-                    let xv = _mm256_i32gather_ps::<4>(
-                        xp,
-                        _mm256_loadu_si256(cp.add(o) as *const __m256i),
-                    );
-                    a = _mm256_fmadd_ps($ld(vp.add(o)), xv, a);
+            if mask == u32::MAX {
+                ell_tile_rows! {
+                    vs, cs, stride, x, acc, 0..width,
+                    8, _mm256_setzero_ps, gather8_f32, _mm256_fmadd_ps, _mm256_storeu_ps,
+                    $ld, $wide, f32
                 }
-                _mm256_storeu_ps(yp.add(j), a);
-                j += 8;
-            }
-            while j < len {
-                let mut a = 0.0f32;
-                for k in 0..width {
-                    let o = k * stride + j;
-                    a = $wide(*vp.add(o)).mul_add(*xp.add(*cp.add(o) as usize), a);
+            } else {
+                ell_tile_rows! {
+                    vs, cs, stride, x, acc, (0..width).filter(|&k| reads_slab(mask, k)),
+                    8, _mm256_setzero_ps, gather8_f32, _mm256_fmadd_ps, _mm256_storeu_ps,
+                    $ld, $wide, f32
                 }
-                *yp.add(j) = a;
-                j += 1;
             }
-            _mm256_zeroupper();
         }
     };
 }

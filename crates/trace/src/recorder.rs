@@ -428,19 +428,30 @@ impl SpanGuard<'_> {
 }
 
 impl Drop for SpanGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         if let Some(rec) = self.rec {
-            let end_ns = rec.now_ns();
-            rec.record(EventRec {
-                name: self.name,
-                lane: self.lane,
-                kind: Kind::Span,
-                tid: current_tid(),
-                start_ns: self.start_ns,
-                end_ns,
-                arg: self.arg,
-            });
+            self.record_into(rec);
         }
+    }
+}
+
+impl SpanGuard<'_> {
+    /// The armed half of `drop`, kept out of line so that every span
+    /// site inlines only the disarmed check.
+    #[cold]
+    #[inline(never)]
+    fn record_into(&self, rec: &Recorder) {
+        let end_ns = rec.now_ns();
+        rec.record(EventRec {
+            name: self.name,
+            lane: self.lane,
+            kind: Kind::Span,
+            tid: current_tid(),
+            start_ns: self.start_ns,
+            end_ns,
+            arg: self.arg,
+        });
     }
 }
 
@@ -489,6 +500,13 @@ pub fn span(name: &'static str, lane: Lane) -> SpanGuard<'static> {
     if !crate::spans_armed() {
         return SpanGuard::disabled();
     }
+    armed_span(name, lane)
+}
+
+/// The armed half of [`span`], out of line like [`SpanGuard`]'s.
+#[cold]
+#[inline(never)]
+fn armed_span(name: &'static str, lane: Lane) -> SpanGuard<'static> {
     global().span(name, lane)
 }
 
