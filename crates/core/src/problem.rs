@@ -9,15 +9,18 @@
 //! holds its operator once, in ELL storage: one column-index array and
 //! one storage order, shared (`Arc`) by an [`EllMatrix`] per storage
 //! precision the policy names for that depth (plus `f64` on the fine
-//! level, for the outer residual). Each lower-precision copy is one
-//! narrowing pass over the `f64` values.
+//! level, for the outer residual, from which the fine level's
+//! lower-precision copy is one narrowing pass).
 //!
 //! **Generated, not assembled.** No CSR is built on the way: each
-//! level's `f64` ELL is written straight at its storage positions, slab
-//! by slab in parallel, with slab `k` holding every row's coupling at
-//! `STENCIL_OFFSETS[k]` and padding at the offsets that leave the
-//! domain. `b = A·1`, the stored nonzero count and the
-//! fused-restriction work count are read off that ELL. What only the
+//! level's ELL is written straight at its storage positions and
+//! precision, slab by slab in parallel, with slab `k` holding every
+//! row's coupling at `STENCIL_OFFSETS[k]` and padding at the offsets
+//! that leave the domain; a coarse level whose policy drops `f64` never
+//! builds it. `b = A·1` is read off the fine `f64` ELL, and the stored
+//! nonzero count, the fused-restriction work count and the zero-guess
+//! masks off whichever copy is held, since they depend on the indices
+//! alone. What only the
 //! reference variant reads — the CSR form, the `(D+L, U)` factors of
 //! its two-kernel Gauss–Seidel and the level schedule — is built on
 //! first use from the held ELL copies, by dropping their padding, so it
@@ -441,18 +444,19 @@ enum Reach {
     Outside,
 }
 
-/// The level's `f64` operator in ELL storage, rows at the positions of
-/// `order`: slab `k` holds every row's coupling at `STENCIL_OFFSETS[k]`
-/// — the owned row or ghost column the offset reaches (ghosts numbered
-/// by `plan`), with `stencil`'s coefficient — or, where the offset
-/// leaves the global domain, padding. The slabs are written in
-/// parallel, each walking the rows in natural order.
-fn generate_ell(
+/// The level's operator in ELL storage at precision `S`, rows at the
+/// positions of `order`: slab `k` holds every row's coupling at
+/// `STENCIL_OFFSETS[k]` — the owned row or ghost column the offset
+/// reaches (ghosts numbered by `plan`), with `stencil`'s coefficient
+/// rounded once to `S` (the bits `EllMatrix::convert` gives) — or,
+/// where the offset leaves the global domain, padding. The slabs are
+/// written in parallel, each walking the rows in natural order.
+fn generate_ell<S: Scalar>(
     grid: &LocalGrid,
     plan: &HaloPlan,
     stencil: &Stencil27,
     order: Permutation,
-) -> EllMatrix<f64> {
+) -> EllMatrix<S> {
     let n = grid.total_points();
     let global = grid.global();
     let base = grid.base();
@@ -472,11 +476,11 @@ fn generate_ell(
     };
     let reach =
         [axis(nx, base.0, global.nx), axis(ny, base.1, global.ny), axis(nz, base.2, global.nz)];
-    let diag = vec![stencil.coefficient(0, 0, 0); n];
+    let diag = vec![S::from_f64(stencil.coefficient(0, 0, 0)); n];
     let ncols = n + plan.num_ghosts;
     EllMatrix::from_slabs(ncols, STENCIL_OFFSETS.len(), order, diag, |k, order, cols, vals| {
         let (dx, dy, dz) = STENCIL_OFFSETS[k];
-        let coefficient = stencil.coefficient(dx, dy, dz);
+        let coefficient = S::from_f64(stencil.coefficient(dx, dy, dz));
         let step = dx as isize + nx as isize * (dy as isize + ny as isize * dz as isize);
         let at = |axis: usize, d: i32| &reach[axis][(d + 1) as usize];
         let (xs, ys, zs) = (at(0, dx), at(1, dy), at(2, dz));
@@ -489,7 +493,7 @@ fn generate_ell(
                         (Reach::Owned, Reach::Owned, Reach::Owned) => {
                             ((i as isize + step) as u32, coefficient)
                         }
-                        _ if [rx, ry, rz].contains(&Reach::Outside) => (i as u32, 0.0),
+                        _ if [rx, ry, rz].contains(&Reach::Outside) => (i as u32, S::ZERO),
                         _ => {
                             let e = |c: usize, d: i32| c as i64 + d as i64;
                             let g = plan
@@ -512,7 +516,7 @@ fn generate_ell(
 /// Whether every row whose stencil stays inside the local box stores,
 /// at each slab, the same `col − row`: the offset-per-slab layout the
 /// slab masks rely on.
-fn interior_slots_are_stable(ell: &EllMatrix<f64>, grid: &LocalGrid) -> bool {
+fn interior_slots_are_stable<S: Scalar>(ell: &EllMatrix<S>, grid: &LocalGrid) -> bool {
     let interior = |i: usize| {
         let (ix, iy, iz) = grid.coords(i);
         let inner = |c: u32, n: u32| c > 0 && c + 1 < n;
@@ -523,6 +527,36 @@ fn interior_slots_are_stable(ell: &EllMatrix<f64>, grid: &LocalGrid) -> bool {
         let delta = |i: usize| ell.entry(i, k).0 as i64 - i as i64;
         rows.iter().all(|&i| delta(i) == delta(rows[0]))
     })
+}
+
+/// What a level records of its operator that depends on the indices
+/// alone, so any held copy gives the same.
+struct IndexFacts {
+    /// Stored nonzeros, padding excluded.
+    nnz_stored: usize,
+    /// Stored nonzeros in the rows collocated with a coarse point.
+    nnz_coarse: usize,
+    /// Per color and tile, the slabs a zero-guess sweep reads.
+    zero_guess_masks: Vec<Vec<u32>>,
+}
+
+impl IndexFacts {
+    fn read<S: Scalar>(
+        ell: &EllMatrix<S>,
+        grid: &LocalGrid,
+        c2f: Option<&hpgmxp_geometry::CoarseMap>,
+        color_ranges: &[ColorRange],
+        coloring: &Coloring,
+    ) -> Self {
+        debug_assert!(interior_slots_are_stable(ell, grid), "a slab mixes offsets");
+        let row_nnz =
+            |i: usize| (0..ell.width()).filter(|&k| !is_pad(k, ell.entry(i, k).0, i)).count();
+        IndexFacts {
+            nnz_stored: ell.nnz(),
+            nnz_coarse: c2f.iter().flat_map(|map| &map.c2f).map(|&f| row_nnz(f as usize)).sum(),
+            zero_guess_masks: zero_guess_masks(ell, color_ranges, &coloring.color_of),
+        }
+    }
 }
 
 /// Assemble the local problem of `rank` with exactly what `policy`
@@ -577,21 +611,36 @@ pub fn assemble_with_policy(
                 .collect(),
             None => Vec::new(),
         };
-        let ell = generate_ell(grid, &plan, &spec.stencil, order);
-        debug_assert!(interior_slots_are_stable(&ell, grid), "level {l}: a slab mixes offsets");
-        // Fused-restriction work count (precision-independent).
-        let row_nnz =
-            |i: usize| (0..ell.width()).filter(|&k| !is_pad(k, ell.entry(i, k).0, i)).count();
-        let nnz_coarse: usize =
-            c2f.iter().flat_map(|map| &map.c2f).map(|&f| row_nnz(f as usize)).sum();
+        // The fine level holds f64 for the outer residual and narrows
+        // its storage copy from it, the two sharing one index array; a
+        // coarser level holds only its storage precision, generated at it.
+        let storage = policy.storage_at(l);
+        let (mut ell64, mut ell32, mut ell16) = (None, None, None);
+        if l == 0 || storage == PrecKind::F64 {
+            let ell = generate_ell::<f64>(grid, &plan, &spec.stencil, order);
+            ell32 = (storage == PrecKind::F32).then(|| ell.convert());
+            ell16 = (storage == PrecKind::F16).then(|| ell.convert());
+            ell64 = Some(ell);
+        } else if storage == PrecKind::F32 {
+            ell32 = Some(generate_ell::<f32>(grid, &plan, &spec.stencil, order));
+        } else {
+            ell16 = Some(generate_ell::<Half>(grid, &plan, &spec.stencil, order));
+        }
+        let (map, ranges) = (c2f.as_ref(), &color_ranges[..]);
+        let IndexFacts { nnz_stored, nnz_coarse, zero_guess_masks } = match (&ell64, &ell32, &ell16)
+        {
+            (Some(a), _, _) => IndexFacts::read(a, grid, map, ranges, &coloring),
+            (_, Some(a), _) => IndexFacts::read(a, grid, map, ranges, &coloring),
+            (_, _, Some(a)) => IndexFacts::read(a, grid, map, ranges, &coloring),
+            _ => unreachable!("every level holds an operator"),
+        };
         if l == 0 {
             // b = A·1 — with the exact solution all-ones, ghost values
             // are also ones, so no exchange is needed to form it.
+            let ell = ell64.as_ref().expect("the fine level holds f64");
             rhs = vec![0.0f64; grid.total_points()];
             ell.spmv_par(&vec![1.0f64; ell.ncols()], &mut rhs);
         }
-        let nnz_stored = ell.nnz();
-        let zero_guess_masks = zero_guess_masks(&ell, &color_ranges, &coloring.color_of);
         let zero_guess_slots = color_ranges
             .iter()
             .zip(&zero_guess_masks)
@@ -601,13 +650,6 @@ pub fn assemble_with_policy(
                 masks.iter().enumerate().map(move |(t, m)| m.count_ones() as usize * tile_len(t))
             })
             .sum();
-
-        // Values at exactly the storage precisions this level needs,
-        // narrowed from the f64 copy; every copy shares its indices.
-        let storage = policy.storage_at(l);
-        let ell32 = (storage == PrecKind::F32).then(|| ell.convert());
-        let ell16 = (storage == PrecKind::F16).then(|| ell.convert());
-        let ell64 = (l == 0 || storage == PrecKind::F64).then_some(ell);
         let staging = if l == 0 { 8 } else { policy.wire.bytes().max(policy.compute.bytes()) };
 
         levels.push(Level {

@@ -93,14 +93,52 @@ pub fn norm2_sq_par<S: Scalar>(x: &[S]) -> S {
     dot_par(x, x)
 }
 
-/// `y[i] = alpha.mul_add(x[i], y[i])` on one chunk: the elementwise
-/// step under every AXPY-shaped kernel here.
-fn axpy_chunk<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    if simd::try_axpy(alpha, x, y) {
-        return;
+simd::twice! {
+    /// `y[i] = alpha.mul_add(x[i], y[i])` on one chunk: the elementwise
+    /// step under every AXPY-shaped kernel here.
+    fn axpy_chunk<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi = alpha.mul_add(*xi, *yi);
+        }
     }
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha.mul_add(*xi, *yi);
+}
+
+simd::twice! {
+    /// `w[i] = (alpha * x[i]).mul_add(ONE, beta * y[i])` on one chunk:
+    /// two rounded products and one rounded sum (the `* ONE` is exact).
+    fn waxpby_chunk<S: Scalar>(alpha: S, x: &[S], beta: S, y: &[S], w: &mut [S]) {
+        for ((wi, xi), yi) in w.iter_mut().zip(x).zip(y) {
+            *wi = (alpha * *xi).mul_add(S::ONE, beta * *yi);
+        }
+    }
+}
+
+simd::twice! {
+    /// `x[i] *= alpha` on one chunk.
+    fn scal_chunk<S: Scalar>(alpha: S, x: &mut [S]) {
+        for xi in x.iter_mut() {
+            *xi *= alpha;
+        }
+    }
+}
+
+simd::twice! {
+    /// `lo[i] = S::from_f64(hi[i] * alpha)` on one chunk: a rounded f64
+    /// product, then one narrowing.
+    fn scale_into_lo_chunk<S: Scalar>(alpha: f64, hi: &[f64], lo: &mut [S]) {
+        for (l, h) in lo.iter_mut().zip(hi) {
+            *l = S::from_f64(h * alpha);
+        }
+    }
+}
+
+simd::twice! {
+    /// `y[i] = alpha.mul_add(x[i].to_f64(), y[i])` on one chunk: exact
+    /// widening, f64 accumulation.
+    fn axpy_lo_chunk<S: Scalar>(alpha: f64, x: &[S], y: &mut [f64]) {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi = alpha.mul_add(xi.to_f64(), *yi);
+        }
     }
 }
 
@@ -111,14 +149,7 @@ pub fn waxpby<S: Scalar>(alpha: S, x: &[S], beta: S, y: &[S], w: &mut [S]) {
     w.par_chunks_mut(ELEM_CHUNK)
         .zip(x.par_chunks(ELEM_CHUNK))
         .zip(y.par_chunks(ELEM_CHUNK))
-        .for_each(|((wc, xc), yc)| {
-            if simd::try_waxpby(alpha, xc, beta, yc, wc) {
-                return;
-            }
-            for ((wi, xi), yi) in wc.iter_mut().zip(xc).zip(yc) {
-                *wi = (alpha * *xi).mul_add(S::ONE, beta * *yi);
-            }
-        });
+        .for_each(|((wc, xc), yc)| waxpby_chunk(alpha, xc, beta, yc, wc));
 }
 
 /// `y += alpha * x`, parallel over chunks (bit-identical at every
@@ -132,14 +163,7 @@ pub fn axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
 
 /// `x *= alpha`, parallel over chunks.
 pub fn scal<S: Scalar>(alpha: S, x: &mut [S]) {
-    x.par_chunks_mut(ELEM_CHUNK).for_each(|xc| {
-        if simd::try_scal(alpha, xc) {
-            return;
-        }
-        for xi in xc.iter_mut() {
-            *xi *= alpha;
-        }
-    });
+    x.par_chunks_mut(ELEM_CHUNK).for_each(|xc| scal_chunk(alpha, xc));
 }
 
 /// `y = x` for equal-length slices.
@@ -172,14 +196,9 @@ pub fn scale_f64_into_f32(alpha: f64, hi: &[f64], lo: &mut [f32]) {
 /// paper's future-work study).
 pub fn scale_f64_into_lo<S: Scalar>(alpha: f64, hi: &[f64], lo: &mut [S]) {
     assert_eq!(hi.len(), lo.len());
-    lo.par_chunks_mut(ELEM_CHUNK).zip(hi.par_chunks(ELEM_CHUNK)).for_each(|(lc, hc)| {
-        if simd::try_scale_narrow(alpha, hc, lc) {
-            return;
-        }
-        for (l, h) in lc.iter_mut().zip(hc) {
-            *l = S::from_f64(h * alpha);
-        }
-    });
+    lo.par_chunks_mut(ELEM_CHUNK)
+        .zip(hi.par_chunks(ELEM_CHUNK))
+        .for_each(|(lc, hc)| scale_into_lo_chunk(alpha, hc, lc));
 }
 
 /// Generic mixed AXPY: `y (f64) += alpha * x (S)` — the widening
@@ -187,14 +206,9 @@ pub fn scale_f64_into_lo<S: Scalar>(alpha: f64, hi: &[f64], lo: &mut [S]) {
 /// inner precision).
 pub fn axpy_lo_into_f64<S: Scalar>(alpha: f64, x: &[S], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    y.par_chunks_mut(ELEM_CHUNK).zip(x.par_chunks(ELEM_CHUNK)).for_each(|(yc, xc)| {
-        if simd::try_axpy_into_f64(alpha, xc, yc) {
-            return;
-        }
-        for (yi, xi) in yc.iter_mut().zip(xc) {
-            *yi = alpha.mul_add(xi.to_f64(), *yi);
-        }
-    });
+    y.par_chunks_mut(ELEM_CHUNK)
+        .zip(x.par_chunks(ELEM_CHUNK))
+        .for_each(|(yc, xc)| axpy_lo_chunk(alpha, xc, yc));
 }
 
 /// `w -= Q[:, 0..h.len()] · h`, `w` the column right after them: each
@@ -402,13 +416,12 @@ mod tests {
 
     #[test]
     fn dot_is_pairwise_over_lane_blocked_partials() {
-        // The definition, spelled out: portable lane dots per block,
+        // The definition, spelled out: lane dots per block,
         // combined ((b0 + b1) + (b2 + b3)) for four blocks.
         let x: Vec<f64> = (0..3 * DOT_BLOCK + 17).map(|i| ((i * 37 % 1013) as f64).sin()).collect();
         let y: Vec<f64> = (0..x.len()).map(|i| ((i * 53 % 997) as f64).cos()).collect();
-        let b: Vec<f64> = (0..4)
-            .map(|i| simd::portable::dot_f64(&x[block(i, x.len())], &y[block(i, x.len())]))
-            .collect();
+        let b: Vec<f64> =
+            (0..4).map(|i| simd::lane_dot(&x[block(i, x.len())], &y[block(i, x.len())])).collect();
         assert_eq!(dot(&x, &y).to_bits(), ((b[0] + b[1]) + (b[2] + b[3])).to_bits());
     }
 
@@ -432,16 +445,20 @@ mod tests {
 
     #[test]
     fn waxpby_axpy_scal() {
-        let x = vec![1.0f64, 2.0];
-        let y = vec![10.0f64, 20.0];
-        let mut w = vec![0.0f64; 2];
-        waxpby(2.0, &x, 0.5, &y, &mut w);
-        assert_eq!(w, vec![7.0, 14.0]);
-        let mut y2 = y.clone();
-        axpy(3.0, &x, &mut y2);
-        assert_eq!(y2, vec![13.0, 26.0]);
-        scal(0.5, &mut y2);
-        assert_eq!(y2, vec![6.5, 13.0]);
+        fn check<S: Scalar>() {
+            let v = |a: &[f64]| a.iter().map(|&e| S::from_f64(e)).collect::<Vec<S>>();
+            let (x, y) = (v(&[1.0, 2.0]), v(&[10.0, 20.0]));
+            let mut w = v(&[0.0, 0.0]);
+            waxpby(S::from_f64(2.0), &x, S::from_f64(0.5), &y, &mut w);
+            assert_eq!(w, v(&[7.0, 14.0]));
+            let mut y2 = y.clone();
+            axpy(S::from_f64(3.0), &x, &mut y2);
+            assert_eq!(y2, v(&[13.0, 26.0]));
+            scal(S::from_f64(0.5), &mut y2);
+            assert_eq!(y2, v(&[6.5, 13.0]));
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]
@@ -478,6 +495,12 @@ mod tests {
         let mut back = vec![0.0f64; 3];
         axpy_lo_into_f64(4.0, &b, &mut back);
         assert_eq!(back, hi);
+        // At f64 the hand-off is a plain scale and a plain axpy.
+        let mut c = vec![0.0f64; 3];
+        scale_f64_into_lo(0.25, &hi, &mut c);
+        assert_eq!(c, vec![0.5, -1.0, 2.0]);
+        axpy_lo_into_f64(-4.0, &c, &mut back);
+        assert_eq!(back, vec![0.0; 3]);
     }
 
     #[test]

@@ -506,25 +506,35 @@ mod tests {
 
     #[test]
     fn rowblock_variants_are_bit_identical_to_rowwise() {
-        // Every tiled traversal equals the row-wise dot of each row.
-        let a = wide_band(3 * ROW_BLOCK + 41);
-        let n = a.nrows();
-        let ell = EllMatrix::from_csr_ordered(&a, odd_even(n));
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let rowwise: Vec<f64> = (0..n)
-            .map(|i| {
-                (0..ell.width()).fold(0.0, |acc, k| {
-                    let (c, v) = ell.entry(i, k);
-                    v.mul_add(x[c as usize], acc)
+        // Every tiled traversal equals the row-wise dot of each row, at
+        // every pair of stored and accumulate precision.
+        fn check<S: Scalar, Acc: Scalar>(ell: &EllMatrix<f64>) {
+            let ell: EllMatrix<S> = ell.convert();
+            let n = ell.nrows();
+            let x: Vec<Acc> = (0..n).map(|i| Acc::from_f64((i as f64 * 0.37).sin())).collect();
+            let rowwise: Vec<Acc> = (0..n)
+                .map(|i| {
+                    (0..ell.width()).fold(Acc::ZERO, |acc, k| {
+                        let (c, v) = ell.entry(i, k);
+                        Acc::from_scalar(v).mul_add(x[c as usize], acc)
+                    })
                 })
-            })
-            .collect();
-        let mut y_seq = vec![0.0; n];
-        let mut y_par = vec![0.0; n];
-        ell.spmv(&x, &mut y_seq);
-        rayon::ThreadPool::new(4).install(|| ell.spmv_par(&x, &mut y_par));
-        assert_eq!(y_seq, rowwise);
-        assert_eq!(y_par, rowwise);
+                .collect();
+            let mut y_seq = vec![Acc::ZERO; n];
+            let mut y_par = vec![Acc::ZERO; n];
+            ell.spmv(&x, &mut y_seq);
+            rayon::ThreadPool::new(4).install(|| ell.spmv_par(&x, &mut y_par));
+            assert_eq!(y_seq, rowwise, "{} stored, {} accumulated", S::NAME, Acc::NAME);
+            assert_eq!(y_par, rowwise, "{} stored, {} accumulated", S::NAME, Acc::NAME);
+        }
+        let a = wide_band(3 * ROW_BLOCK + 41);
+        let ell = EllMatrix::from_csr_ordered(&a, odd_even(a.nrows()));
+        check::<f64, f64>(&ell);
+        check::<f32, f64>(&ell);
+        check::<crate::Half, f64>(&ell);
+        check::<f32, f32>(&ell);
+        check::<crate::Half, f32>(&ell);
+        check::<f64, f32>(&ell);
     }
 
     #[test]

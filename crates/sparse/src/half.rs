@@ -422,7 +422,10 @@ mod tests {
         for len in [0usize, 1, 8, 9, 31, 32, 33, 256, 257, 600] {
             let x: Vec<Half> = (0..len).map(|i| Half::from_f32((i as f32 * 0.23).cos())).collect();
             let y: Vec<Half> = (0..len).map(|i| Half::from_f32((i as f32 * 0.11).sin())).collect();
-            let acc = crate::simd::portable::dot_f16(as_bits(&x), as_bits(&y));
+            // The f32 lane dot of the widened operands has the same shape.
+            let (xw, yw): (Vec<f32>, Vec<f32>) =
+                x.iter().zip(&y).map(|(a, b)| (a.to_f32(), b.to_f32())).unzip();
+            let acc = crate::simd::lane_dot(&xw, &yw);
             assert_eq!(dot_f16(&x, &y).to_bits(), Half::from_f32(acc).to_bits(), "len {len}");
         }
     }

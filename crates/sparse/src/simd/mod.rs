@@ -1,5 +1,4 @@
-//! Runtime-dispatched SIMD primitives for the split-precision motif
-//! kernels.
+//! Runtime-dispatched SIMD for the split-precision motif kernels.
 //!
 //! The dispatch contract:
 //!
@@ -13,32 +12,43 @@
 //! * Tests and benches can force either path in-process via
 //!   [`set_level_override`] without touching the environment.
 //!
+//! Three kinds of kernel sit behind [`level()`]:
+//!
+//! * **Plain-Rust bodies** — the BLAS-1 shapes (the lane-blocked
+//!   [`lane_dot`] here, and `blas`'s AXPY, WAXPBY, SCAL, widening AXPY and
+//!   narrowing scale) and the f32↔f64 batch converters — are each one
+//!   body, built twice by `twice!`: under
+//!   `#[target_feature(enable = "avx2,fma")]` and for the baseline. There
+//!   is no scalar twin to keep in step: the baseline instance *is* the
+//!   reference, and the two instances give the same bits.
+//! * **The fp16 batch converters** (f16↔f32, f16↔f64) use F16C
+//!   intrinsics in `x86.rs` — `f16` is not a stable Rust type, so LLVM
+//!   cannot be asked for `vcvtph2ps` — against the references in
+//!   [`portable`], bit for bit over every non-NaN input.
+//! * **The ELL tile** ([`try_ell_tile`]) is hand-written AVX2 with
+//!   gathers. It returns `false` when dispatch or a length check rules
+//!   the vector path out, and its caller's scalar walk is both the
+//!   fallback and the reference.
+//!
 //! Determinism contract: for `Stored == Acc` kernels the vector path is
 //! bit-identical to the scalar path over non-NaN data (lanes own whole
 //! rows/elements, every lane op is the IEEE correctly-rounded scalar
 //! op). Split `(Stored, Acc)` kernels widen exactly in-register, so
-//! they too match the scalar sequence bit-for-bit; the existing
-//! eps bounds in the proptests remain valid unchanged.
+//! they too match the scalar sequence bit-for-bit.
 //!
 //! This layer also owns the *shape* of every dot product: [`lane_dot`]
-//! is the one per-block reduction (`portable::lane_dot` defines it,
-//! the AVX2 kernels reproduce it), and `blas::dot`/`dot_par`/
+//! is the one per-block reduction, and `blas::dot`/`dot_par`/
 //! `Basis::project_local` combine its `DOT_BLOCK` partials by a
 //! pairwise tree shaped by the length alone — so neither the dispatch
 //! level nor the thread count moves a bit. The per-motif byte counters
 //! are not touched by this layer.
-//!
-//! Every `try_*` kernel returns `false` when dispatch (or a safety
-//! precondition) rules the vector path out — callers keep their scalar
-//! loop as the fallback arm, which doubles as the reference
-//! implementation.
 
 pub mod portable;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
 use crate::half::Half;
-use crate::scalar::Scalar;
+use crate::scalar::{PrecKind, Scalar};
 use core::any::TypeId;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -191,6 +201,43 @@ pub fn set_level_override(level: Option<SimdLevel>) {
     FORCED.store(v, Ordering::Relaxed);
 }
 
+// ---------------------------------------------------------------------------
+// One plain-Rust body, compiled twice.
+// ---------------------------------------------------------------------------
+
+/// Define `fn $name`, generic over `S: Scalar` or not, from one plain-Rust
+/// body compiled twice:
+/// inside `#[target_feature(enable = "avx2,fma")]`, where LLVM
+/// vectorizes it on ymm registers, and for the baseline target.
+/// [`level()`] picks the instance at every call, so `HPGMXP_SIMD=scalar`
+/// and [`set_level_override`] select the baseline one.
+///
+/// Both instances compute the same bits: LLVM neither reassociates nor
+/// contracts floating-point operations, so the vector lanes run the
+/// body's own operation sequence, and `mul_add` is one fused operation
+/// in both (`vfmadd`, or libm's `fma` on the baseline).
+macro_rules! twice {
+    ($(#[$attr:meta])* $vis:vis fn $name:ident $(<$S:ident: Scalar>)?
+     ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block) => {
+        $(#[$attr])*
+        $vis fn $name$(<$S: $crate::Scalar>)?($($arg: $ty),*) $(-> $ret)? {
+            #[inline(always)]
+            fn body$(<$S: $crate::Scalar>)?($($arg: $ty),*) $(-> $ret)? $body
+            #[cfg(target_arch = "x86_64")]
+            if $crate::simd::level() == $crate::simd::SimdLevel::Avx2 {
+                #[target_feature(enable = "avx2,fma")]
+                fn avx2$(<$S: $crate::Scalar>)?($($arg: $ty),*) $(-> $ret)? {
+                    body($($arg),*)
+                }
+                // SAFETY: `level()` reports Avx2 only on a CPU with avx2 and fma.
+                return unsafe { avx2($($arg),*) };
+            }
+            body($($arg),*)
+        }
+    };
+}
+pub(crate) use twice;
+
 /// Hardware gathers sign-extend i32 element indices, so any slice we
 /// gather from must be indexable by i32.
 const MAX_GATHER_LEN: usize = i32::MAX as usize;
@@ -237,8 +284,8 @@ slice_view!(as_f32s, as_f32s_mut, f32, f32);
 slice_view!(as_f16s, as_f16s_mut, Half, u16);
 
 // ---------------------------------------------------------------------------
-// Batch conversions. These always produce the portable path's bits for
-// non-NaN inputs regardless of dispatch level.
+// Batch conversions. These produce the same bits for non-NaN inputs
+// regardless of dispatch level.
 // ---------------------------------------------------------------------------
 
 macro_rules! dispatch_convert {
@@ -260,10 +307,29 @@ macro_rules! dispatch_convert {
 
 dispatch_convert!(widen_f16_f32, u16, f32);
 dispatch_convert!(narrow_f32_f16, f32, u16);
-dispatch_convert!(widen_f32_f64, f32, f64);
-dispatch_convert!(narrow_f64_f32, f64, f32);
 dispatch_convert!(widen_f16_f64, u16, f64);
 dispatch_convert!(narrow_f64_f16, f64, u16);
+
+twice! {
+    /// Batch exact f32 → f64 widening (`vcvtps2pd` in the avx2 instance).
+    pub fn widen_f32_f64(src: &[f32], dst: &mut [f64]) {
+        assert_eq!(src.len(), dst.len());
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = *s as f64;
+        }
+    }
+}
+
+twice! {
+    /// Batch f64 → f32 narrowing, round to nearest even (`vcvtpd2ps` in
+    /// the avx2 instance).
+    pub fn narrow_f64_f32(src: &[f64], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len());
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = *s as f32;
+        }
+    }
+}
 
 /// Batch `dst[i] = Dst::from_scalar(src[i])` for every shipped
 /// `(Src, Dst)` precision pair. Returns `false` for combinations with
@@ -312,212 +378,75 @@ pub fn convert_slice_fast<Src: Scalar, Dst: Scalar>(src: &[Src], dst: &mut [Dst]
 }
 
 // ---------------------------------------------------------------------------
-// The one local reduction.
+// The lane-blocked dot.
 // ---------------------------------------------------------------------------
 
-macro_rules! dispatch_dot {
-    ($name:ident, $T:ty, $Acc:ty) => {
-        fn $name(x: &[$T], y: &[$T]) -> $Acc {
-            #[cfg(target_arch = "x86_64")]
-            if level() == SimdLevel::Avx2 {
-                // SAFETY: features verified by `level()`; `lane_dot`
-                // checked the lengths are equal.
-                return unsafe { x86::$name(x, y) };
+/// Vector registers the lane-blocked dot keeps in flight.
+const UNROLL: usize = 4;
+
+twice! {
+    /// `x · y` over one block — the repo's one deterministic local
+    /// reduction, `Σ widen(x[i]) · widen(y[i])` over `L × UNROLL`
+    /// accumulators: 4 × 4 in f64, 8 × 4 in f32, and fp16 operands
+    /// widened exactly into f32 accumulators, the result narrowed once.
+    ///
+    /// 1. The longest prefix whose length is a multiple of `L × UNROLL`
+    ///    is spread over the accumulators: element `i` feeds accumulator
+    ///    `i % (L × UNROLL)`, one fused multiply-add per element in
+    ///    ascending `i`.
+    /// 2. The accumulators are added pairwise, neighbours first
+    ///    (`((a0 + a1) + (a2 + a3)) + …`), the tree `blas` sums the block
+    ///    partials by.
+    /// 3. The ragged tail is fused into the root in index order.
+    ///
+    /// The shape depends on the length alone. Callers keep blocks at most
+    /// `blas::DOT_BLOCK` long and combine them pairwise.
+    pub fn lane_dot<S: Scalar>(x: &[S], y: &[S]) -> S {
+        assert_eq!(x.len(), y.len());
+        match S::KIND {
+            PrecKind::F64 => lanes::<S, S, 4>(x, y),
+            PrecKind::F32 => lanes::<S, S, 8>(x, y),
+            PrecKind::F16 => S::from_scalar(lanes::<S, f32, 8>(x, y)),
+        }
+    }
+}
+
+/// [`lane_dot`] with `L` lanes per register, accumulated in `A`. The
+/// `[[A; L]; UNROLL]` accumulators are `UNROLL` ymm registers in the
+/// avx2 instance.
+#[inline(always)]
+fn lanes<T: Scalar, A: Scalar, const L: usize>(x: &[T], y: &[T]) -> A {
+    let w = L * UNROLL;
+    let m = x.len() - x.len() % w;
+    let mut regs = [[A::ZERO; L]; UNROLL];
+    for (xc, yc) in x[..m].chunks_exact(w).zip(y[..m].chunks_exact(w)) {
+        for (u, reg) in regs.iter_mut().enumerate() {
+            for (l, a) in reg.iter_mut().enumerate() {
+                let i = u * L + l;
+                *a = A::from_scalar(xc[i]).mul_add(A::from_scalar(yc[i]), *a);
             }
-            portable::$name(x, y)
         }
-    };
+    }
+    let root = pairwise_root(regs.as_flattened_mut());
+    let tail = x[m..].iter().zip(&y[m..]);
+    tail.fold(root, |s, (&a, &b)| A::from_scalar(a).mul_add(A::from_scalar(b), s))
 }
 
-dispatch_dot!(dot_f64, f64, f64);
-dispatch_dot!(dot_f32, f32, f32);
-dispatch_dot!(dot_f16, u16, f32);
-
-/// `x · y` over one block in the lane-blocked shape of
-/// [`portable::lane_dot`]: 16 f64 or 32 f32 accumulators, fp16
-/// operands widened into f32 and the result narrowed once. The same
-/// bits on every dispatch level; callers keep blocks at most
-/// `blas::DOT_BLOCK` long and combine them pairwise.
-pub fn lane_dot<S: Scalar>(x: &[S], y: &[S]) -> S {
-    assert_eq!(x.len(), y.len());
-    if let (Some(a), Some(b)) = (as_f64s(x), as_f64s(y)) {
-        return S::from_f64(dot_f64(a, b));
+/// Add a power-of-two count of accumulators level by level, neighbours
+/// first, and return the root. Out of line on purpose: inlined after
+/// the loop of [`lanes`], LLVM's SLP vectorizer pairs these neighbouring
+/// adds with the loop's accumulators and turns its four ymm FMAs into
+/// xmm shuffles. Called once per block.
+#[inline(never)]
+fn pairwise_root<A: Scalar>(acc: &mut [A]) -> A {
+    let mut n = acc.len();
+    while n > 1 {
+        for l in 0..n / 2 {
+            acc[l] = acc[2 * l] + acc[2 * l + 1];
+        }
+        n /= 2;
     }
-    if let (Some(a), Some(b)) = (as_f32s(x), as_f32s(y)) {
-        return S::from_f64(dot_f32(a, b) as f64);
-    }
-    if let (Some(a), Some(b)) = (as_f16s(x), as_f16s(y)) {
-        return S::from_f64(dot_f16(a, b) as f64);
-    }
-    // Any other precision: the same shape in its own arithmetic.
-    portable::lane_dot::<_, _, 16>(x, y, |v| v)
-}
-
-// ---------------------------------------------------------------------------
-// Streaming BLAS-1 entry points.
-// ---------------------------------------------------------------------------
-
-/// Vectorized `y[i] = alpha.mul_add(x[i], y[i])` over `y.len()`
-/// elements (uniform precision). Bit-identical to the scalar loop.
-pub fn try_axpy<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level() != SimdLevel::Avx2 || x.len() < y.len() {
-            return false;
-        }
-        if let Some(yv) = as_f64s_mut(y) {
-            let n = yv.len();
-            // SAFETY: avx2+fma+f16c verified; x covers y's length.
-            unsafe { x86::axpy_f64_f64(alpha.to_f64(), &as_f64s(x).unwrap()[..n], yv) };
-            return true;
-        }
-        if let Some(yv) = as_f32s_mut(y) {
-            let n = yv.len();
-            // SAFETY: as above.
-            unsafe { x86::axpy_f32_f32(alpha.to_f64() as f32, &as_f32s(x).unwrap()[..n], yv) };
-            return true;
-        }
-        false
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, x, y);
-        false
-    }
-}
-
-/// Vectorized `y[i] = alpha.mul_add(x[i].to_f64(), y[i])`: the
-/// widening axpy of `axpy_lo_into_f64`.
-pub fn try_axpy_into_f64<Lo: Scalar>(alpha: f64, x: &[Lo], y: &mut [f64]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level() != SimdLevel::Avx2 || x.len() < y.len() {
-            return false;
-        }
-        let n = y.len();
-        // SAFETY (all arms): features verified; x covers y's length.
-        if let Some(xv) = as_f64s(x) {
-            unsafe { x86::axpy_f64_f64(alpha, &xv[..n], y) };
-            return true;
-        }
-        if let Some(xv) = as_f32s(x) {
-            unsafe { x86::axpy_f32_f64(alpha, &xv[..n], y) };
-            return true;
-        }
-        if let Some(xv) = as_f16s(x) {
-            unsafe { x86::axpy_f16_f64(alpha, &xv[..n], y) };
-            return true;
-        }
-        false
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, x, y);
-        false
-    }
-}
-
-/// Vectorized `w[i] = (alpha * x[i]).mul_add(ONE, beta * y[i])` over
-/// `w.len()` elements. Bit-identical to the scalar loop (the `* ONE`
-/// is exact, so fma(a*x, 1, b*y) == a*x + b*y lane-wise).
-pub fn try_waxpby<S: Scalar>(alpha: S, x: &[S], beta: S, y: &[S], w: &mut [S]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level() != SimdLevel::Avx2 || x.len() < w.len() || y.len() < w.len() {
-            return false;
-        }
-        if let Some(wv) = as_f64s_mut(w) {
-            let n = wv.len();
-            // SAFETY: features verified; x and y cover w's length.
-            unsafe {
-                x86::waxpby_f64(
-                    alpha.to_f64(),
-                    &as_f64s(x).unwrap()[..n],
-                    beta.to_f64(),
-                    &as_f64s(y).unwrap()[..n],
-                    wv,
-                )
-            };
-            return true;
-        }
-        if let Some(wv) = as_f32s_mut(w) {
-            let n = wv.len();
-            // SAFETY: as above.
-            unsafe {
-                x86::waxpby_f32(
-                    alpha.to_f64() as f32,
-                    &as_f32s(x).unwrap()[..n],
-                    beta.to_f64() as f32,
-                    &as_f32s(y).unwrap()[..n],
-                    wv,
-                )
-            };
-            return true;
-        }
-        false
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, x, beta, y, w);
-        false
-    }
-}
-
-/// Vectorized `x[i] *= alpha`. Bit-identical to the scalar loop.
-pub fn try_scal<S: Scalar>(alpha: S, x: &mut [S]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level() != SimdLevel::Avx2 {
-            return false;
-        }
-        if let Some(xv) = as_f64s_mut(x) {
-            // SAFETY: features verified.
-            unsafe { x86::scal_f64(alpha.to_f64(), xv) };
-            return true;
-        }
-        if let Some(xv) = as_f32s_mut(x) {
-            // SAFETY: features verified.
-            unsafe { x86::scal_f32(alpha.to_f64() as f32, xv) };
-            return true;
-        }
-        false
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, x);
-        false
-    }
-}
-
-/// Vectorized `lo[i] = Lo::from_f64(hi[i] * alpha)`: the narrowing
-/// scale of `scale_f64_into_lo`.
-pub fn try_scale_narrow<Lo: Scalar>(alpha: f64, hi: &[f64], lo: &mut [Lo]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level() != SimdLevel::Avx2 || hi.len() < lo.len() {
-            return false;
-        }
-        let n = lo.len();
-        // SAFETY (all arms): features verified; hi covers lo's length.
-        if let Some(lv) = as_f64s_mut(lo) {
-            unsafe { x86::scale_f64_to_f64(alpha, &hi[..n], lv) };
-            return true;
-        }
-        if let Some(lv) = as_f32s_mut(lo) {
-            unsafe { x86::scale_f64_to_f32(alpha, &hi[..n], lv) };
-            return true;
-        }
-        if let Some(lv) = as_f16s_mut(lo) {
-            unsafe { x86::scale_f64_to_f16(alpha, &hi[..n], lv) };
-            return true;
-        }
-        false
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, hi, lo);
-        false
-    }
+    acc[0]
 }
 
 // ---------------------------------------------------------------------------
@@ -694,7 +623,7 @@ mod tests {
         v
     }
 
-    /// The six vector converters must reproduce the portable reference
+    /// The four F16C converters must reproduce the portable reference
     /// bit-for-bit over non-NaN inputs, at every alignment offset.
     #[test]
     fn x86_converters_match_portable_bitwise() {
@@ -747,9 +676,38 @@ mod tests {
         check!(f16_inputs(), f32, widen_f16_f32);
         check!(f16_inputs(), f64, widen_f16_f64);
         check!(f32_inputs(), u16, narrow_f32_f16);
-        check!(f32_inputs(), f64, widen_f32_f64);
-        check!(f64_inputs(), f32, narrow_f64_f32);
         check!(f64_inputs(), u16, narrow_f64_f16);
+    }
+
+    /// `lane_dot` against its definition spelled out: element `i` of the
+    /// prefix into accumulator `i % w`, the accumulators added neighbours
+    /// first, the tail fused into the root in index order.
+    #[test]
+    fn lane_dot_is_the_lane_blocked_shape() {
+        fn reference<S: Scalar, A: Scalar>(x: &[S], y: &[S], w: usize) -> A {
+            let fma = |i: usize, s: A| A::from_scalar(x[i]).mul_add(A::from_scalar(y[i]), s);
+            let m = x.len() - x.len() % w;
+            let mut acc = vec![A::ZERO; w];
+            for i in 0..m {
+                acc[i % w] = fma(i, acc[i % w]);
+            }
+            while acc.len() > 1 {
+                acc = acc.chunks(2).map(|p| p[0] + p[1]).collect();
+            }
+            (m..x.len()).fold(acc[0], |s, i| fma(i, s))
+        }
+        for len in [0, 1, 15, 16, 17, 31, 32, 33, 100, 1000] {
+            let x: Vec<f64> = (0..len).map(|i| ((i * 37 % 101) as f64).sin()).collect();
+            let y: Vec<f64> = (0..len).map(|i| ((i * 53 % 97) as f64).cos()).collect();
+            assert_eq!(lane_dot(&x, &y).to_bits(), reference::<_, f64>(&x, &y, 16).to_bits());
+            let (x, y): (Vec<f32>, Vec<f32>) =
+                x.iter().zip(&y).map(|(&a, &b)| (a as f32, b as f32)).unzip();
+            assert_eq!(lane_dot(&x, &y).to_bits(), reference::<_, f32>(&x, &y, 32).to_bits());
+            let (x, y): (Vec<Half>, Vec<Half>) =
+                x.iter().zip(&y).map(|(&a, &b)| (Half::from_f32(a), Half::from_f32(b))).unzip();
+            let want = Half::from_f32(reference::<_, f32>(&x, &y, 32));
+            assert_eq!(lane_dot(&x, &y).to_bits(), want.to_bits(), "len {len}");
+        }
     }
 
     #[test]

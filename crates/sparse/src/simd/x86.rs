@@ -1,5 +1,6 @@
-//! AVX2 + FMA + F16C implementations of the batch primitives and the
-//! vectorized motif kernels.
+//! AVX2 + FMA + F16C implementations of the batch converters and the
+//! ELL tile kernel: the kernels that need an instruction LLVM does not
+//! emit from plain stable Rust (`vcvtph2ps`/`vcvtps2ph`, the gathers).
 //!
 //! Every function here carries `#[target_feature(enable = "avx2,fma,f16c")]`
 //! and must only be reached through the dispatch layer in [`super`],
@@ -21,19 +22,15 @@
 //! Loose tails (`len % lane_count`) always run the same scalar
 //! expressions as the portable fallback.
 //!
-//! Every kernel ends with `_mm256_zeroupper()`: rustc does **not**
-//! insert `vzeroupper` on `#[target_feature]` function exits, and
-//! returning with dirty upper YMM state makes every subsequent legacy
-//! SSE/VEX-mixing instruction in the scalar code (including libm's
-//! `fma` behind `f64::mul_add`) pay the AVX→SSE state-transition
-//! penalty — measured at ~40x on the surrounding scalar loops.
+//! No kernel clears the upper ymm halves itself: LLVM puts a
+//! `vzeroupper` before every return that would leave them dirty, which
+//! `scripts/asm_check.sh` checks for each kernel here.
 //!
 //! Safety contracts (callers — i.e. the dispatch layer — must ensure):
 //! every gathered index is in bounds for its base slice, every index
 //! fits in `i32` (gathers sign-extend), and the CPU supports
 //! avx2+fma+f16c.
 
-use super::portable::{lane_fold, UNROLL};
 use super::reads_slab;
 use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
 use core::arch::x86_64::*;
@@ -136,7 +133,6 @@ pub unsafe fn widen_f16_f32(src: &[u16], dst: &mut [f32]) {
         *dp.add(i) = f16_bits_to_f32(*sp.add(i));
         i += 1;
     }
-    _mm256_zeroupper();
 }
 
 /// f32 → fp16 narrowing (`vcvtps2ph`, nearest-even), 8 lanes at a time.
@@ -155,43 +151,6 @@ pub unsafe fn narrow_f32_f16(src: &[f32], dst: &mut [u16]) {
         *dp.add(i) = f32_to_f16_bits(*sp.add(i));
         i += 1;
     }
-    _mm256_zeroupper();
-}
-
-/// Exact f32 → f64 widening (`vcvtps2pd`), 4 lanes at a time.
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn widen_f32_f64(src: &[f32], dst: &mut [f64]) {
-    let n = dst.len();
-    let sp = src.as_ptr();
-    let dp = dst.as_mut_ptr();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        _mm256_storeu_pd(dp.add(i), _mm256_cvtps_pd(_mm_loadu_ps(sp.add(i))));
-        i += 4;
-    }
-    while i < n {
-        *dp.add(i) = *sp.add(i) as f64;
-        i += 1;
-    }
-    _mm256_zeroupper();
-}
-
-/// f64 → f32 narrowing (`vcvtpd2ps`, nearest-even), 4 lanes at a time.
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn narrow_f64_f32(src: &[f64], dst: &mut [f32]) {
-    let n = dst.len();
-    let sp = src.as_ptr();
-    let dp = dst.as_mut_ptr();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        _mm_storeu_ps(dp.add(i), _mm256_cvtpd_ps(_mm256_loadu_pd(sp.add(i))));
-        i += 4;
-    }
-    while i < n {
-        *dp.add(i) = *sp.add(i) as f32;
-        i += 1;
-    }
-    _mm256_zeroupper();
 }
 
 /// Exact fp16 → f64 widening (two exact steps), 4 lanes at a time.
@@ -209,7 +168,6 @@ pub unsafe fn widen_f16_f64(src: &[u16], dst: &mut [f64]) {
         *dp.add(i) = w64_f16(*sp.add(i));
         i += 1;
     }
-    _mm256_zeroupper();
 }
 
 /// f64 → fp16 narrowing, the same f64 → f32 → f16 double rounding as
@@ -229,287 +187,6 @@ pub unsafe fn narrow_f64_f16(src: &[f64], dst: &mut [u16]) {
         *dp.add(i) = f32_to_f16_bits(*sp.add(i) as f32);
         i += 1;
     }
-    _mm256_zeroupper();
-}
-
-// ---------------------------------------------------------------------------
-// Streaming BLAS-1 kernels. Vector lanes perform exactly the scalar
-// expression per element; tails run the scalar expression itself.
-// ---------------------------------------------------------------------------
-
-/// `y[i] = fma(alpha, widen(x[i]), y[i])` with f64 accumulation.
-macro_rules! axpy_into_f64 {
-    ($name:ident, $S:ty, $ld:ident, $wide:ident) => {
-        #[target_feature(enable = "avx2,fma,f16c")]
-        pub unsafe fn $name(alpha: f64, x: &[$S], y: &mut [f64]) {
-            let n = y.len();
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let av = _mm256_set1_pd(alpha);
-            let mut i = 0usize;
-            while i + 4 <= n {
-                let yv = _mm256_loadu_pd(yp.add(i));
-                _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(av, $ld(xp.add(i)), yv));
-                i += 4;
-            }
-            while i < n {
-                *yp.add(i) = alpha.mul_add($wide(*xp.add(i)), *yp.add(i));
-                i += 1;
-            }
-            _mm256_zeroupper();
-        }
-    };
-}
-
-/// `y[i] = fma(alpha, widen(x[i]), y[i])` with f32 accumulation.
-macro_rules! axpy_into_f32 {
-    ($name:ident, $S:ty, $ld:ident, $wide:ident) => {
-        #[target_feature(enable = "avx2,fma,f16c")]
-        pub unsafe fn $name(alpha: f32, x: &[$S], y: &mut [f32]) {
-            let n = y.len();
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let av = _mm256_set1_ps(alpha);
-            let mut i = 0usize;
-            while i + 8 <= n {
-                let yv = _mm256_loadu_ps(yp.add(i));
-                _mm256_storeu_ps(yp.add(i), _mm256_fmadd_ps(av, $ld(xp.add(i)), yv));
-                i += 8;
-            }
-            while i < n {
-                *yp.add(i) = alpha.mul_add($wide(*xp.add(i)), *yp.add(i));
-                i += 1;
-            }
-            _mm256_zeroupper();
-        }
-    };
-}
-
-axpy_into_f64!(axpy_f64_f64, f64, ld4_f64, w64_f64);
-axpy_into_f64!(axpy_f32_f64, f32, ld4_f64_from_f32, w64_f32);
-axpy_into_f64!(axpy_f16_f64, u16, ld4_f64_from_f16, w64_f16);
-axpy_into_f32!(axpy_f32_f32, f32, ld8_f32, w32_f32);
-
-// ---------------------------------------------------------------------------
-// The lane-blocked dot of `portable::lane_dot`: `UNROLL` registers of
-// `lanes` accumulators, register `u` lane `l` holding accumulator
-// `u·lanes + l`, so element `i` of the main part feeds accumulator
-// `i % (UNROLL·lanes)` exactly as in the definition. The registers are
-// spilled to that accumulator array and finished by the shared
-// `portable::lane_fold` (pairwise tree, then the tail).
-// ---------------------------------------------------------------------------
-
-macro_rules! lane_dot {
-    ($name:ident, $S:ty, $Acc:ty, $lanes:literal, $zero:ident, $fma:ident, $st:ident, $ld:ident, $wide:ident) => {
-        /// # Safety
-        /// `x.len() == y.len()`.
-        #[target_feature(enable = "avx2,fma,f16c")]
-        pub unsafe fn $name(x: &[$S], y: &[$S]) -> $Acc {
-            const W: usize = UNROLL * $lanes;
-            let m = x.len() - x.len() % W;
-            let (xp, yp) = (x.as_ptr(), y.as_ptr());
-            let mut r = [$zero(); UNROLL];
-            let mut i = 0usize;
-            while i < m {
-                for (u, ru) in r.iter_mut().enumerate() {
-                    let o = i + u * $lanes;
-                    *ru = $fma($ld(xp.add(o)), $ld(yp.add(o)), *ru);
-                }
-                i += W;
-            }
-            let mut acc = [0.0 as $Acc; W];
-            for (u, ru) in r.iter().enumerate() {
-                $st(acc.as_mut_ptr().add(u * $lanes), *ru);
-            }
-            _mm256_zeroupper();
-            lane_fold(acc, &x[m..], &y[m..], $wide)
-        }
-    };
-}
-
-lane_dot!(
-    dot_f64,
-    f64,
-    f64,
-    4,
-    _mm256_setzero_pd,
-    _mm256_fmadd_pd,
-    _mm256_storeu_pd,
-    ld4_f64,
-    w64_f64
-);
-lane_dot!(
-    dot_f32,
-    f32,
-    f32,
-    8,
-    _mm256_setzero_ps,
-    _mm256_fmadd_ps,
-    _mm256_storeu_ps,
-    ld8_f32,
-    w32_f32
-);
-lane_dot!(
-    dot_f16,
-    u16,
-    f32,
-    8,
-    _mm256_setzero_ps,
-    _mm256_fmadd_ps,
-    _mm256_storeu_ps,
-    ld8_f32_from_f16,
-    w32_f16
-);
-
-/// `w = alpha*x + beta*y` in f64: two rounded multiplies and one
-/// rounded add per element — exactly the scalar
-/// `(alpha * x).mul_add(ONE, beta * y)` (the `* ONE` is exact).
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn waxpby_f64(alpha: f64, x: &[f64], beta: f64, y: &[f64], w: &mut [f64]) {
-    let n = w.len();
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let wp = w.as_mut_ptr();
-    let av = _mm256_set1_pd(alpha);
-    let bv = _mm256_set1_pd(beta);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let t = _mm256_add_pd(
-            _mm256_mul_pd(av, _mm256_loadu_pd(xp.add(i))),
-            _mm256_mul_pd(bv, _mm256_loadu_pd(yp.add(i))),
-        );
-        _mm256_storeu_pd(wp.add(i), t);
-        i += 4;
-    }
-    while i < n {
-        *wp.add(i) = (alpha * *xp.add(i)).mul_add(1.0, beta * *yp.add(i));
-        i += 1;
-    }
-    _mm256_zeroupper();
-}
-
-/// `w = alpha*x + beta*y` in f32 (see [`waxpby_f64`]).
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn waxpby_f32(alpha: f32, x: &[f32], beta: f32, y: &[f32], w: &mut [f32]) {
-    let n = w.len();
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let wp = w.as_mut_ptr();
-    let av = _mm256_set1_ps(alpha);
-    let bv = _mm256_set1_ps(beta);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let t = _mm256_add_ps(
-            _mm256_mul_ps(av, _mm256_loadu_ps(xp.add(i))),
-            _mm256_mul_ps(bv, _mm256_loadu_ps(yp.add(i))),
-        );
-        _mm256_storeu_ps(wp.add(i), t);
-        i += 8;
-    }
-    while i < n {
-        *wp.add(i) = (alpha * *xp.add(i)).mul_add(1.0, beta * *yp.add(i));
-        i += 1;
-    }
-    _mm256_zeroupper();
-}
-
-/// `x *= alpha` in f64.
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn scal_f64(alpha: f64, x: &mut [f64]) {
-    let n = x.len();
-    let xp = x.as_mut_ptr();
-    let av = _mm256_set1_pd(alpha);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        _mm256_storeu_pd(xp.add(i), _mm256_mul_pd(_mm256_loadu_pd(xp.add(i)), av));
-        i += 4;
-    }
-    while i < n {
-        *xp.add(i) *= alpha;
-        i += 1;
-    }
-    _mm256_zeroupper();
-}
-
-/// `x *= alpha` in f32.
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn scal_f32(alpha: f32, x: &mut [f32]) {
-    let n = x.len();
-    let xp = x.as_mut_ptr();
-    let av = _mm256_set1_ps(alpha);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        _mm256_storeu_ps(xp.add(i), _mm256_mul_ps(_mm256_loadu_ps(xp.add(i)), av));
-        i += 8;
-    }
-    while i < n {
-        *xp.add(i) *= alpha;
-        i += 1;
-    }
-    _mm256_zeroupper();
-}
-
-/// `lo = hi * alpha` with `lo` in f64 (the identity "narrowing" of
-/// `scale_f64_into_lo::<f64>`: one rounded multiply).
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn scale_f64_to_f64(alpha: f64, hi: &[f64], lo: &mut [f64]) {
-    let n = lo.len();
-    let hp = hi.as_ptr();
-    let lp = lo.as_mut_ptr();
-    let av = _mm256_set1_pd(alpha);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        _mm256_storeu_pd(lp.add(i), _mm256_mul_pd(_mm256_loadu_pd(hp.add(i)), av));
-        i += 4;
-    }
-    while i < n {
-        *lp.add(i) = *hp.add(i) * alpha;
-        i += 1;
-    }
-    _mm256_zeroupper();
-}
-
-/// `lo = (hi * alpha) as f32`: rounded f64 multiply, then one
-/// nearest-even narrowing — the scalar `f32::from_f64(h * alpha)`.
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn scale_f64_to_f32(alpha: f64, hi: &[f64], lo: &mut [f32]) {
-    let n = lo.len();
-    let hp = hi.as_ptr();
-    let lp = lo.as_mut_ptr();
-    let av = _mm256_set1_pd(alpha);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let t = _mm256_mul_pd(_mm256_loadu_pd(hp.add(i)), av);
-        _mm_storeu_ps(lp.add(i), _mm256_cvtpd_ps(t));
-        i += 4;
-    }
-    while i < n {
-        *lp.add(i) = (*hp.add(i) * alpha) as f32;
-        i += 1;
-    }
-    _mm256_zeroupper();
-}
-
-/// `lo = Half::from_f64(hi * alpha)` bits: rounded f64 multiply, then
-/// the f64 → f32 → f16 double rounding of `Half::from_f64`.
-#[target_feature(enable = "avx2,fma,f16c")]
-pub unsafe fn scale_f64_to_f16(alpha: f64, hi: &[f64], lo: &mut [u16]) {
-    let n = lo.len();
-    let hp = hi.as_ptr();
-    let lp = lo.as_mut_ptr();
-    let av = _mm256_set1_pd(alpha);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let t = _mm256_mul_pd(_mm256_loadu_pd(hp.add(i)), av);
-        let ps = _mm256_cvtpd_ps(t);
-        _mm_storel_epi64(lp.add(i) as *mut __m128i, _mm_cvtps_ph::<ROUND_NE>(ps));
-        i += 4;
-    }
-    while i < n {
-        *lp.add(i) = f32_to_f16_bits((*hp.add(i) * alpha) as f32);
-        i += 1;
-    }
-    _mm256_zeroupper();
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +225,6 @@ macro_rules! ell_tile_rows {
             *yp.add(j) = a;
             j += 1;
         }
-        _mm256_zeroupper();
     }};
 }
 

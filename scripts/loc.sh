@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-UNSAFE_BUDGET=76
+UNSAFE_BUDGET=52
 CHECKED_BUDGET=8
 KNOB_BUDGET=24
 

@@ -106,6 +106,41 @@ fn vec_f32(seed: u64, len: usize) -> Vec<f32> {
     (0..len).map(|i| lcg(seed, i) as f32).collect()
 }
 
+/// Every BLAS-1 kernel at every precision it runs at, as bits: the
+/// uniform `axpy`/`waxpby`/`scal` at f64, f32 and fp16, and the
+/// GMRES-IR hand-off pair (`axpy_lo_into_f64`, `scale_f64_into_lo`) from
+/// and into f64, f32 and fp16.
+fn blas1_bits(seed: u64, len: usize) -> Vec<u64> {
+    fn uniform<S: Scalar>(seed: u64, len: usize, bits: &mut Vec<u64>) {
+        let v = |s: u64| -> Vec<S> { vec_f64(s, len).into_iter().map(S::from_f64).collect() };
+        let c = |i: usize| S::from_f64(lcg(seed, i));
+        let x = v(seed);
+        let mut y = v(seed ^ 1);
+        let mut w = vec![S::ZERO; len];
+        blas::axpy(S::ONE + c(7), &x, &mut y);
+        blas::waxpby(c(8), &x, c(9), &y, &mut w);
+        blas::scal(c(10), &mut w);
+        bits.extend(y.iter().chain(&w).map(|e| e.to_f64().to_bits()));
+    }
+    fn handoff<S: Scalar>(seed: u64, len: usize, bits: &mut Vec<u64>) {
+        let x: Vec<S> = vec_f64(seed, len).into_iter().map(S::from_f64).collect();
+        let mut acc = vec_f64(seed ^ 3, len);
+        blas::axpy_lo_into_f64(lcg(seed, 14), &x, &mut acc);
+        let mut lo = vec![S::ZERO; len];
+        blas::scale_f64_into_lo(lcg(seed, 15), &acc, &mut lo);
+        bits.extend(acc.iter().map(|e| e.to_bits()));
+        bits.extend(lo.iter().map(|e| e.to_f64().to_bits()));
+    }
+    let mut bits = Vec::new();
+    uniform::<f64>(seed, len, &mut bits);
+    uniform::<f32>(seed, len, &mut bits);
+    uniform::<Half>(seed, len, &mut bits);
+    handoff::<f64>(seed, len, &mut bits);
+    handoff::<f32>(seed, len, &mut bits);
+    handoff::<Half>(seed, len, &mut bits);
+    bits
+}
+
 /// A banded, diagonally dominant matrix with a ragged bandwidth (so
 /// the ELL slab has genuinely short rows next to full ones).
 fn band_matrix(n: usize, band: usize, seed: u64) -> CsrMatrix<f64> {
@@ -132,36 +167,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // BLAS-1 streaming kernels: both dispatch paths produce the same
-    // bits at every uniform precision, across every remainder length.
+    // bits at every precision, across every remainder length and at the
+    // lengths that straddle the 4096-element parallel chunk.
     #[test]
     fn blas1_kernels_bit_identical_across_dispatch(len in ragged_len(), seed in 0u64..1000) {
-        let got = on_both_levels(|| {
-            let x64 = vec_f64(seed, len);
-            let mut y64 = vec_f64(seed ^ 1, len);
-            let mut w64 = vec![0.0f64; len];
-            blas::axpy(1.0 + lcg(seed, 7), &x64, &mut y64);
-            blas::waxpby(lcg(seed, 8), &x64, lcg(seed, 9), &y64, &mut w64);
-            blas::scal(lcg(seed, 10), &mut w64);
-
-            let x32 = vec_f32(seed, len);
-            let mut y32 = vec_f32(seed ^ 2, len);
-            let mut w32 = vec![0.0f32; len];
-            blas::axpy(1.5f32, &x32, &mut y32);
-            blas::waxpby(lcg(seed, 11) as f32, &x32, lcg(seed, 12) as f32, &y32, &mut w32);
-            blas::scal(lcg(seed, 13) as f32, &mut w32);
-
-            // Cross-precision accumulating forms (the GMRES-IR handoff).
-            let mut acc = vec_f64(seed ^ 3, len);
-            blas::axpy_lo_into_f64(lcg(seed, 14), &x32, &mut acc);
-            let mut lo = vec![0.0f32; len];
-            blas::scale_f64_into_lo(lcg(seed, 15), &x64, &mut lo);
-
-            let bits64: Vec<u64> = y64.iter().chain(&w64).chain(&acc).map(|v| v.to_bits()).collect();
-            let bits32: Vec<u32> = y32.iter().chain(&w32).chain(&lo).map(|v| v.to_bits()).collect();
-            (bits64, bits32)
-        });
-        if let Some((s, v)) = got {
-            prop_assert_eq!(s, v);
+        const CHUNK: usize = 4096;
+        for len in [len, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3] {
+            let got = on_both_levels(|| blas1_bits(seed, len));
+            if let Some((s, v)) = got {
+                prop_assert_eq!((len, s), (len, v));
+            }
         }
     }
 
