@@ -3,8 +3,8 @@
 //!
 //! Run: `cargo bench -p hpgmxp-bench --bench collectives`
 //!
-//! Each configuration builds one persistent world (thread, shmem, or
-//! socket — all in-process, one OS thread per rank) and drives it from
+//! Each configuration builds one persistent world (thread or shmem —
+//! both in-process, one OS thread per rank) and drives it from
 //! rank 0's thread. The helper ranks run a control loop keyed off a
 //! tiny *control allreduce*: rank 0 contributes 0.0 while measuring
 //! and −P to stop, so every rank executes exactly the same collective
@@ -22,8 +22,7 @@
 //! regressions in the engine itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hpgmxp_comm::launch::free_port;
-use hpgmxp_comm::{Comm, ReduceOp, ShmemWorld, SocketWorld, ThreadWorld};
+use hpgmxp_comm::{Comm, ReduceOp, ShmemWorld, ThreadWorld};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -111,18 +110,6 @@ fn bench_collectives(c: &mut Criterion) {
                     })
                     .collect();
                 (ShmemWorld::connect(0, p, &shm_id), helpers)
-            });
-
-            bench_world(&mut g, label("socket"), barriers, || {
-                let port = free_port();
-                let helpers = (1..p)
-                    .map(|rank| {
-                        std::thread::spawn(move || {
-                            helper_loop(&SocketWorld::connect(rank, p, port), barriers)
-                        })
-                    })
-                    .collect();
-                (SocketWorld::connect(0, p, port), helpers)
             });
         }
     }

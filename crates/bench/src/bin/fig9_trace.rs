@@ -11,9 +11,10 @@
 //!
 //! Run: `cargo run --release -p hpgmxp-bench --bin fig9_trace`
 //! Env: `HPGMXP_RANKS` (default 8), `HPGMXP_LOCAL_N` (default 16),
-//! `HPGMXP_COMM` (thread | socket — over sockets, start the job as
-//! `hpgmxp-launch -n N -- ... fig9_trace`; rank 0 prints the modeled
-//! sections and the middle-rank process prints the measured ones).
+//! Thread ranks by default; started as `hpgmxp-launch -n N -- ...
+//! fig9_trace` it runs as N rank processes over `/dev/shm` — rank 0
+//! prints the modeled sections and the middle-rank process prints the
+//! measured ones.
 
 use hpgmxp_bench::env_usize;
 use hpgmxp_comm::{run_spmd, Comm, OverlapRecord, Timeline, Transport};
@@ -49,7 +50,7 @@ fn print_records(records: &[OverlapRecord]) {
 /// One measured sweep on a `local³` box per rank: returns the middle
 /// rank's per-exchange overlap records and overlap efficiency.
 /// `None` when this process doesn't hold the middle rank's data (a
-/// non-middle rank of a socket job; under threads it is always
+/// non-middle rank of a launched job; under threads it is always
 /// `Some`).
 fn measured_sweep(
     ranks: usize,
@@ -94,10 +95,10 @@ fn measured_sweep(
 
 fn main() {
     let transport = Transport::from_env();
-    // Over sockets this binary runs once per rank under hpgmxp-launch;
+    // Under hpgmxp-launch this binary runs once per rank process;
     // rank 0 owns the modeled sections so they print exactly once.
-    let socket_rank = std::env::var("HPGMXP_RANK").ok().and_then(|v| v.parse::<usize>().ok());
-    let print_modeled = transport == Transport::Thread || socket_rank == Some(0);
+    let launched_rank = std::env::var("HPGMXP_RANK").ok().and_then(|v| v.parse::<usize>().ok());
+    let print_modeled = transport == Transport::Thread || launched_rank == Some(0);
 
     if print_modeled {
         // The armed execution stack, so a pasted trace is attributable:
@@ -130,17 +131,17 @@ fn main() {
     }
 
     // Measured counterpart: real runs of the optimized GS sweep on this
-    // machine over the selected transport, fine-ish local box vs tiny
+    // machine over this process's transport, fine-ish local box vs tiny
     // coarse box, with per-exchange overlap records from the
     // persistent-buffer halo engine.
-    let ranks = hpgmxp_comm::socket_world_size().unwrap_or_else(|| env_usize("HPGMXP_RANKS", 8));
+    let ranks = hpgmxp_comm::launched_world_size().unwrap_or_else(|| env_usize("HPGMXP_RANKS", 8));
     let local = env_usize("HPGMXP_LOCAL_N", 16) as u32;
     let sweeps = 4;
 
     let fine_out = measured_sweep(ranks, local, sweeps);
     let coarse_out = measured_sweep(ranks, 4, sweeps);
     // Only the process holding the middle rank's trace reports it
-    // (under threads: this one; under sockets: the mid-rank child).
+    // (under threads: this one; launched: the mid-rank child).
     let (Some((rec_fine, eff_fine, drop_fine)), Some((rec_coarse, eff_coarse, drop_coarse))) =
         (fine_out, coarse_out)
     else {

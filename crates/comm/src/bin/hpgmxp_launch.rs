@@ -3,18 +3,17 @@
 //! Spawns N copies of a command as the rank processes of one job:
 //!
 //! ```text
-//! hpgmxp-launch -n 4 [--comm socket|shmem] [--timeout-secs 300] [--port P] [--retries N] [--restore] [--trace-dir DIR] -- cargo run --bin fig9_trace
+//! hpgmxp-launch -n 4 [--timeout-secs 300] [--retries N] [--restore] [--trace-dir DIR] -- cargo run --bin fig9_trace
 //! ```
 //!
-//! Each child gets `HPGMXP_RANK` (0..N), `HPGMXP_RANKS`, and
-//! `HPGMXP_COMM` set to the `--comm` transport (default `socket`),
-//! plus the transport's rendezvous handle: `HPGMXP_PORT` (`--port`, or
-//! a freshly probed free one) for the TCP mesh, or a launch-unique
-//! `HPGMXP_SHM_ID` for the `/dev/shm` ring world — everything
-//! `run_spmd` needs to join the mesh. `--trace-dir DIR` arms per-rank
-//! span tracing (`HPGMXP_TRACE_DIR`, and `HPGMXP_TRACE=spans` unless
-//! the environment already chose a mode): every rank leaves a
-//! `trace-rank<R>.bin` in DIR for `hpgmxp-trace` to merge. Child
+//! Each child gets `HPGMXP_RANK` (0..N), `HPGMXP_RANKS`, and an
+//! attempt-unique `HPGMXP_SHM_ID` naming the `/dev/shm` ring world —
+//! everything `run_spmd` needs to join the mesh. The ranks always mesh
+//! over shared memory; no option selects a transport.
+//! `--trace-dir DIR` arms per-rank span tracing (`HPGMXP_TRACE_DIR`,
+//! and `HPGMXP_TRACE=spans` unless the environment already chose a
+//! mode): every rank leaves a `trace-rank<R>.bin` in DIR for
+//! `hpgmxp-trace` to merge. Child
 //! output is forwarded line-by-line with `[  123ms] [rank i]` prefixes
 //! (milliseconds since launch) and the last lines of every rank are
 //! kept for the failure report.
@@ -31,6 +30,8 @@
 //!   `HPGMXP_RESTORE=1` set so checkpoint-aware workloads resume from
 //!   their last committed state instead of restarting cold;
 //! * all ranks exiting zero is success;
+//! * an attempt's world file never outlives the attempt, even when its
+//!   ranks were killed before they all attached;
 //! * bad arguments print usage and exit 2 — distinct from rank-failure
 //!   codes and the timeout code, so scripts can tell operator error
 //!   from job failure.
@@ -98,7 +99,7 @@ fn worker(args: &[String]) {
     run_spmd(size, move |c| {
         let rank = c.rank();
         // Comm-level faults (scripted crash/hang, reorder) layer on top
-        // of the wire-level interposer the socket world arms itself.
+        // of the wire-level interposer the shmem mesh arms itself.
         let c = FaultyComm::new(c, plan.clone().unwrap_or_else(|| FaultPlan::clean(0)))
             .with_process_exit();
         for round in 0..rounds {

@@ -1,9 +1,7 @@
 //! The deterministic collective engine shared by every transport.
 //!
-//! Both multi-rank transports used to carry their own allreduce and
-//! barrier (a rank-0 star in the socket world, a leader-reduces path
-//! behind a condvar barrier in the thread world). This module factors
-//! the collectives out into one engine written against fallible
+//! The thread world and the process mesh run the same collectives.
+//! This module is that one engine, written against fallible
 //! point-to-point operations ([`CollEndpoint`]), so a transport only
 //! has to provide `send`/`recv`/`tag` and inherits every collective —
 //! including the fault semantics of its mailbox (typed [`CommError`]s
@@ -26,8 +24,8 @@
 //! deterministic blocked-pairwise dot. The floating-point reduction
 //! tree is therefore a constant of the program: results are
 //! bit-identical across transports and world sizes, which is what
-//! lets GMRES-IR residual histories replay bit-for-bit under any
-//! `HPGMXP_COMM` (pinned by the multirank determinism suite, and by
+//! lets GMRES-IR residual histories replay bit-for-bit in thread ranks
+//! and launched ranks alike (pinned by the multirank determinism suite, and by
 //! the mesh suite's comparison against a plain rank-order fold).
 //!
 //! Every operation updates the endpoint's [`CollCounters`] (operation,
@@ -67,7 +65,7 @@ pub struct CollCounters {
 
 impl CollCounters {
     /// Record a barrier that completed outside the engine's `barrier`
-    /// path — the socket/shmem flush barrier is an engine allgather
+    /// path — the mesh flush barrier is an engine allgather
     /// plus a ledger wait, but it is still one barrier to the caller.
     pub(crate) fn count_barrier(&self) {
         self.barriers.fetch_add(1, Ordering::SeqCst);
@@ -94,7 +92,7 @@ pub struct CollStats {
     pub allreduces: u64,
     /// Barrier operations completed.
     pub barriers: u64,
-    /// Allgather operations completed (the socket/shmem flush barrier
+    /// Allgather operations completed (the mesh flush barrier
     /// runs one per barrier, on top of the barrier count).
     pub allgathers: u64,
     /// Sequential message waves across all operations.

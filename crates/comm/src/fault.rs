@@ -69,7 +69,7 @@ pub struct FaultPlan {
     /// Probability a message is held back and sent after the next one.
     pub reorder: Option<f64>,
     /// Probability a message payload is corrupted (one byte flipped —
-    /// at the socket frame level, *after* the CRC is computed, so the
+    /// at the mesh frame level, *after* the CRC is computed, so the
     /// receiver must detect it).
     pub corrupt: Option<f64>,
     /// Delay applied when `delay` fires (default 5 ms).
@@ -161,8 +161,8 @@ impl FaultPlan {
 
     /// The same plan with every probabilistic wire fault stripped —
     /// scripted events only. A worker that already runs over a
-    /// transport with its own frame-level interposer (the socket
-    /// world corrupts *after* the CRC is computed, so every flip is
+    /// transport with its own frame-level interposer (the shmem
+    /// mesh corrupts *after* the CRC is computed, so every flip is
     /// honestly detectable) uses this for its in-process
     /// [`FaultyComm`] wrapper: wrapper-level corruption would happen
     /// before framing and slip past the checksum undetected.
@@ -234,7 +234,7 @@ pub struct FaultyComm<C: Comm> {
     /// This rank's comm-operation counter (the "exchange index").
     ops: AtomicU64,
     /// Crash events call `std::process::exit(7)` instead of panicking
-    /// — process semantics for socket-world chaos workers.
+    /// — process semantics for launched chaos workers.
     process_exit: bool,
 }
 

@@ -1,5 +1,5 @@
-//! The framed wire protocol of the [`crate::mesh`] transports (socket
-//! and shmem).
+//! The framed wire protocol of the [`crate::mesh`] (every process-rank
+//! link speaks it).
 //!
 //! Every message between two mesh ranks travels as one *frame*: a
 //! fixed 24-byte little-endian header followed by the payload bytes.
@@ -16,16 +16,17 @@
 //! The CRC turns a corrupted frame from silent bad numerics into a
 //! rank-attributed protocol error: [`read_frame`] recomputes the
 //! payload checksum and refuses a mismatch with `InvalidData`, which
-//! the socket transport converts into a "corrupt frame from rank R"
-//! fault on that connection.
+//! the mesh converts into a "corrupt frame from rank R" fault on that
+//! link.
 //!
 //! The reader side is written against plain [`std::io::Read`] streams
-//! and survives arbitrary short reads (a TCP segment boundary can land
-//! anywhere, including inside the header). The writer stages header +
+//! and survives arbitrary short reads (a ring read ends wherever the
+//! producer's last publish or the ring's wrap point fell, including
+//! inside the header). The writer stages header +
 //! payload into one caller-owned buffer so a frame costs a single
 //! `write_all` — and zero heap allocations once the buffer has grown
-//! to the steady-state frame size, which is what keeps the socket
-//! transport's hot path allocation-free.
+//! to the steady-state frame size, which is what keeps the mesh's hot
+//! path allocation-free.
 //!
 //! Frames longer than [`MAX_FRAME_LEN`] are rejected on *both* sides:
 //! the writer refuses to emit them and the reader refuses to trust a
@@ -165,12 +166,12 @@ fn read_full<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> std::io::Result<boo
 }
 
 /// Read one frame from `r`. The payload buffer is obtained from
-/// `take_buf(len)` — the socket transport passes a closure that pulls
+/// `take_buf(len)` — the mesh passes a closure that pulls
 /// a recycled buffer from the per-peer receive pool, so a steady-state
 /// read allocates nothing.
 ///
 /// Returns `Ok(None)` on a clean end of stream (the peer closed its
-/// socket at a frame boundary); any mid-frame EOF, bad magic, or
+/// link at a frame boundary); any mid-frame EOF, bad magic, or
 /// oversized length is an error.
 pub fn read_frame<R: Read + ?Sized>(
     r: &mut R,
@@ -216,7 +217,7 @@ mod tests {
     }
 
     /// A reader that hands back at most `chunk` bytes per call — the
-    /// adversarial segmentation a TCP stream is allowed to produce.
+    /// adversarial segmentation a byte stream is allowed to produce.
     struct ChunkedReader {
         inner: Cursor<Vec<u8>>,
         chunk: usize,
@@ -383,7 +384,7 @@ mod tests {
     }
 
     /// A reader that segments the stream at a caller-chosen sequence of
-    /// boundaries (cycled) — every split a TCP stack could produce.
+    /// boundaries (cycled) — every split a link's reader could produce.
     struct SplitReader {
         inner: Cursor<Vec<u8>>,
         splits: Vec<usize>,
@@ -404,8 +405,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The wire invariant the socket transport rests on: however a
-        // TCP stream fragments a sequence of frames — any chunk sizes,
+        // The wire invariant the mesh rests on: however a link's
+        // reader fragments a sequence of frames — any chunk sizes,
         // any boundaries, splits inside headers or payloads — the
         // reader recovers exactly the frames that were staged, in
         // order, ending in a clean EOF.

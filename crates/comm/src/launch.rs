@@ -1,11 +1,11 @@
-//! Job supervision for socket-world ranks — the library behind the
+//! Job supervision for process ranks — the library behind the
 //! `hpgmxp-launch` binary.
 //!
 //! [`run_job`] spawns `ranks` copies of a command as the rank
-//! processes of one job over the transport `--comm` selects (env:
-//! `HPGMXP_COMM=socket|shmem`, `HPGMXP_RANK`, `HPGMXP_RANKS`, plus
-//! `HPGMXP_PORT` for the socket rendezvous or a fresh `HPGMXP_SHM_ID`
-//! per attempt for the `/dev/shm` world), forwards their output with
+//! processes of one job meshed over `/dev/shm` (env: `HPGMXP_RANK`,
+//! `HPGMXP_RANKS`, and a fresh `HPGMXP_SHM_ID` per attempt naming the
+//! world file, whose presence is what makes `run_spmd` join the
+//! mesh), forwards their output with
 //! `[  123ms] [rank i]` prefixes (milliseconds since launch, so
 //! cross-rank interleavings are orderable), and supervises in the
 //! spirit of `mpirun`:
@@ -18,6 +18,11 @@
 //!   124 — a deadlocked mesh fails fast instead of hanging CI;
 //! * all ranks exiting zero is success.
 //!
+//! Once an attempt's ranks have exited or been reaped, the launcher
+//! removes that attempt's world file: rank 0 unlinks it only after
+//! every rank attached, so a job killed before then would leave it
+//! behind in `/dev/shm`.
+//!
 //! **Restart-based recovery.** With `retries > 0` a failed job (dead
 //! rank or timeout) is relaunched up to that many times with
 //! `HPGMXP_RESTORE=1` in the children's environment — the signal a
@@ -26,9 +31,9 @@
 //! scratch. `restore: true` sets the flag from the first attempt
 //! (resuming a job a previous launcher invocation left behind).
 
+use crate::shmem_world;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -43,11 +48,6 @@ pub struct LaunchConfig {
     pub ranks: usize,
     /// Wall-clock budget before the job is declared hung and killed.
     pub timeout: Duration,
-    /// Rendezvous port (`None` = probe a free one). Socket-only.
-    pub port: Option<u16>,
-    /// Transport the ranks mesh over: `"socket"` (default) or
-    /// `"shmem"`.
-    pub comm: String,
     /// Relaunch a failed job up to this many times, with
     /// `HPGMXP_RESTORE=1` set so checkpointing workloads resume.
     pub retries: usize,
@@ -66,13 +66,11 @@ pub struct LaunchConfig {
 
 impl LaunchConfig {
     /// A job with the defaults the CLI uses (300 s timeout, no
-    /// retries, probed port).
+    /// retries).
     pub fn new(ranks: usize, cmd: Vec<String>) -> Self {
         LaunchConfig {
             ranks,
             timeout: Duration::from_secs(300),
-            port: None,
-            comm: "socket".to_string(),
             retries: 0,
             restore: false,
             trace_dir: None,
@@ -84,9 +82,8 @@ impl LaunchConfig {
 
 /// The usage line (kept in one place so the binary and the parser
 /// error paths print the same text).
-pub const USAGE: &str = "usage: hpgmxp-launch -n <ranks> [--comm socket|shmem] \
-                         [--timeout-secs T] [--port P] [--retries N] [--restore] \
-                         [--trace-dir DIR] -- <command> [args...]";
+pub const USAGE: &str = "usage: hpgmxp-launch -n <ranks> [--timeout-secs T] [--retries N] \
+                         [--restore] [--trace-dir DIR] -- <command> [args...]";
 
 /// Parse CLI arguments (everything after the program name) into a
 /// [`LaunchConfig`]. Errors are specific — they name the flag and the
@@ -103,8 +100,6 @@ pub fn parse_args(args: &[String]) -> Result<LaunchConfig, String> {
 
     let mut ranks: Option<usize> = None;
     let mut timeout = Duration::from_secs(300);
-    let mut port: Option<u16> = None;
-    let mut comm = "socket".to_string();
     let mut retries = 0usize;
     let mut restore = false;
     let mut trace_dir: Option<String> = None;
@@ -128,19 +123,6 @@ pub fn parse_args(args: &[String]) -> Result<LaunchConfig, String> {
                         .map_err(|_| format!("--timeout-secs expects seconds, got {v:?}"))?,
                 );
             }
-            "--port" => {
-                let v = value(&mut it, arg, "a port number")?;
-                port = Some(
-                    v.parse::<u16>().map_err(|_| format!("--port expects a port, got {v:?}"))?,
-                );
-            }
-            "--comm" => {
-                let v = value(&mut it, arg, "a transport (socket or shmem)")?;
-                if v != "socket" && v != "shmem" {
-                    return Err(format!("--comm expects \"socket\" or \"shmem\", got {v:?}"));
-                }
-                comm = v.to_string();
-            }
             "--retries" => {
                 let v = value(&mut it, arg, "a retry count")?;
                 retries = v
@@ -162,26 +144,7 @@ pub fn parse_args(args: &[String]) -> Result<LaunchConfig, String> {
     if cmd.is_empty() {
         return Err("missing command: everything after `--` is the rank command".into());
     }
-    Ok(LaunchConfig {
-        ranks,
-        timeout,
-        port,
-        comm,
-        retries,
-        restore,
-        trace_dir,
-        env: Vec::new(),
-        cmd,
-    })
-}
-
-/// Probe a free rendezvous port by binding ephemeral and releasing it.
-pub fn free_port() -> u16 {
-    TcpListener::bind(("127.0.0.1", 0))
-        .expect("probe free port")
-        .local_addr()
-        .expect("probe local addr")
-        .port()
+    Ok(LaunchConfig { ranks, timeout, retries, restore, trace_dir, env: Vec::new(), cmd })
 }
 
 /// Run (and, per `retries`, re-run) the job; returns the exit code the
@@ -190,7 +153,16 @@ pub fn free_port() -> u16 {
 pub fn run_job(config: &LaunchConfig) -> i32 {
     let mut restore = config.restore;
     for attempt in 0..=config.retries {
-        let code = run_once(config, restore);
+        let shm_id = fresh_shm_id();
+        let code = run_once(config, restore, &shm_id);
+        // Every rank has exited or been reaped by now, so nothing can
+        // attach to this attempt's world any more.
+        match std::fs::remove_file(shmem_world::world_path(&shm_id)) {
+            Err(e) if e.kind() != ErrorKind::NotFound => {
+                eprintln!("[launch] could not remove the world file of attempt {shm_id}: {e}")
+            }
+            _ => {}
+        }
         if code == 0 {
             return 0;
         }
@@ -218,30 +190,23 @@ fn fresh_shm_id() -> String {
     format!("{}-{}", std::process::id(), ATTEMPT.fetch_add(1, Ordering::SeqCst))
 }
 
-fn run_once(config: &LaunchConfig, restore: bool) -> i32 {
+fn run_once(config: &LaunchConfig, restore: bool, shm_id: &str) -> i32 {
     // Anchor the output-timestamp epoch at spawn time, not at the
     // first forwarded line — a child that is silent for its whole
     // startup should still print a large first offset.
     let _ = launch_millis();
     let ranks = config.ranks;
-    let port = config.port.unwrap_or_else(free_port);
-    let shm_id = fresh_shm_id();
     let mut children: Vec<Child> = Vec::with_capacity(ranks);
     let mut tails: Vec<Arc<Mutex<VecDeque<String>>>> = Vec::with_capacity(ranks);
     for rank in 0..ranks {
         let mut c = Command::new(&config.cmd[0]);
         c.args(&config.cmd[1..])
-            .env("HPGMXP_COMM", &config.comm)
             .env("HPGMXP_RANK", rank.to_string())
             .env("HPGMXP_RANKS", ranks.to_string())
+            .env("HPGMXP_SHM_ID", shm_id)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
-        if config.comm == "shmem" {
-            c.env("HPGMXP_SHM_ID", &shm_id);
-        } else {
-            c.env("HPGMXP_PORT", port.to_string());
-        }
         if restore {
             c.env("HPGMXP_RESTORE", "1");
         }
@@ -267,11 +232,7 @@ fn run_once(config: &LaunchConfig, restore: bool) -> i32 {
         let tail = Arc::new(Mutex::new(VecDeque::with_capacity(TAIL_LINES)));
         pump(rank, child.stdout.take().expect("piped stdout"), false, Arc::clone(&tail));
         pump(rank, child.stderr.take().expect("piped stderr"), true, Arc::clone(&tail));
-        if config.comm == "shmem" {
-            println!("[launch] rank {rank} pid={} shm={shm_id}", child.id());
-        } else {
-            println!("[launch] rank {rank} pid={} port={port}", child.id());
-        }
+        println!("[launch] rank {rank} pid={} shm={shm_id}", child.id());
         children.push(child);
         tails.push(tail);
     }
@@ -398,8 +359,6 @@ mod tests {
             "4",
             "--timeout-secs",
             "20",
-            "--port",
-            "29400",
             "--retries",
             "2",
             "--restore",
@@ -410,8 +369,6 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.ranks, 4);
         assert_eq!(cfg.timeout, Duration::from_secs(20));
-        assert_eq!(cfg.port, Some(29400));
-        assert_eq!(cfg.comm, "socket");
         assert_eq!(cfg.retries, 2);
         assert!(cfg.restore);
         assert_eq!(cfg.cmd, vec!["my-app".to_string(), "--flag".to_string()]);
@@ -429,12 +386,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_shmem_transport() {
-        let cfg = parse_args(&argv(&["-n", "2", "--comm", "shmem", "--", "app"])).unwrap();
-        assert_eq!(cfg.comm, "shmem");
-        let err =
-            parse_args(&argv(&["-n", "2", "--comm", "carrier-pigeon", "--", "app"])).unwrap_err();
-        assert!(err.contains("--comm") && err.contains("carrier-pigeon"), "{err}");
+    fn transport_and_port_options_are_unknown() {
+        // Every launched rank meshes over /dev/shm: nothing selects a
+        // transport or a rendezvous port, and the old options fail
+        // like any typo (the binary exits 2 on a parse error).
+        for args in [
+            ["-n", "2", "--comm", "shmem", "--", "app"],
+            ["-n", "2", "--port", "29400", "--", "app"],
+        ] {
+            let err = parse_args(&argv(&args)).unwrap_err();
+            assert!(err.contains("unknown option") && err.contains(args[2]), "{err}");
+        }
     }
 
     #[test]
@@ -449,7 +411,5 @@ mod tests {
         assert!(err.contains("missing command"), "{err}");
         let err = parse_args(&argv(&["--", "app"])).unwrap_err();
         assert!(err.contains("-n"), "{err}");
-        let err = parse_args(&argv(&["-n", "2", "--port", "99999", "--", "app"])).unwrap_err();
-        assert!(err.contains("--port") && err.contains("99999"), "{err}");
     }
 }

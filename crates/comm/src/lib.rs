@@ -21,19 +21,19 @@
 //!   wire protocol, per-peer recycled receive pools, the
 //!   ledger-flushing barrier, heartbeats, and wire-fault injection,
 //!   written once (ranks are started by the `hpgmxp-launch` binary);
-//! * [`socket_world`] — [`SocketWorld`]: the mesh over localhost TCP
-//!   (rendezvous + `TcpLink`);
 //! * [`shmem_world`] — [`ShmemWorld`]: the mesh over per-pair mmap'd
-//!   ring buffers in `/dev/shm` (rendezvous + `RingLink`) — no kernel
-//!   socket on the data path;
+//!   ring buffers in `/dev/shm` (rendezvous + `RingLink`), the one
+//!   link a launched rank process meshes over — no kernel on the data
+//!   path;
 //! * [`collectives`] — the shared collective engine: recursive-doubling
 //!   allreduce/barrier/allgather written against the fallible
 //!   point-to-point ops, folding in rank order so results are
 //!   bit-identical across transports, with per-endpoint traffic
 //!   counters;
-//! * [`world`] — transport selection: [`run_spmd`] reads
-//!   `HPGMXP_COMM=thread|socket|shmem` once and hands the closure a
-//!   [`WorldComm`] over whichever backend it picked;
+//! * [`world`] — transport selection: [`run_spmd`] runs thread ranks,
+//!   or, in a process `hpgmxp-launch` started (`HPGMXP_SHM_ID` set),
+//!   this process's rank of the shmem mesh, and hands the closure a
+//!   [`WorldComm`] over that backend;
 //! * [`halo`] — the halo exchange engine built on a geometric
 //!   [`hpgmxp_geometry::HaloPlan`]: persistent per-neighbor staging
 //!   buffers sized once from the plan, and the type-state
@@ -58,7 +58,6 @@ pub mod launch;
 mod mailbox;
 pub mod mesh;
 pub mod shmem_world;
-pub mod socket_world;
 pub mod thread_world;
 pub mod timeline;
 pub mod world;
@@ -80,7 +79,6 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyComm};
 pub use halo::{ActiveExchange, HaloExchange};
 pub use mesh::{MeshComm, MeshConfig};
 pub use shmem_world::{ShmemComm, ShmemWorld};
-pub use socket_world::{SocketComm, SocketWorld};
 pub use thread_world::{run_threads, run_threads_fallible, ThreadComm, ThreadWorld};
 pub use timeline::{OverlapRecord, Timeline};
-pub use world::{run_spmd, socket_world_size, Transport, WorldComm};
+pub use world::{launched_world_size, run_spmd, Transport, WorldComm};

@@ -10,7 +10,7 @@
 //! MPI's unexpected-message queue.
 //!
 //! The mailbox also owns the *fault* channel of a transport: a reader
-//! thread that loses its peer (socket EOF mid-run) calls [`Mailbox::fail`],
+//! thread that loses its peer (link EOF mid-run) calls [`Mailbox::fail`],
 //! which wakes every blocked receive so the rank fails with a clear
 //! "connection to rank R lost" diagnostic instead of hanging forever.
 //! Faults are tracked *per peer*: ranks of one job finish at slightly

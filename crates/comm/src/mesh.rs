@@ -3,12 +3,12 @@
 //!
 //! A [`MeshComm<L>`] is one rank's endpoint in a world of `P` rank
 //! processes joined pairwise by [`Link`]s. A link is only a per-peer
-//! byte pipe with a closed flag — a TCP stream
-//! ([`crate::socket_world`]) or an SPSC ring in shared memory
-//! ([`crate::shmem_world`]); those modules hold the rendezvous that
-//! builds the links and nothing else. Framing, CRC, mailbox delivery,
-//! buffer pools, the flush barrier, failure detection, fault
-//! injection, and the `Comm` implementation all live here.
+//! byte pipe with a closed flag — today an SPSC ring in shared memory
+//! ([`crate::shmem_world`], which holds the rendezvous that builds the
+//! links and nothing else). Framing, CRC, mailbox delivery, buffer
+//! pools, the flush barrier, failure detection, fault injection, and
+//! the `Comm` implementation all live here, so the wire format stays
+//! in one place and a future fabric is one more `Link`.
 //!
 //! ## Data path
 //!
@@ -142,19 +142,6 @@ fn env_millis(name: &str, default: Option<u64>) -> Option<Duration> {
 /// `HPGMXP_CONNECT_TIMEOUT_SECS`, default 60.
 pub(crate) fn connect_timeout() -> Duration {
     Duration::from_secs(env_knob("HPGMXP_CONNECT_TIMEOUT_SECS").unwrap_or(60))
-}
-
-/// A variable `hpgmxp-launch` exports to every rank process; unset
-/// means the process was not started by the launcher.
-pub(crate) fn launch_var(name: &str) -> String {
-    std::env::var(name).unwrap_or_else(|_| {
-        panic!("{name} not set — process-per-rank worlds must be started by hpgmxp-launch")
-    })
-}
-
-/// A numeric [`launch_var`], range-checked into `T`.
-pub(crate) fn launch_knob<T: TryFrom<u64>>(name: &str) -> T {
-    parse_knob(name, &launch_var(name)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fault-detection knobs and fault-injection plan of one mesh
@@ -766,12 +753,12 @@ mod tests {
     }
 
     #[test]
-    fn an_out_of_range_port_is_rejected_not_truncated() {
-        // HPGMXP_PORT=70000 used to rendezvous on 70000 as u16 = 4464.
-        let err = parse_knob::<u16>("HPGMXP_PORT", "70000").unwrap_err();
-        assert_eq!(err, "HPGMXP_PORT=70000 is out of range");
-        assert_eq!(parse_knob::<u16>("HPGMXP_PORT", "65535"), Ok(65535));
-        assert!(parse_knob::<u16>("HPGMXP_PORT", "-1").unwrap_err().contains("not a number"));
+    fn an_out_of_range_knob_is_rejected_not_truncated() {
+        // A u16 knob read as 70000 must fail, not wrap to 70000 as u16 = 4464.
+        let err = parse_knob::<u16>("HPGMXP_RANKS", "70000").unwrap_err();
+        assert_eq!(err, "HPGMXP_RANKS=70000 is out of range");
+        assert_eq!(parse_knob::<u16>("HPGMXP_RANKS", "65535"), Ok(65535));
+        assert!(parse_knob::<u16>("HPGMXP_RANKS", "-1").unwrap_err().contains("not a number"));
     }
 }
 
@@ -789,7 +776,7 @@ pub(crate) mod suite {
     /// each rank is a thread with its own endpoint, but every byte
     /// still crosses the real pipe.
     pub(crate) trait TestWorld: Link + Sized {
-        /// What ranks of one world meet at (a port, a shm id).
+        /// What ranks of one world meet at (a shm id).
         type Meet: Send + Sync;
         /// A rendezvous handle no other test world uses.
         fn fresh() -> Self::Meet;

@@ -1,17 +1,18 @@
 //! Same-host process ranks over mmap'd `/dev/shm` ring buffers — the
-//! third `Comm` backend.
+//! `Comm` backend of every rank process `hpgmxp-launch` starts.
 //!
-//! A [`ShmemWorld`] rank is a whole OS process, like the socket world,
-//! but the data path never enters the kernel: every ordered rank pair
-//! `(i, j)` owns a single-producer/single-consumer byte ring in one
-//! shared `/dev/shm` file, and rank `i` sends to rank `j` by copying
-//! [`crate::frame`]-encoded bytes into ring `(i, j)` and publishing a
-//! new head counter. This module is the mmap rendezvous plus
+//! A [`ShmemWorld`] rank is a whole OS process, so the mesh crosses
+//! scheduler preemption and process death — effects a thread world
+//! cannot surface — but the data path never enters the kernel: every
+//! ordered rank pair `(i, j)` owns a single-producer/single-consumer
+//! byte ring in one shared `/dev/shm` file, and rank `i` sends to rank
+//! `j` by copying [`crate::frame`]-encoded bytes into ring `(i, j)`
+//! and publishing a new head counter. This module is the mmap rendezvous plus
 //! [`RingLink`]; the frame protocol, CRC, per-peer recycled receive
 //! pools, shared [`crate::mailbox::Mailbox`], heartbeats, receive
 //! deadlines, and the fault-injection interposer are the shared
-//! [`crate::mesh`] — the same code the socket transport runs, only the
-//! byte channel differs.
+//! [`crate::mesh`], written against the [`Link`] seam so another
+//! fabric would only add its own byte channel.
 //!
 //! ## File layout
 //!
@@ -39,8 +40,10 @@
 //! version, so a rank built against another header layout never
 //! recognises the file and fails the connect timeout naming it. Once
 //! every rank is attached rank 0 *unlinks* the file — the mapping
-//! stays valid for the attached processes, and a crashed job leaks no
-//! `/dev/shm` entry.
+//! stays valid for the attached processes, and a rank crashing later
+//! leaks no `/dev/shm` entry. A job killed before every rank attached
+//! leaves the file behind; the launcher removes it once the attempt's
+//! ranks are reaped.
 //!
 //! ## Blocking and failure
 //!
@@ -50,14 +53,13 @@
 //! peer timeout fails the send with a typed `PeerLost` naming the
 //! peer — the detector for a consumer that died with the ring full.
 //! A cleanly dropped endpoint sets `closed` on its outgoing rings, so
-//! peer readers see EOF at a frame boundary → `PeerClosed`, exactly
-//! like a closed socket. A crashed process never sets `closed`; its
-//! silence trips the heartbeat watchdog (`PeerLost`) instead, and a
-//! hung-but-alive rank is caught by the receive deadline (`Timeout`)
-//! — the same three detectors, same typed faults, as the socket
-//! world.
+//! peer readers see EOF at a frame boundary → `PeerClosed`. A crashed
+//! process never sets `closed`; its silence trips the heartbeat
+//! watchdog (`PeerLost`) instead, and a hung-but-alive rank is caught
+//! by the receive deadline (`Timeout`) — the mesh's three detectors,
+//! each with its typed fault.
 
-use crate::mesh::{connect_timeout, env_knob, launch_knob, launch_var, Link, MeshComm, MeshConfig};
+use crate::mesh::{connect_timeout, env_knob, parse_knob, Link, MeshComm, MeshConfig};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read};
 use std::os::unix::io::AsRawFd;
@@ -377,7 +379,7 @@ impl ShmemWorld {
         assert!(ring_bytes.is_power_of_two(), "ring_bytes must be a power of two");
         let layout = Layout { size, ring_bytes };
         let deadline = Instant::now() + connect_timeout();
-        let path = format!("/dev/shm/hpgmxp-{shm_id}");
+        let path = world_path(shm_id);
 
         let map: Option<Arc<Mapping>> = if size > 1 {
             let map = if rank == 0 {
@@ -481,10 +483,27 @@ impl ShmemWorld {
     }
 }
 
+/// The `/dev/shm` file that holds the world named `shm_id`.
+pub(crate) fn world_path(shm_id: &str) -> String {
+    format!("/dev/shm/hpgmxp-{shm_id}")
+}
+
+/// A variable `hpgmxp-launch` exports to every rank process; unset
+/// means the process was not started by the launcher.
+fn launch_var(name: &str) -> String {
+    std::env::var(name).unwrap_or_else(|_| {
+        panic!("{name} not set — process-per-rank worlds must be started by hpgmxp-launch")
+    })
+}
+
+/// A numeric [`launch_var`], range-checked into `T`.
+fn launch_knob<T: TryFrom<u64>>(name: &str) -> T {
+    parse_knob(name, &launch_var(name)).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// The process-global mesh, built once from `HPGMXP_RANK` /
-/// `HPGMXP_RANKS` / `HPGMXP_SHM_ID` (the environment `hpgmxp-launch
-/// --comm shmem` provides) and reused by every SPMD run in this
-/// process.
+/// `HPGMXP_RANKS` / `HPGMXP_SHM_ID` (the environment `hpgmxp-launch`
+/// provides) and reused by every SPMD run in this process.
 pub fn global_from_env() -> &'static ShmemComm {
     static MESH: OnceLock<ShmemComm> = OnceLock::new();
     MESH.get_or_init(|| {
@@ -547,7 +566,7 @@ mod tests {
     /// file: a [`RingLink`] and the consumer of the same ring, with no
     /// mesh (and so no reader thread) attached.
     fn bare_ring(tag: &str, ring_bytes: usize) -> (RingLink, RingConsumer) {
-        let path = format!("/dev/shm/hpgmxp-{}", fresh_id(tag));
+        let path = world_path(&fresh_id(tag));
         let layout = Layout { size: 2, ring_bytes };
         let file = OpenOptions::new()
             .read(true)
@@ -570,7 +589,7 @@ mod tests {
         let id = fresh_id("unlink");
         run_pair(&id, MeshConfig::default(), DEFAULT_RING_BYTES, |c| c.barrier().unwrap());
         assert!(
-            !std::path::Path::new(&format!("/dev/shm/hpgmxp-{id}")).exists(),
+            !std::path::Path::new(&world_path(&id)).exists(),
             "rank 0 must unlink the world file once every rank is attached"
         );
     }

@@ -29,8 +29,8 @@
 //! instead of propagating the first panic.
 //!
 //! Transport-agnostic callers should reach this world through
-//! [`crate::world::run_spmd`], which picks the backend from the
-//! `HPGMXP_COMM` environment variable.
+//! [`crate::world::run_spmd`], which runs this world in any process
+//! `hpgmxp-launch` did not start.
 
 use crate::collectives::{self, CollCounters, CollScratch, CollStats, COLLECTIVE_TAG_BIT};
 use crate::comm::{Comm, RecvPost, ReduceOp};
@@ -262,7 +262,7 @@ impl Drop for ThreadComm {
 /// Run the same closure on `size` thread-ranks, one OS thread each, and
 /// return the per-rank results in rank order. Panics in any rank
 /// propagate. This is the thread-transport primitive; use
-/// [`crate::world::run_spmd`] to honor `HPGMXP_COMM`.
+/// [`crate::world::run_spmd`] to join a launched mesh when there is one.
 pub fn run_threads<T, F>(size: usize, f: F) -> Vec<T>
 where
     T: Send,

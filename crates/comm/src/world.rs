@@ -1,25 +1,21 @@
-//! Transport selection — the one place `HPGMXP_COMM` is read.
+//! Transport selection: how the process was started decides it.
 //!
 //! Every figure binary, campaign cell, and integration suite runs its
 //! SPMD closure through [`run_spmd`], which picks the backend from the
-//! environment:
+//! environment `hpgmxp-launch` sets:
 //!
-//! * `HPGMXP_COMM=thread` (or unset) — [`crate::thread_world`]: all
-//!   ranks are threads of this process, results for every rank come
-//!   back in rank order. The default, and the only mode that needs no
-//!   external launcher.
-//! * `HPGMXP_COMM=socket` — [`crate::socket_world`]: this process *is*
-//!   one rank of a job started by `hpgmxp-launch`, which provides
-//!   `HPGMXP_RANK`/`HPGMXP_RANKS`/`HPGMXP_PORT`. The closure runs once
-//!   on the process-global mesh and [`run_spmd`] returns a
+//! * a process the launcher did not start — [`crate::thread_world`]:
+//!   all ranks are threads of this process, results for every rank
+//!   come back in rank order. No external launcher needed;
+//!   `HPGMXP_RANKS` alone only sizes such a world.
+//! * a process the launcher started (`HPGMXP_SHM_ID` set, alongside
+//!   `HPGMXP_RANK`/`HPGMXP_RANKS`) — [`crate::shmem_world`]: this
+//!   process *is* one rank of a same-host job exchanging frames
+//!   through mmap'd `/dev/shm` ring buffers. The closure runs once on
+//!   the process-global mesh and [`run_spmd`] returns a
 //!   **single-element** vector holding this rank's result — code that
 //!   wants per-rank results must gather them itself (or allreduce, as
 //!   the solver history already does).
-//! * `HPGMXP_COMM=shmem` — [`crate::shmem_world`]: this process is one
-//!   rank of a same-host job (also started by `hpgmxp-launch`, which
-//!   provides `HPGMXP_SHM_ID` alongside rank/size), exchanging frames
-//!   through mmap'd `/dev/shm` ring buffers instead of TCP. Same
-//!   single-element return shape as the socket transport.
 //!
 //! The closure receives a [`WorldComm`], an enum over the concrete
 //! backends, so solver code stays generic over [`Comm`] and never
@@ -28,35 +24,28 @@
 use crate::collectives::CollStats;
 use crate::comm::{Comm, RecvPost, ReduceOp};
 use crate::error::CommResult;
-use crate::mesh::{Link, MeshComm};
 use crate::shmem_world::{self, ShmemComm};
-use crate::socket_world::{self, SocketComm};
 use crate::thread_world::{run_threads, ThreadComm};
 
-/// Which transport `HPGMXP_COMM` selects.
+/// Which transport [`run_spmd`] runs over in this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// Thread-ranks in one process (the default).
+    /// Thread-ranks in one process (any process the launcher did not
+    /// start).
     Thread,
-    /// Process-ranks over localhost TCP, launched by `hpgmxp-launch`.
-    Socket,
     /// Same-host process-ranks over mmap'd `/dev/shm` rings, launched
-    /// by `hpgmxp-launch --comm shmem`.
+    /// by `hpgmxp-launch`.
     Shmem,
 }
 
 impl Transport {
-    /// Read `HPGMXP_COMM` (default: thread). Unknown values are a
-    /// loud error, not a silent fallback.
+    /// `Shmem` in a process `hpgmxp-launch` started (it sets
+    /// `HPGMXP_SHM_ID`), `Thread` otherwise.
     pub fn from_env() -> Transport {
-        match std::env::var("HPGMXP_COMM") {
-            Ok(v) if v == "socket" => Transport::Socket,
-            Ok(v) if v == "shmem" => Transport::Shmem,
-            Ok(v) if v == "thread" || v.is_empty() => Transport::Thread,
-            Ok(v) => {
-                panic!("unknown HPGMXP_COMM={v:?} (expected \"thread\", \"socket\", or \"shmem\")")
-            }
-            Err(_) => Transport::Thread,
+        if std::env::var_os("HPGMXP_SHM_ID").is_some() {
+            Transport::Shmem
+        } else {
+            Transport::Thread
         }
     }
 
@@ -64,24 +53,17 @@ impl Transport {
     pub fn name(self) -> &'static str {
         match self {
             Transport::Thread => "thread",
-            Transport::Socket => "socket",
             Transport::Shmem => "shmem",
         }
-    }
-
-    /// Whether this transport's ranks are separate processes driven by
-    /// `hpgmxp-launch` (one-rank-per-process execution model).
-    pub fn is_process_per_rank(self) -> bool {
-        matches!(self, Transport::Socket | Transport::Shmem)
     }
 }
 
 /// The rank count a launched process must use, if this process is one
-/// rank of a multi-process world (`HPGMXP_COMM=socket|shmem`).
-/// Binaries that sweep over world sizes clamp their sweep to this
-/// under a process-per-rank transport — the mesh is fixed at launch.
-pub fn socket_world_size() -> Option<usize> {
-    if !Transport::from_env().is_process_per_rank() {
+/// rank of a multi-process world. Binaries that sweep over world sizes
+/// clamp their sweep to this in a launched rank — the mesh is fixed at
+/// launch.
+pub fn launched_world_size() -> Option<usize> {
+    if Transport::from_env() == Transport::Thread {
         return None;
     }
     crate::mesh::env_knob("HPGMXP_RANKS")
@@ -91,8 +73,6 @@ pub fn socket_world_size() -> Option<usize> {
 pub enum WorldComm {
     /// Thread-rank of an in-process world.
     Thread(ThreadComm),
-    /// Process-rank of a socket mesh.
-    Socket(SocketComm),
     /// Process-rank of a shared-memory mesh.
     Shmem(ShmemComm),
 }
@@ -102,7 +82,6 @@ impl WorldComm {
     pub fn transport(&self) -> Transport {
         match self {
             WorldComm::Thread(_) => Transport::Thread,
-            WorldComm::Socket(_) => Transport::Socket,
             WorldComm::Shmem(_) => Transport::Shmem,
         }
     }
@@ -114,7 +93,6 @@ impl WorldComm {
     pub fn prewarm_pool(&self, min_capacity: usize) {
         match self {
             WorldComm::Thread(c) => c.prewarm_pool(min_capacity),
-            WorldComm::Socket(c) => c.prewarm_pool(min_capacity),
             WorldComm::Shmem(c) => c.prewarm_pool(min_capacity),
         }
     }
@@ -124,7 +102,6 @@ impl Comm for WorldComm {
     fn rank(&self) -> usize {
         match self {
             WorldComm::Thread(c) => c.rank(),
-            WorldComm::Socket(c) => c.rank(),
             WorldComm::Shmem(c) => c.rank(),
         }
     }
@@ -132,7 +109,6 @@ impl Comm for WorldComm {
     fn size(&self) -> usize {
         match self {
             WorldComm::Thread(c) => c.size(),
-            WorldComm::Socket(c) => c.size(),
             WorldComm::Shmem(c) => c.size(),
         }
     }
@@ -140,7 +116,6 @@ impl Comm for WorldComm {
     fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         match self {
             WorldComm::Thread(c) => c.send_from(to, tag, bytes),
-            WorldComm::Socket(c) => c.send_from(to, tag, bytes),
             WorldComm::Shmem(c) => c.send_from(to, tag, bytes),
         }
     }
@@ -148,7 +123,6 @@ impl Comm for WorldComm {
     fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
         match self {
             WorldComm::Thread(c) => c.recv_into(from, tag, out),
-            WorldComm::Socket(c) => c.recv_into(from, tag, out),
             WorldComm::Shmem(c) => c.recv_into(from, tag, out),
         }
     }
@@ -156,7 +130,6 @@ impl Comm for WorldComm {
     fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool {
         match self {
             WorldComm::Thread(c) => c.try_recv_into(from, tag, out),
-            WorldComm::Socket(c) => c.try_recv_into(from, tag, out),
             WorldComm::Shmem(c) => c.try_recv_into(from, tag, out),
         }
     }
@@ -167,7 +140,6 @@ impl Comm for WorldComm {
     ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
         match self {
             WorldComm::Thread(c) => c.wait_any(posts),
-            WorldComm::Socket(c) => c.wait_any(posts),
             WorldComm::Shmem(c) => c.wait_any(posts),
         }
     }
@@ -175,7 +147,6 @@ impl Comm for WorldComm {
     fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
         match self {
             WorldComm::Thread(c) => c.allreduce_checked(vals, op),
-            WorldComm::Socket(c) => c.allreduce_checked(vals, op),
             WorldComm::Shmem(c) => c.allreduce_checked(vals, op),
         }
     }
@@ -183,7 +154,6 @@ impl Comm for WorldComm {
     fn barrier(&self) -> CommResult<()> {
         match self {
             WorldComm::Thread(c) => c.barrier(),
-            WorldComm::Socket(c) => c.barrier(),
             WorldComm::Shmem(c) => c.barrier(),
         }
     }
@@ -191,17 +161,15 @@ impl Comm for WorldComm {
     fn coll_stats(&self) -> Option<CollStats> {
         match self {
             WorldComm::Thread(c) => c.coll_stats(),
-            WorldComm::Socket(c) => c.coll_stats(),
             WorldComm::Shmem(c) => c.coll_stats(),
         }
     }
 }
 
-/// Run `f` as an SPMD job of `size` ranks over the transport selected
-/// by `HPGMXP_COMM` (see the module docs for the modes and their
-/// return-value shapes). Under a process-per-rank transport `size`
-/// must match the launched mesh — a mismatch is a configuration error
-/// and panics with the fix.
+/// Run `f` as an SPMD job of `size` ranks over this process's
+/// transport (see the module docs for the two and their return-value
+/// shapes). In a launched rank `size` must match the launched mesh — a
+/// mismatch is a configuration error and panics with the fix.
 pub fn run_spmd<T, F>(size: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -216,72 +184,55 @@ where
             let _trace = hpgmxp_trace::FlushGuard::new(0);
             run_threads(size, |c| f(WorldComm::Thread(c)))
         }
-        Transport::Socket => {
-            run_on_mesh(socket_world::global_from_env(), size, "", WorldComm::Socket, f)
-        }
         Transport::Shmem => {
-            run_on_mesh(shmem_world::global_from_env(), size, " --comm shmem", WorldComm::Shmem, f)
+            // Run `f` once on this process's rank of the launched mesh,
+            // then flush and drain so one run's messages cannot leak
+            // into the next on the reused process-global mesh.
+            let mesh = shmem_world::global_from_env();
+            let _trace = hpgmxp_trace::FlushGuard::new(mesh.rank() as u32);
+            assert_eq!(
+                mesh.size(),
+                size,
+                "the launched mesh has {} ranks but this run wants {size} — start it as \
+                 `hpgmxp-launch -n {size} -- ...`",
+                mesh.size()
+            );
+            let result = f(WorldComm::Shmem(mesh.clone()));
+            if let Err(e) = mesh.quiesce() {
+                panic!("flushing the mesh after the run: {e}");
+            }
+            vec![result]
         }
     }
-}
-
-/// The process-per-rank arm of [`run_spmd`]: run `f` once on this
-/// process's rank of the launched `mesh`, then flush and drain so one
-/// run's messages cannot leak into the next on the reused
-/// process-global mesh.
-fn run_on_mesh<L: Link, T>(
-    mesh: &MeshComm<L>,
-    size: usize,
-    launch_flag: &str,
-    wrap: fn(MeshComm<L>) -> WorldComm,
-    f: impl Fn(WorldComm) -> T,
-) -> Vec<T> {
-    let _trace = hpgmxp_trace::FlushGuard::new(mesh.rank() as u32);
-    assert_eq!(
-        mesh.size(),
-        size,
-        "the launched mesh has {} ranks but this run wants {size} — start it as \
-         `hpgmxp-launch{launch_flag} -n {size} -- ...`",
-        mesh.size()
-    );
-    let result = f(wrap(mesh.clone()));
-    if let Err(e) = mesh.quiesce() {
-        panic!("flushing the mesh after the run: {e}");
-    }
-    vec![result]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Env-driven dispatch is exercised by the socket/shmem integration
+    // Env-driven dispatch is exercised by the launched integration
     // jobs; in-process tests only pin the default and the names
-    // (mutating HPGMXP_COMM here would race other tests in this
+    // (mutating HPGMXP_SHM_ID here would race other tests in this
     // binary).
 
     #[test]
     fn thread_is_the_default_transport() {
-        if std::env::var_os("HPGMXP_COMM").is_none() {
+        if std::env::var_os("HPGMXP_SHM_ID").is_none() {
             assert_eq!(Transport::from_env(), Transport::Thread);
-            assert_eq!(socket_world_size(), None);
+            assert_eq!(launched_world_size(), None);
         }
     }
 
     #[test]
     fn transport_names_are_stable() {
         assert_eq!(Transport::Thread.name(), "thread");
-        assert_eq!(Transport::Socket.name(), "socket");
         assert_eq!(Transport::Shmem.name(), "shmem");
-        assert!(!Transport::Thread.is_process_per_rank());
-        assert!(Transport::Socket.is_process_per_rank());
-        assert!(Transport::Shmem.is_process_per_rank());
     }
 
     #[test]
     fn run_spmd_defaults_to_thread_ranks() {
-        if std::env::var_os("HPGMXP_COMM").is_some() {
-            return; // running under the socket/shmem CI matrix
+        if std::env::var_os("HPGMXP_SHM_ID").is_some() {
+            return; // running as a launched rank process
         }
         let results = run_spmd(3, |c| {
             assert_eq!(c.transport(), Transport::Thread);

@@ -94,8 +94,8 @@ fn hung_rank_is_detected_within_the_deadline() {
     plan.hang_millis = Some(900);
     plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 2, at_exchange: 6 }]);
     let results = run_plan(&plan, 20, Duration::from_millis(200));
-    // A hung rank still holds its endpoint (it heartbeats in the socket
-    // world; here it simply sleeps), so the *only* way peers notice is
+    // A hung rank still holds its endpoint (it heartbeats in the shmem
+    // mesh; here it simply sleeps), so the *only* way peers notice is
     // the recv deadline: every survivor must report Timeout.
     let mut timeouts = 0;
     for (rank, res) in results.iter().enumerate() {

@@ -1,11 +1,12 @@
-//! End-to-end tests of `hpgmxp-launch`: real multi-process socket jobs
-//! on localhost, driven through the launcher binary itself with its
+//! End-to-end tests of `hpgmxp-launch`: real multi-process jobs meshed
+//! over `/dev/shm`, driven through the launcher binary itself with its
 //! built-in `_worker` SPMD workload.
 //!
 //! Covered paths: all ranks exiting cleanly, one rank crashing
 //! mid-solve (job killed, `rank R died` diagnostic, non-zero exit, no
-//! orphan processes), and a hung rank tripping `--timeout-secs`
-//! (exit 124).
+//! orphan processes), a hung rank tripping `--timeout-secs`
+//! (exit 124), and a job killed before its world was complete leaving
+//! no file in `/dev/shm`.
 
 use std::process::{Command, Output};
 
@@ -95,12 +96,14 @@ fn bad_arguments_print_usage_and_exit_2() {
     // problem, the usage text, and the distinct exit code 2 (so CI can
     // tell "you called it wrong" from "the job failed").
     let cases: &[&[&str]] = &[
-        &[],                             // no arguments at all
-        &["-n", "2"],                    // missing `-- command`
-        &["--", "true"],                 // missing -n
-        &["-n", "zero", "--", "true"],   // unparseable rank count
-        &["-n", "2", "--retries"],       // flag missing its value
-        &["--frobnicate", "--", "true"], // unknown option
+        &[],                                           // no arguments at all
+        &["-n", "2"],                                  // missing `-- command`
+        &["--", "true"],                               // missing -n
+        &["-n", "zero", "--", "true"],                 // unparseable rank count
+        &["-n", "2", "--retries"],                     // flag missing its value
+        &["--frobnicate", "--", "true"],               // unknown option
+        &["-n", "2", "--comm", "shmem", "--", "true"], // no transport to select
+        &["-n", "2", "--port", "29400", "--", "true"], // no rendezvous port
     ];
     for args in cases {
         let out = launch(args);
@@ -130,5 +133,27 @@ fn hung_rank_trips_the_timeout() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(124), "stdout:\n{stdout}\nstderr:\n{stderr}");
     assert!(stderr.contains("exceeded --timeout-secs"), "{stderr}");
+    assert_no_orphans(&spawned_pids(&stdout));
+}
+
+#[test]
+fn job_killed_before_every_rank_attached_leaves_no_world_file() {
+    // Rank 0 creates the world file and waits for rank 1 to attach;
+    // rank 1 never does (`exec`, so the launcher's kill reaches the
+    // sleep itself). Rank 0 unlinks only a complete world, so removing
+    // the file is the launcher's job once it reaps the timed-out ranks.
+    let script =
+        format!("if [ \"$HPGMXP_RANK\" = 0 ]; then exec {LAUNCH} _worker; else exec sleep 30; fi");
+    let out = launch(&["-n", "2", "--timeout-secs", "2", "--", "sh", "-c", &script]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(124), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    let shm_id = stdout
+        .lines()
+        .filter(|l| l.starts_with("[launch] rank "))
+        .find_map(|l| l.split("shm=").nth(1))
+        .unwrap_or_else(|| panic!("the launcher prints each rank's shm id:\n{stdout}"));
+    let path = format!("/dev/shm/hpgmxp-{}", shm_id.trim());
+    assert!(!std::path::Path::new(&path).exists(), "{path} outlived the job");
     assert_no_orphans(&spawned_pids(&stdout));
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p hpgmxp-harness --bin campaign -- campaigns/policy_sweep.json
 //! cargo run --release -p hpgmxp-harness --bin campaign -- campaigns/smoke.json --out smoke.json
-//! hpgmxp-launch -n 2 -- target/release/campaign campaigns/smoke.json --out smoke-socket.json
+//! hpgmxp-launch -n 2 -- target/release/campaign campaigns/smoke.json --out smoke-launched.json
 //! cargo run --release -p hpgmxp-harness --bin campaign -- compare a.json b.json
 //! ```
 //!
@@ -13,7 +13,7 @@
 //! on spec errors, execution failures, or a Hybrid byte-reconciliation
 //! mismatch — CI treats the reconciliation as an assertion.
 //!
-//! Under `HPGMXP_COMM=socket` every rank process executes the campaign
+//! Under `hpgmxp-launch` every rank process executes the campaign
 //! (the measured cells are SPMD), but only rank 0 prints and writes
 //! the report — the others produce identical cells and stay quiet.
 //!
@@ -21,8 +21,8 @@
 //! *deterministic* fields of two reports (solver trajectories, byte
 //! counters, statuses — everything except wall-clock-derived rates and
 //! the transport stamps themselves) and exits non-zero on any drift,
-//! printing each report's `HPGMXP_COMM` configuration. CI runs it
-//! across thread/socket/shmem reports of the same campaign.
+//! printing each report's transport. CI runs it across the thread and
+//! the launched (shmem) report of the same campaign.
 
 use hpgmxp_harness::{run_campaign, CampaignReport, CampaignSpec, CellReport};
 use std::process::ExitCode;
@@ -33,11 +33,11 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Is this process a non-zero rank of a multi-process (socket or
-/// shmem) job? (Rank 0 — and the thread transport — own the terminal
-/// and the report file.)
-fn quiet_socket_rank() -> bool {
-    hpgmxp_comm::Transport::from_env().is_process_per_rank()
+/// Is this process a non-zero rank of a launched multi-process job?
+/// (Rank 0 — and the thread transport — own the terminal and the
+/// report file.)
+fn quiet_launched_rank() -> bool {
+    hpgmxp_comm::Transport::from_env() == hpgmxp_comm::Transport::Shmem
         && std::env::var("HPGMXP_RANK").ok().and_then(|v| v.parse::<usize>().ok()) != Some(0)
 }
 
@@ -148,7 +148,7 @@ fn run() -> Result<(), String> {
         CampaignSpec::from_json(&text).map_err(|e| format!("cannot parse {spec_path}: {e}"))?;
 
     let report = run_campaign(&spec)?;
-    if quiet_socket_rank() {
+    if quiet_launched_rank() {
         // This process was one rank of the SPMD job; rank 0 reports.
         return Ok(());
     }

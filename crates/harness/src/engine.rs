@@ -4,8 +4,8 @@
 //!
 //! Cell production per [`SeriesMode`]:
 //!
-//! * **Measured** — real SPMD runs over the `HPGMXP_COMM`-selected
-//!   transport (thread-ranks by default, socket-rank processes under
+//! * **Measured** — real SPMD runs over this process's transport
+//!   (thread-ranks by default, shmem rank processes under
 //!   `hpgmxp-launch`; each cell records which in its `transport`) via
 //!   `core::benchmark::{validate, run_phase}` under the cell's policy.
 //!   A policy whose solver breaks down yields an `Unrated` cell — the

@@ -20,7 +20,8 @@ use std::fmt::Write as _;
 /// Version of the campaign-report JSON layout. Bump on any field
 /// change; the golden-file test in the integration suite pins the
 /// current layout. v2 added the per-cell `transport` field when the
-/// socket backend made the measuring transport a real variable; v3
+/// first multi-process backend made the measuring transport a real
+/// variable; v3
 /// added the host SIMD fields (`simd_features`/`simd_level`/
 /// `simd_override`) when the motif kernels grew a runtime-dispatched
 /// vector path; v4 added the host `transport` field and a
@@ -66,8 +67,8 @@ pub struct HostMeta {
     pub simd_level: String,
     /// `HPGMXP_SIMD` override in effect, if any.
     pub simd_override: Option<String>,
-    /// Transport the run's measured cells communicate over
-    /// (`HPGMXP_COMM`: `"thread"`, `"socket"`, or `"shmem"`).
+    /// Transport the run's measured cells communicate over: `"thread"`,
+    /// or `"shmem"` in a process `hpgmxp-launch` started.
     pub transport: String,
 }
 
@@ -108,9 +109,8 @@ pub struct CellReport {
     /// World size: modeled `nodes × devices_per_node`, or the measured
     /// rank count.
     pub ranks: usize,
-    /// Transport the cell's measurement ran over: `"thread"`,
-    /// `"socket"`, or `"shmem"` for measured cells, `"model"` for pure
-    /// projections.
+    /// Transport the cell's measurement ran over: `"thread"` or
+    /// `"shmem"` for measured cells, `"model"` for pure projections.
     pub transport: String,
     /// Rating status (see [`CellStatus`]).
     pub status: CellStatus,
@@ -389,6 +389,6 @@ mod tests {
         assert!(!h.os.is_empty());
         assert!(!h.simd_features.is_empty());
         assert!(h.simd_level == "avx2" || h.simd_level == "scalar");
-        assert!(["thread", "socket", "shmem"].contains(&h.transport.as_str()));
+        assert!(["thread", "shmem"].contains(&h.transport.as_str()));
     }
 }

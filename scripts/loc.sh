@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 UNSAFE_BUDGET=52
 CHECKED_BUDGET=8
-KNOB_BUDGET=24
+KNOB_BUDGET=22
 
 rs_files() {
     find "$1" -name '*.rs' -not -path '*/target/*' -print0

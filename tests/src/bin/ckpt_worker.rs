@@ -1,10 +1,10 @@
-//! Socket-rank workload for the checkpoint/restart end-to-end test
+//! Rank-process workload for the checkpoint/restart end-to-end test
 //! and the chaos CI matrix: a mixed-precision GMRES-IR solve with
 //! write-ahead checkpointing, run under `hpgmxp-launch` at P ∈
 //! {1, 2, 4} (the world size follows the launcher's
 //! `HPGMXP_RANKS`; default 4).
 //!
-//! Environment contract (beyond the launcher's socket variables):
+//! Environment contract (beyond the launcher's rank variables):
 //!
 //! * `HPGMXP_CKPT_DIR` / `HPGMXP_CKPT_INTERVAL` / `HPGMXP_RESTORE` —
 //!   the core crate's [`CheckpointSpec::from_env`] knobs;
@@ -31,7 +31,7 @@ fn main() {
     let restoring = std::env::var("HPGMXP_RESTORE").map(|v| v == "1").unwrap_or(false);
     // FaultPlan::from_env disarms itself on a restore attempt (the
     // launcher's retry sets HPGMXP_RESTORE=1) — the same rule the
-    // socket transport's frame interposer follows — so the retry runs
+    // shmem mesh's frame interposer follows — so the retry runs
     // clean and proves recovery.
     let plan = FaultPlan::from_env();
     let ckpt = CheckpointSpec::from_env();
@@ -53,7 +53,7 @@ fn main() {
     let codes = run_spmd(ranks, |c| {
         let rank = c.rank();
         // The wrapper scripts rank-level events only; probabilistic
-        // wire faults are the socket interposer's job (it flips bytes
+        // wire faults are the mesh interposer's job (it flips bytes
         // after the frame CRC, so every corruption is detectable —
         // a pre-framing flip here would slip past the checksum).
         let wrapper_plan =

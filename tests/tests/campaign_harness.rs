@@ -172,7 +172,7 @@ fn report_schema_v6_matches_golden_file() {
     modeled.penalty = Some(1.0);
     modeled.note = "penalty from measured validation on this host".into();
     let mut unrated = CellReport::new("stress", SeriesMode::Measured, "f16", 2);
-    unrated.transport = "socket".into();
+    unrated.transport = "shmem".into();
     unrated.status = CellStatus::Unrated;
     unrated.nd = Some(22);
     unrated.nir = Some(88);

@@ -1,8 +1,8 @@
 //! Backend-conformance suite for the `Comm` v2 contract, run against
 //! every backend at several world sizes: `SelfComm` (P = 1) and, via
-//! the `HPGMXP_COMM` dispatch in `run_spmd`, `ThreadWorld`
-//! (P ∈ {1, 2, 4}) or `SocketWorld` (at the mesh size `hpgmxp-launch`
-//! started — the CI matrix covers P ∈ {2, 4}).
+//! `run_spmd`, `ThreadWorld` (P ∈ {1, 2, 4}) or, in a launched rank
+//! process, `ShmemWorld` (at the mesh size `hpgmxp-launch` started —
+//! the CI matrix covers P ∈ {2, 4}).
 //!
 //! The contract under test (what the halo engine and solvers rely on):
 //! * FIFO delivery per (sender, receiver, tag) triple;
@@ -17,9 +17,9 @@
 use hpgmxp_comm::{run_spmd, Comm, RecvPost, ReduceOp, SelfComm};
 
 /// World sizes to sweep: free under threads; pinned to the launched
-/// mesh under sockets (the world exists before this process ran).
+/// mesh in a launched rank (the world exists before this process ran).
 fn world_sizes() -> Vec<usize> {
-    match hpgmxp_comm::socket_world_size() {
+    match hpgmxp_comm::launched_world_size() {
         Some(p) => vec![p],
         None => vec![1, 2, 4],
     }
@@ -143,7 +143,7 @@ fn selected_backend_conforms_at_each_world_size() {
 fn selected_backend_conformance_is_repeatable() {
     // The any-order completion path must not corrupt mailbox state
     // across repeated rounds in one world.
-    let p = hpgmxp_comm::socket_world_size().unwrap_or(4);
+    let p = hpgmxp_comm::launched_world_size().unwrap_or(4);
     run_spmd(p, |c| {
         for _ in 0..10 {
             conformance(&c);

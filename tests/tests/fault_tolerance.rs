@@ -1,4 +1,4 @@
-//! End-to-end checkpoint/restart: a 4-rank socket GMRES-IR job is
+//! End-to-end checkpoint/restart: a 4-rank shmem GMRES-IR job is
 //! killed mid-solve by a scripted fault plan, relaunched once by the
 //! launcher's retry with `HPGMXP_RESTORE=1`, restores from the last
 //! committed checkpoint generation, and finishes with a residual

@@ -3,8 +3,8 @@
 //!
 //! The comm-v2 redesign gives `HaloExchange` persistent per-neighbor
 //! staging buffers and both transports recycled buffer pools
-//! (`ThreadWorld`: a world-shared pool; `SocketWorld`: per-peer pools
-//! plus per-connection staging), so after a warm-up phase (which grows
+//! (`ThreadWorld`: a world-shared pool; `ShmemWorld`: per-peer pools
+//! plus per-link staging), so after a warm-up phase (which grows
 //! every buffer to its steady-state capacity) an exchange at any
 //! precision touches the allocator exactly zero times. This test pins
 //! that property with a counting global allocator: all ranks warm up,
@@ -12,9 +12,9 @@
 //! counter must not move.
 //!
 //! The counter is process-global, so *every* rank arms, reads, and
-//! asserts it: under `HPGMXP_COMM=thread` the ranks share one counter
-//! (arming is idempotent, the barriers fence the measured window);
-//! under `HPGMXP_COMM=socket` each rank process has its own counter
+//! asserts it: thread ranks share one counter (arming is idempotent,
+//! the barriers fence the measured window); under `hpgmxp-launch`
+//! each rank process has its own counter
 //! and independently asserts its own transport stack stayed quiet.
 //!
 //! A second window runs the optimized `dist_gs_sweep` (both directions)
@@ -102,7 +102,7 @@ fn steady_state_exchange_allocates_nothing() {
     hpgmxp_trace::set_mode_override(hpgmxp_trace::Mode::Spans);
     const WARMUP: usize = 100;
     const MEASURED: usize = 50;
-    let ranks = hpgmxp_comm::socket_world_size().unwrap_or(4);
+    let ranks = hpgmxp_comm::launched_world_size().unwrap_or(4);
     let procs = match ranks {
         2 => ProcGrid::new(2, 1, 1),
         4 => ProcGrid::new(2, 2, 1),
@@ -149,7 +149,7 @@ fn steady_state_exchange_allocates_nothing() {
         // message once, while nothing is in flight, so no stale buffer
         // can trigger a realloc at a scheduler-dependent moment
         // mid-measurement. Every rank prewarms: under threads the
-        // world pool is shared (idempotent), under sockets each
+        // world pool is shared (idempotent), launched each
         // process owns its pools and must do its own.
         c.barrier().unwrap();
         let widest = l.halo.plan().neighbors.iter().map(|n| n.staging_bytes(8)).max().unwrap_or(0);
@@ -214,7 +214,7 @@ fn steady_state_exchange_allocates_nothing() {
         (exchanges, kernel_calls, ortho_calls)
     });
 
-    // Thread mode returns all ranks (one shared counter), socket mode
+    // Thread mode returns all ranks (one shared counter), a launched rank
     // this process's rank alone (its own counter) — every entry must
     // be zero either way.
     for (exchange, kernel, ortho) in counted {

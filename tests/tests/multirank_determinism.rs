@@ -55,14 +55,14 @@ fn solve_history(p: u32, local: (u32, u32, u32)) -> (Vec<u64>, usize, bool) {
 
 /// The decompositions of the 16³ global problem at P ∈ {1, 2, 4}
 /// under thread-ranks; pinned to the launched mesh size under
-/// `HPGMXP_COMM=socket` (the world size is fixed at launch, and the
+/// `hpgmxp-launch` (the world size is fixed at launch, and the
 /// CI matrix covers P ∈ {2, 4}).
 fn decompositions() -> Vec<(u32, (u32, u32, u32))> {
     let all = vec![(1, (16, 16, 16)), (2, (8, 16, 16)), (4, (8, 8, 16))];
-    match hpgmxp_comm::socket_world_size() {
+    match hpgmxp_comm::launched_world_size() {
         Some(p) => {
             let ours: Vec<_> = all.into_iter().filter(|(q, _)| *q as usize == p).collect();
-            assert!(!ours.is_empty(), "no 16^3 decomposition for a {p}-rank socket mesh");
+            assert!(!ours.is_empty(), "no 16^3 decomposition for a {p}-rank launched mesh");
             ours
         }
         None => all,

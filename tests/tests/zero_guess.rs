@@ -14,7 +14,7 @@
 //! * halo bytes smaller by exactly one exchange per level — the skipped
 //!   pre-smooth exchange; on one rank there are none to skip.
 //!
-//! Under `HPGMXP_COMM=socket`/`shmem` the world size is the launched
+//! Under `hpgmxp-launch` the world size is the launched
 //! mesh's, and the skipped exchanges must leave every rank's later
 //! tags matched.
 
@@ -33,7 +33,7 @@ use hpgmxp_sparse::{Half, PrecKind, Scalar};
 /// process-per-rank transport.
 fn decompositions() -> Vec<(u32, (u32, u32, u32))> {
     let all = vec![(1, (16, 16, 16)), (2, (8, 16, 16)), (4, (8, 8, 16))];
-    match hpgmxp_comm::socket_world_size() {
+    match hpgmxp_comm::launched_world_size() {
         Some(p) => all.into_iter().filter(|(q, _)| *q as usize == p).collect(),
         None => all,
     }
