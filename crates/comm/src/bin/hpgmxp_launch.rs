@@ -3,11 +3,11 @@
 //! Spawns N copies of a command as the rank processes of one job:
 //!
 //! ```text
-//! hpgmxp-launch -n 4 [--timeout-secs 300] [--retries N] [--restore] [--trace-dir DIR] -- cargo run --bin fig9_trace
+//! hpgmxp-launch -n 4 [--timeout-secs 300] [--trace-dir DIR] -- cargo run --bin fig9_trace
 //! ```
 //!
-//! Each child gets `HPGMXP_RANK` (0..N), `HPGMXP_RANKS`, and an
-//! attempt-unique `HPGMXP_SHM_ID` naming the `/dev/shm` ring world —
+//! Each child gets `HPGMXP_RANK` (0..N), `HPGMXP_RANKS`, and a
+//! job-unique `HPGMXP_SHM_ID` naming the `/dev/shm` ring world —
 //! everything `run_spmd` needs to join the mesh. The ranks always mesh
 //! over shared memory; no option selects a transport.
 //! `--trace-dir DIR` arms per-rank span tracing (`HPGMXP_TRACE_DIR`,
@@ -26,12 +26,9 @@
 //! * a job exceeding `--timeout-secs` (default 300) is killed the same
 //!   way and the launcher exits 124, so a deadlocked mesh fails fast
 //!   instead of hanging a CI runner;
-//! * with `--retries N`, a failed job is relaunched up to N times with
-//!   `HPGMXP_RESTORE=1` set so checkpoint-aware workloads resume from
-//!   their last committed state instead of restarting cold;
 //! * all ranks exiting zero is success;
-//! * an attempt's world file never outlives the attempt, even when its
-//!   ranks were killed before they all attached;
+//! * the job's world file never outlives the job, even when its ranks
+//!   were killed before they all attached;
 //! * bad arguments print usage and exit 2 — distinct from rank-failure
 //!   codes and the timeout code, so scripts can tell operator error
 //!   from job failure.
@@ -42,11 +39,10 @@
 //! ring-exchange rounds) used by the launcher's own integration tests
 //! to exercise the happy path, the rank-death path (`--crash-rank`),
 //! and the timeout path (`--hang-rank`) without compiling a second
-//! binary; it arms `HPGMXP_FAULT_PLAN` wire faults automatically,
-//! making it the chaos-matrix payload too.
+//! binary.
 
 use hpgmxp_comm::launch::{self, USAGE};
-use hpgmxp_comm::{run_spmd, Comm, FaultPlan, FaultyComm, ReduceOp};
+use hpgmxp_comm::{run_spmd, Comm, ReduceOp};
 use std::time::Duration;
 
 fn main() {
@@ -95,13 +91,8 @@ fn worker(args: &[String]) {
         .ok()
         .and_then(|v| v.parse().ok())
         .expect("worker must run under hpgmxp-launch");
-    let plan = FaultPlan::from_env();
     run_spmd(size, move |c| {
         let rank = c.rank();
-        // Comm-level faults (scripted crash/hang, reorder) layer on top
-        // of the wire-level interposer the shmem mesh arms itself.
-        let c = FaultyComm::new(c, plan.clone().unwrap_or_else(|| FaultPlan::clean(0)))
-            .with_process_exit();
         for round in 0..rounds {
             if hang_rank == Some(rank) && round == 1 {
                 println!("rank {rank} hanging deliberately");

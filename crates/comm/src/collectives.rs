@@ -2,9 +2,9 @@
 //!
 //! The thread world and the process mesh run the same collectives.
 //! This module is that one engine, written against fallible
-//! point-to-point operations ([`CollEndpoint`]), so a transport only
+//! point-to-point operations (`CollEndpoint`), so a transport only
 //! has to provide `send`/`recv`/`tag` and inherits every collective —
-//! including the fault semantics of its mailbox (typed [`CommError`]s
+//! including the fault semantics of its mailbox (typed [`CommError`](crate::CommError)s
 //! with peer attribution instead of hangs).
 //!
 //! There is one algorithm, recursive doubling:

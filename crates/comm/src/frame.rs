@@ -65,8 +65,8 @@ const CRC32_TABLE: [u32; 256] = {
 };
 
 /// CRC32 (IEEE) of `bytes` — the checksum carried in every frame
-/// header and in the checkpoint file trailer.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// header.
+fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

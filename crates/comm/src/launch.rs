@@ -3,7 +3,7 @@
 //!
 //! [`run_job`] spawns `ranks` copies of a command as the rank
 //! processes of one job meshed over `/dev/shm` (env: `HPGMXP_RANK`,
-//! `HPGMXP_RANKS`, and a fresh `HPGMXP_SHM_ID` per attempt naming the
+//! `HPGMXP_RANKS`, and a fresh `HPGMXP_SHM_ID` per job naming the
 //! world file, whose presence is what makes `run_spmd` join the
 //! mesh), forwards their output with
 //! `[  123ms] [rank i]` prefixes (milliseconds since launch, so
@@ -18,18 +18,9 @@
 //!   124 — a deadlocked mesh fails fast instead of hanging CI;
 //! * all ranks exiting zero is success.
 //!
-//! Once an attempt's ranks have exited or been reaped, the launcher
-//! removes that attempt's world file: rank 0 unlinks it only after
-//! every rank attached, so a job killed before then would leave it
-//! behind in `/dev/shm`.
-//!
-//! **Restart-based recovery.** With `retries > 0` a failed job (dead
-//! rank or timeout) is relaunched up to that many times with
-//! `HPGMXP_RESTORE=1` in the children's environment — the signal a
-//! checkpointing solver (see the core crate's `checkpoint` module)
-//! uses to resume from its last committed checkpoint instead of from
-//! scratch. `restore: true` sets the flag from the first attempt
-//! (resuming a job a previous launcher invocation left behind).
+//! Once the ranks have exited or been reaped, the launcher removes the
+//! job's world file: rank 0 unlinks it only after every rank attached,
+//! so a job killed before then would leave it behind in `/dev/shm`.
 
 use crate::shmem_world;
 use std::collections::VecDeque;
@@ -48,11 +39,6 @@ pub struct LaunchConfig {
     pub ranks: usize,
     /// Wall-clock budget before the job is declared hung and killed.
     pub timeout: Duration,
-    /// Relaunch a failed job up to this many times, with
-    /// `HPGMXP_RESTORE=1` set so checkpointing workloads resume.
-    pub retries: usize,
-    /// Set `HPGMXP_RESTORE=1` from the first attempt.
-    pub restore: bool,
     /// Arm per-rank tracing in every child: sets `HPGMXP_TRACE_DIR`
     /// to this directory (and `HPGMXP_TRACE=spans` unless the
     /// launcher's own environment already picked a mode), so each rank
@@ -65,14 +51,11 @@ pub struct LaunchConfig {
 }
 
 impl LaunchConfig {
-    /// A job with the defaults the CLI uses (300 s timeout, no
-    /// retries).
+    /// A job with the defaults the CLI uses (300 s timeout).
     pub fn new(ranks: usize, cmd: Vec<String>) -> Self {
         LaunchConfig {
             ranks,
             timeout: Duration::from_secs(300),
-            retries: 0,
-            restore: false,
             trace_dir: None,
             env: Vec::new(),
             cmd,
@@ -82,8 +65,8 @@ impl LaunchConfig {
 
 /// The usage line (kept in one place so the binary and the parser
 /// error paths print the same text).
-pub const USAGE: &str = "usage: hpgmxp-launch -n <ranks> [--timeout-secs T] [--retries N] \
-                         [--restore] [--trace-dir DIR] -- <command> [args...]";
+pub const USAGE: &str =
+    "usage: hpgmxp-launch -n <ranks> [--timeout-secs T] [--trace-dir DIR] -- <command> [args...]";
 
 /// Parse CLI arguments (everything after the program name) into a
 /// [`LaunchConfig`]. Errors are specific — they name the flag and the
@@ -100,8 +83,6 @@ pub fn parse_args(args: &[String]) -> Result<LaunchConfig, String> {
 
     let mut ranks: Option<usize> = None;
     let mut timeout = Duration::from_secs(300);
-    let mut retries = 0usize;
-    let mut restore = false;
     let mut trace_dir: Option<String> = None;
     let mut cmd: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -123,13 +104,6 @@ pub fn parse_args(args: &[String]) -> Result<LaunchConfig, String> {
                         .map_err(|_| format!("--timeout-secs expects seconds, got {v:?}"))?,
                 );
             }
-            "--retries" => {
-                let v = value(&mut it, arg, "a retry count")?;
-                retries = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--retries expects a count, got {v:?}"))?;
-            }
-            "--restore" => restore = true,
             "--trace-dir" => {
                 trace_dir = Some(value(&mut it, arg, "a directory path")?.to_string());
             }
@@ -144,53 +118,36 @@ pub fn parse_args(args: &[String]) -> Result<LaunchConfig, String> {
     if cmd.is_empty() {
         return Err("missing command: everything after `--` is the rank command".into());
     }
-    Ok(LaunchConfig { ranks, timeout, retries, restore, trace_dir, env: Vec::new(), cmd })
+    Ok(LaunchConfig { ranks, timeout, trace_dir, env: Vec::new(), cmd })
 }
 
-/// Run (and, per `retries`, re-run) the job; returns the exit code the
-/// launcher process should report: 0 on success, the first dead rank's
-/// code on rank death, 124 on timeout.
+/// Run the job; returns the exit code the launcher process should
+/// report: 0 on success, the first dead rank's code on rank death, 124
+/// on timeout.
 pub fn run_job(config: &LaunchConfig) -> i32 {
-    let mut restore = config.restore;
-    for attempt in 0..=config.retries {
-        let shm_id = fresh_shm_id();
-        let code = run_once(config, restore, &shm_id);
-        // Every rank has exited or been reaped by now, so nothing can
-        // attach to this attempt's world any more.
-        match std::fs::remove_file(shmem_world::world_path(&shm_id)) {
-            Err(e) if e.kind() != ErrorKind::NotFound => {
-                eprintln!("[launch] could not remove the world file of attempt {shm_id}: {e}")
-            }
-            _ => {}
+    let shm_id = fresh_shm_id();
+    let code = run_once(config, &shm_id);
+    // Every rank has exited or been reaped by now, so nothing can
+    // attach to this job's world any more.
+    match std::fs::remove_file(shmem_world::world_path(&shm_id)) {
+        Err(e) if e.kind() != ErrorKind::NotFound => {
+            eprintln!("[launch] could not remove the world file of job {shm_id}: {e}")
         }
-        if code == 0 {
-            return 0;
-        }
-        if attempt < config.retries {
-            eprintln!(
-                "[launch] job failed (exit {code}) — relaunching with restore \
-                 (attempt {} of {})",
-                attempt + 2,
-                config.retries + 1
-            );
-            restore = true;
-        } else {
-            return code;
-        }
+        _ => {}
     }
-    unreachable!("the retry loop always returns");
+    code
 }
 
-/// A job-unique shared-memory world id: a crashed attempt must never
-/// collide with its own retry (rank 0 creates the world file with
-/// `create_new`), so every attempt draws a fresh suffix.
+/// A job-unique shared-memory world id: rank 0 creates the world file
+/// with `create_new`, so two jobs run from one process (the launcher
+/// tests) must never share one, and each draws a fresh suffix.
 fn fresh_shm_id() -> String {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    static ATTEMPT: AtomicUsize = AtomicUsize::new(0);
-    format!("{}-{}", std::process::id(), ATTEMPT.fetch_add(1, Ordering::SeqCst))
+    static JOB: AtomicUsize = AtomicUsize::new(0);
+    format!("{}-{}", std::process::id(), JOB.fetch_add(1, Ordering::SeqCst))
 }
 
-fn run_once(config: &LaunchConfig, restore: bool, shm_id: &str) -> i32 {
+fn run_once(config: &LaunchConfig, shm_id: &str) -> i32 {
     // Anchor the output-timestamp epoch at spawn time, not at the
     // first forwarded line — a child that is silent for its whole
     // startup should still print a large first offset.
@@ -207,9 +164,6 @@ fn run_once(config: &LaunchConfig, restore: bool, shm_id: &str) -> i32 {
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped());
-        if restore {
-            c.env("HPGMXP_RESTORE", "1");
-        }
         if let Some(dir) = &config.trace_dir {
             c.env("HPGMXP_TRACE_DIR", dir);
             // Arm full span tracing unless the caller already chose a
@@ -354,23 +308,10 @@ mod tests {
 
     #[test]
     fn parses_a_full_command_line() {
-        let cfg = parse_args(&argv(&[
-            "-n",
-            "4",
-            "--timeout-secs",
-            "20",
-            "--retries",
-            "2",
-            "--restore",
-            "--",
-            "my-app",
-            "--flag",
-        ]))
-        .unwrap();
+        let cfg = parse_args(&argv(&["-n", "4", "--timeout-secs", "20", "--", "my-app", "--flag"]))
+            .unwrap();
         assert_eq!(cfg.ranks, 4);
         assert_eq!(cfg.timeout, Duration::from_secs(20));
-        assert_eq!(cfg.retries, 2);
-        assert!(cfg.restore);
         assert_eq!(cfg.cmd, vec!["my-app".to_string(), "--flag".to_string()]);
     }
 
@@ -386,15 +327,19 @@ mod tests {
     }
 
     #[test]
-    fn transport_and_port_options_are_unknown() {
-        // Every launched rank meshes over /dev/shm: nothing selects a
-        // transport or a rendezvous port, and the old options fail
+    fn removed_options_are_unknown() {
+        // Every launched rank meshes over /dev/shm, and a job runs
+        // once: nothing selects a transport or a rendezvous port, or
+        // relaunches and restores a failed job. The old options fail
         // like any typo (the binary exits 2 on a parse error).
-        for args in [
-            ["-n", "2", "--comm", "shmem", "--", "app"],
-            ["-n", "2", "--port", "29400", "--", "app"],
-        ] {
-            let err = parse_args(&argv(&args)).unwrap_err();
+        let cases: [&[&str]; 4] = [
+            &["-n", "2", "--comm", "shmem", "--", "app"],
+            &["-n", "2", "--port", "29400", "--", "app"],
+            &["-n", "2", "--retries", "1", "--", "app"],
+            &["-n", "2", "--restore", "--", "app"],
+        ];
+        for args in cases {
+            let err = parse_args(&argv(args)).unwrap_err();
             assert!(err.contains("unknown option") && err.contains(args[2]), "{err}");
         }
     }

@@ -19,7 +19,7 @@
 //! * [`mesh`] — [`MeshComm`]: a rank *process*'s endpoint in a framed
 //!   mesh over any per-peer byte pipe ([`mesh::Link`]): the [`frame`]d
 //!   wire protocol, per-peer recycled receive pools, the
-//!   ledger-flushing barrier, heartbeats, and wire-fault injection,
+//!   ledger-flushing barrier, heartbeats and failure detection,
 //!   written once (ranks are started by the `hpgmxp-launch` binary);
 //! * [`shmem_world`] — [`ShmemWorld`]: the mesh over per-pair mmap'd
 //!   ring buffers in `/dev/shm` (rendezvous + `RingLink`), the one
@@ -51,7 +51,6 @@
 pub mod collectives;
 pub mod comm;
 pub mod error;
-pub mod fault;
 pub mod frame;
 pub mod halo;
 pub mod launch;
@@ -75,7 +74,6 @@ pub(crate) fn trace_mode_lock() -> std::sync::MutexGuard<'static, ()> {
 pub use collectives::{rd_rounds, CollStats};
 pub use comm::{Comm, RecvPost, ReduceOp, SelfComm};
 pub use error::{CommError, CommErrorKind, CommResult};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyComm};
 pub use halo::{ActiveExchange, HaloExchange};
 pub use mesh::{MeshComm, MeshConfig};
 pub use shmem_world::{ShmemComm, ShmemWorld};

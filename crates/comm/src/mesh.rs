@@ -6,14 +6,14 @@
 //! byte pipe with a closed flag — today an SPSC ring in shared memory
 //! ([`crate::shmem_world`], which holds the rendezvous that builds the
 //! links and nothing else). Framing, CRC, mailbox delivery, buffer
-//! pools, the flush barrier, failure detection, fault injection, and
-//! the `Comm` implementation all live here, so the wire format stays
+//! pools, the flush barrier, failure detection, and the `Comm`
+//! implementation all live here, so the wire format stays
 //! in one place and a future fabric is one more `Link`.
 //!
 //! ## Data path
 //!
 //! Each link has a reader thread that decodes [`crate::frame`] frames
-//! into the rank's shared [`crate::mailbox::Mailbox`] — the same
+//! into the rank's shared `Mailbox` — the same
 //! tag-parking inbox the thread world uses, so FIFO-per-pair and
 //! unexpected-message semantics are inherited rather than
 //! re-implemented. Receive buffers come from a *per-peer recycled
@@ -21,7 +21,7 @@
 //! per-link reusable buffer and hand the link one whole frame; at
 //! steady state neither direction allocates, preserving the
 //! zero-allocation property the halo suite asserts. A reader that
-//! loses its peer calls [`crate::mailbox::Mailbox::fail`] so blocked
+//! loses its peer calls `Mailbox::fail` so blocked
 //! receives die with "connection to rank R lost" instead of hanging.
 //!
 //! ## Collectives and the flush barrier
@@ -50,7 +50,7 @@
 //! barrier, which `r` only enters once its flush is done (the pattern
 //! [`MeshComm::quiesce`] uses).
 //!
-//! ## Fault detection and injection
+//! ## Fault detection
 //!
 //! Failures are *detected within bounded time and attributed to a
 //! rank* instead of hanging the job ([`MeshConfig`] tunes the knobs,
@@ -71,14 +71,6 @@
 //!   and barrier wait with a typed `Timeout` — the detector for a peer
 //!   that is alive (still heartbeating) but hung.
 //!
-//! A [`crate::fault::FaultPlan`] (from `HPGMXP_FAULT_PLAN`) arms a
-//! frame-level interposer on the send path: seeded drop / delay /
-//! duplicate / corrupt on outgoing *data* frames (corruption flips a
-//! byte after the CRC is computed, so the receiver must catch it) and
-//! scripted crash/hang events keyed on the outgoing-data-frame index.
-//! Reordering is a `Comm`-level fault (see [`crate::fault::FaultyComm`]);
-//! frame order within one link is the protocol's own invariant.
-//!
 //! ## Writing a `Link`
 //!
 //! A new fabric is a rendezvous that produces one `(Link, Reader)`
@@ -95,7 +87,6 @@
 use crate::collectives::{self, CollCounters, CollScratch, CollStats, COLLECTIVE_TAG_BIT};
 use crate::comm::{Comm, RecvPost, ReduceOp};
 use crate::error::{CommError, CommErrorKind, CommResult};
-use crate::fault::{FaultKind, FaultPlan, SplitMix64};
 use crate::frame::{read_frame, stage_frame, HEADER_LEN};
 use crate::mailbox::{deliver, pool_put, pool_take, BufPool, Mailbox, Message};
 use hpgmxp_trace::{counter, histogram};
@@ -144,8 +135,7 @@ pub(crate) fn connect_timeout() -> Duration {
     Duration::from_secs(env_knob("HPGMXP_CONNECT_TIMEOUT_SECS").unwrap_or(60))
 }
 
-/// Fault-detection knobs and fault-injection plan of one mesh
-/// endpoint.
+/// Fault-detection knobs of one mesh endpoint.
 #[derive(Clone, Debug, Default)]
 pub struct MeshConfig {
     /// Bound on every blocking receive and barrier wait
@@ -160,9 +150,6 @@ pub struct MeshConfig {
     /// from it for this long, or when a send to it stalled this long
     /// (`HPGMXP_PEER_TIMEOUT_MILLIS`; default 10 s, 0 = off).
     pub peer_timeout: Option<Duration>,
-    /// Wire-fault injection plan (`HPGMXP_FAULT_PLAN`: inline JSON or
-    /// a path to it).
-    pub faults: Option<FaultPlan>,
 }
 
 impl MeshConfig {
@@ -173,7 +160,6 @@ impl MeshConfig {
             recv_deadline: env_millis("HPGMXP_RECV_DEADLINE_MILLIS", None),
             heartbeat: env_millis("HPGMXP_HEARTBEAT_MILLIS", Some(500)),
             peer_timeout: env_millis("HPGMXP_PEER_TIMEOUT_MILLIS", Some(10_000)),
-            faults: FaultPlan::from_env(),
         }
     }
 }
@@ -244,11 +230,6 @@ struct FramedMesh<L> {
     /// Milliseconds since `epoch` at which each peer was last heard
     /// from (any frame, heartbeat included). The watchdog's evidence.
     last_heard: Vec<AtomicU64>,
-    /// Outgoing-data-frame counter — the exchange index the fault
-    /// plan's scripted events key on.
-    fault_ops: AtomicU64,
-    /// Seeded per-rank stream driving probabilistic wire faults.
-    fault_rng: Mutex<SplitMix64>,
 }
 
 impl<L> FramedMesh<L> {
@@ -310,7 +291,6 @@ impl<L: Link> MeshComm<L> {
                 None => (None, None),
             })
             .unzip();
-        let fault_seed = config.faults.as_ref().map(|p| p.seed).unwrap_or(0);
         let shared = Arc::new(FramedMesh {
             rank,
             size,
@@ -329,8 +309,6 @@ impl<L: Link> MeshComm<L> {
             config,
             epoch: Instant::now(),
             last_heard: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            fault_ops: AtomicU64::new(0),
-            fault_rng: Mutex::new(SplitMix64::for_rank(fault_seed, rank as u64)),
         });
 
         for (peer, reader) in readers.into_iter().enumerate() {
@@ -356,8 +334,7 @@ impl<L: Link> MeshComm<L> {
     /// Frame and send on the peer's link, or self-deliver. Used by both
     /// `send_from` (data tags, counted on the flush ledger) and
     /// the collectives (reserved tags, uncounted). A write failure is a
-    /// typed `PeerLost` fault — and this is the seam where an armed
-    /// [`FaultPlan`] injects wire faults into outgoing data frames.
+    /// typed `PeerLost` fault.
     fn send_raw(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
         let s = &self.shared;
         assert!(to < s.size, "send to rank {to} in a world of {}", s.size);
@@ -371,91 +348,25 @@ impl<L: Link> MeshComm<L> {
             return Ok(());
         }
 
-        let mut corrupt_flip = None;
-        let mut duplicate = false;
-        if tag & COLLECTIVE_TAG_BIT == 0 {
-            if let Some(plan) = &s.config.faults {
-                // Scripted events key on this rank's outgoing-data-frame
-                // index — deterministic given the program's send order.
-                let n = s.fault_ops.fetch_add(1, Ordering::SeqCst);
-                if let Some(event) = plan.event_at(s.rank, n) {
-                    match event.kind {
-                        FaultKind::CrashRank => {
-                            eprintln!(
-                                "rank {} crashing deliberately at exchange {n} (fault plan seed \
-                                 {})",
-                                s.rank, plan.seed
-                            );
-                            std::process::exit(7);
-                        }
-                        FaultKind::HangRank => {
-                            eprintln!(
-                                "rank {} hanging deliberately at exchange {n} for {:?} (fault \
-                                 plan seed {})",
-                                s.rank,
-                                plan.hang_duration(),
-                                plan.seed
-                            );
-                            std::thread::sleep(plan.hang_duration());
-                        }
-                    }
-                }
-                if plan.has_wire_faults() {
-                    let (dropped, delayed, dup, corrupt, flip) = {
-                        let mut rng = s.fault_rng.lock().unwrap_or_else(|e| e.into_inner());
-                        (
-                            rng.hit(plan.drop),
-                            rng.hit(plan.delay),
-                            rng.hit(plan.duplicate),
-                            rng.hit(plan.corrupt),
-                            rng.next_u64(),
-                        )
-                    };
-                    if dropped {
-                        // Vanishes *without* touching the sent ledger:
-                        // the flush barrier stays consistent, and the
-                        // receiver's deadline is what detects the loss.
-                        return Ok(());
-                    }
-                    if delayed {
-                        std::thread::sleep(plan.delay_duration());
-                    }
-                    duplicate = dup;
-                    if corrupt && !bytes.is_empty() {
-                        corrupt_flip = Some(flip);
-                    }
-                }
-            }
-        }
-
         let mut half =
             s.senders[to].as_ref().expect("peer link").lock().unwrap_or_else(|e| e.into_inner());
         stage_frame(&mut half.staging, s.rank, tag, bytes);
-        if let Some(flip) = corrupt_flip {
-            // Flip one payload byte *after* the CRC was computed — the
-            // receiver's checksum, not this rank, must catch it.
-            let i = HEADER_LEN + (flip as usize) % bytes.len();
-            half.staging[i] ^= 1 << ((flip >> 32) & 7);
-        }
         if tag & COLLECTIVE_TAG_BIT == 0 {
-            s.data_sent[to].fetch_add(1 + duplicate as u64, Ordering::SeqCst);
+            s.data_sent[to].fetch_add(1, Ordering::SeqCst);
         }
         counter!("wire.frames_tx").inc();
         counter!("wire.bytes_tx").add(half.staging.len() as u64);
         let SendHalf { link, staging } = &mut *half;
         let started = Instant::now();
-        for _ in 0..1 + duplicate as usize {
-            link.write_frame(staging, s.config.peer_timeout).map_err(|e| {
-                CommError::new(
-                    CommErrorKind::PeerLost,
-                    Some(to),
-                    format!("send to rank {to} failed: {e}"),
-                )
-                .with_tag(tag)
-                .with_elapsed(started.elapsed())
-            })?;
-        }
-        Ok(())
+        link.write_frame(staging, s.config.peer_timeout).map_err(|e| {
+            CommError::new(
+                CommErrorKind::PeerLost,
+                Some(to),
+                format!("send to rank {to} failed: {e}"),
+            )
+            .with_tag(tag)
+            .with_elapsed(started.elapsed())
+        })
     }
 
     /// Copy a matched message out and recycle its buffer into the
@@ -1082,7 +993,6 @@ pub(crate) mod suite {
             recv_deadline: Some(Duration::from_millis(100)),
             heartbeat: beat,
             peer_timeout: Some(Duration::from_secs(30)),
-            ..Default::default()
         };
         let hung = MeshConfig { heartbeat: beat, ..Default::default() };
         run_pair::<L>(waiter, hung, |c| {
@@ -1100,16 +1010,16 @@ pub(crate) mod suite {
     }
 
     pub(crate) fn corrupted_frame_is_detected_and_attributed<L: TestWorld>() {
-        // Rank 0's interposer flips a payload byte after the CRC is
-        // computed; rank 1's reader must reject the frame and attribute
-        // the corruption to rank 0.
-        let corruptor = MeshConfig {
-            faults: Some(FaultPlan { corrupt: Some(1.0), ..FaultPlan::clean(3) }),
-            ..Default::default()
-        };
-        run_pair::<L>(corruptor, MeshConfig::default(), |c| {
+        // Rank 0 stages a frame, flips a payload byte after the CRC was
+        // computed and writes it straight onto its link; rank 1's reader
+        // must reject the frame and attribute the corruption to rank 0.
+        run_world::<L, _>(2, |c| {
             if c.rank() == 0 {
-                c.send_from(1, 9, &[1, 2, 3, 4]).unwrap();
+                let mut frame = Vec::new();
+                stage_frame(&mut frame, 0, 9, &[1, 2, 3, 4]);
+                frame[HEADER_LEN + 2] ^= 0x10;
+                let half = c.shared.senders[1].as_ref().expect("peer link");
+                half.lock().unwrap().link.write_frame(&frame, None).unwrap();
                 return;
             }
             let mut buf = [0u8; 4];
@@ -1117,49 +1027,6 @@ pub(crate) mod suite {
             assert_eq!(err.kind, CommErrorKind::Corrupt);
             assert_eq!(err.peer, Some(0));
             assert!(err.detail.contains("corrupt frame from rank 0"), "{}", err.detail);
-        });
-    }
-
-    pub(crate) fn dropped_frame_is_caught_by_deadline_and_barrier_stays_consistent<L: TestWorld>() {
-        // A dropped data frame must not wedge the flush barrier (the
-        // drop is uncounted on the sent ledger); the receiver's typed
-        // Timeout is the detection.
-        let dropper = MeshConfig {
-            faults: Some(FaultPlan { drop: Some(1.0), ..FaultPlan::clean(11) }),
-            ..Default::default()
-        };
-        let receiver =
-            MeshConfig { recv_deadline: Some(Duration::from_millis(100)), ..Default::default() };
-        run_pair::<L>(dropper, receiver, |c| {
-            if c.rank() == 0 {
-                c.send_from(1, 5, &[42]).unwrap(); // vanishes on the wire
-            } else {
-                let mut buf = [0u8; 1];
-                let err = c.recv_into(0, 5, &mut buf).unwrap_err();
-                assert_eq!(err.kind, CommErrorKind::Timeout);
-            }
-            c.barrier().unwrap(); // must still complete
-        });
-    }
-
-    pub(crate) fn duplicated_frames_are_counted_and_both_delivered<L: TestWorld>() {
-        // A duplicated frame counts twice on the sent ledger, so the
-        // flush barrier still balances — and both copies park.
-        let duper = MeshConfig {
-            faults: Some(FaultPlan { duplicate: Some(1.0), ..FaultPlan::clean(7) }),
-            ..Default::default()
-        };
-        run_pair::<L>(duper, MeshConfig::default(), |c| {
-            if c.rank() == 0 {
-                c.send_from(1, 6, &[9]).unwrap();
-                c.barrier().unwrap();
-            } else {
-                c.barrier().unwrap(); // flushes both copies into the mailbox
-                let mut buf = [0u8; 1];
-                assert!(c.try_recv_into(0, 6, &mut buf));
-                assert_eq!(buf[0], 9);
-                assert!(c.try_recv_into(0, 6, &mut buf), "the duplicate is parked too");
-            }
         });
     }
 
@@ -1179,8 +1046,6 @@ pub(crate) mod suite {
                 silent_peer_trips_the_heartbeat_watchdog,
                 receive_deadline_detects_a_hung_but_heartbeating_peer,
                 corrupted_frame_is_detected_and_attributed,
-                dropped_frame_is_caught_by_deadline_and_barrier_stays_consistent,
-                duplicated_frames_are_counted_and_both_delivered,
             );
         };
         ($link:ty: $($test:ident,)*) => {

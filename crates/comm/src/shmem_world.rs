@@ -9,9 +9,8 @@
 //! `j` by copying [`crate::frame`]-encoded bytes into ring `(i, j)`
 //! and publishing a new head counter. This module is the mmap rendezvous plus
 //! [`RingLink`]; the frame protocol, CRC, per-peer recycled receive
-//! pools, shared [`crate::mailbox::Mailbox`], heartbeats, receive
-//! deadlines, and the fault-injection interposer are the shared
-//! [`crate::mesh`], written against the [`Link`] seam so another
+//! pools, shared mailbox, heartbeats and receive deadlines are the
+//! shared [`crate::mesh`], written against the [`Link`] seam so another
 //! fabric would only add its own byte channel.
 //!
 //! ## File layout
@@ -355,8 +354,8 @@ impl ShmemWorld {
         Self::connect_with_config(rank, size, shm_id, MeshConfig::from_env())
     }
 
-    /// [`ShmemWorld::connect`] with explicit fault-detection knobs and
-    /// injection plan — the chaos tests' entry point.
+    /// [`ShmemWorld::connect`] with explicit fault-detection knobs —
+    /// the chaos tests' entry point.
     pub fn connect_with_config(
         rank: usize,
         size: usize,

@@ -4,7 +4,7 @@
 //! [`run_threads`] spawns one thread per rank and runs the same closure
 //! on each — the SPMD execution model of the MPI benchmark. Message
 //! delivery is FIFO per (sender → receiver) pair, like MPI; out-of-tag
-//! arrivals stay parked in the shared [`crate::mailbox::Mailbox`] until
+//! arrivals stay parked in the shared `Mailbox` until
 //! a matching receive, which is MPI's unexpected-message queue.
 //!
 //! The v2 transport is allocation-free at steady state: `send_from`
@@ -19,7 +19,7 @@
 //! peer's mailbox, a panicking rank records `PeerLost` — and because
 //! collectives are message-based (the shared [`crate::collectives`]
 //! engine over these same mailboxes), a collective on a surviving rank
-//! fails with a typed [`CommError`] naming the dead rank instead of
+//! fails with a typed [`CommError`](crate::CommError) naming the dead rank instead of
 //! hanging. Because parked messages are matched before faults,
 //! everything a rank sent before finishing stays receivable. Worlds
 //! built with [`ThreadWorld::connect_with`] can additionally bound

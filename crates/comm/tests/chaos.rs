@@ -1,5 +1,6 @@
-//! Chaos tests: seeded fault plans driven through [`FaultyComm`] over a
-//! 4-rank thread world. The invariants under test:
+//! Chaos tests: seeded fault plans driven through a fault-injecting
+//! [`Comm`] wrapper over a 4-rank thread world and an in-process shmem
+//! mesh. The invariants under test:
 //!
 //! * a crashed or hung rank never wedges its peers — every survivor
 //!   returns a *typed* [`CommError`] within the recv deadline;
@@ -15,18 +16,182 @@
 #![recursion_limit = "512"]
 
 use hpgmxp_comm::{
-    run_threads_fallible, Comm, CommError, CommErrorKind, CommResult, FaultEvent, FaultKind,
-    FaultPlan, FaultyComm, MeshConfig, ReduceOp, ShmemWorld, ThreadComm,
+    run_threads_fallible, Comm, CommError, CommErrorKind, CommResult, MeshConfig, RecvPost,
+    ReduceOp, ShmemWorld,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// What a scripted event does to its rank.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// The rank panics — a thread-world rank death.
+    Crash,
+    /// The rank stalls this long, then resumes — long enough for its
+    /// peers' deadlines to fire.
+    Hang(Duration),
+}
+
+/// A replayable chaos scenario: at most one scripted event plus seeded
+/// benign wire faults, each a per-send probability.
+#[derive(Clone, Debug, Default)]
+struct FaultPlan {
+    /// Seed of the per-rank wire-fault streams.
+    seed: u64,
+    /// `(rank, exchange index, fault)`: `rank` misbehaves at its
+    /// `index`-th comm operation (every send, allreduce and barrier
+    /// advances the index by one, in program order).
+    event: Option<(usize, u64, Fault)>,
+    /// Probability a message is sent twice.
+    duplicate: f64,
+    /// Probability a send is delayed by 2 ms.
+    delay: f64,
+    /// Probability a message is held back and sent after the next one.
+    reorder: f64,
+}
+
+impl FaultPlan {
+    fn clean(seed: u64) -> Self {
+        FaultPlan { seed, ..Default::default() }
+    }
+}
+
+/// A [`Comm`] wrapper that fires the plan's scripted events at this
+/// rank's comm operations and its wire faults on this rank's sends.
+/// Deterministic per (plan seed, rank).
+struct FaultyComm<C: Comm> {
+    inner: C,
+    plan: FaultPlan,
+    /// SplitMix64 state of this rank's wire-fault stream.
+    rng: Mutex<u64>,
+    /// A message held back by a reorder fault: `(to, tag, bytes)`.
+    stash: Mutex<Option<(usize, u64, Vec<u8>)>>,
+    /// This rank's comm-operation counter (the exchange index).
+    ops: AtomicU64,
+}
+
+impl<C: Comm> FaultyComm<C> {
+    fn new(inner: C, plan: FaultPlan) -> Self {
+        let rng = plan.seed ^ (inner.rank() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        FaultyComm {
+            inner,
+            plan,
+            rng: Mutex::new(rng),
+            stash: Mutex::new(None),
+            ops: AtomicU64::new(0),
+        }
+    }
+
+    /// Advance the exchange index and fire any scripted event due now.
+    fn tick(&self) {
+        let n = self.ops.fetch_add(1, Ordering::SeqCst);
+        let rank = self.inner.rank();
+        match self.plan.event {
+            Some((victim, at, Fault::Crash)) if (victim, at) == (rank, n) => {
+                panic!("rank {rank} crashed by fault plan at exchange {n}")
+            }
+            Some((victim, at, Fault::Hang(stall))) if (victim, at) == (rank, n) => {
+                std::thread::sleep(stall)
+            }
+            _ => {}
+        }
+    }
+
+    /// A Bernoulli draw at probability `p` from the SplitMix64 stream.
+    fn hit(&self, p: f64) -> bool {
+        if p <= 0.0 {
+            return false;
+        }
+        let mut state = self.rng.lock().unwrap();
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
+    }
+
+    /// Deliver a reorder-stashed message now. Called before collectives
+    /// (a peer blocked on the held message may never reach the barrier
+    /// otherwise) and at drop (it may have been the last send).
+    fn flush_stash(&self) -> CommResult<()> {
+        match self.stash.lock().unwrap().take() {
+            Some((to, tag, bytes)) => self.inner.send_from(to, tag, &bytes),
+            None => Ok(()),
+        }
+    }
+}
+
+impl<C: Comm> Drop for FaultyComm<C> {
+    fn drop(&mut self) {
+        let _ = self.flush_stash();
+    }
+}
+
+impl<C: Comm> Comm for FaultyComm<C> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+
+    fn send_from(&self, to: usize, tag: u64, bytes: &[u8]) -> CommResult<()> {
+        self.tick();
+        if self.hit(self.plan.delay) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let duplicate = self.hit(self.plan.duplicate);
+        if self.hit(self.plan.reorder) {
+            let mut stash = self.stash.lock().unwrap();
+            if stash.is_none() {
+                *stash = Some((to, tag, bytes.to_vec()));
+                return Ok(());
+            }
+        }
+        self.inner.send_from(to, tag, bytes)?;
+        if duplicate {
+            self.inner.send_from(to, tag, bytes)?;
+        }
+        self.flush_stash()
+    }
+
+    fn recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> CommResult<()> {
+        self.inner.recv_into(from, tag, out)
+    }
+
+    fn try_recv_into(&self, from: usize, tag: u64, out: &mut [u8]) -> bool {
+        self.inner.try_recv_into(from, tag, out)
+    }
+
+    fn wait_any<'p>(
+        &self,
+        posts: &mut [Option<RecvPost<'p>>],
+    ) -> CommResult<Option<(usize, RecvPost<'p>)>> {
+        self.inner.wait_any(posts)
+    }
+
+    fn allreduce_checked(&self, vals: &mut [f64], op: ReduceOp) -> CommResult<()> {
+        self.tick();
+        self.flush_stash()?;
+        self.inner.allreduce_checked(vals, op)
+    }
+
+    fn barrier(&self) -> CommResult<()> {
+        self.tick();
+        self.flush_stash()?;
+        self.inner.barrier()
+    }
+}
 
 const P: usize = 4;
 
 /// A deterministic SPMD workload: `rounds` of (allreduce, ring
 /// send/recv). Returns the final allreduce value so clean runs can be
 /// compared across fault plans.
-fn ring_workload(c: &FaultyComm<ThreadComm>, rounds: usize) -> CommResult<f64> {
+fn ring_workload<C: Comm>(c: &C, rounds: usize) -> CommResult<f64> {
     let rank = c.rank();
     let size = c.size();
     let next = (rank + 1) % size;
@@ -55,9 +220,12 @@ fn run_plan(
 }
 
 fn crash_plan(seed: u64, rank: usize, at_exchange: u64) -> FaultPlan {
-    let mut plan = FaultPlan::clean(seed);
-    plan.events = Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank, at_exchange }]);
-    plan
+    FaultPlan { event: Some((rank, at_exchange, Fault::Crash)), ..FaultPlan::clean(seed) }
+}
+
+fn hang_plan(seed: u64, rank: usize, at_exchange: u64, millis: u64) -> FaultPlan {
+    let stall = Fault::Hang(Duration::from_millis(millis));
+    FaultPlan { event: Some((rank, at_exchange, stall)), ..FaultPlan::clean(seed) }
 }
 
 #[test]
@@ -90,9 +258,7 @@ fn crashed_rank_surfaces_typed_errors_on_every_survivor() {
 
 #[test]
 fn hung_rank_is_detected_within_the_deadline() {
-    let mut plan = FaultPlan::clean(5);
-    plan.hang_millis = Some(900);
-    plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 2, at_exchange: 6 }]);
+    let plan = hang_plan(5, 2, 6, 900);
     let results = run_plan(&plan, 20, Duration::from_millis(200));
     // A hung rank still holds its endpoint (it heartbeats in the shmem
     // mesh; here it simply sleeps), so the *only* way peers notice is
@@ -127,11 +293,7 @@ fn benign_wire_faults_do_not_change_the_answer() {
         .into_iter()
         .map(|r| r.expect("no panics").expect("no faults"))
         .collect();
-    let mut noisy_plan = FaultPlan::clean(3);
-    noisy_plan.duplicate = Some(0.3);
-    noisy_plan.delay = Some(0.2);
-    noisy_plan.delay_millis = Some(2);
-    noisy_plan.reorder = Some(0.25);
+    let noisy_plan = FaultPlan { duplicate: 0.3, delay: 0.2, reorder: 0.25, ..FaultPlan::clean(3) };
     let noisy: Vec<f64> = run_plan(&noisy_plan, 12, Duration::from_secs(20))
         .into_iter()
         .map(|r| r.expect("no panics").expect("benign faults must not error"))
@@ -264,9 +426,7 @@ fn crash_inside_an_allreduce_fails_typed() {
 
 #[test]
 fn hang_inside_an_allreduce_times_out() {
-    let mut plan = FaultPlan::clean(22);
-    plan.hang_millis = Some(1_200);
-    plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 2, at_exchange: 4 }]);
+    let plan = hang_plan(22, 2, 4, 1_200);
     let results = run_threads_fallible(P, Some(Duration::from_millis(200)), move |c| {
         let c = FaultyComm::new(c, plan.clone());
         collective_workload(&c, 20)
@@ -293,7 +453,6 @@ where
         recv_deadline: Some(deadline),
         heartbeat: Some(Duration::from_millis(50)),
         peer_timeout: Some(Duration::from_secs(5)),
-        faults: None,
     };
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..P)
@@ -313,10 +472,7 @@ fn crash_inside_a_shmem_exchange_fails_typed() {
     // outgoing rings closed, so survivors see PeerClosed (or their
     // deadline, whichever their blocking wait hits first).
     let results = run_shmem_fallible(Duration::from_millis(400), |c| {
-        let mut plan = FaultPlan::clean(31);
-        plan.events =
-            Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 3, at_exchange: 4 }]);
-        let c = FaultyComm::new(c, plan);
+        let c = FaultyComm::new(c, crash_plan(31, 3, 4));
         collective_workload(&c, 20)
     });
     assert!(results[3].is_err(), "rank 3 must have crashed");
@@ -326,10 +482,7 @@ fn crash_inside_a_shmem_exchange_fails_typed() {
 #[test]
 fn hang_inside_a_shmem_exchange_times_out() {
     let results = run_shmem_fallible(Duration::from_millis(250), |c| {
-        let mut plan = FaultPlan::clean(32);
-        plan.hang_millis = Some(1_500);
-        plan.events = Some(vec![FaultEvent { kind: FaultKind::HangRank, rank: 1, at_exchange: 6 }]);
-        let c = FaultyComm::new(c, plan);
+        let c = FaultyComm::new(c, hang_plan(32, 1, 6, 1_500));
         collective_workload(&c, 20)
     });
     // A hung shmem rank still heartbeats (its emitter thread is alive),

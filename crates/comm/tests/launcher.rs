@@ -100,7 +100,8 @@ fn bad_arguments_print_usage_and_exit_2() {
         &["-n", "2"],                                  // missing `-- command`
         &["--", "true"],                               // missing -n
         &["-n", "zero", "--", "true"],                 // unparseable rank count
-        &["-n", "2", "--retries"],                     // flag missing its value
+        &["-n", "2", "--timeout-secs"],                // flag missing its value
+        &["-n", "2", "--retries"],                     // no relaunch: unknown option
         &["--frobnicate", "--", "true"],               // unknown option
         &["-n", "2", "--comm", "shmem", "--", "true"], // no transport to select
         &["-n", "2", "--port", "29400", "--", "true"], // no rendezvous port

@@ -9,7 +9,6 @@
 //! mixed solver reach the same 10⁻⁹ relative residual as the double
 //! solver — at roughly half the memory traffic per inner iteration.
 
-use crate::checkpoint::{self, CheckpointSpec};
 use crate::gmres::{gmres_cycle, CycleWorkspace, GmresOptions, SolveStats};
 use crate::motifs::{Motif, MotifStats};
 use crate::ops::{axpy_lo_mixed_op, dist_norm2, dist_spmv_checked, waxpby_op, OpCtx};
@@ -37,28 +36,24 @@ pub fn gmres_ir_solve_policy<C: Comm>(
     opts: &GmresOptions,
     timeline: &Timeline,
 ) -> (Vec<f64>, SolveStats) {
-    gmres_ir_solve_policy_checked(comm, prob, policy, opts, timeline, None)
+    gmres_ir_solve_policy_checked(comm, prob, policy, opts, timeline)
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`gmres_ir_solve_policy`] for fault-tolerant callers: transport
-/// faults surface as typed [`CommResult`] errors instead of panics, and
-/// an optional [`CheckpointSpec`] enables write-ahead checkpointing of
-/// the outer iteration plus restore-on-start. A restored run replays
-/// the remaining residual history bit-identically.
+/// faults surface as typed [`CommResult`] errors instead of panics.
 pub fn gmres_ir_solve_policy_checked<C: Comm>(
     comm: &C,
     prob: &LocalProblem,
     policy: &PrecisionPolicy,
     opts: &GmresOptions,
     timeline: &Timeline,
-    ckpt: Option<&CheckpointSpec>,
 ) -> CommResult<(Vec<f64>, SolveStats)> {
     let prec = policy.ctx();
     match policy.compute {
-        PrecKind::F64 => refine::<f64, C>(comm, prob, opts, timeline, prec, ckpt),
-        PrecKind::F32 => refine::<f32, C>(comm, prob, opts, timeline, prec, ckpt),
-        PrecKind::F16 => refine::<Half, C>(comm, prob, opts, timeline, prec, ckpt),
+        PrecKind::F64 => refine::<f64, C>(comm, prob, opts, timeline, prec),
+        PrecKind::F32 => refine::<f32, C>(comm, prob, opts, timeline, prec),
+        PrecKind::F16 => refine::<Half, C>(comm, prob, opts, timeline, prec),
     }
 }
 
@@ -73,7 +68,6 @@ fn refine<SLo: Scalar, C: Comm>(
     opts: &GmresOptions,
     timeline: &Timeline,
     inner_prec: PrecCtx,
-    ckpt: Option<&CheckpointSpec>,
 ) -> CommResult<(Vec<f64>, SolveStats)> {
     // Snapshot the transport's collective counters so the solve's own
     // traffic (allreduce rounds, per-rank receive counts) lands in
@@ -101,20 +95,6 @@ fn refine<SLo: Scalar, C: Comm>(
     let mut restarts = 0usize;
     let mut relres;
     let mut converged = false;
-
-    // Restore a prior run's outer state if requested. `rho0` and the
-    // ghost entries are deterministic recomputations, so resuming from
-    // `x` + counters + history replays the rest of the run exactly.
-    if let Some(spec) = ckpt {
-        if spec.restore {
-            if let Some(saved) = checkpoint::restore(comm, spec, n)? {
-                x[..n].copy_from_slice(&saved.x);
-                iters = saved.iters;
-                restarts = saved.restarts;
-                history = saved.history;
-            }
-        }
-    }
 
     loop {
         // Line 7: double-precision residual r = b − A x.
@@ -167,20 +147,6 @@ fn refine<SLo: Scalar, C: Comm>(
 
         // Line 47: mixed-precision solution update in double.
         axpy_lo_mixed_op(&mut stats, 1.0, &outcome.update, &mut x[..n]);
-
-        // Write-ahead checkpoint at the outer-iteration boundary: the
-        // next loop pass recomputes everything else from `x`.
-        if let Some(spec) = ckpt {
-            if restarts.is_multiple_of(spec.interval) {
-                let state = checkpoint::OuterState {
-                    iters,
-                    restarts,
-                    history: history.clone(),
-                    x: x[..n].to_vec(),
-                };
-                checkpoint::stage_and_commit(comm, spec, &state)?;
-            }
-        }
         if outcome.iters == 0 {
             break;
         }
@@ -380,7 +346,7 @@ mod tests {
 
     #[test]
     fn double_solver_is_the_f64_instance_of_the_refinement_loop() {
-        use hpgmxp_comm::{run_threads_fallible, FaultEvent, FaultKind, FaultPlan, FaultyComm};
+        use hpgmxp_comm::run_threads_fallible;
         let policy = PrecisionPolicy::f64();
         let opts = GmresOptions { max_iters: 500, track_history: true, ..Default::default() };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -416,18 +382,19 @@ mod tests {
 
         // … and a dead peer reaches the caller of the `Result` form as
         // a typed error, not a panic.
-        let mut plan = FaultPlan::clean(3);
-        plan.events =
-            Some(vec![FaultEvent { kind: FaultKind::CrashRank, rank: 1, at_exchange: 40 }]);
+        // Rank 1 leaves before solving, so rank 0 solves against a dead
+        // peer.
         let deadline = Some(std::time::Duration::from_millis(500));
         let outcomes = run_threads_fallible(2, deadline, |c| {
-            let c = FaultyComm::new(c, plan.clone());
+            if c.rank() == 1 {
+                return Ok(());
+            }
             let policy = PrecisionPolicy::f64();
             let prob = assemble_with_policy(&spec(procs, 16, 4), c.rank(), &policy);
             let tl = Timeline::disabled();
-            gmres_ir_solve_policy_checked(&c, &prob, &policy, &opts, &tl, None).map(|_| ())
+            gmres_ir_solve_policy_checked(&c, &prob, &policy, &opts, &tl).map(|_| ())
         });
-        assert!(outcomes[1].is_err(), "rank 1 crashes by plan");
+        assert!(matches!(outcomes[1], Ok(Ok(()))), "rank 1 leaves cleanly");
         match &outcomes[0] {
             Ok(Err(e)) => assert!(!e.to_string().is_empty()),
             other => panic!("rank 0 must see a typed transport fault, got {other:?}"),

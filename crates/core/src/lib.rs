@@ -23,8 +23,6 @@
 //! * [`gmres`] — restarted right-preconditioned GMRES, Algorithm 2;
 //! * [`gmres_ir`] — mixed-precision GMRES-IR, Algorithm 3;
 //! * [`cg`] — the HPCG baseline (preconditioned CG, Algorithm 1);
-//! * [`checkpoint`] — write-ahead checkpoint/restore of the GMRES-IR
-//!   outer iteration (crash-consistent two-phase commit, CRC-framed);
 //! * [`policy`] — the precision-policy engine: runtime-selected
 //!   storage (per level) / compute / wire precisions, decoupled;
 //! * [`benchmark`] — validation (standard and fullscale, §3.3), the
@@ -32,7 +30,6 @@
 
 pub mod benchmark;
 pub mod cg;
-pub mod checkpoint;
 pub mod config;
 pub mod flops;
 pub mod givens;
@@ -46,7 +43,6 @@ pub mod policy;
 pub mod problem;
 
 pub use benchmark::{BenchmarkReport, ValidationMode, ValidationResult};
-pub use checkpoint::{CheckpointSpec, OuterState};
 pub use config::{BenchmarkParams, ImplVariant};
 pub use gmres::{GmresOptions, SolveStats};
 pub use motifs::{Motif, MotifStats};

@@ -31,7 +31,7 @@
 //! Every level is colored by the sequential greedy algorithm, run over
 //! the grid's stencil neighbors, which on this stencil finds the 8
 //! parity classes of the 2×2×2 block, in a fixed order chosen for the
-//! smoother (see [`sweep_coloring`]). The paper colors with
+//! smoother (see `sweep_coloring`). The paper colors with
 //! Jones–Plassmann–Luby because a GPU must build its coloring in
 //! parallel (§3.2.1); on a CPU that costs 14–17 colors, uneven classes
 //! and most of the setup time.
@@ -170,7 +170,7 @@ pub struct Level {
     /// restriction work; 0 on the coarsest level).
     nnz_coarse: usize,
     /// Multicoloring of the local graph in sweep order (see
-    /// [`sweep_coloring`]): 8 equal parity classes on the 27-point
+    /// `sweep_coloring`): 8 equal parity classes on the 27-point
     /// stencil.
     pub coloring: Coloring,
     /// Per color: its ELL slab positions, interior rows (stencil touches

@@ -8,11 +8,11 @@
 //! orchestration, the way HPL-MxP's driver owns its run/report
 //! pipeline, instead of leaving each figure binary to hand-roll it:
 //!
-//! * [`spec`] — [`CampaignSpec`](spec::CampaignSpec): serde-configured
+//! * [`spec`] — [`CampaignSpec`]: serde-configured
 //!   axes (local dims, thread-rank counts, precision policies by name
 //!   or inline, implementation variants, modeled node counts against
 //!   named machine/network models) and a
-//!   [`SeriesMode`](spec::SeriesMode) per series;
+//!   [`SeriesMode`] per series;
 //! * [`engine`] — plans the cross-product, executes with progress
 //!   logging ([`engine::run_campaign`]), reconciles measurement
 //!   against the byte model in Hybrid mode, and feeds measured

@@ -25,7 +25,7 @@
 //!   intrinsics in `x86.rs` — `f16` is not a stable Rust type, so LLVM
 //!   cannot be asked for `vcvtph2ps` — against the references in
 //!   [`portable`], bit for bit over every non-NaN input.
-//! * **The ELL tile** ([`try_ell_tile`]) is hand-written AVX2 with
+//! * **The ELL tile** (`try_ell_tile`) is hand-written AVX2 with
 //!   gathers. It returns `false` when dispatch or a length check rules
 //!   the vector path out, and its caller's scalar walk is both the
 //!   fallback and the reference.

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChromeEvent {
     pub name: String,
-    /// Lane label (GPU/HALO/COPY/COMM/COLL/CKPT/FAULT/WIRE).
+    /// Lane label (GPU/HALO/COPY/COMM/COLL/WIRE).
     pub cat: String,
     /// `"B"` (begin), `"E"` (end), or `"i"` (instant).
     pub ph: String,
@@ -210,8 +210,8 @@ mod tests {
                     arg: 0,
                 },
                 FileEvent {
-                    name: "fault crash".into(),
-                    lane: Lane::Fault,
+                    name: "heartbeat".into(),
+                    lane: Lane::Wire,
                     kind: Kind::Instant,
                     tid: 1,
                     start_ns: 2000,

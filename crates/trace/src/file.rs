@@ -257,7 +257,7 @@ mod tests {
         {
             let _s = rec.span("alpha", Lane::Compute);
         }
-        rec.instant("beta", Lane::Fault, 9);
+        rec.instant("beta", Lane::Wire, 9);
         rec.add_overlap(OverlapRec { tag: 3, bytes_sent: 64, ..Default::default() });
 
         let dir = std::env::temp_dir().join(format!("hpgmxp-trace-test-{}", std::process::id()));
@@ -273,7 +273,7 @@ mod tests {
         assert_eq!(back.events[0].name, "alpha");
         assert_eq!(back.events[0].kind, Kind::Span);
         assert_eq!(back.events[1].name, "beta");
-        assert_eq!(back.events[1].lane, Lane::Fault);
+        assert_eq!(back.events[1].lane, Lane::Wire);
         assert_eq!(back.events[1].arg, 9);
         assert_eq!(back.overlaps.len(), 1);
         assert_eq!(back.overlaps[0].tag, 3);

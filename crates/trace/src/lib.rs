@@ -2,10 +2,10 @@
 //!
 //! The paper's core claim is about *where time and bytes go* at scale;
 //! this crate is the one mechanism every layer records spans into —
-//! solver kernels, halo exchanges, collectives, checkpointing, faults —
+//! solver kernels, halo exchanges, collectives, transport frames —
 //! through one call, [`span`]. It sits **below** the comm crate in the
-//! dependency order so solver, transports, checkpointing, the harness
-//! and the figure-9 machine model can all share it and its [`Lane`]s.
+//! dependency order so solver, transports, the harness and the
+//! figure-9 machine model can all share it and its [`Lane`]s.
 //!
 //! Three pieces:
 //!
@@ -17,7 +17,7 @@
 //!   and histograms with fixed log2 buckets — cheap enough to stay on
 //!   in `counters` mode even when span recording is off;
 //! * an **export pipeline**: per-rank binary trace files
-//!   ([`file`]), merged by the `hpgmxp-trace` CLI into Chrome
+//!   ([`file`](mod@file)), merged by the `hpgmxp-trace` CLI into Chrome
 //!   trace-event JSON ([`chrome`]) loadable in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev).
 //!

@@ -3,8 +3,8 @@
 //!
 //! Registration (first use of a name) takes a lock and allocates once;
 //! every update afterwards is a relaxed atomic operation. Call sites
-//! cache the registered handle in a `OnceLock` via the [`counter!`]/
-//! [`gauge!`]/[`histogram!`] macros, so the steady-state cost of an
+//! cache the registered handle in a `OnceLock` via the [`counter!`](macro@crate::counter)/
+//! [`gauge!`](macro@crate::gauge)/[`histogram!`](macro@crate::histogram) macros, so the steady-state cost of an
 //! update is one load, one mode branch, and one atomic add — cheap
 //! enough to leave armed in `counters` mode on hot transport paths
 //! without breaking the zero-allocation gate.
@@ -138,7 +138,7 @@ fn get_or_register<T: Default + 'static>(
 }
 
 /// The counter registered under `name` (registering it on first use).
-/// Hot paths should cache the handle — see the [`counter!`] macro.
+/// Hot paths should cache the handle — see the [`counter!`](macro@crate::counter) macro.
 pub fn counter(name: &'static str) -> &'static Counter {
     get_or_register(&registry().counters, name)
 }

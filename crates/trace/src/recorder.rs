@@ -25,8 +25,9 @@ use std::time::Instant;
 
 /// Which conceptual lane an event belongs to. The first four mirror
 /// the paper's figure-9 trace lanes (measured here, modeled in the
-/// machine crate); the rest cover collectives, checkpointing, faults
-/// and the transports.
+/// machine crate); the rest cover collectives and the transports.
+/// The discriminant is the lane's byte in trace files, so a lane keeps
+/// its number for good: 5 and 6 are retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Lane {
@@ -40,10 +41,6 @@ pub enum Lane {
     Comm = 3,
     /// Collective rounds (allreduce/barrier/allgather).
     Coll = 4,
-    /// Checkpoint stage/commit/restore.
-    Ckpt = 5,
-    /// Injected faults.
-    Fault = 6,
     /// Transport frame traffic and heartbeats.
     Wire = 7,
 }
@@ -57,8 +54,6 @@ impl Lane {
             Lane::Copy => "COPY",
             Lane::Comm => "COMM",
             Lane::Coll => "COLL",
-            Lane::Ckpt => "CKPT",
-            Lane::Fault => "FAULT",
             Lane::Wire => "WIRE",
         }
     }
@@ -70,8 +65,6 @@ impl Lane {
             2 => Lane::Copy,
             3 => Lane::Comm,
             4 => Lane::Coll,
-            5 => Lane::Ckpt,
-            6 => Lane::Fault,
             _ => Lane::Wire,
         }
     }
@@ -530,7 +523,7 @@ mod tests {
             s.set_arg(42);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        rec.instant("marker", Lane::Fault, 7);
+        rec.instant("marker", Lane::Wire, 7);
         let ev = rec.events();
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].name, "work");
@@ -656,16 +649,9 @@ mod tests {
 
     #[test]
     fn lane_labels_cover_all_variants() {
-        for (v, label) in [
-            (0, "GPU"),
-            (1, "HALO"),
-            (2, "COPY"),
-            (3, "COMM"),
-            (4, "COLL"),
-            (5, "CKPT"),
-            (6, "FAULT"),
-            (7, "WIRE"),
-        ] {
+        for (v, label) in
+            [(0, "GPU"), (1, "HALO"), (2, "COPY"), (3, "COMM"), (4, "COLL"), (7, "WIRE")]
+        {
             assert_eq!(Lane::from_u8(v).label(), label);
         }
     }
