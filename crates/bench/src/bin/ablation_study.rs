@@ -19,8 +19,9 @@
 //! Run: `cargo run --release -p hpgmxp-bench --bin ablation_study`
 //! (env: `HPGMXP_LOCAL_N`, `HPGMXP_ITERS` scale the measured sweep).
 
-use hpgmxp_bench::{env_usize, single_rank_problem};
+use hpgmxp_bench::{env_usize, single_rank_problem, workstation_params};
 use hpgmxp_comm::SelfComm;
+use hpgmxp_core::benchmark::{validate, ValidationMode};
 use hpgmxp_core::config::ImplVariant;
 use hpgmxp_core::motifs::MotifStats;
 use hpgmxp_core::ortho::{cgs2, mgs, orthogonality_defect};
@@ -141,6 +142,30 @@ fn policy_sweep() {
     let r16 = value("f64") / value("f16s-f32c");
     println!("  measured SpMV matrix-value traffic, f64/f64 vs f16s-f32c: {r16:.3}x");
     println!("  (all matrix + halo byte measurements reconciled exactly against the policy-aware machine model)\n");
+    restart_accounting(n, ranks);
+}
+
+/// Each policy's GMRES-IR solve to the validation tolerance, cycle by
+/// cycle: `n_ir`, its restart cycles, and how many of those ended at
+/// the inner precision's floor (ε of the compute precision, relative
+/// to the cycle's starting residual).
+fn restart_accounting(n: u32, ranks: usize) {
+    let params = workstation_params();
+    println!("   GMRES-IR restart accounting (standard validation, {n}^3 local)\n");
+    println!(
+        "{:<10} {:>5} {:>6} {:>6} {:>9} {:>12}",
+        "policy", "ranks", "nd", "nir", "restarts", "floor stops"
+    );
+    let stress = PrecisionPolicy::stress_f16();
+    for policy in PrecisionPolicy::shipped().iter().chain([&stress]) {
+        let v = validate(&params, ImplVariant::Optimized, ranks, ValidationMode::Standard, policy);
+        let mark = if v.converged { "" } else { "  (not converged)" };
+        println!(
+            "{:<10} {:>5} {:>6} {:>6} {:>9} {:>12}{}",
+            policy.name, v.ranks, v.nd, v.nir, v.restarts, v.floor_stops, mark
+        );
+    }
+    println!();
 }
 
 fn main() {

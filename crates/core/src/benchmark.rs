@@ -54,6 +54,10 @@ pub struct ValidationResult {
     pub nd: usize,
     /// Mixed-precision GMRES-IR iterations to the same target.
     pub nir: usize,
+    /// Restart cycles of the policy solve.
+    pub restarts: usize,
+    /// Those of its cycles that ended at the inner precision's floor.
+    pub floor_stops: usize,
     /// Relative residual the double solve achieved (the IR target in
     /// fullscale mode; ≤1e-9 in standard mode).
     pub achieved_relres: f64,
@@ -316,21 +320,24 @@ pub fn validate(
         };
         let prob = assemble_with_policy(&spec, c.rank(), &policy);
         let (_, st_ir) = gmres_ir_solve_policy(&c, &prob, &policy, &ir_opts, &tl);
-        (st_d.iters, st_d.final_relres, st_ir.iters, st_ir.converged, st_ir.final_relres)
+        (st_d.iters, st_d.final_relres, st_ir)
     });
 
-    let (nd, achieved_relres, nir, converged, ir_final_relres) = results[0];
+    let (nd, achieved_relres, ref st_ir) = results[0];
+    let nir = st_ir.iters;
     let ratio = nd as f64 / nir.max(1) as f64;
     ValidationResult {
         mode,
         ranks: v_ranks,
         nd,
         nir,
+        restarts: st_ir.restarts,
+        floor_stops: st_ir.floor_stops(),
         achieved_relres,
         ratio,
         penalty: ratio.min(1.0),
-        converged,
-        ir_final_relres,
+        converged: st_ir.converged,
+        ir_final_relres: st_ir.final_relres,
     }
 }
 

@@ -123,6 +123,7 @@ pub fn cg_solve<C: Comm>(
             converged,
             final_relres: relres,
             history,
+            cycles: Vec::new(),
             motifs: stats,
             overlap_efficiency: timeline.overlap_efficiency(),
             collectives: None,

@@ -21,6 +21,8 @@ pub struct GivensQr {
     sn: Vec<f64>,
     /// Transformed least-squares right-hand side, length `m+1`.
     t: Vec<f64>,
+    /// Back-substitution output, length `m`.
+    y: Vec<f64>,
     /// Completed columns.
     k: usize,
 }
@@ -34,6 +36,7 @@ impl GivensQr {
             cs: vec![0.0; m],
             sn: vec![0.0; m],
             t: vec![0.0; m + 1],
+            y: vec![0.0; m],
             k: 0,
         }
     }
@@ -97,10 +100,11 @@ impl GivensQr {
     }
 
     /// Solve the `k × k` triangular system `R y = t[0..k]` by back
-    /// substitution (line 45's dense TRSM).
-    pub fn solve_y(&self) -> Vec<f64> {
+    /// substitution (line 45's dense TRSM), into storage the QR owns.
+    pub fn solve_y(&mut self) -> &[f64] {
         let k = self.k;
-        let mut y = self.t[..k].to_vec();
+        let y = &mut self.y[..k];
+        y.copy_from_slice(&self.t[..k]);
         for i in (0..k).rev() {
             let coli = &self.h[i * (self.m + 1)..];
             for j in i + 1..k {
@@ -210,7 +214,7 @@ mod tests {
         qr.reset(4.0);
         let est = qr.push_column(&[2.0], 0.0);
         assert!(est.abs() < 1e-15);
-        assert_eq!(qr.solve_y(), vec![2.0]);
+        assert_eq!(qr.solve_y(), [2.0]);
     }
 
     #[test]

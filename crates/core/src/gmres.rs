@@ -65,7 +65,8 @@ impl Default for GmresOptions {
 /// Outcome of a solve.
 #[derive(Debug, Clone)]
 pub struct SolveStats {
-    /// Inner (Arnoldi) iterations performed.
+    /// Inner (Arnoldi) iterations performed: every step of every cycle,
+    /// those of a cycle that ended at its precision floor included.
     pub iters: usize,
     /// Restart cycles (= outer residual evaluations − 1).
     pub restarts: usize,
@@ -75,6 +76,8 @@ pub struct SolveStats {
     pub final_relres: f64,
     /// Explicit relative residuals at each restart (if tracked).
     pub history: Vec<f64>,
+    /// One record per restart cycle, in order (empty for CG).
+    pub cycles: Vec<CycleRecord>,
     /// Per-motif time and FLOP accounting for this rank.
     pub motifs: MotifStats,
     /// Measured halo-overlap efficiency over the solve (fraction of
@@ -87,44 +90,85 @@ pub struct SolveStats {
     pub collectives: Option<CollStats>,
 }
 
-/// Workspace reused across restart cycles of one solve.
-pub(crate) struct CycleWorkspace<S: Scalar> {
+impl SolveStats {
+    /// Cycles that ended at the inner precision's floor.
+    pub fn floor_stops(&self) -> usize {
+        self.cycles.iter().filter(|c| c.floor_stop).count()
+    }
+}
+
+/// What one restart cycle did, and how far its own residual estimate
+/// was from the truth when it handed back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CycleRecord {
+    /// Arnoldi steps the cycle ran.
+    pub iters: usize,
+    /// The Givens-implied residual at hand-back, relative to `‖b‖`.
+    pub implied_relres: f64,
+    /// The explicit f64 relative residual `‖b − Ax‖ / ‖b‖` the next
+    /// outer step computed from the updated `x` (NaN if it computed
+    /// none).
+    pub true_relres: f64,
+    /// Whether the cycle ended because its implied residual fell below
+    /// the inner precision's ε relative to the cycle's start.
+    pub floor_stop: bool,
+}
+
+/// Workspace reused across restart cycles of one solve: after
+/// [`CycleWorkspace::new`], a cycle allocates nothing.
+pub struct CycleWorkspace<S: Scalar> {
     basis: Basis<S>,
     /// Preconditioner output / SpMV input (owned + ghosts).
     zv: Vec<S>,
-    /// Scratch for the basis combination `Q t`.
+    /// The least-squares solution `y`, narrowed to `S`.
+    y: Vec<S>,
+    /// Scratch for the basis combination `Q y`.
     combined: Vec<S>,
+    /// The cycle's solution update `M⁻¹ Q y` (owned entries).
+    update: Vec<S>,
     mg: MgWorkspace<S>,
     qr: GivensQr,
 }
 
 impl<S: Scalar> CycleWorkspace<S> {
-    pub(crate) fn new(levels: &[Level], m: usize) -> Self {
+    /// Buffers for restart length `m` on `levels`.
+    pub fn new(levels: &[Level], m: usize) -> Self {
         let n = levels[0].n_local();
         CycleWorkspace {
             basis: Basis::new(n, m + 1),
             zv: vec![S::ZERO; levels[0].vec_len()],
+            y: vec![S::ZERO; m],
             combined: vec![S::ZERO; n],
+            update: vec![S::ZERO; n],
             mg: MgWorkspace::new(levels),
             qr: GivensQr::new(m),
         }
     }
+
+    /// The last cycle's solution update `M⁻¹ Q y` (owned entries).
+    pub fn update(&self) -> &[S] {
+        &self.update
+    }
 }
 
-/// Result of one restart cycle.
-pub(crate) struct CycleOutcome<S> {
-    /// Solution update `M⁻¹ Q y` (owned entries, working precision).
-    pub update: Vec<S>,
-    /// Inner iterations performed in this cycle.
-    pub iters: usize,
-}
-
-/// Run one restart cycle of right-preconditioned GMRES in precision `S`.
+/// Run one restart cycle of right-preconditioned GMRES in precision `S`,
+/// leave its solution update in [`CycleWorkspace::update`] and return
+/// its record (the true residual is the caller's to fill in).
 ///
 /// `r_unit` is the unit-norm outer residual (owned entries), `rho` its
 /// norm, `rho0` the reference norm for the relative tolerance.
+///
+/// The cycle stops at `iter_budget` or `opts.restart` steps, on
+/// breakdown, at the tolerance, or, when a tolerance is asked for
+/// (`opts.tol > 0`), at its precision floor: once the implied residual
+/// falls below `S::EPSILON · rho`. Past that point the implied residual
+/// keeps falling while the true one, bounded by what `S` can represent
+/// of the cycle's right-hand side, does not; the steps are wasted, and
+/// the outer f64 residual restarts the next cycle from the truth.
+/// Under `tol = 0` (fixed-iteration timing) every cycle runs its full
+/// budget.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gmres_cycle<S: Scalar, C: Comm>(
+pub fn gmres_cycle<S: Scalar, C: Comm>(
     ctx: &OpCtx<C>,
     prob: &LocalProblem,
     stats: &mut MotifStats,
@@ -134,15 +178,18 @@ pub(crate) fn gmres_cycle<S: Scalar, C: Comm>(
     rho: f64,
     rho0: f64,
     iter_budget: usize,
-) -> CommResult<CycleOutcome<S>> {
+) -> CommResult<CycleRecord> {
     let levels = &prob.levels[..];
     let n = levels[0].n_local();
     let m = opts.restart;
+    let floor = if opts.tol > 0.0 { S::EPSILON.to_f64() * rho } else { 0.0 };
 
     ws.basis.col_mut(0).copy_from_slice(&r_unit[..n]);
     ws.qr.reset(rho);
 
     let mut k = 0usize;
+    let mut implied = rho;
+    let mut floor_stop = false;
     while k < m && k < iter_budget {
         // z ← M⁻¹ q_k (the preconditioner application, line 18).
         if opts.precondition {
@@ -173,24 +220,45 @@ pub(crate) fn gmres_cycle<S: Scalar, C: Comm>(
 
         // Givens update (lines 31–43), redundantly on every rank, from
         // the Hessenberg column the basis' workspace holds.
-        let rho_est = stats.timed(Motif::Ortho, crate::flops::givens_update(k + 1), || {
+        implied = stats.timed(Motif::Ortho, crate::flops::givens_update(k + 1), || {
             ws.qr.push_column(ws.basis.hessenberg(k + 1), ortho.beta)
         });
         k += 1;
 
-        if ortho.breakdown || rho_est / rho0 < opts.tol {
+        if ortho.breakdown || implied / rho0 < opts.tol {
+            break;
+        }
+        if implied < floor {
+            floor_stop = true;
             break;
         }
     }
 
-    // Solution update: t ← H⁻¹t, r ← Q t, update ← M⁻¹ r (lines 45–47).
+    restart_end(ctx, prob, stats, ws, opts)?;
+    Ok(CycleRecord { iters: k, implied_relres: implied / rho0, true_relres: f64::NAN, floor_stop })
+}
+
+/// The end of a restart cycle (lines 45–47): `y ← R⁻¹t`, `Q y`, and
+/// the update `M⁻¹ Q y` into [`CycleWorkspace::update`], over the
+/// columns the cycle built. Allocates nothing.
+pub fn restart_end<S: Scalar, C: Comm>(
+    ctx: &OpCtx<C>,
+    prob: &LocalProblem,
+    stats: &mut MotifStats,
+    ws: &mut CycleWorkspace<S>,
+    opts: &GmresOptions,
+) -> CommResult<()> {
+    let levels = &prob.levels[..];
+    let n = levels[0].n_local();
+    let k = ws.qr.cols();
     let y = stats.timed(Motif::Ortho, crate::flops::hessenberg_solve(k), || ws.qr.solve_y());
-    let y_s: Vec<S> = y.iter().map(|&v| S::from_f64(v)).collect();
+    for (ys, &v) in ws.y.iter_mut().zip(y) {
+        *ys = S::from_f64(v);
+    }
     stats.timed(Motif::Ortho, crate::flops::basis_combine(n, k), || {
-        ws.basis.combine(k, &y_s, &mut ws.combined)
+        ws.basis.combine(k, &ws.y[..k], &mut ws.combined)
     });
 
-    let mut update = vec![S::ZERO; n];
     if opts.precondition {
         apply_mg_checked(
             ctx,
@@ -201,13 +269,12 @@ pub(crate) fn gmres_cycle<S: Scalar, C: Comm>(
             opts.post_smooth,
             SmootherKind::Forward,
             &ws.combined,
-            &mut update,
+            &mut ws.update,
         )?;
     } else {
-        update.copy_from_slice(&ws.combined);
+        ws.update.copy_from_slice(&ws.combined);
     }
-
-    Ok(CycleOutcome { update, iters: k })
+    Ok(())
 }
 
 /// Solve `A x = b` with double-precision restarted GMRES (Algorithm 2;

@@ -9,13 +9,14 @@
 //! mixed solver reach the same 10⁻⁹ relative residual as the double
 //! solver — at roughly half the memory traffic per inner iteration.
 
-use crate::gmres::{gmres_cycle, CycleWorkspace, GmresOptions, SolveStats};
+use crate::config::ImplVariant;
+use crate::gmres::{gmres_cycle, CycleRecord, CycleWorkspace, GmresOptions, SolveStats};
 use crate::motifs::{Motif, MotifStats};
-use crate::ops::{axpy_lo_mixed_op, dist_norm2, dist_spmv_checked, waxpby_op, OpCtx};
+use crate::ops::{axpy_lo_mixed_op, dist_norm2, dist_spmv_checked, OpCtx};
 use crate::policy::{PrecCtx, PrecisionPolicy};
 use crate::problem::LocalProblem;
-use hpgmxp_comm::{Comm, CommResult, Timeline};
-use hpgmxp_sparse::blas::scale_f64_into_lo;
+use hpgmxp_comm::{Comm, CommResult, ReduceOp, Timeline};
+use hpgmxp_sparse::blas::{axpby, scale_f64_into_lo};
 use hpgmxp_sparse::{Half, PrecKind, Scalar};
 use hpgmxp_trace::Lane;
 use std::time::Instant;
@@ -83,7 +84,6 @@ fn refine<SLo: Scalar, C: Comm>(
 
     // Outer state in double.
     let mut x = vec![0.0f64; levels[0].vec_len()];
-    let mut ax = vec![0.0f64; n];
     let mut r = vec![0.0f64; n];
     // Inner state in the low precision.
     let mut r_unit_lo = vec![SLo::ZERO; n];
@@ -91,17 +91,20 @@ fn refine<SLo: Scalar, C: Comm>(
 
     let rho0 = dist_norm2(comm, &mut stats, Motif::Dot, &prob.b)?;
     let mut history = Vec::new();
+    let mut cycles: Vec<CycleRecord> = Vec::new();
     let mut iters = 0usize;
-    let mut restarts = 0usize;
     let mut relres;
     let mut converged = false;
 
     loop {
-        // Line 7: double-precision residual r = b − A x.
-        dist_spmv_checked::<f64, C>(&ctx, &levels[0], &mut stats, 0, &mut x, &mut ax)?;
-        waxpby_op(&mut stats, 1.0, &prob.b, -1.0, &ax, &mut r);
+        // Line 7: double-precision residual r = b − A x, formed in r.
+        dist_spmv_checked::<f64, C>(&ctx, &levels[0], &mut stats, 0, &mut x, &mut r)?;
+        stats.timed(Motif::Waxpby, crate::flops::waxpby(n), || axpby(1.0, &prob.b, -1.0, &mut r));
         let rho = dist_norm2(comm, &mut stats, Motif::Dot, &r)?;
         relres = if rho0 > 0.0 { rho / rho0 } else { 0.0 };
+        if let Some(cycle) = cycles.last_mut() {
+            cycle.true_relres = relres;
+        }
         if opts.track_history {
             history.push(relres);
         }
@@ -126,7 +129,7 @@ fn refine<SLo: Scalar, C: Comm>(
 
         // The blue region: one restart cycle entirely in low precision,
         // under the policy's storage/wire mapping.
-        let outcome = {
+        let cycle = {
             let _sp = hpgmxp_trace::span("gmres cycle", Lane::Compute);
             gmres_cycle(
                 &ctx_inner,
@@ -140,28 +143,32 @@ fn refine<SLo: Scalar, C: Comm>(
                 opts.max_iters - iters,
             )?
         };
-        iters += outcome.iters;
-        restarts += 1;
+        iters += cycle.iters;
+        cycles.push(cycle);
         hpgmxp_trace::counter!("solver.restarts").inc();
-        hpgmxp_trace::counter!("solver.iters").add(outcome.iters as u64);
+        if cycle.floor_stop {
+            hpgmxp_trace::counter!("solver.floor_stops").inc();
+        }
+        hpgmxp_trace::counter!("solver.iters").add(cycle.iters as u64);
 
         // Line 47: mixed-precision solution update in double.
-        axpy_lo_mixed_op(&mut stats, 1.0, &outcome.update, &mut x[..n]);
-        if outcome.iters == 0 {
+        axpy_lo_mixed_op(&mut stats, 1.0, ws.update(), &mut x[..n]);
+        if cycle.iters == 0 {
             break;
         }
     }
 
     let collectives = coll_at_start.zip(comm.coll_stats()).map(|(start, end)| end.since(&start));
-    let solution = x[..n].to_vec();
+    x.truncate(n);
     Ok((
-        solution,
+        x,
         SolveStats {
             iters,
-            restarts,
+            restarts: cycles.len(),
             converged,
             final_relres: relres,
             history,
+            cycles,
             motifs: stats,
             overlap_efficiency: timeline.overlap_efficiency(),
             collectives,
@@ -169,10 +176,37 @@ fn refine<SLo: Scalar, C: Comm>(
     ))
 }
 
+/// HPL-MxP's normwise backward error of a solution: `η = ‖b − A x‖∞ /
+/// (‖A‖∞ ‖x‖∞ + ‖b‖∞)`, with `x` this rank's owned entries. Computed in
+/// f64 against the fine level's f64 operator, the four maxima
+/// all-reduced, so every rank returns the same value. A solve is
+/// valid at working precision u when `η ≤ c·n·u` for a modest `c`.
+pub fn backward_error<C: Comm>(comm: &C, prob: &LocalProblem, x: &[f64]) -> CommResult<f64> {
+    let fine = &prob.levels[0];
+    let n = fine.n_local();
+    let tl = Timeline::disabled();
+    let ctx = OpCtx::new(comm, ImplVariant::Optimized, &tl);
+    let mut xv = vec![0.0f64; fine.vec_len()];
+    xv[..n].copy_from_slice(&x[..n]);
+    let mut r = vec![0.0f64; n];
+    dist_spmv_checked(&ctx, fine, &mut MotifStats::new(), 0, &mut xv, &mut r)?;
+    axpby(1.0, &prob.b, -1.0, &mut r);
+    let ell = fine.ell64();
+    let row_sum = |i: usize| (0..ell.width()).map(|k| ell.entry(i, k).1.abs()).sum::<f64>();
+    // NaN becomes +inf here: `max` would drop it, and η must not.
+    let inf = |v: &[f64]| {
+        v.iter().fold(0.0f64, |m, e| if e.is_nan() { f64::INFINITY } else { m.max(e.abs()) })
+    };
+    let a_inf = (0..n).map(row_sum).fold(0.0f64, f64::max);
+    let mut maxima = [inf(&r), a_inf, inf(&x[..n]), inf(&prob.b)];
+    comm.allreduce_checked(&mut maxima, ReduceOp::Max)?;
+    let [r_inf, a_inf, x_inf, b_inf] = maxima;
+    Ok(r_inf / (a_inf * x_inf + b_inf))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ImplVariant;
     use crate::gmres::gmres_solve_f64;
     use crate::problem::{assemble_with_policy, ProblemSpec};
     use hpgmxp_comm::{run_spmd, SelfComm};
@@ -282,6 +316,64 @@ mod tests {
                     "P = {p}: recursive doubling spreads ceil(log2 P) receives evenly"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn inner_cycles_stop_at_their_precision_floor() {
+        let sp = spec(ProcGrid::new(1, 1, 1), 16, 4);
+        let opts = GmresOptions { max_iters: 600, ..Default::default() };
+        let (_, st) = solve(&SelfComm, &sp, &PrecisionPolicy::f32(), &opts);
+        assert!(st.converged);
+        assert!(st.floor_stops() >= 1, "{:?}", st.cycles);
+        assert_eq!(st.cycles.len(), st.restarts);
+        assert_eq!(st.cycles.iter().map(|c| c.iters).sum::<usize>(), st.iters);
+        // Cycle j starts from the true residual cycle j − 1 handed back.
+        let mut start = 1.0;
+        for c in &st.cycles {
+            assert!(c.true_relres.is_finite() && c.true_relres > 0.0, "{c:?}");
+            if c.floor_stop {
+                assert!(c.implied_relres < f32::EPSILON as f64 * start, "{c:?} from {start}");
+                // Past the floor the implied residual runs ahead of the truth.
+                assert!(c.implied_relres < c.true_relres, "{c:?}");
+            } else if c.true_relres >= opts.tol {
+                assert_eq!(c.iters, opts.restart, "{c:?}");
+            }
+            start = c.true_relres;
+        }
+
+        // An f64 inner solve never reaches its floor in one cycle, and
+        // with no tolerance asked for no cycle stops early.
+        let (_, st64) = solve(&SelfComm, &sp, &PrecisionPolicy::f64(), &opts);
+        assert_eq!(st64.floor_stops(), 0);
+        let fixed = GmresOptions { max_iters: 90, tol: 0.0, ..Default::default() };
+        let (_, st0) = solve(&SelfComm, &sp, &PrecisionPolicy::f32(), &fixed);
+        assert_eq!((st0.iters, st0.restarts, st0.floor_stops()), (90, 3, 0));
+    }
+
+    #[test]
+    fn backward_error_is_normwise_and_all_reduced() {
+        let procs = ProcGrid::new(2, 1, 1);
+        let etas = run_spmd(2, move |c| {
+            let prob = assemble_with_policy(&spec(procs, 8, 2), c.rank(), &PrecisionPolicy::f64());
+            // b = A·1, so the exact solution leaves rounding only.
+            let exact = backward_error(&c, &prob, &prob.x_exact).unwrap();
+            // One perturbed entry on rank 1 alone: ‖x‖∞ = 2 and, its
+            // column holding 26 on the diagonal, ‖b − Ax‖∞ = 26, with
+            // ‖A‖∞ = 52 and ‖b‖∞ = 19 (a corner row's 26 − 7).
+            let mut x = prob.x_exact.clone();
+            if c.rank() == 1 {
+                x[0] = 2.0;
+            }
+            let bumped = backward_error(&c, &prob, &x).unwrap();
+            x[0] = f64::NAN;
+            let broken = backward_error(&c, &prob, &x).unwrap();
+            (exact, bumped, broken)
+        });
+        for &(exact, bumped, broken) in &etas {
+            assert!(exact < 1e-15, "{exact}");
+            assert_eq!(bumped, 26.0 / (52.0 * 2.0 + 19.0));
+            assert!(broken.is_nan(), "a NaN solution must fail any bound: {broken}");
         }
     }
 

@@ -114,6 +114,16 @@ simd::twice! {
 }
 
 simd::twice! {
+    /// `y[i] = (alpha * x[i]).mul_add(ONE, beta * y[i])` on one chunk:
+    /// `waxpby_chunk`'s expression with the output over `y`.
+    fn axpby_chunk<S: Scalar>(alpha: S, x: &[S], beta: S, y: &mut [S]) {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi = (alpha * *xi).mul_add(S::ONE, beta * *yi);
+        }
+    }
+}
+
+simd::twice! {
     /// `x[i] *= alpha` on one chunk.
     fn scal_chunk<S: Scalar>(alpha: S, x: &mut [S]) {
         for xi in x.iter_mut() {
@@ -150,6 +160,15 @@ pub fn waxpby<S: Scalar>(alpha: S, x: &[S], beta: S, y: &[S], w: &mut [S]) {
         .zip(x.par_chunks(ELEM_CHUNK))
         .zip(y.par_chunks(ELEM_CHUNK))
         .for_each(|((wc, xc), yc)| waxpby_chunk(alpha, xc, beta, yc, wc));
+}
+
+/// `y = alpha*x + beta*y`: [`waxpby`] written over its second input,
+/// bit for bit, so a residual `r = b - A x` needs no buffer beside `r`.
+pub fn axpby<S: Scalar>(alpha: S, x: &[S], beta: S, y: &mut [S]) {
+    assert_eq!(x.len(), y.len());
+    y.par_chunks_mut(ELEM_CHUNK)
+        .zip(x.par_chunks(ELEM_CHUNK))
+        .for_each(|(yc, xc)| axpby_chunk(alpha, xc, beta, yc));
 }
 
 /// `y += alpha * x`, parallel over chunks (bit-identical at every
@@ -451,6 +470,9 @@ mod tests {
             let mut w = v(&[0.0, 0.0]);
             waxpby(S::from_f64(2.0), &x, S::from_f64(0.5), &y, &mut w);
             assert_eq!(w, v(&[7.0, 14.0]));
+            let mut w2 = y.clone();
+            axpby(S::from_f64(2.0), &x, S::from_f64(0.5), &mut w2);
+            assert_eq!(w2, w);
             let mut y2 = y.clone();
             axpy(S::from_f64(3.0), &x, &mut y2);
             assert_eq!(y2, v(&[13.0, 26.0]));

@@ -12,7 +12,7 @@
 #
 #   lane_dot                      >= 4 vfmadd231p[sd] (four accumulator registers)
 #   axpy_chunk, axpy_lo_chunk     >= 1 vfmadd*p[sd]
-#   scal_chunk, scale_into_lo_chunk, waxpby_chunk   >= 1 vmulp[sd]
+#   scal_chunk, scale_into_lo_chunk, waxpby_chunk, axpby_chunk   >= 1 vmulp[sd]
 #   widen_f32_f64, narrow_f64_f32 >= 1 256-bit vcvtps2pd / vcvtpd2ps
 #
 # For these and every kept intrinsic kernel in `simd::x86` (the F16C
@@ -74,7 +74,7 @@ count() {
 expected="lane_dot<f64> lane_dot<f32> axpy_chunk<f64> axpy_chunk<f32>
     axpy_lo_chunk<f64> axpy_lo_chunk<f32> scal_chunk<f64> scal_chunk<f32>
     scale_into_lo_chunk<f64> scale_into_lo_chunk<f32> waxpby_chunk<f64>
-    waxpby_chunk<f32> widen_f32_f64 narrow_f64_f32"
+    waxpby_chunk<f32> axpby_chunk<f64> axpby_chunk<f32> widen_f32_f64 narrow_f64_f32"
 status=0
 seen=" "
 printf '%-60s %6s %4s %4s %4s %4s %4s\n' instance fma231 fma mul cvt rets bare
@@ -99,7 +99,7 @@ while read -r name fma231 fma mul cvt rets bare; do
             case "$shape" in
                 lane_dot) [ "$fma231" -ge 4 ] || miss="$miss fewer than 4 ymm vfmadd231" ;;
                 axpy_chunk | axpy_lo_chunk) [ "$fma" -ge 1 ] || miss="$miss no ymm vfmadd" ;;
-                scal_chunk | scale_into_lo_chunk | waxpby_chunk)
+                scal_chunk | scale_into_lo_chunk | waxpby_chunk | axpby_chunk)
                     [ "$mul" -ge 1 ] || miss="$miss no ymm vmulp" ;;
                 widen_f32_f64 | narrow_f64_f32) [ "$cvt" -ge 1 ] || miss="$miss no 256-bit vcvt" ;;
             esac

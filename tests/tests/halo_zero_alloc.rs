@@ -24,16 +24,20 @@
 //! restart cycle (k = 1..=m) at f64 and f32 on a basis several
 //! projection tiles long: the tile partials and the coefficient buffers
 //! live in `Basis`, and the normalisation's pairwise tree allocates no
-//! partials vector.
+//! partials vector. A fourth, in the same pool, runs the end of a
+//! GMRES restart cycle at f32 on a two-level problem: the least-squares
+//! solve, the basis combination, the V-cycle `M⁻¹` and the f64 solution
+//! update, all in buffers the cycle workspace and the QR own.
 //!
 //! This file must stay a single-test binary: the global allocator and
 //! its counter are process-wide, and a concurrently running unrelated
 //! test would pollute the counted window.
 
-use hpgmxp_comm::{run_spmd, Comm, Timeline};
+use hpgmxp_comm::{run_spmd, Comm, ReduceOp::Sum, Timeline};
 use hpgmxp_core::config::ImplVariant;
+use hpgmxp_core::gmres::{gmres_cycle, restart_end, CycleWorkspace, GmresOptions};
 use hpgmxp_core::motifs::MotifStats;
-use hpgmxp_core::ops::{dist_gs_sweep, dist_spmv, OpCtx, SweepDir};
+use hpgmxp_core::ops::{axpy_lo_mixed_op, dist_gs_sweep, dist_spmv, OpCtx, SweepDir};
 use hpgmxp_core::ortho::cgs2;
 use hpgmxp_core::problem::{assemble_with_policy, ProblemSpec};
 use hpgmxp_core::PrecisionPolicy;
@@ -211,13 +215,54 @@ fn steady_state_exchange_allocates_nothing() {
                 }
             })
         });
-        (exchanges, kernel_calls, ortho_calls)
+
+        // The end of one restart cycle, after a cycle has built the
+        // basis and the QR it reads.
+        let policy = PrecisionPolicy::f32();
+        let prob = assemble_with_policy(
+            &ProblemSpec {
+                local: (8, 8, 8),
+                procs,
+                stencil: Stencil27::symmetric(),
+                mg_levels: 2,
+                seed: 11,
+            },
+            c.rank(),
+            &policy,
+        );
+        let n = prob.n_local();
+        let widest = prob.levels[0].halo.plan().neighbors.iter().map(|n| n.staging_bytes(8));
+        c.prewarm_pool(widest.max().unwrap_or(0));
+        let ctx = OpCtx::with_prec(&c, ImplVariant::Optimized, &tl, policy.ctx());
+        let opts = GmresOptions::default();
+        let mut ws: CycleWorkspace<f32> = CycleWorkspace::new(&prob.levels, opts.restart);
+        let rho = c.allreduce_scalar(prob.b.iter().map(|v| v * v).sum(), Sum).unwrap().sqrt();
+        let r_unit: Vec<f32> = prob.b.iter().map(|v| (v / rho) as f32).collect();
+        let mut x = vec![0.0f64; n];
+        let mut end = |ws: &mut CycleWorkspace<f32>| {
+            restart_end(&ctx, &prob, &mut stats, ws, &opts).unwrap();
+            axpy_lo_mixed_op(&mut stats, 1.0, ws.update(), &mut x);
+        };
+        let restart_end_calls = pool.install(|| {
+            let mut cycle_stats = MotifStats::new();
+            gmres_cycle(&ctx, &prob, &mut cycle_stats, &mut ws, &opts, &r_unit, rho, rho, 30)
+                .unwrap();
+            for _ in 0..2 {
+                end(&mut ws);
+            }
+            counted_window(&c, || {
+                for _ in 0..3 {
+                    end(&mut ws);
+                }
+            })
+        });
+        (exchanges, kernel_calls, ortho_calls, restart_end_calls)
     });
 
     // Thread mode returns all ranks (one shared counter), a launched rank
     // this process's rank alone (its own counter) — every entry must
     // be zero either way.
-    for (exchange, kernel, ortho) in counted {
+    for (exchange, kernel, ortho, cycle_end) in counted {
         let ((allocations, last_size), (kernel_allocations, kernel_last_size)) = (exchange, kernel);
         let (ortho_allocations, ortho_last_size) = ortho;
         assert_eq!(
@@ -236,6 +281,13 @@ fn steady_state_exchange_allocates_nothing() {
             ortho_allocations, 0,
             "steady-state cgs2 must not touch the allocator: {ortho_allocations} allocations \
              across 3 restart cycles on {ranks} ranks (last size tag: {ortho_last_size:#x})"
+        );
+        let (end_allocations, end_last_size) = cycle_end;
+        assert_eq!(
+            end_allocations, 0,
+            "a restart cycle's end (solve, combine, M⁻¹, update) must not touch the allocator: \
+             {end_allocations} allocations across 3 on {ranks} ranks \
+             (last size tag: {end_last_size:#x})"
         );
     }
 }

@@ -107,7 +107,7 @@ fn vec_f32(seed: u64, len: usize) -> Vec<f32> {
 }
 
 /// Every BLAS-1 kernel at every precision it runs at, as bits: the
-/// uniform `axpy`/`waxpby`/`scal` at f64, f32 and fp16, and the
+/// uniform `axpy`/`waxpby`/`axpby`/`scal` at f64, f32 and fp16, and the
 /// GMRES-IR hand-off pair (`axpy_lo_into_f64`, `scale_f64_into_lo`) from
 /// and into f64, f32 and fp16.
 fn blas1_bits(seed: u64, len: usize) -> Vec<u64> {
@@ -120,6 +120,7 @@ fn blas1_bits(seed: u64, len: usize) -> Vec<u64> {
         blas::axpy(S::ONE + c(7), &x, &mut y);
         blas::waxpby(c(8), &x, c(9), &y, &mut w);
         blas::scal(c(10), &mut w);
+        blas::axpby(c(11), &x, c(12), &mut y);
         bits.extend(y.iter().chain(&w).map(|e| e.to_f64().to_bits()));
     }
     fn handoff<S: Scalar>(seed: u64, len: usize, bits: &mut Vec<u64>) {
